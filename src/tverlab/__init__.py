@@ -10,6 +10,7 @@ counterexample search for the alternating threshold c(d,r).
 from .errors import (
     DegenerateInputError,
     InputError,
+    InternalError,
     ParseError,
     ResourceGuardError,
 )
@@ -23,7 +24,6 @@ from .kernel import (
     hyperplane_through,
     in_general_position,
     orientation,
-    side_of,
     to_rational,
 )
 from .ordertype import (

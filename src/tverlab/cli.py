@@ -7,8 +7,9 @@ feasibility engine.
 
 Exit status: 0 = computed and all requested claim checks passed; 1 = a claim
 check failed (the record says which); 2 = input error; 3 = an exhaustive
-enumeration guard was hit.  Identical invocations with identical seeds
-produce byte-identical reports apart from the timing field.
+enumeration guard was hit; 4 = an internal fault (a bug, not a verdict on
+the claim).  Identical invocations with identical seeds produce
+byte-identical reports apart from the timing field.
 
 ``--out`` appends records to a file; ``search-c`` also reads it back to
 resume an interrupted scan deterministically.
@@ -23,7 +24,7 @@ from pathlib import Path
 from typing import Dict, List
 
 from . import search as searchmod
-from .errors import InputError, ParseError, ResourceGuardError
+from .errors import InputError, InternalError, ResourceGuardError
 from .feasibility import hulls_common_point, verify_outcome
 from .kernel import Hyperplane, PointSet
 from .ordertype import (
@@ -646,15 +647,15 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         records, failed = args.handler(args)
-    except ParseError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except InputError as exc:
+    except InputError as exc:  # includes ParseError
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except ResourceGuardError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return 3
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     elapsed = time.perf_counter() - start
     for record in records:
         if record.timing is None:

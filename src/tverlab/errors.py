@@ -25,3 +25,7 @@ class ParseError(InputError):
 
 class ResourceGuardError(RuntimeError):
     """An exhaustive enumeration was requested above its desk-scale guard."""
+
+
+class InternalError(RuntimeError):
+    """An internal invariant failed: a bug, never a verdict on the input."""

@@ -16,8 +16,15 @@ Certificates are normalized to coprime integer entries (positive scaling
 only; a separator may also be sign-flipped, with the side of the query point
 recorded) so reports are reproducible across runs.
 
-Performance is secondary to exactness: systems here are desk scale (tens of
-rows).  Everything is pure; callers may run many solves concurrently.
+The simplex pivots on an all-integer tableau T with a common denominator D
+(Edmonds/Bareiss integer pivoting, as in lrs): the rational tableau is
+always T / D, D is the last pivot and stays positive, and each pivot updates
+every other row by ``(v * p - f * w) // D``, which divides exactly.  The
+system is scaled to integers by one global LCM of all denominators of A and
+b; scaling row by row would change the phase-1 reduced-cost signs and with
+them Bland's pivot path.  The pivot path, witnesses and multipliers are
+those of the same simplex run on Fractions.  Everything is pure; callers may
+run many solves concurrently.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import DegenerateInputError, InputError
+from .errors import DegenerateInputError, InputError, InternalError
 from .kernel import (
     Hyperplane,
     ONE,
@@ -37,12 +44,14 @@ from .kernel import (
     ZERO,
     as_point,
     dot,
+    fraction_free_update,
     hyperplane_through,
     in_general_position,
+    scale_to_integers,
 )
 
 # ---------------------------------------------------------------------------
-# phase-1 simplex over rationals
+# phase-1 simplex on an integer tableau
 
 
 def solve_equality_feasibility(rows, rhs):
@@ -59,34 +68,30 @@ def solve_equality_feasibility(rows, rhs):
     if m == 0:
         return "feasible", []
 
-    flips = []
-    tableau: List[List[Rational]] = []
-    for i in range(m):
-        b = Rational(rhs[i])
-        row = [Rational(v) for v in rows[i]]
-        if b < 0:
-            b = -b
-            row = [-v for v in row]
-            flips.append(-1)
-        else:
-            flips.append(1)
+    # one global scale keeps every reduced-cost sign, hence Bland's path;
+    # the artificial columns stay the identity, so the starting basis has
+    # determinant 1
+    entries = [Rational(v) for row in rows for v in row] + [Rational(v) for v in rhs]
+    ints, _ = scale_to_integers(entries)
+    flips = [-1 if b < 0 else 1 for b in ints[m * n :]]
+    tableau: List[List[int]] = []
+    for i, flip in enumerate(flips):
         # columns: n structural, m artificial, then rhs
-        art = [ZERO] * m
-        art[i] = ONE
-        tableau.append(row + art + [b])
+        art = [0] * m
+        art[i] = 1
+        row = [flip * v for v in ints[i * n : (i + 1) * n]]
+        tableau.append(row + art + [flip * ints[m * n + i]])
 
     # objective row holds reduced costs for `minimize sum of artificials`;
     # its rhs entry is minus the current objective value.
-    width = n + m + 1
-    obj = [ZERO] * width
-    for j in range(width):
-        col_sum = ZERO
-        for i in range(m):
-            col_sum += tableau[i][j]
-        obj[j] = -col_sum
+    obj = [-sum(col) for col in zip(*tableau)]
     for k in range(m):
-        obj[n + k] += ONE
+        obj[n + k] += 1
 
+    # the rational tableau is tableau / denom (and obj / denom); denom is
+    # the last pivot and stays positive, so every sign test reads the
+    # integers directly
+    denom = 1
     basis = list(range(n, n + m))
 
     while True:
@@ -98,52 +103,43 @@ def solve_equality_feasibility(rows, rhs):
         if entering < 0:
             break
         leaving = -1
-        best_ratio = None
         for i in range(m):
             coeff = tableau[i][entering]
             if coeff > 0:
-                ratio = tableau[i][-1] / coeff
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leaving])
-                ):
-                    best_ratio = ratio
+                if leaving < 0:
                     leaving = i
-        assert leaving >= 0, "phase-1 objective is bounded; no ratio row means a bug"
-        _pivot(tableau, obj, leaving, entering)
+                    continue
+                # compare rhs_i / coeff with the best ratio by cross-multiplying
+                best = tableau[leaving]
+                lhs = tableau[i][-1] * best[entering]
+                rhs_best = best[-1] * coeff
+                if lhs < rhs_best or (lhs == rhs_best and basis[i] < basis[leaving]):
+                    leaving = i
+        if leaving < 0:
+            raise InternalError("phase-1 objective is bounded; no ratio row means a bug")
+        denom = _pivot(tableau, obj, leaving, entering, denom)
         basis[leaving] = entering
 
-    value = -obj[-1]
-    if value == 0:
+    if obj[-1] == 0:
         x = [ZERO] * n
         for i, var in enumerate(basis):
             if var < n:
-                x[var] = tableau[i][-1]
+                x[var] = Rational(tableau[i][-1], denom)
         return "feasible", x
-    multipliers = [flips[i] * (ONE - obj[n + i]) for i in range(m)]
+    multipliers = [flips[i] * (ONE - Rational(obj[n + i], denom)) for i in range(m)]
     return "infeasible", multipliers
 
 
-def _pivot(tableau, obj, row, col):
+def _pivot(tableau, obj, row, col, denom):
+    """Integer pivot: every row but the pivot row takes the exact-division
+    update; returns the new common denominator, the pivot."""
     pivot_row = tableau[row]
     pivot = pivot_row[col]
-    if pivot != 1:
-        inv = ONE / pivot
-        tableau[row] = pivot_row = [v * inv for v in pivot_row]
-    for other in tableau:
-        if other is pivot_row:
-            continue
-        factor = other[col]
-        if factor:
-            for c, v in enumerate(pivot_row):
-                if v:
-                    other[c] -= factor * v
-    factor = obj[col]
-    if factor:
-        for c, v in enumerate(pivot_row):
-            if v:
-                obj[c] -= factor * v
+    for i, other in enumerate(tableau):
+        if i != row:
+            tableau[i] = fraction_free_update(other, pivot_row, pivot, other[col], denom)
+    obj[:] = fraction_free_update(obj, pivot_row, pivot, obj[col], denom)
+    return pivot
 
 
 def _normalize_multipliers(values: Sequence[Rational]) -> Tuple[Rational, ...]:

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from .errors import DegenerateInputError, InputError, ResourceGuardError
+from .errors import DegenerateInputError, InputError, InternalError, ResourceGuardError
 from .kernel import (
     Hyperplane,
     PointSet,
@@ -152,7 +152,8 @@ def is_order_homogeneous(X: PointSet) -> HomogeneityResult:
             first = (indices, s)
         elif s != first[1]:
             return HomogeneityResult(False, None, witness=(first, (indices, s)))
-    assert first is not None
+    if first is None:
+        raise InternalError("no orientation was computed for n >= dim + 1")
     return HomogeneityResult(True, first[1])
 
 

@@ -34,7 +34,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 
-from .errors import InputError, ResourceGuardError
+from .errors import InputError, InternalError, ResourceGuardError
 from .feasibility import (
     FeasibilityOutcome,
     hulls_common_point,
@@ -198,9 +198,9 @@ def _certify(dim, r, alphas, outcome) -> Counterexample:
     X = moment_points(MomentSpec(dim, alphas))
     homog = is_order_homogeneous(X)
     if not (homog.homogeneous and (homog.sign == 1 or homog.trivial)):
-        raise AssertionError("candidate configuration is not order-type homogeneous")
+        raise InternalError("candidate configuration is not order-type homogeneous")
     if not verify_outcome(alternating_blocks(X, r), outcome, dim):
-        raise AssertionError("counterexample certificate failed to replay")
+        raise InternalError("counterexample certificate failed to replay")
     return Counterexample(dim=dim, r=r, alphas=tuple(alphas), outcome=outcome)
 
 
@@ -223,7 +223,8 @@ def find_counterexample(
         raise InputError(f"need n >= 1, got n={n}")
     if n < r:
         outcome = evaluate_alternating(range(1, n + 1), d, r)
-        assert not outcome.feasible
+        if outcome.feasible:
+            raise InternalError("an empty alternating block must be infeasible")
         return _certify(d, r, [Rational(i) for i in range(1, n + 1)], outcome)
     if d == 1:
         outcome = evaluate_alternating(range(1, n + 1), 1, r)
@@ -311,7 +312,7 @@ def verified_sixteen_point_example(
         if not outcome.feasible:
             return _certify(3, 4, alphas, outcome), eps
         eps = eps / 2
-    raise AssertionError(
+    raise InternalError(
         "sixteen-point configuration stayed feasible down to epsilon "
         f"{eps}; feasibility engine is suspect"
     )
@@ -352,7 +353,7 @@ def n_line(t: int, r: int, guard: int = T_LINE_GUARD) -> int:
     for n in range(r, guard + 1):
         if t_line(n, r, guard=guard) >= t:
             if n != n_line_formula(t, r):
-                raise AssertionError(
+                raise InternalError(
                     f"n_line({t},{r}) computed {n}, closed form gives "
                     f"{n_line_formula(t, r)}"
                 )

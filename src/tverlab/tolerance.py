@@ -37,7 +37,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import InputError, ResourceGuardError
+from .errors import InputError, InternalError, ResourceGuardError
 from .feasibility import hulls_common_point, intervals_common_point
 from .kernel import PointSet
 from .ordertype import is_order_homogeneous
@@ -129,11 +129,6 @@ class ToleranceReport:
 # feasibility of depleted blocks
 
 
-def _block_points(X: PointSet, partition: Partition):
-    pts = X.points
-    return [[pts[i - 1] for i in block] for block in partition.blocks()]
-
-
 def _depleted_feasible(block_indices, X: PointSet, removed) -> bool:
     pts = X.points
     blocks = [
@@ -210,7 +205,8 @@ def partition_tolerance(
         if value >= cap:
             return ToleranceReport(value=cap, breaking_set=None, exhausted=False)
         breaking = _first_breaking_set(block_indices, X, value + 1)
-        assert breaking is not None
+        if breaking is None:
+            raise InternalError("closed-form tolerance has no breaking set")
         return ToleranceReport(value=value, breaking_set=breaking, exhausted=True)
 
     for size in range(cap + 1):
@@ -345,11 +341,11 @@ def set_tolerance(
     # phase 0/1: find the maximum tolerance M, seeded with the alternating
     # partition and pruned by the block-size caps
     seed = alternating_partition(n, r)
-    best = _exact_tolerance(_block_points_idx(seed), X, -1, face_size)
+    best = _exact_tolerance(seed.blocks(), X, -1, face_size)
     best = min(best, cap)
     if best < cap:
         for partition in iter_partitions(n, r, min_block=best + 2 + slack):
-            blocks = _block_points_idx(partition)
+            blocks = partition.blocks()
             if not _tolerance_at_least(blocks, X, best + 1, face_size):
                 continue
             value = _exact_tolerance(blocks, X, best + 1, face_size)
@@ -360,17 +356,15 @@ def set_tolerance(
     # phase 2: lexicographically first achiever of the maximum
     chosen = None
     for partition in iter_partitions(n, r, min_block=max(1, best + 1 + slack)):
-        if _tolerance_at_least(_block_points_idx(partition), X, best, face_size):
+        if _tolerance_at_least(partition.blocks(), X, best, face_size):
             chosen = partition
             break
-    assert chosen is not None, "some partition must achieve the maximum"
+    if chosen is None:
+        raise InternalError("no partition achieves the maximum tolerance")
     report = partition_tolerance(X, chosen, budget=budget)
-    assert report.value == best or not report.exhausted
+    if report.exhausted and report.value != best:
+        raise InternalError("argmax partition does not reach the maximum tolerance")
     return report, chosen
-
-
-def _block_points_idx(partition: Partition):
-    return partition.blocks()
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Everything here is deliberately written against the *definitions*, not the
 library's algorithms: facet enumeration by the all-points-one-side test,
 longest monotone subsequence by a plain DP, interval intersection on the
-line, polygon-style hull intersection at d=2 via Caratheodory, and Tukey
-depth by direction scans.  Tests freeze values computed by these oracles and
+line, polygon-style hull intersection at d=2 via Caratheodory, Tukey depth
+by direction scans, and the phase-1 simplex and determinant by plain
+Fraction elimination.  Tests freeze values computed by these oracles and
 compare the library against them; the oracles never call the code paths they
 check.
 """
@@ -12,6 +13,7 @@ check.
 import itertools
 import random
 
+from tverlab.errors import InputError
 from tverlab.kernel import (
     PointSet,
     Rational,
@@ -236,3 +238,139 @@ def seeded_increasing_alphas(seed, n, lo=-60, hi=60):
     rng = random.Random(seed)
     vals = rng.sample(range(lo, hi + 1), n)
     return sorted(Rational(v) for v in vals)
+
+
+# ---------------------------------------------------------------------------
+# phase-1 Bland simplex and determinant over Fractions: the package's
+# original elimination, kept to pin the integer tableau and Bareiss det to
+# the same pivot path and values
+
+
+def fraction_simplex(rows, rhs):
+    """Decide ``A x = b, x >= 0`` on a Fraction tableau.
+
+    Returns ``(status, payload, pivots)`` with status and payload exactly as
+    :func:`tverlab.feasibility.solve_equality_feasibility` defines them.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    for row in rows:
+        if len(row) != n:
+            raise InputError("ragged constraint matrix")
+    if m == 0:
+        return "feasible", [], 0
+
+    flips = []
+    tableau = []
+    for i in range(m):
+        b = Rational(rhs[i])
+        row = [Rational(v) for v in rows[i]]
+        if b < 0:
+            b = -b
+            row = [-v for v in row]
+            flips.append(-1)
+        else:
+            flips.append(1)
+        # columns: n structural, m artificial, then rhs
+        art = [ZERO] * m
+        art[i] = ONE
+        tableau.append(row + art + [b])
+
+    # objective row holds reduced costs for `minimize sum of artificials`;
+    # its rhs entry is minus the current objective value.
+    width = n + m + 1
+    obj = [ZERO] * width
+    for j in range(width):
+        col_sum = ZERO
+        for i in range(m):
+            col_sum += tableau[i][j]
+        obj[j] = -col_sum
+    for k in range(m):
+        obj[n + k] += ONE
+
+    basis = list(range(n, n + m))
+    pivots = 0
+
+    while True:
+        entering = -1
+        for j in range(n):  # artificials never re-enter
+            if obj[j] < 0:
+                entering = j
+                break
+        if entering < 0:
+            break
+        leaving = -1
+        best_ratio = None
+        for i in range(m):
+            coeff = tableau[i][entering]
+            if coeff > 0:
+                ratio = tableau[i][-1] / coeff
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < basis[leaving])
+                ):
+                    best_ratio = ratio
+                    leaving = i
+        assert leaving >= 0, "phase-1 objective is bounded; no ratio row means a bug"
+        _fraction_pivot(tableau, obj, leaving, entering)
+        pivots += 1
+        basis[leaving] = entering
+
+    value = -obj[-1]
+    if value == 0:
+        x = [ZERO] * n
+        for i, var in enumerate(basis):
+            if var < n:
+                x[var] = tableau[i][-1]
+        return "feasible", x, pivots
+    multipliers = [flips[i] * (ONE - obj[n + i]) for i in range(m)]
+    return "infeasible", multipliers, pivots
+
+
+def _fraction_pivot(tableau, obj, row, col):
+    pivot_row = tableau[row]
+    pivot = pivot_row[col]
+    if pivot != 1:
+        inv = ONE / pivot
+        tableau[row] = pivot_row = [v * inv for v in pivot_row]
+    for other in tableau:
+        if other is pivot_row:
+            continue
+        factor = other[col]
+        if factor:
+            for c, v in enumerate(pivot_row):
+                if v:
+                    other[c] -= factor * v
+    factor = obj[col]
+    if factor:
+        for c, v in enumerate(pivot_row):
+            if v:
+                obj[c] -= factor * v
+
+
+def fraction_det(matrix):
+    """Determinant by Gaussian elimination over Fractions."""
+    n = len(matrix)
+    m = [[Rational(x) for x in row] for row in matrix]
+    result = ONE
+    for col in range(n):
+        pivot_row = None
+        for r in range(col, n):
+            if m[r][col]:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            return ZERO
+        if pivot_row != col:
+            m[col], m[pivot_row] = m[pivot_row], m[col]
+            result = -result
+        pivot = m[col][col]
+        result *= pivot
+        for r in range(col + 1, n):
+            factor = m[r][col]
+            if factor:
+                factor /= pivot
+                for c in range(col + 1, n):
+                    m[r][c] -= factor * m[col][c]
+    return result

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,8 @@ from tverlab.pointset_io import (
 from tverlab.feasibility import hulls_common_point
 from tverlab.search import sixteen_point_alphas
 from tverlab.ordertype import MomentSpec, moment_points
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 class TestRationalFormat:
@@ -330,3 +334,24 @@ class TestCLI:
             [[ps.points[i] for i in range(k, 16, 4)] for k in range(4)], 3
         )
         assert not out.feasible
+
+    def test_intersect_sixteen_point_golden(self, capsys):
+        """The report is byte-identical, apart from timing, to the recorded one."""
+        golden = json.loads((GOLDEN / "sixteen_point.json").read_text())
+        data = Path(__file__).resolve().parent.parent / "data" / "sixteen_point_c34.otps"
+        code, out = self.run(capsys, "intersect", str(data), "--alternating", "4")
+        assert code == 0
+        stripped, count = re.subn(r',"timing":[0-9.e-]+', "", out)
+        assert count == 1
+        assert stripped == golden["intersect_alternating_4"]
+
+    def test_internal_error_exit4(self, capsys, monkeypatch):
+        import tverlab.search
+
+        monkeypatch.setattr(tverlab.search, "verify_outcome", lambda *a, **k: False)
+        code = main(["verify-figure2"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert "internal error" in captured.err
+

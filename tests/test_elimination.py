@@ -1,0 +1,179 @@
+"""Fraction-free elimination pinned to the Fraction oracles.
+
+The integer-tableau simplex must follow the Fraction simplex pivot for pivot
+and return the same status, witness and raw multipliers; the Bareiss
+determinant must return the Fraction determinant's exact value.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from oracles import fraction_det, fraction_simplex
+from tverlab import feasibility
+from tverlab.errors import InputError
+from tverlab.feasibility import intersection_system, solve_equality_feasibility
+from tverlab.kernel import Rational, affinely_independent, det
+from tverlab.ordertype import MomentSpec, moment_points
+from tverlab.search import alternating_blocks, sixteen_point_alphas
+
+
+@pytest.fixture
+def pivots(monkeypatch):
+    """Count the integer simplex's pivots."""
+    count = [0]
+    original = feasibility._pivot
+
+    def counting(*args):
+        count[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(feasibility, "_pivot", counting)
+    return count
+
+
+def assert_same_as_oracle(pivots, rows, rhs):
+    pivots[0] = 0
+    status, payload = solve_equality_feasibility(rows, rhs)
+    assert (status, payload, pivots[0]) == fraction_simplex(rows, rhs)
+    return status
+
+
+def test_sixteen_point_system(pivots):
+    X = moment_points(MomentSpec(3, sixteen_point_alphas()))
+    rows, rhs = intersection_system(alternating_blocks(X, 4), 3)
+    assert assert_same_as_oracle(pivots, rows, rhs) == "infeasible"
+
+
+def test_moment_alternating_systems(pivots):
+    rng = random.Random(11)
+    statuses = set()
+    for d in (1, 2, 3):
+        for r in (2, 3, 4):
+            for n in range(r, 13, 2):
+                alphas = sorted(rng.sample(range(-40, 41), n))
+                X = moment_points(MomentSpec(d, alphas))
+                rows, rhs = intersection_system(alternating_blocks(X, r), d)
+                statuses.add(assert_same_as_oracle(pivots, rows, rhs))
+    assert statuses == {"feasible", "infeasible"}
+
+
+def test_seeded_random_blocks_with_repeats(pivots):
+    rng = random.Random(23)
+    statuses = set()
+    for trial in range(120):
+        d = rng.randint(1, 3)
+        r = rng.randint(2, 4)
+        if trial % 2:
+            # few distinct points drawn repeatedly: ties in the ratio test
+            pool = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(3)]
+            pts = [rng.choice(pool) for _ in range(rng.randint(r, 10))]
+        else:
+            pts = [
+                tuple(Rational(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(d))
+                for _ in range(rng.randint(r, 10))
+            ]
+        blocks = [pts[k::r] for k in range(r)]
+        rows, rhs = intersection_system(blocks, d)
+        statuses.add(assert_same_as_oracle(pivots, rows, rhs))
+    assert statuses == {"feasible", "infeasible"}
+
+
+def test_negative_rhs_and_mixed_denominators(pivots):
+    rng = random.Random(31)
+    flipped = 0
+    for _ in range(200):
+        m = rng.randint(1, 5)
+        n = rng.randint(1, 7)
+        # every row gets its own denominators, so only a global LCM makes
+        # the tableau integral without changing the reduced-cost signs
+        rows = [
+            [Rational(rng.randint(-6, 6), rng.randint(1, 9)) for _ in range(n)]
+            for _ in range(m)
+        ]
+        rhs = [Rational(rng.randint(-6, 6), rng.randint(1, 9)) for _ in range(m)]
+        flipped += any(b < 0 for b in rhs)
+        assert_same_as_oracle(pivots, rows, rhs)
+    assert flipped > 100
+
+
+def test_integer_and_string_entries(pivots):
+    rows = [[1, 2, "3/2"], [-1, "1/3", 4]]
+    assert assert_same_as_oracle(pivots, rows, [2, "-5/7"]) == "feasible"
+
+
+def test_empty_and_ragged_systems():
+    assert solve_equality_feasibility([], []) == ("feasible", [])
+    assert fraction_simplex([], []) == ("feasible", [], 0)
+    ragged = [[1, 2], [3]]
+    with pytest.raises(InputError):
+        solve_equality_feasibility(ragged, [1, 1])
+    with pytest.raises(InputError):
+        fraction_simplex(ragged, [1, 1])
+
+
+def random_matrix(rng, n):
+    return [
+        [Rational(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(n)]
+        for _ in range(n)
+    ]
+
+
+def test_det_matches_fraction_oracle():
+    rng = random.Random(7)
+    for _ in range(300):
+        M = random_matrix(rng, rng.randint(1, 5))
+        assert det(M) == fraction_det(M)
+
+
+def test_det_singular_matrices():
+    rng = random.Random(8)
+    for n in range(2, 6):
+        for _ in range(20):
+            M = random_matrix(rng, n)
+            a, b = rng.sample(range(n), 2)
+            k = Rational(rng.randint(-3, 3), rng.randint(1, 3))
+            M[b] = [k * v for v in M[a]]
+            assert det(M) == fraction_det(M) == 0
+
+
+def test_det_needs_row_swaps():
+    rng = random.Random(9)
+    for n in range(2, 6):
+        for _ in range(20):
+            M = random_matrix(rng, n)
+            for row in M[: n - 1]:
+                row[0] = Rational(0)
+            value = det(M)
+            assert value == fraction_det(M)
+    assert det([[0, 1], [1, 0]]) == -1
+    assert det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+
+
+def test_det_small_sizes():
+    assert det([]) == fraction_det([]) == 1
+    assert det([[Rational(-3, 7)]]) == Rational(-3, 7)
+    assert det([[0]]) == 0
+    with pytest.raises(InputError):
+        det([[1, 2], [3]])
+
+
+def test_affinely_independent_matches_minors():
+    """Independent iff some k x k minor of the difference vectors is nonzero."""
+    rng = random.Random(10)
+    seen = set()
+    for _ in range(200):
+        dim = rng.randint(1, 3)
+        k = rng.randint(1, dim)
+        pool = [tuple(Rational(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(dim))
+                for _ in range(3)]
+        pts = [rng.choice(pool) for _ in range(k + 1)]
+        vectors = [[c - b for c, b in zip(p, pts[0])] for p in pts[1:]]
+        expected = any(
+            fraction_det([[v[c] for c in cols] for v in vectors]) != 0
+            for cols in itertools.combinations(range(dim), k)
+        )
+        assert affinely_independent(pts) == expected
+        seen.add(expected)
+    assert seen == {True, False}

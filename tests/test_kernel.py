@@ -15,7 +15,6 @@ from tverlab.kernel import (
     hyperplane_through,
     in_general_position,
     orientation,
-    side_of,
 )
 from tverlab.ordertype import MomentSpec, moment_points
 
@@ -98,7 +97,7 @@ def test_side_of_examples():
     h2 = Hyperplane([1, 1], 1)
     assert h2.side_of((Rational(1, 2), Rational(1, 2))) == 0
     assert h2.side_of((0, 0)) == -1
-    assert side_of(h2, (0, 0)) == -1
+    assert h2.side_of((1, 1)) == 1
 
 
 def test_side_of_dimension_mismatch():

@@ -1,10 +1,13 @@
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
 from tverlab.errors import InputError, ResourceGuardError
 from tverlab.feasibility import verify_outcome
 from tverlab.kernel import Rational
+from tverlab.pointset_io import format_rational
 from tverlab.ordertype import MomentSpec, is_order_homogeneous, moment_points
 from tverlab.search import (
     Counterexample,
@@ -186,3 +189,13 @@ class TestLineTables:
     def test_evaluate_alternating_line(self):
         assert evaluate_alternating(range(1, 6), 1, 3).feasible
         assert not evaluate_alternating(range(1, 5), 1, 3).feasible
+
+
+def test_sixteen_point_certificate_golden():
+    """Normalized multipliers and epsilon equal the recorded ones."""
+    path = Path(__file__).resolve().parent / "golden" / "sixteen_point.json"
+    golden = json.loads(path.read_text())
+    example, eps = verified_sixteen_point_example()
+    assert format_rational(eps) == golden["epsilon"]
+    multipliers = example.outcome.certificate.multipliers
+    assert [format_rational(v) for v in multipliers] == golden["multipliers"]
