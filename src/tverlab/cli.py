@@ -18,6 +18,7 @@ resume an interrupted scan deterministically.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
@@ -63,6 +64,7 @@ from .tolerance import (
     alternating_bound,
     alternating_bound_even,
     alternating_partition,
+    block_points,
     check_tolerance_sandwich,
     partition_tolerance,
     set_tolerance,
@@ -123,10 +125,6 @@ def _partition_for(args, n: int) -> Partition:
     if getattr(args, "blocks", None):
         return _parse_blocks(args.blocks, n)
     raise InputError("provide --blocks or --alternating")
-
-
-def _blocks_points(X: PointSet, partition: Partition):
-    return [[X.points[i - 1] for i in block] for block in partition.blocks()]
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +220,7 @@ def _cmd_crossings(args):
 def _cmd_intersect(args):
     ps = _load_pointset(args.pointset)
     partition = _partition_for(args, len(ps))
-    blocks = _blocks_points(ps, partition)
+    blocks = block_points(ps, partition.blocks())
     outcome = hulls_common_point(blocks, ps.dim)
     replayed = verify_outcome(blocks, outcome, ps.dim)
     payload = outcome_payload(blocks, ps.dim, outcome)
@@ -370,7 +368,15 @@ def _load_resume(args, fingerprint) -> Dict[int, object]:
     path = Path(args.out) if args.out else None
     if not path or not path.exists():
         return resume
-    for record in load_records(path.read_text()):
+    data = path.read_bytes()
+    cut = data.rfind(b"\n") + 1
+    if cut < len(data):
+        # every record is written with its newline: an unended last line is
+        # an append cut short, which later appends would run onto
+        print(f"warning: {path}: dropping a torn final line", file=sys.stderr)
+        os.truncate(path, cut)
+        data = data[:cut]
+    for record in load_records(data.decode()):
         if record.command != "search-c":
             continue
         inputs = record.inputs

@@ -42,7 +42,7 @@ from .feasibility import (
 )
 from .kernel import PointSet, Rational, to_rational
 from .ordertype import MomentSpec, is_order_homogeneous, moment_points
-from .tolerance import set_tolerance
+from .tolerance import alternating_partition, block_points, set_tolerance
 
 #: Known 16-parameter configuration whose alternating 4-partition in R^3 has
 #: no common point once the repeats are split; witnesses c(3,4) >= 17.
@@ -180,11 +180,10 @@ class NoneFound:
 
 
 def alternating_blocks(X: PointSet, r: int):
-    pts = X.points
-    blocks = [[] for _ in range(r)]
-    for j, p in enumerate(pts):
-        blocks[j % r].append(p)
-    return blocks
+    """Points of the alternating r-partition of X; blocks past n stay empty."""
+    n = len(X)
+    blocks = block_points(X, alternating_partition(n, min(n, r)).blocks())
+    return blocks + [[] for _ in range(r - n)]
 
 
 def evaluate_alternating(alphas: Sequence, dim: int, r: int) -> FeasibilityOutcome:

@@ -16,12 +16,17 @@ are exhaustive and exact:
 * breaking sets are upward closed (hulls only shrink when more points are
   removed), which justifies testing a single size when only a threshold
   ("tolerance >= t?") is needed;
-* on order-type homogeneous sets every block left with at most floor(d/2)
-  points spans a proper face of the cyclic polytope, disjoint from the other
-  hulls, which gives the sharper cap
-  ``tolerance <= min block - floor(d/2) - 1`` used to prune the partition
-  scan (validity is checked, not assumed: the pruning is enabled only after
-  an explicit homogeneity test).
+* on order-type homogeneous sets (all ordered (d+1)-subsets have one nonzero
+  orientation sign) with d >= 2, the *run rule* decides intersection:
+  conv(A) meets conv(B) iff the A/B label string of A u B, in index order,
+  has at least d+2 runs.  Proof sketch: a basic solution of the intersection
+  LP has support <= d+2, and in general position a meeting pair needs
+  exactly d+2 points, whose unique Radon partition alternates along the
+  index order because all orientations share a sign; conversely one point
+  per run gives that partition.  The rule is exact for r = 2 (no LP is
+  solved) and a necessary pairwise filter for r >= 3.  It is enabled only
+  after an explicit homogeneity test on at least d+1 points: fewer are
+  homogeneous vacuously and may even repeat a point.
 
 Dimension one additionally has a closed-form tolerance per partition: hulls
 are intervals, intervals intersect iff they pairwise intersect, and the
@@ -129,31 +134,47 @@ class ToleranceReport:
 # feasibility of depleted blocks
 
 
-def _depleted_feasible(block_indices, X: PointSet, removed) -> bool:
-    pts = X.points
-    blocks = [
-        [pts[i - 1] for i in block if i not in removed] for block in block_indices
-    ]
-    if any(not b for b in blocks):
+def block_points(X: PointSet, blocks) -> List[List[tuple]]:
+    """The points of each block of 1-based indices, in block order."""
+    return [[X.points[i - 1] for i in block] for block in blocks]
+
+
+def _homogeneous(X: PointSet, r: int) -> bool:
+    """Whether the run rule decides hull intersections of r >= 2 blocks of X."""
+    if r < 2 or X.dim < 2:
         return False
+    result = is_order_homogeneous(X)
+    return result.homogeneous and not result.trivial
+
+
+def _label_runs(a, b) -> int:
+    """Runs of the a/b label string of the indices a u b, in index order."""
+    merged = sorted([(i, 0) for i in a] + [(i, 1) for i in b])
+    return 1 + sum(x != y for (_, x), (_, y) in zip(merged, merged[1:]))
+
+
+def _breaking_survivors(X: PointSet, homogeneous: bool) -> int:
+    """Survivor count at or below which one block breaks the partition alone:
+    0, or floor(d/2) under the run rule, as s survivors make at most 2s+1
+    runs against any other block.  So tolerance <= (smallest block) -
+    floor(d/2) - 1, which bounds the partition scan and the removal search."""
+    return X.dim // 2 if homogeneous else 0
+
+
+def _depleted_feasible(block_indices, X: PointSet, removed, homogeneous) -> bool:
+    survivors = [[i for i in block if i not in removed] for block in block_indices]
+    if any(not b for b in survivors):
+        return False
+    if homogeneous:
+        pairs = itertools.combinations(survivors, 2)
+        if any(_label_runs(a, b) < X.dim + 2 for a, b in pairs):
+            return False
+        if len(survivors) == 2:
+            return True  # the run rule is exact for two blocks
+    blocks = block_points(X, survivors)
     if X.dim == 1:
         return intervals_common_point([[p[0] for p in b] for b in blocks]) is not None
     return hulls_common_point(blocks, X.dim).feasible
-
-
-def _face_cap(block_indices, removed, face_size) -> bool:
-    """True when some depleted block is forced onto a proper face.
-
-    Valid only for order-type homogeneous X with r >= 2: a block left with
-    1..face_size points spans a face of the cyclic polytope that the other
-    (nonempty) blocks' hulls miss, and an emptied block breaks outright.
-    """
-    survivors = [sum(1 for i in block if i not in removed) for block in block_indices]
-    if any(s == 0 for s in survivors):
-        return True
-    if len(block_indices) < 2 or face_size == 0:
-        return False
-    return any(s <= face_size for s in survivors)
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +195,9 @@ def _pair_separation_cost(sorted_hi: Sequence, sorted_lo: Sequence) -> int:
     return best
 
 
-def _tolerance_value_1d(block_values) -> int:
+def _tolerance_value_1d(X: PointSet, block_indices) -> int:
     """Exact tolerance of a 1-d partition via pairwise interval separation."""
-    sorted_blocks = [sorted(vals) for vals in block_values]
+    sorted_blocks = [sorted([X.points[i - 1][0] for i in b]) for b in block_indices]
     breaking = min(len(b) for b in sorted_blocks)  # empty a block
     for bi, bj in itertools.permutations(sorted_blocks, 2):
         breaking = min(breaking, _pair_separation_cost(bi, bj))
@@ -191,26 +212,26 @@ def partition_tolerance(
     X: PointSet, partition: Partition, budget: Optional[int] = None
 ) -> ToleranceReport:
     """Exact tolerance of one partition by increasing-size removal search."""
-    n = len(X)
-    if partition.n != n:
+    if partition.n != len(X):
         raise InputError("partition size does not match point set")
+    return _partition_tolerance(X, partition, budget, _homogeneous(X, partition.r))
+
+
+def _partition_tolerance(X, partition, budget, homogeneous) -> ToleranceReport:
     block_indices = partition.blocks()
-    cap = n if budget is None else min(budget, n)
+    cap = len(X) if budget is None else min(budget, len(X))
 
     if X.dim == 1:
-        values = [
-            [X.points[i - 1][0] for i in block] for block in block_indices
-        ]
-        value = _tolerance_value_1d(values)
+        value = _tolerance_value_1d(X, block_indices)
         if value >= cap:
             return ToleranceReport(value=cap, breaking_set=None, exhausted=False)
-        breaking = _first_breaking_set(block_indices, X, value + 1)
+        breaking = _first_breaking_set(block_indices, X, value + 1, False)
         if breaking is None:
             raise InternalError("closed-form tolerance has no breaking set")
         return ToleranceReport(value=value, breaking_set=breaking, exhausted=True)
 
     for size in range(cap + 1):
-        breaking = _first_breaking_set(block_indices, X, size)
+        breaking = _first_breaking_set(block_indices, X, size, homogeneous)
         if breaking is not None:
             return ToleranceReport(
                 value=size - 1, breaking_set=breaking, exhausted=True
@@ -218,55 +239,31 @@ def partition_tolerance(
     return ToleranceReport(value=cap, breaking_set=None, exhausted=False)
 
 
-def _first_breaking_set(block_indices, X, size, face_size=None):
+def _first_breaking_set(block_indices, X, size, homogeneous):
     """Lexicographically first removal of the given size that breaks."""
     for combo in itertools.combinations(range(1, len(X) + 1), size):
-        removed = set(combo)
-        if face_size is not None and _face_cap(block_indices, removed, face_size):
-            return combo
-        if not _depleted_feasible(block_indices, X, removed):
+        if not _depleted_feasible(block_indices, X, set(combo), homogeneous):
             return combo
     return None
 
 
-def _breaks_at_size(block_indices, X, size, face_size) -> bool:
-    """Does some removal of exactly this size break?  (early exit allowed)"""
-    if size == 0:
-        return not _depleted_feasible(block_indices, X, frozenset())
-    sizes = [len(b) for b in block_indices]
-    if face_size is not None and len(block_indices) >= 2:
-        if min(sizes) <= size + face_size:
-            return True  # squash the smallest block onto a face
-    elif min(sizes) <= size:
-        return True  # empty the smallest block
-    for combo in itertools.combinations(range(1, len(X) + 1), size):
-        removed = set(combo)
-        if face_size is not None and _face_cap(block_indices, removed, face_size):
-            return True
-        if not _depleted_feasible(block_indices, X, removed):
-            return True
-    return False
-
-
-def _tolerance_at_least(block_indices, X, t, face_size) -> bool:
+def _tolerance_at_least(block_indices, X, t, homogeneous) -> bool:
     """Threshold test: no removal of size t breaks (so none smaller does)."""
     if t <= 0:
-        return t < 0 or _depleted_feasible(block_indices, X, frozenset())
+        return t < 0 or _depleted_feasible(block_indices, X, (), homogeneous)
     if X.dim == 1:
-        values = [[X.points[i - 1][0] for i in block] for block in block_indices]
-        return _tolerance_value_1d(values) >= t
-    return not _breaks_at_size(block_indices, X, t, face_size)
+        return _tolerance_value_1d(X, block_indices) >= t
+    if min(map(len, block_indices)) - t <= _breaking_survivors(X, homogeneous):
+        return False  # thin out the smallest block
+    return _first_breaking_set(block_indices, X, t, homogeneous) is None
 
 
-def _exact_tolerance(block_indices, X, lower, face_size) -> int:
+def _exact_tolerance(block_indices, X, lower, homogeneous) -> int:
     """Exact tolerance, entered knowing it is at least ``lower``."""
     if X.dim == 1:
-        values = [[X.points[i - 1][0] for i in block] for block in block_indices]
-        return _tolerance_value_1d(values)
-    if lower < 0 and not _depleted_feasible(block_indices, X, frozenset()):
-        return -1
-    t = max(lower, 0)
-    while not _breaks_at_size(block_indices, X, t + 1, face_size):
+        return _tolerance_value_1d(X, block_indices)
+    t = lower
+    while _tolerance_at_least(block_indices, X, t + 1, homogeneous):
         t += 1
     return t
 
@@ -331,37 +328,34 @@ def set_tolerance(
         raise ResourceGuardError(
             f"partition enumeration needs n <= {guard}, got n={n}"
         )
-    face_size = None
-    if r >= 2 and X.dim >= 2 and is_order_homogeneous(X).homogeneous:
-        face_size = X.dim // 2
-
+    homogeneous = _homogeneous(X, r)
     cap = n if budget is None else min(budget, n)
-    slack = 0 if face_size is None else face_size
+    thin = _breaking_survivors(X, homogeneous)
 
     # phase 0/1: find the maximum tolerance M, seeded with the alternating
-    # partition and pruned by the block-size caps
+    # partition and pruned by block size (see _breaking_survivors)
     seed = alternating_partition(n, r)
-    best = _exact_tolerance(seed.blocks(), X, -1, face_size)
+    best = _exact_tolerance(seed.blocks(), X, -1, homogeneous)
     best = min(best, cap)
     if best < cap:
-        for partition in iter_partitions(n, r, min_block=best + 2 + slack):
+        for partition in iter_partitions(n, r, min_block=best + 2 + thin):
             blocks = partition.blocks()
-            if not _tolerance_at_least(blocks, X, best + 1, face_size):
+            if not _tolerance_at_least(blocks, X, best + 1, homogeneous):
                 continue
-            value = _exact_tolerance(blocks, X, best + 1, face_size)
+            value = _exact_tolerance(blocks, X, best + 1, homogeneous)
             best = min(value, cap)
             if best >= cap:
                 break
 
     # phase 2: lexicographically first achiever of the maximum
     chosen = None
-    for partition in iter_partitions(n, r, min_block=max(1, best + 1 + slack)):
-        if _tolerance_at_least(partition.blocks(), X, best, face_size):
+    for partition in iter_partitions(n, r, min_block=max(1, best + 1 + thin)):
+        if _tolerance_at_least(partition.blocks(), X, best, homogeneous):
             chosen = partition
             break
     if chosen is None:
         raise InternalError("no partition achieves the maximum tolerance")
-    report = partition_tolerance(X, chosen, budget=budget)
+    report = _partition_tolerance(X, chosen, budget, homogeneous)
     if report.exhausted and report.value != best:
         raise InternalError("argmax partition does not reach the maximum tolerance")
     return report, chosen

@@ -269,6 +269,45 @@ class TestCLI:
         assert summary["outcome"]["resumed"] == [3, 4]
         assert summary["outcome"]["per_n"] == {"3": True, "4": False}
 
+    def test_search_c_resume_after_torn_line(self, capsys, tmp_path):
+        # a kill during the per-n append leaves a partial last line; resume
+        # drops it with one warning and recomputes that n
+        report = tmp_path / "scan.jsonl"
+        args = [
+            "--out", str(report), "--seed", "1", "--budget", "60",
+            "search-c", "-d", "2", "-r", "2", "--n-from", "3", "--n-to", "4",
+        ]
+        code, out1 = self.run(capsys, *args)
+        assert code == 0
+        lines = report.read_text().splitlines(keepends=True)
+        assert [json.loads(l)["command"] for l in lines] == [
+            "search-c", "search-c", "search-c-summary",
+        ]
+        report.write_text(lines[0] + lines[1][: len(lines[1]) // 2])
+
+        code = main(args)
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err.count("warning") == 1 and "torn" in captured.err
+        second = [json.loads(l) for l in captured.out.strip().splitlines()]
+        summary = second[-1]["outcome"]
+        assert summary["resumed"] == [3]
+        assert summary["per_n"] == {"3": True, "4": False}
+
+        def without_timing(line):
+            rec = json.loads(line)
+            rec.pop("timing")
+            return rec
+
+        recomputed = [l for l in captured.out.splitlines() if '"search-c"' in l]
+        assert [without_timing(l) for l in recomputed] == [
+            without_timing(out1.splitlines()[1])
+        ]
+        # the checkpoint is whole again: a further resume recomputes nothing
+        code, out3 = self.run(capsys, *args)
+        assert code == 0
+        assert json.loads(out3.strip().splitlines()[-1])["outcome"]["resumed"] == [3, 4]
+
     def test_reports_byte_identical_modulo_timing(self, capsys):
         def strip_timing(lines):
             out = []

@@ -90,6 +90,17 @@ class TestFindCounterexample:
         X = moment_points(MomentSpec(2, res.alphas))
         assert is_order_homogeneous(X).sign == 1
 
+    def test_alternating_blocks_are_residue_classes(self):
+        X = moment_points(MomentSpec(1, range(1, 8)))
+        p = X.points
+        assert alternating_blocks(X, 3) == [
+            [p[0], p[3], p[6]], [p[1], p[4]], [p[2], p[5]],
+        ]
+        # below r the blocks past n stay empty
+        assert alternating_blocks(moment_points(MomentSpec(1, [1, 2])), 4) == [
+            [p[0]], [p[1]], [], [],
+        ]
+
     def test_below_r_trivially_found(self):
         # an empty alternating block is infeasible by the conv(0) convention
         res = find_counterexample(2, 3, 2)

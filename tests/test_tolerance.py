@@ -1,15 +1,21 @@
 import itertools
+import json
+import math
 import random
 
 import pytest
 
-from oracles import seeded_int_points
+from oracles import seeded_increasing_alphas, seeded_int_points
+from tverlab import ordertype, tolerance
+from tverlab.cli import main
 from tverlab.errors import InputError, ResourceGuardError
 from tverlab.feasibility import hulls_common_point
-from tverlab.kernel import PointSet
-from tverlab.ordertype import MomentSpec, moment_points
+from tverlab.kernel import PointSet, Rational
+from tverlab.ordertype import MomentSpec, is_order_homogeneous, moment_points
 from tverlab.tolerance import (
     Partition,
+    _depleted_feasible,
+    _label_runs,
     alternating_bound,
     alternating_bound_even,
     alternating_partition,
@@ -219,11 +225,119 @@ class TestSetTolerance:
             set_tolerance(ONE_TO(2), 3)
 
     def test_moment_curve_homogeneous_prune_consistent(self):
-        # the neighborliness prune must not change results (d=2, n=7)
-        X = moment_points(MomentSpec(2, range(1, 8)))
-        best = max(brute_tolerance(X, part)[0] for part in iter_partitions(7, 2))
-        rep, _ = set_tolerance(X, 2)
-        assert rep.value == best
+        # the run rule and the block-size prune must not change results
+        for d, n, r in ((2, 7, 2), (3, 8, 2), (3, 7, 3)):
+            X = moment_points(MomentSpec(d, range(1, n + 1)))
+            best = max(brute_tolerance(X, p)[0] for p in iter_partitions(n, r))
+            rep, _ = set_tolerance(X, r)
+            assert rep.value == best, (d, n, r)
+
+    def test_repeated_point_below_d_plus_1_cli(self, capsys, tmp_path):
+        # fewer than d+1 points are homogeneous only vacuously: the run rule
+        # must stay off, or the repeated point's common hull is missed
+        X = PointSet(2, [(0, 0), (0, 0)])
+        dup = tmp_path / "dup.otps"
+        dup.write_text("otps 2 2\n0 0\n0 0\n")
+        code = main(["tolerance", str(dup), "--set", "-r", "2"])
+        assert code == 0
+        rec = json.loads(capsys.readouterr().out.strip())
+        best = max(brute_tolerance(X, part)[0] for part in iter_partitions(2, 2))
+        assert rec["outcome"]["value"] == best == 0
+
+    def test_repeated_point_below_d_plus_1(self):
+        X = PointSet(3, [(0, 0, 0), (1, 1, 1), (0, 0, 0)])
+        rep, part = set_tolerance(X, 2)
+        best = max(brute_tolerance(X, p)[0] for p in iter_partitions(3, 2))
+        assert rep.value == best == brute_tolerance(X, part)[0]
+
+    def test_homogeneous_r2_solves_no_lp(self, monkeypatch):
+        # r = 2 on a homogeneous set is decided by the run rule alone, and
+        # homogeneity is evaluated once: C(n, d+1) orientations
+        calls = {"lp": 0, "orientation": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            tolerance, "hulls_common_point", counted("lp", tolerance.hulls_common_point)
+        )
+        monkeypatch.setattr(
+            ordertype, "orientation", counted("orientation", ordertype.orientation)
+        )
+        d, n = 3, 8
+        rep, _ = set_tolerance(moment_points(MomentSpec(d, range(1, n + 1))), 2)
+        assert rep.exhausted
+        assert calls == {"lp": 0, "orientation": math.comb(n, d + 1)}
+
+
+def perturbed_moment_set(seed, n, d, sign):
+    """Seeded moment-curve set, nudged off the curve and kept only if still
+    homogeneous; ``sign=-1`` mirrors the first coordinate."""
+    rng = random.Random(2 * seed + (sign < 0))
+    while True:
+        alphas = seeded_increasing_alphas(rng.randrange(10 ** 6), n, lo=-6, hi=6)
+        pts = [
+            tuple(
+                sign ** (k == 0) * (a ** (k + 1) + Rational(rng.randint(-4, 4), 16))
+                for k in range(d)
+            )
+            for a in alphas
+        ]
+        X = PointSet(d, pts)
+        result = is_order_homogeneous(X)
+        if result.homogeneous:
+            assert result.sign == sign and not result.trivial
+            return X
+
+
+HOMOGENEOUS_SETS = [
+    (d, sign, seed) for d in (2, 3, 4) for sign in (1, -1) for seed in (0, 1)
+]
+
+
+class TestRunRule:
+    @pytest.mark.parametrize("d, sign, seed", HOMOGENEOUS_SETS)
+    def test_r2_rule_equals_lp(self, d, sign, seed):
+        X = perturbed_moment_set(seed, 7, d, sign)
+        for part in iter_partitions(7, 2):
+            a, b = part.blocks()
+            lp = hulls_common_point(tolerance.block_points(X, (a, b)), d).feasible
+            assert (_label_runs(a, b) >= d + 2) == lp, part.labels
+            assert _depleted_feasible((a, b), X, (), True) == lp
+
+    @pytest.mark.parametrize("d, sign, seed", HOMOGENEOUS_SETS)
+    def test_r3_lp_feasible_implies_every_pair_passes(self, d, sign, seed):
+        # 2(d+1)+2 points, so that near-alternating 3-partitions can be
+        # feasible; random ones are mostly not
+        n = 2 * (d + 1) + 2
+        X = perturbed_moment_set(seed, n, d, sign)
+        rng = random.Random(seed)
+        alternating = alternating_partition(n, 3).labels
+        parts = []
+        while len(parts) < 60:
+            if len(parts) < 40:
+                labels = list(alternating)
+                for i in rng.sample(range(n), rng.randint(0, 2)):
+                    labels[i] = rng.randint(1, 3)
+            else:
+                labels = _random_partition_labels(rng, n, 3)
+            if set(labels) == {1, 2, 3}:
+                parts.append(Partition(n, 3, labels))
+        feasible = 0
+        for part in parts:
+            blocks = part.blocks()
+            lp = depleted_feasible(X, part, ())
+            if lp:
+                feasible += 1
+                assert all(
+                    _label_runs(a, b) >= d + 2
+                    for a, b in itertools.combinations(blocks, 2)
+                ), part.labels
+            assert _depleted_feasible(blocks, X, (), True) == lp
+        assert feasible > 0
 
 
 class TestBounds:
