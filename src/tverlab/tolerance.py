@@ -17,28 +17,32 @@ are exhaustive and exact:
   removed), which justifies testing a single size when only a threshold
   ("tolerance >= t?") is needed;
 * on order-type homogeneous sets (all ordered (d+1)-subsets have one nonzero
-  orientation sign) with d >= 2, the *run rule* decides intersection:
-  conv(A) meets conv(B) iff the A/B label string of A u B, in index order,
-  has at least d+2 runs.  Proof sketch: a basic solution of the intersection
-  LP has support <= d+2, and in general position a meeting pair needs
-  exactly d+2 points, whose unique Radon partition alternates along the
-  index order because all orientations share a sign; conversely one point
-  per run gives that partition.  The rule is exact for r = 2 (no LP is
-  solved) and a necessary pairwise filter for r >= 3.  It is enabled only
-  after an explicit homogeneity test on at least d+1 points: fewer are
-  homogeneous vacuously and may even repeat a point.
+  orientation sign) the *run rule* decides intersection: conv(A) meets
+  conv(B) iff the A/B label string of A u B, read in that order, has at
+  least d+2 runs.  Proof sketch: a basic solution of the intersection LP has
+  support <= d+2, and in general position a meeting pair needs exactly d+2
+  points, whose unique Radon partition alternates along the order because
+  all orientations share a sign; conversely one point per run gives that
+  partition.  With d >= 2 the order is the index order, enabled only after
+  an explicit homogeneity test on at least d+1 points: fewer are homogeneous
+  vacuously and may even repeat a point.
 
-Dimension one additionally has a closed-form tolerance per partition: hulls
-are intervals, intervals intersect iff they pairwise intersect, and the
-cheapest way to separate blocks i and j is to delete a bottom segment of one
-and a top segment of the other.  The fast path computes that directly and is
-tested exhaustively against the generic enumeration.
+Where block pairs decide (r = 2 under the rule) the tolerance has a closed
+form: the fewest deletions that leave some pair's label string with at most
+d+1 runs, minus one (a small DP per pair; r = 1 gives the block size minus
+one).  For r >= 3 with d >= 2 the rule is only a necessary pairwise filter
+and the LP decides what passes.
+
+On a line, hulls are intervals and every set of distinct values is
+homogeneous in value order, so the rule is read in that order.  By Helly's
+theorem in R^1 intervals that meet pairwise share a point, so pairs decide
+for every r.  A line with a repeated value is homogeneous in no order; it
+keeps the exact removal enumeration with interval intersection.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -139,68 +143,88 @@ def block_points(X: PointSet, blocks) -> List[List[tuple]]:
     return [[X.points[i - 1] for i in block] for block in blocks]
 
 
-def _homogeneous(X: PointSet, r: int) -> bool:
-    """Whether the run rule decides hull intersections of r >= 2 blocks of X."""
-    if r < 2 or X.dim < 2:
-        return False
-    result = is_order_homogeneous(X)
-    return result.homogeneous and not result.trivial
+def _run_order(X: PointSet, r: int, homogeneity=None) -> Optional[Tuple[int, ...]]:
+    """Position of each point in an order in which X is order-type
+    homogeneous, so that the run rule decides hull intersections of r blocks;
+    None when there is none (or r < 2 off a line, where it would go unused).
+
+    ``homogeneity`` is X's :func:`is_order_homogeneous` result when the
+    caller already has it.
+    """
+    n = len(X)
+    if X.dim == 1:
+        values = [p[0] for p in X.points]
+        if len(set(values)) < n:
+            return None
+        order = [0] * n
+        for position, i in enumerate(sorted(range(n), key=values.__getitem__)):
+            order[i] = position
+        return tuple(order)
+    if r < 2:
+        return None
+    result = is_order_homogeneous(X) if homogeneity is None else homogeneity
+    return tuple(range(n)) if result.homogeneous and not result.trivial else None
 
 
-def _label_runs(a, b) -> int:
-    """Runs of the a/b label string of the indices a u b, in index order."""
-    merged = sorted([(i, 0) for i in a] + [(i, 1) for i in b])
+def _label_runs(a, b, order) -> int:
+    """Runs of the a/b label string of the indices a u b, in the given order."""
+    merged = sorted([(order[i - 1], 0) for i in a] + [(order[i - 1], 1) for i in b])
     return 1 + sum(x != y for (_, x), (_, y) in zip(merged, merged[1:]))
 
 
-def _breaking_survivors(X: PointSet, homogeneous: bool) -> int:
+def _breaking_survivors(X: PointSet, order) -> int:
     """Survivor count at or below which one block breaks the partition alone:
     0, or floor(d/2) under the run rule, as s survivors make at most 2s+1
     runs against any other block.  So tolerance <= (smallest block) -
     floor(d/2) - 1, which bounds the partition scan and the removal search."""
-    return X.dim // 2 if homogeneous else 0
+    return X.dim // 2 if order is not None else 0
 
 
-def _depleted_feasible(block_indices, X: PointSet, removed, homogeneous) -> bool:
+def _pairs_decide(X: PointSet, order, r: int) -> bool:
+    """Whether the pairwise run rule is exact: r = 2, or any r on a line."""
+    return order is not None and (r <= 2 or X.dim == 1)
+
+
+def _depleted_feasible(block_indices, X: PointSet, removed, order) -> bool:
     survivors = [[i for i in block if i not in removed] for block in block_indices]
     if any(not b for b in survivors):
         return False
-    if homogeneous:
+    if order is not None:
         pairs = itertools.combinations(survivors, 2)
-        if any(_label_runs(a, b) < X.dim + 2 for a, b in pairs):
+        if any(_label_runs(a, b, order) < X.dim + 2 for a, b in pairs):
             return False
-        if len(survivors) == 2:
-            return True  # the run rule is exact for two blocks
+        if _pairs_decide(X, order, len(survivors)):
+            return True
     blocks = block_points(X, survivors)
     if X.dim == 1:
         return intervals_common_point([[p[0] for p in b] for b in blocks]) is not None
     return hulls_common_point(blocks, X.dim).feasible
 
 
-# ---------------------------------------------------------------------------
-# closed-form tolerance at d = 1
+def _fewest_deletions(string, runs: int) -> int:
+    """Fewest letters to delete from a 0/1 string to leave at most ``runs`` runs."""
+    # kept[c][j]: longest subsequence of at most j runs that ends in letter c
+    kept = ([0] * (runs + 1), [0] * (runs + 1))
+    for x in string:
+        same, other = kept[x], kept[1 - x]
+        for j in range(runs, 0, -1):
+            same[j] = max(same[j], other[j - 1]) + 1
+    return len(string) - max(kept[0][runs], kept[1][runs])
 
 
-def _pair_separation_cost(sorted_hi: Sequence, sorted_lo: Sequence) -> int:
-    """Fewest removals putting block `hi` strictly right of block `lo`.
-
-    Remove the k smallest of `hi` and everything in `lo` at or above the
-    surviving minimum; middles never help for interval separation.
-    """
-    best = len(sorted_hi) + len(sorted_lo)  # fallback: empty both (never minimal)
-    for k, cut in enumerate(sorted_hi):
-        drop = len(sorted_lo) - bisect_left(sorted_lo, cut)
-        if drop < len(sorted_lo):
-            best = min(best, k + drop)
-    return best
-
-
-def _tolerance_value_1d(X: PointSet, block_indices) -> int:
-    """Exact tolerance of a 1-d partition via pairwise interval separation."""
-    sorted_blocks = [sorted([X.points[i - 1][0] for i in b]) for b in block_indices]
-    breaking = min(len(b) for b in sorted_blocks)  # empty a block
-    for bi, bj in itertools.permutations(sorted_blocks, 2):
-        breaking = min(breaking, _pair_separation_cost(bi, bj))
+def _closed_form_tolerance(block_indices, X: PointSet, order) -> Optional[int]:
+    """Exact tolerance where pairs decide, else None: a removal breaks iff it
+    empties a block or leaves some pair's label string with <= d+1 runs."""
+    if not _pairs_decide(X, order, len(block_indices)):
+        return None
+    string = [0] * len(X)
+    for label, block in enumerate(block_indices):
+        for i in block:
+            string[order[i - 1]] = label
+    breaking = min(map(len, block_indices))  # empty a block (all r = 1 can do)
+    for a, b in itertools.combinations(range(len(block_indices)), 2):
+        pair = [x == b for x in string if x == a or x == b]
+        breaking = min(breaking, _fewest_deletions(pair, X.dim + 1))
     return breaking - 1
 
 
@@ -214,56 +238,51 @@ def partition_tolerance(
     """Exact tolerance of one partition by increasing-size removal search."""
     if partition.n != len(X):
         raise InputError("partition size does not match point set")
-    return _partition_tolerance(X, partition, budget, _homogeneous(X, partition.r))
+    return _partition_tolerance(X, partition, budget, _run_order(X, partition.r))
 
 
-def _partition_tolerance(X, partition, budget, homogeneous) -> ToleranceReport:
+def _partition_tolerance(X, partition, budget, order) -> ToleranceReport:
     block_indices = partition.blocks()
     cap = len(X) if budget is None else min(budget, len(X))
-
-    if X.dim == 1:
-        value = _tolerance_value_1d(X, block_indices)
-        if value >= cap:
-            return ToleranceReport(value=cap, breaking_set=None, exhausted=False)
-        breaking = _first_breaking_set(block_indices, X, value + 1, False)
-        if breaking is None:
-            raise InternalError("closed-form tolerance has no breaking set")
-        return ToleranceReport(value=value, breaking_set=breaking, exhausted=True)
-
-    for size in range(cap + 1):
-        breaking = _first_breaking_set(block_indices, X, size, homogeneous)
+    known = _closed_form_tolerance(block_indices, X, order)
+    for size in range(0 if known is None else known + 1, cap + 1):
+        breaking = _first_breaking_set(block_indices, X, size, order)
         if breaking is not None:
             return ToleranceReport(
                 value=size - 1, breaking_set=breaking, exhausted=True
             )
+        if known is not None:
+            raise InternalError("closed-form tolerance has no breaking set")
     return ToleranceReport(value=cap, breaking_set=None, exhausted=False)
 
 
-def _first_breaking_set(block_indices, X, size, homogeneous):
+def _first_breaking_set(block_indices, X, size, order):
     """Lexicographically first removal of the given size that breaks."""
     for combo in itertools.combinations(range(1, len(X) + 1), size):
-        if not _depleted_feasible(block_indices, X, set(combo), homogeneous):
+        if not _depleted_feasible(block_indices, X, set(combo), order):
             return combo
     return None
 
 
-def _tolerance_at_least(block_indices, X, t, homogeneous) -> bool:
+def _tolerance_at_least(block_indices, X, t, order) -> bool:
     """Threshold test: no removal of size t breaks (so none smaller does)."""
-    if t <= 0:
-        return t < 0 or _depleted_feasible(block_indices, X, (), homogeneous)
-    if X.dim == 1:
-        return _tolerance_value_1d(X, block_indices) >= t
-    if min(map(len, block_indices)) - t <= _breaking_survivors(X, homogeneous):
+    if t < 0:
+        return True
+    if min(map(len, block_indices)) - t <= _breaking_survivors(X, order):
         return False  # thin out the smallest block
-    return _first_breaking_set(block_indices, X, t, homogeneous) is None
+    known = _closed_form_tolerance(block_indices, X, order)
+    if known is not None:
+        return known >= t
+    return _first_breaking_set(block_indices, X, t, order) is None
 
 
-def _exact_tolerance(block_indices, X, lower, homogeneous) -> int:
+def _exact_tolerance(block_indices, X, lower, order) -> int:
     """Exact tolerance, entered knowing it is at least ``lower``."""
-    if X.dim == 1:
-        return _tolerance_value_1d(X, block_indices)
+    t = _closed_form_tolerance(block_indices, X, order)
+    if t is not None:
+        return t
     t = lower
-    while _tolerance_at_least(block_indices, X, t + 1, homogeneous):
+    while _tolerance_at_least(block_indices, X, t + 1, order):
         t += 1
     return t
 
@@ -321,6 +340,10 @@ def set_tolerance(
     (the enumeration is exponential); ``budget`` caps the per-partition
     removal search, in which case the result is a verified lower bound.
     """
+    return _set_tolerance(X, r, budget, guard, None)
+
+
+def _set_tolerance(X, r, budget, guard, homogeneity):
     n = len(X)
     if n < r:
         raise InputError(f"set tolerance needs |X| >= r, got {n} < {r}")
@@ -328,21 +351,21 @@ def set_tolerance(
         raise ResourceGuardError(
             f"partition enumeration needs n <= {guard}, got n={n}"
         )
-    homogeneous = _homogeneous(X, r)
+    order = _run_order(X, r, homogeneity)
     cap = n if budget is None else min(budget, n)
-    thin = _breaking_survivors(X, homogeneous)
+    thin = _breaking_survivors(X, order)
 
     # phase 0/1: find the maximum tolerance M, seeded with the alternating
     # partition and pruned by block size (see _breaking_survivors)
     seed = alternating_partition(n, r)
-    best = _exact_tolerance(seed.blocks(), X, -1, homogeneous)
+    best = _exact_tolerance(seed.blocks(), X, -1, order)
     best = min(best, cap)
     if best < cap:
         for partition in iter_partitions(n, r, min_block=best + 2 + thin):
             blocks = partition.blocks()
-            if not _tolerance_at_least(blocks, X, best + 1, homogeneous):
+            if not _tolerance_at_least(blocks, X, best + 1, order):
                 continue
-            value = _exact_tolerance(blocks, X, best + 1, homogeneous)
+            value = _exact_tolerance(blocks, X, best + 1, order)
             best = min(value, cap)
             if best >= cap:
                 break
@@ -350,12 +373,12 @@ def set_tolerance(
     # phase 2: lexicographically first achiever of the maximum
     chosen = None
     for partition in iter_partitions(n, r, min_block=max(1, best + 1 + thin)):
-        if _tolerance_at_least(partition.blocks(), X, best, homogeneous):
+        if _tolerance_at_least(partition.blocks(), X, best, order):
             chosen = partition
             break
     if chosen is None:
         raise InternalError("no partition achieves the maximum tolerance")
-    report = _partition_tolerance(X, chosen, budget, homogeneous)
+    report = _partition_tolerance(X, chosen, budget, order)
     if report.exhausted and report.value != best:
         raise InternalError("argmax partition does not reach the maximum tolerance")
     return report, chosen
@@ -425,7 +448,7 @@ def check_tolerance_sandwich(X: PointSet, r: int, guard: int = PARTITION_GUARD) 
     result = is_order_homogeneous(X)
     if not result.homogeneous:
         raise InputError("sandwich check requires an order-type homogeneous set")
-    report, _ = set_tolerance(X, r, guard=guard)
+    report, _ = _set_tolerance(X, r, None, guard, result)
     lower = n // r - alternating_bound(X.dim, r)
     upper = n // r - X.dim // 2
     return SandwichReport(

@@ -302,11 +302,13 @@ class TestRunRule:
     @pytest.mark.parametrize("d, sign, seed", HOMOGENEOUS_SETS)
     def test_r2_rule_equals_lp(self, d, sign, seed):
         X = perturbed_moment_set(seed, 7, d, sign)
+        order = tolerance._run_order(X, 2)
+        assert order == tuple(range(7))
         for part in iter_partitions(7, 2):
             a, b = part.blocks()
             lp = hulls_common_point(tolerance.block_points(X, (a, b)), d).feasible
-            assert (_label_runs(a, b) >= d + 2) == lp, part.labels
-            assert _depleted_feasible((a, b), X, (), True) == lp
+            assert (_label_runs(a, b, order) >= d + 2) == lp, part.labels
+            assert _depleted_feasible((a, b), X, (), order) == lp
 
     @pytest.mark.parametrize("d, sign, seed", HOMOGENEOUS_SETS)
     def test_r3_lp_feasible_implies_every_pair_passes(self, d, sign, seed):
@@ -314,6 +316,7 @@ class TestRunRule:
         # feasible; random ones are mostly not
         n = 2 * (d + 1) + 2
         X = perturbed_moment_set(seed, n, d, sign)
+        order = tolerance._run_order(X, 3)
         rng = random.Random(seed)
         alternating = alternating_partition(n, 3).labels
         parts = []
@@ -333,10 +336,10 @@ class TestRunRule:
             if lp:
                 feasible += 1
                 assert all(
-                    _label_runs(a, b) >= d + 2
+                    _label_runs(a, b, order) >= d + 2
                     for a, b in itertools.combinations(blocks, 2)
                 ), part.labels
-            assert _depleted_feasible(blocks, X, (), True) == lp
+            assert _depleted_feasible(blocks, X, (), order) == lp
         assert feasible > 0
 
 
