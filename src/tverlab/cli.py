@@ -18,6 +18,7 @@ resume an interrupted scan deterministically.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -283,7 +284,7 @@ def _cmd_tolerance(args):
         claim="Tolerance",
         outcome={
             "value": report.value,
-            "breaking_set": list(report.breaking_set) if report.breaking_set else None,
+            "breaking_set": jsonable(report.breaking_set),
             "exhausted": report.exhausted,
             "partition": list(partition.labels),
         },
@@ -328,17 +329,7 @@ def _strategy_from(args) -> SearchStrategy:
 
 
 def _strategy_fingerprint(strategy: SearchStrategy, budget: int) -> Dict:
-    return {
-        "kind": strategy.kind,
-        "seed": strategy.seed,
-        "cluster_count": strategy.cluster_count,
-        "spread": strategy.spread,
-        "epsilon": format_rational(strategy.epsilon),
-        "grid_step": format_rational(strategy.grid_step),
-        "denominator_bound": strategy.denominator_bound,
-        "value_bound": strategy.value_bound,
-        "budget": budget,
-    }
+    return {**dataclasses.asdict(strategy), "budget": budget}
 
 
 def _scan_record(args, strategy, budget, n, result, fingerprint) -> ReportRecord:
@@ -418,7 +409,7 @@ def _cmd_search_c(args):
         if args.out:
             with open(args.out, "a") as fh:
                 fh.write(record.to_json_line() + "\n")
-            record.persisted = True
+            args.flushed.add(id(record))
 
     result = scan_c_lower(
         args.dim,
@@ -650,6 +641,7 @@ def main(argv=None) -> int:
                           ("format", "json"), ("out", None)):
         if not hasattr(args, name):
             setattr(args, name, default)
+    args.flushed = set()  # ids of the records a handler already wrote to --out
     start = time.perf_counter()
     try:
         records, failed = args.handler(args)
@@ -670,7 +662,7 @@ def main(argv=None) -> int:
     if args.out:
         with open(args.out, "a") as fh:
             for record, line in zip(records, lines):
-                if not record.persisted:
+                if id(record) not in args.flushed:
                     fh.write(line + "\n")
     if args.format == "table":
         for record in records:

@@ -422,7 +422,7 @@ def verify_outcome(blocks, outcome: FeasibilityOutcome, dim=None) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# d = 1 interval logic (shared fast path; equivalence with the LP is tested)
+# d = 1 interval logic (lines with a repeated value; tested against the LP)
 
 
 def intervals_common_point(blocks) -> Optional[Rational]:

@@ -229,7 +229,6 @@ class ReportRecord:
     certificate: Optional[Dict] = None
     seed: Optional[int] = None
     timing: Optional[float] = None
-    persisted: bool = False  # already flushed to --out (checkpointing)
 
     def to_json_line(self) -> str:
         body = {

@@ -25,19 +25,16 @@ are exhaustive and exact:
   all orientations share a sign; conversely one point per run gives that
   partition.  With d >= 2 the order is the index order, enabled only after
   an explicit homogeneity test on at least d+1 points: fewer are homogeneous
-  vacuously and may even repeat a point.
+  vacuously and may even repeat a point.  A line of distinct values is
+  homogeneous in value order.
 
-Where block pairs decide (r = 2 under the rule) the tolerance has a closed
-form: the fewest deletions that leave some pair's label string with at most
-d+1 runs, minus one (a small DP per pair; r = 1 gives the block size minus
-one).  For r >= 3 with d >= 2 the rule is only a necessary pairwise filter
-and the LP decides what passes.
-
-On a line, hulls are intervals and every set of distinct values is
-homogeneous in value order, so the rule is read in that order.  By Helly's
-theorem in R^1 intervals that meet pairwise share a point, so pairs decide
-for every r.  A line with a repeated value is homogeneous in no order; it
-keeps the exact removal enumeration with interval intersection.
+Where block pairs decide, the tolerance has a closed form: the fewest
+deletions leaving some pair's label string with at most d+1 runs, minus one
+(r = 1: the block size minus one).  Pairs decide for r = 2 under the rule,
+and on a line for every r, since by Helly's theorem in R^1 intervals that
+meet pairwise share a point.  For r >= 3 with d >= 2 the rule is only a
+necessary pairwise filter and the LP decides what passes.  A line with a
+repeated value is homogeneous in no order and keeps the removal enumeration.
 """
 
 from __future__ import annotations
@@ -145,21 +142,16 @@ def block_points(X: PointSet, blocks) -> List[List[tuple]]:
 
 def _run_order(X: PointSet, r: int, homogeneity=None) -> Optional[Tuple[int, ...]]:
     """Position of each point in an order in which X is order-type
-    homogeneous, so that the run rule decides hull intersections of r blocks;
-    None when there is none (or r < 2 off a line, where it would go unused).
-
-    ``homogeneity`` is X's :func:`is_order_homogeneous` result when the
-    caller already has it.
-    """
+    homogeneous, so the run rule decides hull intersections; None when there
+    is none, or with r < 2 off a line.  ``homogeneity`` is X's
+    :func:`is_order_homogeneous` result when the caller already has it."""
     n = len(X)
     if X.dim == 1:
         values = [p[0] for p in X.points]
         if len(set(values)) < n:
             return None
-        order = [0] * n
-        for position, i in enumerate(sorted(range(n), key=values.__getitem__)):
-            order[i] = position
-        return tuple(order)
+        ranked = sorted(values)
+        return tuple(ranked.index(v) for v in values)
     if r < 2:
         return None
     result = is_order_homogeneous(X) if homogeneity is None else homogeneity
@@ -251,8 +243,6 @@ def _partition_tolerance(X, partition, budget, order) -> ToleranceReport:
             return ToleranceReport(
                 value=size - 1, breaking_set=breaking, exhausted=True
             )
-        if known is not None:
-            raise InternalError("closed-form tolerance has no breaking set")
     return ToleranceReport(value=cap, breaking_set=None, exhausted=False)
 
 
@@ -278,9 +268,6 @@ def _tolerance_at_least(block_indices, X, t, order) -> bool:
 
 def _exact_tolerance(block_indices, X, lower, order) -> int:
     """Exact tolerance, entered knowing it is at least ``lower``."""
-    t = _closed_form_tolerance(block_indices, X, order)
-    if t is not None:
-        return t
     t = lower
     while _tolerance_at_least(block_indices, X, t + 1, order):
         t += 1
@@ -358,8 +345,7 @@ def _set_tolerance(X, r, budget, guard, homogeneity):
     # phase 0/1: find the maximum tolerance M, seeded with the alternating
     # partition and pruned by block size (see _breaking_survivors)
     seed = alternating_partition(n, r)
-    best = _exact_tolerance(seed.blocks(), X, -1, order)
-    best = min(best, cap)
+    best = min(_exact_tolerance(seed.blocks(), X, -1, order), cap)
     if best < cap:
         for partition in iter_partitions(n, r, min_block=best + 2 + thin):
             blocks = partition.blocks()

@@ -203,6 +203,23 @@ class TestCLI:
         rec = json.loads(out.strip())
         assert rec["outcome"]["value"] == 1
 
+    def test_tolerance_breaking_set_empty_vs_absent(self, capsys, tmp_path):
+        # value -1: the empty removal already breaks, so the breaking set is
+        # [], not null; null means a budget cut the search
+        ps = tmp_path / "line.otps"
+        ps.write_text("otps 1 4\n1\n2\n3\n4\n")
+        code, out = self.run(capsys, "tolerance", str(ps), "--blocks", "1,2;3,4")
+        assert code == 0
+        outcome = json.loads(out.strip())["outcome"]
+        assert (outcome["value"], outcome["breaking_set"], outcome["exhausted"]) == (-1, [], True)
+
+        ps.write_text("otps 1 7\n1\n2\n3\n4\n5\n6\n7\n")
+        code, out = self.run(capsys, "tolerance", str(ps), "--alternating", "2",
+                             "--budget", "1")
+        assert code == 0
+        outcome = json.loads(out.strip())["outcome"]
+        assert (outcome["value"], outcome["breaking_set"], outcome["exhausted"]) == (1, None, False)
+
     def test_bounds(self, capsys):
         code, out = self.run(capsys, "bounds", "--kind", "lemma32", "-d", "3", "-r", "4")
         rec = json.loads(out.strip())

@@ -121,13 +121,18 @@ class TestPartitionTolerance:
         assert rep.value == 2 and rep.exhausted
 
     def test_fast_path_matches_enumeration_d1(self):
-        # the interval closed form must agree with brute enumeration exactly,
-        # including the lexicographically-first breaking set
+        # the closed form in value order must agree with brute enumeration
+        # exactly, including the lexicographically-first breaking set; draws
+        # from 0..9 mostly repeat a value (no order, enumeration), shuffled
+        # distinct values take the closed form
         rng = random.Random(9)
         for n in range(2, 8):
-            for r in range(1, min(3, n) + 1):
-                for _ in range(6):
-                    vals = [rng.randint(0, 9) for _ in range(n)]
+            for r in range(1, min(4, n) + 1):
+                for trial in range(8):
+                    if trial % 2:
+                        vals = rng.sample(range(-20, 20), n)
+                    else:
+                        vals = [rng.randint(0, 9) for _ in range(n)]
                     X = PointSet(1, [(v,) for v in vals])
                     labels = _random_partition_labels(rng, n, r)
                     part = Partition(n, r, labels)
@@ -135,6 +140,15 @@ class TestPartitionTolerance:
                     rep = partition_tolerance(X, part)
                     assert rep.value == value
                     assert rep.breaking_set == combo
+
+    def test_repeated_value_line_matches_brute_maximum(self):
+        # a repeated value leaves no order for the run rule
+        for vals, r in (((1, 2, 2, 3, 4), 2), ((0, 5, 0, 5, 1, 2), 2), ((3, 1, 3, 2, 2, 1), 3)):
+            X = PointSet(1, [(v,) for v in vals])
+            assert tolerance._run_order(X, r) is None
+            best = max(brute_tolerance(X, p)[0] for p in iter_partitions(len(X), r))
+            rep, part = set_tolerance(X, r)
+            assert rep.value == best == brute_tolerance(X, part)[0]
 
     def test_d2_matches_brute(self):
         rng = random.Random(13)
@@ -272,6 +286,63 @@ class TestSetTolerance:
         assert rep.exhausted
         assert calls == {"lp": 0, "orientation": math.comb(n, d + 1)}
 
+    def test_sandwich_evaluates_homogeneity_once(self, monkeypatch):
+        calls = {"orientation": 0}
+        orientation = ordertype.orientation
+
+        def counted(*args):
+            calls["orientation"] += 1
+            return orientation(*args)
+
+        monkeypatch.setattr(ordertype, "orientation", counted)
+        d, n = 3, 8
+        rep = check_tolerance_sandwich(moment_points(MomentSpec(d, range(1, n + 1))), 2)
+        assert rep.upper_ok
+        assert calls["orientation"] == math.comb(n, d + 1)
+
+    @pytest.mark.parametrize("X, r", [
+        (ONE_TO(16), 1),
+        (ONE_TO(9), 3),
+        (moment_points(MomentSpec(3, range(1, 9))), 2),
+    ])
+    def test_closed_form_tests_only_the_reported_size(self, monkeypatch, X, r):
+        # where pairs decide, the only removal sets tested are those of size
+        # value + 1, in the search for the reported breaking set
+        sizes = set()
+        depleted_feasible = tolerance._depleted_feasible
+
+        def recorded(block_indices, X, removed, order):
+            sizes.add(len(removed))
+            return depleted_feasible(block_indices, X, removed, order)
+
+        monkeypatch.setattr(tolerance, "_depleted_feasible", recorded)
+        rep, _ = set_tolerance(X, r, guard=len(X))
+        assert rep.exhausted and sizes == {rep.value + 1}
+
+    def test_thin_block_shortcut_precedes_closed_form(self, monkeypatch):
+        # d = 3: a block cut down to floor(3/2) = 1 survivor breaks alone
+        X = moment_points(MomentSpec(3, range(1, 9)))
+        order = tolerance._run_order(X, 2)
+        monkeypatch.setattr(tolerance, "_closed_form_tolerance", None)
+        assert not tolerance._tolerance_at_least(((1, 2, 3), (4, 5, 6, 7, 8)), X, 2, order)
+
+    @pytest.mark.parametrize("n, r, partitions", [(12, 3, 14954), (12, 2, 793)])
+    def test_line_search_keeps_its_two_phases(self, monkeypatch, n, r, partitions):
+        # threshold tests while the maximum grows, then the first achiever:
+        # the number of partitions visited is pinned
+        count = [0]
+        iter_partitions = tolerance.iter_partitions
+
+        def counted(*args, **kwargs):
+            for partition in iter_partitions(*args, **kwargs):
+                count[0] += 1
+                yield partition
+
+        monkeypatch.setattr(tolerance, "iter_partitions", counted)
+        rep, _ = set_tolerance(ONE_TO(n), r)
+        assert rep.value == (n + 1) // r - 2
+        assert count[0] == partitions
+
 
 def perturbed_moment_set(seed, n, d, sign):
     """Seeded moment-curve set, nudged off the curve and kept only if still
@@ -309,6 +380,13 @@ class TestRunRule:
             lp = hulls_common_point(tolerance.block_points(X, (a, b)), d).feasible
             assert (_label_runs(a, b, order) >= d + 2) == lp, part.labels
             assert _depleted_feasible((a, b), X, (), order) == lp
+
+    @pytest.mark.parametrize("d, sign, seed", HOMOGENEOUS_SETS)
+    def test_r2_closed_form_matches_brute(self, d, sign, seed):
+        X = perturbed_moment_set(seed, 7, d, sign)
+        for part in iter_partitions(7, 2):
+            rep = partition_tolerance(X, part)
+            assert (rep.value, rep.breaking_set) == brute_tolerance(X, part), part.labels
 
     @pytest.mark.parametrize("d, sign, seed", HOMOGENEOUS_SETS)
     def test_r3_lp_feasible_implies_every_pair_passes(self, d, sign, seed):
