@@ -24,6 +24,7 @@ from .kernel import (
     hyperplane_through,
     in_general_position,
     orientation,
+    orientation_signs,
     to_rational,
 )
 from .ordertype import (

@@ -23,7 +23,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from . import search as searchmod
 from .errors import InputError, InternalError, ResourceGuardError
@@ -354,6 +354,25 @@ def _scan_record(args, strategy, budget, n, result, fingerprint) -> ReportRecord
     )
 
 
+def _replayed_counterexample(args, n, record) -> Optional[Counterexample]:
+    """The checkpointed counterexample, if it has n parameters and its
+    certificate shows that the alternating partition of their moment points
+    has no common point; None otherwise.  The blocks are rebuilt from the
+    record's inputs, never taken from the certificate."""
+    try:
+        alphas = tuple(parse_rational(a) for a in record.outcome["alphas"])
+        _, _, outcome = payload_outcome(record.certificate)
+        if len(alphas) != n:
+            return None
+        X = moment_points(MomentSpec(args.dim, alphas))
+    except (InputError, KeyError, TypeError):
+        return None
+    blocks = searchmod.alternating_blocks(X, args.r)
+    if outcome.feasible or not verify_outcome(blocks, outcome, args.dim):
+        return None
+    return Counterexample(dim=args.dim, r=args.r, alphas=alphas, outcome=outcome)
+
+
 def _load_resume(args, fingerprint) -> Dict[int, object]:
     resume: Dict[int, object] = {}
     path = Path(args.out) if args.out else None
@@ -379,9 +398,15 @@ def _load_resume(args, fingerprint) -> Dict[int, object]:
             continue
         n = inputs.get("n")
         if record.outcome.get("found"):
-            _, dim, outcome = payload_outcome(record.certificate)
-            alphas = tuple(parse_rational(a) for a in record.outcome["alphas"])
-            resume[n] = Counterexample(dim=dim, r=args.r, alphas=alphas, outcome=outcome)
+            found = _replayed_counterexample(args, n, record)
+            if found is None:
+                print(
+                    f"warning: {path}: dropping the n={n} counterexample, whose "
+                    "certificate does not replay against its own inputs",
+                    file=sys.stderr,
+                )
+                continue
+            resume[n] = found
         else:
             resume[n] = NoneFound(
                 dim=args.dim, r=args.r, n=n,

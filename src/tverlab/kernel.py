@@ -14,6 +14,12 @@ Conventions:
   whose rows are the points, each row carrying a leading 1.  With the
   leading-1 layout, points on the moment curve with strictly increasing
   parameters orient +1 in every dimension (Vandermonde positivity).
+  Two facts let ``orientation_signs`` decide every tuple of a set on
+  integers: scaling a coordinate column by a positive number scales the
+  determinant by it, so the set is lifted to integers once, column by
+  column; and subtracting the first row from the others leaves the
+  determinant unchanged, so the sign is that of the d x d determinant of
+  the differences ``p_j - p_0`` (the sign is invariant under translation).
 * A hyperplane ``normal . x = offset`` has positive side
   ``normal . x > offset``.
 
@@ -26,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 from .errors import DegenerateInputError, InputError
 
@@ -218,19 +224,45 @@ def det(matrix: Sequence[Sequence]) -> Rational:
     return Rational(sign * last, scales) if rank == n else ZERO
 
 
+def orientation_signs(
+    points: Sequence[Sequence], dim: int
+) -> Iterator[Tuple[Tuple[int, ...], int]]:
+    """``(indices, sign)`` of every (dim+1)-subset of the points, 1-based and
+    in lexicographic order; the sign is :func:`orientation` of the subset.
+
+    Lazy, so a caller can stop at the first sign it rejects.  The points are
+    lifted to integers once (each column times the LCM of its denominators)
+    and the difference rows to each base point are formed once per base, so
+    a tuple costs one d x d integer Bareiss elimination.
+    """
+    pts = [as_point(p) for p in points]
+    for p in pts:
+        if len(p) != dim:
+            raise InputError(f"point {p} does not have dimension {dim}")
+    columns = [scale_to_integers(column)[0] for column in zip(*pts)]
+    lifted = [[column[k] for column in columns] for k in range(len(pts))]
+    for i in range(len(pts) - dim):
+        base = lifted[i]
+        diffs = [[a - b for a, b in zip(q, base)] for q in lifted[i + 1:]]
+        for rest in itertools.combinations(range(len(diffs)), dim):
+            # _bareiss replaces rows rather than editing them: diffs survive
+            rank, swaps, last = _bareiss([diffs[j] for j in rest], dim)
+            indices = (i + 1,) + tuple(i + 2 + j for j in rest)
+            yield indices, swaps * sign(last) if rank == dim else 0
+
+
 def orientation(points: Sequence[Sequence], dim: int) -> int:
     """Orientation sign of ``dim + 1`` ordered points in R^dim.
 
     Sign of the determinant whose rows are the points in homogeneous
-    coordinates (leading 1), taken in the given order.
+    coordinates (leading 1), taken in the given order: the one-subset case
+    of :func:`orientation_signs`.
     """
-    pts = [as_point(p) for p in points]
+    pts = list(points)
     if len(pts) != dim + 1:
         raise InputError(f"orientation in R^{dim} needs {dim + 1} points, got {len(pts)}")
-    for p in pts:
-        if len(p) != dim:
-            raise InputError(f"point {p} does not have dimension {dim}")
-    return sign(det([(ONE,) + p for p in pts]))
+    ((_, s),) = orientation_signs(pts, dim)
+    return s
 
 
 def affinely_independent(points: Sequence[Point]) -> bool:
@@ -290,7 +322,4 @@ def in_general_position(X: PointSet, extra: Optional[Sequence] = None) -> bool:
     if len(pts) < X.dim + 1:
         # with so few points only exact repeats can degenerate
         return len(set(pts)) == len(pts)
-    for combo in itertools.combinations(pts, X.dim + 1):
-        if orientation(combo, X.dim) == 0:
-            return False
-    return True
+    return all(s for _, s in orientation_signs(pts, X.dim))

@@ -24,7 +24,8 @@ from .kernel import (
     Hyperplane,
     PointSet,
     Rational,
-    orientation,
+    orientation,  # noqa: F401 - bench/tracing.py wraps this import site
+    orientation_signs,
     to_rational,
 )
 
@@ -137,15 +138,17 @@ class HomogeneityResult:
 
 
 def is_order_homogeneous(X: PointSet) -> HomogeneityResult:
-    """Check that every ordered (dim+1)-subset has one nonzero orientation."""
-    n = len(X)
-    d = X.dim
-    if n < d + 1:
+    """Check that every ordered (dim+1)-subset has one nonzero orientation.
+
+    The subsets come in lexicographic order from
+    :func:`~tverlab.kernel.orientation_signs`, which lifts X to integers
+    once; the check stops at the first zero or mismatching sign.  That subset
+    is the witness, after the first subset and its sign on a mismatch.
+    """
+    if len(X) < X.dim + 1:
         return HomogeneityResult(homogeneous=True, sign=None, trivial=True)
     first: Optional[Tuple[Tuple[int, ...], int]] = None
-    for combo in itertools.combinations(range(n), d + 1):
-        s = orientation([X.points[i] for i in combo], d)
-        indices = tuple(i + 1 for i in combo)
+    for indices, s in orientation_signs(X.points, X.dim):
         if s == 0:
             return HomogeneityResult(False, None, witness=((indices, 0),))
         if first is None:
@@ -246,11 +249,9 @@ def largest_homogeneous_subset(X: PointSet, cap: int = SUBSET_SEARCH_CAP) -> Tup
         raise ResourceGuardError(
             f"exhaustive subset search needs n <= {cap} for dim >= 2, got n={n}"
         )
-    signs: Dict[Tuple[int, ...], int] = {}
-    for combo in itertools.combinations(range(n), d + 1):
-        signs[combo] = orientation([X.points[i] for i in combo], d)
+    signs: Dict[Tuple[int, ...], int] = dict(orientation_signs(X.points, d))
     for size in range(n, d, -1):
-        for combo in itertools.combinations(range(n), size):
+        for combo in itertools.combinations(range(1, n + 1), size):
             uniform = None
             ok = True
             for sub in itertools.combinations(combo, d + 1):
@@ -264,5 +265,5 @@ def largest_homogeneous_subset(X: PointSet, cap: int = SUBSET_SEARCH_CAP) -> Tup
                     ok = False
                     break
             if ok:
-                return tuple(i + 1 for i in combo)
+                return combo
     return tuple(range(1, min(n, d) + 1))

@@ -29,8 +29,10 @@ are exhaustive and exact:
   homogeneous in value order.
 
 Where block pairs decide, the tolerance has a closed form: the fewest
-deletions leaving some pair's label string with at most d+1 runs, minus one
-(r = 1: the block size minus one).  Pairs decide for r = 2 under the rule,
+deletions leaving some pair's label string with at most d+1 runs, minus one.
+With r = 1 there is no pair and, in every dimension, the one block keeps a
+common point until it is emptied: the tolerance is n - 1, with no order and
+no LP.  Pairs decide for r = 2 under the rule,
 and on a line for every r, since by Helly's theorem in R^1 intervals that
 meet pairwise share a point.  For r >= 3 with d >= 2 the rule is only a
 necessary pairwise filter and the LP decides what passes.  A line with a
@@ -143,7 +145,8 @@ def block_points(X: PointSet, blocks) -> List[List[tuple]]:
 def _run_order(X: PointSet, r: int, homogeneity=None) -> Optional[Tuple[int, ...]]:
     """Position of each point in an order in which X is order-type
     homogeneous, so the run rule decides hull intersections; None when there
-    is none, or with r < 2 off a line.  ``homogeneity`` is X's
+    is none, or with r < 2 off a line (one block needs no rule; see
+    :func:`_closed_form_tolerance`).  ``homogeneity`` is X's
     :func:`is_order_homogeneous` result when the caller already has it."""
     n = len(X)
     if X.dim == 1:
@@ -168,7 +171,9 @@ def _breaking_survivors(X: PointSet, order) -> int:
     """Survivor count at or below which one block breaks the partition alone:
     0, or floor(d/2) under the run rule, as s survivors make at most 2s+1
     runs against any other block.  So tolerance <= (smallest block) -
-    floor(d/2) - 1, which bounds the partition scan and the removal search."""
+    floor(d/2) - 1, which bounds the partition scan and the removal search.
+    With r = 1 there is no other block; the order is None then off a line,
+    and d // 2 = 0 on one, so this is 0."""
     return X.dim // 2 if order is not None else 0
 
 
@@ -206,14 +211,17 @@ def _fewest_deletions(string, runs: int) -> int:
 
 def _closed_form_tolerance(block_indices, X: PointSet, order) -> Optional[int]:
     """Exact tolerance where pairs decide, else None: a removal breaks iff it
-    empties a block or leaves some pair's label string with <= d+1 runs."""
+    empties a block or leaves some pair's label string with <= d+1 runs.  One
+    block is never broken short of emptying it, in any dimension."""
+    if len(block_indices) == 1:
+        return len(block_indices[0]) - 1
     if not _pairs_decide(X, order, len(block_indices)):
         return None
     string = [0] * len(X)
     for label, block in enumerate(block_indices):
         for i in block:
             string[order[i - 1]] = label
-    breaking = min(map(len, block_indices))  # empty a block (all r = 1 can do)
+    breaking = min(map(len, block_indices))  # empty a block
     for a, b in itertools.combinations(range(len(block_indices)), 2):
         pair = [x == b for x in string if x == a or x == b]
         breaking = min(breaking, _fewest_deletions(pair, X.dim + 1))

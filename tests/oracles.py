@@ -4,10 +4,10 @@ Everything here is deliberately written against the *definitions*, not the
 library's algorithms: facet enumeration by the all-points-one-side test,
 longest monotone subsequence by a plain DP, interval intersection on the
 line, polygon-style hull intersection at d=2 via Caratheodory, Tukey depth
-by direction scans, and the phase-1 simplex and determinant by plain
-Fraction elimination.  Tests freeze values computed by these oracles and
-compare the library against them; the oracles never call the code paths they
-check.
+by direction scans, the phase-1 simplex and determinant by plain Fraction
+elimination, and orientation by one Fraction determinant per tuple.  Tests
+freeze values computed by these oracles and compare the library against
+them; the oracles never call the code paths they check.
 """
 
 import itertools
@@ -18,7 +18,6 @@ from tverlab.kernel import (
     PointSet,
     Rational,
     hyperplane_through,
-    orientation,
 )
 
 ZERO = Rational(0)
@@ -93,19 +92,19 @@ def point_in_hull_2d(q, pts):
             return True
     for a, b in itertools.combinations(pts, 2):
         # q on segment ab
-        if orientation([a, b, q], 2) == 0:
+        if fraction_orientation([a, b, q], 2) == 0:
             inside = all(
                 min(a[c], b[c]) <= q[c] <= max(a[c], b[c]) for c in range(2)
             )
             if inside:
                 return True
     for a, b, c in itertools.combinations(pts, 3):
-        o = orientation([a, b, c], 2)
+        o = fraction_orientation([a, b, c], 2)
         if o == 0:
             continue
-        s1 = orientation([a, b, q], 2)
-        s2 = orientation([b, c, q], 2)
-        s3 = orientation([c, a, q], 2)
+        s1 = fraction_orientation([a, b, q], 2)
+        s2 = fraction_orientation([b, c, q], 2)
+        s3 = fraction_orientation([c, a, q], 2)
         if all(s in (0, o) for s in (s1, s2, s3)):
             return True
     return False
@@ -226,7 +225,7 @@ def seeded_general_position_points(seed, n, d, box=40):
         ok = True
         if len(pts) >= d:
             for combo in itertools.combinations(pts, d):
-                if orientation(list(combo) + [cand], d) == 0:
+                if fraction_orientation(list(combo) + [cand], d) == 0:
                     ok = False
                     break
         if ok:
@@ -374,3 +373,19 @@ def fraction_det(matrix):
                 for c in range(col + 1, n):
                     m[r][c] -= factor * m[col][c]
     return result
+
+
+def fraction_orientation(points, dim):
+    """Sign of the Fraction determinant of the points with a leading-1 column."""
+    if len(points) != dim + 1:
+        raise InputError(f"orientation in R^{dim} needs {dim + 1} points")
+    value = fraction_det([(ONE,) + tuple(p) for p in points])
+    return (value > 0) - (value < 0)
+
+
+def fraction_orientation_signs(points, dim):
+    """``(indices, sign)`` of every (dim+1)-subset, 1-based, in lexicographic
+    order: the per-tuple loop, one Fraction determinant for each subset."""
+    for combo in itertools.combinations(range(len(points)), dim + 1):
+        sign = fraction_orientation([points[i] for i in combo], dim)
+        yield tuple(i + 1 for i in combo), sign

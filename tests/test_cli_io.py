@@ -166,6 +166,20 @@ class TestCLI:
         code, _ = self.run(capsys, "homog", str(path), "--expect", "violation")
         assert code == 1
 
+    @pytest.mark.parametrize("case", ["nonhomogeneous_d3", "degenerate_d2"])
+    def test_homog_witness_golden(self, capsys, tmp_path, case):
+        """The witness is the first zero or mismatching subset in
+        lexicographic order; the report is byte-identical, apart from timing,
+        to the one recorded before the signs were read off one integer lift."""
+        golden = json.loads((GOLDEN / "homog.json").read_text())[case]
+        path = tmp_path / "set.otps"
+        path.write_text(golden["otps"])
+        code, out = self.run(capsys, "homog", str(path))
+        assert code == 0
+        stripped, count = re.subn(r',"timing":[0-9.e-]+', "", out)
+        assert count == 1
+        assert stripped == golden["line"]
+
     def test_intersect_and_verify(self, capsys, tmp_path):
         ps = tmp_path / "sq.otps"
         ps.write_text("otps 2 4\n0 0\n1 0\n1 1\n0 1\n")
@@ -324,6 +338,33 @@ class TestCLI:
         code, out3 = self.run(capsys, *args)
         assert code == 0
         assert json.loads(out3.strip().splitlines()[-1])["outcome"]["resumed"] == [3, 4]
+
+    @pytest.mark.parametrize("forgery", ["relabel-n", "zero-multipliers"])
+    def test_search_c_resume_replays_found_records(self, capsys, tmp_path, forgery):
+        # a found record whose certificate does not replay against the
+        # alternating partition of its own n moment points is dropped with one
+        # warning, and that n is recomputed
+        report = tmp_path / "scan.jsonl"
+        scan = ["--out", str(report), "search-c", "-d", "2", "-r", "2"]
+        code, _ = self.run(capsys, *scan, "--n-from", "3", "--n-to", "3")
+        assert code == 0
+        rec = json.loads(report.read_text().splitlines()[0])
+        assert rec["outcome"]["found"] and rec["certificate"]["kind"] == "farkas"
+        if forgery == "relabel-n":
+            rec["inputs"]["n"] = n = 4
+        else:
+            n = 3
+            rec["certificate"]["multipliers"] = ["0"] * len(rec["certificate"]["multipliers"])
+        report.write_text(json.dumps(rec) + "\n")
+
+        code = main(scan + ["--n-from", str(n), "--n-to", str(n)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err.count("warning") == 1 and f"n={n}" in captured.err
+        summary = json.loads(captured.out.strip().splitlines()[-1])["outcome"]
+        assert summary["resumed"] == []
+        expected = {3: (True, 4), 4: (False, None)}[n]
+        assert (summary["per_n"][str(n)], summary["lower_bound"]) == expected
 
     def test_reports_byte_identical_modulo_timing(self, capsys):
         def strip_timing(lines):

@@ -2,7 +2,9 @@
 
 The integer-tableau simplex must follow the Fraction simplex pivot for pivot
 and return the same status, witness and raw multipliers; the Bareiss
-determinant must return the Fraction determinant's exact value.
+determinant must return the Fraction determinant's exact value; and the
+orientation signs of a set, read off one integer lift, must be the signs of
+the per-tuple Fraction determinants with a leading-1 column.
 """
 
 import itertools
@@ -10,12 +12,31 @@ import random
 
 import pytest
 
-from oracles import fraction_det, fraction_simplex
+from oracles import (
+    fraction_det,
+    fraction_orientation,
+    fraction_orientation_signs,
+    fraction_simplex,
+    seeded_increasing_alphas,
+)
 from tverlab import feasibility
 from tverlab.errors import InputError
 from tverlab.feasibility import intersection_system, solve_equality_feasibility
-from tverlab.kernel import Rational, affinely_independent, det
-from tverlab.ordertype import MomentSpec, moment_points
+from tverlab.kernel import (
+    PointSet,
+    Rational,
+    affinely_independent,
+    det,
+    in_general_position,
+    orientation,
+    orientation_signs,
+)
+from tverlab.ordertype import (
+    HomogeneityResult,
+    MomentSpec,
+    is_order_homogeneous,
+    moment_points,
+)
 from tverlab.search import alternating_blocks, sixteen_point_alphas
 
 
@@ -177,3 +198,104 @@ def test_affinely_independent_matches_minors():
         assert affinely_independent(pts) == expected
         seen.add(expected)
     assert seen == {True, False}
+
+
+def mixed_points(rng, n, d):
+    """Points whose columns have their own denominators, signs mixed, plus a
+    point collinear with two others and a repeated point."""
+    denominators = [rng.sample(range(1, 13), 3) for _ in range(d)]
+    pts = [
+        tuple(Rational(rng.randint(-6, 6), rng.choice(denominators[c])) for c in range(d))
+        for _ in range(n - 2)
+    ]
+    p, q = rng.sample(pts, 2)
+    t = Rational(rng.randint(-3, 3), rng.randint(1, 4))
+    pts.append(tuple(a + t * (b - a) for a, b in zip(p, q)))
+    pts.append(rng.choice(pts))
+    rng.shuffle(pts)
+    return pts
+
+
+def oracle_homogeneity(points, d):
+    """The homogeneity check as a per-tuple loop over Fraction determinants."""
+    if len(points) < d + 1:
+        return HomogeneityResult(True, None, trivial=True)
+    first = None
+    for indices, s in fraction_orientation_signs(points, d):
+        if s == 0:
+            return HomogeneityResult(False, None, witness=((indices, 0),))
+        if first is None:
+            first = (indices, s)
+        elif s != first[1]:
+            return HomogeneityResult(False, None, witness=(first, (indices, s)))
+    return HomogeneityResult(True, first[1])
+
+
+def homogeneity_cases(seed):
+    """Seeded sets in d = 1..4: mixed-denominator sets with degeneracies,
+    moment sets in both orders, and moment sets with one point moved."""
+    rng = random.Random(seed)
+    for d in range(1, 5):
+        n = rng.randint(d + 3, d + 6)
+        yield d, mixed_points(rng, n, d)
+        alphas = [a / rng.randint(1, 5) for a in seeded_increasing_alphas(seed * 10 + d, n, -9, 9)]
+        alphas = sorted(set(alphas))
+        moment = list(moment_points(MomentSpec(d, alphas)).points)
+        yield d, moment
+        yield d, moment[::-1]
+        moved = list(moment)
+        k = rng.randrange(len(moved))
+        moved[k] = tuple(c + Rational(rng.randint(-4, 4), rng.randint(1, 3)) for c in moved[k])
+        yield d, moved
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_orientation_signs_match_fraction_oracle(seed):
+    signs_seen = set()
+    for d, pts in homogeneity_cases(seed):
+        got = list(orientation_signs(pts, d))
+        assert got == list(fraction_orientation_signs(pts, d))
+        signs_seen.update(s for _, s in got)
+    assert signs_seen == {-1, 0, 1}
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_homogeneity_matches_per_tuple_loop(seed):
+    for d, pts in homogeneity_cases(seed):
+        X = PointSet(d, pts)
+        assert is_order_homogeneous(X) == oracle_homogeneity(pts, d)
+        assert in_general_position(X) == all(
+            s for _, s in fraction_orientation_signs(pts, d)
+        )
+
+
+@pytest.mark.parametrize("d", range(1, 5))
+def test_reversed_moment_set_orients_by_reversal_parity(d):
+    # reversing d+1 points is floor((d+1)/2) transpositions
+    pts = list(moment_points(MomentSpec(d, [-5, Rational(-1, 3), 0, Rational(7, 4), 3, 8])).points)
+    expected = -1 if (d + 1) // 2 % 2 else 1
+    result = is_order_homogeneous(PointSet(d, pts[::-1]))
+    assert result.homogeneous and result.sign == expected
+    assert {s for _, s in fraction_orientation_signs(pts[::-1], d)} == {expected}
+
+
+def test_orientation_is_the_single_tuple_case():
+    rng = random.Random(11)
+    for _ in range(200):
+        d = rng.randint(1, 4)
+        pts = mixed_points(rng, d + 3, d)[: d + 1]
+        assert orientation(pts, d) == fraction_orientation(pts, d)
+        assert list(orientation_signs(pts, d)) == [(tuple(range(1, d + 2)), orientation(pts, d))]
+
+
+def test_orientation_signs_are_lazy():
+    # C(60, 5) = 5,461,512 subsets; the first few come without the rest
+    pts = list(moment_points(MomentSpec(4, range(60))).points)
+    first = list(itertools.islice(orientation_signs(pts, 4), 3))
+    assert first == [((1, 2, 3, 4, 5), 1), ((1, 2, 3, 4, 6), 1), ((1, 2, 3, 4, 7), 1)]
+
+
+def test_orientation_signs_input_validation():
+    with pytest.raises(InputError):
+        list(orientation_signs([(0, 0), (1, 0), (0, 1, 5)], 2))
+    assert list(orientation_signs([(0, 0), (1, 0)], 2)) == []

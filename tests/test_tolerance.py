@@ -49,6 +49,26 @@ def brute_tolerance(X, partition):
     raise AssertionError("removing everything must break")
 
 
+def count_work(monkeypatch):
+    """Count the tolerance search's LP calls and the orientation signs its
+    homogeneity test reads."""
+    calls = {"lp": 0, "signs": 0}
+    lp, signs = tolerance.hulls_common_point, ordertype.orientation_signs
+
+    def counted_lp(*args, **kwargs):
+        calls["lp"] += 1
+        return lp(*args, **kwargs)
+
+    def counted_signs(*args):
+        for item in signs(*args):
+            calls["signs"] += 1
+            yield item
+
+    monkeypatch.setattr(tolerance, "hulls_common_point", counted_lp)
+    monkeypatch.setattr(ordertype, "orientation_signs", counted_signs)
+    return calls
+
+
 class TestPartition:
     def test_alternating_examples(self):
         assert alternating_partition(5, 2).blocks() == ((1, 3, 5), (2, 4))
@@ -266,39 +286,31 @@ class TestSetTolerance:
 
     def test_homogeneous_r2_solves_no_lp(self, monkeypatch):
         # r = 2 on a homogeneous set is decided by the run rule alone, and
-        # homogeneity is evaluated once: C(n, d+1) orientations
-        calls = {"lp": 0, "orientation": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(
-            tolerance, "hulls_common_point", counted("lp", tolerance.hulls_common_point)
-        )
-        monkeypatch.setattr(
-            ordertype, "orientation", counted("orientation", ordertype.orientation)
-        )
+        # homogeneity is evaluated once: C(n, d+1) orientation signs
+        calls = count_work(monkeypatch)
         d, n = 3, 8
         rep, _ = set_tolerance(moment_points(MomentSpec(d, range(1, n + 1))), 2)
         assert rep.exhausted
-        assert calls == {"lp": 0, "orientation": math.comb(n, d + 1)}
+        assert calls == {"lp": 0, "signs": math.comb(n, d + 1)}
 
     def test_sandwich_evaluates_homogeneity_once(self, monkeypatch):
-        calls = {"orientation": 0}
-        orientation = ordertype.orientation
-
-        def counted(*args):
-            calls["orientation"] += 1
-            return orientation(*args)
-
-        monkeypatch.setattr(ordertype, "orientation", counted)
+        calls = count_work(monkeypatch)
         d, n = 3, 8
         rep = check_tolerance_sandwich(moment_points(MomentSpec(d, range(1, n + 1))), 2)
         assert rep.upper_ok
-        assert calls["orientation"] == math.comb(n, d + 1)
+        assert calls["signs"] == math.comb(n, d + 1)
+
+    @pytest.mark.parametrize("d, n", [(2, 10), (3, 12)])
+    def test_r1_closed_form_off_a_line(self, monkeypatch, d, n):
+        # one nonempty block always has a common point: tolerance n - 1 in
+        # every dimension, with neither an LP nor a homogeneity test
+        X = moment_points(MomentSpec(d, range(1, n + 1)))
+        expected = brute_tolerance(X, Partition(n, 1, [1] * n))
+        calls = count_work(monkeypatch)
+        rep, part = set_tolerance(X, 1)
+        assert (rep.value, rep.breaking_set) == expected == (n - 1, tuple(range(1, n + 1)))
+        assert partition_tolerance(X, part) == rep
+        assert calls == {"lp": 0, "signs": 0}
 
     @pytest.mark.parametrize("X, r", [
         (ONE_TO(16), 1),
