@@ -442,6 +442,20 @@ class TestCLI:
         assert count == 1
         assert stripped == golden["intersect_alternating_4"]
 
+    @pytest.mark.parametrize("case", ["found", "exhausted"])
+    def test_search_c_golden(self, capsys, case):
+        """``search-c`` at d = 3, r = 4, n = 16: one run that finds a
+        counterexample after 127 feasible candidates, one that exhausts its
+        budget.  The search-c line (tried, alphas, Farkas multipliers) is
+        byte-identical, apart from timing, to the one recorded before the
+        candidate loop confirmed feasibility ahead of the canonical simplex."""
+        golden = json.loads((GOLDEN / "search_c.json").read_text())[case]
+        code, out = self.run(capsys, *golden["argv"])
+        assert code == 0
+        stripped, count = re.subn(r',"timing":[0-9.e-]+', "", out.splitlines()[0])
+        assert count == 1
+        assert stripped == golden["line"]
+
     def test_internal_error_exit4(self, capsys, monkeypatch):
         import tverlab.search
 
