@@ -3,7 +3,10 @@
 Each record ties the command to a claim tag, echoes its inputs, and carries
 self-contained certificate payloads, so any report can be re-verified later
 by ``tverlab verify <report.jsonl>`` using only the exact kernel and the
-feasibility engine.
+feasibility engine.  Verify replays each certificate against the blocks
+rebuilt from the record's own inputs (the point set and partition of
+``intersect``, the alphas of ``search-c`` and ``verify-figure2``), so a
+certificate copied onto other inputs fails.
 
 Exit status: 0 = computed and all requested claim checks passed; 1 = a claim
 check failed (the record says which); 2 = input error; 3 = an exhaustive
@@ -39,6 +42,7 @@ from .ordertype import (
 )
 from .pointset_io import (
     ReportRecord,
+    decode_points,
     emit_pointset,
     format_rational,
     jsonable,
@@ -354,23 +358,24 @@ def _scan_record(args, strategy, budget, n, result, fingerprint) -> ReportRecord
     )
 
 
-def _replayed_counterexample(args, n, record) -> Optional[Counterexample]:
-    """The checkpointed counterexample, if it has n parameters and its
-    certificate shows that the alternating partition of their moment points
-    has no common point; None otherwise.  The blocks are rebuilt from the
-    record's inputs, never taken from the certificate."""
+def _replayed_counterexample(dim, r, n, record) -> Optional[Counterexample]:
+    """The recorded counterexample, if it has n strictly increasing
+    parameters and its certificate shows that the alternating r-partition of
+    their moment points in R^dim has no common point; None otherwise.  The
+    blocks are rebuilt from the record's own alphas, never taken from the
+    certificate."""
     try:
         alphas = tuple(parse_rational(a) for a in record.outcome["alphas"])
         _, _, outcome = payload_outcome(record.certificate)
         if len(alphas) != n:
             return None
-        X = moment_points(MomentSpec(args.dim, alphas))
-    except (InputError, KeyError, TypeError):
+        X = moment_points(MomentSpec(dim, alphas))  # refuses unordered alphas
+        blocks = searchmod.alternating_blocks(X, r)
+    except (InputError, KeyError, TypeError, ValueError):
         return None
-    blocks = searchmod.alternating_blocks(X, args.r)
-    if outcome.feasible or not verify_outcome(blocks, outcome, args.dim):
+    if outcome.feasible or not verify_outcome(blocks, outcome, dim):
         return None
-    return Counterexample(dim=args.dim, r=args.r, alphas=alphas, outcome=outcome)
+    return Counterexample(dim=dim, r=r, alphas=alphas, outcome=outcome)
 
 
 def _load_resume(args, fingerprint) -> Dict[int, object]:
@@ -398,7 +403,7 @@ def _load_resume(args, fingerprint) -> Dict[int, object]:
             continue
         n = inputs.get("n")
         if record.outcome.get("found"):
-            found = _replayed_counterexample(args, n, record)
+            found = _replayed_counterexample(args.dim, args.r, n, record)
             if found is None:
                 print(
                     f"warning: {path}: dropping the n={n} counterexample, whose "
@@ -519,12 +524,49 @@ def _cmd_verify_sixteen(args):
     return [record], not replayed
 
 
+def _replay_bound(record: ReportRecord) -> Optional[bool]:
+    """Replay a record's certificate against the blocks its own inputs
+    define, and check that it proves the outcome the record states; None
+    when the record carries no certificate.  A certificate on a record of a
+    command that prints none proves nothing and fails."""
+    if record.certificate is None:
+        return None
+    inputs, outcome = record.inputs, record.outcome
+    try:
+        if record.command == "intersect":
+            ps = PointSet(inputs["pointset"]["dim"], decode_points(inputs["pointset"]["points"]))
+            labels = list(inputs["partition"])
+            partition = Partition(len(ps), max(labels, default=0), labels)
+            blocks, dim, replayed = payload_outcome(record.certificate)
+            return (
+                dim == ps.dim
+                and blocks == block_points(ps, partition.blocks())
+                and replayed.status == outcome["status"]
+                and replay_record(record)
+            )
+        if record.command == "search-c":
+            return outcome["found"] is True and _replayed_counterexample(
+                inputs["d"], inputs["r"], inputs["n"], record
+            ) is not None
+        if record.command == "verify-figure2":
+            eps = parse_rational(inputs["epsilon"])
+            found = _replayed_counterexample(3, 4, len(searchmod.SIXTEEN_POINT_PARAMS), record)
+            return (
+                outcome["status"] == "infeasible"
+                and found is not None
+                and found.alphas == searchmod.sixteen_point_alphas(eps)
+            )
+    except (InputError, KeyError, TypeError, ValueError, AttributeError):
+        return False
+    return False
+
+
 def _cmd_verify(args):
     records_in = load_records(_read_text(args.report))
     results = []
     failed = False
     for i, rec in enumerate(records_in, start=1):
-        verdict = replay_record(rec)
+        verdict = _replay_bound(rec)
         results.append({"record": i, "command": rec.command, "replayed": verdict})
         if verdict is False:
             failed = True

@@ -19,12 +19,23 @@ recorded) so reports are reproducible across runs.
 The simplex pivots on an all-integer tableau T with a common denominator D
 (Edmonds/Bareiss integer pivoting, as in lrs): the rational tableau is
 always T / D, D is the last pivot and stays positive, and each pivot updates
-every other row by ``(v * p - f * w) // D``, which divides exactly.  The
-system is scaled to integers by one global LCM of all denominators of A and
-b; scaling row by row would change the phase-1 reduced-cost signs and with
-them Bland's pivot path.  The pivot path, witnesses and multipliers are
-those of the same simplex run on Fractions.  Everything is pure; callers may
-run many solves concurrently.
+every other row by ``(v * p - f * w) // D``, which divides exactly.  Each
+column of A, and b, is scaled to integers by the LCM of its own denominators
+(``kernel.scale_columns``).  A positive column scale keeps every reduced-cost
+sign and every ratio-test argmin, and the artificial columns stay the
+identity, so the pivot path, witnesses (unscaled as ``x_j = s_j x'_j / s_b``)
+and multipliers are those of the same simplex run on Fractions; scaling row
+by row would change the reduced-cost signs and with them Bland's path.
+
+Hull intersection has two routes.  :func:`hulls_common_point` runs the
+simplex above and returns a certificate either way; it is the only source of
+printed certificates.  :func:`confirm_feasible` answers only "the hulls
+meet" or "unconfirmed", for callers that print nothing on a feasible answer:
+a floating-point phase-1 simplex proposes a basis, the canonical system on
+its structural columns is solved exactly (columns scaled as above, one
+Bareiss pass), and only a nonnegative exact solution confirms.  Floats never
+decide: any doubt falls back to :func:`hulls_common_point`.  Everything is
+pure; callers may run many solves concurrently.
 """
 
 from __future__ import annotations
@@ -42,12 +53,13 @@ from .kernel import (
     PointSet,
     Rational,
     ZERO,
+    _bareiss,
     as_point,
     dot,
     fraction_free_update,
     hyperplane_through,
     in_general_position,
-    scale_to_integers,
+    scale_columns,
 )
 
 # ---------------------------------------------------------------------------
@@ -68,19 +80,22 @@ def solve_equality_feasibility(rows, rhs):
     if m == 0:
         return "feasible", []
 
-    # one global scale keeps every reduced-cost sign, hence Bland's path;
-    # the artificial columns stay the identity, so the starting basis has
-    # determinant 1
-    entries = [Rational(v) for row in rows for v in row] + [Rational(v) for v in rhs]
-    ints, _ = scale_to_integers(entries)
-    flips = [-1 if b < 0 else 1 for b in ints[m * n :]]
+    # positive column scales keep every reduced-cost sign and every
+    # ratio-test argmin, hence Bland's path; the artificial columns stay the
+    # identity, so the starting basis has determinant 1 and the multipliers
+    # are those of the unscaled rows
+    ints, scales = scale_columns(
+        [[Rational(v) for v in row] + [Rational(b)] for row, b in zip(rows, rhs)]
+    )
     tableau: List[List[int]] = []
-    for i, flip in enumerate(flips):
+    flips = []
+    for i, row in enumerate(ints):
         # columns: n structural, m artificial, then rhs
+        flip = -1 if row[-1] < 0 else 1
+        flips.append(flip)
         art = [0] * m
         art[i] = 1
-        row = [flip * v for v in ints[i * n : (i + 1) * n]]
-        tableau.append(row + art + [flip * ints[m * n + i]])
+        tableau.append([flip * v for v in row[:n]] + art + [flip * row[-1]])
 
     # objective row holds reduced costs for `minimize sum of artificials`;
     # its rhs entry is minus the current objective value.
@@ -121,10 +136,11 @@ def solve_equality_feasibility(rows, rhs):
         basis[leaving] = entering
 
     if obj[-1] == 0:
+        # the scaled variable x'_j is x_j * scale_b / scale_j
         x = [ZERO] * n
         for i, var in enumerate(basis):
             if var < n:
-                x[var] = Rational(tableau[i][-1], denom)
+                x[var] = Rational(tableau[i][-1] * scales[var], denom * scales[n])
         return "feasible", x
     multipliers = [flips[i] * (ONE - Rational(obj[n + i], denom)) for i in range(m)]
     return "infeasible", multipliers
@@ -293,6 +309,109 @@ def hulls_common_point(blocks, dim=None) -> FeasibilityOutcome:
         "infeasible",
         certificate=FarkasCertificate(multipliers=_normalize_multipliers(payload)),
     )
+
+
+def confirm_feasible(blocks, dim=None) -> bool:
+    """True only with an exact proof that the hulls of the blocks meet.
+
+    A floating-point phase-1 simplex proposes a basis of the canonical
+    system; the system on its structural columns is then solved exactly, and
+    only a nonnegative exact solution, which is a feasible point, confirms.
+    False means unconfirmed, never infeasible: :func:`hulls_common_point`
+    decides such blocks and stays the one source of certificates.
+    """
+    blocks, dim = _coerce_blocks(blocks, dim)
+    if not blocks or not all(blocks):
+        return False
+    rows, rhs = intersection_system(blocks, dim)
+    return _confirmed_point(rows, rhs) is not None
+
+
+def _confirmed_point(rows, rhs):
+    """A point of ``A x = b, x >= 0`` found from a float basis and checked
+    exactly, or None."""
+    try:
+        basis = _float_basis(rows, rhs)
+    except OverflowError:
+        return None
+    x = None if basis is None else _basic_solution(rows, rhs, basis)
+    if x is None or any(v < 0 for v in x):
+        return None
+    return x
+
+
+#: float pivots at or below it, and reduced costs and objectives within it
+#: of zero, count as zero; rows are equilibrated to a largest entry of 1
+_FLOAT_TOL = 1e-9
+
+
+def _float_basis(rows, rhs):
+    """The structural basic columns at the end of a float phase-1 simplex
+    (Dantzig's rule) on ``A x = b`` with equilibrated rows; None when it hits
+    its iteration cap or ends at a positive objective.
+
+    Artificial columns never re-enter, so the tableau omits them.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    tableau = []
+    for row, b in zip(rows, rhs):
+        # int / int rounds correctly, and raises OverflowError past the range
+        values = [v.numerator / v.denominator for v in row]
+        values.append(b.numerator / b.denominator)
+        scale = max(map(abs, values[:-1]), default=0.0) or 1.0
+        scale = scale if values[-1] >= 0 else -scale
+        tableau.append([v / scale for v in values])
+    obj = [-sum(column) for column in zip(*tableau)] if m else [0.0]
+    basis = list(range(n, n + m))
+    for _ in range(10 * (m + n) + 10):
+        entering = min(range(n), key=obj.__getitem__, default=-1)
+        if entering < 0 or obj[entering] >= -_FLOAT_TOL:
+            return sorted(j for j in basis if j < n) if obj[-1] >= -_FLOAT_TOL else None
+        leaving, best = -1, 0.0
+        for i, row in enumerate(tableau):
+            if row[entering] > _FLOAT_TOL:
+                ratio = max(row[-1], 0.0) / row[entering]
+                if leaving < 0 or ratio < best:
+                    leaving, best = i, ratio
+        if leaving < 0:
+            return None
+        pivot_row = tableau[leaving]
+        pivot = pivot_row[entering]
+        pivot_row = tableau[leaving] = [v / pivot for v in pivot_row]
+        for i, row in enumerate(tableau):
+            f = row[entering]
+            if i != leaving and f:
+                tableau[i] = [v - f * w for v, w in zip(row, pivot_row)]
+        f = obj[entering]
+        obj = [v - f * w for v, w in zip(obj, pivot_row)]
+        basis[leaving] = entering
+    return None
+
+
+def _basic_solution(rows, rhs, basis):
+    """The exact x with ``A_S x_S = b`` on the columns S = ``basis`` and 0
+    elsewhere, or None when A_S has rank below |S| or b is not in its span.
+
+    Each column of ``[A_S | b]`` is scaled to integers by its own LCM, one
+    Bareiss pass makes the first |S| rows upper triangular, and fraction-free
+    back substitution gives ``y = D x'`` on integers, D the last pivot.
+    """
+    s = len(basis)
+    m = [[row[j] for j in basis] + [b] for row, b in zip(rows, rhs)]
+    m, scales = scale_columns(m) if m else ([], [1])
+    rank, _, last = _bareiss(m, s)
+    if rank < s or any(row[s] for row in m[s:]):
+        return None
+    y = [0] * s
+    for k in range(s - 1, -1, -1):
+        acc = last * m[k][s] - sum(m[k][j] * y[j] for j in range(k + 1, s))
+        y[k] = acc // m[k][k]
+    x = [ZERO] * (len(rows[0]) if rows else 0)
+    for k, j in enumerate(basis):
+        # x_j = scale_j * x'_j / scale_b with x'_j = y_k / D
+        x[j] = Rational(scales[k] * y[k], scales[s] * last)
+    return x
 
 
 def _combination(block, coeffs, dim) -> Point:

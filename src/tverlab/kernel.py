@@ -1,9 +1,11 @@
 """Exact rational geometric kernel: scalars, points, hyperplanes, orientation.
 
 Every quantity in this package is an arbitrary-precision rational and every
-predicate is decided exactly; there is no floating-point path anywhere, so
-search results double as certificates even on adversarially degenerate
-configurations.
+predicate is decided exactly, so search results double as certificates even
+on adversarially degenerate configurations.  Floats may propose, but they
+never decide: the one floating-point path (``feasibility.confirm_feasible``)
+suggests a simplex basis, and only an exact solve on that basis can confirm
+anything; when it cannot, the exact simplex decides.
 
 Conventions:
 
@@ -184,6 +186,18 @@ def scale_to_integers(values):
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
+def scale_columns(rows):
+    """``(int_rows, scales)``: every column of the rational rows times the LCM
+    of its own denominators, and those positive column scales.
+
+    A positive column scale keeps the sign of every determinant it enters
+    and of every combination of the column, so eliminations and pivot rules
+    that read only signs and ratios within a column see the same choices.
+    """
+    scaled = [scale_to_integers(column) for column in zip(*rows)]
+    return [list(row) for row in zip(*[ints for ints, _ in scaled])], [s for _, s in scaled]
+
+
 def _bareiss(m, width):
     """Fraction-free forward elimination of integer rows in place, skipping
     columns without a pivot.  Returns ``(rank, sign of the row swaps, last
@@ -239,8 +253,7 @@ def orientation_signs(
     for p in pts:
         if len(p) != dim:
             raise InputError(f"point {p} does not have dimension {dim}")
-    columns = [scale_to_integers(column)[0] for column in zip(*pts)]
-    lifted = [[column[k] for column in columns] for k in range(len(pts))]
+    lifted = scale_columns(pts)[0]
     for i in range(len(pts) - dim):
         base = lifted[i]
         diffs = [[a - b for a, b in zip(q, base)] for q in lifted[i + 1:]]

@@ -37,6 +37,7 @@ from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 from .errors import InputError, InternalError, ResourceGuardError
 from .feasibility import (
     FeasibilityOutcome,
+    confirm_feasible,
     hulls_common_point,
     verify_outcome,
 )
@@ -237,6 +238,11 @@ def find_counterexample(
         if tried >= budget:
             break
         tried += 1
+        # nearly every candidate is feasible, and a confirmed one prints
+        # nothing; the canonical simplex decides and certifies the rest
+        X = moment_points(MomentSpec(d, alphas))
+        if confirm_feasible(alternating_blocks(X, r), d):
+            continue
         outcome = evaluate_alternating(alphas, d, r)
         if not outcome.feasible:
             return _certify(d, r, alphas, outcome)

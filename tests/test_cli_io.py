@@ -194,6 +194,96 @@ class TestCLI:
         rec = json.loads(out.strip())
         assert rec["outcome"]["all_ok"] is True
 
+    def verify_lines(self, capsys, tmp_path, records):
+        report = tmp_path / "forged.jsonl"
+        report.write_text("".join(json.dumps(r) + "\n" for r in records))
+        code, out = self.run(capsys, "verify", str(report))
+        return code, [r["replayed"] for r in json.loads(out)["outcome"]["results"]]
+
+    def test_verify_accepts_certifying_commands(self, capsys, tmp_path):
+        report = tmp_path / "report.jsonl"
+        for argv in (
+            ["search-c", "-d", "2", "-r", "2", "--n-from", "3", "--n-to", "4"],
+            ["verify-figure2"],
+            ["intersect", str(GOLDEN.parent.parent / "data" / "sixteen_point_c34.otps"),
+             "--alternating", "4"],
+        ):
+            code, _ = self.run(capsys, "--out", str(report), *argv)
+            assert code == 0
+        code, out = self.run(capsys, "verify", str(report))
+        assert code == 0
+        verdicts = [r["replayed"] for r in json.loads(out)["outcome"]["results"]]
+        # n=3 found, n=4 not found (no certificate), summary, figure 2, intersect
+        assert verdicts == [True, None, None, True, True]
+
+    def test_verify_binds_search_c_to_its_inputs(self, capsys, tmp_path):
+        # the found n=3 record relabelled as n=4 still carries a certificate
+        # that replays against the blocks stored inside it
+        report = tmp_path / "ck.jsonl"
+        code, _ = self.run(capsys, "--out", str(report), "search-c", "-d", "2",
+                           "-r", "2", "--n-from", "3", "--n-to", "3")
+        assert code == 0
+        rec = json.loads(report.read_text().splitlines()[0])
+        assert rec["outcome"]["found"] and replay_payload(rec["certificate"])
+        relabelled = json.loads(json.dumps(rec))
+        relabelled["inputs"]["n"] = 4
+        other_r = json.loads(json.dumps(rec))
+        other_r["inputs"]["r"] = 3
+        not_found = json.loads(json.dumps(rec))
+        not_found["outcome"]["found"] = False
+        code, verdicts = self.verify_lines(
+            capsys, tmp_path, [rec, relabelled, other_r, not_found])
+        assert code == 1
+        assert verdicts == [True, False, False, False]
+
+    def test_verify_rejects_unordered_alphas(self, capsys, tmp_path):
+        # a true certificate for the moment points taken out of parameter
+        # order: those points are not order-type homogeneous
+        report = tmp_path / "ck.jsonl"
+        self.run(capsys, "--out", str(report), "search-c", "-d", "2", "-r", "2",
+                 "--n-from", "3", "--n-to", "3")
+        rec = json.loads(report.read_text().splitlines()[0])
+        alphas = [parse_rational(a) for a in rec["outcome"]["alphas"]]
+        alphas[0], alphas[1] = alphas[1], alphas[0]
+        X = [(a, a * a) for a in alphas]
+        blocks = [[X[0], X[2]], [X[1]]]
+        outcome = hulls_common_point(blocks, 2)
+        assert not outcome.feasible
+        rec["outcome"]["alphas"] = [format_rational(a) for a in alphas]
+        rec["certificate"] = outcome_payload(blocks, 2, outcome)
+        assert replay_payload(rec["certificate"])
+        code, verdicts = self.verify_lines(capsys, tmp_path, [rec])
+        assert (code, verdicts) == (1, [False])
+
+    def test_verify_binds_figure2_to_its_epsilon(self, capsys, tmp_path):
+        code, out = self.run(capsys, "verify-figure2")
+        assert code == 0
+        rec = json.loads(out)
+        relabelled = json.loads(out)
+        relabelled["inputs"]["epsilon"] = "1/2000"
+        code, verdicts = self.verify_lines(capsys, tmp_path, [rec, relabelled])
+        assert (code, verdicts) == (1, [True, False])
+
+    @pytest.mark.parametrize("edit", ["point", "partition", "status", "command"])
+    def test_verify_binds_intersect_to_its_inputs(self, capsys, tmp_path, edit):
+        ps = tmp_path / "sq.otps"
+        ps.write_text("otps 2 4\n0 0\n1 0\n1 1\n0 1\n")
+        code, out = self.run(capsys, "intersect", str(ps), "--blocks", "1,3;2,4")
+        assert code == 0
+        rec = json.loads(out)
+        forged = json.loads(out)
+        if edit == "point":
+            forged["inputs"]["pointset"]["points"][0] = ["5", "5"]
+        elif edit == "partition":
+            forged["inputs"]["partition"] = [1, 1, 2, 2]
+        elif edit == "status":
+            forged["outcome"]["status"] = "infeasible"
+        else:
+            forged["command"] = "homog"
+        assert replay_payload(forged["certificate"])
+        code, verdicts = self.verify_lines(capsys, tmp_path, [rec, forged])
+        assert (code, verdicts) == (1, [True, False])
+
     def test_n_line_exit_and_oracle(self, capsys):
         code, out = self.run(capsys, "n-line", "-t", "2", "-r", "2")
         assert code == 0

@@ -10,10 +10,12 @@ from oracles import (
     tukey_depth_2d,
 )
 from tverlab.errors import DegenerateInputError
+from tverlab import feasibility
 from tverlab.feasibility import (
     EmptyBlockCertificate,
     FarkasCertificate,
     SeparationCertificate,
+    confirm_feasible,
     hull_membership,
     hulls_common_point,
     intervals_common_point,
@@ -25,6 +27,8 @@ from tverlab.feasibility import (
     verify_witness,
 )
 from tverlab.kernel import Hyperplane, PointSet, Rational
+from tverlab.ordertype import MomentSpec, moment_points
+from tverlab.search import alternating_blocks, split_repeats, sixteen_point_alphas
 
 
 def blocks_1d(*groups):
@@ -141,6 +145,113 @@ class TestHullsCommonPoint:
         for v in u:
             g = math.gcd(g, abs(int(v)))
         assert g == 1
+
+
+def confirmation_cases():
+    """Seeded (blocks, dim) cases: alternating partitions of moment sets,
+    clustered as the search draws them and plain, then repeated and
+    collinear points, and the sixteen-point infeasible system."""
+    rng = random.Random(41)
+    cases = []
+    for d in (2, 3, 4):
+        for r in (2, 3, 4):
+            for n in (r, (d + 1) * r - 1, (d + 2) * r):
+                for clustered in (False, True):
+                    values = sorted(rng.sample(range(-20, 21), n))
+                    if clustered:
+                        values = sorted(rng.choice(values[: max(1, n // 3)]) if i % 2 else v
+                                        for i, v in enumerate(values))
+                    alphas = split_repeats(values, Rational(1, 1000))
+                    cases.append((alternating_blocks(moment_points(MomentSpec(d, alphas)), r), d))
+    for trial in range(60):
+        d, r = rng.randint(1, 3), rng.randint(2, 4)
+        if trial % 2:
+            pool = [tuple(Rational(rng.randint(-3, 3)) for _ in range(d)) for _ in range(3)]
+            pts = [rng.choice(pool) for _ in range(rng.randint(r, 10))]
+        else:  # points on one line through the origin in R^d
+            direction = [Rational(rng.randint(-3, 3)) for _ in range(d)]
+            pts = [tuple(Rational(rng.randint(-5, 5), rng.randint(1, 3)) * c for c in direction)
+                   for _ in range(rng.randint(r, 10))]
+        cases.append(([pts[k::r] for k in range(r)], d))
+    X = moment_points(MomentSpec(3, sixteen_point_alphas()))
+    cases.append((alternating_blocks(X, 4), 3))
+    return cases
+
+
+def is_feasible_point(rows, rhs, x):
+    """``A x = b`` and ``x >= 0``, recomputed exactly."""
+    return all(v >= 0 for v in x) and all(
+        sum((a * v for a, v in zip(row, x)), Rational(0)) == b for row, b in zip(rows, rhs)
+    )
+
+
+class TestConfirmFeasible:
+    def test_true_only_where_the_canonical_simplex_finds_feasible(self):
+        tally = {}
+        for blocks, d in confirmation_cases():
+            confirmed = confirm_feasible(blocks, d)
+            canonical = hulls_common_point(blocks, d).feasible
+            assert canonical or not confirmed, (blocks, d)
+            tally[confirmed, canonical] = tally.get((confirmed, canonical), 0) + 1
+        # both statuses occur, and the float basis confirms nearly every
+        # feasible case, so the canonical simplex is rarely needed for them
+        assert tally.get((False, False), 0) >= 10
+        assert tally.get((True, True), 0) >= 9 * tally.get((False, True), 0)
+        assert tally.get((True, True), 0) >= 50
+
+    def test_confirmed_point_is_a_point_of_the_canonical_system(self):
+        for blocks, d in confirmation_cases()[::7]:
+            rows, rhs = feasibility.intersection_system(blocks, d)
+            x = feasibility._confirmed_point(rows, rhs)
+            assert x is None or is_feasible_point(rows, rhs, x)
+
+    def test_sixteen_point_system_is_not_confirmed(self):
+        X = moment_points(MomentSpec(3, sixteen_point_alphas()))
+        assert not confirm_feasible(alternating_blocks(X, 4), 3)
+
+    def test_every_proposed_basis_is_checked_exactly(self, monkeypatch):
+        # whatever basis the float pass proposes, a confirmation is a
+        # nonnegative exact solution: each column subset of small systems,
+        # infeasible ones among them, is proposed in turn
+        rng = random.Random(7)
+        systems = [blocks_1d([0, 1], [2, 3]), blocks_1d([0, 2], [1, 3]),
+                   blocks_1d([1, 4], [2, 5], [3])]
+        for _ in range(12):
+            d = rng.randint(1, 2)
+            systems.append([[tuple(Rational(rng.randint(-3, 3)) for _ in range(d))
+                             for _ in range(rng.randint(1, 3))] for _ in range(2)])
+        import itertools
+
+        confirmed = rejected = 0
+        for blocks in systems:
+            d = len(blocks[0][0])
+            rows, rhs = feasibility.intersection_system(blocks, d)
+            feasible = hulls_common_point(blocks, d).feasible
+            for size in range(len(rows) + 1):
+                for basis in itertools.combinations(range(len(rows[0])), size):
+                    monkeypatch.setattr(feasibility, "_float_basis", lambda *a, b=basis: list(b))
+                    x = feasibility._confirmed_point(rows, rhs)
+                    if x is None:
+                        rejected += 1
+                        continue
+                    confirmed += 1
+                    assert feasible and is_feasible_point(rows, rhs, x), (blocks, basis)
+                    assert confirm_feasible(blocks, d)
+        assert confirmed and rejected
+
+    def test_float_overflow_is_unconfirmed(self):
+        big = Rational(10) ** 400
+        blocks = [[(big, Rational(1)), (-big, Rational(1))], [(Rational(0), Rational(1))]]
+        assert not confirm_feasible(blocks, 2)
+        assert hulls_common_point(blocks, 2).feasible
+
+    def test_empty_systems(self):
+        # no blocks: the empty system (m = 0) is feasible, but a family of no
+        # hulls is not a question the canonical path answers either
+        assert feasibility._confirmed_point([], []) == []
+        assert not confirm_feasible([], 2)
+        assert not confirm_feasible([[(0, 0)], []], 2)
+        assert confirm_feasible([[(0, 0)]], 2)
 
 
 class TestOracleEquivalence:

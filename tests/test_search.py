@@ -109,6 +109,44 @@ class TestFindCounterexample:
             find_counterexample(2, 3, 0)
 
 
+def test_canonical_simplex_decides_every_unconfirmed_candidate(monkeypatch):
+    """A candidate is skipped only on an exact confirmation; every other one
+    goes through ``search.hulls_common_point``, which decides it and
+    certifies a hit.  The result is that of deciding every candidate
+    canonically, also when nothing is confirmed."""
+    import tverlab.search as searchmod
+
+    strategy = SearchStrategy(kind="clustered", seed=5)
+    reference = next(
+        (i, alphas, outcome)
+        for i, alphas in enumerate(alpha_candidates(strategy, 16, 4), 1)
+        for outcome in [evaluate_alternating(alphas, 3, 4)]
+        if not outcome.feasible
+    )
+    real_confirm, real_hulls = searchmod.confirm_feasible, searchmod.hulls_common_point
+    for always_unconfirmed in (False, True):
+        confirmed, decided = [], []
+
+        def confirm(blocks, dim):
+            ok = not always_unconfirmed and real_confirm(blocks, dim)
+            confirmed.append(ok)
+            return ok
+
+        def hulls(blocks, dim=None):
+            outcome = real_hulls(blocks, dim)
+            decided.append(outcome.feasible)
+            return outcome
+
+        monkeypatch.setattr(searchmod, "confirm_feasible", confirm)
+        monkeypatch.setattr(searchmod, "hulls_common_point", hulls)
+        res = find_counterexample(3, 4, 16, strategy=strategy, budget=40)
+        assert isinstance(res, Counterexample)
+        assert (len(confirmed), res.alphas, res.outcome) == reference
+        assert len(decided) == confirmed.count(False) and decided[-1] is False
+        if not always_unconfirmed:
+            assert confirmed.count(True) >= len(confirmed) - 3
+
+
 class TestScan:
     def test_d1_scan_matches_closed_form(self):
         # found for n <= 2r-2 (below r: trivially, by the empty-block
