@@ -42,7 +42,6 @@ from .ordertype import (
 )
 from .pointset_io import (
     ReportRecord,
-    decode_points,
     emit_pointset,
     format_rational,
     jsonable,
@@ -534,14 +533,15 @@ def _replay_bound(record: ReportRecord) -> Optional[bool]:
     inputs, outcome = record.inputs, record.outcome
     try:
         if record.command == "intersect":
-            ps = PointSet(inputs["pointset"]["dim"], decode_points(inputs["pointset"]["points"]))
+            # compared in the canonical text form both fields are written in
+            points = inputs["pointset"]["points"]
             labels = list(inputs["partition"])
-            partition = Partition(len(ps), max(labels, default=0), labels)
-            blocks, dim, replayed = payload_outcome(record.certificate)
+            partition = Partition(len(points), max(labels, default=0), labels)
+            cert = record.certificate
             return (
-                dim == ps.dim
-                and blocks == block_points(ps, partition.blocks())
-                and replayed.status == outcome["status"]
+                cert["dim"] == inputs["pointset"]["dim"]
+                and cert["blocks"] == [[points[i - 1] for i in b] for b in partition.blocks()]
+                and cert["status"] == outcome["status"]
                 and replay_record(record)
             )
         if record.command == "search-c":

@@ -398,15 +398,15 @@ def _basic_solution(rows, rhs, basis):
     back substitution gives ``y = D x'`` on integers, D the last pivot.
     """
     s = len(basis)
-    m = [[row[j] for j in basis] + [b] for row, b in zip(rows, rhs)]
-    m, scales = scale_columns(m) if m else ([], [1])
-    rank, _, last = _bareiss(m, s)
-    if rank < s or any(row[s] for row in m[s:]):
+    aug = [[row[j] for j in basis] + [b] for row, b in zip(rows, rhs)]
+    aug, scales = scale_columns(aug) if aug else ([], [1])
+    rank, _, last = _bareiss(aug, s)
+    if rank < s or any(row[s] for row in aug[s:]):
         return None
     y = [0] * s
     for k in range(s - 1, -1, -1):
-        acc = last * m[k][s] - sum(m[k][j] * y[j] for j in range(k + 1, s))
-        y[k] = acc // m[k][k]
+        acc = last * aug[k][s] - sum(aug[k][j] * y[j] for j in range(k + 1, s))
+        y[k] = acc // aug[k][k]
     x = [ZERO] * (len(rows[0]) if rows else 0)
     for k, j in enumerate(basis):
         # x_j = scale_j * x'_j / scale_b with x'_j = y_k / D

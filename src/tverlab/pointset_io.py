@@ -205,13 +205,14 @@ def payload_outcome(payload: Dict):
 
 
 def replay_payload(payload: Dict) -> bool:
-    """Re-verify a payload produced by :func:`outcome_payload`.
+    """Re-verify a payload produced by :func:`outcome_payload`: its evidence
+    must replay and prove the status the payload states.
 
     Uses only the exact kernel and the feasibility verifiers; no state from
     the original run is needed.
     """
     blocks, dim, outcome = payload_outcome(payload)
-    return verify_outcome(blocks, outcome, dim)
+    return payload.get("status") == outcome.status and verify_outcome(blocks, outcome, dim)
 
 
 # ---------------------------------------------------------------------------

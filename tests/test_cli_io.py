@@ -264,7 +264,8 @@ class TestCLI:
         code, verdicts = self.verify_lines(capsys, tmp_path, [rec, relabelled])
         assert (code, verdicts) == (1, [True, False])
 
-    @pytest.mark.parametrize("edit", ["point", "partition", "status", "command"])
+    @pytest.mark.parametrize("edit", ["point", "partition", "status", "both-statuses",
+                                      "command"])
     def test_verify_binds_intersect_to_its_inputs(self, capsys, tmp_path, edit):
         ps = tmp_path / "sq.otps"
         ps.write_text("otps 2 4\n0 0\n1 0\n1 1\n0 1\n")
@@ -278,9 +279,12 @@ class TestCLI:
             forged["inputs"]["partition"] = [1, 1, 2, 2]
         elif edit == "status":
             forged["outcome"]["status"] = "infeasible"
+        elif edit == "both-statuses":
+            # a witness proves "feasible", whatever status its payload states
+            forged["outcome"]["status"] = forged["certificate"]["status"] = "infeasible"
         else:
             forged["command"] = "homog"
-        assert replay_payload(forged["certificate"])
+        assert replay_payload(forged["certificate"]) is (edit != "both-statuses")
         code, verdicts = self.verify_lines(capsys, tmp_path, [rec, forged])
         assert (code, verdicts) == (1, [True, False])
 
