@@ -87,12 +87,10 @@ def solve_equality_feasibility(rows, rhs):
     ints, scales = scale_columns(
         [[Rational(v) for v in row] + [Rational(b)] for row, b in zip(rows, rhs)]
     )
+    flips = [-1 if row[-1] < 0 else 1 for row in ints]
     tableau: List[List[int]] = []
-    flips = []
-    for i, row in enumerate(ints):
+    for i, (row, flip) in enumerate(zip(ints, flips)):
         # columns: n structural, m artificial, then rhs
-        flip = -1 if row[-1] < 0 else 1
-        flips.append(flip)
         art = [0] * m
         art[i] = 1
         tableau.append([flip * v for v in row[:n]] + art + [flip * row[-1]])
