@@ -3,8 +3,8 @@
 Everything is computed over arbitrary-precision rationals with replayable
 certificates: orientation predicates and moment-curve order types, cyclic
 polytope facets by Gale evenness, hull-intersection feasibility by exact
-phase-1 simplex, Tukey depth, partition tolerance, and certified
-counterexample search for the alternating threshold c(d,r).
+phase-1 simplex, partition tolerance, and certified counterexample search
+for the alternating threshold c(d,r).
 """
 
 from .errors import (
@@ -19,10 +19,7 @@ from .kernel import (
     Point,
     PointSet,
     Rational,
-    affinely_independent,
     as_point,
-    hyperplane_through,
-    in_general_position,
     orientation,
     orientation_signs,
     to_rational,
@@ -35,25 +32,18 @@ from .ordertype import (
     gale_facets,
     is_neighborly,
     is_order_homogeneous,
-    largest_homogeneous_subset,
     moment_points,
     path_crossings,
 )
 from .feasibility import (
-    DepthReport,
     EmptyBlockCertificate,
     FarkasCertificate,
     FeasibilityOutcome,
-    SeparationCertificate,
     Witness,
-    hull_membership,
     hulls_common_point,
     intervals_common_point,
-    tukey_depth,
-    verify_centerpoint,
     verify_farkas,
     verify_outcome,
-    verify_separation,
     verify_witness,
 )
 from .tolerance import (

@@ -1,4 +1,4 @@
-"""Exact LP feasibility with checkable certificates, plus Tukey depth.
+"""Exact LP feasibility with checkable certificates.
 
 Feasibility of ``A x = b, x >= 0`` is decided by a phase-1 simplex over
 rationals with Bland's anti-cycling pivot rule: termination is guaranteed and
@@ -8,13 +8,12 @@ nothing but exact arithmetic.
 * feasible: a witness vector (here: a common point plus per-block convex
   coefficients) whose defining equalities are recomputed exactly;
 * infeasible: a Farkas multiplier vector u with ``u . column <= 0`` for every
-  column and ``u . b > 0``, or a strict separating hyperplane for hull
-  membership queries, or an empty-block marker (``conv(emptyset) = emptyset``
-  by convention, so removing a whole block makes an intersection infeasible).
+  column and ``u . b > 0``, or an empty-block marker (``conv(emptyset) =
+  emptyset`` by convention, so removing a whole block makes an intersection
+  infeasible).
 
-Certificates are normalized to coprime integer entries (positive scaling
-only; a separator may also be sign-flipped, with the side of the query point
-recorded) so reports are reproducible across runs.
+Farkas multipliers are normalized to coprime integer entries (positive
+scaling only) so reports are reproducible across runs.
 
 The simplex pivots on an all-integer tableau T with a common denominator D
 (Edmonds/Bareiss integer pivoting, as in lrs): the rational tableau is
@@ -40,25 +39,19 @@ pure; callers may run many solves concurrently.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import DegenerateInputError, InputError, InternalError
+from .errors import InputError, InternalError
 from .kernel import (
-    Hyperplane,
     ONE,
     Point,
-    PointSet,
     Rational,
     ZERO,
     _bareiss,
     as_point,
-    dot,
     fraction_free_update,
-    hyperplane_through,
-    in_general_position,
     scale_columns,
 )
 
@@ -191,18 +184,6 @@ class FarkasCertificate:
     """
 
     multipliers: Tuple[Rational, ...]
-
-
-@dataclass(frozen=True)
-class SeparationCertificate:
-    """A hyperplane strictly separating the query point from a hull.
-
-    ``point_side`` records which side the query point is on; every hull point
-    lies strictly on the other side.
-    """
-
-    hyperplane: Hyperplane
-    point_side: int
 
 
 @dataclass(frozen=True)
@@ -421,57 +402,6 @@ def _combination(block, coeffs, dim) -> Point:
     return tuple(acc)
 
 
-def hull_membership(p, S, dim=None) -> FeasibilityOutcome:
-    """Decide ``p in conv(S)`` exactly.
-
-    Feasible: convex coefficients over S reproducing p.  Infeasible: a
-    hyperplane strictly separating p from every point of S.
-    """
-    point = as_point(p)
-    if dim is None:
-        dim = len(point)
-    if len(point) != dim:
-        raise InputError("query point has wrong dimension")
-    hull = [as_point(s) for s in S]
-    for s in hull:
-        if len(s) != dim:
-            raise InputError("hull points have mixed dimension")
-    if not hull:
-        return FeasibilityOutcome(
-            "infeasible", certificate=EmptyBlockCertificate(block_index=1)
-        )
-    outcome = hulls_common_point([hull, [point]], dim)
-    if outcome.feasible:
-        coeffs = outcome.witness.coefficients[0]
-        return FeasibilityOutcome(
-            "feasible", witness=Witness(point=point, coefficients=(coeffs,))
-        )
-    u = outcome.certificate.multipliers
-    # layout of intersection_system([S, [p]]): u = (u_S, u_p, w_1..w_d) with
-    # w.s <= -u_S for all s in S and w.p >= u_p, while u_S + u_p > 0.
-    u_S, u_p = u[0], u[1]
-    w = tuple(u[2:])
-    offset = (-u_S + u_p) / 2
-    normal, offset, flipped = _normalize_separator(w, offset)
-    point_side = -1 if flipped else 1
-    return FeasibilityOutcome(
-        "infeasible",
-        certificate=SeparationCertificate(
-            hyperplane=Hyperplane(normal, offset), point_side=point_side
-        ),
-    )
-
-
-def _normalize_separator(normal, offset):
-    values = list(normal) + [offset]
-    scaled = _normalize_multipliers(values)
-    normal, offset = scaled[:-1], scaled[-1]
-    first = next((v for v in normal if v), ZERO)
-    if first < 0:
-        return tuple(-v for v in normal), -offset, True
-    return tuple(normal), offset, False
-
-
 # ---------------------------------------------------------------------------
 # certificate replay
 
@@ -508,16 +438,6 @@ def verify_farkas(blocks, certificate: FarkasCertificate, dim=None) -> bool:
     return sum((u[i] * rhs[i] for i in range(len(rows))), ZERO) > 0
 
 
-def verify_separation(p, S, certificate: SeparationCertificate) -> bool:
-    h = certificate.hyperplane
-    side = certificate.point_side
-    if side not in (-1, 1):
-        return False
-    if h.side_of(p) != side:
-        return False
-    return all(h.side_of(s) == -side for s in S)
-
-
 def verify_outcome(blocks, outcome: FeasibilityOutcome, dim=None) -> bool:
     """Replay whichever evidence an outcome carries."""
     if outcome.feasible:
@@ -530,11 +450,6 @@ def verify_outcome(blocks, outcome: FeasibilityOutcome, dim=None) -> bool:
         return 1 <= k <= len(blocks) and len(blocks[k - 1]) == 0
     if isinstance(cert, FarkasCertificate):
         return verify_farkas(blocks, cert, dim)
-    if isinstance(cert, SeparationCertificate):
-        # only produced by hull_membership: blocks = [S, [p]]
-        if len(blocks) != 2 or len(blocks[1]) != 1:
-            return False
-        return verify_separation(blocks[1][0], blocks[0], cert)
     return False
 
 
@@ -554,147 +469,3 @@ def intervals_common_point(blocks) -> Optional[Rational]:
         lo = bmin if lo is None or bmin > lo else lo
         hi = bmax if hi is None or bmax < hi else hi
     return lo if lo <= hi else None
-
-
-# ---------------------------------------------------------------------------
-# Tukey depth and centerpoint verification
-
-
-@dataclass(frozen=True)
-class DepthReport:
-    """Tukey depth of a point with a minimizing closed halfspace.
-
-    The witness halfspace is ``{x : normal . x >= offset}`` (the closed
-    positive side of ``witness_halfspace``); it contains the query point and
-    exactly ``depth`` points of the set.
-    """
-
-    point: Point
-    depth: int
-    witness_halfspace: Hyperplane
-
-
-def tukey_depth(p, X: PointSet) -> DepthReport:
-    """Minimum over closed halfspaces containing p of ``|X ∩ halfspace|``.
-
-    Requires general position: no dim+1 points of X (nor of X with p
-    adjoined, apart from an exact copy of p inside X) on a common
-    hyperplane.  Degenerate inputs are refused, never perturbed.
-
-    In general position the minimum is realized by perturbing a hyperplane
-    through p spanned by p and dim-1 points of X; the finite scan below
-    walks exactly those spanned hyperplanes and counts strict sides, adding
-    the exact copies of p which no halfspace through p can avoid.
-    """
-    d = X.dim
-    point = as_point(p)
-    if len(point) != d:
-        raise InputError("query point has wrong dimension")
-    if not in_general_position(X):
-        raise DegenerateInputError("point set is not in general position")
-    if not in_general_position(X, extra=point):
-        raise DegenerateInputError(
-            "query point is affinely degenerate with the point set"
-        )
-    copies = sum(1 for q in X.points if q == point)
-    others = [q for q in X.points if q != point]
-
-    if len(others) <= d - 1:
-        # all remaining points can be pushed strictly off any halfspace
-        # through p (they are affinely independent with p here)
-        w = _pushing_direction(point, others, d)
-        witness = Hyperplane(tuple(-v for v in w), -dot(w, point))
-        return DepthReport(point=point, depth=copies, witness_halfspace=witness)
-
-    best = None  # (count, spanning subset, side)
-    for combo in itertools.combinations(range(len(others)), d - 1):
-        spanning = [others[i] for i in combo]
-        boundary = hyperplane_through([point] + spanning, d) if d > 1 else None
-        if d == 1:
-            neg = sum(1 for q in others if q[0] < point[0])
-            pos = sum(1 for q in others if q[0] > point[0])
-        else:
-            values = [boundary.evaluate(q) for q in others]
-            neg = sum(1 for v in values if v < 0)
-            pos = sum(1 for v in values if v > 0)
-        for count, side in ((neg, -1), (pos, 1)):
-            if best is None or count < best[0]:
-                best = (count, combo, side)
-    count, combo, side = best
-    spanning = [others[i] for i in combo]
-    witness = _depth_witness(point, spanning, others, side, d)
-    return DepthReport(point=point, depth=copies + count, witness_halfspace=witness)
-
-
-def _pushing_direction(point, targets, d):
-    """A direction w with ``w . (q - point) = 1`` for every target q."""
-    if not targets:
-        return tuple([ONE] + [ZERO] * (d - 1))
-    rows = [[q[c] - point[c] for c in range(d)] for q in targets]
-    return _solve_underdetermined(rows, [ONE] * len(targets), d)
-
-
-def _solve_underdetermined(rows, rhs, d):
-    """One exact solution of a full-row-rank system (free variables at 0)."""
-    m = len(rows)
-    aug = [list(rows[i]) + [rhs[i]] for i in range(m)]
-    pivot_cols = []
-    rank = 0
-    for col in range(d):
-        pivot_row = None
-        for r in range(rank, m):
-            if aug[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        aug[rank], aug[pivot_row] = aug[pivot_row], aug[rank]
-        piv = aug[rank][col]
-        aug[rank] = [v / piv for v in aug[rank]]
-        for r in range(m):
-            if r != rank and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[rank])]
-        pivot_cols.append(col)
-        rank += 1
-    if rank < m:
-        raise DegenerateInputError("pushing system is rank deficient")
-    x = [ZERO] * d
-    for r, col in enumerate(pivot_cols):
-        x[col] = aug[r][-1]
-    return tuple(x)
-
-
-def _depth_witness(point, spanning, others, side, d):
-    """Perturb the spanned hyperplane so its closed negative side realizes
-    the strict count: spanning points move strictly out, no strict side
-    changes."""
-    if d == 1:
-        w0 = (ONE,) if side == -1 else (-ONE,)
-        # no spanning points at d=1; w0 already generic for others != point
-        w = w0
-    else:
-        base = hyperplane_through([point] + spanning, d)
-        w0 = base.normal if side == -1 else tuple(-v for v in base.normal)
-        u = _pushing_direction(point, spanning, d)
-        eps = None
-        for q in others:
-            g = dot(w0, q) - dot(w0, point)
-            if g == 0:
-                continue
-            h = dot(u, q) - dot(u, point)
-            if h:
-                bound = abs(g) / (2 * abs(h))
-                eps = bound if eps is None or bound < eps else eps
-        if eps is None:
-            eps = ONE
-        w = tuple(a + eps * b for a, b in zip(w0, u))
-    # closed halfspace {w . x <= w . point}; report its positive-side form
-    return Hyperplane(tuple(-v for v in w), -dot(w, point))
-
-
-def verify_centerpoint(p, X: PointSet) -> bool:
-    """True iff the point's Tukey depth reaches ``ceil(n / (dim + 1))``."""
-    report = tukey_depth(p, X)
-    n = len(X)
-    return report.depth >= -(-n // (X.dim + 1))

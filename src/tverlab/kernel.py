@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
-from .errors import DegenerateInputError, InputError
+from .errors import InputError
 
 try:  # gmpy2 rationals are drop-in replacements for Fraction
     from gmpy2 import mpq as Rational
@@ -129,16 +129,6 @@ class PointSet:
                 raise InputError(f"index {i} out of range 1..{n}")
         return PointSet(self.dim, [self.points[i - 1] for i in indices])
 
-    def translated(self, vector: Sequence) -> "PointSet":
-        vec = as_point(vector)
-        if len(vec) != self.dim:
-            raise InputError("translation vector has wrong dimension")
-        return PointSet(
-            self.dim,
-            [tuple(c + v for c, v in zip(p, vec)) for p in self.points],
-            labels=self.labels,
-        )
-
 
 @dataclass(frozen=True)
 class Hyperplane:
@@ -166,12 +156,6 @@ class Hyperplane:
                 f"point has {len(p)} coordinates, hyperplane lives in R^{self.dim}"
             )
         return sign(dot(self.normal, p) - self.offset)
-
-    def evaluate(self, point: Sequence) -> Rational:
-        p = as_point(point)
-        if len(p) != self.dim:
-            raise InputError("dimension mismatch in hyperplane evaluation")
-        return dot(self.normal, p) - self.offset
 
 
 def fraction_free_update(row, pivot_row, p, f, d):
@@ -276,63 +260,3 @@ def orientation(points: Sequence[Sequence], dim: int) -> int:
         raise InputError(f"orientation in R^{dim} needs {dim + 1} points, got {len(pts)}")
     ((_, s),) = orientation_signs(pts, dim)
     return s
-
-
-def affinely_independent(points: Sequence[Point]) -> bool:
-    """True iff the points span a flat of dimension ``len(points) - 1``."""
-    pts = [as_point(p) for p in points]
-    if not pts:
-        return True
-    k = len(pts) - 1
-    if k == 0:
-        return True
-    dim = len(pts[0])
-    if k > dim:
-        return False
-    base = pts[0]
-    vectors = [scale_to_integers([c - b for c, b in zip(p, base)])[0] for p in pts[1:]]
-    return _bareiss(vectors, dim)[0] == k
-
-
-def hyperplane_through(points: Sequence[Sequence], dim: int) -> Hyperplane:
-    """The unique hyperplane through ``dim`` affinely independent points.
-
-    Built from the affine form ``f(x) = det of rows (1, p_1) .. (1, p_d), (1, x)``,
-    which vanishes exactly on the affine hull of the points.
-    """
-    pts = [as_point(p) for p in points]
-    if len(pts) != dim:
-        raise InputError(f"a hyperplane in R^{dim} is spanned by {dim} points")
-
-    def f(x: Point) -> Rational:
-        return det([(ONE,) + p for p in pts] + [(ONE,) + x])
-
-    origin = tuple(ZERO for _ in range(dim))
-    constant = f(origin)
-    normal = []
-    for j in range(dim):
-        e = tuple(ONE if c == j else ZERO for c in range(dim))
-        normal.append(f(e) - constant)
-    if not any(normal):
-        raise DegenerateInputError(
-            "points are affinely dependent; they do not span a hyperplane"
-        )
-    return Hyperplane(normal, -constant)
-
-
-def in_general_position(X: PointSet, extra: Optional[Sequence] = None) -> bool:
-    """No ``dim + 1`` of the given points lie on a common hyperplane.
-
-    ``extra`` appends one more point (deduplicated exactly) to the check.
-    """
-    pts = list(X.points)
-    if extra is not None:
-        p = as_point(extra)
-        if len(p) != X.dim:
-            raise InputError("extra point has wrong dimension")
-        if p not in pts:
-            pts.append(p)
-    if len(pts) < X.dim + 1:
-        # with so few points only exact repeats can degenerate
-        return len(set(pts)) == len(pts)
-    return all(s for _, s in orientation_signs(pts, X.dim))

@@ -7,19 +7,19 @@ parameters every orientation determinant is a Vandermonde product and hence
 positive, and the convex hull is the cyclic polytope, whose facets are
 described combinatorially by Gale's evenness criterion.
 
-Homogeneity of a subset is always evaluated in the inherited input order;
-there is no reordering search.  At d=1 this makes homogeneous subsets exactly
-the strictly monotone subsequences.  A zero orientation counts as a
-homogeneity violation (general position is part of the notion).
+Homogeneity is always evaluated in the given input order; there is no
+reordering search.  At d=1 this makes a set homogeneous exactly when its
+values are strictly monotone.  A zero orientation counts as a homogeneity
+violation (general position is part of the notion).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
-from .errors import DegenerateInputError, InputError, InternalError, ResourceGuardError
+from .errors import DegenerateInputError, InputError, InternalError
 from .kernel import (
     Hyperplane,
     PointSet,
@@ -28,9 +28,6 @@ from .kernel import (
     orientation_signs,
     to_rational,
 )
-
-#: Exhaustive-search guard for subset extraction in dimension >= 2.
-SUBSET_SEARCH_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -188,82 +185,3 @@ def path_crossings(X: PointSet, h: Hyperplane) -> CrossingReport:
         i + 1 for i, (a, b) in enumerate(zip(sides, sides[1:])) if a != b
     )
     return CrossingReport(count=len(edges), edges=edges)
-
-
-def _monotone_subsequence_1d(values: Sequence[Rational]) -> Tuple[int, ...]:
-    """Lexicographically least maximum strictly monotone subsequence (0-based)."""
-    n = len(values)
-    if n == 0:
-        return ()
-    inc = [1] * n  # longest strictly increasing run starting at i
-    dec = [1] * n
-    for i in range(n - 2, -1, -1):
-        for j in range(i + 1, n):
-            if values[j] > values[i] and inc[j] + 1 > inc[i]:
-                inc[i] = inc[j] + 1
-            if values[j] < values[i] and dec[j] + 1 > dec[i]:
-                dec[i] = dec[j] + 1
-    best = max(max(inc), max(dec))
-
-    def build(table, increasing):
-        seq = []
-        need = best
-        last: Optional[int] = None
-        for i in range(n):
-            if table[i] < need:
-                continue
-            if last is not None:
-                if increasing and not values[i] > values[last]:
-                    continue
-                if not increasing and not values[i] < values[last]:
-                    continue
-            seq.append(i)
-            last = i
-            need -= 1
-            if need == 0:
-                break
-        return tuple(seq)
-
-    candidates = []
-    if max(inc) == best:
-        candidates.append(build(inc, True))
-    if max(dec) == best:
-        candidates.append(build(dec, False))
-    return min(candidates)
-
-
-def largest_homogeneous_subset(X: PointSet, cap: int = SUBSET_SEARCH_CAP) -> Tuple[int, ...]:
-    """Maximum-cardinality index subsequence that is order-type homogeneous.
-
-    Ties break lexicographically on the (1-based) index sequence.  Dimension
-    one runs a strictly-monotone-subsequence dynamic program and accepts any
-    n; higher dimensions search subsets exhaustively from the top and are
-    guarded by ``cap``.
-    """
-    n = len(X)
-    d = X.dim
-    if d == 1:
-        seq = _monotone_subsequence_1d([p[0] for p in X.points])
-        return tuple(i + 1 for i in seq)
-    if n > cap:
-        raise ResourceGuardError(
-            f"exhaustive subset search needs n <= {cap} for dim >= 2, got n={n}"
-        )
-    signs: Dict[Tuple[int, ...], int] = dict(orientation_signs(X.points, d))
-    for size in range(n, d, -1):
-        for combo in itertools.combinations(range(1, n + 1), size):
-            uniform = None
-            ok = True
-            for sub in itertools.combinations(combo, d + 1):
-                s = signs[sub]
-                if s == 0:
-                    ok = False
-                    break
-                if uniform is None:
-                    uniform = s
-                elif s != uniform:
-                    ok = False
-                    break
-            if ok:
-                return combo
-    return tuple(range(1, min(n, d) + 1))

@@ -28,7 +28,6 @@ from .feasibility import (
     EmptyBlockCertificate,
     FarkasCertificate,
     FeasibilityOutcome,
-    SeparationCertificate,
     Witness,
     verify_outcome,
 )
@@ -149,11 +148,6 @@ def outcome_payload(blocks, dim: int, outcome: FeasibilityOutcome) -> Dict:
     if isinstance(cert, FarkasCertificate):
         payload["kind"] = "farkas"
         payload["multipliers"] = [format_rational(u) for u in cert.multipliers]
-    elif isinstance(cert, SeparationCertificate):
-        payload["kind"] = "separating-hyperplane"
-        payload["normal"] = [format_rational(c) for c in cert.hyperplane.normal]
-        payload["offset"] = format_rational(cert.hyperplane.offset)
-        payload["point_side"] = cert.point_side
     elif isinstance(cert, EmptyBlockCertificate):
         payload["kind"] = "empty-block"
         payload["block_index"] = cert.block_index
@@ -181,17 +175,6 @@ def payload_outcome(payload: Dict):
             "infeasible",
             certificate=FarkasCertificate(
                 multipliers=tuple(parse_rational(u) for u in payload["multipliers"])
-            ),
-        )
-    elif kind == "separating-hyperplane":
-        outcome = FeasibilityOutcome(
-            "infeasible",
-            certificate=SeparationCertificate(
-                hyperplane=Hyperplane(
-                    [parse_rational(c) for c in payload["normal"]],
-                    parse_rational(payload["offset"]),
-                ),
-                point_side=int(payload["point_side"]),
             ),
         )
     elif kind == "empty-block":

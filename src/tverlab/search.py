@@ -234,9 +234,7 @@ def find_counterexample(
     if strategy is None:
         strategy = SearchStrategy(kind="clustered", seed=0)
     tried = 0
-    for alphas in alpha_candidates(strategy, n, r):
-        if tried >= budget:
-            break
+    for alphas in itertools.islice(alpha_candidates(strategy, n, r), max(budget, 0)):
         tried += 1
         # nearly every candidate is feasible, and a confirmed one prints
         # nothing; the canonical simplex decides and certifies the rest

@@ -2,9 +2,8 @@
 
 Everything here is deliberately written against the *definitions*, not the
 library's algorithms: facet enumeration by the all-points-one-side test,
-longest monotone subsequence by a plain DP, interval intersection on the
-line, polygon-style hull intersection at d=2 via Caratheodory, Tukey depth
-by direction scans, the phase-1 simplex and determinant by plain Fraction
+interval intersection on the line, polygon-style hull intersection at d=2
+via Caratheodory, the phase-1 simplex and determinant by plain Fraction
 elimination, and orientation by one Fraction determinant per tuple.  Tests
 freeze values computed by these oracles and compare the library against
 them; the oracles never call the code paths they check.
@@ -14,11 +13,7 @@ import itertools
 import random
 
 from tverlab.errors import InputError
-from tverlab.kernel import (
-    PointSet,
-    Rational,
-    hyperplane_through,
-)
+from tverlab.kernel import PointSet, Rational
 
 ZERO = Rational(0)
 ONE = Rational(1)
@@ -35,34 +30,17 @@ def brute_force_facets(ps: PointSet):
     facets = set()
     for combo in itertools.combinations(range(n), d):
         spanning = [ps.points[i] for i in combo]
-        try:
-            h = hyperplane_through(spanning, d)
-        except Exception:
-            continue
-        sides = {h.side_of(ps.points[j]) for j in range(n) if j not in combo}
+        # the side of q is the orientation of the spanning points and q; a
+        # zero sign means q is on their affine span or they span no hyperplane
+        sides = {
+            fraction_orientation(spanning + [ps.points[j]], d)
+            for j in range(n)
+            if j not in combo
+        }
         if 0 in sides or len(sides) != 1:
             continue
         facets.add(tuple(i + 1 for i in combo))
     return facets
-
-
-# ---------------------------------------------------------------------------
-# longest strictly monotone subsequence length (values only)
-
-
-def longest_monotone_length(values):
-    n = len(values)
-    if n == 0:
-        return 0
-    inc = [1] * n
-    dec = [1] * n
-    for i in range(n):
-        for j in range(i):
-            if values[i] > values[j]:
-                inc[i] = max(inc[i], inc[j] + 1)
-            if values[i] < values[j]:
-                dec[i] = max(dec[i], dec[j] + 1)
-    return max(max(inc), max(dec))
 
 
 # ---------------------------------------------------------------------------
@@ -134,67 +112,6 @@ def hulls_intersect_2d(A, B):
         if point_in_hull_2d(q, A) and point_in_hull_2d(q, B):
             return True
     return False
-
-
-# ---------------------------------------------------------------------------
-# Tukey depth oracles
-
-
-def tukey_depth_1d(p, values):
-    """min over closed halflines through any cut containing p."""
-    left = sum(1 for v in values if v <= p)
-    right = sum(1 for v in values if v >= p)
-    return min(left, right)
-
-
-def _angle_key(v):
-    """Exact circular ordering key helper: quadrant index plus slope compare
-    is done via cross products in the comparator below."""
-    x, y = v
-    if y > 0 or (y == 0 and x > 0):
-        return 0
-    return 1
-
-
-def tukey_depth_2d(p, points):
-    """Direction scan: strict counts over one representative per angular cell
-    of the arrangement of lines normal to x - p, plus copies of p."""
-    copies = sum(1 for q in points if tuple(q) == tuple(p))
-    others = [q for q in points if tuple(q) != tuple(p)]
-    if not others:
-        return copies
-    criticals = []
-    for q in others:
-        v = (q[0] - p[0], q[1] - p[1])
-        criticals.append((-v[1], v[0]))
-        criticals.append((v[1], -v[0]))
-    # exact circular sort: half-plane bucket, then cross-product comparisons
-    import functools
-
-    def cmp(u, v):
-        hu, hv = _angle_key(u), _angle_key(v)
-        if hu != hv:
-            return hu - hv
-        cross = u[0] * v[1] - u[1] * v[0]
-        return -1 if cross > 0 else (1 if cross < 0 else 0)
-
-    criticals = sorted(set(criticals), key=functools.cmp_to_key(cmp))
-    best = None
-    m = len(criticals)
-    for i in range(m):
-        u = criticals[i]
-        v = criticals[(i + 1) % m]
-        w = (u[0] + v[0], u[1] + v[1])
-        if w == (ZERO, ZERO) or w == (0, 0):
-            continue
-        count = sum(
-            1
-            for q in others
-            if w[0] * (q[0] - p[0]) + w[1] * (q[1] - p[1]) < 0
-        )
-        if best is None or count < best:
-            best = count
-    return copies + best
 
 
 # ---------------------------------------------------------------------------

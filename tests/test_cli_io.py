@@ -288,6 +288,23 @@ class TestCLI:
         code, verdicts = self.verify_lines(capsys, tmp_path, [rec, forged])
         assert (code, verdicts) == (1, [True, False])
 
+    def test_verify_rejects_separating_hyperplane_payload(self, capsys, tmp_path):
+        # no command writes this kind; verify accepts only witness, farkas
+        # and empty-block evidence, so a true separator proves nothing
+        ps = tmp_path / "tri.otps"
+        ps.write_text("otps 2 4\n0 0\n1 0\n0 1\n2 0\n")
+        code, out = self.run(capsys, "intersect", str(ps), "--blocks", "1,2,3;4")
+        assert code == 0
+        rec = json.loads(out)
+        forged = json.loads(out)
+        cert = forged["certificate"]
+        assert cert["status"] == "infeasible"
+        del cert["multipliers"]
+        cert.update(kind="separating-hyperplane", normal=["1", "0"], offset="3/2",
+                    point_side=1)
+        code, verdicts = self.verify_lines(capsys, tmp_path, [rec, forged])
+        assert (code, verdicts) == (1, [True, False])
+
     def test_n_line_exit_and_oracle(self, capsys):
         code, out = self.run(capsys, "n-line", "-t", "2", "-r", "2")
         assert code == 0

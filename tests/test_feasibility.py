@@ -1,32 +1,20 @@
 import random
 
-import pytest
-
 from oracles import (
     hulls_intersect_2d,
     interval_common_point,
-    seeded_general_position_points,
-    tukey_depth_1d,
-    tukey_depth_2d,
 )
-from tverlab.errors import DegenerateInputError
 from tverlab import feasibility
 from tverlab.feasibility import (
-    EmptyBlockCertificate,
     FarkasCertificate,
-    SeparationCertificate,
     confirm_feasible,
-    hull_membership,
     hulls_common_point,
     intervals_common_point,
     solve_equality_feasibility,
-    tukey_depth,
-    verify_centerpoint,
     verify_outcome,
-    verify_separation,
     verify_witness,
 )
-from tverlab.kernel import Hyperplane, PointSet, Rational
+from tverlab.kernel import Rational
 from tverlab.ordertype import MomentSpec, moment_points
 from tverlab.search import alternating_blocks, split_repeats, sixteen_point_alphas
 
@@ -61,50 +49,6 @@ class TestSimplexCore:
         rhs = [0, 0, 0]
         status, x = solve_equality_feasibility(rows, rhs)
         assert status == "feasible"
-
-
-class TestHullMembership:
-    def test_simplex_centroid_uniform(self):
-        for d in (1, 2, 3):
-            verts = []
-            for i in range(d + 1):
-                v = [0] * d
-                if i:
-                    v[i - 1] = 1
-                verts.append(tuple(v))
-            centroid = tuple(Rational(1, d + 1) * sum(v[c] for v in verts) for c in range(d))
-            out = hull_membership(centroid, verts)
-            assert out.feasible
-            assert all(c == Rational(1, d + 1) for c in out.witness.coefficients[0])
-
-    def test_outside_point_separator(self):
-        out = hull_membership((2, 0), [(0, 0), (1, 0), (0, 1)])
-        assert not out.feasible
-        cert = out.certificate
-        assert isinstance(cert, SeparationCertificate)
-        assert verify_separation((2, 0), [(0, 0), (1, 0), (0, 1)], cert)
-        # the x = 3/2 separator is itself valid for this instance
-        pinned = SeparationCertificate(
-            hyperplane=Hyperplane([1, 0], Rational(3, 2)), point_side=1
-        )
-        assert verify_separation((2, 0), [(0, 0), (1, 0), (0, 1)], pinned)
-
-    def test_vertex_membership_unit_coefficient(self):
-        verts = [(0, 0), (1, 0), (0, 1)]
-        out = hull_membership((0, 1), verts)
-        assert out.feasible
-        assert sorted(out.witness.coefficients[0]) == [0, 0, 1]
-
-    def test_empty_hull(self):
-        out = hull_membership((1,), [])
-        assert not out.feasible
-        assert isinstance(out.certificate, EmptyBlockCertificate)
-
-    def test_separator_normal_sign_canonical(self):
-        out = hull_membership((-2, 0), [(0, 0), (1, 0), (0, 1)])
-        cert = out.certificate
-        first = next(v for v in cert.hyperplane.normal if v)
-        assert first > 0  # flips recorded in point_side instead
 
 
 class TestHullsCommonPoint:
@@ -296,77 +240,3 @@ class TestOracleEquivalence:
                 (rng.randint(-5, 5), rng.randint(-5, 5))
             )
             assert hulls_common_point(grown, dim=2).feasible
-
-
-class TestTukeyDepth:
-    def test_d1_examples(self):
-        X = PointSet(1, [(i,) for i in range(1, 6)])
-        rep = tukey_depth((3,), X)
-        assert rep.depth == 3
-        assert rep.witness_halfspace.side_of((3,)) >= 0
-        assert sum(1 for q in X.points if rep.witness_halfspace.side_of(q) >= 0) == 3
-        assert tukey_depth((1,), X).depth == 1
-
-    def test_far_outside(self):
-        X = PointSet(2, [(0, 0), (1, 0), (0, 1)])
-        assert tukey_depth((10, 10), X).depth == 0
-
-    def test_triangle_centroid(self):
-        X = PointSet(2, [(0, 0), (1, 0), (0, 1)])
-        rep = tukey_depth((Rational(1, 3), Rational(1, 3)), X)
-        assert rep.depth == 1
-        h = rep.witness_halfspace
-        assert h.side_of((Rational(1, 3), Rational(1, 3))) >= 0
-        assert sum(1 for q in X.points if h.side_of(q) >= 0) == 1
-
-    def test_witness_invariant_random(self):
-        for seed in range(10):
-            X = seeded_general_position_points(seed, 7, 2)
-            p = X.points[seed % 7]
-            rep = tukey_depth(p, X)
-            h = rep.witness_halfspace
-            assert h.side_of(p) >= 0
-            assert sum(1 for q in X.points if h.side_of(q) >= 0) == rep.depth
-
-    def test_matches_direction_scan_oracle_d2(self):
-        for seed in range(12):
-            X = seeded_general_position_points(seed, 6, 2)
-            # interior-ish query: one of the points, and a midpoint-free spot
-            p = X.points[0]
-            assert tukey_depth(p, X).depth == tukey_depth_2d(p, X.points)
-
-    def test_matches_cut_scan_oracle_d1(self):
-        rng = random.Random(2)
-        for _ in range(20):
-            vals = rng.sample(range(-20, 20), 7)
-            X = PointSet(1, [(v,) for v in vals])
-            p = Rational(rng.randint(-22, 22))
-            assert tukey_depth((p,), X).depth == tukey_depth_1d(p, vals)
-
-    def test_degenerate_rejected(self):
-        X = PointSet(2, [(0, 0), (1, 1), (2, 2), (5, 0)])
-        with pytest.raises(DegenerateInputError):
-            tukey_depth((0, 1), X)
-        # p on a segment of X at d=2 is degenerate with the set
-        Y = PointSet(2, [(0, 0), (2, 0), (1, 5)])
-        with pytest.raises(DegenerateInputError):
-            tukey_depth((1, 0), Y)
-
-
-class TestCenterpoint:
-    def test_d1_examples(self):
-        X = PointSet(1, [(i,) for i in range(1, 6)])
-        assert verify_centerpoint((3,), X)
-        assert not verify_centerpoint((1,), X)
-
-    def test_triangle_vertex_boundary_case(self):
-        # ceil(3/3) = 1 and a vertex has depth exactly 1
-        X = PointSet(2, [(0, 0), (1, 0), (0, 1)])
-        assert verify_centerpoint((0, 0), X)
-
-    def test_moment_curve_centerpoint_exists_somewhere(self):
-        from tverlab.ordertype import MomentSpec, moment_points
-
-        X = moment_points(MomentSpec(2, range(1, 8)))
-        depths = [tukey_depth(p, X).depth for p in X.points]
-        assert max(depths) >= 1

@@ -9,11 +9,8 @@ from tverlab.kernel import (
     Hyperplane,
     PointSet,
     Rational,
-    affinely_independent,
     as_point,
     det,
-    hyperplane_through,
-    in_general_position,
     orientation,
 )
 from tverlab.ordertype import MomentSpec, moment_points
@@ -128,25 +125,3 @@ def test_det_small():
     assert det([[2]]) == 2
     assert det([[1, 2], [3, 4]]) == -2
     assert det([[1, 2], [2, 4]]) == 0
-
-
-def test_hyperplane_through_triangle_edge():
-    h = hyperplane_through([(0, 0), (1, 0)], 2)
-    assert h.side_of((0, 1)) != 0
-    assert h.side_of((Rational(1, 2), 0)) == 0
-
-
-def test_affine_independence():
-    assert affinely_independent([(0, 0), (1, 0), (0, 1)])
-    assert not affinely_independent([(0, 0), (1, 1), (2, 2)])
-    assert affinely_independent([(5, 7)])
-
-
-def test_general_position():
-    assert in_general_position(PointSet(2, [(0, 0), (1, 0), (0, 1), (2, 3)]))
-    assert not in_general_position(PointSet(2, [(0, 0), (1, 1), (2, 2)]))
-    X = PointSet(2, [(0, 0), (1, 0), (0, 1)])
-    assert not in_general_position(X, extra=(2, 0))
-    assert in_general_position(X, extra=(1, 1))
-    # an exact copy of an existing point is deduplicated
-    assert in_general_position(X, extra=(0, 0))

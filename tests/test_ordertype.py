@@ -4,18 +4,16 @@ import pytest
 
 from oracles import (
     brute_force_facets,
-    longest_monotone_length,
     seeded_general_position_points,
     seeded_increasing_alphas,
 )
-from tverlab.errors import DegenerateInputError, InputError, ResourceGuardError
+from tverlab.errors import DegenerateInputError, InputError
 from tverlab.kernel import Hyperplane, PointSet, Rational
 from tverlab.ordertype import (
     MomentSpec,
     gale_facets,
     is_neighborly,
     is_order_homogeneous,
-    largest_homogeneous_subset,
     moment_points,
     path_crossings,
 )
@@ -186,58 +184,3 @@ class TestPathCrossings:
                     continue
                 assert rep.count <= d
                 done += 1
-
-
-class TestLargestHomogeneousSubset:
-    def test_d1_example(self):
-        X = PointSet(1, [(3,), (1,), (2,), (5,), (4,)])
-        assert largest_homogeneous_subset(X) == (2, 3, 4)
-
-    def test_d1_matches_dp_oracle(self):
-        import random
-
-        rng = random.Random(11)
-        for _ in range(40):
-            vals = [rng.randint(0, 9) for _ in range(rng.randint(1, 12))]
-            X = PointSet(1, [(v,) for v in vals])
-            got = largest_homogeneous_subset(X)
-            assert len(got) == longest_monotone_length(vals)
-            picked = [vals[i - 1] for i in got]
-            assert all(a < b for a, b in zip(picked, picked[1:])) or all(
-                a > b for a, b in zip(picked, picked[1:])
-            )
-
-    def test_moment_full_set(self):
-        X = moment_points(MomentSpec(2, range(1, 8)))
-        assert largest_homogeneous_subset(X) == tuple(range(1, 8))
-
-    def test_five_points_match_independent_brute_force(self):
-        # inherited-order reading: the maximum homogeneous subsequence can
-        # stop at d+1 = 3 even for 5 points in general position (convex
-        # position only helps after reordering, which is not searched);
-        # cross-check exact maxima against an independent enumeration
-        from tverlab.kernel import orientation
-
-        def brute_max(X):
-            n = len(X)
-            best = min(n, 2)
-            for size in range(3, n + 1):
-                for combo in itertools.combinations(range(n), size):
-                    signs = {
-                        orientation([X.points[i] for i in t], 2)
-                        for t in itertools.combinations(combo, 3)
-                    }
-                    if 0 not in signs and len(signs) == 1:
-                        best = max(best, size)
-            return best
-
-        for seed in range(10):
-            X = seeded_general_position_points(seed, 5, 2)
-            got = largest_homogeneous_subset(X)
-            assert len(got) == brute_max(X)
-            assert len(got) >= 3  # any d+1 points in general position qualify
-
-    def test_guard(self):
-        X = moment_points(MomentSpec(2, range(1, 25)))
-        with pytest.raises(ResourceGuardError):
-            largest_homogeneous_subset(X, cap=20)

@@ -147,6 +147,27 @@ def test_canonical_simplex_decides_every_unconfirmed_candidate(monkeypatch):
             assert confirmed.count(True) >= len(confirmed) - 3
 
 
+@pytest.mark.parametrize("budget", [0, 5, 40])
+def test_search_draws_exactly_its_budget(monkeypatch, budget):
+    """The search takes no candidate past its budget from the stream."""
+    import tverlab.search as searchmod
+
+    drawn = 0
+    real_candidates = searchmod.alpha_candidates
+
+    def counting(*args):
+        nonlocal drawn
+        for alphas in real_candidates(*args):
+            drawn += 1
+            yield alphas
+
+    monkeypatch.setattr(searchmod, "alpha_candidates", counting)
+    res = find_counterexample(3, 4, 16, strategy=SearchStrategy(kind="clustered", seed=2),
+                              budget=budget)
+    assert isinstance(res, NoneFound)
+    assert res.tried == drawn == budget
+
+
 class TestScan:
     def test_d1_scan_matches_closed_form(self):
         # found for n <= 2r-2 (below r: trivially, by the empty-block

@@ -1,15 +1,23 @@
-"""Every import site the benchmark tracer wraps must exist.
+"""Every import site the benchmark tracer wraps must exist, and every
+top-level definition of the package must be reachable from its users.
 
 ``bench/tracing.py`` replaces attributes of tverlab modules by name; one that
 a refactor removed would otherwise show only in the slow traced bench run.
+The reachability walk starts from the CLI entry point, the names the
+benchmark imports and the traced sites, and follows names through the
+bodies of the definitions it reaches.  A name counts as a use of every
+definition that has it, so the walk can miss dead code but never flags live
+code.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 def _load_tracing():
@@ -29,3 +37,54 @@ SITES = sorted(
 @pytest.mark.parametrize("path, attr", SITES)
 def test_trace_site_resolves(path, attr):
     assert callable(getattr(tracing._resolve(path), attr))
+
+
+#: what runs the package from outside: the CLI and the benchmark's imports
+ROOTS = {"main", "SearchStrategy", "alpha_candidates"} | {attr for _, attr in SITES}
+
+
+def _top_level_definitions():
+    """``(name, path, node)`` for every top-level statement of the modules
+    (``__init__`` only re-exports); ``name`` is None for a statement that
+    defines nothing and runs at import, so everything it names is used."""
+    for path in sorted((ROOT / "src" / "tverlab").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield node.name, path, node
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    yield getattr(target, "id", None), path, node
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                yield None, path, node
+
+
+def _names_in(node):
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            yield sub.value  # forward references such as "PointSet"
+
+
+def test_every_definition_is_reachable():
+    definitions = list(_top_level_definitions())
+    used, reached = set(ROOTS), set()
+    grown = True
+    while grown:
+        grown = False
+        for i, (name, _, node) in enumerate(definitions):
+            if i not in reached and (name is None or name in used):
+                reached.add(i)
+                used.update(_names_in(node))
+                grown = True
+    unreached = [
+        f"{path.relative_to(ROOT)}:{node.lineno} {name}"
+        for i, (name, path, node) in enumerate(definitions)
+        if i not in reached
+    ]
+    assert not unreached, "unreachable from the CLI and the benchmark:\n" + "\n".join(unreached)
