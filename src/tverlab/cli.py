@@ -3,10 +3,13 @@
 Each record ties the command to a claim tag, echoes its inputs, and carries
 self-contained certificate payloads, so any report can be re-verified later
 by ``tverlab verify <report.jsonl>`` using only the exact kernel and the
-feasibility engine.  Verify replays each certificate against the blocks
-rebuilt from the record's own inputs (the point set and partition of
-``intersect``, the alphas of ``search-c`` and ``verify-figure2``), so a
-certificate copied onto other inputs fails.
+feasibility engine.  One rule binds every certificate to its record: the
+payload's ``dim``, ``blocks`` and ``status`` must equal what the record's own
+inputs and outcome define (the point set, partition and status of
+``intersect``; the alternating partition of the moment points of a found
+``search-c`` record or of ``verify-figure2``, with no common point), and its
+evidence must replay.  ``search-c`` resume takes a found record back only
+under the same rule.
 
 Exit status: 0 = computed and all requested claim checks passed; 1 = a claim
 check failed (the record says which); 2 = input error; 3 = an exhaustive
@@ -43,6 +46,7 @@ from .ordertype import (
 from .pointset_io import (
     ReportRecord,
     emit_pointset,
+    encode_points,
     format_rational,
     jsonable,
     load_records,
@@ -338,8 +342,7 @@ def _strategy_fingerprint(strategy: SearchStrategy, budget: int) -> Dict:
 def _scan_record(args, strategy, budget, n, result, fingerprint) -> ReportRecord:
     inputs = {"d": args.dim, "r": args.r, "n": n, "strategy": fingerprint}
     if isinstance(result, Counterexample):
-        X = moment_points(MomentSpec(result.dim, result.alphas))
-        blocks = searchmod.alternating_blocks(X, result.r)
+        blocks = searchmod.moment_blocks(result.dim, result.r, result.alphas)
         payload = outcome_payload(blocks, result.dim, result.outcome)
         outcome = {
             "found": True,
@@ -355,26 +358,6 @@ def _scan_record(args, strategy, budget, n, result, fingerprint) -> ReportRecord
         command="search-c", inputs=inputs, claim=CLAIM_SCAN,
         outcome=outcome, seed=strategy.seed,
     )
-
-
-def _replayed_counterexample(dim, r, n, record) -> Optional[Counterexample]:
-    """The recorded counterexample, if it has n strictly increasing
-    parameters and its certificate shows that the alternating r-partition of
-    their moment points in R^dim has no common point; None otherwise.  The
-    blocks are rebuilt from the record's own alphas, never taken from the
-    certificate."""
-    try:
-        alphas = tuple(parse_rational(a) for a in record.outcome["alphas"])
-        _, _, outcome = payload_outcome(record.certificate)
-        if len(alphas) != n:
-            return None
-        X = moment_points(MomentSpec(dim, alphas))  # refuses unordered alphas
-        blocks = searchmod.alternating_blocks(X, r)
-    except (InputError, KeyError, TypeError, ValueError):
-        return None
-    if outcome.feasible or not verify_outcome(blocks, outcome, dim):
-        return None
-    return Counterexample(dim=dim, r=r, alphas=alphas, outcome=outcome)
 
 
 def _load_resume(args, fingerprint) -> Dict[int, object]:
@@ -402,15 +385,18 @@ def _load_resume(args, fingerprint) -> Dict[int, object]:
             continue
         n = inputs.get("n")
         if record.outcome.get("found"):
-            found = _replayed_counterexample(args.dim, args.r, n, record)
-            if found is None:
+            if not _replay_bound(record):
                 print(
                     f"warning: {path}: dropping the n={n} counterexample, whose "
                     "certificate does not replay against its own inputs",
                     file=sys.stderr,
                 )
                 continue
-            resume[n] = found
+            resume[n] = Counterexample(
+                dim=args.dim, r=args.r,
+                alphas=tuple(parse_rational(a) for a in record.outcome["alphas"]),
+                outcome=payload_outcome(record.certificate)[2],
+            )
         else:
             resume[n] = NoneFound(
                 dim=args.dim, r=args.r, n=n,
@@ -502,8 +488,7 @@ def _cmd_n_line(args):
 def _cmd_verify_sixteen(args):
     eps = parse_rational(args.epsilon) if args.epsilon else searchmod.DEFAULT_EPSILON
     example, working_eps = verified_sixteen_point_example(eps)
-    X = moment_points(MomentSpec(example.dim, example.alphas))
-    blocks = searchmod.alternating_blocks(X, example.r)
+    blocks = searchmod.moment_blocks(example.dim, example.r, example.alphas)
     payload = outcome_payload(blocks, example.dim, example.outcome)
     replayed = verify_outcome(blocks, example.outcome, example.dim)
     record = ReportRecord(
@@ -523,42 +508,52 @@ def _cmd_verify_sixteen(args):
     return [record], not replayed
 
 
-def _replay_bound(record: ReportRecord) -> Optional[bool]:
-    """Replay a record's certificate against the blocks its own inputs
-    define, and check that it proves the outcome the record states; None
-    when the record carries no certificate.  A certificate on a record of a
-    command that prints none proves nothing and fails."""
-    if record.certificate is None:
-        return None
+def _claimed(record: ReportRecord) -> Optional[list]:
+    """The ``[dim, blocks, status]`` that a record's own inputs and outcome
+    define, in the canonical text form payloads are written in; None when the
+    record claims nothing a certificate could prove.  ``intersect`` claims the
+    status it states for the blocks of its point set and partition;
+    ``search-c`` (found) and ``verify-figure2`` claim that the alternating
+    r-partition of their moment points in R^d has no common point."""
     inputs, outcome = record.inputs, record.outcome
+    if record.command == "intersect":
+        points = inputs["pointset"]["points"]
+        labels = list(inputs["partition"])
+        partition = Partition(len(points), max(labels, default=0), labels)
+        blocks = [[points[i - 1] for i in b] for b in partition.blocks()]
+        return [inputs["pointset"]["dim"], blocks, outcome["status"]]
+    if record.command == "search-c" and outcome["found"] is True:
+        dim, r = inputs["d"], inputs["r"]
+        alphas = tuple(parse_rational(a) for a in outcome["alphas"])
+        if len(alphas) != inputs["n"]:
+            return None
+    elif record.command == "verify-figure2" and outcome["status"] == "infeasible":
+        dim, r = 3, 4
+        alphas = searchmod.sixteen_point_alphas(parse_rational(inputs["epsilon"]))
+        if outcome["alphas"] != [format_rational(a) for a in alphas]:
+            return None
+    else:
+        return None
+    # moment_points refuses unordered alphas
+    blocks = searchmod.moment_blocks(dim, r, alphas)
+    return [dim, [encode_points(b) for b in blocks], "infeasible"]
+
+
+def _replay_bound(record: ReportRecord) -> Optional[bool]:
+    """Whether a record's certificate states the claim its own inputs and
+    outcome define and its evidence replays; None when the record carries no
+    certificate.  A certificate on a record that claims nothing proves
+    nothing and fails."""
+    cert = record.certificate
+    if cert is None:
+        return None
     try:
-        if record.command == "intersect":
-            # compared in the canonical text form both fields are written in
-            points = inputs["pointset"]["points"]
-            labels = list(inputs["partition"])
-            partition = Partition(len(points), max(labels, default=0), labels)
-            cert = record.certificate
-            return (
-                cert["dim"] == inputs["pointset"]["dim"]
-                and cert["blocks"] == [[points[i - 1] for i in b] for b in partition.blocks()]
-                and cert["status"] == outcome["status"]
-                and replay_record(record)
-            )
-        if record.command == "search-c":
-            return outcome["found"] is True and _replayed_counterexample(
-                inputs["d"], inputs["r"], inputs["n"], record
-            ) is not None
-        if record.command == "verify-figure2":
-            eps = parse_rational(inputs["epsilon"])
-            found = _replayed_counterexample(3, 4, len(searchmod.SIXTEEN_POINT_PARAMS), record)
-            return (
-                outcome["status"] == "infeasible"
-                and found is not None
-                and found.alphas == searchmod.sixteen_point_alphas(eps)
-            )
+        return (
+            _claimed(record) == [cert["dim"], cert["blocks"], cert["status"]]
+            and replay_record(record)
+        )
     except (InputError, KeyError, TypeError, ValueError, AttributeError):
         return False
-    return False
 
 
 def _cmd_verify(args):
@@ -711,6 +706,8 @@ def main(argv=None) -> int:
     args.flushed = set()  # ids of the records a handler already wrote to --out
     start = time.perf_counter()
     try:
+        if args.budget is not None and args.budget < 0:
+            raise InputError(f"--budget must be >= 0, got {args.budget}")
         records, failed = args.handler(args)
     except InputError as exc:  # includes ParseError
         print(f"input error: {exc}", file=sys.stderr)

@@ -53,6 +53,7 @@ from .kernel import (
     as_point,
     fraction_free_update,
     scale_columns,
+    scale_to_integers,
 )
 
 # ---------------------------------------------------------------------------
@@ -153,13 +154,8 @@ def _normalize_multipliers(values: Sequence[Rational]) -> Tuple[Rational, ...]:
     """Scale by the unique positive rational giving coprime integer entries."""
     if not values or all(v == 0 for v in values):
         return tuple(values)
-    denom_lcm = 1
-    for v in values:
-        denom_lcm = denom_lcm * v.denominator // math.gcd(denom_lcm, int(v.denominator))
-    ints = [int(v * denom_lcm) for v in values]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
+    ints, _ = scale_to_integers(values)
+    g = math.gcd(*ints)
     return tuple(Rational(v // g) for v in ints)
 
 

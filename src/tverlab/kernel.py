@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Sequence, Tuple
 
 from .errors import InputError
 
@@ -86,17 +86,12 @@ def dot(u: Sequence, v: Sequence) -> Rational:
 
 @dataclass(frozen=True)
 class PointSet:
-    """An ordered set of d-dimensional rational points.
-
-    The order is preserved exactly as given.  ``distinct=True`` asserts a
-    weak general-position claim (no two points equal) at construction time.
-    """
+    """An ordered set of d-dimensional rational points, in the order given."""
 
     dim: int
     points: Tuple[Point, ...]
-    labels: Optional[Tuple[str, ...]] = None
 
-    def __init__(self, dim, points, labels=None, distinct=False):
+    def __init__(self, dim, points):
         if dim < 1:
             raise InputError(f"dimension must be >= 1, got {dim}")
         pts = tuple(as_point(p) for p in points)
@@ -105,29 +100,14 @@ class PointSet:
                 raise InputError(
                     f"point {i + 1} has {len(p)} coordinates, expected {dim}"
                 )
-        if distinct and len(set(pts)) != len(pts):
-            raise InputError("point set declared distinct but contains repeats")
-        if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != len(pts):
-                raise InputError("labels length does not match point count")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:
         return len(self.points)
 
     def __iter__(self):
         return iter(self.points)
-
-    def subset(self, indices: Sequence[int]) -> "PointSet":
-        """Sub-pointset at the given 1-based indices, inherited order."""
-        n = len(self.points)
-        for i in indices:
-            if not 1 <= i <= n:
-                raise InputError(f"index {i} out of range 1..{n}")
-        return PointSet(self.dim, [self.points[i - 1] for i in indices])
 
 
 @dataclass(frozen=True)

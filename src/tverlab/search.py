@@ -187,11 +187,14 @@ def alternating_blocks(X: PointSet, r: int):
     return blocks + [[] for _ in range(r - n)]
 
 
+def moment_blocks(dim: int, r: int, alphas: Sequence):
+    """Points of the alternating r-partition of the moment configuration."""
+    return alternating_blocks(moment_points(MomentSpec(dim, alphas)), r)
+
+
 def evaluate_alternating(alphas: Sequence, dim: int, r: int) -> FeasibilityOutcome:
     """Feasibility of the alternating r-partition of the moment configuration."""
-    spec = MomentSpec(dim, alphas)
-    X = moment_points(spec)
-    return hulls_common_point(alternating_blocks(X, r), dim)
+    return hulls_common_point(moment_blocks(dim, r, alphas), dim)
 
 
 def _certify(dim, r, alphas, outcome) -> Counterexample:
@@ -238,8 +241,7 @@ def find_counterexample(
         tried += 1
         # nearly every candidate is feasible, and a confirmed one prints
         # nothing; the canonical simplex decides and certifies the rest
-        X = moment_points(MomentSpec(d, alphas))
-        if confirm_feasible(alternating_blocks(X, r), d):
+        if confirm_feasible(moment_blocks(d, r, alphas), d):
             continue
         outcome = evaluate_alternating(alphas, d, r)
         if not outcome.feasible:

@@ -244,14 +244,11 @@ def partition_tolerance(
 def _partition_tolerance(X, partition, budget, order) -> ToleranceReport:
     block_indices = partition.blocks()
     cap = len(X) if budget is None else min(budget, len(X))
-    known = _closed_form_tolerance(block_indices, X, order)
-    for size in range(0 if known is None else known + 1, cap + 1):
-        breaking = _first_breaking_set(block_indices, X, size, order)
-        if breaking is not None:
-            return ToleranceReport(
-                value=size - 1, breaking_set=breaking, exhausted=True
-            )
-    return ToleranceReport(value=cap, breaking_set=None, exhausted=False)
+    value = _tolerance(block_indices, X, -1, cap, order)
+    if value >= cap:
+        return ToleranceReport(value=cap, breaking_set=None, exhausted=False)
+    breaking = _first_breaking_set(block_indices, X, value + 1, order)
+    return ToleranceReport(value=value, breaking_set=breaking, exhausted=True)
 
 
 def _first_breaking_set(block_indices, X, size, order):
@@ -262,24 +259,20 @@ def _first_breaking_set(block_indices, X, size, order):
     return None
 
 
-def _tolerance_at_least(block_indices, X, t, order) -> bool:
-    """Threshold test: no removal of size t breaks (so none smaller does)."""
-    if t < 0:
-        return True
-    if min(map(len, block_indices)) - t <= _breaking_survivors(X, order):
-        return False  # thin out the smallest block
+def _tolerance(block_indices, X, floor, cap, order) -> int:
+    """``max(floor, min(t, cap))`` for the exact tolerance t: removal sizes
+    at or below ``floor`` and above ``cap`` are never tested.  Breaking sets
+    are upward closed, so the first size that breaks is t + 1."""
+    ceiling = min(map(len, block_indices)) - _breaking_survivors(X, order) - 1
+    if ceiling <= floor:
+        return floor  # thin out the smallest block
     known = _closed_form_tolerance(block_indices, X, order)
     if known is not None:
-        return known >= t
-    return _first_breaking_set(block_indices, X, t, order) is None
-
-
-def _exact_tolerance(block_indices, X, lower, order) -> int:
-    """Exact tolerance, entered knowing it is at least ``lower``."""
-    t = lower
-    while _tolerance_at_least(block_indices, X, t + 1, order):
-        t += 1
-    return t
+        return max(floor, min(known, cap))
+    for size in range(max(floor, -1) + 1, min(ceiling, cap) + 1):
+        if _first_breaking_set(block_indices, X, size, order) is not None:
+            return size - 1
+    return max(floor, min(ceiling, cap))
 
 
 # ---------------------------------------------------------------------------
@@ -353,21 +346,17 @@ def _set_tolerance(X, r, budget, guard, homogeneity):
     # phase 0/1: find the maximum tolerance M, seeded with the alternating
     # partition and pruned by block size (see _breaking_survivors)
     seed = alternating_partition(n, r)
-    best = min(_exact_tolerance(seed.blocks(), X, -1, order), cap)
+    best = _tolerance(seed.blocks(), X, -1, cap, order)
     if best < cap:
         for partition in iter_partitions(n, r, min_block=best + 2 + thin):
-            blocks = partition.blocks()
-            if not _tolerance_at_least(blocks, X, best + 1, order):
-                continue
-            value = _exact_tolerance(blocks, X, best + 1, order)
-            best = min(value, cap)
+            best = _tolerance(partition.blocks(), X, best, cap, order)
             if best >= cap:
                 break
 
     # phase 2: lexicographically first achiever of the maximum
     chosen = None
     for partition in iter_partitions(n, r, min_block=max(1, best + 1 + thin)):
-        if _tolerance_at_least(partition.blocks(), X, best, order):
+        if _tolerance(partition.blocks(), X, best - 1, best, order) == best:
             chosen = partition
             break
     if chosen is None:

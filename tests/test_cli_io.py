@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tverlab.cli import main
-from tverlab.errors import ParseError
+from tverlab.errors import InputError, ParseError
 from tverlab.kernel import PointSet, Rational
 from tverlab.pointset_io import (
     ReportRecord,
@@ -24,6 +24,14 @@ from tverlab.search import sixteen_point_alphas
 from tverlab.ordertype import MomentSpec, moment_points
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def replays(payload) -> bool:
+    """replay_payload, with a malformed payload counted as not replaying."""
+    try:
+        return replay_payload(payload)
+    except InputError:
+        return False
 
 
 class TestRationalFormat:
@@ -231,10 +239,20 @@ class TestCLI:
         other_r["inputs"]["r"] = 3
         not_found = json.loads(json.dumps(rec))
         not_found["outcome"]["found"] = False
+        # payloads that replay_payload rejects: each states a claim other
+        # than the record's own
+        payload_forgeries = []
+        for key, value in (("status", "feasible"),
+                           ("blocks", [[["7", "7"]], [["9", "9"]]]),
+                           ("dim", 5)):
+            forged = json.loads(json.dumps(rec))
+            forged["certificate"][key] = value
+            assert not replays(forged["certificate"])
+            payload_forgeries.append(forged)
         code, verdicts = self.verify_lines(
-            capsys, tmp_path, [rec, relabelled, other_r, not_found])
+            capsys, tmp_path, [rec, relabelled, other_r, not_found, *payload_forgeries])
         assert code == 1
-        assert verdicts == [True, False, False, False]
+        assert verdicts == [True, False, False, False, False, False, False]
 
     def test_verify_rejects_unordered_alphas(self, capsys, tmp_path):
         # a true certificate for the moment points taken out of parameter
@@ -261,8 +279,15 @@ class TestCLI:
         rec = json.loads(out)
         relabelled = json.loads(out)
         relabelled["inputs"]["epsilon"] = "1/2000"
-        code, verdicts = self.verify_lines(capsys, tmp_path, [rec, relabelled])
-        assert (code, verdicts) == (1, [True, False])
+        feasible = json.loads(out)
+        feasible["certificate"]["status"] = "feasible"
+        two_blocks = json.loads(out)
+        two_blocks["certificate"]["blocks"] = two_blocks["certificate"]["blocks"][:2]
+        for forged in (feasible, two_blocks):
+            assert not replays(forged["certificate"])
+        code, verdicts = self.verify_lines(
+            capsys, tmp_path, [rec, relabelled, feasible, two_blocks])
+        assert (code, verdicts) == (1, [True, False, False, False])
 
     @pytest.mark.parametrize("edit", ["point", "partition", "status", "both-statuses",
                                       "command"])
@@ -450,7 +475,7 @@ class TestCLI:
         assert code == 0
         assert json.loads(out3.strip().splitlines()[-1])["outcome"]["resumed"] == [3, 4]
 
-    @pytest.mark.parametrize("forgery", ["relabel-n", "zero-multipliers"])
+    @pytest.mark.parametrize("forgery", ["relabel-n", "zero-multipliers", "status"])
     def test_search_c_resume_replays_found_records(self, capsys, tmp_path, forgery):
         # a found record whose certificate does not replay against the
         # alternating partition of its own n moment points is dropped with one
@@ -461,11 +486,13 @@ class TestCLI:
         assert code == 0
         rec = json.loads(report.read_text().splitlines()[0])
         assert rec["outcome"]["found"] and rec["certificate"]["kind"] == "farkas"
+        n = 3
         if forgery == "relabel-n":
             rec["inputs"]["n"] = n = 4
-        else:
-            n = 3
+        elif forgery == "zero-multipliers":
             rec["certificate"]["multipliers"] = ["0"] * len(rec["certificate"]["multipliers"])
+        else:
+            rec["certificate"]["status"] = "feasible"
         report.write_text(json.dumps(rec) + "\n")
 
         code = main(scan + ["--n-from", str(n), "--n-to", str(n)])
@@ -498,6 +525,22 @@ class TestCLI:
         code, out = self.run(capsys, "facets", "-d", "2", "-n", "5",
                              "--format", "table")
         assert code == 0 and out.startswith("== facets")
+
+    @pytest.mark.parametrize("argv", [
+        ["tolerance", "LINE", "--set", "-r", "2"],
+        ["tolerance", "LINE", "--blocks", "1,3,5;2,4"],
+        ["search-c", "-d", "3", "-r", "4", "--n-from", "16", "--n-to", "16"],
+    ])
+    def test_negative_budget_is_an_input_error(self, capsys, tmp_path, argv):
+        # no budget below zero means anything: the run prints and appends nothing
+        line = tmp_path / "line5.otps"
+        line.write_text("otps 1 5\n1\n2\n3\n4\n5\n")
+        out = tmp_path / "out.jsonl"
+        argv = [str(line) if a == "LINE" else a for a in argv]
+        code = main(["--budget", "-1", "--out", str(out), *argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out, out.exists()) == (2, "", False)
+        assert "--budget" in captured.err
 
     def test_tolerance_sandwich_mode(self, capsys, tmp_path):
         ps = tmp_path / "line.otps"
