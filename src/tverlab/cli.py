@@ -495,17 +495,23 @@ def _cmd_verify_sixteen(args):
         command="verify-figure2",
         inputs={"epsilon": working_eps},
         claim=CLAIM_SIXTEEN,
-        outcome={
-            "status": example.outcome.status,
-            "replayed": replayed,
-            "n": example.n,
-            "alphas": [format_rational(a) for a in example.alphas],
-            "c_lower_bound": {"d": 3, "r": 4, "at_least": example.n + 1},
-        },
+        outcome=_figure2_outcome(example.alphas, example.outcome.status, replayed),
         certificate=payload,
         seed=args.seed,
     )
     return [record], not replayed
+
+
+def _figure2_outcome(alphas, status: str, replayed: bool) -> Dict:
+    """The outcome of a ``verify-figure2`` record for the given alphas."""
+    n = len(alphas)
+    return {
+        "status": status,
+        "replayed": replayed,
+        "n": n,
+        "alphas": [format_rational(a) for a in alphas],
+        "c_lower_bound": {"d": 3, "r": 4, "at_least": n + 1},
+    }
 
 
 def _claimed(record: ReportRecord) -> Optional[list]:
@@ -514,7 +520,9 @@ def _claimed(record: ReportRecord) -> Optional[list]:
     record claims nothing a certificate could prove.  ``intersect`` claims the
     status it states for the blocks of its point set and partition;
     ``search-c`` (found) and ``verify-figure2`` claim that the alternating
-    r-partition of their moment points in R^d has no common point."""
+    r-partition of their moment points in R^d has no common point.  Every
+    field of a ``verify-figure2`` outcome follows from its epsilon, and must
+    equal what that epsilon gives."""
     inputs, outcome = record.inputs, record.outcome
     if record.command == "intersect":
         points = inputs["pointset"]["points"]
@@ -527,10 +535,10 @@ def _claimed(record: ReportRecord) -> Optional[list]:
         alphas = tuple(parse_rational(a) for a in outcome["alphas"])
         if len(alphas) != inputs["n"]:
             return None
-    elif record.command == "verify-figure2" and outcome["status"] == "infeasible":
+    elif record.command == "verify-figure2":
         dim, r = 3, 4
         alphas = searchmod.sixteen_point_alphas(parse_rational(inputs["epsilon"]))
-        if outcome["alphas"] != [format_rational(a) for a in alphas]:
+        if outcome != _figure2_outcome(alphas, "infeasible", True):
             return None
     else:
         return None

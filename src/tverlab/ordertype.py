@@ -34,28 +34,25 @@ from .kernel import (
 class MomentSpec:
     """Parameters on the moment curve in R^dim, in the given order.
 
-    With ``distinct=True`` (the default) the parameters must be strictly
-    increasing, which guarantees an order-type homogeneous point set.
+    The parameters must be strictly increasing, which guarantees an
+    order-type homogeneous point set.
     """
 
     dim: int
     alphas: Tuple[Rational, ...]
-    distinct: bool = True
 
-    def __init__(self, dim, alphas, distinct=True):
+    def __init__(self, dim, alphas):
         if dim < 1:
             raise InputError(f"dimension must be >= 1, got {dim}")
         vals = tuple(to_rational(a) for a in alphas)
-        if distinct:
-            for a, b in zip(vals, vals[1:]):
-                if not a < b:
-                    raise InputError(
-                        "moment parameters must be strictly increasing "
-                        f"(found {a} before {b})"
-                    )
+        for a, b in zip(vals, vals[1:]):
+            if not a < b:
+                raise InputError(
+                    "moment parameters must be strictly increasing "
+                    f"(found {a} before {b})"
+                )
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "alphas", vals)
-        object.__setattr__(self, "distinct", distinct)
 
 
 def moment_points(spec: MomentSpec) -> PointSet:

@@ -31,7 +31,7 @@ from .feasibility import (
     Witness,
     verify_outcome,
 )
-from .kernel import Hyperplane, PointSet, Rational, to_rational
+from .kernel import PointSet, Rational, to_rational
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -112,11 +112,6 @@ def jsonable(value):
             "dim": value.dim,
             "points": [[format_rational(c) for c in p] for p in value.points],
         }
-    if isinstance(value, Hyperplane):
-        return {
-            "normal": [format_rational(c) for c in value.normal],
-            "offset": format_rational(value.offset),
-        }
     # rationals (mpq / Fraction) and anything rational-like
     return format_rational(value)
 
@@ -189,13 +184,18 @@ def payload_outcome(payload: Dict):
 
 def replay_payload(payload: Dict) -> bool:
     """Re-verify a payload produced by :func:`outcome_payload`: its evidence
-    must replay and prove the status the payload states.
+    must replay and prove the status the payload states.  A payload with a
+    malformed rational or an unknown kind, or whose points disagree with its
+    ``dim``, does not replay.
 
     Uses only the exact kernel and the feasibility verifiers; no state from
     the original run is needed.
     """
-    blocks, dim, outcome = payload_outcome(payload)
-    return payload.get("status") == outcome.status and verify_outcome(blocks, outcome, dim)
+    try:
+        blocks, dim, outcome = payload_outcome(payload)
+        return payload.get("status") == outcome.status and verify_outcome(blocks, outcome, dim)
+    except InputError:  # includes ParseError
+        return False
 
 
 # ---------------------------------------------------------------------------

@@ -217,23 +217,21 @@ def find_counterexample(
     """Search for an n-point moment configuration breaking the alternating
     partition; returns a :class:`Counterexample` or :class:`NoneFound`.
 
-    With n < r the alternating blocks cannot all be inhabited, so any
-    configuration is trivially a counterexample (conv(emptyset) = emptyset).
-    At d=1 feasibility of the alternating partition does not depend on the
-    parameter values, so one canonical evaluation decides exactly.
+    Where the parameter values do not matter, the parameters 1..n decide
+    exactly: with n < r the alternating blocks cannot all be inhabited, so
+    any configuration is a counterexample (conv(emptyset) = emptyset), and
+    at d=1 feasibility of the alternating partition depends only on n.
     """
     if n < 1:
         raise InputError(f"need n >= 1, got n={n}")
-    if n < r:
-        outcome = evaluate_alternating(range(1, n + 1), d, r)
-        if outcome.feasible:
+    if n < r or d == 1:
+        alphas = [Rational(i) for i in range(1, n + 1)]
+        outcome = evaluate_alternating(alphas, d, r)
+        if not outcome.feasible:
+            return _certify(d, r, alphas, outcome)
+        if n < r:
             raise InternalError("an empty alternating block must be infeasible")
-        return _certify(d, r, [Rational(i) for i in range(1, n + 1)], outcome)
-    if d == 1:
-        outcome = evaluate_alternating(range(1, n + 1), 1, r)
-        if outcome.feasible:
-            return NoneFound(dim=1, r=r, n=n, tried=1, exact=True)
-        return _certify(1, r, [Rational(i) for i in range(1, n + 1)], outcome)
+        return NoneFound(dim=d, r=r, n=n, tried=1, exact=True)
     if strategy is None:
         strategy = SearchStrategy(kind="clustered", seed=0)
     tried = 0

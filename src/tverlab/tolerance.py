@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InputError, InternalError, ResourceGuardError
 from .feasibility import hulls_common_point, intervals_common_point
@@ -94,20 +94,6 @@ class Partition:
         for i, lab in enumerate(self.labels, start=1):
             out[lab - 1].append(i)
         return tuple(tuple(b) for b in out)
-
-    def canonical_key(self) -> Tuple[int, ...]:
-        """Label string with blocks renamed by first appearance.
-
-        This is the lexicographic block encoding used for deterministic
-        tie-breaking: unordered partitions compare equal iff their keys do.
-        """
-        rename: Dict[int, int] = {}
-        key = []
-        for lab in self.labels:
-            if lab not in rename:
-                rename[lab] = len(rename)
-            key.append(rename[lab])
-        return tuple(key)
 
 
 def alternating_partition(n: int, r: int) -> Partition:
@@ -238,41 +224,52 @@ def partition_tolerance(
     """Exact tolerance of one partition by increasing-size removal search."""
     if partition.n != len(X):
         raise InputError("partition size does not match point set")
-    return _partition_tolerance(X, partition, budget, _run_order(X, partition.r))
-
-
-def _partition_tolerance(X, partition, budget, order) -> ToleranceReport:
+    order = _run_order(X, partition.r)
     block_indices = partition.blocks()
     cap = len(X) if budget is None else min(budget, len(X))
-    value = _tolerance(block_indices, X, -1, cap, order)
+    value, breaking = _tolerance(block_indices, X, -1, cap, order)
+    return _report(block_indices, X, cap, order, value, breaking)
+
+
+def _report(block_indices, X, cap, order, value, breaking) -> ToleranceReport:
+    """The report of a partition whose tolerance, capped at ``cap``, is
+    ``value``; ``breaking`` is its first breaking set when a scan already
+    found it, else size ``value + 1`` is searched here."""
     if value >= cap:
         return ToleranceReport(value=cap, breaking_set=None, exhausted=False)
-    breaking = _first_breaking_set(block_indices, X, value + 1, order)
+    if breaking is None:
+        breaking = _first_breaking_set(block_indices, X, [value + 1], order)
+    if breaking is None:
+        raise InternalError(f"no removal of size {value + 1} breaks a partition "
+                            f"of tolerance {value}")
     return ToleranceReport(value=value, breaking_set=breaking, exhausted=True)
 
 
-def _first_breaking_set(block_indices, X, size, order):
-    """Lexicographically first removal of the given size that breaks."""
-    for combo in itertools.combinations(range(1, len(X) + 1), size):
-        if not _depleted_feasible(block_indices, X, set(combo), order):
-            return combo
+def _first_breaking_set(block_indices, X, sizes, order):
+    """First removal that breaks, by size in ``sizes`` and lexicographically
+    within a size; None when none does."""
+    for size in sizes:
+        for combo in itertools.combinations(range(1, len(X) + 1), size):
+            if not _depleted_feasible(block_indices, X, set(combo), order):
+                return combo
     return None
 
 
-def _tolerance(block_indices, X, floor, cap, order) -> int:
-    """``max(floor, min(t, cap))`` for the exact tolerance t: removal sizes
-    at or below ``floor`` and above ``cap`` are never tested.  Breaking sets
-    are upward closed, so the first size that breaks is t + 1."""
+def _tolerance(block_indices, X, floor, cap, order):
+    """``(max(floor, min(t, cap)), breaking)`` for the exact tolerance t:
+    removal sizes at or below ``floor`` and above ``cap`` are never tested.
+    Breaking sets are upward closed, so the first size that breaks is t + 1;
+    ``breaking`` is the first breaking set of that size when the scan reached
+    it, else None."""
     ceiling = min(map(len, block_indices)) - _breaking_survivors(X, order) - 1
     if ceiling <= floor:
-        return floor  # thin out the smallest block
+        return floor, None  # thin out the smallest block
     known = _closed_form_tolerance(block_indices, X, order)
     if known is not None:
-        return max(floor, min(known, cap))
-    for size in range(max(floor, -1) + 1, min(ceiling, cap) + 1):
-        if _first_breaking_set(block_indices, X, size, order) is not None:
-            return size - 1
-    return max(floor, min(ceiling, cap))
+        return max(floor, min(known, cap)), None
+    top = min(ceiling, cap)
+    breaking = _first_breaking_set(block_indices, X, range(max(floor, -1) + 1, top + 1), order)
+    return (max(floor, top) if breaking is None else len(breaking) - 1), breaking
 
 
 # ---------------------------------------------------------------------------
@@ -346,25 +343,20 @@ def _set_tolerance(X, r, budget, guard, homogeneity):
     # phase 0/1: find the maximum tolerance M, seeded with the alternating
     # partition and pruned by block size (see _breaking_survivors)
     seed = alternating_partition(n, r)
-    best = _tolerance(seed.blocks(), X, -1, cap, order)
+    best = _tolerance(seed.blocks(), X, -1, cap, order)[0]
     if best < cap:
         for partition in iter_partitions(n, r, min_block=best + 2 + thin):
-            best = _tolerance(partition.blocks(), X, best, cap, order)
+            best = _tolerance(partition.blocks(), X, best, cap, order)[0]
             if best >= cap:
                 break
 
-    # phase 2: lexicographically first achiever of the maximum
-    chosen = None
+    # phase 2: lexicographically first achiever of the maximum, whose
+    # tolerance is then exactly best: only size best + 1 is left to scan
     for partition in iter_partitions(n, r, min_block=max(1, best + 1 + thin)):
-        if _tolerance(partition.blocks(), X, best - 1, best, order) == best:
-            chosen = partition
-            break
-    if chosen is None:
-        raise InternalError("no partition achieves the maximum tolerance")
-    report = _partition_tolerance(X, chosen, budget, order)
-    if report.exhausted and report.value != best:
-        raise InternalError("argmax partition does not reach the maximum tolerance")
-    return report, chosen
+        blocks = partition.blocks()
+        if _tolerance(blocks, X, best - 1, best, order)[0] == best:
+            return _report(blocks, X, cap, order, best, None), partition
+    raise InternalError("no partition achieves the maximum tolerance")
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +425,7 @@ def check_tolerance_sandwich(X: PointSet, r: int, guard: int = PARTITION_GUARD) 
         raise InputError("sandwich check requires an order-type homogeneous set")
     report, _ = _set_tolerance(X, r, None, guard, result)
     lower = n // r - alternating_bound(X.dim, r)
-    upper = n // r - X.dim // 2
+    upper = tolerance_upper_bound(n, X.dim, r)
     return SandwichReport(
         n=n,
         r=r,

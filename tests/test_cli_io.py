@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tverlab.cli import main
-from tverlab.errors import InputError, ParseError
+from tverlab.errors import ParseError
 from tverlab.kernel import PointSet, Rational
 from tverlab.pointset_io import (
     ReportRecord,
@@ -24,14 +25,6 @@ from tverlab.search import sixteen_point_alphas
 from tverlab.ordertype import MomentSpec, moment_points
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-
-
-def replays(payload) -> bool:
-    """replay_payload, with a malformed payload counted as not replaying."""
-    try:
-        return replay_payload(payload)
-    except InputError:
-        return False
 
 
 class TestRationalFormat:
@@ -240,19 +233,19 @@ class TestCLI:
         not_found = json.loads(json.dumps(rec))
         not_found["outcome"]["found"] = False
         # payloads that replay_payload rejects: each states a claim other
-        # than the record's own
+        # than the record's own, or has a malformed rational
         payload_forgeries = []
         for key, value in (("status", "feasible"),
                            ("blocks", [[["7", "7"]], [["9", "9"]]]),
-                           ("dim", 5)):
+                           ("dim", 5), ("multipliers", ["1/0"])):
             forged = json.loads(json.dumps(rec))
             forged["certificate"][key] = value
-            assert not replays(forged["certificate"])
+            assert not replay_payload(forged["certificate"])
             payload_forgeries.append(forged)
         code, verdicts = self.verify_lines(
             capsys, tmp_path, [rec, relabelled, other_r, not_found, *payload_forgeries])
         assert code == 1
-        assert verdicts == [True, False, False, False, False, False, False]
+        assert verdicts == [True] + [False] * 7
 
     def test_verify_rejects_unordered_alphas(self, capsys, tmp_path):
         # a true certificate for the moment points taken out of parameter
@@ -284,10 +277,19 @@ class TestCLI:
         two_blocks = json.loads(out)
         two_blocks["certificate"]["blocks"] = two_blocks["certificate"]["blocks"][:2]
         for forged in (feasible, two_blocks):
-            assert not replays(forged["certificate"])
+            assert not replay_payload(forged["certificate"])
+        # outcome fields the epsilon defines, printed over a payload that
+        # still replays
+        outcome_forgeries = []
+        for key, value in (("c_lower_bound", {"d": 3, "r": 4, "at_least": 99}),
+                           ("n", 40), ("replayed", False)):
+            forged = json.loads(out)
+            forged["outcome"][key] = value
+            assert replay_payload(forged["certificate"])
+            outcome_forgeries.append(forged)
         code, verdicts = self.verify_lines(
-            capsys, tmp_path, [rec, relabelled, feasible, two_blocks])
-        assert (code, verdicts) == (1, [True, False, False, False])
+            capsys, tmp_path, [rec, relabelled, feasible, two_blocks, *outcome_forgeries])
+        assert (code, verdicts) == (1, [True] + [False] * 6)
 
     @pytest.mark.parametrize("edit", ["point", "partition", "status", "both-statuses",
                                       "command"])
@@ -329,6 +331,82 @@ class TestCLI:
                     point_side=1)
         code, verdicts = self.verify_lines(capsys, tmp_path, [rec, forged])
         assert (code, verdicts) == (1, [True, False])
+
+    def test_verify_binds_empty_block_payloads(self, capsys, tmp_path):
+        # n < r leaves an alternating block empty: the payload names it
+        report = tmp_path / "ck.jsonl"
+        code, _ = self.run(capsys, "--out", str(report), "search-c", "-d", "2",
+                           "-r", "3", "--n-from", "1", "--n-to", "2")
+        assert code == 0
+        recs = [json.loads(line) for line in report.read_text().splitlines()[:2]]
+        assert [(r["inputs"]["n"], r["certificate"]["kind"], r["certificate"]["block_index"])
+                for r in recs] == [(1, "empty-block", 2), (2, "empty-block", 3)]
+        forged = json.loads(json.dumps(recs[1]))
+        forged["certificate"]["block_index"] = 1
+        code, verdicts = self.verify_lines(capsys, tmp_path, [*recs, forged])
+        assert (code, verdicts) == (1, [True, True, False])
+
+    def test_neighborly_exit_codes(self, capsys, monkeypatch):
+        code, out = self.run(capsys, "neighborly", "-d", "4", "-n", "7")
+        assert code == 0
+        assert json.loads(out)["outcome"] == {"neighborly": True, "k": 2}
+        code, out = self.run(capsys, "neighborly", "-d", "4", "-n", "4")
+        assert (code, out) == (2, "")
+        # a facet list missing the facets without index 1 leaves the pair
+        # {2, 3} uncovered: the claim check fails
+        import tverlab.ordertype as ordertype
+
+        gale_facets = ordertype.gale_facets
+
+        def without_index_2_facets(n, dim):
+            fs = gale_facets(n, dim)
+            return dataclasses.replace(fs, facets=frozenset(f for f in fs.facets if 1 in f))
+
+        monkeypatch.setattr(ordertype, "gale_facets", without_index_2_facets)
+        code, out = self.run(capsys, "neighborly", "-d", "4", "-n", "7")
+        assert code == 1
+        assert json.loads(out)["outcome"] == {"neighborly": False, "k": 2}
+
+    def test_t_line(self, capsys):
+        code, out = self.run(capsys, "t-line", "-n", "7", "-r", "2")
+        assert code == 0
+        rec = json.loads(out)
+        assert (rec["claim"], rec["inputs"], rec["outcome"]) == (
+            "TightD1", {"n": 7, "r": 2}, {"value": 2})
+
+    @pytest.mark.parametrize("flags, fields", [
+        (["--cluster-count", "2", "--spread", "3"], {"kind": "clustered", "cluster_count": 2,
+                                                      "spread": 3}),
+        (["--strategy", "random-rational", "--denominator-bound", "3"],
+         {"kind": "random-rational", "denominator_bound": 3}),
+        (["--strategy", "grid", "--grid-step", "2/4"], {"kind": "grid", "grid_step": "1/2"}),
+    ])
+    def test_search_c_strategy_flags_in_fingerprint(self, capsys, flags, fields):
+        code, out = self.run(capsys, "search-c", "-d", "2", "-r", "2", "--n-from", "3",
+                             "--n-to", "3", *flags)
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        for rec in records:
+            strategy = rec["inputs"]["strategy"]
+            assert {k: strategy[k] for k in fields} == fields
+        assert records[0]["outcome"]["found"] is True
+
+    @pytest.mark.parametrize("change", [["-d", "3"], ["-r", "3"], ["--seed", "2"],
+                                        ["--budget", "7"], ["--spread", "5"]])
+    def test_search_c_resume_skips_other_scans(self, capsys, tmp_path, change):
+        # a checkpoint record is taken back only for the same d, r and strategy
+        report = tmp_path / "scan.jsonl"
+        base = {"-d": "2", "-r": "2", "--seed": "1", "--budget": "60"}
+        argv = lambda opts: ["--out", str(report), "search-c", "--n-from", "3",
+                             "--n-to", "3", *[x for kv in opts.items() for x in kv]]
+        code, _ = self.run(capsys, *argv(base))
+        assert code == 0
+        code, out = self.run(capsys, *argv({**base, change[0]: change[1]}))
+        assert code == 0
+        summary = json.loads(out.splitlines()[-1])["outcome"]
+        assert summary["resumed"] == [] and summary["per_n"] == {"3": True}
+        code, out = self.run(capsys, *argv(base))
+        assert json.loads(out.splitlines()[-1])["outcome"]["resumed"] == [3]
 
     def test_n_line_exit_and_oracle(self, capsys):
         code, out = self.run(capsys, "n-line", "-t", "2", "-r", "2")

@@ -30,13 +30,6 @@ class TestMomentPoints:
         X = moment_points(MomentSpec(1, [1, 2, 3]))
         assert [p[0] for p in X.points] == [1, 2, 3]
 
-    def test_sixteen_point_configuration(self):
-        # repeats allowed when the distinct flag is dropped
-        X = moment_points(MomentSpec(3, SIXTEEN, distinct=False))
-        assert len(X) == 16
-        assert X.dim == 3
-        assert X.points[0] == (Rational(-4), Rational(16), Rational(-64))
-
     def test_distinct_flag_rejects_repeats(self):
         with pytest.raises(InputError):
             MomentSpec(3, SIXTEEN)

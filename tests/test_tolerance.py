@@ -14,6 +14,7 @@ from tverlab.kernel import PointSet, Rational
 from tverlab.ordertype import MomentSpec, is_order_homogeneous, moment_points
 from tverlab.tolerance import (
     Partition,
+    ToleranceReport,
     _depleted_feasible,
     _label_runs,
     alternating_bound,
@@ -69,6 +70,19 @@ def count_work(monkeypatch):
     return calls
 
 
+def record_removals(monkeypatch):
+    """The removal sets the tolerance search decides, in order."""
+    removals = []
+    depleted_feasible = tolerance._depleted_feasible
+
+    def recorded(block_indices, X, removed, order):
+        removals.append(frozenset(removed))
+        return depleted_feasible(block_indices, X, removed, order)
+
+    monkeypatch.setattr(tolerance, "_depleted_feasible", recorded)
+    return removals
+
+
 class TestPartition:
     def test_alternating_examples(self):
         assert alternating_partition(5, 2).blocks() == ((1, 3, 5), (2, 4))
@@ -92,16 +106,11 @@ class TestPartition:
         part = Partition.from_blocks(4, [[2, 4], [1, 3]])
         assert part.blocks() == ((2, 4), (1, 3))
 
-    def test_canonical_key(self):
-        a = Partition.from_blocks(4, [[1, 3], [2, 4]])
-        b = Partition.from_blocks(4, [[2, 4], [1, 3]])
-        assert a.canonical_key() == b.canonical_key() == (0, 1, 0, 1)
-
     def test_iter_partitions_counts(self):
         # Stirling numbers of the second kind
         assert sum(1 for _ in iter_partitions(5, 2)) == 15
         assert sum(1 for _ in iter_partitions(6, 3)) == 90
-        keys = [p.canonical_key() for p in iter_partitions(5, 2)]
+        keys = [p.labels for p in iter_partitions(5, 2)]
         assert keys == sorted(keys)  # lexicographic enumeration
         assert len(set(keys)) == len(keys)
 
@@ -249,7 +258,7 @@ class TestSetTolerance:
         for candidate in iter_partitions(5, 2):
             value, _ = brute_tolerance(X, candidate)
             if value >= rep.value:
-                assert candidate.canonical_key() == part.canonical_key()
+                assert candidate.labels == part.labels
                 break
 
     def test_guard(self):
@@ -320,23 +329,34 @@ class TestSetTolerance:
     def test_closed_form_tests_only_the_reported_size(self, monkeypatch, X, r):
         # where pairs decide, the only removal sets tested are those of size
         # value + 1, in the search for the reported breaking set
-        sizes = set()
-        depleted_feasible = tolerance._depleted_feasible
-
-        def recorded(block_indices, X, removed, order):
-            sizes.add(len(removed))
-            return depleted_feasible(block_indices, X, removed, order)
-
-        monkeypatch.setattr(tolerance, "_depleted_feasible", recorded)
+        removals = record_removals(monkeypatch)
         rep, _ = set_tolerance(X, r, guard=len(X))
-        assert rep.exhausted and sizes == {rep.value + 1}
+        assert rep.exhausted and set(map(len, removals)) == {rep.value + 1}
+
+    def test_one_removal_scan_per_report(self, monkeypatch):
+        # the scan that finds the tolerance also finds the breaking set, and
+        # the argmax report scans only size best + 1 after phase 2
+        removals = record_removals(monkeypatch)
+        X = moment_points(MomentSpec(2, range(1, 10)))
+        for part in iter_partitions(9, 3):
+            removals.clear()
+            partition_tolerance(X, part)
+            assert len(removals) == len(set(removals)), part.labels
+        removals.clear()
+        rep, part = set_tolerance(moment_points(MomentSpec(2, range(1, 11))), 3)
+        assert len(removals) <= 2419
+        assert (rep, part.labels) == (
+            ToleranceReport(value=1, breaking_set=(1, 4), exhausted=True),
+            (1, 2, 3, 1, 2, 3, 1, 2, 1, 3),
+        )
 
     def test_thin_block_shortcut_precedes_closed_form(self, monkeypatch):
         # d = 3: a block cut down to floor(3/2) = 1 survivor breaks alone
         X = moment_points(MomentSpec(3, range(1, 9)))
         order = tolerance._run_order(X, 2)
         monkeypatch.setattr(tolerance, "_closed_form_tolerance", None)
-        assert tolerance._tolerance(((1, 2, 3), (4, 5, 6, 7, 8)), X, 1, len(X), order) < 2
+        value, _ = tolerance._tolerance(((1, 2, 3), (4, 5, 6, 7, 8)), X, 1, len(X), order)
+        assert value < 2
 
     @pytest.mark.parametrize("n, r, partitions", [(12, 3, 14954), (12, 2, 793)])
     def test_line_search_keeps_its_two_phases(self, monkeypatch, n, r, partitions):

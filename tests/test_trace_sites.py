@@ -1,5 +1,6 @@
 """Every import site the benchmark tracer wraps must exist, and every
-top-level definition of the package must be reachable from its users.
+definition of the package, top-level or a class member, must be reachable
+from its users.
 
 ``bench/tracing.py`` replaces attributes of tverlab modules by name; one that
 a refactor removed would otherwise show only in the slow traced bench run.
@@ -43,22 +44,45 @@ def test_trace_site_resolves(path, attr):
 ROOTS = {"main", "SearchStrategy", "alpha_candidates"} | {attr for _, attr in SITES}
 
 
-def _top_level_definitions():
-    """``(name, path, node)`` for every top-level statement of the modules
-    (``__init__`` only re-exports); ``name`` is None for a statement that
-    defines nothing and runs at import, so everything it names is used."""
+def _member_name(node):
+    """Name of a method or annotated field of a class body; None for any
+    other statement and for dunders, which Python calls itself and which are
+    walked with their class."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        name = node.name
+    elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        name = node.target.id
+    else:
+        return None
+    return None if name.startswith("__") and name.endswith("__") else name
+
+
+def _definitions():
+    """``(name, path, node, owner)`` for every top-level statement of the
+    modules (``__init__`` only re-exports) and every member of their classes;
+    ``owner`` is the index of a member's class.  ``name`` is None for a
+    statement that defines nothing and runs at import, so everything it names
+    is used."""
+    found = []
     for path in sorted((ROOT / "src" / "tverlab").glob("*.py")):
         if path.name == "__init__.py":
             continue
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                yield node.name, path, node
+            if isinstance(node, ast.ClassDef):
+                owner = len(found)
+                body = [m for m in node.body if _member_name(m) is None]
+                found.append((node.name, path, ast.ClassDef(**{**vars(node), "body": body}), None))
+                found += [(_member_name(m), path, m, owner)
+                          for m in node.body if _member_name(m) is not None]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.append((node.name, path, node, None))
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 for target in targets:
-                    yield getattr(target, "id", None), path, node
+                    found.append((getattr(target, "id", None), path, node, None))
             elif not isinstance(node, (ast.Import, ast.ImportFrom)):
-                yield None, path, node
+                found.append((None, path, node, None))
+    return found
 
 
 def _names_in(node):
@@ -72,19 +96,22 @@ def _names_in(node):
 
 
 def test_every_definition_is_reachable():
-    definitions = list(_top_level_definitions())
+    # a class member is reached once its name is used and its class is reached
+    definitions = _definitions()
     used, reached = set(ROOTS), set()
     grown = True
     while grown:
         grown = False
-        for i, (name, _, node) in enumerate(definitions):
-            if i not in reached and (name is None or name in used):
+        for i, (name, _, node, owner) in enumerate(definitions):
+            if i in reached or (owner is not None and owner not in reached):
+                continue
+            if name is None or name in used:
                 reached.add(i)
                 used.update(_names_in(node))
                 grown = True
     unreached = [
         f"{path.relative_to(ROOT)}:{node.lineno} {name}"
-        for i, (name, path, node) in enumerate(definitions)
+        for i, (name, path, node, _) in enumerate(definitions)
         if i not in reached
     ]
     assert not unreached, "unreachable from the CLI and the benchmark:\n" + "\n".join(unreached)
