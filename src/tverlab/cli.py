@@ -564,12 +564,38 @@ def _replay_bound(record: ReportRecord) -> Optional[bool]:
         return False
 
 
+def _summary_bound(summary: ReportRecord, records) -> bool:
+    """Whether a ``search-c-summary`` states what the report's ``search-c``
+    records of its d, r and strategy found: for each n from n_from to n_to,
+    the one ``found`` value of that n's records, and the largest found n
+    plus 1 (or null) as the lower bound."""
+    inputs = summary.inputs
+    try:
+        found = {n: set() for n in range(inputs["n_from"], inputs["n_to"] + 1)}
+        for rec in records:
+            if rec.command == "search-c" and rec.inputs.get("n") in found and all(
+                rec.inputs.get(key) == inputs[key] for key in ("d", "r", "strategy")
+            ):
+                found[rec.inputs["n"]].add(rec.outcome.get("found"))
+        if any(len(values) != 1 for values in found.values()):
+            return False
+        per_n = {str(n): values.pop() for n, values in found.items()}
+        hits = [n for n in found if per_n[str(n)] is True]
+        lower = max(hits) + 1 if hits else None
+        return summary.outcome["per_n"] == per_n and summary.outcome["lower_bound"] == lower
+    except (KeyError, TypeError):
+        return False
+
+
 def _cmd_verify(args):
     records_in = load_records(_read_text(args.report))
     results = []
     failed = False
     for i, rec in enumerate(records_in, start=1):
-        verdict = _replay_bound(rec)
+        if rec.command == "search-c-summary" and rec.certificate is None:
+            verdict = _summary_bound(rec, records_in)
+        else:
+            verdict = _replay_bound(rec)
         results.append({"record": i, "command": rec.command, "replayed": verdict})
         if verdict is False:
             failed = True

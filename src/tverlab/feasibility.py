@@ -455,13 +455,7 @@ def verify_outcome(blocks, outcome: FeasibilityOutcome, dim=None) -> bool:
 
 def intervals_common_point(blocks) -> Optional[Rational]:
     """Common point of 1-d hulls, or None; blocks are value sequences."""
-    lo = None
-    hi = None
-    for block in blocks:
-        if not block:
-            return None
-        bmin = min(block)
-        bmax = max(block)
-        lo = bmin if lo is None or bmin > lo else lo
-        hi = bmax if hi is None or bmax < hi else hi
+    if not all(blocks):
+        return None
+    lo, hi = max(map(min, blocks)), min(map(max, blocks))
     return lo if lo <= hi else None

@@ -185,8 +185,8 @@ def payload_outcome(payload: Dict):
 def replay_payload(payload: Dict) -> bool:
     """Re-verify a payload produced by :func:`outcome_payload`: its evidence
     must replay and prove the status the payload states.  A payload with a
-    malformed rational or an unknown kind, or whose points disagree with its
-    ``dim``, does not replay.
+    missing field, a malformed number or an unknown kind, or whose points
+    disagree with its ``dim``, does not replay.
 
     Uses only the exact kernel and the feasibility verifiers; no state from
     the original run is needed.
@@ -194,7 +194,7 @@ def replay_payload(payload: Dict) -> bool:
     try:
         blocks, dim, outcome = payload_outcome(payload)
         return payload.get("status") == outcome.status and verify_outcome(blocks, outcome, dim)
-    except InputError:  # includes ParseError
+    except (InputError, KeyError, TypeError, ValueError):  # InputError includes ParseError
         return False
 
 

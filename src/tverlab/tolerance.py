@@ -8,8 +8,8 @@ tolerance is always at most (smallest block size) - 1, and a partition whose
 base intersection is already empty has tolerance -1.
 
 ``set_tolerance`` maximizes over all partitions of the index set into r
-nonempty unordered blocks (block labels carry no meaning).  Both searches
-are exhaustive and exact:
+nonempty unordered blocks (block labels carry no meaning), skipping those
+that provably cannot beat the best so far.  Both searches are exact:
 
 * removal sets are enumerated by increasing size, lexicographically within a
   size, and the first breaking set is reported, so reports are reproducible;
@@ -184,14 +184,18 @@ def _depleted_feasible(block_indices, X: PointSet, removed, order) -> bool:
     return hulls_common_point(blocks, X.dim).feasible
 
 
+def _run_step(same, other):
+    """The run DP on reading one letter of a 0/1 string: ``same[j]`` and
+    ``other[j]`` are the longest subsequences of at most j runs that end in
+    that letter and in the other one; returns ``same`` after the letter."""
+    return (0,) + tuple(max(s, o) + 1 for s, o in zip(same[1:], other))
+
+
 def _fewest_deletions(string, runs: int) -> int:
     """Fewest letters to delete from a 0/1 string to leave at most ``runs`` runs."""
-    # kept[c][j]: longest subsequence of at most j runs that ends in letter c
-    kept = ([0] * (runs + 1), [0] * (runs + 1))
+    kept = [(0,) * (runs + 1)] * 2
     for x in string:
-        same, other = kept[x], kept[1 - x]
-        for j in range(runs, 0, -1):
-            same[j] = max(same[j], other[j - 1]) + 1
+        kept[x] = _run_step(kept[x], kept[1 - x])
     return len(string) - max(kept[0][runs], kept[1][runs])
 
 
@@ -261,7 +265,8 @@ def _tolerance(block_indices, X, floor, cap, order):
     Breaking sets are upward closed, so the first size that breaks is t + 1;
     ``breaking`` is the first breaking set of that size when the scan reached
     it, else None."""
-    ceiling = min(map(len, block_indices)) - _breaking_survivors(X, order) - 1
+    # a tolerance is never below -1, whatever the thin-block bound says
+    ceiling = max(-1, min(map(len, block_indices)) - _breaking_survivors(X, order) - 1)
     if ceiling <= floor:
         return floor, None  # thin out the smallest block
     known = _closed_form_tolerance(block_indices, X, order)
@@ -276,39 +281,59 @@ def _tolerance(block_indices, X, floor, cap, order):
 # partition enumeration (restricted growth strings, lexicographic)
 
 
-def iter_partitions(n: int, r: int, min_block: int = 1) -> Iterator[Partition]:
+@dataclass
+class _Target:
+    """The tolerance ``best`` that :func:`iter_partitions` must beat, raised
+    by the caller as it goes; ``thin`` is :func:`_breaking_survivors`, and
+    ``runs`` is d + 1 when the index order is a run order, else None."""
+
+    best: int
+    thin: int
+    runs: Optional[int]
+
+
+def iter_partitions(n: int, r: int, target: Optional[_Target] = None) -> Iterator[Partition]:
     """All partitions of 1..n into exactly r nonempty unordered blocks.
 
     Yields in lexicographic order of the canonical label string (blocks
-    named by first appearance).  ``min_block`` prunes branches that cannot
-    reach the requested smallest block size.
+    named by first appearance).  With a ``target``, a branch and bound for
+    tolerance above b = ``target.best``, which needs b + 2 + thin points in
+    each block and b + 2 deletions to bring each pair's label string down to
+    ``runs`` runs: a prefix is cut when its remaining positions cannot.
     """
-    if n < r * max(min_block, 1):
-        return
+    target = target or _Target(best=-2, thin=0, runs=None)
+    runs = target.runs
     labels = [0] * n
     counts = [0] * r
+    # kept[e][f][j]: longest subsequence of at most j runs of the e/f label
+    # string that ends in e (see _run_step)
+    kept = [[(0,) * ((runs or 0) + 1)] * r for _ in range(r)]
 
     def extend(i: int, used: int) -> Iterator[Partition]:
+        best = target.best
+        # no tolerance is below -1: to beat less, blocks need only be nonempty
+        need = [(best + 2 + target.thin if best >= -1 else 1) - c for c in counts]
+        if runs is not None:
+            # all later f's extend the longest subsequence ending in e
+            # without a new run, so f needs that many more to beat best
+            for e, f in itertools.permutations(range(r), 2):
+                need[f] = max(need[f], best + 2 - counts[e] - counts[f] + kept[e][f][runs])
+        if sum(max(0, x) for x in need) > n - i:
+            return
         if i == n:
-            if used == r and all(c >= min_block for c in counts[:used]):
-                yield Partition(n, r, [lab + 1 for lab in labels])
+            yield Partition(n, r, [lab + 1 for lab in labels])
             return
-        remaining = n - i
-        # prune: every block must still be fillable to min_block, and all
-        # r blocks must get opened
-        deficit = sum(max(0, min_block - counts[b]) for b in range(used))
-        deficit += (r - used) * min_block
-        if remaining < deficit:
-            return
-        top = min(used + 1, r)
-        for lab in range(top):
+        for lab in range(min(used + 1, r)):
             labels[i] = lab
             counts[lab] += 1
+            saved = kept[lab]
+            if runs is not None:
+                kept[lab] = [same if f == lab else _run_step(same, kept[f][lab])
+                             for f, same in enumerate(saved)]
             yield from extend(i + 1, max(used, lab + 1))
+            kept[lab] = saved
             counts[lab] -= 1
-        labels[i] = 0
 
-    # index 1 always sits in block 1: labels fixed at 0 for i=0 by the loop
     yield from extend(0, 0)
 
 
@@ -338,25 +363,25 @@ def _set_tolerance(X, r, budget, guard, homogeneity):
         )
     order = _run_order(X, r, homogeneity)
     cap = n if budget is None else min(budget, n)
-    thin = _breaking_survivors(X, order)
+    seed = _tolerance(alternating_partition(n, r).blocks(), X, -1, cap, order)[0]
+    # a reversed run order has the same runs
+    monotone = order in (tuple(range(n)), tuple(range(n - 1, -1, -1)))
+    target = _Target(seed - 1, _breaking_survivors(X, order), X.dim + 1 if monotone else None)
 
-    # phase 0/1: find the maximum tolerance M, seeded with the alternating
-    # partition and pruned by block size (see _breaking_survivors)
-    seed = alternating_partition(n, r)
-    best = _tolerance(seed.blocks(), X, -1, cap, order)[0]
-    if best < cap:
-        for partition in iter_partitions(n, r, min_block=best + 2 + thin):
-            best = _tolerance(partition.blocks(), X, best, cap, order)[0]
-            if best >= cap:
-                break
-
-    # phase 2: lexicographically first achiever of the maximum, whose
-    # tolerance is then exactly best: only size best + 1 is left to scan
-    for partition in iter_partitions(n, r, min_block=max(1, best + 1 + thin)):
+    # one pass: a partition is recorded only when it beats every earlier one,
+    # so the last recorded is the lexicographically first maximum
+    found = None
+    for partition in iter_partitions(n, r, target):
         blocks = partition.blocks()
-        if _tolerance(blocks, X, best - 1, best, order)[0] == best:
-            return _report(blocks, X, cap, order, best, None), partition
-    raise InternalError("no partition achieves the maximum tolerance")
+        value, breaking = _tolerance(blocks, X, target.best, cap, order)
+        if value > target.best:
+            target.best, found = value, (blocks, partition, breaking)
+            if value >= cap:
+                break
+    if found is None:
+        raise InternalError("no partition achieves the alternating partition's tolerance")
+    blocks, partition, breaking = found
+    return _report(blocks, X, cap, order, target.best, breaking), partition
 
 
 # ---------------------------------------------------------------------------
@@ -383,13 +408,7 @@ def alternating_bound_even(d: int, r: int) -> int:
     if r < 1:
         raise InputError("need r >= 1")
     base = d * (d + 1) // 2
-    best = None
-    for i in range(r):
-        rem = (base - i * d) % r
-        s_i = rem if rem > 0 else r
-        value = base * (r - 1) + i * (d + 1) + s_i
-        best = value if best is None or value < best else best
-    return best
+    return min(base * (r - 1) + i * (d + 1) + ((base - i * d) % r or r) for i in range(r))
 
 
 def tolerance_upper_bound(n: int, d: int, r: int) -> int:

@@ -115,6 +115,18 @@ def hulls_intersect_2d(A, B):
 
 
 # ---------------------------------------------------------------------------
+# partitions by the definition: every label string over 1..r that uses all
+# r labels and names blocks by first appearance, in lexicographic order
+
+
+def canonical_labelings(n, r):
+    for labels in itertools.product(range(1, r + 1), repeat=n):
+        first = list(dict.fromkeys(labels))
+        if first == list(range(1, r + 1)):
+            yield labels
+
+
+# ---------------------------------------------------------------------------
 # seeded rational point generators shared by tests
 
 

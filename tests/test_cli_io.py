@@ -215,7 +215,7 @@ class TestCLI:
         assert code == 0
         verdicts = [r["replayed"] for r in json.loads(out)["outcome"]["results"]]
         # n=3 found, n=4 not found (no certificate), summary, figure 2, intersect
-        assert verdicts == [True, None, None, True, True]
+        assert verdicts == [True, None, True, True, True]
 
     def test_verify_binds_search_c_to_its_inputs(self, capsys, tmp_path):
         # the found n=3 record relabelled as n=4 still carries a certificate
@@ -246,6 +246,54 @@ class TestCLI:
             capsys, tmp_path, [rec, relabelled, other_r, not_found, *payload_forgeries])
         assert code == 1
         assert verdicts == [True] + [False] * 7
+
+    def test_verify_binds_the_summary_to_its_scan(self, capsys, tmp_path):
+        # a summary states, for each n of its range, what the report's own
+        # search-c records of its d, r and strategy found, and the bound
+        # that follows; anything else fails
+        report = tmp_path / "ck.jsonl"
+        code, _ = self.run(capsys, "--out", str(report), "search-c", "-d", "2",
+                           "-r", "2", "--n-from", "3", "--n-to", "4")
+        assert code == 0
+        *scan, summary = [json.loads(line) for line in report.read_text().splitlines()]
+        assert summary["outcome"]["per_n"] == {"3": True, "4": False}
+        assert summary["outcome"]["lower_bound"] == 4
+        forgeries = []
+        for edits in (
+            {("outcome", "lower_bound"): 99, ("outcome", "per_n"): {"3": True, "98": True}},
+            {("outcome", "lower_bound"): 99},
+            {("outcome", "lower_bound"): None},
+            {("outcome", "per_n"): {"3": True}},
+            {("outcome", "per_n"): {"3": True, "4": True}, ("outcome", "lower_bound"): 5},
+            {("inputs", "n_to"): 5},
+            {("inputs", "r"): 3},
+            {("inputs", "strategy"): {**summary["inputs"]["strategy"], "budget": 7}},
+        ):
+            forged = json.loads(json.dumps(summary))
+            for (part, key), value in edits.items():
+                forged[part][key] = value
+            forgeries.append(forged)
+        code, verdicts = self.verify_lines(capsys, tmp_path, [*scan, summary, *forgeries])
+        assert (code, verdicts) == (1, [True, None, True] + [False] * len(forgeries))
+        # without its scan records a summary rests on nothing
+        code, verdicts = self.verify_lines(capsys, tmp_path, [summary])
+        assert (code, verdicts) == (1, [False])
+
+    def test_replay_payload_rejects_missing_and_garbled_fields(self, capsys, tmp_path):
+        report = tmp_path / "ck.jsonl"
+        code, _ = self.run(capsys, "--out", str(report), "search-c", "-d", "2",
+                           "-r", "2", "--n-from", "3", "--n-to", "3")
+        assert code == 0
+        payload = json.loads(report.read_text().splitlines()[0])["certificate"]
+        assert replay_payload(payload)
+        for key, value in (("kind", None), ("dim", "x"), ("blocks", None),
+                           ("multipliers", None), ("multipliers", 7)):
+            forged = json.loads(json.dumps(payload))
+            if value is None:
+                del forged[key]
+            else:
+                forged[key] = value
+            assert replay_payload(forged) is False, key
 
     def test_verify_rejects_unordered_alphas(self, capsys, tmp_path):
         # a true certificate for the moment points taken out of parameter
@@ -430,6 +478,21 @@ class TestCLI:
         assert code == 0
         rec = json.loads(out.strip())
         assert rec["outcome"]["value"] == 1
+
+    @pytest.mark.parametrize("mode", ["--set", "--sandwich"])
+    def test_tolerance_d4_thin_blocks(self, capsys, tmp_path, mode):
+        # five moment points in R^4: every 3-partition has tolerance -1,
+        # though the thin-block bound alone would put some below it
+        ps = tmp_path / "m.otps"
+        self.run(capsys, "gen", "-d", "4", "--alphas", "1,2,3,4,5",
+                 "--pointset-out", str(ps))
+        code, out = self.run(capsys, "tolerance", str(ps), mode, "-r", "3")
+        assert code == 0
+        outcome = json.loads(out.strip())["outcome"]
+        if mode == "--set":
+            assert (outcome["value"], outcome["partition"]) == (-1, [1, 1, 1, 2, 3])
+        else:
+            assert outcome["t_value"] == -1 and outcome["upper_ok"]
 
     def test_tolerance_breaking_set_empty_vs_absent(self, capsys, tmp_path):
         # value -1: the empty removal already breaks, so the breaking set is

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from oracles import seeded_increasing_alphas, seeded_int_points
+from oracles import canonical_labelings, seeded_increasing_alphas, seeded_int_points
 from tverlab import ordertype, tolerance
 from tverlab.cli import main
 from tverlab.errors import InputError, ResourceGuardError
@@ -48,6 +48,26 @@ def brute_tolerance(X, partition):
             if not depleted_feasible(X, partition, set(combo)):
                 return size - 1, combo
     raise AssertionError("removing everything must break")
+
+
+def oracle_partitions(n, r):
+    return [Partition(n, r, labels) for labels in canonical_labelings(n, r)]
+
+
+def brute_set_tolerance(X, r, budget=None):
+    """Independent reference for ``set_tolerance``: the report and labels of
+    the lexicographically first partition of greatest capped tolerance."""
+    n = len(X)
+    cap = n if budget is None else min(budget, n)
+    best = None
+    for part in oracle_partitions(n, r):
+        value, combo = brute_tolerance(X, part)
+        if best is None or min(value, cap) > best[0]:
+            best = (min(value, cap), combo, part.labels)
+    value, combo, labels = best
+    if value >= cap:
+        return ToleranceReport(value=cap, breaking_set=None, exhausted=False), labels
+    return ToleranceReport(value=value, breaking_set=combo, exhausted=True), labels
 
 
 def count_work(monkeypatch):
@@ -113,11 +133,37 @@ class TestPartition:
         keys = [p.labels for p in iter_partitions(5, 2)]
         assert keys == sorted(keys)  # lexicographic enumeration
         assert len(set(keys)) == len(keys)
+        for n, r in itertools.product(range(1, 8), range(1, 5)):
+            got = [p.labels for p in iter_partitions(n, r)]
+            assert got == list(canonical_labelings(n, r)), (n, r)
 
     def test_iter_partitions_min_block(self):
-        got = list(iter_partitions(6, 2, min_block=3))
+        # with no run order only block sizes prune: beating tolerance 1
+        # needs 3 points in every block
+        got = list(iter_partitions(6, 2, tolerance._Target(best=1, thin=0, runs=None)))
         assert all(min(map(len, p.blocks())) >= 3 for p in got)
         assert len(got) == 10  # C(6,3)/2 * 2 ... = 10 ways into two triples
+
+    @pytest.mark.parametrize("X, r, runs", [
+        (ONE_TO(8), 3, 2),
+        (PointSet(1, [(v,) for v in (5, 3, 2, -1, -4, -6, -9)]), 3, 2),
+        (PointSet(1, [(v,) for v in (3, -1, 7, 0, 2, 9, 4)]), 2, None),
+        (moment_points(MomentSpec(2, range(1, 8))), 2, 3),
+        (moment_points(MomentSpec(3, range(1, 8))), 3, 4),
+    ])
+    def test_branch_and_bound_keeps_every_partition_that_beats_the_target(self, X, r, runs):
+        # the prune never cuts a partition of greater tolerance; where pairs
+        # decide and the index order is a run order, it yields exactly those
+        n = len(X)
+        thin = tolerance._breaking_survivors(X, tolerance._run_order(X, r))
+        values = {p.labels: brute_tolerance(X, p)[0] for p in oracle_partitions(n, r)}
+        exact = runs is not None and (r == 2 or X.dim == 1)
+        for best in range(-2, max(values.values()) + 1):
+            target = tolerance._Target(best=best, thin=thin, runs=runs)
+            got = [p.labels for p in iter_partitions(n, r, target)]
+            beat = [labels for labels, value in values.items() if value > best]
+            assert got == sorted(got) and set(beat) <= set(got), best
+            assert got == beat or not exact, best
 
 
 class TestPartitionTolerance:
@@ -175,7 +221,7 @@ class TestPartitionTolerance:
         for vals, r in (((1, 2, 2, 3, 4), 2), ((0, 5, 0, 5, 1, 2), 2), ((3, 1, 3, 2, 2, 1), 3)):
             X = PointSet(1, [(v,) for v in vals])
             assert tolerance._run_order(X, r) is None
-            best = max(brute_tolerance(X, p)[0] for p in iter_partitions(len(X), r))
+            best = max(brute_tolerance(X, p)[0] for p in oracle_partitions(len(X), r))
             rep, part = set_tolerance(X, r)
             assert rep.value == best == brute_tolerance(X, part)[0]
 
@@ -247,7 +293,7 @@ class TestSetTolerance:
                 else seeded_int_points(seed, n, d, box=8)
             )
             best = max(
-                brute_tolerance(X, part)[0] for part in iter_partitions(n, r)
+                brute_tolerance(X, part)[0] for part in oracle_partitions(n, r)
             )
             rep, _ = set_tolerance(X, r)
             assert rep.value == best, (n, r, d)
@@ -255,7 +301,7 @@ class TestSetTolerance:
     def test_lex_first_achiever(self):
         X = ONE_TO(5)
         rep, part = set_tolerance(X, 2)
-        for candidate in iter_partitions(5, 2):
+        for candidate in oracle_partitions(5, 2):
             value, _ = brute_tolerance(X, candidate)
             if value >= rep.value:
                 assert candidate.labels == part.labels
@@ -271,7 +317,7 @@ class TestSetTolerance:
         # the run rule and the block-size prune must not change results
         for d, n, r in ((2, 7, 2), (3, 8, 2), (3, 7, 3)):
             X = moment_points(MomentSpec(d, range(1, n + 1)))
-            best = max(brute_tolerance(X, p)[0] for p in iter_partitions(n, r))
+            best = max(brute_tolerance(X, p)[0] for p in oracle_partitions(n, r))
             rep, _ = set_tolerance(X, r)
             assert rep.value == best, (d, n, r)
 
@@ -284,13 +330,13 @@ class TestSetTolerance:
         code = main(["tolerance", str(dup), "--set", "-r", "2"])
         assert code == 0
         rec = json.loads(capsys.readouterr().out.strip())
-        best = max(brute_tolerance(X, part)[0] for part in iter_partitions(2, 2))
+        best = max(brute_tolerance(X, part)[0] for part in oracle_partitions(2, 2))
         assert rec["outcome"]["value"] == best == 0
 
     def test_repeated_point_below_d_plus_1(self):
         X = PointSet(3, [(0, 0, 0), (1, 1, 1), (0, 0, 0)])
         rep, part = set_tolerance(X, 2)
-        best = max(brute_tolerance(X, p)[0] for p in iter_partitions(3, 2))
+        best = max(brute_tolerance(X, p)[0] for p in oracle_partitions(3, 2))
         assert rep.value == best == brute_tolerance(X, part)[0]
 
     def test_homogeneous_r2_solves_no_lp(self, monkeypatch):
@@ -335,7 +381,7 @@ class TestSetTolerance:
 
     def test_one_removal_scan_per_report(self, monkeypatch):
         # the scan that finds the tolerance also finds the breaking set, and
-        # the argmax report scans only size best + 1 after phase 2
+        # the argmax search decides 59 removal sets where two phases took 2,419
         removals = record_removals(monkeypatch)
         X = moment_points(MomentSpec(2, range(1, 10)))
         for part in iter_partitions(9, 3):
@@ -344,7 +390,7 @@ class TestSetTolerance:
             assert len(removals) == len(set(removals)), part.labels
         removals.clear()
         rep, part = set_tolerance(moment_points(MomentSpec(2, range(1, 11))), 3)
-        assert len(removals) <= 2419
+        assert len(removals) == 59
         assert (rep, part.labels) == (
             ToleranceReport(value=1, breaking_set=(1, 4), exhausted=True),
             (1, 2, 3, 1, 2, 3, 1, 2, 1, 3),
@@ -358,10 +404,11 @@ class TestSetTolerance:
         value, _ = tolerance._tolerance(((1, 2, 3), (4, 5, 6, 7, 8)), X, 1, len(X), order)
         assert value < 2
 
-    @pytest.mark.parametrize("n, r, partitions", [(12, 3, 14954), (12, 2, 793)])
-    def test_line_search_keeps_its_two_phases(self, monkeypatch, n, r, partitions):
-        # threshold tests while the maximum grows, then the first achiever:
-        # the number of partitions visited is pinned
+    @pytest.mark.parametrize("n, r, partitions", [(12, 2, 1), (12, 3, 1), (12, 4, 1)])
+    def test_line_search_is_one_pruned_pass(self, monkeypatch, n, r, partitions):
+        # the branch and bound yields only partitions that beat the best so
+        # far; on these lines the first one it yields is the maximum (the
+        # two-phase search evaluated 793, 14,954 and 69,727 partitions)
         count = [0]
         iter_partitions = tolerance.iter_partitions
 
@@ -374,6 +421,37 @@ class TestSetTolerance:
         rep, _ = set_tolerance(ONE_TO(n), r)
         assert rep.value == (n + 1) // r - 2
         assert count[0] == partitions
+
+    @pytest.mark.parametrize("n, labels", [
+        (5, (1, 1, 1, 2, 3)), (6, (1, 1, 1, 1, 2, 3)), (7, (1, 1, 1, 1, 1, 2, 3)),
+    ])
+    def test_thin_blocks_never_bound_below_minus_one(self, n, labels):
+        # d = 4: a block of floor(4/2) = 2 points or fewer breaks alone, but
+        # no tolerance is below -1, so no partition may be cut for it
+        X = moment_points(MomentSpec(4, range(1, n + 1)))
+        rep, part = set_tolerance(X, 3)
+        assert rep == ToleranceReport(value=-1, breaking_set=(), exhausted=True)
+        assert part.labels == labels == brute_set_tolerance(X, 3)[1]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_set_tolerance_matches_the_oracle(self, seed):
+        # seeded reversed and shuffled lines and moment sets in R^2..R^4, some
+        # reversed, with and without a budget: the report and the argmax
+        # partition are those of the brute-force search
+        rng = random.Random(seed)
+        kind = seed % 5
+        if kind < 2:
+            n, r = rng.randint(4, 7), rng.randint(2, 3)
+            values = rng.sample(range(-20, 20), n)
+            values = sorted(values, reverse=True) if kind == 0 else values
+            X = PointSet(1, [(v,) for v in values])
+        else:
+            n, r = rng.randint(kind + 3, kind + 4), rng.randint(2, 3)
+            points = moment_points(MomentSpec(kind, sorted(rng.sample(range(-6, 7), n)))).points
+            X = PointSet(kind, points[::rng.choice((1, -1))])
+        budget = rng.choice((None, None, 0, 1))
+        rep, part = set_tolerance(X, r, budget=budget)
+        assert (rep, part.labels) == brute_set_tolerance(X, r, budget)
 
 
 def perturbed_moment_set(seed, n, d, sign):
