@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 import time
@@ -613,6 +614,7 @@ def _cmd_verify(args):
 # parser and dispatch
 
 
+@functools.cache  # parse_args fills a fresh namespace: calls share no state
 def build_parser() -> argparse.ArgumentParser:
     # global flags are accepted both before and after the subcommand
     common = argparse.ArgumentParser(add_help=False)

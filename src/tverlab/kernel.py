@@ -16,12 +16,14 @@ Conventions:
   whose rows are the points, each row carrying a leading 1.  With the
   leading-1 layout, points on the moment curve with strictly increasing
   parameters orient +1 in every dimension (Vandermonde positivity).
-  Two facts let ``orientation_signs`` decide every tuple of a set on
+  Three facts let ``orientation_signs`` decide every tuple of a set on
   integers: scaling a coordinate column by a positive number scales the
   determinant by it, so the set is lifted to integers once, column by
-  column; and subtracting the first row from the others leaves the
-  determinant unchanged, so the sign is that of the d x d determinant of
-  the differences ``p_j - p_0`` (the sign is invariant under translation).
+  column; subtracting the first row from the others leaves the determinant
+  unchanged, so the sign is that of the d x d determinant of the differences
+  ``p_j - p_0``; and its Laplace expansion along the last row needs only the
+  minors of the rows before it, which tuples with a common prefix share, so
+  a depth-first walk carries them and a tuple costs one dot product.
 * A hyperplane ``normal . x = offset`` has positive side
   ``normal . x > offset``.
 
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Tuple
 
@@ -208,24 +211,39 @@ def orientation_signs(
     """``(indices, sign)`` of every (dim+1)-subset of the points, 1-based and
     in lexicographic order; the sign is :func:`orientation` of the subset.
 
-    Lazy, so a caller can stop at the first sign it rejects.  The points are
-    lifted to integers once (each column times the LCM of its denominators)
-    and the difference rows to each base point are formed once per base, so
-    a tuple costs one d x d integer Bareiss elimination.
+    Lazy, so a caller can stop at the first sign it rejects.  For each base
+    point a depth-first walk over the later points carries the minors of the
+    difference rows chosen so far (their exterior product) and adds a row by
+    Laplace expansion; at dim - 1 rows they are a cofactor vector, and a tuple
+    costs one integer dot product with its last row.
     """
     pts = [as_point(p) for p in points]
     for p in pts:
         if len(p) != dim:
             raise InputError(f"point {p} does not have dimension {dim}")
-    lifted = scale_columns(pts)[0]
-    for i in range(len(pts) - dim):
-        base = lifted[i]
-        diffs = [[a - b for a, b in zip(q, base)] for q in lifted[i + 1:]]
-        for rest in itertools.combinations(range(len(diffs)), dim):
-            # _bareiss replaces rows rather than editing them: diffs survive
-            rank, swaps, last = _bareiss([diffs[j] for j in rest], dim)
-            indices = (i + 1,) + tuple(i + 2 + j for j in rest)
-            yield indices, swaps * sign(last) if rank == dim else 0
+    lifted, n = scale_columns(pts)[0], len(pts)
+    # laplace[k]: per column (k+1)-subset, its (sign, column, k-subset) terms
+    laplace = []
+    for k in range(dim):
+        below = {c: u for u, c in enumerate(itertools.combinations(range(dim), k))}
+        laplace.append([[((-1) ** (k + m), t, below[cols[:m] + cols[m + 1:]])
+                         for m, t in enumerate(cols)]
+                        for cols in itertools.combinations(range(dim), k + 1)])
+
+    def walk(diffs, start, minors, head):
+        if len(head) == dim:
+            cofactors = [s * minors[u] for s, _, u in laplace[-1][0]]
+            for j in range(start, n):
+                yield head + (j + 1,), sign(sum(map(operator.mul, cofactors, diffs[j])))
+            return
+        # the next row, leaving enough later points to complete the tuple
+        for j, row in enumerate(diffs[start:n - dim + len(head)], start):
+            yield from walk(diffs, j + 1, [sum(s * row[t] * minors[u] for s, t, u in terms)
+                                           for terms in laplace[len(head) - 1]], head + (j + 1,))
+
+    for i in range(n - dim):
+        diffs = [[a - b for a, b in zip(q, lifted[i])] for q in lifted]
+        yield from walk(diffs, i + 1, [1], (i + 1,))
 
 
 def orientation(points: Sequence[Sequence], dim: int) -> int:

@@ -522,6 +522,19 @@ class TestCLI:
         )
         assert json.loads(out.strip())["outcome"]["value"] == 3
 
+    def test_successive_calls_share_no_state(self, capsys, tmp_path):
+        # the parser is built once per process; the flags of one call must
+        # not reach the next
+        out = tmp_path / "records.jsonl"
+        code, text = self.run(capsys, "facets", "-d", "2", "-n", "5", "--seed", "7",
+                              "--out", str(out), "--format", "table")
+        assert code == 0 and text.startswith("== facets")
+        written = out.read_text()
+        assert json.loads(written)["seed"] == 7
+        code, text = self.run(capsys, "facets", "-d", "2", "-n", "5")
+        assert code == 0 and out.read_text() == written
+        assert json.loads(text.strip())["seed"] is None
+
     def test_input_error_exit2(self, capsys, tmp_path):
         bad = tmp_path / "bad.otps"
         bad.write_text("otps 2 1\n1/2\n")

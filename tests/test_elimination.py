@@ -8,6 +8,7 @@ the per-tuple Fraction determinants with a leading-1 column.
 """
 
 import itertools
+import operator
 import random
 
 import pytest
@@ -209,11 +210,49 @@ def oracle_homogeneity(points, d):
     return HomogeneityResult(True, first[1])
 
 
+def clustered_moment_points(rng, n, d, eps=Rational(1, 1000)):
+    """Moment points on two clusters of three parameters ``eps`` apart at
+    seeded integer centres, plus a seeded integer tail: the shape of the sets
+    whose homogeneity the certify benchmark checks."""
+    centres = rng.sample(range(-64, 65), n - 4)
+    alphas = [c + k * eps for c in centres[:2] for k in range(3)] + centres[2:]
+    return list(moment_points(MomentSpec(d, sorted(alphas))).points)
+
+
+def degenerate_points(rng, d):
+    """2d + 2 points (five at d = 1) with one point repeated d places later and one point
+    collinear with two others, so that some prefix of the walk first loses
+    rank at each depth 1..d (a repeated point makes a zero row)."""
+    n = max(2 * d + 2, 5)
+    pts = [tuple(Rational(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(d))
+           for _ in range(n)]
+    a = rng.randrange(n - 2 * d + 1)
+    pts[a + d] = pts[a]
+    x, y, z = sorted(rng.sample([k for k in range(n) if k not in (a, a + d)], 3))
+    t = Rational(rng.choice([-2, -1, 1, 2]), rng.randint(1, 3))
+    pts[z] = tuple(p + t * (q - p) for p, q in zip(pts[x], pts[y]))
+    return pts
+
+
+def vanishing_depth(pts, indices):
+    """Least k such that the first k + 1 points of the 1-based tuple are
+    affinely dependent (their difference rows have a zero Gram determinant):
+    the depth at which the prefix wedge of the walk becomes zero."""
+    base = pts[indices[0] - 1]
+    rows = []
+    for k, j in enumerate(indices[1:], 1):
+        rows.append([a - b for a, b in zip(pts[j - 1], base)])
+        if fraction_det([[sum(map(operator.mul, u, v)) for v in rows] for u in rows]) == 0:
+            return k
+    return None
+
+
 def homogeneity_cases(seed):
-    """Seeded sets in d = 1..4: mixed-denominator sets with degeneracies,
-    moment sets in both orders, and moment sets with one point moved."""
+    """Seeded sets in d = 1..5: mixed-denominator sets with degeneracies,
+    moment sets in both orders, moment sets with one point moved, clustered
+    moment sets and sets degenerate at every depth of the walk."""
     rng = random.Random(seed)
-    for d in range(1, 5):
+    for d in range(1, 6):
         n = rng.randint(d + 3, d + 6)
         yield d, mixed_points(rng, n, d)
         alphas = [a / rng.randint(1, 5) for a in seeded_increasing_alphas(seed * 10 + d, n, -9, 9)]
@@ -225,16 +264,21 @@ def homogeneity_cases(seed):
         k = rng.randrange(len(moved))
         moved[k] = tuple(c + Rational(rng.randint(-4, 4), rng.randint(1, 3)) for c in moved[k])
         yield d, moved
+        yield d, clustered_moment_points(rng, d + 5, d)
+        yield d, degenerate_points(rng, d)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_orientation_signs_match_fraction_oracle(seed):
-    signs_seen = set()
+    signs_seen, depths = set(), {}
     for d, pts in homogeneity_cases(seed):
         got = list(orientation_signs(pts, d))
         assert got == list(fraction_orientation_signs(pts, d))
         signs_seen.update(s for _, s in got)
+        depths.setdefault(d, set()).update(
+            vanishing_depth(pts, indices) for indices, s in got if s == 0)
     assert signs_seen == {-1, 0, 1}
+    assert depths == {d: set(range(1, d + 1)) for d in range(1, 6)}
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -264,10 +308,10 @@ def test_orientation_is_the_single_tuple_case():
 
 
 def test_orientation_signs_are_lazy():
-    # C(60, 5) = 5,461,512 subsets; the first few come without the rest
-    pts = list(moment_points(MomentSpec(4, range(60))).points)
-    first = list(itertools.islice(orientation_signs(pts, 4), 3))
-    assert first == [((1, 2, 3, 4, 5), 1), ((1, 2, 3, 4, 6), 1), ((1, 2, 3, 4, 7), 1)]
+    # C(200, 5) = 2,535,650,040 subsets; the first few come without the rest
+    pts = list(moment_points(MomentSpec(4, range(200))).points)
+    first = list(itertools.islice(orientation_signs(pts, 4), 10))
+    assert first == [((1, 2, 3, 4, j), 1) for j in range(5, 15)]
 
 
 def test_orientation_signs_input_validation():

@@ -7,8 +7,11 @@ a refactor removed would otherwise show only in the slow traced bench run.
 The reachability walk starts from the CLI entry point, the names the
 benchmark imports and the traced sites, and follows names through the
 bodies of the definitions it reaches.  A name counts as a use of every
-definition that has it, so the walk can miss dead code but never flags live
-code.
+top-level definition that has it, and an attribute read ``x.name`` as a use
+of every class member called ``name``; a parameter or local never keeps a
+member alive.  The walk can miss dead code; it would flag a live member
+that only a computed read reaches (``getattr(x, var)``,
+``dataclasses.asdict``), and no member is reached only that way today.
 """
 
 import ast
@@ -85,29 +88,37 @@ def _definitions():
     return found
 
 
-def _names_in(node):
+def _uses_in(node):
+    """``(names, attributes)`` that a statement uses: every name it mentions,
+    and those of them it reads as an attribute (``x.name``)."""
+    names, attributes = set(), set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            yield sub.id
+            names.add(sub.id)
         elif isinstance(sub, ast.Attribute):
-            yield sub.attr
+            attributes.add(sub.attr)
         elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-            yield sub.value  # forward references such as "PointSet"
+            names.add(sub.value)  # forward references such as "PointSet"
+    return names | attributes, attributes
 
 
 def test_every_definition_is_reachable():
-    # a class member is reached once its name is used and its class is reached
+    # a top-level definition is reached once its name is used; a class
+    # member once its class is reached and its name is read as an attribute,
+    # so a parameter or local of the same name does not keep it alive
     definitions = _definitions()
-    used, reached = set(ROOTS), set()
+    used, attributes, reached = set(ROOTS), set(ROOTS), set()
     grown = True
     while grown:
         grown = False
         for i, (name, _, node, owner) in enumerate(definitions):
             if i in reached or (owner is not None and owner not in reached):
                 continue
-            if name is None or name in used:
+            if name is None or name in (used if owner is None else attributes):
                 reached.add(i)
-                used.update(_names_in(node))
+                names, attrs = _uses_in(node)
+                used |= names
+                attributes |= attrs
                 grown = True
     unreached = [
         f"{path.relative_to(ROOT)}:{node.lineno} {name}"
