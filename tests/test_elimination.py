@@ -220,9 +220,9 @@ def clustered_moment_points(rng, n, d, eps=Rational(1, 1000)):
 
 
 def degenerate_points(rng, d):
-    """2d + 2 points (five at d = 1) with one point repeated d places later and one point
-    collinear with two others, so that some prefix of the walk first loses
-    rank at each depth 1..d (a repeated point makes a zero row)."""
+    """2d + 2 points (five at d = 1), one of them repeated d places later and
+    one collinear with two others, so that some prefix of the walk first
+    loses rank at each depth 1..d (a repeated point makes a zero row)."""
     n = max(2 * d + 2, 5)
     pts = [tuple(Rational(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(d))
            for _ in range(n)]
