@@ -12,10 +12,11 @@ evidence must replay.  ``search-c`` resume takes a found record back only
 under the same rule.
 
 Exit status: 0 = computed and all requested claim checks passed; 1 = a claim
-check failed (the record says which); 2 = input error; 3 = an exhaustive
-enumeration guard was hit; 4 = an internal fault (a bug, not a verdict on
-the claim).  Identical invocations with identical seeds produce
-byte-identical reports apart from the timing field.
+check failed (the record says which); 2 = input error, or a path that
+cannot be read or written; 3 = an exhaustive enumeration guard was hit; 4 =
+an internal fault or any other exception (a bug, not a verdict on the
+claim).  Identical invocations with identical seeds produce byte-identical
+reports apart from the timing field.
 
 ``--out`` appends records to a file; ``search-c`` also reads it back to
 resume an interrupted scan deterministically.
@@ -29,6 +30,7 @@ import functools
 import os
 import sys
 import time
+import traceback
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -54,13 +56,12 @@ from .pointset_io import (
     outcome_payload,
     parse_pointset,
     parse_rational,
-    payload_outcome,
     replay_record,
 )
 from .search import (
     Counterexample,
-    NoneFound,
     SearchStrategy,
+    c_lower_bound,
     check_growth_inequality,
     n_line,
     n_line_formula,
@@ -129,7 +130,7 @@ def _parse_blocks(spec: str, n: int) -> Partition:
 
 
 def _partition_for(args, n: int) -> Partition:
-    if getattr(args, "alternating", None):
+    if getattr(args, "alternating", None) is not None:
         return alternating_partition(n, args.alternating)
     if getattr(args, "blocks", None):
         return _parse_blocks(args.blocks, n)
@@ -361,11 +362,12 @@ def _scan_record(args, strategy, budget, n, result, fingerprint) -> ReportRecord
     )
 
 
-def _load_resume(args, fingerprint) -> Dict[int, object]:
-    resume: Dict[int, object] = {}
+def _load_resume(args, fingerprint) -> Dict[int, bool]:
+    """What the ``--out`` checkpoint found at each n (:func:`_scan_found`),
+    with a warning for each record dropped and for a torn final line."""
     path = Path(args.out) if args.out else None
     if not path or not path.exists():
-        return resume
+        return {}
     data = path.read_bytes()
     cut = data.rfind(b"\n") + 1
     if cut < len(data):
@@ -374,50 +376,26 @@ def _load_resume(args, fingerprint) -> Dict[int, object]:
         print(f"warning: {path}: dropping a torn final line", file=sys.stderr)
         os.truncate(path, cut)
         data = data[:cut]
-    for record in load_records(data.decode()):
-        if record.command != "search-c":
-            continue
-        inputs = record.inputs
-        if (
-            inputs.get("d") != args.dim
-            or inputs.get("r") != args.r
-            or inputs.get("strategy") != jsonable(fingerprint)
-        ):
-            continue
-        n = inputs.get("n")
-        if record.outcome.get("found"):
-            if not _replay_bound(record):
-                print(
-                    f"warning: {path}: dropping the n={n} counterexample, whose "
-                    "certificate does not replay against its own inputs",
-                    file=sys.stderr,
-                )
-                continue
-            resume[n] = Counterexample(
-                dim=args.dim, r=args.r,
-                alphas=tuple(parse_rational(a) for a in record.outcome["alphas"]),
-                outcome=payload_outcome(record.certificate)[2],
-            )
-        else:
-            resume[n] = NoneFound(
-                dim=args.dim, r=args.r, n=n,
-                tried=record.outcome.get("tried", 0),
-                exact=record.outcome.get("exact", False),
-            )
-    return resume
+    inputs = {"d": args.dim, "r": args.r, "strategy": jsonable(fingerprint)}
+    found, dropped = _scan_found(load_records(data.decode()), inputs)
+    for n in dropped:
+        print(f"warning: {path}: dropping the n={n} counterexample, whose certificate "
+              "does not replay against its own inputs", file=sys.stderr)
+    return found
 
 
 def _cmd_search_c(args):
     strategy = _strategy_from(args)
     budget = args.budget if args.budget is not None else 1000
     fingerprint = _strategy_fingerprint(strategy, budget)
-    resume = _load_resume(args, fingerprint)
+    found = _load_resume(args, fingerprint)
+    ns = range(args.n_from, args.n_to + 1)
+    resumed = [n for n in ns if n in found]
     records: List[ReportRecord] = []
-    new_ns = []
     scan_start = time.perf_counter()
 
     def on_result(n, result):
-        new_ns.append(n)
+        found[n] = isinstance(result, Counterexample)
         record = _scan_record(args, strategy, budget, n, result, fingerprint)
         record.timing = round(time.perf_counter() - scan_start, 6)
         records.append(record)
@@ -427,28 +405,14 @@ def _cmd_search_c(args):
                 fh.write(record.to_json_line() + "\n")
             args.flushed.add(id(record))
 
-    result = scan_c_lower(
-        args.dim,
-        args.r,
-        range(args.n_from, args.n_to + 1),
-        strategy=strategy,
-        budget=budget,
-        resume=resume,
-        on_result=on_result,
-    )
+    todo = [n for n in ns if n not in found]
+    scan_c_lower(args.dim, args.r, todo, strategy=strategy, budget=budget, on_result=on_result)
     summary = ReportRecord(
         command="search-c-summary",
         inputs={"d": args.dim, "r": args.r, "n_from": args.n_from,
                 "n_to": args.n_to, "strategy": fingerprint},
         claim=CLAIM_SCAN,
-        outcome={
-            "per_n": {
-                str(n): isinstance(res, Counterexample)
-                for n, res in sorted(result.results.items())
-            },
-            "lower_bound": result.lower_bound,
-            "resumed": sorted(set(result.results) - set(new_ns)),
-        },
+        outcome={**_scan_summary({n: found[n] for n in ns}), "resumed": resumed},
         seed=strategy.seed,
     )
     records.append(summary)
@@ -565,25 +529,45 @@ def _replay_bound(record: ReportRecord) -> Optional[bool]:
         return False
 
 
+def _scan_found(records, inputs):
+    """``(found, dropped)``: n -> whether the ``search-c`` records of the d,
+    r and strategy of ``inputs`` found a counterexample at n (``found`` true,
+    and a certificate that replays), and the n of each found record that
+    does not replay against its own inputs."""
+    found: Dict[int, bool] = {}
+    dropped = []
+    for rec in records:
+        if rec.command != "search-c" or any(
+            rec.inputs.get(key) != inputs[key] for key in ("d", "r", "strategy")
+        ):
+            continue
+        n, hit = rec.inputs.get("n"), rec.outcome.get("found") is True
+        if hit and not _replay_bound(rec):
+            dropped.append(n)
+        else:
+            found[n] = found.get(n, False) or hit
+    return found, dropped
+
+
+def _scan_summary(found: Dict[int, bool]) -> Dict:
+    """The ``per_n`` and ``lower_bound`` of a ``search-c-summary`` over
+    ``found``, n -> whether a counterexample was found, in increasing n."""
+    return {
+        "per_n": {str(n): hit for n, hit in found.items()},
+        "lower_bound": c_lower_bound(n for n, hit in found.items() if hit),
+    }
+
+
 def _summary_bound(summary: ReportRecord, records) -> bool:
-    """Whether a ``search-c-summary`` states what the report's ``search-c``
-    records of its d, r and strategy found: for each n from n_from to n_to,
-    the one ``found`` value of that n's records, and the largest found n
-    plus 1 (or null) as the lower bound."""
+    """Whether a ``search-c-summary`` states, for each n from n_from to
+    n_to, what the report's records found (:func:`_scan_found`), and the
+    lower bound that follows."""
     inputs = summary.inputs
     try:
-        found = {n: set() for n in range(inputs["n_from"], inputs["n_to"] + 1)}
-        for rec in records:
-            if rec.command == "search-c" and rec.inputs.get("n") in found and all(
-                rec.inputs.get(key) == inputs[key] for key in ("d", "r", "strategy")
-            ):
-                found[rec.inputs["n"]].add(rec.outcome.get("found"))
-        if any(len(values) != 1 for values in found.values()):
-            return False
-        per_n = {str(n): values.pop() for n, values in found.items()}
-        hits = [n for n in found if per_n[str(n)] is True]
-        lower = max(hits) + 1 if hits else None
-        return summary.outcome["per_n"] == per_n and summary.outcome["lower_bound"] == lower
+        found, _ = _scan_found(records, inputs)
+        ns = range(inputs["n_from"], inputs["n_to"] + 1)
+        expected = _scan_summary({n: found[n] for n in ns})  # KeyError: no record
+        return all(summary.outcome[key] == value for key, value in expected.items())
     except (KeyError, TypeError):
         return False
 
@@ -745,7 +729,17 @@ def main(argv=None) -> int:
         if args.budget is not None and args.budget < 0:
             raise InputError(f"--budget must be >= 0, got {args.budget}")
         records, failed = args.handler(args)
-    except InputError as exc:  # includes ParseError
+        elapsed = time.perf_counter() - start
+        for record in records:
+            if record.timing is None:
+                record.timing = round(elapsed, 6)
+        lines = [r.to_json_line() for r in records]
+        if args.out:
+            with open(args.out, "a") as fh:
+                for record, line in zip(records, lines):
+                    if id(record) not in args.flushed:
+                        fh.write(line + "\n")
+    except (InputError, OSError) as exc:  # ParseError; OSError: a path unreadable or unwritable
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except ResourceGuardError as exc:
@@ -754,16 +748,10 @@ def main(argv=None) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    elapsed = time.perf_counter() - start
-    for record in records:
-        if record.timing is None:
-            record.timing = round(elapsed, 6)
-    lines = [r.to_json_line() for r in records]
-    if args.out:
-        with open(args.out, "a") as fh:
-            for record, line in zip(records, lines):
-                if id(record) not in args.flushed:
-                    fh.write(line + "\n")
+    except Exception as exc:  # a bug, not a verdict on the claim
+        traceback.print_exc()
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 4
     if args.format == "table":
         for record in records:
             print(_render_table(record))

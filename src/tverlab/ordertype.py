@@ -83,8 +83,8 @@ def gale_facets(n: int, dim: int) -> FacetSet:
     number of F-indices strictly between them; it suffices to check
     consecutive outside indices.
     """
-    if n < dim + 1:
-        raise InputError(f"need n >= dim + 1, got n={n}, dim={dim}")
+    if dim < 1 or n < dim + 1:
+        raise InputError(f"need n >= dim + 1 >= 2, got n={n}, dim={dim}")
     facets = []
     for combo in itertools.combinations(range(1, n + 1), dim):
         members = set(combo)
@@ -102,8 +102,8 @@ def gale_facets(n: int, dim: int) -> FacetSet:
 
 def is_neighborly(n: int, dim: int) -> bool:
     """True iff every floor(dim/2)-element index subset lies in some facet."""
-    if n < dim + 1:
-        raise InputError(f"need n >= dim + 1, got n={n}, dim={dim}")
+    if dim < 1 or n < dim + 1:
+        raise InputError(f"need n >= dim + 1 >= 2, got n={n}, dim={dim}")
     k = dim // 2
     if k == 0:
         return True

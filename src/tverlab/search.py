@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .errors import InputError, InternalError, ResourceGuardError
 from .feasibility import (
@@ -79,6 +79,10 @@ class SearchStrategy:
     def __post_init__(self):
         if self.kind not in ("clustered", "grid", "random-rational"):
             raise InputError(f"unknown strategy kind: {self.kind!r}")
+        if self.cluster_count is not None and self.cluster_count < 0:
+            raise InputError(f"cluster count must be >= 0, got {self.cluster_count}")
+        if self.denominator_bound < 1:
+            raise InputError(f"denominator bound must be >= 1, got {self.denominator_bound}")
 
 
 def split_repeats(values: Sequence, epsilon) -> Tuple[Rational, ...]:
@@ -237,6 +241,8 @@ def find_counterexample(
     tried = 0
     for alphas in itertools.islice(alpha_candidates(strategy, n, r), max(budget, 0)):
         tried += 1
+        if len(alphas) != n:
+            raise InternalError(f"{strategy.kind} stream gave {len(alphas)} parameters for n={n}")
         # nearly every candidate is feasible, and a confirmed one prints
         # nothing; the canonical simplex decides and certifies the rest
         if confirm_feasible(moment_blocks(d, r, alphas), d):
@@ -257,8 +263,13 @@ class ScanResult:
 
     @property
     def lower_bound(self) -> Optional[int]:
-        found = [n for n, res in self.results.items() if isinstance(res, Counterexample)]
-        return max(found) + 1 if found else None
+        return c_lower_bound(n for n, res in self.results.items()
+                             if isinstance(res, Counterexample))
+
+
+def c_lower_bound(found: Iterable[int]) -> Optional[int]:
+    """(largest n with a counterexample) + 1 <= c(d,r); None without one."""
+    return max((n + 1 for n in found), default=None)
 
 
 def scan_c_lower(
@@ -267,21 +278,15 @@ def scan_c_lower(
     n_range: Sequence[int],
     strategy: Optional[SearchStrategy] = None,
     budget: int = 1000,
-    resume: Optional[Dict[int, object]] = None,
     on_result: Optional[Callable[[int, object], None]] = None,
 ) -> ScanResult:
     """Run :func:`find_counterexample` for each n, independently.
 
-    ``resume`` maps n values to previously computed results (from a
-    checkpoint file) which are reused verbatim; ``on_result`` is invoked
-    after each newly computed n so callers can append checkpoint records.
-    No monotonicity in n is assumed: each n is reported on its own.
+    ``on_result`` is invoked after each n so callers can append checkpoint
+    records.  No monotonicity in n is assumed: each n is reported on its own.
     """
     results: Dict[int, object] = {}
     for n in n_range:
-        if resume and n in resume:
-            results[n] = resume[n]
-            continue
         outcome = find_counterexample(d, r, n, strategy=strategy, budget=budget)
         results[n] = outcome
         if on_result is not None:
@@ -298,18 +303,16 @@ def sixteen_point_alphas(epsilon=DEFAULT_EPSILON) -> Tuple[Rational, ...]:
     return split_repeats(SIXTEEN_POINT_PARAMS, epsilon)
 
 
-def verified_sixteen_point_example(
-    epsilon=DEFAULT_EPSILON, max_halvings: int = 40
-) -> Tuple[Counterexample, Rational]:
+def verified_sixteen_point_example(epsilon=DEFAULT_EPSILON) -> Tuple[Counterexample, Rational]:
     """Perturb the 16-point configuration until infeasibility verifies.
 
-    Starts at ``epsilon`` and halves until the alternating 4-partition in
-    R^3 is certified infeasible; returns the counterexample and the working
-    epsilon.  Emptiness is an open condition, so some small epsilon works;
-    failing every halving would signal a broken engine.
+    Starts at ``epsilon`` and halves, up to 40 times, until the alternating
+    4-partition in R^3 is certified infeasible; returns the counterexample
+    and the working epsilon.  Emptiness is an open condition, so some small
+    epsilon works; failing every halving would signal a broken engine.
     """
     eps = to_rational(epsilon)
-    for _ in range(max_halvings):
+    for _ in range(40):
         alphas = sixteen_point_alphas(eps)
         outcome = evaluate_alternating(alphas, 3, 4)
         if not outcome.feasible:
@@ -325,18 +328,16 @@ def verified_sixteen_point_example(
 # exact d = 1 tables
 
 
-def t_line(n: int, r: int, guard: int = T_LINE_GUARD) -> int:
+def t_line(n: int, r: int) -> int:
     """Exact best tolerance of n points on a line, t(n, 1, r).
 
     All generic n-point line sets are order-isomorphic to 1..n, so the
-    exhaustive maximum on 1..n is the universal value.
+    exhaustive maximum on 1..n is the universal value, for n <= T_LINE_GUARD.
     """
     if n < r:
         raise InputError(f"need n >= r, got n={n}, r={r}")
-    if n > guard:
-        raise ResourceGuardError(f"t_line guard is n <= {guard}, got {n}")
     X = PointSet(1, [(i,) for i in range(1, n + 1)])
-    report, _ = set_tolerance(X, r, guard=guard)
+    report, _ = set_tolerance(X, r, guard=T_LINE_GUARD)
     return report.value
 
 
@@ -345,7 +346,7 @@ def n_line_formula(t: int, r: int) -> int:
     return r * (t + 2) - 1
 
 
-def n_line(t: int, r: int, guard: int = T_LINE_GUARD) -> int:
+def n_line(t: int, r: int) -> int:
     """Least n with ``t_line(n, r) >= t``; always equals r(t+2)-1.
 
     The closed form is re-derived from the exhaustive table on every call;
@@ -353,8 +354,8 @@ def n_line(t: int, r: int, guard: int = T_LINE_GUARD) -> int:
     """
     if t < 0 or r < 1:
         raise InputError("need t >= 0 and r >= 1")
-    for n in range(r, guard + 1):
-        if t_line(n, r, guard=guard) >= t:
+    for n in range(r, T_LINE_GUARD + 1):
+        if t_line(n, r) >= t:
             if n != n_line_formula(t, r):
                 raise InternalError(
                     f"n_line({t},{r}) computed {n}, closed form gives "
@@ -362,7 +363,7 @@ def n_line(t: int, r: int, guard: int = T_LINE_GUARD) -> int:
                 )
             return n
     raise ResourceGuardError(
-        f"n_line({t},{r}) exceeds the exhaustive guard n <= {guard}"
+        f"n_line({t},{r}) exceeds the exhaustive guard n <= {T_LINE_GUARD}"
     )
 
 

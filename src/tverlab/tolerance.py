@@ -28,14 +28,14 @@ that provably cannot beat the best so far.  Both searches are exact:
   vacuously and may even repeat a point.  A line of distinct values is
   homogeneous in value order.
 
-Where block pairs decide, the tolerance has a closed form: the fewest
-deletions leaving some pair's label string with at most d+1 runs, minus one.
-With r = 1 there is no pair and, in every dimension, the one block keeps a
-common point until it is emptied: the tolerance is n - 1, with no order and
-no LP.  Pairs decide for r = 2 under the rule,
-and on a line for every r, since by Helly's theorem in R^1 intervals that
-meet pairwise share a point.  For r >= 3 with d >= 2 the rule is only a
-necessary pairwise filter and the LP decides what passes.  A line with a
+One pair bound caps every partition: the fewest deletions that empty a block
+or leave some pair's label string with at most d+1 runs, minus one (thinning
+a block to floor(d/2) points is one, whence t <= floor(n/r) - floor(d/2)).
+It is exact where pairs decide: r = 2 under the rule, any r on a line (by
+Helly in R^1, pairwise meeting intervals share a point), and r = 1, whose one
+block keeps a common point until emptied, in every dimension and with no LP.
+For r >= 3 with d >= 2 the rule is only a necessary pairwise filter, the LP
+decides what passes, and the pair bound tops the removal scan.  A line with a
 repeated value is homogeneous in no order and keeps the removal enumeration.
 """
 
@@ -98,8 +98,8 @@ class Partition:
 
 def alternating_partition(n: int, r: int) -> Partition:
     """Blocks are residue classes of the 1-based index modulo r."""
-    if n < r:
-        raise InputError(f"alternating partition needs n >= r, got n={n}, r={r}")
+    if n < r or r < 1:
+        raise InputError(f"alternating partition needs n >= r >= 1, got n={n}, r={r}")
     return Partition(n, r, [((j - 1) % r) + 1 for j in range(1, n + 1)])
 
 
@@ -132,7 +132,7 @@ def _run_order(X: PointSet, r: int, homogeneity=None) -> Optional[Tuple[int, ...
     """Position of each point in an order in which X is order-type
     homogeneous, so the run rule decides hull intersections; None when there
     is none, or with r < 2 off a line (one block needs no rule; see
-    :func:`_closed_form_tolerance`).  ``homogeneity`` is X's
+    :func:`_pair_bound`).  ``homogeneity`` is X's
     :func:`is_order_homogeneous` result when the caller already has it."""
     n = len(X)
     if X.dim == 1:
@@ -153,19 +153,10 @@ def _label_runs(a, b, order) -> int:
     return 1 + sum(x != y for (_, x), (_, y) in zip(merged, merged[1:]))
 
 
-def _breaking_survivors(X: PointSet, order) -> int:
-    """Survivor count at or below which one block breaks the partition alone:
-    0, or floor(d/2) under the run rule, as s survivors make at most 2s+1
-    runs against any other block.  So tolerance <= (smallest block) -
-    floor(d/2) - 1, which bounds the partition scan and the removal search.
-    With r = 1 there is no other block; the order is None then off a line,
-    and d // 2 = 0 on one, so this is 0."""
-    return X.dim // 2 if order is not None else 0
-
-
 def _pairs_decide(X: PointSet, order, r: int) -> bool:
-    """Whether the pairwise run rule is exact: r = 2, or any r on a line."""
-    return order is not None and (r <= 2 or X.dim == 1)
+    """Whether pairs decide a common point: with one block, which has one
+    when nonempty; r = 2 under the run rule; any r under it on a line."""
+    return r == 1 or order is not None and (r == 2 or X.dim == 1)
 
 
 def _depleted_feasible(block_indices, X: PointSet, removed, order) -> bool:
@@ -199,23 +190,21 @@ def _fewest_deletions(string, runs: int) -> int:
     return len(string) - max(kept[0][runs], kept[1][runs])
 
 
-def _closed_form_tolerance(block_indices, X: PointSet, order) -> Optional[int]:
-    """Exact tolerance where pairs decide, else None: a removal breaks iff it
-    empties a block or leaves some pair's label string with <= d+1 runs.  One
-    block is never broken short of emptying it, in any dimension."""
-    if len(block_indices) == 1:
-        return len(block_indices[0]) - 1
-    if not _pairs_decide(X, order, len(block_indices)):
-        return None
-    string = [0] * len(X)
-    for label, block in enumerate(block_indices):
-        for i in block:
-            string[order[i - 1]] = label
+def _pair_bound(block_indices, X: PointSet, order) -> Tuple[int, bool]:
+    """``(bound, exact)``: one less than the fewest removals that empty a
+    block or, under a run order, leave some pair's label string with at most
+    d+1 runs; both break, so the tolerance is at most ``bound``, and equal
+    to it where pairs decide (:func:`_pairs_decide`)."""
     breaking = min(map(len, block_indices))  # empty a block
-    for a, b in itertools.combinations(range(len(block_indices)), 2):
-        pair = [x == b for x in string if x == a or x == b]
-        breaking = min(breaking, _fewest_deletions(pair, X.dim + 1))
-    return breaking - 1
+    if order is not None:
+        string = [0] * len(X)
+        for label, block in enumerate(block_indices):
+            for i in block:
+                string[order[i - 1]] = label
+        for a, b in itertools.combinations(range(len(block_indices)), 2):
+            pair = [x == b for x in string if x == a or x == b]
+            breaking = min(breaking, _fewest_deletions(pair, X.dim + 1))
+    return breaking - 1, _pairs_decide(X, order, len(block_indices))
 
 
 # ---------------------------------------------------------------------------
@@ -265,16 +254,12 @@ def _tolerance(block_indices, X, floor, cap, order):
     Breaking sets are upward closed, so the first size that breaks is t + 1;
     ``breaking`` is the first breaking set of that size when the scan reached
     it, else None."""
-    # a tolerance is never below -1, whatever the thin-block bound says
-    ceiling = max(-1, min(map(len, block_indices)) - _breaking_survivors(X, order) - 1)
-    if ceiling <= floor:
-        return floor, None  # thin out the smallest block
-    known = _closed_form_tolerance(block_indices, X, order)
-    if known is not None:
-        return max(floor, min(known, cap)), None
-    top = min(ceiling, cap)
+    bound, exact = _pair_bound(block_indices, X, order)
+    top = min(bound, cap)
+    if exact or top <= floor:
+        return max(floor, top), None
     breaking = _first_breaking_set(block_indices, X, range(max(floor, -1) + 1, top + 1), order)
-    return (max(floor, top) if breaking is None else len(breaking) - 1), breaking
+    return (top if breaking is None else len(breaking) - 1), breaking
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +269,10 @@ def _tolerance(block_indices, X, floor, cap, order):
 @dataclass
 class _Target:
     """The tolerance ``best`` that :func:`iter_partitions` must beat, raised
-    by the caller as it goes; ``thin`` is :func:`_breaking_survivors`, and
-    ``runs`` is d + 1 when the index order is a run order, else None."""
+    by the caller as it goes; ``runs`` is d + 1 when the index order is a
+    run order, else None."""
 
     best: int
-    thin: int
     runs: Optional[int]
 
 
@@ -297,12 +281,13 @@ def iter_partitions(n: int, r: int, target: Optional[_Target] = None) -> Iterato
 
     Yields in lexicographic order of the canonical label string (blocks
     named by first appearance).  With a ``target``, a branch and bound for
-    tolerance above b = ``target.best``, which needs b + 2 + thin points in
-    each block and b + 2 deletions to bring each pair's label string down to
-    ``runs`` runs: a prefix is cut when its remaining positions cannot.
-    """
-    target = target or _Target(best=-2, thin=0, runs=None)
+    tolerance above b = ``target.best``, which needs b + 2 + floor(d/2)
+    points in each block under a run order (see :func:`_pair_bound`) and b + 2
+    deletions to bring each pair's label string down to ``runs`` runs: a
+    prefix is cut when its remaining positions cannot."""
+    target = target or _Target(best=-2, runs=None)
     runs = target.runs
+    thin = (runs - 1) // 2 if runs else 0
     labels = [0] * n
     counts = [0] * r
     # kept[e][f][j]: longest subsequence of at most j runs of the e/f label
@@ -312,7 +297,7 @@ def iter_partitions(n: int, r: int, target: Optional[_Target] = None) -> Iterato
     def extend(i: int, used: int) -> Iterator[Partition]:
         best = target.best
         # no tolerance is below -1: to beat less, blocks need only be nonempty
-        need = [(best + 2 + target.thin if best >= -1 else 1) - c for c in counts]
+        need = [(best + 2 + thin if best >= -1 else 1) - c for c in counts]
         if runs is not None:
             # all later f's extend the longest subsequence ending in e
             # without a new run, so f needs that many more to beat best
@@ -366,7 +351,7 @@ def _set_tolerance(X, r, budget, guard, homogeneity):
     seed = _tolerance(alternating_partition(n, r).blocks(), X, -1, cap, order)[0]
     # a reversed run order has the same runs
     monotone = order in (tuple(range(n)), tuple(range(n - 1, -1, -1)))
-    target = _Target(seed - 1, _breaking_survivors(X, order), X.dim + 1 if monotone else None)
+    target = _Target(seed - 1, X.dim + 1 if monotone else None)
 
     # one pass: a partition is recorded only when it beats every earlier one,
     # so the last recorded is the lexicographically first maximum

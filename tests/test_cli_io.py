@@ -658,6 +658,72 @@ class TestCLI:
         expected = {3: (True, 4), 4: (False, None)}[n]
         assert (summary["per_n"][str(n)], summary["lower_bound"]) == expected
 
+    def test_search_c_resume_mixed_checkpoint(self, capsys, tmp_path):
+        # found and not-found records are taken back; a found record that
+        # does not replay is dropped and its n recomputed; a record whose
+        # found is null found nothing; verify accepts the summary written
+        report = tmp_path / "scan.jsonl"
+        scan = ["--out", str(report), "--seed", "1", "--budget", "60",
+                "search-c", "-d", "2", "-r", "2"]
+        code, _ = self.run(capsys, *scan, "--n-from", "3", "--n-to", "4")
+        assert code == 0
+        hit, miss, _ = [json.loads(line) for line in report.read_text().splitlines()]
+        assert (hit["outcome"]["found"], miss["outcome"]["found"]) == (True, False)
+        forged = json.loads(json.dumps(hit))
+        forged["inputs"]["n"] = 5
+        null = json.loads(json.dumps(miss))
+        null["inputs"]["n"], null["outcome"]["found"] = 6, None
+        report.write_text("".join(json.dumps(r) + "\n" for r in (hit, miss, forged, null)))
+
+        code = main(scan + ["--n-from", "3", "--n-to", "6"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err.count("warning") == 1 and "n=5" in captured.err
+        *computed, summary = [json.loads(line) for line in captured.out.splitlines()]
+        assert [rec["inputs"]["n"] for rec in computed] == [5]
+        found_5 = computed[0]["outcome"]["found"]
+        assert summary["outcome"] == {
+            "per_n": {"3": True, "4": False, "5": found_5, "6": False},
+            "lower_bound": 6 if found_5 else 4,
+            "resumed": [3, 4, 6],
+        }
+        code, out = self.run(capsys, "verify", str(report))
+        verdicts = [r["replayed"] for r in json.loads(out)["outcome"]["results"]]
+        # hit, miss, forged, null, the recomputed n=5, the summary
+        assert verdicts == [True, None, False, None, True if found_5 else None, True]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["t-line", "-n", "3", "-r", "0"], ">= r >= 1"),
+        (["tolerance", "LINE", "--set", "-r", "0"], ">= r >= 1"),
+        (["tolerance", "LINE", "--sandwich", "-r", "0"], ">= r >= 1"),
+        (["tolerance", "LINE", "--alternating", "0"], ">= r >= 1"),
+        (["intersect", "LINE", "--alternating", "0"], ">= r >= 1"),
+        (["search-c", "-d", "2", "-r", "0", "--n-from", "3", "--n-to", "3"], ">= r >= 1"),
+        (["facets", "-d", "-1", "-n", "3"], "dim + 1 >= 2"),
+        (["facets", "-d", "0", "-n", "3"], "dim + 1 >= 2"),
+        (["neighborly", "-d", "-2", "-n", "3"], "dim + 1 >= 2"),
+        (["search-c", "-d", "2", "-r", "2", "--n-from", "3", "--n-to", "3",
+          "--strategy", "random-rational", "--denominator-bound", "0"], "denominator bound"),
+        (["search-c", "-d", "2", "-r", "2", "--n-from", "3", "--n-to", "3",
+          "--cluster-count", "-1"], "cluster count"),
+        (["gen", "-d", "2", "--alphas", "1,2,3", "--pointset-out", "MISSING/x.otps"],
+         "No such file"),
+        (["--out", "MISSING/r.jsonl", "t-line", "-n", "5", "-r", "2"], "No such file"),
+        (["--out", "MISSING/r.jsonl", "search-c", "-d", "2", "-r", "2",
+          "--n-from", "3", "--n-to", "3"], "No such file"),
+    ])
+    def test_bad_input_exits_2(self, capsys, tmp_path, argv, message):
+        # no input exits 1 (a failed claim) or 4 (a fault), and none prints
+        line = tmp_path / "line5.otps"
+        line.write_text("otps 1 5\n1\n2\n3\n4\n5\n")
+        argv = [a.replace("LINE", str(line)).replace("MISSING", str(tmp_path / "no"))
+                for a in argv]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
+        assert message in captured.err
+
     def test_reports_byte_identical_modulo_timing(self, capsys):
         def strip_timing(lines):
             out = []
@@ -774,3 +840,15 @@ class TestCLI:
         assert captured.out == ""
         assert "internal error" in captured.err
 
+
+    def test_unexpected_exception_exits_4(self, capsys, monkeypatch):
+        import tverlab.cli
+
+        def fault(*args, **kwargs):
+            raise ZeroDivisionError("forced")
+
+        monkeypatch.setattr(tverlab.cli, "t_line", fault)
+        code = main(["t-line", "-n", "5", "-r", "2"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (4, "")
+        assert "Traceback" in captured.err and "ZeroDivisionError: forced" in captured.err

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from tverlab.errors import InputError, ResourceGuardError
+from tverlab.errors import InputError, InternalError, ResourceGuardError
 from tverlab.feasibility import verify_outcome
 from tverlab.kernel import Rational
 from tverlab.pointset_io import format_rational
@@ -108,6 +108,20 @@ class TestFindCounterexample:
         with pytest.raises(InputError):
             find_counterexample(2, 3, 0)
 
+    def test_short_candidate_is_an_internal_error(self, monkeypatch):
+        # a strategy that cannot yield n parameters is an input error, and a
+        # candidate of another length is a fault, never a counterexample
+        for bad in ({"cluster_count": -1}, {"denominator_bound": 0}):
+            with pytest.raises(InputError):
+                SearchStrategy(kind="clustered", **bad)
+        stream = alpha_candidates(SearchStrategy(kind="clustered", cluster_count=0), 5, 2)
+        assert len(next(stream)) == 5
+        import tverlab.search as search
+
+        monkeypatch.setattr(search, "alpha_candidates", lambda *args: iter([(Rational(12),)]))
+        with pytest.raises(InternalError):
+            find_counterexample(2, 2, 3)
+
 
 def test_canonical_simplex_decides_every_unconfirmed_candidate(monkeypatch):
     """A candidate is skipped only on an exact confirmation; every other one
@@ -180,17 +194,6 @@ class TestScan:
                 else:
                     assert isinstance(res, NoneFound) and res.exact, (r, n)
             assert scan.lower_bound == 2 * r - 1
-
-    def test_resume_short_circuits(self):
-        marker = NoneFound(dim=2, r=2, n=4, tried=0, exact=False)
-        calls = []
-        scan = scan_c_lower(
-            2, 2, [3, 4], budget=30,
-            resume={4: marker},
-            on_result=lambda n, res: calls.append(n),
-        )
-        assert scan.results[4] is marker
-        assert calls == [3]
 
     def test_d2_r3_bound(self):
         scan = scan_c_lower(

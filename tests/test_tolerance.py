@@ -140,7 +140,7 @@ class TestPartition:
     def test_iter_partitions_min_block(self):
         # with no run order only block sizes prune: beating tolerance 1
         # needs 3 points in every block
-        got = list(iter_partitions(6, 2, tolerance._Target(best=1, thin=0, runs=None)))
+        got = list(iter_partitions(6, 2, tolerance._Target(best=1, runs=None)))
         assert all(min(map(len, p.blocks())) >= 3 for p in got)
         assert len(got) == 10  # C(6,3)/2 * 2 ... = 10 ways into two triples
 
@@ -155,11 +155,10 @@ class TestPartition:
         # the prune never cuts a partition of greater tolerance; where pairs
         # decide and the index order is a run order, it yields exactly those
         n = len(X)
-        thin = tolerance._breaking_survivors(X, tolerance._run_order(X, r))
         values = {p.labels: brute_tolerance(X, p)[0] for p in oracle_partitions(n, r)}
         exact = runs is not None and (r == 2 or X.dim == 1)
         for best in range(-2, max(values.values()) + 1):
-            target = tolerance._Target(best=best, thin=thin, runs=runs)
+            target = tolerance._Target(best=best, runs=runs)
             got = [p.labels for p in iter_partitions(n, r, target)]
             beat = [labels for labels, value in values.items() if value > best]
             assert got == sorted(got) and set(beat) <= set(got), best
@@ -396,14 +395,6 @@ class TestSetTolerance:
             (1, 2, 3, 1, 2, 3, 1, 2, 1, 3),
         )
 
-    def test_thin_block_shortcut_precedes_closed_form(self, monkeypatch):
-        # d = 3: a block cut down to floor(3/2) = 1 survivor breaks alone
-        X = moment_points(MomentSpec(3, range(1, 9)))
-        order = tolerance._run_order(X, 2)
-        monkeypatch.setattr(tolerance, "_closed_form_tolerance", None)
-        value, _ = tolerance._tolerance(((1, 2, 3), (4, 5, 6, 7, 8)), X, 1, len(X), order)
-        assert value < 2
-
     @pytest.mark.parametrize("n, r, partitions", [(12, 2, 1), (12, 3, 1), (12, 4, 1)])
     def test_line_search_is_one_pruned_pass(self, monkeypatch, n, r, partitions):
         # the branch and bound yields only partitions that beat the best so
@@ -529,6 +520,29 @@ class TestRunRule:
                 ), part.labels
             assert _depleted_feasible(blocks, X, (), order) == lp
         assert feasible > 0
+
+    @pytest.mark.parametrize("d, r", itertools.product(range(1, 5), range(1, 5)))
+    def test_pair_bound_is_exact_where_pairs_decide(self, d, r):
+        # the pair bound is never below the brute-force tolerance, and equals
+        # it where pairs decide: sorted, reversed and shuffled lines, and
+        # moment sets read forwards and backwards
+        n = 7
+        rng = random.Random(10 * d + r)
+        values = rng.sample(range(-20, 20), n)
+        if d == 1:
+            sets = [PointSet(1, [(v,) for v in order])
+                    for order in (sorted(values), sorted(values, reverse=True), values)]
+        else:
+            points = moment_points(MomentSpec(d, sorted(values))).points
+            sets = [PointSet(d, points), PointSet(d, points[::-1])]
+        for X in sets:
+            order = tolerance._run_order(X, r)
+            for _ in range(6):
+                part = Partition(n, r, _random_partition_labels(rng, n, r))
+                bound, exact = tolerance._pair_bound(part.blocks(), X, order)
+                value, _ = brute_tolerance(X, part)
+                assert bound >= value and (bound == value or not exact), part.labels
+                assert exact == (r == 1 or (order is not None and (r == 2 or d == 1)))
 
 
 class TestBounds:
