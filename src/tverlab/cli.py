@@ -95,12 +95,7 @@ CLAIM_GROWTH = "Thm1.1-d1"
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    try:
-        return Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+    return sys.stdin.read() if path == "-" else Path(path).read_text()
 
 
 def _load_pointset(path: str) -> PointSet:

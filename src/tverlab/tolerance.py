@@ -417,7 +417,7 @@ class SandwichReport:
     upper_ok: bool
 
 
-def check_tolerance_sandwich(X: PointSet, r: int, guard: int = PARTITION_GUARD) -> SandwichReport:
+def check_tolerance_sandwich(X: PointSet, r: int) -> SandwichReport:
     """Evaluate ``floor(n/r) - c_bound <= t(X,r) <= floor(n/r) - floor(d/2)``
     on an order-type homogeneous set, with c replaced by
     :func:`alternating_bound` (a valid weakening of the lower bound)."""
@@ -427,7 +427,7 @@ def check_tolerance_sandwich(X: PointSet, r: int, guard: int = PARTITION_GUARD) 
     result = is_order_homogeneous(X)
     if not result.homogeneous:
         raise InputError("sandwich check requires an order-type homogeneous set")
-    report, _ = _set_tolerance(X, r, None, guard, result)
+    report, _ = _set_tolerance(X, r, None, PARTITION_GUARD, result)
     lower = n // r - alternating_bound(X.dim, r)
     upper = tolerance_upper_bound(n, X.dim, r)
     return SandwichReport(

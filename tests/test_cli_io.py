@@ -711,6 +711,8 @@ class TestCLI:
         (["--out", "MISSING/r.jsonl", "t-line", "-n", "5", "-r", "2"], "No such file"),
         (["--out", "MISSING/r.jsonl", "search-c", "-d", "2", "-r", "2",
           "--n-from", "3", "--n-to", "3"], "No such file"),
+        (["tolerance", "MISSING/x.otps", "--set", "-r", "2"], "No such file"),
+        (["verify", "MISSING"], "No such file"),
     ])
     def test_bad_input_exits_2(self, capsys, tmp_path, argv, message):
         # no input exits 1 (a failed claim) or 4 (a fault), and none prints
