@@ -179,7 +179,8 @@ def _run_step(same, other):
     """The run DP on reading one letter of a 0/1 string: ``same[j]`` and
     ``other[j]`` are the longest subsequences of at most j runs that end in
     that letter and in the other one; returns ``same`` after the letter."""
-    return (0,) + tuple(max(s, o) + 1 for s, o in zip(same[1:], other))
+    # a list and a conditional, not a generator and max(): about twice as fast
+    return (0, *[(s if s > o else o) + 1 for s, o in zip(same[1:], other)])
 
 
 def _fewest_deletions(string, runs: int) -> int:
