@@ -18,8 +18,10 @@ an internal fault or any other exception (a bug, not a verdict on the
 claim).  Identical invocations with identical seeds produce byte-identical
 reports apart from the timing field.
 
-``--out`` appends records to a file; ``search-c`` also reads it back to
-resume an interrupted scan deterministically.
+Every record goes through one writer, which stamps its ``timing`` (seconds
+since the command started), keeps it for stdout and appends it to ``--out``.
+A ``search-c`` record is written as soon as its n finishes, and ``search-c``
+reads ``--out`` back to resume an interrupted scan deterministically.
 """
 
 from __future__ import annotations
@@ -336,11 +338,10 @@ def _strategy_fingerprint(strategy: SearchStrategy, budget: int) -> Dict:
     return {**dataclasses.asdict(strategy), "budget": budget}
 
 
-def _scan_record(args, strategy, budget, n, result, fingerprint) -> ReportRecord:
+def _scan_record(args, strategy, n, result, fingerprint) -> ReportRecord:
     inputs = {"d": args.dim, "r": args.r, "n": n, "strategy": fingerprint}
     if isinstance(result, Counterexample):
-        blocks = searchmod.moment_blocks(result.dim, result.r, result.alphas)
-        payload = outcome_payload(blocks, result.dim, result.outcome)
+        payload = outcome_payload(result.blocks, result.dim, result.outcome)
         outcome = {
             "found": True,
             "alphas": [format_rational(a) for a in result.alphas],
@@ -372,7 +373,7 @@ def _load_resume(args, fingerprint) -> Dict[int, bool]:
         os.truncate(path, cut)
         data = data[:cut]
     inputs = {"d": args.dim, "r": args.r, "strategy": jsonable(fingerprint)}
-    found, dropped = _scan_found(load_records(data.decode()), inputs)
+    found, dropped = _scan_found(load_records(data.decode()), inputs, _replay_bound)
     for n in dropped:
         print(f"warning: {path}: dropping the n={n} counterexample, whose certificate "
               "does not replay against its own inputs", file=sys.stderr)
@@ -386,19 +387,11 @@ def _cmd_search_c(args):
     found = _load_resume(args, fingerprint)
     ns = range(args.n_from, args.n_to + 1)
     resumed = [n for n in ns if n in found]
-    records: List[ReportRecord] = []
-    scan_start = time.perf_counter()
 
     def on_result(n, result):
         found[n] = isinstance(result, Counterexample)
-        record = _scan_record(args, strategy, budget, n, result, fingerprint)
-        record.timing = round(time.perf_counter() - scan_start, 6)
-        records.append(record)
-        # flush each completed n immediately so interrupted scans resume
-        if args.out:
-            with open(args.out, "a") as fh:
-                fh.write(record.to_json_line() + "\n")
-            args.flushed.add(id(record))
+        # each n reaches --out as it finishes, so an interrupted scan resumes
+        args.emit(_scan_record(args, strategy, n, result, fingerprint))
 
     todo = [n for n in ns if n not in found]
     scan_c_lower(args.dim, args.r, todo, strategy=strategy, budget=budget, on_result=on_result)
@@ -410,8 +403,7 @@ def _cmd_search_c(args):
         outcome={**_scan_summary({n: found[n] for n in ns}), "resumed": resumed},
         seed=strategy.seed,
     )
-    records.append(summary)
-    return records, False
+    return [summary], False
 
 
 def _cmd_t_line(args):
@@ -447,30 +439,29 @@ def _cmd_n_line(args):
 
 def _cmd_verify_sixteen(args):
     eps = parse_rational(args.epsilon) if args.epsilon else searchmod.DEFAULT_EPSILON
+    # a certificate that does not replay raised InternalError in _certify
     example, working_eps = verified_sixteen_point_example(eps)
-    blocks = searchmod.moment_blocks(example.dim, example.r, example.alphas)
-    payload = outcome_payload(blocks, example.dim, example.outcome)
-    replayed = verify_outcome(blocks, example.outcome, example.dim)
     record = ReportRecord(
         command="verify-figure2",
         inputs={"epsilon": working_eps},
         claim=CLAIM_SIXTEEN,
-        outcome=_figure2_outcome(example.alphas, example.outcome.status, replayed),
-        certificate=payload,
+        outcome=_figure2_outcome(example.alphas),
+        certificate=outcome_payload(example.blocks, example.dim, example.outcome),
         seed=args.seed,
     )
-    return [record], not replayed
+    return [record], False
 
 
-def _figure2_outcome(alphas, status: str, replayed: bool) -> Dict:
-    """The outcome of a ``verify-figure2`` record for the given alphas."""
+def _figure2_outcome(alphas) -> Dict:
+    """The outcome of a ``verify-figure2`` record for the given alphas, whose
+    alternating 4-partition in R^3 was certified empty and replayed."""
     n = len(alphas)
     return {
-        "status": status,
-        "replayed": replayed,
+        "status": "infeasible",
+        "replayed": True,
         "n": n,
         "alphas": [format_rational(a) for a in alphas],
-        "c_lower_bound": {"d": 3, "r": 4, "at_least": n + 1},
+        "c_lower_bound": {"d": 3, "r": 4, "at_least": c_lower_bound([n])},
     }
 
 
@@ -498,7 +489,7 @@ def _claimed(record: ReportRecord) -> Optional[list]:
     elif record.command == "verify-figure2":
         dim, r = 3, 4
         alphas = searchmod.sixteen_point_alphas(parse_rational(inputs["epsilon"]))
-        if outcome != _figure2_outcome(alphas, "infeasible", True):
+        if outcome != _figure2_outcome(alphas):
             return None
     else:
         return None
@@ -524,11 +515,12 @@ def _replay_bound(record: ReportRecord) -> Optional[bool]:
         return False
 
 
-def _scan_found(records, inputs):
+def _scan_found(records, inputs, replays):
     """``(found, dropped)``: n -> whether the ``search-c`` records of the d,
     r and strategy of ``inputs`` found a counterexample at n (``found`` true,
     and a certificate that replays), and the n of each found record that
-    does not replay against its own inputs."""
+    does not replay against its own inputs; ``replays(record)`` is a found
+    record's verdict (:func:`_replay_bound`)."""
     found: Dict[int, bool] = {}
     dropped = []
     for rec in records:
@@ -537,7 +529,7 @@ def _scan_found(records, inputs):
         ):
             continue
         n, hit = rec.inputs.get("n"), rec.outcome.get("found") is True
-        if hit and not _replay_bound(rec):
+        if hit and not replays(rec):
             dropped.append(n)
         else:
             found[n] = found.get(n, False) or hit
@@ -553,13 +545,13 @@ def _scan_summary(found: Dict[int, bool]) -> Dict:
     }
 
 
-def _summary_bound(summary: ReportRecord, records) -> bool:
+def _summary_bound(summary: ReportRecord, records, replays) -> bool:
     """Whether a ``search-c-summary`` states, for each n from n_from to
     n_to, what the report's records found (:func:`_scan_found`), and the
     lower bound that follows."""
     inputs = summary.inputs
     try:
-        found, _ = _scan_found(records, inputs)
+        found, _ = _scan_found(records, inputs, replays)
         ns = range(inputs["n_from"], inputs["n_to"] + 1)
         expected = _scan_summary({n: found[n] for n in ns})  # KeyError: no record
         return all(summary.outcome[key] == value for key, value in expected.items())
@@ -569,16 +561,15 @@ def _summary_bound(summary: ReportRecord, records) -> bool:
 
 def _cmd_verify(args):
     records_in = load_records(_read_text(args.report))
+    # one replay per certificate: a summary reads its records' verdicts
+    verdicts = {id(rec): _replay_bound(rec) for rec in records_in}
     results = []
-    failed = False
     for i, rec in enumerate(records_in, start=1):
+        verdict = verdicts[id(rec)]
         if rec.command == "search-c-summary" and rec.certificate is None:
-            verdict = _summary_bound(rec, records_in)
-        else:
-            verdict = _replay_bound(rec)
+            verdict = _summary_bound(rec, records_in, lambda r: verdicts[id(r)])
         results.append({"record": i, "command": rec.command, "replayed": verdict})
-        if verdict is False:
-            failed = True
+    failed = any(res["replayed"] is False for res in results)
     record = ReportRecord(
         command="verify",
         inputs={"report": args.report, "records": len(records_in)},
@@ -718,22 +709,25 @@ def main(argv=None) -> int:
                           ("format", "json"), ("out", None)):
         if not hasattr(args, name):
             setattr(args, name, default)
-    args.flushed = set()  # ids of the records a handler already wrote to --out
     start = time.perf_counter()
+    emitted = []  # (record, its line) for stdout
+
+    def emit(record: ReportRecord) -> None:
+        """Stamp a record's timing, keep it for stdout and append it to --out."""
+        record.timing = round(time.perf_counter() - start, 6)
+        line = record.to_json_line()
+        emitted.append((record, line))
+        if args.out:
+            with open(args.out, "a") as fh:
+                fh.write(line + "\n")
+
+    args.emit = emit  # search-c emits each n as it finishes
     try:
         if args.budget is not None and args.budget < 0:
             raise InputError(f"--budget must be >= 0, got {args.budget}")
         records, failed = args.handler(args)
-        elapsed = time.perf_counter() - start
         for record in records:
-            if record.timing is None:
-                record.timing = round(elapsed, 6)
-        lines = [r.to_json_line() for r in records]
-        if args.out:
-            with open(args.out, "a") as fh:
-                for record, line in zip(records, lines):
-                    if id(record) not in args.flushed:
-                        fh.write(line + "\n")
+            emit(record)
     except (InputError, OSError) as exc:  # ParseError; OSError: a path unreadable or unwritable
         print(f"input error: {exc}", file=sys.stderr)
         return 2
@@ -747,12 +741,8 @@ def main(argv=None) -> int:
         traceback.print_exc()
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 4
-    if args.format == "table":
-        for record in records:
-            print(_render_table(record))
-    else:
-        for line in lines:
-            print(line)
+    for record, line in emitted:
+        print(_render_table(record) if args.format == "table" else line)
     return 1 if failed else 0
 
 

@@ -232,6 +232,9 @@ class ReportRecord:
             body = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON record: {exc}") from exc
+        if not (isinstance(body, dict) and all(
+                isinstance(body.get(key, {}), dict) for key in ("inputs", "outcome"))):
+            raise ParseError("a record is a JSON object whose inputs and outcome are objects")
         return cls(
             command=body.get("command", ""),
             inputs=body.get("inputs", {}),

@@ -167,6 +167,7 @@ class Counterexample:
     r: int
     alphas: Tuple[Rational, ...]
     outcome: FeasibilityOutcome
+    blocks: list  # that partition's points, on which outcome replays
 
     @property
     def n(self) -> int:
@@ -206,9 +207,10 @@ def _certify(dim, r, alphas, outcome) -> Counterexample:
     homog = is_order_homogeneous(X)
     if not (homog.homogeneous and (homog.sign == 1 or homog.trivial)):
         raise InternalError("candidate configuration is not order-type homogeneous")
-    if not verify_outcome(alternating_blocks(X, r), outcome, dim):
+    blocks = alternating_blocks(X, r)
+    if not verify_outcome(blocks, outcome, dim):
         raise InternalError("counterexample certificate failed to replay")
-    return Counterexample(dim=dim, r=r, alphas=tuple(alphas), outcome=outcome)
+    return Counterexample(dim=dim, r=r, alphas=tuple(alphas), outcome=outcome, blocks=blocks)
 
 
 def find_counterexample(

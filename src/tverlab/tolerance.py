@@ -349,17 +349,21 @@ def _set_tolerance(X, r, budget, guard, homogeneity):
         )
     order = _run_order(X, r, homogeneity)
     cap = n if budget is None else min(budget, n)
-    seed = _tolerance(alternating_partition(n, r).blocks(), X, -1, cap, order)[0]
+    alternating = alternating_partition(n, r)
+    seed = _tolerance(alternating.blocks(), X, -1, cap, order)
     # a reversed run order has the same runs
     monotone = order in (tuple(range(n)), tuple(range(n - 1, -1, -1)))
-    target = _Target(seed - 1, X.dim + 1 if monotone else None)
+    target = _Target(seed[0] - 1, X.dim + 1 if monotone else None)
 
     # one pass: a partition is recorded only when it beats every earlier one,
     # so the last recorded is the lexicographically first maximum
     found = None
     for partition in iter_partitions(n, r, target):
         blocks = partition.blocks()
-        value, breaking = _tolerance(blocks, X, target.best, cap, order)
+        # the seed is the alternating partition's: where it beats target.best, a
+        # scan from size 0 meets the first breaking set one from best + 1 would
+        value, breaking = (seed if partition.labels == alternating.labels
+                           else _tolerance(blocks, X, target.best, cap, order))
         if value > target.best:
             target.best, found = value, (blocks, partition, breaking)
             if value >= cap:

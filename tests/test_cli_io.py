@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tverlab.cli import main
-from tverlab.errors import ParseError
+from tverlab.errors import InternalError, ParseError
 from tverlab.kernel import PointSet, Rational
 from tverlab.pointset_io import (
     ReportRecord,
@@ -691,6 +691,101 @@ class TestCLI:
         verdicts = [r["replayed"] for r in json.loads(out)["outcome"]["results"]]
         # hit, miss, forged, null, the recomputed n=5, the summary
         assert verdicts == [True, None, False, None, True if found_5 else None, True]
+
+    def test_interrupted_scan_resumes(self, capsys, tmp_path, monkeypatch):
+        # a fault at the second n leaves the first n's record in --out, and
+        # a rerun resumes it and writes what an uninterrupted scan writes
+        import tverlab.search
+
+        scan = ["--seed", "1", "--budget", "60", "search-c", "-d", "2", "-r", "2",
+                "--n-from", "3", "--n-to", "4"]
+        whole, cut = tmp_path / "whole.jsonl", tmp_path / "cut.jsonl"
+        assert self.run(capsys, "--out", str(whole), *scan)[0] == 0
+        find = tverlab.search.find_counterexample
+
+        def without_timing(path):
+            records = [json.loads(line) for line in path.read_text().splitlines()]
+            for rec in records:
+                rec.pop("timing")
+            return records
+
+        def fault_at_4(d, r, n, **kwargs):
+            if n == 4:
+                raise InternalError("forced")
+            return find(d, r, n, **kwargs)
+
+        monkeypatch.setattr(tverlab.search, "find_counterexample", fault_at_4)
+        code, out = self.run(capsys, "--out", str(cut), *scan)
+        assert (code, out) == (4, "")
+        assert without_timing(cut) == without_timing(whole)[:1]
+        monkeypatch.undo()
+
+        assert self.run(capsys, "--out", str(cut), *scan)[0] == 0
+        *rerun, summary = without_timing(cut)
+        *uninterrupted, expected = without_timing(whole)
+        assert rerun == uninterrupted
+        assert summary["outcome"].pop("resumed") == [3]
+        assert expected["outcome"].pop("resumed") == []
+        assert summary == expected
+
+    def test_verify_figure2_replays_once(self, capsys, monkeypatch):
+        # _certify replays the certificate; the command does not replay it again
+        import tverlab.cli
+        import tverlab.search
+
+        calls = []
+        for module in (tverlab.search, tverlab.cli):
+            def counted(*args, replay=module.verify_outcome):
+                calls.append(args)
+                return replay(*args)
+            monkeypatch.setattr(module, "verify_outcome", counted)
+        code, _ = self.run(capsys, "verify-figure2")
+        assert (code, len(calls)) == (0, 1)
+
+    def test_verify_replays_each_certificate_once(self, capsys, tmp_path, monkeypatch):
+        # a summary reads its records' verdicts instead of replaying them again
+        import tverlab.cli
+
+        report = tmp_path / "scan.jsonl"
+        code, _ = self.run(capsys, "--out", str(report), "--seed", "1", "--budget", "60",
+                           "search-c", "-d", "2", "-r", "2", "--n-from", "3", "--n-to", "6")
+        assert code == 0
+        records = [json.loads(line) for line in report.read_text().splitlines()]
+        certified = sum(rec["certificate"] is not None for rec in records)
+        assert certified >= 1 and records[-1]["command"] == "search-c-summary"
+        calls = []
+        replay = tverlab.cli.replay_record
+
+        def counted(record):
+            calls.append(record)
+            return replay(record)
+
+        monkeypatch.setattr(tverlab.cli, "replay_record", counted)
+        code, out = self.run(capsys, "verify", str(report))
+        assert (code, len(calls)) == (0, certified)
+        assert json.loads(out)["outcome"]["all_ok"] is True
+
+    @pytest.mark.parametrize("command", ["verify", "resume"])
+    @pytest.mark.parametrize("edit", ["line", "inputs", "outcome"])
+    def test_malformed_record_exits_2(self, capsys, tmp_path, command, edit):
+        # a line that is not a JSON object, or whose inputs or outcome is
+        # not one, is an input error, whether verified or resumed from
+        report = tmp_path / "scan.jsonl"
+        scan = ["--out", str(report), "search-c", "-d", "2", "-r", "2",
+                "--n-from", "3", "--n-to", "4"]
+        assert self.run(capsys, *scan)[0] == 0
+        first, *rest = report.read_text().splitlines(keepends=True)
+        rec = json.loads(first)
+        if edit == "line":
+            rec = [1, 2]
+        else:
+            rec[edit] = [1, 2] if edit == "inputs" else [1]
+        report.write_text(json.dumps(rec) + "\n" + "".join(rest))
+        code = main(["verify", str(report)] if command == "verify" else scan)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("argv, message", [
         (["t-line", "-n", "3", "-r", "0"], ">= r >= 1"),

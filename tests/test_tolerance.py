@@ -354,6 +354,25 @@ class TestSetTolerance:
         assert rep.upper_ok
         assert calls["signs"] == math.comb(n, d + 1)
 
+    @pytest.mark.parametrize("d, n, r", [(1, 7, 2), (2, 9, 3)])
+    def test_alternating_partition_evaluated_once(self, monkeypatch, d, n, r):
+        # the seed evaluates the alternating partition; when the enumeration
+        # reaches it again, the seed's value and breaking set are reused
+        alternating = alternating_partition(n, r).blocks()
+        evaluated = []
+        evaluate = tolerance._tolerance
+
+        def counted(block_indices, *args):
+            evaluated.append(tuple(block_indices))
+            return evaluate(block_indices, *args)
+
+        monkeypatch.setattr(tolerance, "_tolerance", counted)
+        X = moment_points(MomentSpec(d, range(1, n + 1)))
+        rep, part = set_tolerance(X, r)
+        assert evaluated.count(alternating) == 1
+        monkeypatch.undo()
+        assert rep == partition_tolerance(X, part)
+
     @pytest.mark.parametrize("d, n", [(2, 10), (3, 12)])
     def test_r1_closed_form_off_a_line(self, monkeypatch, d, n):
         # one nonempty block always has a common point: tolerance n - 1 in
