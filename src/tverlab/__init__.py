@@ -25,8 +25,6 @@ from .kernel import (
     to_rational,
 )
 from .ordertype import (
-    CrossingReport,
-    FacetSet,
     HomogeneityResult,
     MomentSpec,
     gale_facets,
@@ -65,7 +63,6 @@ from .search import (
     ScanResult,
     SearchStrategy,
     check_growth_inequality,
-    evaluate_alternating,
     find_counterexample,
     n_line,
     n_line_formula,

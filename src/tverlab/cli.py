@@ -185,7 +185,7 @@ def _cmd_facets(args):
         command="facets",
         inputs={"n": args.n, "dim": args.dim},
         claim=CLAIM_GALE,
-        outcome={"count": len(fs), "facets": [list(f) for f in fs.sorted()]},
+        outcome={"count": len(fs), "facets": [list(f) for f in fs]},
         seed=args.seed,
     )
     return [record], False
@@ -207,15 +207,15 @@ def _cmd_crossings(args):
     ps = _load_pointset(args.pointset)
     normal = [parse_rational(tok) for tok in args.normal.split(",")]
     h = Hyperplane(normal, parse_rational(args.offset))
-    report = path_crossings(ps, h)
-    within = report.count <= ps.dim
+    edges = path_crossings(ps, h)
+    within = len(edges) <= ps.dim
     record = ReportRecord(
         command="crossings",
         inputs={"pointset": ps, "normal": normal, "offset": h.offset},
         claim=CLAIM_CROSSINGS,
         outcome={
-            "count": report.count,
-            "edges": list(report.edges),
+            "count": len(edges),
+            "edges": list(edges),
             "bound": ps.dim,
             "within_bound": within,
         },
@@ -439,7 +439,7 @@ def _cmd_n_line(args):
 
 def _cmd_verify_sixteen(args):
     eps = parse_rational(args.epsilon) if args.epsilon else searchmod.DEFAULT_EPSILON
-    # a certificate that does not replay raised InternalError in _certify
+    # a certificate that does not replay raised InternalError in _certified
     example, working_eps = verified_sixteen_point_example(eps)
     record = ReportRecord(
         command="verify-figure2",

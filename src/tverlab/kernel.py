@@ -78,15 +78,6 @@ def sign(value) -> int:
     return 0
 
 
-def dot(u: Sequence, v: Sequence) -> Rational:
-    if len(u) != len(v):
-        raise InputError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    total = ZERO
-    for a, b in zip(u, v):
-        total += a * b
-    return total
-
-
 @dataclass(frozen=True)
 class PointSet:
     """An ordered set of d-dimensional rational points, in the order given."""
@@ -108,9 +99,6 @@ class PointSet:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
 
 
 @dataclass(frozen=True)
@@ -138,7 +126,7 @@ class Hyperplane:
             raise InputError(
                 f"point has {len(p)} coordinates, hyperplane lives in R^{self.dim}"
             )
-        return sign(dot(self.normal, p) - self.offset)
+        return sign(sum(map(operator.mul, self.normal, p)) - self.offset)
 
 
 def fraction_free_update(row, pivot_row, p, f, d):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import DegenerateInputError, InputError, InternalError
 from .kernel import (
@@ -61,23 +61,9 @@ def moment_points(spec: MomentSpec) -> PointSet:
     return PointSet(spec.dim, pts)
 
 
-@dataclass(frozen=True)
-class FacetSet:
-    """Facets of a cyclic polytope as 1-based d-element index subsets."""
-
-    n: int
-    dim: int
-    facets: frozenset
-
-    def __len__(self) -> int:
-        return len(self.facets)
-
-    def sorted(self):
-        return sorted(self.facets)
-
-
-def gale_facets(n: int, dim: int) -> FacetSet:
-    """Facets of the cyclic polytope on n ordered vertices in R^dim.
+def gale_facets(n: int, dim: int) -> List[Tuple[int, ...]]:
+    """Facets of the cyclic polytope on n ordered vertices in R^dim, as
+    1-based index tuples in lexicographic order.
 
     A d-subset F is a facet iff any two indices outside F have an even
     number of F-indices strictly between them; it suffices to check
@@ -97,7 +83,7 @@ def gale_facets(n: int, dim: int) -> FacetSet:
                 break
         if ok:
             facets.append(combo)
-    return FacetSet(n=n, dim=dim, facets=frozenset(facets))
+    return facets
 
 
 def is_neighborly(n: int, dim: int) -> bool:
@@ -107,7 +93,7 @@ def is_neighborly(n: int, dim: int) -> bool:
     k = dim // 2
     if k == 0:
         return True
-    facet_sets = [set(f) for f in gale_facets(n, dim).facets]
+    facet_sets = [set(f) for f in gale_facets(n, dim)]
     for combo in itertools.combinations(range(1, n + 1), k):
         subset = set(combo)
         if not any(subset <= f for f in facet_sets):
@@ -154,16 +140,9 @@ def is_order_homogeneous(X: PointSet) -> HomogeneityResult:
     return HomogeneityResult(True, first[1])
 
 
-@dataclass(frozen=True)
-class CrossingReport:
-    """Count and 1-based edge indices where a path crosses a hyperplane."""
-
-    count: int
-    edges: Tuple[int, ...]
-
-
-def path_crossings(X: PointSet, h: Hyperplane) -> CrossingReport:
-    """Edges of the polygonal path on X whose endpoints strictly straddle h.
+def path_crossings(X: PointSet, h: Hyperplane) -> Tuple[int, ...]:
+    """1-based edges of the polygonal path on X whose endpoints strictly
+    straddle h.
 
     A vertex on h is rejected (degenerate input); callers perturb h if they
     need a generic cut.
@@ -178,7 +157,4 @@ def path_crossings(X: PointSet, h: Hyperplane) -> CrossingReport:
                 f"vertex {i + 1} lies on the hyperplane; perturb the hyperplane"
             )
         sides.append(s)
-    edges = tuple(
-        i + 1 for i, (a, b) in enumerate(zip(sides, sides[1:])) if a != b
-    )
-    return CrossingReport(count=len(edges), edges=edges)
+    return tuple(i + 1 for i, (a, b) in enumerate(zip(sides, sides[1:])) if a != b)

@@ -227,14 +227,15 @@ class ReportRecord:
         return json.dumps(body, separators=(",", ":"))
 
     @classmethod
-    def from_json_line(cls, line: str) -> "ReportRecord":
+    def from_json_line(cls, line: str, lineno: Optional[int] = None) -> "ReportRecord":
         try:
             body = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise ParseError(f"bad JSON record: {exc}") from exc
+            raise ParseError(f"bad JSON record: {exc}", line=lineno) from exc
         if not (isinstance(body, dict) and all(
                 isinstance(body.get(key, {}), dict) for key in ("inputs", "outcome"))):
-            raise ParseError("a record is a JSON object whose inputs and outcome are objects")
+            raise ParseError("a record is a JSON object whose inputs and outcome are objects",
+                             line=lineno)
         return cls(
             command=body.get("command", ""),
             inputs=body.get("inputs", {}),
@@ -255,7 +256,7 @@ def replay_record(record: ReportRecord) -> Optional[bool]:
 
 def load_records(text: str) -> List[ReportRecord]:
     records = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), 1):
         if line.strip():
-            records.append(ReportRecord.from_json_line(line))
+            records.append(ReportRecord.from_json_line(line, lineno))
     return records

@@ -197,17 +197,21 @@ def moment_blocks(dim: int, r: int, alphas: Sequence):
     return alternating_blocks(moment_points(MomentSpec(dim, alphas)), r)
 
 
-def evaluate_alternating(alphas: Sequence, dim: int, r: int) -> FeasibilityOutcome:
-    """Feasibility of the alternating r-partition of the moment configuration."""
-    return hulls_common_point(moment_blocks(dim, r, alphas), dim)
-
-
-def _certify(dim, r, alphas, outcome) -> Counterexample:
+def _certified(dim: int, r: int, alphas) -> Optional[Counterexample]:
+    """The certified counterexample on the moment points of ``alphas``, or
+    None when their alternating r-partition has a common point.  Nearly every
+    candidate is feasible, and an exactly confirmed one prints nothing; the
+    canonical simplex decides and certifies the rest."""
     X = moment_points(MomentSpec(dim, alphas))
+    blocks = alternating_blocks(X, r)
+    if confirm_feasible(blocks, dim):
+        return None
+    outcome = hulls_common_point(blocks, dim)
+    if outcome.feasible:
+        return None
     homog = is_order_homogeneous(X)
     if not (homog.homogeneous and (homog.sign == 1 or homog.trivial)):
         raise InternalError("candidate configuration is not order-type homogeneous")
-    blocks = alternating_blocks(X, r)
     if not verify_outcome(blocks, outcome, dim):
         raise InternalError("counterexample certificate failed to replay")
     return Counterexample(dim=dim, r=r, alphas=tuple(alphas), outcome=outcome, blocks=blocks)
@@ -223,36 +227,30 @@ def find_counterexample(
     """Search for an n-point moment configuration breaking the alternating
     partition; returns a :class:`Counterexample` or :class:`NoneFound`.
 
-    Where the parameter values do not matter, the parameters 1..n decide
-    exactly: with n < r the alternating blocks cannot all be inhabited, so
-    any configuration is a counterexample (conv(emptyset) = emptyset), and
-    at d=1 feasibility of the alternating partition depends only on n.
+    Where the parameter values do not matter, the parameters 1..n are the
+    one candidate and decide exactly: with n < r the alternating blocks
+    cannot all be inhabited, so any configuration is a counterexample
+    (conv(emptyset) = emptyset), and at d=1 feasibility of the alternating
+    partition depends only on n.
     """
     if n < 1:
         raise InputError(f"need n >= 1, got n={n}")
-    if n < r or d == 1:
-        alphas = [Rational(i) for i in range(1, n + 1)]
-        outcome = evaluate_alternating(alphas, d, r)
-        if not outcome.feasible:
-            return _certify(d, r, alphas, outcome)
-        if n < r:
-            raise InternalError("an empty alternating block must be infeasible")
-        return NoneFound(dim=d, r=r, n=n, tried=1, exact=True)
     if strategy is None:
         strategy = SearchStrategy(kind="clustered", seed=0)
+    exact = n < r or d == 1
+    candidates = ([tuple(Rational(i) for i in range(1, n + 1))] if exact
+                  else itertools.islice(alpha_candidates(strategy, n, r), max(budget, 0)))
     tried = 0
-    for alphas in itertools.islice(alpha_candidates(strategy, n, r), max(budget, 0)):
+    for alphas in candidates:
         tried += 1
         if len(alphas) != n:
             raise InternalError(f"{strategy.kind} stream gave {len(alphas)} parameters for n={n}")
-        # nearly every candidate is feasible, and a confirmed one prints
-        # nothing; the canonical simplex decides and certifies the rest
-        if confirm_feasible(moment_blocks(d, r, alphas), d):
-            continue
-        outcome = evaluate_alternating(alphas, d, r)
-        if not outcome.feasible:
-            return _certify(d, r, alphas, outcome)
-    return NoneFound(dim=d, r=r, n=n, tried=tried, exact=False)
+        found = _certified(d, r, alphas)
+        if found is not None:
+            return found
+    if n < r:
+        raise InternalError("an empty alternating block must be infeasible")
+    return NoneFound(dim=d, r=r, n=n, tried=tried, exact=exact)
 
 
 @dataclass(frozen=True)
@@ -315,10 +313,9 @@ def verified_sixteen_point_example(epsilon=DEFAULT_EPSILON) -> Tuple[Counterexam
     """
     eps = to_rational(epsilon)
     for _ in range(40):
-        alphas = sixteen_point_alphas(eps)
-        outcome = evaluate_alternating(alphas, 3, 4)
-        if not outcome.feasible:
-            return _certify(3, 4, alphas, outcome), eps
+        found = _certified(3, 4, sixteen_point_alphas(eps))
+        if found is not None:
+            return found, eps
         eps = eps / 2
     raise InternalError(
         "sixteen-point configuration stayed feasible down to epsilon "

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import re
 from pathlib import Path
@@ -363,6 +362,42 @@ class TestCLI:
         code, verdicts = self.verify_lines(capsys, tmp_path, [rec, forged])
         assert (code, verdicts) == (1, [True, False])
 
+    def test_verify_rejects_forged_witnesses_and_partitions(self, capsys, tmp_path):
+        # the intervals [0, 2] and [1, 3] meet at 1; [0, 1] and [2, 3] do not
+        records = {}
+        for name, values in (("meet", "0 2 1 3"), ("apart", "0 1 2 3")):
+            ps = tmp_path / f"{name}.otps"
+            ps.write_text("otps 1 4\n" + values.replace(" ", "\n") + "\n")
+            code, out = self.run(capsys, "intersect", str(ps), "--blocks", "1,2;3,4")
+            records[name] = json.loads(out)
+        honest = records["meet"]
+        assert honest["certificate"]["point"] == ["1"]
+        assert honest["certificate"]["coefficients"] == [["1/2", "1/2"], ["1", "0"]]
+
+        def forge(record, **fields):
+            forged = json.loads(json.dumps(record))
+            forged["certificate"].update(fields)
+            return forged
+
+        # an affine, not convex, combination: 2 = -1*0 + 2*1 = 1*2 + 0*3
+        affine = forge(records["apart"], status="feasible", kind="witness", point=["2"],
+                       coefficients=[["-1", "2"], ["1", "0"]])
+        del affine["certificate"]["multipliers"]
+        affine["outcome"]["status"] = "feasible"
+        forgeries = [
+            affine,
+            forge(honest, coefficients=[["1/2", "1/2"]]),
+            forge(honest, coefficients=[["1/2"], ["1", "0"]]),
+            forge(honest, coefficients=[["1/2", "2"], ["1", "0"]]),
+            forge(honest, point=["7/4"]),
+        ]
+        for labels in ([1, 2, 2], [1, 3, 3, 1], [1, 2, 3, 5], [0, 1, 1, 1]):
+            forged = json.loads(json.dumps(honest))
+            forged["inputs"]["partition"] = labels
+            forgeries.append(forged)
+        code, verdicts = self.verify_lines(capsys, tmp_path, [honest, *forgeries])
+        assert (code, verdicts) == (1, [True] + [False] * 9)
+
     def test_verify_rejects_separating_hyperplane_payload(self, capsys, tmp_path):
         # no command writes this kind; verify accepts only witness, farkas
         # and empty-block evidence, so a true separator proves nothing
@@ -407,8 +442,7 @@ class TestCLI:
         gale_facets = ordertype.gale_facets
 
         def without_index_2_facets(n, dim):
-            fs = gale_facets(n, dim)
-            return dataclasses.replace(fs, facets=frozenset(f for f in fs.facets if 1 in f))
+            return [f for f in gale_facets(n, dim) if 1 in f]
 
         monkeypatch.setattr(ordertype, "gale_facets", without_index_2_facets)
         code, out = self.run(capsys, "neighborly", "-d", "4", "-n", "7")
@@ -470,6 +504,18 @@ class TestCLI:
         assert rec["outcome"]["status"] == "infeasible"
         assert rec["outcome"]["replayed"] is True
         assert rec["outcome"]["c_lower_bound"]["at_least"] == 17
+
+    def test_verify_figure2_halves_epsilon(self, capsys, tmp_path):
+        # 1/3, 1/6 and 1/12 leave the alternating 4-partition feasible
+        report = tmp_path / "figure2.jsonl"
+        code, out = self.run(capsys, "--out", str(report), "verify-figure2",
+                             "--epsilon", "1/3")
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["inputs"] == {"epsilon": "1/24"}
+        assert rec["outcome"]["n"] == len(rec["outcome"]["alphas"]) == 16
+        code, out = self.run(capsys, "verify", str(report))
+        assert code == 0 and json.loads(out)["outcome"]["all_ok"] is True
 
     def test_tolerance_set_mode(self, capsys, tmp_path):
         ps = tmp_path / "line.otps"
@@ -766,25 +812,31 @@ class TestCLI:
         assert json.loads(out)["outcome"]["all_ok"] is True
 
     @pytest.mark.parametrize("command", ["verify", "resume"])
-    @pytest.mark.parametrize("edit", ["line", "inputs", "outcome"])
+    @pytest.mark.parametrize("edit", ["line", "inputs", "outcome", "json"])
     def test_malformed_record_exits_2(self, capsys, tmp_path, command, edit):
-        # a line that is not a JSON object, or whose inputs or outcome is
-        # not one, is an input error, whether verified or resumed from
+        # a line that is not JSON, not a JSON object, or whose inputs or
+        # outcome is not one, is an input error that names its report line,
+        # whether verified or resumed from
         report = tmp_path / "scan.jsonl"
         scan = ["--out", str(report), "search-c", "-d", "2", "-r", "2",
                 "--n-from", "3", "--n-to", "4"]
         assert self.run(capsys, *scan)[0] == 0
-        first, *rest = report.read_text().splitlines(keepends=True)
-        rec = json.loads(first)
-        if edit == "line":
-            rec = [1, 2]
+        lines = report.read_text().splitlines(keepends=True)
+        assert len(lines) == 3
+        rec, lineno = json.loads(lines[0]), 1
+        if edit == "json":
+            lines[2], lineno = "{oops\n", 3
+        elif edit == "line":
+            lines[0] = json.dumps([1, 2]) + "\n"
         else:
             rec[edit] = [1, 2] if edit == "inputs" else [1]
-        report.write_text(json.dumps(rec) + "\n" + "".join(rest))
+            lines[0] = json.dumps(rec) + "\n"
+        report.write_text("".join(lines))
         code = main(["verify", str(report)] if command == "verify" else scan)
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
-        assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"input error: line {lineno}:")
+        assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("argv, message", [
@@ -808,6 +860,14 @@ class TestCLI:
           "--n-from", "3", "--n-to", "3"], "No such file"),
         (["tolerance", "MISSING/x.otps", "--set", "-r", "2"], "No such file"),
         (["verify", "MISSING"], "No such file"),
+        (["gen", "-d", "2"], "provide --alphas"),
+        (["tolerance", "LINE", "--blocks", "1,x;2,3,4,5"], "not a comma list"),
+        (["tolerance", "LINE", "--blocks", "1,9;2,3,4,5"], "out of range"),
+        (["tolerance", "LINE"], "provide --blocks"),
+        (["intersect", "LINE"], "provide --blocks"),
+        (["tolerance", "LINE", "--sandwich"], "--sandwich needs -r"),
+        (["tolerance", "LINE", "--set"], "--set needs -r"),
+        (["bounds", "--kind", "prop41", "-d", "2", "-r", "2"], "needs -n"),
     ])
     def test_bad_input_exits_2(self, capsys, tmp_path, argv, message):
         # no input exits 1 (a failed claim) or 4 (a fault), and none prints

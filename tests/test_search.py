@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from tverlab.errors import InputError, InternalError, ResourceGuardError
-from tverlab.feasibility import verify_outcome
+from tverlab.feasibility import hulls_common_point, verify_outcome
 from tverlab.kernel import Rational
 from tverlab.pointset_io import format_rational
 from tverlab.ordertype import MomentSpec, is_order_homogeneous, moment_points
@@ -16,8 +16,8 @@ from tverlab.search import (
     alpha_candidates,
     alternating_blocks,
     check_growth_inequality,
-    evaluate_alternating,
     find_counterexample,
+    moment_blocks,
     n_line,
     n_line_formula,
     scan_c_lower,
@@ -134,7 +134,7 @@ def test_canonical_simplex_decides_every_unconfirmed_candidate(monkeypatch):
     reference = next(
         (i, alphas, outcome)
         for i, alphas in enumerate(alpha_candidates(strategy, 16, 4), 1)
-        for outcome in [evaluate_alternating(alphas, 3, 4)]
+        for outcome in [hulls_common_point(moment_blocks(3, 4, alphas), 3)]
         if not outcome.feasible
     )
     real_confirm, real_hulls = searchmod.confirm_feasible, searchmod.hulls_common_point
@@ -260,8 +260,8 @@ class TestLineTables:
         assert not check_growth_inequality(1, 2, 2, 2)  # fabricated violation
 
     def test_evaluate_alternating_line(self):
-        assert evaluate_alternating(range(1, 6), 1, 3).feasible
-        assert not evaluate_alternating(range(1, 5), 1, 3).feasible
+        assert hulls_common_point(moment_blocks(1, 3, range(1, 6)), 1).feasible
+        assert not hulls_common_point(moment_blocks(1, 3, range(1, 5)), 1).feasible
 
 
 def test_sixteen_point_certificate_golden():

@@ -1,6 +1,6 @@
-"""Every import site the benchmark tracer wraps must exist, and every
+"""Every import site the benchmark tracer wraps must exist, every
 definition of the package, top-level or a class member, must be reachable
-from its users.
+from its users, and the package holds no ``assert`` statement.
 
 ``bench/tracing.py`` replaces attributes of tverlab modules by name; one that
 a refactor removed would otherwise show only in the slow traced bench run.
@@ -126,3 +126,14 @@ def test_every_definition_is_reachable():
         if i not in reached
     ]
     assert not unreached, "unreachable from the CLI and the benchmark:\n" + "\n".join(unreached)
+
+
+def test_no_assert_statements():
+    # python -O strips assert statements, so control flow must not use them
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "tverlab").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, "assert statements in the package:\n" + "\n".join(found)
