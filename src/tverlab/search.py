@@ -178,9 +178,6 @@ class Counterexample:
 class NoneFound:
     """Search exhausted its budget; exact=True only at d=1 (direct computation)."""
 
-    dim: int
-    r: int
-    n: int
     tried: int
     exact: bool
 
@@ -250,7 +247,7 @@ def find_counterexample(
             return found
     if n < r:
         raise InternalError("an empty alternating block must be infeasible")
-    return NoneFound(dim=d, r=r, n=n, tried=tried, exact=exact)
+    return NoneFound(tried=tried, exact=exact)
 
 
 @dataclass(frozen=True)

@@ -33,10 +33,12 @@ or leave some pair's label string with at most d+1 runs, minus one (thinning
 a block to floor(d/2) points is one, whence t <= floor(n/r) - floor(d/2)).
 It is exact where pairs decide: r = 2 under the rule, any r on a line (by
 Helly in R^1, pairwise meeting intervals share a point), and r = 1, whose one
-block keeps a common point until emptied, in every dimension and with no LP.
-For r >= 3 with d >= 2 the rule is only a necessary pairwise filter, the LP
-decides what passes, and the pair bound tops the removal scan.  A line with a
-repeated value is homogeneous in no order and keeps the removal enumeration.
+block keeps a common point until emptied, in every dimension and with no LP;
+there the breaking set is read off the same DP index by index, and no removal
+set is tested.  For r >= 3 with d >= 2 the rule is only a necessary pairwise
+filter, the LP decides what passes, and the pair bound tops the removal scan.
+A line with a repeated value is homogeneous in no order and keeps the removal
+enumeration.
 """
 
 from __future__ import annotations
@@ -68,8 +70,7 @@ class Partition:
             raise InputError(f"need {n} labels, got {len(labels)}")
         if n < r or r < 1:
             raise InputError(f"need n >= r >= 1, got n={n}, r={r}")
-        seen = set(labels)
-        if seen != set(range(1, r + 1)):
+        if set(labels) != set(range(1, r + 1)):
             raise InputError("blocks must be nonempty and labeled 1..r")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "r", r)
@@ -147,28 +148,10 @@ def _run_order(X: PointSet, r: int, homogeneity=None) -> Optional[Tuple[int, ...
     return tuple(range(n)) if result.homogeneous and not result.trivial else None
 
 
-def _label_runs(a, b, order) -> int:
-    """Runs of the a/b label string of the indices a u b, in the given order."""
-    merged = sorted([(order[i - 1], 0) for i in a] + [(order[i - 1], 1) for i in b])
-    return 1 + sum(x != y for (_, x), (_, y) in zip(merged, merged[1:]))
-
-
-def _pairs_decide(X: PointSet, order, r: int) -> bool:
-    """Whether pairs decide a common point: with one block, which has one
-    when nonempty; r = 2 under the run rule; any r under it on a line."""
-    return r == 1 or order is not None and (r == 2 or X.dim == 1)
-
-
 def _depleted_feasible(block_indices, X: PointSet, removed, order) -> bool:
     survivors = [[i for i in block if i not in removed] for block in block_indices]
-    if any(not b for b in survivors):
+    if _pair_bound(survivors, X, order)[0] < 0:
         return False
-    if order is not None:
-        pairs = itertools.combinations(survivors, 2)
-        if any(_label_runs(a, b, order) < X.dim + 2 for a, b in pairs):
-            return False
-        if _pairs_decide(X, order, len(survivors)):
-            return True
     blocks = block_points(X, survivors)
     if X.dim == 1:
         return intervals_common_point([[p[0] for p in b] for b in blocks]) is not None
@@ -194,18 +177,42 @@ def _fewest_deletions(string, runs: int) -> int:
 def _pair_bound(block_indices, X: PointSet, order) -> Tuple[int, bool]:
     """``(bound, exact)``: one less than the fewest removals that empty a
     block or, under a run order, leave some pair's label string with at most
-    d+1 runs; both break, so the tolerance is at most ``bound``, and equal
-    to it where pairs decide (:func:`_pairs_decide`)."""
+    d+1 runs; both break, so the tolerance is at most ``bound``.  ``exact``
+    says pairs decide a common point, so the tolerance is ``bound``: with one
+    block, which has one while nonempty; r = 2 under the run rule; any r
+    under it on a line."""
+    r = len(block_indices)
     breaking = min(map(len, block_indices))  # empty a block
     if order is not None:
-        string = [0] * len(X)
+        string = [-1] * len(X)  # -1 where no block holds the index
         for label, block in enumerate(block_indices):
             for i in block:
                 string[order[i - 1]] = label
-        for a, b in itertools.combinations(range(len(block_indices)), 2):
+        for a, b in itertools.combinations(range(r), 2):
             pair = [x == b for x in string if x == a or x == b]
             breaking = min(breaking, _fewest_deletions(pair, X.dim + 1))
-    return breaking - 1, _pairs_decide(X, order, len(block_indices))
+    return breaking - 1, r == 1 or order is not None and (r == 2 or X.dim == 1)
+
+
+def _pair_breaking_set(block_indices, X, size, order):
+    """The lexicographically first removal of ``size`` indices that empties
+    a block or leaves some pair with at most d+1 runs, where no smaller one
+    does; None when none does.  Index by index, it takes the least x after
+    the last chosen one that leaves the pair bound of what survives x and
+    the chosen ones below the removals left.  Then some such removal holds x
+    and the chosen ones, and none holding an earlier x can exist, since it
+    would come before the first one."""
+    n, chosen = len(X), []
+    while len(chosen) < size:
+        for x in range(chosen[-1] + 1 if chosen else 1, n + 1):
+            removed = {*chosen, x}
+            survivors = [[i for i in block if i not in removed] for block in block_indices]
+            if _pair_bound(survivors, X, order)[0] < size - len(chosen) - 1:
+                chosen.append(x)
+                break
+        else:
+            return None
+    return tuple(chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +235,13 @@ def partition_tolerance(
 def _report(block_indices, X, cap, order, value, breaking) -> ToleranceReport:
     """The report of a partition whose tolerance, capped at ``cap``, is
     ``value``; ``breaking`` is its first breaking set when a scan already
-    found it, else size ``value + 1`` is searched here."""
+    found it, else it is read off the pair bound where pairs decide and
+    searched for at size ``value + 1`` where they do not."""
     if value >= cap:
         return ToleranceReport(value=cap, breaking_set=None, exhausted=False)
-    if breaking is None:
+    if breaking is None and _pair_bound(block_indices, X, order)[1]:
+        breaking = _pair_breaking_set(block_indices, X, value + 1, order)
+    elif breaking is None:
         breaking = _first_breaking_set(block_indices, X, [value + 1], order)
     if breaking is None:
         raise InternalError(f"no removal of size {value + 1} breaks a partition "
@@ -413,8 +423,6 @@ def tolerance_upper_bound(n: int, d: int, r: int) -> int:
 class SandwichReport:
     """Both sides of the homogeneous-set tolerance sandwich, evaluated."""
 
-    n: int
-    r: int
     t_value: int
     lower_bound: int
     upper_bound: int
@@ -435,12 +443,6 @@ def check_tolerance_sandwich(X: PointSet, r: int) -> SandwichReport:
     report, _ = _set_tolerance(X, r, None, PARTITION_GUARD, result)
     lower = n // r - alternating_bound(X.dim, r)
     upper = tolerance_upper_bound(n, X.dim, r)
-    return SandwichReport(
-        n=n,
-        r=r,
-        t_value=report.value,
-        lower_bound=lower,
-        upper_bound=upper,
-        lower_ok=lower <= report.value,
-        upper_ok=report.value <= upper,
-    )
+    t = report.value
+    return SandwichReport(t_value=t, lower_bound=lower, upper_bound=upper,
+                          lower_ok=lower <= t, upper_ok=t <= upper)

@@ -67,6 +67,12 @@ class TestPointSetFormat:
             parse_pointset("nope 1 1\n3\n")
         with pytest.raises(ParseError):
             parse_pointset("otps 1 3\n1\n2\n")
+        for text, message in [("otps x 2\n1\n", "non-integer header fields"),
+                              ("otps 0 2\n1\n2\n", "invalid header values"),
+                              ("# only\n# comments\n", "missing 'otps' header")]:
+            with pytest.raises(ParseError, match=message) as exc:
+                parse_pointset(text)
+            assert exc.value.line == 1
 
     def test_round_trip_canonical(self):
         text = "otps 2 2\n1/2 -3/4\n5 0\n"
@@ -868,6 +874,11 @@ class TestCLI:
         (["tolerance", "LINE", "--sandwich"], "--sandwich needs -r"),
         (["tolerance", "LINE", "--set"], "--set needs -r"),
         (["bounds", "--kind", "prop41", "-d", "2", "-r", "2"], "needs -n"),
+        (["gen", "-d", "0", "--alphas", "1,2"], "dimension must be >= 1"),
+        (["n-line", "-t", "-1", "-r", "2"], "need t >= 0"),
+        (["bounds", "--kind", "lemma32", "-d", "0", "-r", "2"], "need d >= 1"),
+        (["bounds", "--kind", "even-d", "-d", "2", "-r", "0"], "need r >= 1"),
+        (["bounds", "--kind", "prop41", "-n", "0", "-d", "2", "-r", "2"], "need positive n"),
     ])
     def test_bad_input_exits_2(self, capsys, tmp_path, argv, message):
         # no input exits 1 (a failed claim) or 4 (a fault), and none prints

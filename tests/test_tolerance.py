@@ -16,7 +16,7 @@ from tverlab.tolerance import (
     Partition,
     ToleranceReport,
     _depleted_feasible,
-    _label_runs,
+    _pair_bound,
     alternating_bound,
     alternating_bound_even,
     alternating_partition,
@@ -391,11 +391,12 @@ class TestSetTolerance:
         (moment_points(MomentSpec(3, range(1, 9))), 2),
     ])
     def test_closed_form_tests_only_the_reported_size(self, monkeypatch, X, r):
-        # where pairs decide, the only removal sets tested are those of size
-        # value + 1, in the search for the reported breaking set
+        # where pairs decide, the pair deletion DP gives both the value and
+        # the reported breaking set: no removal set is tested
         removals = record_removals(monkeypatch)
         rep, _ = set_tolerance(X, r, guard=len(X))
-        assert rep.exhausted and set(map(len, removals)) == {rep.value + 1}
+        assert rep.exhausted and len(rep.breaking_set) == rep.value + 1
+        assert removals == []
 
     def test_one_removal_scan_per_report(self, monkeypatch):
         # the scan that finds the tolerance also finds the breaking set, and
@@ -498,7 +499,7 @@ class TestRunRule:
         for part in iter_partitions(7, 2):
             a, b = part.blocks()
             lp = hulls_common_point(tolerance.block_points(X, (a, b)), d).feasible
-            assert (_label_runs(a, b, order) >= d + 2) == lp, part.labels
+            assert (_pair_bound((a, b), X, order)[0] >= 0) == lp, part.labels
             assert _depleted_feasible((a, b), X, (), order) == lp
 
     @pytest.mark.parametrize("d, sign, seed", HOMOGENEOUS_SETS)
@@ -534,7 +535,7 @@ class TestRunRule:
             if lp:
                 feasible += 1
                 assert all(
-                    _label_runs(a, b, order) >= d + 2
+                    _pair_bound((a, b), X, order)[0] >= 0
                     for a, b in itertools.combinations(blocks, 2)
                 ), part.labels
             assert _depleted_feasible(blocks, X, (), order) == lp
@@ -543,8 +544,9 @@ class TestRunRule:
     @pytest.mark.parametrize("d, r", itertools.product(range(1, 5), range(1, 5)))
     def test_pair_bound_is_exact_where_pairs_decide(self, d, r):
         # the pair bound is never below the brute-force tolerance, and equals
-        # it where pairs decide: sorted, reversed and shuffled lines, and
-        # moment sets read forwards and backwards
+        # it where pairs decide, where the breaking set read off it is the
+        # brute-force one: sorted, reversed and shuffled lines, and moment
+        # sets read forwards and backwards
         n = 7
         rng = random.Random(10 * d + r)
         values = rng.sample(range(-20, 20), n)
@@ -558,9 +560,12 @@ class TestRunRule:
             order = tolerance._run_order(X, r)
             for _ in range(6):
                 part = Partition(n, r, _random_partition_labels(rng, n, r))
-                bound, exact = tolerance._pair_bound(part.blocks(), X, order)
-                value, _ = brute_tolerance(X, part)
+                bound, exact = _pair_bound(part.blocks(), X, order)
+                value, breaking = brute_tolerance(X, part)
                 assert bound >= value and (bound == value or not exact), part.labels
+                if exact:
+                    rep = partition_tolerance(X, part)
+                    assert rep.breaking_set == breaking, part.labels
                 assert exact == (r == 1 or (order is not None and (r == 2 or d == 1)))
 
 
