@@ -322,15 +322,9 @@ def _cmd_bounds(args):
 
 
 def _strategy_from(args) -> SearchStrategy:
-    kwargs = {"kind": args.strategy, "seed": args.seed or 0}
-    if args.cluster_count is not None:
-        kwargs["cluster_count"] = args.cluster_count
+    kwargs = {"kind": args.strategy, "seed": args.seed or 0, "cluster_count": args.cluster_count}
     if args.spread is not None:
         kwargs["spread"] = args.spread
-    if args.denominator_bound is not None:
-        kwargs["denominator_bound"] = args.denominator_bound
-    if args.grid_step is not None:
-        kwargs["grid_step"] = parse_rational(args.grid_step)
     return SearchStrategy(**kwargs)
 
 
@@ -381,6 +375,8 @@ def _load_resume(args, fingerprint) -> Dict[int, bool]:
 
 
 def _cmd_search_c(args):
+    if args.n_to < args.n_from:
+        raise InputError(f"empty n range: --n-to {args.n_to} is below --n-from {args.n_from}")
     strategy = _strategy_from(args)
     budget = args.budget if args.budget is not None else 1000
     fingerprint = _strategy_fingerprint(strategy, budget)
@@ -665,12 +661,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-r", type=int, required=True)
     p.add_argument("--n-from", type=int, required=True)
     p.add_argument("--n-to", type=int, required=True)
-    p.add_argument("--strategy", choices=("clustered", "grid", "random-rational"),
-                   default="clustered")
+    p.add_argument("--strategy", choices=("clustered",), default="clustered")
     p.add_argument("--cluster-count", type=int)
     p.add_argument("--spread", type=int)
-    p.add_argument("--denominator-bound", type=int)
-    p.add_argument("--grid-step")
     p.set_defaults(handler=_cmd_search_c)
 
     p = sub.add_parser("t-line", parents=[common], help="exact t(n, 1, r)")

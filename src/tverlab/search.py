@@ -17,12 +17,10 @@ Two facts shape the design:
   common point iff n >= 2r - 1 regardless of the values, so d=1 results are
   computed directly and labeled exact.
 * the one known nontrivial counterexample shape is "a few tight clusters
-  plus a spread tail"; the clustered strategy generalizes it.  Repeated
-  parameters a, a, a are perturbed to a, a+eps, a+2eps, and eps is halved
-  until the infeasibility actually verifies, since emptiness is only
-  preserved for small enough perturbations.
+  plus a spread tail"; the one candidate stream, ``clustered``, generalizes
+  it, perturbing repeated parameters a, a, a to a, a+eps, a+2eps.
 
-Every candidate stream is fully deterministic given (kind, params, seed),
+The stream is fully deterministic given (seed, cluster_count, spread, n, r),
 and candidates are evaluated in stream order, so identical invocations
 yield identical results.
 """
@@ -60,29 +58,23 @@ T_LINE_GUARD = 14
 class SearchStrategy:
     """Deterministic candidate stream specification.
 
-    kind:
-      * ``clustered``: a few tight clusters plus a spread tail (seeded);
-      * ``grid``: strictly increasing integer-grid tuples, enumerated in a
-        fixed order with no randomness;
-      * ``random-rational``: seeded rationals with bounded denominator.
+    ``clustered``, the one kind, draws a few tight clusters plus a spread
+    tail from ``random.Random(seed)``: ``cluster_count`` clusters (r - 1 by
+    default, at most n), with centers and tail values drawn from integers in
+    ``[-span, span]``, span = max(2, spread) * n.  Repeats in a cluster are
+    split by :data:`DEFAULT_EPSILON`.
     """
 
-    kind: str
+    kind: str = "clustered"
     seed: int = 0
-    cluster_count: Optional[int] = None  # clustered; defaults to r - 1
-    spread: int = 4  # clustered: range multiplier for centers and tail
-    epsilon: Rational = DEFAULT_EPSILON  # clustered: repeat-splitting step
-    grid_step: Rational = Rational(1)  # grid spacing
-    denominator_bound: int = 6  # random-rational
-    value_bound: int = 12  # random-rational numerator range
+    cluster_count: Optional[int] = None
+    spread: int = 4
 
     def __post_init__(self):
-        if self.kind not in ("clustered", "grid", "random-rational"):
+        if self.kind != "clustered":
             raise InputError(f"unknown strategy kind: {self.kind!r}")
         if self.cluster_count is not None and self.cluster_count < 0:
             raise InputError(f"cluster count must be >= 0, got {self.cluster_count}")
-        if self.denominator_bound < 1:
-            raise InputError(f"denominator bound must be >= 1, got {self.denominator_bound}")
 
 
 def split_repeats(values: Sequence, epsilon) -> Tuple[Rational, ...]:
@@ -100,31 +92,8 @@ def split_repeats(values: Sequence, epsilon) -> Tuple[Rational, ...]:
 
 def alpha_candidates(strategy: SearchStrategy, n: int, r: int) -> Iterator[Tuple[Rational, ...]]:
     """Infinite stream of strictly increasing parameter tuples of length n."""
-    if strategy.kind == "grid":
-        yield from _grid_candidates(strategy, n)
-    elif strategy.kind == "clustered":
-        yield from _clustered_candidates(strategy, n, r)
-    else:
-        yield from _random_rational_candidates(strategy, n)
-
-
-def _grid_candidates(strategy: SearchStrategy, n: int) -> Iterator[Tuple[Rational, ...]]:
-    step = to_rational(strategy.grid_step)
-    width = n
-    while True:
-        lo = -(width // 2)
-        for combo in itertools.combinations(range(width), n):
-            # only tuples that use both ends are new at this width
-            if width > n and (combo[0] != 0 or combo[-1] != width - 1):
-                continue
-            yield tuple((lo + c) * step for c in combo)
-        width += 1
-
-
-def _clustered_candidates(strategy: SearchStrategy, n: int, r: int) -> Iterator[Tuple[Rational, ...]]:
     rng = random.Random(strategy.seed)
     clusters = strategy.cluster_count if strategy.cluster_count is not None else max(1, r - 1)
-    eps = to_rational(strategy.epsilon)
     span = max(2 * n, strategy.spread * n)
     while True:
         k = min(clusters, n)
@@ -143,20 +112,7 @@ def _clustered_candidates(strategy: SearchStrategy, n: int, r: int) -> Iterator[
             values.extend([c] * s)
         values.extend(centers[k:])
         values.sort()
-        yield split_repeats(values, eps)
-
-
-def _random_rational_candidates(strategy: SearchStrategy, n: int) -> Iterator[Tuple[Rational, ...]]:
-    rng = random.Random(strategy.seed)
-    bound = strategy.value_bound
-    dbound = strategy.denominator_bound
-    while True:
-        seen = set()
-        while len(seen) < n:
-            num = rng.randint(-bound, bound)
-            den = rng.randint(1, dbound)
-            seen.add(Rational(num, den))
-        yield tuple(sorted(seen))
+        yield split_repeats(values, DEFAULT_EPSILON)
 
 
 @dataclass(frozen=True)
@@ -233,7 +189,7 @@ def find_counterexample(
     if n < 1:
         raise InputError(f"need n >= 1, got n={n}")
     if strategy is None:
-        strategy = SearchStrategy(kind="clustered", seed=0)
+        strategy = SearchStrategy()
     exact = n < r or d == 1
     candidates = ([tuple(Rational(i) for i in range(1, n + 1))] if exact
                   else itertools.islice(alpha_candidates(strategy, n, r), max(budget, 0)))

@@ -465,9 +465,6 @@ class TestCLI:
     @pytest.mark.parametrize("flags, fields", [
         (["--cluster-count", "2", "--spread", "3"], {"kind": "clustered", "cluster_count": 2,
                                                       "spread": 3}),
-        (["--strategy", "random-rational", "--denominator-bound", "3"],
-         {"kind": "random-rational", "denominator_bound": 3}),
-        (["--strategy", "grid", "--grid-step", "2/4"], {"kind": "grid", "grid_step": "1/2"}),
     ])
     def test_search_c_strategy_flags_in_fingerprint(self, capsys, flags, fields):
         code, out = self.run(capsys, "search-c", "-d", "2", "-r", "2", "--n-from", "3",
@@ -855,8 +852,7 @@ class TestCLI:
         (["facets", "-d", "-1", "-n", "3"], "dim + 1 >= 2"),
         (["facets", "-d", "0", "-n", "3"], "dim + 1 >= 2"),
         (["neighborly", "-d", "-2", "-n", "3"], "dim + 1 >= 2"),
-        (["search-c", "-d", "2", "-r", "2", "--n-from", "3", "--n-to", "3",
-          "--strategy", "random-rational", "--denominator-bound", "0"], "denominator bound"),
+        (["search-c", "-d", "2", "-r", "2", "--n-from", "5", "--n-to", "3"], "empty n range"),
         (["search-c", "-d", "2", "-r", "2", "--n-from", "3", "--n-to", "3",
           "--cluster-count", "-1"], "cluster count"),
         (["gen", "-d", "2", "--alphas", "1,2,3", "--pointset-out", "MISSING/x.otps"],

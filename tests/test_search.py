@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from tverlab.cli import main
 from tverlab.errors import InputError, InternalError, ResourceGuardError
 from tverlab.feasibility import hulls_common_point, verify_outcome
 from tverlab.kernel import Rational
@@ -28,24 +29,35 @@ from tverlab.search import (
 )
 
 
+def stream_settings(n, seed):
+    """Cluster counts from none to past n, each under a tight and a wide spread."""
+    for cluster_count in (None, 0, 1, n, n + 5):
+        for spread in (1, 4):
+            yield SearchStrategy(seed=seed, cluster_count=cluster_count, spread=spread)
+
+
 class TestCandidateStreams:
     def test_deterministic_streams(self):
-        for kind in ("clustered", "grid", "random-rational"):
-            s = SearchStrategy(kind=kind, seed=42)
+        for s in stream_settings(5, seed=42):
             a = list(itertools.islice(alpha_candidates(s, 5, 3), 20))
             b = list(itertools.islice(alpha_candidates(s, 5, 3), 20))
             assert a == b
 
     def test_candidates_strictly_increasing(self):
-        for kind in ("clustered", "grid", "random-rational"):
-            s = SearchStrategy(kind=kind, seed=7)
+        for s in stream_settings(6, seed=7):
             for alphas in itertools.islice(alpha_candidates(s, 6, 3), 25):
                 assert len(alphas) == 6
                 assert all(x < y for x, y in zip(alphas, alphas[1:]))
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(InputError):
-            SearchStrategy(kind="annealing")
+        # kinds that are gone stay refused, by the library and by argparse
+        for kind in ("annealing", "grid", "random-rational"):
+            with pytest.raises(InputError):
+                SearchStrategy(kind=kind)
+            with pytest.raises(SystemExit) as exc:
+                main(["search-c", "-d", "2", "-r", "2", "--n-from", "3", "--n-to", "3",
+                      "--strategy", kind])
+            assert exc.value.code == 2
 
     def test_split_repeats(self):
         eps = Rational(1, 1000)
@@ -111,9 +123,8 @@ class TestFindCounterexample:
     def test_short_candidate_is_an_internal_error(self, monkeypatch):
         # a strategy that cannot yield n parameters is an input error, and a
         # candidate of another length is a fault, never a counterexample
-        for bad in ({"cluster_count": -1}, {"denominator_bound": 0}):
-            with pytest.raises(InputError):
-                SearchStrategy(kind="clustered", **bad)
+        with pytest.raises(InputError):
+            SearchStrategy(kind="clustered", cluster_count=-1)
         stream = alpha_candidates(SearchStrategy(kind="clustered", cluster_count=0), 5, 2)
         assert len(next(stream)) == 5
         import tverlab.search as search
