@@ -28,13 +28,21 @@ by row would change the reduced-cost signs and with them Bland's path.
 
 Hull intersection has two routes.  :func:`hulls_common_point` runs the
 simplex above and returns a certificate either way; it is the only source of
-printed certificates.  :func:`confirm_feasible` answers only "the hulls
-meet" or "unconfirmed", for callers that print nothing on a feasible answer:
-a floating-point phase-1 simplex proposes a basis, the canonical system on
-its structural columns is solved exactly (columns scaled as above, one
-Bareiss pass), and only a nonnegative exact solution confirms.  Floats never
-decide: any doubt falls back to :func:`hulls_common_point`.  Everything is
-pure; callers may run many solves concurrently.
+printed certificates.  :func:`screened_support` is the screen for every hull
+LP whose certificate is not printed (the c(d,r) search and the tolerance
+removal scan): a floating-point phase-1 simplex proposes a basis, the
+canonical system on its structural columns is solved once on integers, and
+only an exact basic solution of the right signs confirms that the hulls
+meet.  Floats never decide: any doubt falls back to
+:func:`hulls_common_point`.
+
+The screen takes integer points.  Multiplying each coordinate by its own
+positive number is an invertible linear map, so it maps hulls onto hulls and
+keeps whether they meet; a point set is lifted once, each coordinate column
+times the LCM of its denominators (``kernel.scale_columns``), and a moment
+set through its parameters: with k = L a for the LCM L of their
+denominators, ``(k, k^2, ..., k^d) = diag(L, L^2, ..., L^d) (a, a^2, ...,
+a^d)``.  Everything is pure; callers may run many solves concurrently.
 """
 
 from __future__ import annotations
@@ -211,6 +219,8 @@ def intersection_system(blocks: Sequence[Sequence[Point]], dim: int):
     one convexity row per block (coefficients sum to 1), then for each pair
     of consecutive blocks ``dim`` chain rows equating their combinations.
     Verifiers rebuild this exact layout when replaying Farkas certificates.
+    Entries are the coordinates and the ints 0 and 1, so integer points
+    give an integer system.
     """
     r = len(blocks)
     sizes = [len(b) for b in blocks]
@@ -219,20 +229,20 @@ def intersection_system(blocks: Sequence[Sequence[Point]], dim: int):
     rows = []
     rhs = []
     for k in range(r):
-        row = [ZERO] * total
+        row = [0] * total
         for j in range(sizes[k]):
-            row[offsets[k] + j] = ONE
+            row[offsets[k] + j] = 1
         rows.append(row)
-        rhs.append(ONE)
+        rhs.append(1)
     for k in range(r - 1):
         for c in range(dim):
-            row = [ZERO] * total
+            row = [0] * total
             for j, p in enumerate(blocks[k]):
                 row[offsets[k] + j] = p[c]
             for j, p in enumerate(blocks[k + 1]):
                 row[offsets[k + 1] + j] = -p[c]
             rows.append(row)
-            rhs.append(ZERO)
+            rhs.append(0)
     return rows, rhs
 
 
@@ -286,33 +296,37 @@ def hulls_common_point(blocks, dim=None) -> FeasibilityOutcome:
     )
 
 
-def confirm_feasible(blocks, dim=None) -> bool:
-    """True only with an exact proof that the hulls of the blocks meet.
+def screened_support(blocks, dim) -> Optional[Tuple[int, ...]]:
+    """The support of an exactly confirmed common point of the hulls of
+    blocks of integer points, as columns of :func:`intersection_system`;
+    None means unconfirmed, never infeasible.
 
-    A floating-point phase-1 simplex proposes a basis of the canonical
-    system; the system on its structural columns is then solved exactly, and
-    only a nonnegative exact solution, which is a feasible point, confirms.
-    False means unconfirmed, never infeasible: :func:`hulls_common_point`
-    decides such blocks and stays the one source of certificates.
+    :func:`_float_basis` proposes the structural basic columns S.  One
+    Bareiss pass makes the first |S| rows of the integer ``[A_S | b]`` upper
+    triangular, and fraction-free back substitution gives ``y = D x_S`` on
+    integers, D the last pivot.  The basic solution is a point of
+    ``A x = b, x >= 0`` exactly when A_S has rank |S|, b lies in its span and
+    no y_k has the sign opposite to D's.
     """
-    blocks, dim = _coerce_blocks(blocks, dim)
-    if not blocks or not all(blocks):
-        return False
     rows, rhs = intersection_system(blocks, dim)
-    return _confirmed_point(rows, rhs) is not None
-
-
-def _confirmed_point(rows, rhs):
-    """A point of ``A x = b, x >= 0`` found from a float basis and checked
-    exactly, or None."""
     try:
         basis = _float_basis(rows, rhs)
     except OverflowError:
         return None
-    x = None if basis is None else _basic_solution(rows, rhs, basis)
-    if x is None or any(v < 0 for v in x):
+    if basis is None:
         return None
-    return x
+    s = len(basis)
+    aug = [[row[j] for j in basis] + [b] for row, b in zip(rows, rhs)]
+    rank, _, last = _bareiss(aug, s)
+    if rank < s or any(row[s] for row in aug[s:]):
+        return None
+    y = [0] * s
+    for k in range(s - 1, -1, -1):
+        acc = last * aug[k][s] - sum(aug[k][j] * y[j] for j in range(k + 1, s))
+        y[k] = acc // aug[k][k]
+    if any((v < 0) != (last < 0) for v in y if v):
+        return None
+    return tuple(j for j, v in zip(basis, y) if v)
 
 
 #: float pivots at or below it, and reduced costs and objectives within it
@@ -331,9 +345,10 @@ def _float_basis(rows, rhs):
     n = len(rows[0]) if m else 0
     tableau = []
     for row, b in zip(rows, rhs):
-        # int / int rounds correctly, and raises OverflowError past the range
-        values = [v.numerator / v.denominator for v in row]
-        values.append(b.numerator / b.denominator)
+        # float() of an int rounds correctly, and raises OverflowError past
+        # the range
+        values = [float(v) for v in row]
+        values.append(float(b))
         scale = max(map(abs, values[:-1]), default=0.0) or 1.0
         scale = scale if values[-1] >= 0 else -scale
         tableau.append([v / scale for v in values])
@@ -362,31 +377,6 @@ def _float_basis(rows, rhs):
         obj = [v - f * w for v, w in zip(obj, pivot_row)]
         basis[leaving] = entering
     return None
-
-
-def _basic_solution(rows, rhs, basis):
-    """The exact x with ``A_S x_S = b`` on the columns S = ``basis`` and 0
-    elsewhere, or None when A_S has rank below |S| or b is not in its span.
-
-    Each column of ``[A_S | b]`` is scaled to integers by its own LCM, one
-    Bareiss pass makes the first |S| rows upper triangular, and fraction-free
-    back substitution gives ``y = D x'`` on integers, D the last pivot.
-    """
-    s = len(basis)
-    aug = [[row[j] for j in basis] + [b] for row, b in zip(rows, rhs)]
-    aug, scales = scale_columns(aug) if aug else ([], [1])
-    rank, _, last = _bareiss(aug, s)
-    if rank < s or any(row[s] for row in aug[s:]):
-        return None
-    y = [0] * s
-    for k in range(s - 1, -1, -1):
-        acc = last * aug[k][s] - sum(aug[k][j] * y[j] for j in range(k + 1, s))
-        y[k] = acc // aug[k][k]
-    x = [ZERO] * (len(rows[0]) if rows else 0)
-    for k, j in enumerate(basis):
-        # x_j = scale_j * x'_j / scale_b with x'_j = y_k / D
-        x[j] = Rational(scales[k] * y[k], scales[s] * last)
-    return x
 
 
 def _combination(block, coeffs, dim) -> Point:

@@ -3,9 +3,9 @@
 Every quantity in this package is an arbitrary-precision rational and every
 predicate is decided exactly, so search results double as certificates even
 on adversarially degenerate configurations.  Floats may propose, but they
-never decide: the one floating-point path (``feasibility.confirm_feasible``)
-suggests a simplex basis, and only an exact solve on that basis can confirm
-anything; when it cannot, the exact simplex decides.
+never decide: the one floating-point path (``feasibility.screened_support``)
+suggests a simplex basis, and only an exact integer solve on that basis can
+confirm anything; when it cannot, the exact simplex decides.
 
 Conventions:
 
@@ -33,6 +33,7 @@ unrestricted concurrent use.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -99,6 +100,13 @@ class PointSet:
 
     def __len__(self) -> int:
         return len(self.points)
+
+    @functools.cached_property
+    def lifted(self) -> Tuple[Tuple[int, ...], ...]:
+        """The points with each coordinate column times the LCM of its
+        denominators (:func:`scale_columns`): integers whose hulls meet, and
+        whose orientations have signs, as the points' do."""
+        return tuple(map(tuple, scale_columns(self.points)[0]))
 
 
 @dataclass(frozen=True)

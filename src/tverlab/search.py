@@ -35,13 +35,13 @@ from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 from .errors import InputError, InternalError, ResourceGuardError
 from .feasibility import (
     FeasibilityOutcome,
-    confirm_feasible,
     hulls_common_point,
+    screened_support,
     verify_outcome,
 )
-from .kernel import PointSet, Rational, to_rational
+from .kernel import PointSet, Rational, scale_to_integers, to_rational
 from .ordertype import MomentSpec, is_order_homogeneous, moment_points
-from .tolerance import alternating_partition, block_points, set_tolerance
+from .tolerance import set_tolerance
 
 #: Known 16-parameter configuration whose alternating 4-partition in R^3 has
 #: no common point once the repeats are split; witnesses c(3,4) >= 17.
@@ -139,10 +139,9 @@ class NoneFound:
 
 
 def alternating_blocks(X: PointSet, r: int):
-    """Points of the alternating r-partition of X; blocks past n stay empty."""
-    n = len(X)
-    blocks = block_points(X, alternating_partition(n, min(n, r)).blocks())
-    return blocks + [[] for _ in range(r - n)]
+    """Points of the alternating r-partition of X (point j, 1-based, in
+    block (j - 1) mod r + 1); blocks past n stay empty."""
+    return [list(X.points[k::r]) for k in range(r)]
 
 
 def moment_blocks(dim: int, r: int, alphas: Sequence):
@@ -150,15 +149,26 @@ def moment_blocks(dim: int, r: int, alphas: Sequence):
     return alternating_blocks(moment_points(MomentSpec(dim, alphas)), r)
 
 
+def _lifted_blocks(spec: MomentSpec, r: int):
+    """:func:`alternating_blocks` of the moment points of ``spec`` lifted to
+    integers through the parameters (see :mod:`tverlab.feasibility`): the
+    points' ``PointSet.lifted``, built with no Rational point."""
+    ks, _ = scale_to_integers(spec.alphas)
+    lifted = [tuple(k ** c for c in range(1, spec.dim + 1)) for k in ks]
+    return [lifted[k::r] for k in range(r)]
+
+
 def _certified(dim: int, r: int, alphas) -> Optional[Counterexample]:
     """The certified counterexample on the moment points of ``alphas``, or
     None when their alternating r-partition has a common point.  Nearly every
-    candidate is feasible, and an exactly confirmed one prints nothing; the
-    canonical simplex decides and certifies the rest."""
-    X = moment_points(MomentSpec(dim, alphas))
-    blocks = alternating_blocks(X, r)
-    if confirm_feasible(blocks, dim):
+    candidate is feasible, and one the integer screen confirms on its lifted
+    parameters prints nothing and builds no rational point; the canonical
+    simplex decides and certifies the rest."""
+    spec = MomentSpec(dim, alphas)
+    if screened_support(_lifted_blocks(spec, r), dim) is not None:
         return None
+    X = moment_points(spec)
+    blocks = alternating_blocks(X, r)
     outcome = hulls_common_point(blocks, dim)
     if outcome.feasible:
         return None
@@ -188,6 +198,9 @@ def find_counterexample(
     """
     if n < 1:
         raise InputError(f"need n >= 1, got n={n}")
+    if r < 1:
+        raise InputError("the alternating partition needs n >= r >= 1 or n < r, "
+                         f"got n={n}, r={r}")
     if strategy is None:
         strategy = SearchStrategy()
     exact = n < r or d == 1

@@ -39,16 +39,22 @@ set is tested.  For r >= 3 with d >= 2 the rule is only a necessary pairwise
 filter, the LP decides what passes, and the pair bound tops the removal scan.
 A line with a repeated value is homogeneous in no order and keeps the removal
 enumeration.
+
+The removal scan prints no LP's certificate.  The integer screen of
+:func:`~tverlab.feasibility.screened_support` confirms most common points on
+the set's integer lift, and a removal that misses the support of a common
+point already found for the same partition keeps that point, so it is not
+tested at all.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import InputError, InternalError, ResourceGuardError
-from .feasibility import hulls_common_point, intervals_common_point
+from .feasibility import hulls_common_point, intervals_common_point, screened_support
 from .kernel import PointSet
 from .ordertype import is_order_homogeneous
 
@@ -148,14 +154,26 @@ def _run_order(X: PointSet, r: int, homogeneity=None) -> Optional[Tuple[int, ...
     return tuple(range(n)) if result.homogeneous and not result.trivial else None
 
 
-def _depleted_feasible(block_indices, X: PointSet, removed, order) -> bool:
+def _depleted_feasible(block_indices, X: PointSet, removed, order) -> Optional[Set[int]]:
+    """The support of a common point of the blocks' hulls once ``removed``
+    is taken out, as 1-based indices, or None when they have none.  On a line
+    it is every survivor; otherwise the integer screen confirms most common
+    points on ``X.lifted``, and the canonical simplex decides the rest."""
     survivors = [[i for i in block if i not in removed] for block in block_indices]
     if _pair_bound(survivors, X, order)[0] < 0:
-        return False
-    blocks = block_points(X, survivors)
+        return None
+    flat = [i for block in survivors for i in block]
     if X.dim == 1:
-        return intervals_common_point([[p[0] for p in b] for b in blocks]) is not None
-    return hulls_common_point(blocks, X.dim).feasible
+        values = [[X.points[i - 1][0] for i in block] for block in survivors]
+        return None if intervals_common_point(values) is None else set(flat)
+    columns = screened_support([[X.lifted[i - 1] for i in block] for block in survivors], X.dim)
+    if columns is None:
+        outcome = hulls_common_point(block_points(X, survivors), X.dim)
+        if not outcome.feasible:
+            return None
+        coefficients = itertools.chain(*outcome.witness.coefficients)
+        columns = [j for j, c in enumerate(coefficients) if c]
+    return {flat[j] for j in columns}
 
 
 def _run_step(same, other):
@@ -251,11 +269,20 @@ def _report(block_indices, X, cap, order, value, breaking) -> ToleranceReport:
 
 def _first_breaking_set(block_indices, X, sizes, order):
     """First removal that breaks, by size in ``sizes`` and lexicographically
-    within a size; None when none does."""
+    within a size; None when none does.  A common point stays one after
+    removing points where its coefficients are 0, so a removal that misses
+    the support of one found before does not break and is not tested; the
+    supports are tried most recent first."""
+    supports: List[Set[int]] = []
     for size in sizes:
         for combo in itertools.combinations(range(1, len(X) + 1), size):
-            if not _depleted_feasible(block_indices, X, set(combo), order):
+            removed = set(combo)
+            if any(removed.isdisjoint(support) for support in reversed(supports)):
+                continue
+            support = _depleted_feasible(block_indices, X, removed, order)
+            if support is None:
                 return combo
+            supports.append(support)
     return None
 
 

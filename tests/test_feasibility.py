@@ -1,22 +1,29 @@
+import itertools
 import random
 
 from oracles import (
     hulls_intersect_2d,
     interval_common_point,
 )
-from tverlab import feasibility
+from tverlab import feasibility, search
 from tverlab.feasibility import (
     FarkasCertificate,
-    confirm_feasible,
     hulls_common_point,
     intervals_common_point,
+    screened_support,
     solve_equality_feasibility,
     verify_outcome,
     verify_witness,
 )
-from tverlab.kernel import Rational
+from tverlab.kernel import PointSet, Rational
 from tverlab.ordertype import MomentSpec, moment_points
-from tverlab.search import alternating_blocks, split_repeats, sixteen_point_alphas
+from tverlab.search import (
+    SearchStrategy,
+    alpha_candidates,
+    alternating_blocks,
+    split_repeats,
+    sixteen_point_alphas,
+)
 
 
 def blocks_1d(*groups):
@@ -129,11 +136,33 @@ def is_feasible_point(rows, rhs, x):
     )
 
 
+def lift(blocks, d):
+    """The blocks' points lifted as ``PointSet.lifted`` lifts them all."""
+    ints = iter(PointSet(d, [p for block in blocks for p in block]).lifted)
+    return [[next(ints) for _ in block] for block in blocks]
+
+
+def holds_a_point(blocks, d, support):
+    """The canonical system of the rational blocks has a point whose
+    nonzero entries are exactly the columns of ``support``, checked by the
+    canonical simplex on those columns alone and recomputed exactly."""
+    rows, rhs = feasibility.intersection_system(blocks, d)
+    status, x_s = solve_equality_feasibility([[row[j] for j in support] for row in rows], rhs)
+    if status != "feasible" or not all(v > 0 for v in x_s):
+        return False
+    x = [Rational(0)] * (len(rows[0]) if rows else 0)
+    for j, v in zip(support, x_s):
+        x[j] = v
+    return is_feasible_point(rows, rhs, x)
+
+
 class TestConfirmFeasible:
+    """The integer screen, ``screened_support``, on lifted systems."""
+
     def test_true_only_where_the_canonical_simplex_finds_feasible(self):
         tally = {}
         for blocks, d in confirmation_cases():
-            confirmed = confirm_feasible(blocks, d)
+            confirmed = screened_support(lift(blocks, d), d) is not None
             canonical = hulls_common_point(blocks, d).feasible
             assert canonical or not confirmed, (blocks, d)
             tally[confirmed, canonical] = tally.get((confirmed, canonical), 0) + 1
@@ -144,58 +173,88 @@ class TestConfirmFeasible:
         assert tally.get((True, True), 0) >= 50
 
     def test_confirmed_point_is_a_point_of_the_canonical_system(self):
-        for blocks, d in confirmation_cases()[::7]:
-            rows, rhs = feasibility.intersection_system(blocks, d)
-            x = feasibility._confirmed_point(rows, rhs)
-            assert x is None or is_feasible_point(rows, rhs, x)
+        # the support holds a point of the unlifted system, positive on it
+        confirmed = 0
+        for blocks, d in confirmation_cases():
+            support = screened_support(lift(blocks, d), d)
+            if support is not None:
+                confirmed += 1
+                assert holds_a_point(blocks, d, support), (blocks, d)
+        assert confirmed >= 50
 
     def test_sixteen_point_system_is_not_confirmed(self):
-        X = moment_points(MomentSpec(3, sixteen_point_alphas()))
-        assert not confirm_feasible(alternating_blocks(X, 4), 3)
+        spec = MomentSpec(3, sixteen_point_alphas())
+        assert screened_support(search._lifted_blocks(spec, 4), 3) is None
+
+    def test_moment_sets_lift_through_their_parameters(self):
+        # k = L a gives the points PointSet.lifted gives, so the screen on
+        # the lifted parameters decides as the screen on the lifted set
+        decided = set()
+        for d in (1, 2, 3, 4):
+            for r in (1, 2, 3, 4):
+                for seed in range(3):
+                    strategy = SearchStrategy(seed=seed)
+                    for alphas in itertools.islice(alpha_candidates(strategy, 3 * r + d, r), 4):
+                        spec = MomentSpec(d, alphas)
+                        X = moment_points(spec)
+                        by_parameters = search._lifted_blocks(spec, r)
+                        by_set = lift(alternating_blocks(X, r), d)
+                        assert by_parameters == by_set
+                        support = screened_support(by_parameters, d)
+                        assert support == screened_support(by_set, d)
+                        decided.add(support is not None)
+        assert decided == {True, False}
 
     def test_every_proposed_basis_is_checked_exactly(self, monkeypatch):
-        # whatever basis the float pass proposes, a confirmation is a
-        # nonnegative exact solution: each column subset of small systems,
-        # infeasible ones among them, is proposed in turn
+        # whatever basis the float pass proposes, the screen solves it on
+        # integers and confirms only a point of the system: each column
+        # subset of small lifted systems, infeasible ones among them, is
+        # proposed in turn, and a confirmation happens only where the
+        # canonical simplex says feasible
         rng = random.Random(7)
         systems = [blocks_1d([0, 1], [2, 3]), blocks_1d([0, 2], [1, 3]),
                    blocks_1d([1, 4], [2, 5], [3])]
         for _ in range(12):
             d = rng.randint(1, 2)
-            systems.append([[tuple(Rational(rng.randint(-3, 3)) for _ in range(d))
+            systems.append([[tuple(Rational(rng.randint(-6, 6), rng.randint(1, 3))
+                                   for _ in range(d))
                              for _ in range(rng.randint(1, 3))] for _ in range(2)])
-        import itertools
-
+        proposed = []
         confirmed = rejected = 0
         for blocks in systems:
             d = len(blocks[0][0])
-            rows, rhs = feasibility.intersection_system(blocks, d)
+            lifted = lift(blocks, d)
+            rows, _ = feasibility.intersection_system(lifted, d)
             feasible = hulls_common_point(blocks, d).feasible
             for size in range(len(rows) + 1):
                 for basis in itertools.combinations(range(len(rows[0])), size):
-                    monkeypatch.setattr(feasibility, "_float_basis", lambda *a, b=basis: list(b))
-                    x = feasibility._confirmed_point(rows, rhs)
-                    if x is None:
+                    def propose(*args, b=basis):
+                        proposed.append(b)
+                        return list(b)
+
+                    monkeypatch.setattr(feasibility, "_float_basis", propose)
+                    support = screened_support(lifted, d)
+                    assert proposed[-1] == basis
+                    if support is None:
                         rejected += 1
                         continue
                     confirmed += 1
-                    assert feasible and is_feasible_point(rows, rhs, x), (blocks, basis)
-                    assert confirm_feasible(blocks, d)
+                    assert feasible and set(support) <= set(basis), (blocks, basis)
+                    assert holds_a_point(blocks, d, support), (blocks, basis)
         assert confirmed and rejected
 
     def test_float_overflow_is_unconfirmed(self):
-        big = Rational(10) ** 400
-        blocks = [[(big, Rational(1)), (-big, Rational(1))], [(Rational(0), Rational(1))]]
-        assert not confirm_feasible(blocks, 2)
+        big = 10 ** 400
+        blocks = [[(big, 1), (-big, 1)], [(0, 1)]]
+        assert screened_support(blocks, 2) is None
         assert hulls_common_point(blocks, 2).feasible
 
     def test_empty_systems(self):
-        # no blocks: the empty system (m = 0) is feasible, but a family of no
-        # hulls is not a question the canonical path answers either
-        assert feasibility._confirmed_point([], []) == []
-        assert not confirm_feasible([], 2)
-        assert not confirm_feasible([[(0, 0)], []], 2)
-        assert confirm_feasible([[(0, 0)]], 2)
+        # no blocks: the empty system (m = 0) has the empty point; an empty
+        # block has no point, and a one-point block has that point
+        assert screened_support([], 2) == ()
+        assert screened_support([[(0, 0)], []], 2) is None
+        assert screened_support([[(0, 0)]], 2) == (0,)
 
 
 class TestOracleEquivalence:

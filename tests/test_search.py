@@ -148,21 +148,21 @@ def test_canonical_simplex_decides_every_unconfirmed_candidate(monkeypatch):
         for outcome in [hulls_common_point(moment_blocks(3, 4, alphas), 3)]
         if not outcome.feasible
     )
-    real_confirm, real_hulls = searchmod.confirm_feasible, searchmod.hulls_common_point
+    real_screen, real_hulls = searchmod.screened_support, searchmod.hulls_common_point
     for always_unconfirmed in (False, True):
         confirmed, decided = [], []
 
-        def confirm(blocks, dim):
-            ok = not always_unconfirmed and real_confirm(blocks, dim)
-            confirmed.append(ok)
-            return ok
+        def screen(blocks, dim):
+            support = None if always_unconfirmed else real_screen(blocks, dim)
+            confirmed.append(support is not None)
+            return support
 
         def hulls(blocks, dim=None):
             outcome = real_hulls(blocks, dim)
             decided.append(outcome.feasible)
             return outcome
 
-        monkeypatch.setattr(searchmod, "confirm_feasible", confirm)
+        monkeypatch.setattr(searchmod, "screened_support", screen)
         monkeypatch.setattr(searchmod, "hulls_common_point", hulls)
         res = find_counterexample(3, 4, 16, strategy=strategy, budget=40)
         assert isinstance(res, Counterexample)
