@@ -157,8 +157,9 @@ def _run_order(X: PointSet, r: int, homogeneity=None) -> Optional[Tuple[int, ...
 def _depleted_feasible(block_indices, X: PointSet, removed, order) -> Optional[Set[int]]:
     """The support of a common point of the blocks' hulls once ``removed``
     is taken out, as 1-based indices, or None when they have none.  On a line
-    it is every survivor; otherwise the integer screen confirms most common
-    points on ``X.lifted``, and the canonical simplex decides the rest."""
+    it is every survivor, as the interval test names no witness; otherwise
+    the integer screen confirms most common points on ``X.lifted``, and the
+    canonical simplex decides the rest."""
     survivors = [[i for i in block if i not in removed] for block in block_indices]
     if _pair_bound(survivors, X, order)[0] < 0:
         return None
