@@ -378,7 +378,7 @@ def _cmd_search_c(args):
     if args.n_to < args.n_from:
         raise InputError(f"empty n range: --n-to {args.n_to} is below --n-from {args.n_from}")
     strategy = _strategy_from(args)
-    budget = args.budget if args.budget is not None else 1000
+    budget = args.budget if args.budget is not None else searchmod.DEFAULT_BUDGET
     fingerprint = _strategy_fingerprint(strategy, budget)
     found = _load_resume(args, fingerprint)
     ns = range(args.n_from, args.n_to + 1)
@@ -631,21 +631,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--offset", required=True)
     p.set_defaults(handler=_cmd_crossings)
 
+    # a command's mode flags are one exclusive group: two of them exit 2
     p = sub.add_parser("intersect", parents=[common], help="common point of block hulls")
     p.add_argument("pointset")
-    p.add_argument("--blocks", help="e.g. '1,4;2,5;3'")
-    p.add_argument("--alternating", type=int, metavar="R")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--blocks", help="e.g. '1,4;2,5;3'")
+    mode.add_argument("--alternating", type=int, metavar="R")
     p.add_argument("--expect", choices=("feasible", "infeasible"))
     p.set_defaults(handler=_cmd_intersect)
 
     p = sub.add_parser("tolerance", parents=[common], help="partition or set tolerance")
     p.add_argument("pointset")
-    p.add_argument("--blocks")
-    p.add_argument("--alternating", type=int, metavar="R")
-    p.add_argument("--set", dest="set_mode", action="store_true",
-                   help="maximize over all r-partitions")
-    p.add_argument("--sandwich", action="store_true",
-                   help="check the homogeneous-set tolerance sandwich")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--blocks")
+    mode.add_argument("--alternating", type=int, metavar="R")
+    mode.add_argument("--set", dest="set_mode", action="store_true",
+                      help="maximize over all r-partitions")
+    mode.add_argument("--sandwich", action="store_true",
+                      help="check the homogeneous-set tolerance sandwich")
     p.add_argument("-r", type=int, help="number of blocks for --set/--sandwich")
     p.set_defaults(handler=_cmd_tolerance)
 

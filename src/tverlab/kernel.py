@@ -38,14 +38,10 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction as Rational
 from typing import Iterable, Iterator, Sequence, Tuple
 
 from .errors import InputError
-
-try:  # gmpy2 rationals are drop-in replacements for Fraction
-    from gmpy2 import mpq as Rational
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as Rational
 
 #: Convenience alias used throughout: points are plain tuples of rationals.
 Point = Tuple[Rational, ...]

@@ -112,7 +112,7 @@ def jsonable(value):
             "dim": value.dim,
             "points": [[format_rational(c) for c in p] for p in value.points],
         }
-    # rationals (mpq / Fraction) and anything rational-like
+    # Fractions and anything rational-like
     return format_rational(value)
 
 

@@ -50,6 +50,9 @@ SIXTEEN_POINT_PARAMS = (-4, -3, -2, -2, -2, -1, -1, -1, 0, 1, 2, 6, 6, 7, 8, 9)
 #: Starting perturbation step for splitting repeated parameters.
 DEFAULT_EPSILON = Rational(1, 1000)
 
+#: Candidates tried per n when no budget is given.
+DEFAULT_BUDGET = 1000
+
 #: Guard for exhaustive d=1 tolerance tables.
 T_LINE_GUARD = 14
 
@@ -185,7 +188,7 @@ def find_counterexample(
     r: int,
     n: int,
     strategy: Optional[SearchStrategy] = None,
-    budget: int = 1000,
+    budget: int = DEFAULT_BUDGET,
 ):
     """Search for an n-point moment configuration breaking the alternating
     partition; returns a :class:`Counterexample` or :class:`NoneFound`.
@@ -243,7 +246,7 @@ def scan_c_lower(
     r: int,
     n_range: Sequence[int],
     strategy: Optional[SearchStrategy] = None,
-    budget: int = 1000,
+    budget: int = DEFAULT_BUDGET,
     on_result: Optional[Callable[[int, object], None]] = None,
 ) -> ScanResult:
     """Run :func:`find_counterexample` for each n, independently.

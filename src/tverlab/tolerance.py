@@ -36,7 +36,8 @@ Helly in R^1, pairwise meeting intervals share a point), and r = 1, whose one
 block keeps a common point until emptied, in every dimension and with no LP;
 there the breaking set is read off the same DP index by index, and no removal
 set is tested.  For r >= 3 with d >= 2 the rule is only a necessary pairwise
-filter, the LP decides what passes, and the pair bound tops the removal scan.
+filter, the LP decides what passes, and the removal scan that finds the
+tolerance runs to one size past the pair bound, so it names the breaking set.
 A line with a repeated value is homogeneous in no order and keeps the removal
 enumeration.
 
@@ -244,61 +245,51 @@ def partition_tolerance(
     """Exact tolerance of one partition by increasing-size removal search."""
     if partition.n != len(X):
         raise InputError("partition size does not match point set")
-    order = _run_order(X, partition.r)
-    block_indices = partition.blocks()
     cap = len(X) if budget is None else min(budget, len(X))
-    value, breaking = _tolerance(block_indices, X, -1, cap, order)
-    return _report(block_indices, X, cap, order, value, breaking)
+    value, breaking = _tolerance(partition.blocks(), X, -2, cap, _run_order(X, partition.r))
+    return _report(value, breaking, cap)
 
 
-def _report(block_indices, X, cap, order, value, breaking) -> ToleranceReport:
+def _report(value, breaking, cap) -> ToleranceReport:
     """The report of a partition whose tolerance, capped at ``cap``, is
-    ``value``; ``breaking`` is its first breaking set when a scan already
-    found it, else it is read off the pair bound where pairs decide and
-    searched for at size ``value + 1`` where they do not."""
+    ``value`` and whose first breaking set is ``breaking``."""
     if value >= cap:
         return ToleranceReport(value=cap, breaking_set=None, exhausted=False)
-    if breaking is None and _pair_bound(block_indices, X, order)[1]:
-        breaking = _pair_breaking_set(block_indices, X, value + 1, order)
-    elif breaking is None:
-        breaking = _first_breaking_set(block_indices, X, [value + 1], order)
     if breaking is None:
         raise InternalError(f"no removal of size {value + 1} breaks a partition "
                             f"of tolerance {value}")
     return ToleranceReport(value=value, breaking_set=breaking, exhausted=True)
 
 
-def _first_breaking_set(block_indices, X, sizes, order):
-    """First removal that breaks, by size in ``sizes`` and lexicographically
-    within a size; None when none does.  A common point stays one after
-    removing points where its coefficients are 0, so a removal that misses
-    the support of one found before does not break and is not tested; the
-    supports are tried most recent first."""
+def _tolerance(block_indices, X, floor, cap, order):
+    """``(max(floor, min(t, cap)), breaking)`` for the exact tolerance t:
+    removal sizes at or below ``floor`` and above ``cap`` are never tested.
+    Breaking sets are upward closed, so the first size that breaks is t + 1;
+    where floor < t < cap, ``breaking`` is the lexicographically first
+    breaking set of that size.  Where pairs decide it is read off the pair
+    DP; elsewhere the removal scan runs by increasing size, lexicographically
+    within a size, up to one past the pair bound, which some removal of that
+    size breaks.  A common point stays one after removing points where its
+    coefficients are 0, so a removal that misses the support of one found at
+    any size before does not break and is not tested; the supports are tried
+    most recent first."""
+    bound, exact = _pair_bound(block_indices, X, order)
+    top = min(bound, cap)
+    if top <= floor:
+        return floor, None
+    if exact:
+        return top, _pair_breaking_set(block_indices, X, top + 1, order) if top < cap else None
     supports: List[Set[int]] = []
-    for size in sizes:
+    for size in range(max(floor, -1) + 1, min(bound + 1, cap) + 1):
         for combo in itertools.combinations(range(1, len(X) + 1), size):
             removed = set(combo)
             if any(removed.isdisjoint(support) for support in reversed(supports)):
                 continue
             support = _depleted_feasible(block_indices, X, removed, order)
             if support is None:
-                return combo
+                return size - 1, combo
             supports.append(support)
-    return None
-
-
-def _tolerance(block_indices, X, floor, cap, order):
-    """``(max(floor, min(t, cap)), breaking)`` for the exact tolerance t:
-    removal sizes at or below ``floor`` and above ``cap`` are never tested.
-    Breaking sets are upward closed, so the first size that breaks is t + 1;
-    ``breaking`` is the first breaking set of that size when the scan reached
-    it, else None."""
-    bound, exact = _pair_bound(block_indices, X, order)
-    top = min(bound, cap)
-    if exact or top <= floor:
-        return max(floor, top), None
-    breaking = _first_breaking_set(block_indices, X, range(max(floor, -1) + 1, top + 1), order)
-    return (top if breaking is None else len(breaking) - 1), breaking
+    return top, None
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +379,7 @@ def _set_tolerance(X, r, budget, guard, homogeneity):
     order = _run_order(X, r, homogeneity)
     cap = n if budget is None else min(budget, n)
     alternating = alternating_partition(n, r)
-    seed = _tolerance(alternating.blocks(), X, -1, cap, order)
+    seed = _tolerance(alternating.blocks(), X, -2, cap, order)
     # a reversed run order has the same runs
     monotone = order in (tuple(range(n)), tuple(range(n - 1, -1, -1)))
     target = _Target(seed[0] - 1, X.dim + 1 if monotone else None)
@@ -397,19 +388,18 @@ def _set_tolerance(X, r, budget, guard, homogeneity):
     # so the last recorded is the lexicographically first maximum
     found = None
     for partition in iter_partitions(n, r, target):
-        blocks = partition.blocks()
         # the seed is the alternating partition's: where it beats target.best, a
         # scan from size 0 meets the first breaking set one from best + 1 would
         value, breaking = (seed if partition.labels == alternating.labels
-                           else _tolerance(blocks, X, target.best, cap, order))
+                           else _tolerance(partition.blocks(), X, target.best, cap, order))
         if value > target.best:
-            target.best, found = value, (blocks, partition, breaking)
+            target.best, found = value, (partition, breaking)
             if value >= cap:
                 break
     if found is None:
         raise InternalError("no partition achieves the alternating partition's tolerance")
-    blocks, partition, breaking = found
-    return _report(blocks, X, cap, order, target.best, breaking), partition
+    partition, breaking = found
+    return _report(target.best, breaking, cap), partition
 
 
 # ---------------------------------------------------------------------------

@@ -888,6 +888,24 @@ class TestCLI:
         assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
         assert message in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["intersect", "LINE", "--blocks", "1,2;3,4,5", "--alternating", "2"],
+        ["tolerance", "LINE", "--blocks", "1,2;3,4,5", "--alternating", "2"],
+        ["tolerance", "LINE", "--set", "-r", "2", "--blocks", "1,2;3,4,5"],
+        ["tolerance", "LINE", "--set", "-r", "2", "--alternating", "2"],
+        ["tolerance", "LINE", "--sandwich", "-r", "2", "--set"],
+        ["tolerance", "LINE", "--sandwich", "-r", "2", "--blocks", "1,2;3,4,5"],
+    ])
+    def test_conflicting_modes_exit_2(self, capsys, tmp_path, argv):
+        # two mode flags are refused, not one of them silently dropped
+        line = tmp_path / "line5.otps"
+        line.write_text("otps 1 5\n1\n2\n3\n4\n5\n")
+        with pytest.raises(SystemExit) as exc:
+            main([str(line) if a == "LINE" else a for a in argv])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert "not allowed with argument" in captured.err
+
     def test_reports_byte_identical_modulo_timing(self, capsys):
         def strip_timing(lines):
             out = []

@@ -419,6 +419,19 @@ class TestSetTolerance:
             (1, 2, 3, 1, 2, 3, 1, 2, 1, 3),
         )
 
+    def test_breaking_set_scan_keeps_its_supports(self, monkeypatch):
+        # the argmax partition's own scan runs one size past the pair bound
+        # and names the breaking set with the supports of every size before:
+        # 79 removal sets, where a fresh second scan of that size made 90
+        removals = record_removals(monkeypatch)
+        X = moment_points(MomentSpec(3, range(1, 17)))
+        rep, part = set_tolerance(X, 3, guard=16)
+        assert len(removals) == 79
+        assert (rep, part.labels) == (
+            ToleranceReport(value=2, breaking_set=(4, 7, 10), exhausted=True),
+            (1, 1, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2),
+        )
+
     @pytest.mark.parametrize("n, r, partitions", [(12, 2, 1), (12, 3, 1), (12, 4, 1)])
     def test_line_search_is_one_pruned_pass(self, monkeypatch, n, r, partitions):
         # the branch and bound yields only partitions that beat the best so
