@@ -36,7 +36,6 @@ from .ordertype import (
 from .feasibility import (
     EmptyBlockCertificate,
     FarkasCertificate,
-    FeasibilityOutcome,
     Witness,
     hulls_common_point,
     intervals_common_point,

@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from . import search as searchmod
-from .errors import InputError, InternalError, ResourceGuardError
+from .errors import InputError, InternalError, ParseError, ResourceGuardError
 from .feasibility import hulls_common_point, verify_outcome
 from .kernel import Hyperplane, PointSet
 from .ordertype import (
@@ -49,6 +49,7 @@ from .ordertype import (
     path_crossings,
 )
 from .pointset_io import (
+    RECORD_START,
     ReportRecord,
     emit_pointset,
     encode_points,
@@ -97,7 +98,7 @@ CLAIM_GROWTH = "Thm1.1-d1"
 
 
 def _read_text(path: str) -> str:
-    return sys.stdin.read() if path == "-" else Path(path).read_text()
+    return sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
 
 
 def _load_pointset(path: str) -> PointSet:
@@ -144,7 +145,7 @@ def _cmd_gen(args):
     ps = moment_points(spec)
     text = emit_pointset(ps)
     if args.pointset_out:
-        Path(args.pointset_out).write_text(text)
+        Path(args.pointset_out).write_text(text, encoding="utf-8")
     record = ReportRecord(
         command="gen",
         inputs={"dim": args.dim, "alphas": [format_rational(a) for a in alphas]},
@@ -254,6 +255,9 @@ def _cmd_tolerance(args):
     if args.sandwich:
         if args.r is None:
             raise InputError("--sandwich needs -r")
+        if args.budget is not None:
+            # the sandwich's bounds hold only for the exact tolerance
+            raise InputError("--sandwich takes no --budget")
         rep = check_tolerance_sandwich(ps, args.r)
         record = ReportRecord(
             command="tolerance",
@@ -276,6 +280,8 @@ def _cmd_tolerance(args):
         mode = "set"
     else:
         partition = _partition_for(args, len(ps))
+        if args.r not in (None, partition.r):
+            raise InputError(f"-r {args.r} differs from the partition's {partition.r} blocks")
         report = partition_tolerance(ps, partition, budget=args.budget)
         mode = "partition"
     record = ReportRecord(
@@ -354,20 +360,26 @@ def _scan_record(args, strategy, n, result, fingerprint) -> ReportRecord:
 
 def _load_resume(args, fingerprint) -> Dict[int, bool]:
     """What the ``--out`` checkpoint found at each n (:func:`_scan_found`),
-    with a warning for each record dropped and for a torn final line."""
+    with a warning for each record dropped and for a torn final line.  The
+    whole file is checked before the torn line is cut off: a file that is
+    not a report is an input error and stays as it was."""
     path = Path(args.out) if args.out else None
     if not path or not path.exists():
         return {}
     data = path.read_bytes()
     cut = data.rfind(b"\n") + 1
-    if cut < len(data):
-        # every record is written with its newline: an unended last line is
-        # an append cut short, which later appends would run onto
+    records = load_records(data[:cut].decode("utf-8"))
+    tail = data[cut:]
+    if tail[: len(RECORD_START)] != RECORD_START[: len(tail)]:
+        raise ParseError("an unended last line that is not the start of a record",
+                         line=data.count(b"\n") + 1)
+    if tail:
+        # every record is written with its newline: an unended record line
+        # is an append cut short, which later appends would run onto
         print(f"warning: {path}: dropping a torn final line", file=sys.stderr)
         os.truncate(path, cut)
-        data = data[:cut]
     inputs = {"d": args.dim, "r": args.r, "strategy": jsonable(fingerprint)}
-    found, dropped = _scan_found(load_records(data.decode()), inputs, _replay_bound)
+    found, dropped = _scan_found(records, inputs, _replay_bound)
     for n in dropped:
         print(f"warning: {path}: dropping the n={n} counterexample, whose certificate "
               "does not replay against its own inputs", file=sys.stderr)
@@ -649,7 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="maximize over all r-partitions")
     mode.add_argument("--sandwich", action="store_true",
                       help="check the homogeneous-set tolerance sandwich")
-    p.add_argument("-r", type=int, help="number of blocks for --set/--sandwich")
+    p.add_argument("-r", type=int, help="number of blocks; --set and --sandwich need it")
     p.set_defaults(handler=_cmd_tolerance)
 
     p = sub.add_parser("bounds", parents=[common], help="threshold/tolerance bound formulas")
@@ -714,7 +726,7 @@ def main(argv=None) -> int:
         line = record.to_json_line()
         emitted.append((record, line))
         if args.out:
-            with open(args.out, "a") as fh:
+            with open(args.out, "a", encoding="utf-8") as fh:
                 fh.write(line + "\n")
 
     args.emit = emit  # search-c emits each n as it finishes
@@ -724,7 +736,9 @@ def main(argv=None) -> int:
         records, failed = args.handler(args)
         for record in records:
             emit(record)
-    except (InputError, OSError) as exc:  # ParseError; OSError: a path unreadable or unwritable
+    # ParseError; OSError: a path unreadable or unwritable; UnicodeDecodeError:
+    # a file that is not UTF-8 text
+    except (InputError, OSError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except ResourceGuardError as exc:

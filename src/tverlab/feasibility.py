@@ -27,13 +27,13 @@ and multipliers are those of the same simplex run on Fractions; scaling row
 by row would change the reduced-cost signs and with them Bland's path.
 
 Hull intersection has two routes.  :func:`hulls_common_point` runs the
-simplex above and returns a certificate either way; it is the only source of
-printed certificates.  :func:`screened_support` is the screen for every hull
-LP whose certificate is not printed (the c(d,r) search and the tolerance
-removal scan): a floating-point phase-1 simplex proposes a basis, the
-canonical system on its structural columns is solved once on integers, and
-only an exact basic solution of the right signs confirms that the hulls
-meet.  Floats never decide: any doubt falls back to
+simplex above and returns its evidence, a witness or a certificate; it is
+the only source of printed certificates.  :func:`screened_support` is the
+screen for every hull LP whose certificate is not printed (the c(d,r) search
+and the tolerance removal scan): a floating-point phase-1 simplex proposes a
+basis, the canonical system on its structural columns is solved once on
+integers, and only an exact basic solution of the right signs confirms that
+the hulls meet.  Floats never decide: any doubt falls back to
 :func:`hulls_common_point`.
 
 The screen takes integer points.  Multiplying each coordinate by its own
@@ -168,13 +168,15 @@ def _normalize_multipliers(values: Sequence[Rational]) -> Tuple[Rational, ...]:
 
 
 # ---------------------------------------------------------------------------
-# outcome and certificate types
+# evidence types: each is a hull decision, with its verdict as class constants
 
 
 @dataclass(frozen=True)
 class Witness:
     """A common point plus per-block convex coefficients, exactly checkable."""
 
+    feasible = True
+    status = "feasible"
     point: Point
     coefficients: Tuple[Tuple[Rational, ...], ...]
 
@@ -187,6 +189,8 @@ class FarkasCertificate:
     normalized to coprime integers (positive scaling only).
     """
 
+    feasible = False
+    status = "infeasible"
     multipliers: Tuple[Rational, ...]
 
 
@@ -194,18 +198,9 @@ class FarkasCertificate:
 class EmptyBlockCertificate:
     """Infeasibility because a block is empty (conv(emptyset) = emptyset)."""
 
+    feasible = False
+    status = "infeasible"
     block_index: int
-
-
-@dataclass(frozen=True)
-class FeasibilityOutcome:
-    status: str  # "feasible" | "infeasible"
-    witness: Optional[Witness] = None
-    certificate: Optional[object] = None
-
-    @property
-    def feasible(self) -> bool:
-        return self.status == "feasible"
 
 
 # ---------------------------------------------------------------------------
@@ -264,36 +259,28 @@ def _coerce_blocks(blocks, dim=None):
     return coerced, dim
 
 
-def hulls_common_point(blocks, dim=None) -> FeasibilityOutcome:
+def hulls_common_point(blocks, dim=None) -> Witness | FarkasCertificate | EmptyBlockCertificate:
     """Decide exactly whether the convex hulls of the blocks intersect.
 
-    Feasible outcomes carry a witness point with per-block convex
-    coefficients; infeasible outcomes carry a replayable certificate.
+    Returns the evidence: a :class:`Witness` when they meet, otherwise a
+    :class:`FarkasCertificate` or an :class:`EmptyBlockCertificate`.
     """
     blocks, dim = _coerce_blocks(blocks, dim)
     if not blocks:
         raise InputError("need at least one block")
     for k, block in enumerate(blocks):
         if not block:
-            return FeasibilityOutcome(
-                "infeasible", certificate=EmptyBlockCertificate(block_index=k + 1)
-            )
+            return EmptyBlockCertificate(block_index=k + 1)
     rows, rhs = intersection_system(blocks, dim)
     status, payload = solve_equality_feasibility(rows, rhs)
-    if status == "feasible":
-        coeffs = []
-        pos = 0
-        for block in blocks:
-            coeffs.append(tuple(payload[pos : pos + len(block)]))
-            pos += len(block)
-        point = _combination(blocks[0], coeffs[0], dim)
-        return FeasibilityOutcome(
-            "feasible", witness=Witness(point=point, coefficients=tuple(coeffs))
-        )
-    return FeasibilityOutcome(
-        "infeasible",
-        certificate=FarkasCertificate(multipliers=_normalize_multipliers(payload)),
-    )
+    if status == "infeasible":
+        return FarkasCertificate(multipliers=_normalize_multipliers(payload))
+    coeffs = []
+    pos = 0
+    for block in blocks:
+        coeffs.append(tuple(payload[pos : pos + len(block)]))
+        pos += len(block)
+    return Witness(point=_combination(blocks[0], coeffs[0], dim), coefficients=tuple(coeffs))
 
 
 def screened_support(blocks, dim) -> Optional[Tuple[int, ...]]:
@@ -424,18 +411,15 @@ def verify_farkas(blocks, certificate: FarkasCertificate, dim=None) -> bool:
     return sum((u[i] * rhs[i] for i in range(len(rows))), ZERO) > 0
 
 
-def verify_outcome(blocks, outcome: FeasibilityOutcome, dim=None) -> bool:
-    """Replay whichever evidence an outcome carries."""
-    if outcome.feasible:
-        return outcome.witness is not None and verify_witness(
-            blocks, outcome.witness, dim
-        )
-    cert = outcome.certificate
-    if isinstance(cert, EmptyBlockCertificate):
-        k = cert.block_index
+def verify_outcome(blocks, outcome, dim=None) -> bool:
+    """Replay whichever evidence :func:`hulls_common_point` returned."""
+    if isinstance(outcome, Witness):
+        return verify_witness(blocks, outcome, dim)
+    if isinstance(outcome, FarkasCertificate):
+        return verify_farkas(blocks, outcome, dim)
+    if isinstance(outcome, EmptyBlockCertificate):
+        k = outcome.block_index
         return 1 <= k <= len(blocks) and len(blocks[k - 1]) == 0
-    if isinstance(cert, FarkasCertificate):
-        return verify_farkas(blocks, cert, dim)
     return False
 
 

@@ -27,7 +27,6 @@ from .errors import InputError, ParseError
 from .feasibility import (
     EmptyBlockCertificate,
     FarkasCertificate,
-    FeasibilityOutcome,
     Witness,
     verify_outcome,
 )
@@ -124,59 +123,51 @@ def decode_points(data) -> List[Tuple[Rational, ...]]:
     return [tuple(parse_rational(c) for c in row) for row in data]
 
 
-def outcome_payload(blocks, dim: int, outcome: FeasibilityOutcome) -> Dict:
-    """Self-contained, replayable evidence for a feasibility outcome."""
+def outcome_payload(blocks, dim: int, outcome) -> Dict:
+    """Self-contained, replayable form of the evidence
+    :func:`~tverlab.feasibility.hulls_common_point` returned."""
     payload: Dict = {
         "dim": dim,
         "blocks": [encode_points(b) for b in blocks],
         "status": outcome.status,
     }
-    if outcome.feasible:
+    if isinstance(outcome, Witness):
         payload["kind"] = "witness"
-        payload["point"] = [format_rational(c) for c in outcome.witness.point]
+        payload["point"] = [format_rational(c) for c in outcome.point]
         payload["coefficients"] = [
             [format_rational(c) for c in coeffs]
-            for coeffs in outcome.witness.coefficients
+            for coeffs in outcome.coefficients
         ]
-        return payload
-    cert = outcome.certificate
-    if isinstance(cert, FarkasCertificate):
+    elif isinstance(outcome, FarkasCertificate):
         payload["kind"] = "farkas"
-        payload["multipliers"] = [format_rational(u) for u in cert.multipliers]
-    elif isinstance(cert, EmptyBlockCertificate):
+        payload["multipliers"] = [format_rational(u) for u in outcome.multipliers]
+    elif isinstance(outcome, EmptyBlockCertificate):
         payload["kind"] = "empty-block"
-        payload["block_index"] = cert.block_index
-    else:  # pragma: no cover - no other certificate kinds exist
-        raise InputError(f"unknown certificate type {type(cert).__name__}")
+        payload["block_index"] = outcome.block_index
+    else:  # pragma: no cover - no other evidence kinds exist
+        raise InputError(f"unknown evidence type {type(outcome).__name__}")
     return payload
 
 
 def payload_outcome(payload: Dict):
-    """Decode a payload back into ``(blocks, dim, FeasibilityOutcome)``."""
+    """Decode a payload back into ``(blocks, dim, evidence)``."""
     blocks = [decode_points(b) for b in payload["blocks"]]
     dim = int(payload["dim"])
     kind = payload["kind"]
     if kind == "witness":
-        witness = Witness(
+        outcome = Witness(
             point=tuple(parse_rational(c) for c in payload["point"]),
             coefficients=tuple(
                 tuple(parse_rational(c) for c in coeffs)
                 for coeffs in payload["coefficients"]
             ),
         )
-        outcome = FeasibilityOutcome("feasible", witness=witness)
     elif kind == "farkas":
-        outcome = FeasibilityOutcome(
-            "infeasible",
-            certificate=FarkasCertificate(
-                multipliers=tuple(parse_rational(u) for u in payload["multipliers"])
-            ),
+        outcome = FarkasCertificate(
+            multipliers=tuple(parse_rational(u) for u in payload["multipliers"])
         )
     elif kind == "empty-block":
-        outcome = FeasibilityOutcome(
-            "infeasible",
-            certificate=EmptyBlockCertificate(block_index=int(payload["block_index"])),
-        )
+        outcome = EmptyBlockCertificate(block_index=int(payload["block_index"]))
     else:
         raise InputError(f"unknown certificate kind {kind!r}")
     return blocks, dim, outcome
@@ -200,6 +191,10 @@ def replay_payload(payload: Dict) -> bool:
 
 # ---------------------------------------------------------------------------
 # report records
+
+
+#: how every line :meth:`ReportRecord.to_json_line` writes begins
+RECORD_START = b'{"command":"'
 
 
 @dataclass

@@ -34,7 +34,8 @@ from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .errors import InputError, InternalError, ResourceGuardError
 from .feasibility import (
-    FeasibilityOutcome,
+    EmptyBlockCertificate,
+    FarkasCertificate,
     hulls_common_point,
     screened_support,
     verify_outcome,
@@ -125,7 +126,7 @@ class Counterexample:
     dim: int
     r: int
     alphas: Tuple[Rational, ...]
-    outcome: FeasibilityOutcome
+    outcome: FarkasCertificate | EmptyBlockCertificate
     blocks: list  # that partition's points, on which outcome replays
 
     @property

@@ -173,7 +173,7 @@ def _depleted_feasible(block_indices, X: PointSet, removed, order) -> Optional[S
         outcome = hulls_common_point(block_points(X, survivors), X.dim)
         if not outcome.feasible:
             return None
-        coefficients = itertools.chain(*outcome.witness.coefficients)
+        coefficients = itertools.chain(*outcome.coefficients)
         columns = [j for j, c in enumerate(coefficients) if c]
     return {flat[j] for j in columns}
 

@@ -16,10 +16,16 @@ from tverlab.pointset_io import (
     outcome_payload,
     parse_pointset,
     parse_rational,
+    payload_outcome,
     replay_payload,
     replay_record,
 )
-from tverlab.feasibility import hulls_common_point
+from tverlab.feasibility import (
+    EmptyBlockCertificate,
+    FarkasCertificate,
+    Witness,
+    hulls_common_point,
+)
 from tverlab.search import sixteen_point_alphas
 from tverlab.ordertype import MomentSpec, moment_points
 
@@ -134,6 +140,17 @@ class TestRecords:
             certificate=tampered,
         )
         assert replay_record(rec) is False
+
+    @pytest.mark.parametrize("blocks, dim, kind", [
+        ([[(0, 0), (1, 1)], [(1, 0), (0, 1)]], 2, Witness),
+        ([[(0,), (1,)], [(2,), (3,)]], 1, FarkasCertificate),
+        ([[(0, 0)], []], 2, EmptyBlockCertificate),
+    ])
+    def test_evidence_codec_round_trip(self, blocks, dim, kind):
+        evidence = hulls_common_point(blocks, dim)
+        assert isinstance(evidence, kind)
+        payload = json.loads(json.dumps(outcome_payload(blocks, dim, evidence)))
+        assert payload_outcome(payload) == (blocks, dim, evidence)
 
     def test_record_without_certificate(self):
         rec = ReportRecord(command="t-line", inputs={}, claim=None, outcome={})
@@ -639,6 +656,35 @@ class TestCLI:
         assert summary["outcome"]["resumed"] == [3, 4]
         assert summary["outcome"]["per_n"] == {"3": True, "4": False}
 
+    @pytest.mark.parametrize("content", [b"my notes\nsecond line", b"just one line"])
+    def test_search_c_out_that_is_no_report_stays_whole(self, capsys, tmp_path, content):
+        # an unended last line is cut off only when it starts a record, and
+        # only after every whole line parsed
+        report = tmp_path / "notes.jsonl"
+        report.write_bytes(content)
+        code = main(["--out", str(report), "search-c", "-d", "2", "-r", "2",
+                     "--n-from", "3", "--n-to", "3"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("input error: line 1:")
+        assert captured.err.count("\n") == 1
+        assert report.read_bytes() == content
+
+    @pytest.mark.parametrize("command", ["homog", "verify", "search-c"])
+    def test_non_utf8_input_exits_2(self, capsys, tmp_path, command):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("otps 1 1\n# caf\u00e9\n1\n".encode("latin-1"))
+        argv = {
+            "homog": ["homog", str(path)],
+            "verify": ["verify", str(path)],
+            "search-c": ["--out", str(path), "search-c", "-d", "2", "-r", "2",
+                         "--n-from", "3", "--n-to", "3"],
+        }[command]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
+
     def test_search_c_resume_after_torn_line(self, capsys, tmp_path):
         # a kill during the per-n append leaves a partial last line; resume
         # drops it with one warning and recomputes that n
@@ -875,6 +921,9 @@ class TestCLI:
         (["bounds", "--kind", "lemma32", "-d", "0", "-r", "2"], "need d >= 1"),
         (["bounds", "--kind", "even-d", "-d", "2", "-r", "0"], "need r >= 1"),
         (["bounds", "--kind", "prop41", "-n", "0", "-d", "2", "-r", "2"], "need positive n"),
+        (["tolerance", "LINE", "--alternating", "2", "-r", "3"], "differs from the partition"),
+        (["tolerance", "LINE", "--blocks", "1,3,5;2,4", "-r", "3"], "differs from the partition"),
+        (["--budget", "0", "tolerance", "LINE", "--sandwich", "-r", "2"], "takes no --budget"),
     ])
     def test_bad_input_exits_2(self, capsys, tmp_path, argv, message):
         # no input exits 1 (a failed claim) or 4 (a fault), and none prints

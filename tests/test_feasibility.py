@@ -62,33 +62,33 @@ class TestHullsCommonPoint:
     def test_crossing_diagonals(self):
         out = hulls_common_point([[(0, 0), (1, 1)], [(1, 0), (0, 1)]])
         assert out.feasible
-        assert out.witness.point == (Rational(1, 2), Rational(1, 2))
+        assert out.point == (Rational(1, 2), Rational(1, 2))
 
     def test_disjoint_intervals(self):
         blocks = blocks_1d([0, 1], [2, 3])
         out = hulls_common_point(blocks)
         assert not out.feasible
-        assert isinstance(out.certificate, FarkasCertificate)
+        assert isinstance(out, FarkasCertificate)
         assert verify_outcome(blocks, out)
 
     def test_d1_alternating_three_blocks(self):
         blocks = blocks_1d([1, 4], [2, 5], [3])
         out = hulls_common_point(blocks)
-        assert out.feasible and out.witness.point == (3,)
+        assert out.feasible and out.point == (3,)
 
     def test_empty_block_convention(self):
         out = hulls_common_point([[(0, 0)], []], dim=2)
         assert not out.feasible
-        assert out.certificate.block_index == 2
+        assert out.block_index == 2
 
     def test_witness_replays(self):
         blocks = [[(0, 0), (2, 0), (1, 2)], [(1, 0), (0, 2), (2, 2)]]
         out = hulls_common_point(blocks)
-        assert out.feasible and verify_witness(blocks, out.witness)
+        assert out.feasible and verify_witness(blocks, out)
 
     def test_farkas_multipliers_are_coprime_integers(self):
         out = hulls_common_point(blocks_1d([0, 1], [5, 6]))
-        u = out.certificate.multipliers
+        u = out.multipliers
         import math
 
         assert all(v.denominator == 1 for v in u)

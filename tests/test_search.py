@@ -281,5 +281,5 @@ def test_sixteen_point_certificate_golden():
     golden = json.loads(path.read_text())
     example, eps = verified_sixteen_point_example()
     assert format_rational(eps) == golden["epsilon"]
-    multipliers = example.outcome.certificate.multipliers
+    multipliers = example.outcome.multipliers
     assert [format_rational(v) for v in multipliers] == golden["multipliers"]

@@ -1,6 +1,7 @@
 """Every import site the benchmark tracer wraps must exist, every
 definition of the package, top-level or a class member, must be reachable
-from its users, and the package holds no ``assert`` statement.
+from its users, every name a module imports must be used, and the package
+holds no ``assert`` statement.
 
 ``bench/tracing.py`` replaces attributes of tverlab modules by name; one that
 a refactor removed would otherwise show only in the slow traced bench run.
@@ -126,6 +127,33 @@ def test_every_definition_is_reachable():
         if i not in reached
     ]
     assert not unreached, "unreachable from the CLI and the benchmark:\n" + "\n".join(unreached)
+
+
+def _imports(tree):
+    """``(name, lineno)`` for every name an import of the module binds;
+    ``from __future__`` features bind none."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from ((a.asname or a.name, node.lineno) for a in node.names)
+
+
+def test_every_import_is_used():
+    # no linter runs in CI; a name the tracer wraps where it is imported
+    # stays though the module never reads it (``__init__`` only re-exports)
+    unused = []
+    for path in sorted((ROOT / "src" / "tverlab").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.relative_to(ROOT)}:{lineno} {name}"
+            for name, lineno in _imports(tree)
+            if name not in read and (f"tverlab.{path.stem}", name) not in SITES
+        ]
+    assert not unused, "imported and never used:\n" + "\n".join(unused)
 
 
 def test_no_assert_statements():
