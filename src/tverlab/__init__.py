@@ -59,7 +59,6 @@ from .tolerance import (
 from .search import (
     Counterexample,
     NoneFound,
-    ScanResult,
     SearchStrategy,
     check_growth_inequality,
     find_counterexample,

@@ -97,8 +97,20 @@ CLAIM_LINE_TIGHT = "TightD1"
 CLAIM_GROWTH = "Thm1.1-d1"
 
 
+def _decode(data: bytes, name: str) -> str:
+    """``data`` as UTF-8 text; bytes that are not UTF-8 are an input error
+    that names ``name`` and the line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{name} is not UTF-8 text ({exc.reason})",
+                         line=data.count(b"\n", 0, exc.start) + 1) from None
+
+
 def _read_text(path: str) -> str:
-    return sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    if path == "-":
+        return _decode(sys.stdin.buffer.read(), "standard input")
+    return _decode(Path(path).read_bytes(), path)
 
 
 def _load_pointset(path: str) -> PointSet:
@@ -259,6 +271,8 @@ def _cmd_tolerance(args):
             # the sandwich's bounds hold only for the exact tolerance
             raise InputError("--sandwich takes no --budget")
         rep = check_tolerance_sandwich(ps, args.r)
+        lower_ok = rep.lower_bound <= rep.t_value
+        upper_ok = rep.t_value <= rep.upper_bound
         record = ReportRecord(
             command="tolerance",
             inputs={"pointset": ps, "mode": "sandwich", "r": args.r},
@@ -267,12 +281,12 @@ def _cmd_tolerance(args):
                 "t_value": rep.t_value,
                 "lower_bound": rep.lower_bound,
                 "upper_bound": rep.upper_bound,
-                "lower_ok": rep.lower_ok,
-                "upper_ok": rep.upper_ok,
+                "lower_ok": lower_ok,
+                "upper_ok": upper_ok,
             },
             seed=args.seed,
         )
-        return [record], not (rep.lower_ok and rep.upper_ok)
+        return [record], not (lower_ok and upper_ok)
     if args.set_mode:
         if args.r is None:
             raise InputError("--set needs -r")
@@ -306,20 +320,19 @@ def _cmd_tolerance(args):
 
 
 def _cmd_bounds(args):
-    if args.kind == "lemma32":
-        value = alternating_bound(args.dim, args.r)
-        claim = CLAIM_ALTERNATING_BOUND
-        inputs = {"kind": args.kind, "dim": args.dim, "r": args.r}
-    elif args.kind == "even-d":
-        value = alternating_bound_even(args.dim, args.r)
-        claim = CLAIM_EVEN_BOUND
-        inputs = {"kind": args.kind, "dim": args.dim, "r": args.r}
-    else:  # prop41
+    if args.kind == "prop41":
         if args.n is None:
             raise InputError("prop41 bound needs -n")
         value = tolerance_upper_bound(args.n, args.dim, args.r)
         claim = CLAIM_TOLERANCE_CAP
         inputs = {"kind": args.kind, "n": args.n, "dim": args.dim, "r": args.r}
+    else:
+        if args.n is not None:
+            raise InputError(f"the {args.kind} bound takes no -n")
+        bound, claim = {"lemma32": (alternating_bound, CLAIM_ALTERNATING_BOUND),
+                        "even-d": (alternating_bound_even, CLAIM_EVEN_BOUND)}[args.kind]
+        value = bound(args.dim, args.r)
+        inputs = {"kind": args.kind, "dim": args.dim, "r": args.r}
     record = ReportRecord(
         command="bounds", inputs=inputs, claim=claim, outcome={"value": value},
         seed=args.seed,
@@ -338,23 +351,24 @@ def _strategy_fingerprint(strategy: SearchStrategy, budget: int) -> Dict:
     return {**dataclasses.asdict(strategy), "budget": budget}
 
 
+def _scan_exact(d) -> bool:
+    """The ``exact`` label of a ``search-c`` record at dimension d: at d = 1
+    the parameters 1..n decide every n-point set, so a none-found is a proof
+    there and only evidence elsewhere."""
+    return d == 1
+
+
 def _scan_record(args, strategy, n, result, fingerprint) -> ReportRecord:
     inputs = {"d": args.dim, "r": args.r, "n": n, "strategy": fingerprint}
     if isinstance(result, Counterexample):
+        outcome = {"found": True, "alphas": [format_rational(a) for a in result.alphas]}
         payload = outcome_payload(result.blocks, result.dim, result.outcome)
-        outcome = {
-            "found": True,
-            "alphas": [format_rational(a) for a in result.alphas],
-            "exact": args.dim == 1,
-        }
-        return ReportRecord(
-            command="search-c", inputs=inputs, claim=CLAIM_SCAN,
-            outcome=outcome, certificate=payload, seed=strategy.seed,
-        )
-    outcome = {"found": False, "tried": result.tried, "exact": result.exact}
+    else:
+        outcome, payload = {"found": False, "tried": result.tried}, None
     return ReportRecord(
         command="search-c", inputs=inputs, claim=CLAIM_SCAN,
-        outcome=outcome, seed=strategy.seed,
+        outcome={**outcome, "exact": _scan_exact(args.dim)}, certificate=payload,
+        seed=strategy.seed,
     )
 
 
@@ -368,7 +382,7 @@ def _load_resume(args, fingerprint) -> Dict[int, bool]:
         return {}
     data = path.read_bytes()
     cut = data.rfind(b"\n") + 1
-    records = load_records(data[:cut].decode("utf-8"))
+    records = load_records(_decode(data[:cut], str(path)))
     tail = data[cut:]
     if tail[: len(RECORD_START)] != RECORD_START[: len(tail)]:
         raise ParseError("an unended last line that is not the start of a record",
@@ -381,8 +395,8 @@ def _load_resume(args, fingerprint) -> Dict[int, bool]:
     inputs = {"d": args.dim, "r": args.r, "strategy": jsonable(fingerprint)}
     found, dropped = _scan_found(records, inputs, _replay_bound)
     for n in dropped:
-        print(f"warning: {path}: dropping the n={n} counterexample, whose certificate "
-              "does not replay against its own inputs", file=sys.stderr)
+        print(f"warning: {path}: dropping the n={n} record, which does not replay "
+              "against its own inputs", file=sys.stderr)
     return found
 
 
@@ -510,11 +524,15 @@ def _replay_bound(record: ReportRecord) -> Optional[bool]:
     """Whether a record's certificate states the claim its own inputs and
     outcome define and its evidence replays; None when the record carries no
     certificate.  A certificate on a record that claims nothing proves
-    nothing and fails."""
+    nothing and fails, and so does a ``search-c`` record whose ``exact``
+    label is not the one its d gives (:func:`_scan_exact`)."""
     cert = record.certificate
-    if cert is None:
-        return None
     try:
+        if (record.command == "search-c"
+                and record.outcome["exact"] is not _scan_exact(record.inputs["d"])):
+            return False
+        if cert is None:
+            return None
         return (
             _claimed(record) == [cert["dim"], cert["blocks"], cert["status"]]
             and replay_record(record)
@@ -526,9 +544,9 @@ def _replay_bound(record: ReportRecord) -> Optional[bool]:
 def _scan_found(records, inputs, replays):
     """``(found, dropped)``: n -> whether the ``search-c`` records of the d,
     r and strategy of ``inputs`` found a counterexample at n (``found`` true,
-    and a certificate that replays), and the n of each found record that
-    does not replay against its own inputs; ``replays(record)`` is a found
-    record's verdict (:func:`_replay_bound`)."""
+    and a certificate that replays), and the n of each record that fails
+    against its own inputs, or is found without a certificate;
+    ``replays(record)`` is a record's verdict (:func:`_replay_bound`)."""
     found: Dict[int, bool] = {}
     dropped = []
     for rec in records:
@@ -537,7 +555,8 @@ def _scan_found(records, inputs, replays):
         ):
             continue
         n, hit = rec.inputs.get("n"), rec.outcome.get("found") is True
-        if hit and not replays(rec):
+        verdict = replays(rec)
+        if verdict is False or (hit and not verdict):
             dropped.append(n)
         else:
             found[n] = found.get(n, False) or hit
@@ -615,10 +634,13 @@ def build_parser() -> argparse.ArgumentParser:
     # subcommand; main() fills the gaps after parsing
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
+    # a command's alternative flags (its input sources, its modes) are one
+    # exclusive group: two of them exit 2
     p = sub.add_parser("gen", parents=[common], help="moment-curve points from parameters")
     p.add_argument("-d", "--dim", type=int, required=True)
-    p.add_argument("--alphas", help="comma-separated rationals")
-    p.add_argument("--alphas-file", help="whitespace-separated rationals")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--alphas", help="comma-separated rationals")
+    source.add_argument("--alphas-file", help="whitespace-separated rationals")
     p.add_argument("--pointset-out", help="write the otps file here")
     p.set_defaults(handler=_cmd_gen)
 
@@ -643,7 +665,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--offset", required=True)
     p.set_defaults(handler=_cmd_crossings)
 
-    # a command's mode flags are one exclusive group: two of them exit 2
     p = sub.add_parser("intersect", parents=[common], help="common point of block hulls")
     p.add_argument("pointset")
     mode = p.add_mutually_exclusive_group()
@@ -731,14 +752,16 @@ def main(argv=None) -> int:
 
     args.emit = emit  # search-c emits each n as it finishes
     try:
+        if args.budget is not None and args.subcommand not in ("search-c", "tolerance"):
+            raise InputError(f"{args.subcommand} takes no --budget")
         if args.budget is not None and args.budget < 0:
             raise InputError(f"--budget must be >= 0, got {args.budget}")
         records, failed = args.handler(args)
         for record in records:
             emit(record)
-    # ParseError; OSError: a path unreadable or unwritable; UnicodeDecodeError:
-    # a file that is not UTF-8 text
-    except (InputError, OSError, UnicodeDecodeError) as exc:
+    # ParseError, a file that is not UTF-8 text too; OSError: a path
+    # unreadable or unwritable
+    except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except ResourceGuardError as exc:

@@ -15,7 +15,7 @@ Two facts shape the design:
   sampling cannot establish universal statements.  Dimension one is the
   exception: there the alternating partition of n increasing values has a
   common point iff n >= 2r - 1 regardless of the values, so d=1 results are
-  computed directly and labeled exact.
+  computed directly and are exact.
 * the one known nontrivial counterexample shape is "a few tight clusters
   plus a spread tail"; the one candidate stream, ``clustered``, generalizes
   it, perturbing repeated parameters a, a, a to a, a+eps, a+2eps.
@@ -136,10 +136,9 @@ class Counterexample:
 
 @dataclass(frozen=True)
 class NoneFound:
-    """Search exhausted its budget; exact=True only at d=1 (direct computation)."""
+    """Search exhausted its budget after ``tried`` candidates."""
 
     tried: int
-    exact: bool
 
 
 def alternating_blocks(X: PointSet, r: int):
@@ -220,21 +219,7 @@ def find_counterexample(
             return found
     if n < r:
         raise InternalError("an empty alternating block must be infeasible")
-    return NoneFound(tried=tried, exact=exact)
-
-
-@dataclass(frozen=True)
-class ScanResult:
-    """Per-n search results; ``lower_bound`` is (max found n) + 1 <= c(d,r)."""
-
-    dim: int
-    r: int
-    results: Dict[int, object]  # n -> Counterexample | NoneFound
-
-    @property
-    def lower_bound(self) -> Optional[int]:
-        return c_lower_bound(n for n, res in self.results.items()
-                             if isinstance(res, Counterexample))
+    return NoneFound(tried=tried)
 
 
 def c_lower_bound(found: Iterable[int]) -> Optional[int]:
@@ -249,19 +234,20 @@ def scan_c_lower(
     strategy: Optional[SearchStrategy] = None,
     budget: int = DEFAULT_BUDGET,
     on_result: Optional[Callable[[int, object], None]] = None,
-) -> ScanResult:
-    """Run :func:`find_counterexample` for each n, independently.
+) -> Dict[int, Counterexample | NoneFound]:
+    """Run :func:`find_counterexample` for each n, independently; n -> its
+    result.  :func:`c_lower_bound` of the n with a counterexample bounds c(d,r).
 
     ``on_result`` is invoked after each n so callers can append checkpoint
     records.  No monotonicity in n is assumed: each n is reported on its own.
     """
-    results: Dict[int, object] = {}
+    results: Dict[int, Counterexample | NoneFound] = {}
     for n in n_range:
         outcome = find_counterexample(d, r, n, strategy=strategy, budget=budget)
         results[n] = outcome
         if on_result is not None:
             on_result(n, outcome)
-    return ScanResult(dim=d, r=r, results=results)
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -316,20 +302,13 @@ def n_line_formula(t: int, r: int) -> int:
 
 
 def n_line(t: int, r: int) -> int:
-    """Least n with ``t_line(n, r) >= t``; always equals r(t+2)-1.
-
-    The closed form is re-derived from the exhaustive table on every call;
-    a mismatch would mean the tolerance engine is broken.
-    """
+    """Least n with ``t_line(n, r) >= t``, read off the exhaustive table;
+    the paper's closed form :func:`n_line_formula` is the claim to check it
+    against."""
     if t < 0 or r < 1:
         raise InputError("need t >= 0 and r >= 1")
     for n in range(r, T_LINE_GUARD + 1):
         if t_line(n, r) >= t:
-            if n != n_line_formula(t, r):
-                raise InternalError(
-                    f"n_line({t},{r}) computed {n}, closed form gives "
-                    f"{n_line_formula(t, r)}"
-                )
             return n
     raise ResourceGuardError(
         f"n_line({t},{r}) exceeds the exhaustive guard n <= {T_LINE_GUARD}"

@@ -439,19 +439,18 @@ def tolerance_upper_bound(n: int, d: int, r: int) -> int:
 
 @dataclass(frozen=True)
 class SandwichReport:
-    """Both sides of the homogeneous-set tolerance sandwich, evaluated."""
+    """The tolerance of a homogeneous set and both sides of its sandwich."""
 
     t_value: int
     lower_bound: int
     upper_bound: int
-    lower_ok: bool
-    upper_ok: bool
 
 
 def check_tolerance_sandwich(X: PointSet, r: int) -> SandwichReport:
-    """Evaluate ``floor(n/r) - c_bound <= t(X,r) <= floor(n/r) - floor(d/2)``
-    on an order-type homogeneous set, with c replaced by
-    :func:`alternating_bound` (a valid weakening of the lower bound)."""
+    """The three terms of ``floor(n/r) - c_bound <= t(X,r) <= floor(n/r) -
+    floor(d/2)`` on an order-type homogeneous set, with c replaced by
+    :func:`alternating_bound` (a valid weakening of the lower bound); the
+    caller checks the two inequalities."""
     n = len(X)
     if n < r:
         raise InputError("sandwich check needs |X| >= r")
@@ -461,6 +460,4 @@ def check_tolerance_sandwich(X: PointSet, r: int) -> SandwichReport:
     report, _ = _set_tolerance(X, r, None, PARTITION_GUARD, result)
     lower = n // r - alternating_bound(X.dim, r)
     upper = tolerance_upper_bound(n, X.dim, r)
-    t = report.value
-    return SandwichReport(t_value=t, lower_bound=lower, upper_bound=upper,
-                          lower_ok=lower <= t, upper_ok=t <= upper)
+    return SandwichReport(t_value=report.value, lower_bound=lower, upper_bound=upper)

@@ -26,6 +26,7 @@ from tverlab.search import (
     NoneFound,
     SearchStrategy,
     alternating_blocks,
+    c_lower_bound,
     check_growth_inequality,
     find_counterexample,
     moment_blocks,
@@ -76,12 +77,13 @@ def test_criterion_2_small_threshold_values():
     # d = 1, r in 2..5: exact at the 2r-1 threshold
     for r in (2, 3, 4, 5):
         scan = scan_c_lower(1, r, range(max(r, 2 * r - 3), 2 * r + 1))
-        for n, res in scan.results.items():
+        for n, res in scan.items():
             if n <= 2 * r - 2:
                 assert isinstance(res, Counterexample), (r, n)
             else:
-                assert isinstance(res, NoneFound) and res.exact, (r, n)
-        assert scan.lower_bound == 2 * r - 1
+                assert isinstance(res, NoneFound) and res.tried == 1, (r, n)
+        found = [n for n, res in scan.items() if isinstance(res, Counterexample)]
+        assert c_lower_bound(found) == 2 * r - 1
     # (d, r) = (2, 2): found at n = 3, none within budget for n >= 4
     strategy = SearchStrategy(kind="clustered", seed=1)
     res3 = find_counterexample(2, 2, 3, strategy=strategy, budget=500)

@@ -269,6 +269,45 @@ class TestCLI:
         assert code == 1
         assert verdicts == [True] + [False] * 7
 
+    @pytest.mark.parametrize("d, r, n_from", [(1, 3, 4), (2, 2, 3)])
+    def test_exact_label_is_bound_to_d(self, capsys, tmp_path, d, r, n_from):
+        # search-c labels its records exact iff d = 1; verify and resume
+        # refuse a found or none-found record labelled otherwise
+        report = tmp_path / "scan.jsonl"
+        scan = ["search-c", "-d", str(d), "-r", str(r),
+                "--n-from", str(n_from), "--n-to", str(n_from + 1)]
+        code, _ = self.run(capsys, "--out", str(report), *scan)
+        assert code == 0
+        hit, miss, _ = [json.loads(line) for line in report.read_text().splitlines()]
+        assert (hit["outcome"]["found"], miss["outcome"]["found"]) == (True, False)
+        assert hit["outcome"]["exact"] is miss["outcome"]["exact"] is (d == 1)
+        forged = json.loads(json.dumps([hit, miss]))
+        for rec in forged:
+            rec["outcome"]["exact"] = d != 1
+        code, verdicts = self.verify_lines(capsys, tmp_path, [hit, miss, *forged])
+        assert (code, verdicts) == (1, [True, None, False, False])
+
+        report.write_text("".join(json.dumps(rec) + "\n" for rec in forged))
+        code = main(["--out", str(report), *scan])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err.count("warning") == 2
+        summary = json.loads(captured.out.splitlines()[-1])["outcome"]
+        assert summary["resumed"] == []
+        assert summary["per_n"] == {str(n_from): True, str(n_from + 1): False}
+
+    def test_n_line_mismatch_is_a_failed_claim(self, capsys, monkeypatch):
+        # a table that disagrees with r(t+2)-1 fails the claim (exit 1), and
+        # is no internal fault
+        import tverlab.search
+
+        t_line = tverlab.search.t_line
+        monkeypatch.setattr(tverlab.search, "t_line", lambda n, r: t_line(n, r) - 1)
+        code, out = self.run(capsys, "n-line", "-t", "2", "-r", "2")
+        outcome = json.loads(out)["outcome"]
+        assert code == 1 and outcome["match"] is False
+        assert outcome["value"] != outcome["oracle"]
+
     def test_verify_binds_the_summary_to_its_scan(self, capsys, tmp_path):
         # a summary states, for each n of its range, what the report's own
         # search-c records of its d, r and strategy found, and the bound
@@ -683,7 +722,8 @@ class TestCLI:
         code = main(argv)
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
-        assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
+        assert captured.err.startswith("input error: line 2:") and captured.err.count("\n") == 1
+        assert str(path) in captured.err
 
     def test_search_c_resume_after_torn_line(self, capsys, tmp_path):
         # a kill during the per-n append leaves a partial last line; resume
@@ -924,6 +964,10 @@ class TestCLI:
         (["tolerance", "LINE", "--alternating", "2", "-r", "3"], "differs from the partition"),
         (["tolerance", "LINE", "--blocks", "1,3,5;2,4", "-r", "3"], "differs from the partition"),
         (["--budget", "0", "tolerance", "LINE", "--sandwich", "-r", "2"], "takes no --budget"),
+        (["bounds", "--kind", "lemma32", "-d", "3", "-r", "4", "-n", "16"], "takes no -n"),
+        (["bounds", "--kind", "even-d", "-d", "2", "-r", "3", "-n", "9"], "takes no -n"),
+        (["facets", "-d", "2", "-n", "5", "--budget", "3"], "takes no --budget"),
+        (["--budget", "3", "n-line", "-t", "1", "-r", "2"], "takes no --budget"),
     ])
     def test_bad_input_exits_2(self, capsys, tmp_path, argv, message):
         # no input exits 1 (a failed claim) or 4 (a fault), and none prints
@@ -944,6 +988,7 @@ class TestCLI:
         ["tolerance", "LINE", "--set", "-r", "2", "--alternating", "2"],
         ["tolerance", "LINE", "--sandwich", "-r", "2", "--set"],
         ["tolerance", "LINE", "--sandwich", "-r", "2", "--blocks", "1,2;3,4,5"],
+        ["gen", "-d", "1", "--alphas", "1,2", "--alphas-file", "LINE"],
     ])
     def test_conflicting_modes_exit_2(self, capsys, tmp_path, argv):
         # two mode flags are refused, not one of them silently dropped

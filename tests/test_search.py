@@ -16,6 +16,7 @@ from tverlab.search import (
     SearchStrategy,
     alpha_candidates,
     alternating_blocks,
+    c_lower_bound,
     check_growth_inequality,
     find_counterexample,
     moment_blocks,
@@ -83,8 +84,9 @@ class TestFindCounterexample:
         )
 
     def test_d1_exact_none_found(self):
+        # d = 1 decides on the one candidate 1..n
         res = find_counterexample(1, 2, 3)
-        assert isinstance(res, NoneFound) and res.exact
+        assert isinstance(res, NoneFound) and res.tried == 1
 
     def test_d2_triangle_found(self):
         res = find_counterexample(2, 2, 3, budget=20)
@@ -93,8 +95,7 @@ class TestFindCounterexample:
     def test_d2_four_points_never_found(self):
         # alternating segments of 4 convex-position points always cross
         res = find_counterexample(2, 2, 4, budget=250)
-        assert isinstance(res, NoneFound) and not res.exact
-        assert res.tried == 250
+        assert isinstance(res, NoneFound) and res.tried == 250
 
     def test_counterexample_is_homogeneous(self):
         res = find_counterexample(2, 3, 5, budget=500)
@@ -193,25 +194,30 @@ def test_search_draws_exactly_its_budget(monkeypatch, budget):
     assert res.tried == drawn == budget
 
 
+def scan_bound(scan):
+    """The lower bound on c(d,r) that a scan's counterexamples give."""
+    return c_lower_bound(n for n, res in scan.items() if isinstance(res, Counterexample))
+
+
 class TestScan:
     def test_d1_scan_matches_closed_form(self):
         # found for n <= 2r-2 (below r: trivially, by the empty-block
         # convention), none for n >= 2r-1; lower bound = 2r-1
         for r in (2, 3, 4):
             scan = scan_c_lower(1, r, range(2, 2 * r + 2))
-            for n, res in scan.results.items():
+            for n, res in scan.items():
                 if n <= 2 * r - 2:
                     assert isinstance(res, Counterexample), (r, n)
                 else:
-                    assert isinstance(res, NoneFound) and res.exact, (r, n)
-            assert scan.lower_bound == 2 * r - 1
+                    assert isinstance(res, NoneFound) and res.tried == 1, (r, n)
+            assert scan_bound(scan) == 2 * r - 1
 
     def test_d2_r3_bound(self):
         scan = scan_c_lower(
             2, 3, range(3, 7), strategy=SearchStrategy(kind="clustered", seed=1),
             budget=2000,
         )
-        assert scan.lower_bound >= 7
+        assert scan_bound(scan) >= 7
 
     def test_d3_r4_sixteen_found_organically(self):
         # the clustered shape rediscovers 16-point witnesses on its own
@@ -226,8 +232,8 @@ class TestScan:
             3, 4, range(14, 17), strategy=SearchStrategy(kind="clustered", seed=0),
             budget=3000,
         )
-        assert all(isinstance(r, Counterexample) for r in scan.results.values())
-        assert scan.lower_bound == 17
+        assert all(isinstance(r, Counterexample) for r in scan.values())
+        assert scan_bound(scan) == 17
 
 
 class TestSixteenPoint:

@@ -353,7 +353,7 @@ class TestSetTolerance:
         calls = count_work(monkeypatch)
         d, n = 3, 8
         rep = check_tolerance_sandwich(moment_points(MomentSpec(d, range(1, n + 1))), 2)
-        assert rep.upper_ok
+        assert rep.t_value <= rep.upper_bound
         assert calls["signs"] == math.comb(n, d + 1)
 
     @pytest.mark.parametrize("d, n, r", [(1, 7, 2), (2, 9, 3)])
@@ -673,13 +673,12 @@ class TestSandwich:
         rep = check_tolerance_sandwich(ONE_TO(7), 2)
         assert rep.t_value == 2
         assert rep.lower_bound == 0 and rep.upper_bound == 3
-        assert rep.lower_ok and rep.upper_ok
 
     def test_moment_d2_upper(self):
         X = moment_points(MomentSpec(2, range(1, 9)))
         rep = check_tolerance_sandwich(X, 2)
         assert rep.upper_bound == 3
-        assert rep.upper_ok and rep.lower_ok
+        assert rep.lower_bound <= rep.t_value <= rep.upper_bound
 
     def test_requires_homogeneous(self):
         X = PointSet(2, [(0, 0), (2, 0), (1, 3), (1, 1)])
