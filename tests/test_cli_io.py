@@ -30,6 +30,7 @@ from tverlab.search import sixteen_point_alphas
 from tverlab.ordertype import MomentSpec, moment_points
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+TOLERANCE_GOLDEN = json.loads((GOLDEN / "tolerance.json").read_text())
 
 
 class TestRationalFormat:
@@ -1103,6 +1104,22 @@ class TestCLI:
         code, out = self.run(capsys, *golden["argv"])
         assert code == 0
         stripped, count = re.subn(r',"timing":[0-9.e-]+', "", out.splitlines()[0])
+        assert count == 1
+        assert stripped == golden["line"]
+
+    @pytest.mark.parametrize("case", sorted(TOLERANCE_GOLDEN["cases"]))
+    def test_tolerance_golden(self, capsys, tmp_path, case):
+        """``tolerance --set -r 2/3/4``, ``--alternating`` with and without a
+        budget, ``--blocks`` and ``intersect --alternating`` on the moment
+        points 1..10 in R^2 and 1..11 in R^3 and on an unsorted line: each
+        report is byte-identical, apart from timing, to the one recorded
+        before the label-string rules moved to one module."""
+        golden = TOLERANCE_GOLDEN["cases"][case]
+        path = tmp_path / "set.otps"
+        path.write_text(TOLERANCE_GOLDEN["sets"][golden["set"]])
+        code, out = self.run(capsys, *[str(path) if a == "SET" else a for a in golden["argv"]])
+        assert code == 0
+        stripped, count = re.subn(r',"timing":[0-9.e-]+', "", out.strip())
         assert count == 1
         assert stripped == golden["line"]
 
