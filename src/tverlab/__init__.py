@@ -43,15 +43,13 @@ from .feasibility import (
     verify_outcome,
     verify_witness,
 )
+from .labels import Partition, alternating_partition, iter_partitions
 from .tolerance import (
-    Partition,
     SandwichReport,
     ToleranceReport,
     alternating_bound,
     alternating_bound_even,
-    alternating_partition,
     check_tolerance_sandwich,
-    iter_partitions,
     partition_tolerance,
     set_tolerance,
     tolerance_upper_bound,

@@ -40,6 +40,7 @@ from . import search as searchmod
 from .errors import InputError, InternalError, ParseError, ResourceGuardError
 from .feasibility import hulls_common_point, verify_outcome
 from .kernel import Hyperplane, PointSet
+from .labels import Partition, alternating_partition, split
 from .ordertype import (
     MomentSpec,
     gale_facets,
@@ -73,11 +74,8 @@ from .search import (
     verified_sixteen_point_example,
 )
 from .tolerance import (
-    Partition,
     alternating_bound,
     alternating_bound_even,
-    alternating_partition,
-    block_points,
     check_tolerance_sandwich,
     partition_tolerance,
     set_tolerance,
@@ -240,7 +238,7 @@ def _cmd_crossings(args):
 def _cmd_intersect(args):
     ps = _load_pointset(args.pointset)
     partition = _partition_for(args, len(ps))
-    blocks = block_points(ps, partition.blocks())
+    blocks = split(ps.points, partition.labels, partition.r)
     outcome = hulls_common_point(blocks, ps.dim)
     replayed = verify_outcome(blocks, outcome, ps.dim)
     payload = outcome_payload(blocks, ps.dim, outcome)
@@ -501,7 +499,7 @@ def _claimed(record: ReportRecord) -> Optional[list]:
         points = inputs["pointset"]["points"]
         labels = list(inputs["partition"])
         partition = Partition(len(points), max(labels, default=0), labels)
-        blocks = [[points[i - 1] for i in b] for b in partition.blocks()]
+        blocks = split(points, partition.labels, partition.r)
         return [inputs["pointset"]["dim"], blocks, outcome["status"]]
     if record.command == "search-c" and outcome["found"] is True:
         dim, r = inputs["d"], inputs["r"]
@@ -754,6 +752,8 @@ def main(argv=None) -> int:
     try:
         if args.budget is not None and args.subcommand not in ("search-c", "tolerance"):
             raise InputError(f"{args.subcommand} takes no --budget")
+        if args.seed is not None and args.subcommand == "verify":
+            raise InputError("verify takes no --seed")
         if args.budget is not None and args.budget < 0:
             raise InputError(f"--budget must be >= 0, got {args.budget}")
         records, failed = args.handler(args)

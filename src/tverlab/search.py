@@ -41,6 +41,7 @@ from .feasibility import (
     verify_outcome,
 )
 from .kernel import PointSet, Rational, scale_to_integers, to_rational
+from .labels import alternating_labels, split
 from .ordertype import MomentSpec, is_order_homogeneous, moment_points
 from .tolerance import set_tolerance
 
@@ -142,9 +143,9 @@ class NoneFound:
 
 
 def alternating_blocks(X: PointSet, r: int):
-    """Points of the alternating r-partition of X (point j, 1-based, in
-    block (j - 1) mod r + 1); blocks past n stay empty."""
-    return [list(X.points[k::r]) for k in range(r)]
+    """Points of the alternating r-partition of X (see
+    :func:`~tverlab.labels.alternating_labels`); blocks past n stay empty."""
+    return split(X.points, alternating_labels(len(X), r), r)
 
 
 def moment_blocks(dim: int, r: int, alphas: Sequence):
@@ -158,7 +159,7 @@ def _lifted_blocks(spec: MomentSpec, r: int):
     points' ``PointSet.lifted``, built with no Rational point."""
     ks, _ = scale_to_integers(spec.alphas)
     lifted = [tuple(k ** c for c in range(1, spec.dim + 1)) for k in ks]
-    return [lifted[k::r] for k in range(r)]
+    return split(lifted, alternating_labels(len(lifted), r), r)
 
 
 def _certified(dim: int, r: int, alphas) -> Optional[Counterexample]:

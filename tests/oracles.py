@@ -126,6 +126,23 @@ def canonical_labelings(n, r):
             yield labels
 
 
+def fewest_pair_deletions(string, r, runs):
+    """Fewest letters to delete from ``string`` over 0..r (0 = already
+    removed) so that some block 1..r has no letter left, or some pair of
+    blocks has at most ``runs`` runs left: every deletion set, by size."""
+    live = [i for i, label in enumerate(string) if label]
+    for size in range(len(live) + 1):
+        for deleted in itertools.combinations(live, size):
+            left = [label for i, label in enumerate(string) if label and i not in deleted]
+            if any(k not in left for k in range(1, r + 1)):
+                return size
+            for a, b in itertools.combinations(range(1, r + 1), 2):
+                pair = [label for label in left if label in (a, b)]
+                if 1 + sum(x != y for x, y in zip(pair, pair[1:])) <= runs:
+                    return size
+    raise AssertionError("deleting every letter empties a block")
+
+
 # ---------------------------------------------------------------------------
 # seeded rational point generators shared by tests
 

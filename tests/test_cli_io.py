@@ -969,6 +969,7 @@ class TestCLI:
         (["bounds", "--kind", "even-d", "-d", "2", "-r", "3", "-n", "9"], "takes no -n"),
         (["facets", "-d", "2", "-n", "5", "--budget", "3"], "takes no --budget"),
         (["--budget", "3", "n-line", "-t", "1", "-r", "2"], "takes no --budget"),
+        (["--seed", "3", "verify", "MISSING"], "takes no --seed"),
     ])
     def test_bad_input_exits_2(self, capsys, tmp_path, argv, message):
         # no input exits 1 (a failed claim) or 4 (a fault), and none prints

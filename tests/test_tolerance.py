@@ -7,18 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import canonical_labelings, seeded_increasing_alphas, seeded_int_points
+from oracles import (
+    canonical_labelings,
+    fewest_pair_deletions,
+    seeded_increasing_alphas,
+    seeded_int_points,
+)
 from tverlab import ordertype, tolerance
 from tverlab.cli import main
 from tverlab.errors import InputError, ResourceGuardError
 from tverlab.feasibility import hulls_common_point
 from tverlab.kernel import PointSet, Rational
+from tverlab.labels import Target, pair_bound, split
 from tverlab.ordertype import MomentSpec, is_order_homogeneous, moment_points
 from tverlab.tolerance import (
     Partition,
     ToleranceReport,
     _depleted_feasible,
-    _pair_bound,
     alternating_bound,
     alternating_bound_even,
     alternating_partition,
@@ -97,9 +102,9 @@ def record_removals(monkeypatch):
     removals = []
     depleted_feasible = tolerance._depleted_feasible
 
-    def recorded(block_indices, X, removed, order):
-        removals.append(frozenset(removed))
-        return depleted_feasible(block_indices, X, removed, order)
+    def recorded(labels, r, X, order):
+        removals.append(frozenset(i for i, label in enumerate(labels, 1) if not label))
+        return depleted_feasible(labels, r, X, order)
 
     monkeypatch.setattr(tolerance, "_depleted_feasible", recorded)
     return removals
@@ -136,13 +141,14 @@ class TestPartition:
         assert keys == sorted(keys)  # lexicographic enumeration
         assert len(set(keys)) == len(keys)
         for n, r in itertools.product(range(1, 8), range(1, 5)):
-            got = [p.labels for p in iter_partitions(n, r)]
-            assert got == list(canonical_labelings(n, r)), (n, r)
+            got = list(iter_partitions(n, r))
+            assert [p.labels for p in got] == list(canonical_labelings(n, r)), (n, r)
+            assert all(Partition.from_blocks(n, p.blocks()) == p for p in got), (n, r)
 
     def test_iter_partitions_min_block(self):
         # with no run order only block sizes prune: beating tolerance 1
         # needs 3 points in every block
-        got = list(iter_partitions(6, 2, tolerance._Target(best=1, runs=None)))
+        got = list(iter_partitions(6, 2, Target(best=1, runs=None)))
         assert all(min(map(len, p.blocks())) >= 3 for p in got)
         assert len(got) == 10  # C(6,3)/2 * 2 ... = 10 ways into two triples
 
@@ -160,7 +166,7 @@ class TestPartition:
         values = {p.labels: brute_tolerance(X, p)[0] for p in oracle_partitions(n, r)}
         exact = runs is not None and (r == 2 or X.dim == 1)
         for best in range(-2, max(values.values()) + 1):
-            target = tolerance._Target(best=best, runs=runs)
+            target = Target(best=best, runs=runs)
             got = [p.labels for p in iter_partitions(n, r, target)]
             beat = [labels for labels, value in values.items() if value > best]
             assert got == sorted(got) and set(beat) <= set(got), best
@@ -360,13 +366,13 @@ class TestSetTolerance:
     def test_alternating_partition_evaluated_once(self, monkeypatch, d, n, r):
         # the seed evaluates the alternating partition; when the enumeration
         # reaches it again, the seed's value and breaking set are reused
-        alternating = alternating_partition(n, r).blocks()
+        alternating = alternating_partition(n, r).labels
         evaluated = []
         evaluate = tolerance._tolerance
 
-        def counted(block_indices, *args):
-            evaluated.append(tuple(block_indices))
-            return evaluate(block_indices, *args)
+        def counted(labels, *args):
+            evaluated.append(tuple(labels))
+            return evaluate(labels, *args)
 
         monkeypatch.setattr(tolerance, "_tolerance", counted)
         X = moment_points(MomentSpec(d, range(1, n + 1)))
@@ -449,6 +455,28 @@ class TestSetTolerance:
         rep, _ = set_tolerance(ONE_TO(n), r)
         assert rep.value == (n + 1) // r - 2
         assert count[0] == partitions
+
+    @pytest.mark.parametrize("n, r, report, labels", [
+        (9, 2, ToleranceReport(3, (1, 3, 5, 7), True), (1, 2, 1, 2, 1, 2, 1, 2, 1)),
+        (12, 2, ToleranceReport(4, (3, 5, 7, 9, 11), True), (1, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1)),
+        (9, 3, ToleranceReport(1, (3, 6), True), (1, 1, 2, 3, 1, 2, 3, 1, 2)),
+        (12, 3, ToleranceReport(2, (3, 6, 9), True), (1, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2)),
+        (12, 4, ToleranceReport(1, (3, 7), True), (1, 1, 2, 3, 4, 1, 2, 3, 4, 1, 2, 3)),
+    ])
+    def test_one_pair_walk_per_report(self, monkeypatch, n, r, report, labels):
+        # where pairs decide, the breaking set is walked off the pair DP for
+        # the reported partition only, not for the alternating seed as well
+        walks = []
+        walk = tolerance.pair_breaking_set
+
+        def counted(*args):
+            walks.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(tolerance, "pair_breaking_set", counted)
+        rep, part = set_tolerance(ONE_TO(n), r)
+        assert len(walks) == 1
+        assert (rep, part.labels) == (report, labels)
 
     @pytest.mark.parametrize("n, labels", [
         (5, (1, 1, 1, 2, 3)), (6, (1, 1, 1, 1, 2, 3)), (7, (1, 1, 1, 1, 1, 2, 3)),
@@ -568,10 +596,9 @@ class TestRunRule:
         order = tolerance._run_order(X, 2)
         assert order == tuple(range(7))
         for part in iter_partitions(7, 2):
-            a, b = part.blocks()
-            lp = hulls_common_point(tolerance.block_points(X, (a, b)), d).feasible
-            assert (_pair_bound((a, b), X, order)[0] >= 0) == lp, part.labels
-            assert (_depleted_feasible((a, b), X, (), order) is not None) == lp
+            lp = hulls_common_point(split(X.points, part.labels, 2), d).feasible
+            assert (pair_bound(part.labels, 2, d + 1, order) >= 0) == lp, part.labels
+            assert (_depleted_feasible(part.labels, 2, X, order) is not None) == lp
 
     @pytest.mark.parametrize("d, sign, seed", HOMOGENEOUS_SETS)
     def test_r2_closed_form_matches_brute(self, d, sign, seed):
@@ -601,15 +628,11 @@ class TestRunRule:
                 parts.append(Partition(n, 3, labels))
         feasible = 0
         for part in parts:
-            blocks = part.blocks()
             lp = depleted_feasible(X, part, ())
             if lp:
                 feasible += 1
-                assert all(
-                    _pair_bound((a, b), X, order)[0] >= 0
-                    for a, b in itertools.combinations(blocks, 2)
-                ), part.labels
-            assert (_depleted_feasible(blocks, X, (), order) is not None) == lp
+                assert pair_bound(part.labels, 3, d + 1, order) >= 0, part.labels
+            assert (_depleted_feasible(part.labels, 3, X, order) is not None) == lp
         assert feasible > 0
 
     @pytest.mark.parametrize("d, r", itertools.product(range(1, 5), range(1, 5)))
@@ -631,13 +654,29 @@ class TestRunRule:
             order = tolerance._run_order(X, r)
             for _ in range(6):
                 part = Partition(n, r, _random_partition_labels(rng, n, r))
-                bound, exact = _pair_bound(part.blocks(), X, order)
+                bound = pair_bound(part.labels, r, d + 1, order)
                 value, breaking = brute_tolerance(X, part)
+                exact = r == 1 or (order is not None and (r == 2 or d == 1))
                 assert bound >= value and (bound == value or not exact), part.labels
                 if exact:
                     rep = partition_tolerance(X, part)
                     assert rep.breaking_set == breaking, part.labels
-                assert exact == (r == 1 or (order is not None and (r == 2 or d == 1)))
+
+
+class TestPairBound:
+    @given(st.integers(1, 4), st.sampled_from([2, 3, 4]), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force_deletions(self, r, runs, data):
+        # the one run DP against every deletion set, for strings over 0..r
+        # (0 = removed) read in a drawn order; r >= 3 here needs no LP
+        n = data.draw(st.integers(0, 9))
+        labels = data.draw(st.lists(st.integers(0, r), min_size=n, max_size=n))
+        order = data.draw(st.permutations(range(n)))
+        string = [0] * n
+        for i, label in enumerate(labels):
+            string[order[i]] = label
+        assert pair_bound(labels, r, runs, order) == fewest_pair_deletions(string, r, runs) - 1
+        assert pair_bound(labels, r, runs) == min(labels.count(k) for k in range(1, r + 1)) - 1
 
 
 class TestBounds:

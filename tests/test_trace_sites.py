@@ -1,7 +1,7 @@
 """Every import site the benchmark tracer wraps must exist, every
 definition of the package, top-level or a class member, must be reachable
-from its users, every name a module imports must be used, and the package
-holds no ``assert`` statement.
+from its users, every name a module imports must be used, the label-string
+rules live in one module, and the package holds no ``assert`` statement.
 
 ``bench/tracing.py`` replaces attributes of tverlab modules by name; one that
 a refactor removed would otherwise show only in the slow traced bench run.
@@ -154,6 +154,34 @@ def test_every_import_is_used():
             if name not in read and (f"tverlab.{path.stem}", name) not in SITES
         ]
     assert not unused, "imported and never used:\n" + "\n".join(unused)
+
+
+def test_label_strings_live_in_one_module():
+    # labels.py reads strings, not geometry: it imports no other module of
+    # the package but errors; no other module defines a run or pair DP; and
+    # search and cli turn labels into blocks, and build the alternating
+    # labels, through it rather than by slices of their own
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in (ROOT / "src" / "tverlab").glob("*.py")}
+
+    def imported(tree):
+        return {(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level for alias in node.names}
+
+    assert {module for module, _ in imported(trees["labels"])} == {"errors"}
+    assert not any(isinstance(node, ast.Import) and node.names[0].name.startswith("tverlab")
+                   for node in ast.walk(trees["labels"]))
+    dp = ("_run_step", "_read", "_fewest_deletions", "pair_bound", "pair_breaking_set")
+    owners = {stem for stem, tree in trees.items() for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name in dp}
+    assert owners == {"labels"}
+    for stem in ("search", "cli"):
+        names = imported(trees[stem])
+        assert ("labels", "split") in names, stem
+        assert all(module == "labels" for module, name in names
+                   if name == "split" or name in ("alternating_labels", "alternating_partition"))
+        assert not any(isinstance(node, ast.Slice) and node.step is not None
+                       for node in ast.walk(trees[stem])), stem
 
 
 def test_no_assert_statements():
