@@ -31,6 +31,7 @@ from tverlab.ordertype import MomentSpec, moment_points
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 TOLERANCE_GOLDEN = json.loads((GOLDEN / "tolerance.json").read_text())
+COMMANDS_GOLDEN = json.loads((GOLDEN / "commands.json").read_text())
 
 
 class TestRationalFormat:
@@ -1123,6 +1124,26 @@ class TestCLI:
         stripped, count = re.subn(r',"timing":[0-9.e-]+', "", out.strip())
         assert count == 1
         assert stripped == golden["line"]
+
+    @pytest.mark.parametrize("case", sorted(COMMANDS_GOLDEN["cases"]))
+    def test_command_golden(self, capsys, tmp_path, monkeypatch, case):
+        """``gen``, ``homog`` on a homogeneous set, ``facets``,
+        ``neighborly``, ``crossings``, the three ``bounds`` kinds,
+        ``tolerance --sandwich``, ``t-line``, ``n-line``, ``verify-figure2``,
+        ``search-c`` with and without ``--seed``, ``verify`` over a report
+        with an accepted, a none-found, a tampered and a summary record, and
+        one ``--format table``: each exit code and report is byte-identical,
+        apart from timing, to the one recorded before every record went
+        through one path in ``main``."""
+        monkeypatch.chdir(tmp_path)
+        for name, text in COMMANDS_GOLDEN["files"].items():
+            (tmp_path / name).write_text(text)
+        golden = COMMANDS_GOLDEN["cases"][case]
+        code, out = self.run(capsys, *golden["argv"])
+        lines = out.splitlines()
+        assert all('"timing":' in line for line in lines if line.startswith("{"))
+        stripped = [re.sub(r',"timing":[0-9.e-]+', "", line) for line in lines]
+        assert (code, stripped) == (golden["code"], golden["lines"])
 
     def test_internal_error_exit4(self, capsys, monkeypatch):
         import tverlab.search
