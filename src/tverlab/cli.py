@@ -18,10 +18,15 @@ an internal fault or any other exception (a bug, not a verdict on the
 claim).  Identical invocations with identical seeds produce byte-identical
 reports apart from the timing field.
 
-Every record goes through one writer, which stamps its ``timing`` (seconds
-since the command started), keeps it for stdout and appends it to ``--out``.
-A ``search-c`` record is written as soon as its n finishes, and ``search-c``
-reads ``--out`` back to resume an interrupted scan deterministically.
+Every record takes one path.  A handler hands :func:`main` what it computed
+(inputs, claim tag, outcome, an optional certificate, and whether the claim
+failed), and ``main`` alone builds the record: it names the command after
+the subcommand, sets the seed by the rule the subcommand declares where it is
+registered, stamps ``timing`` (seconds since the command started) and
+appends the record to ``--out`` at once.  So a ``search-c`` record is
+written as soon as its n finishes, and ``search-c`` reads ``--out`` back to
+resume an interrupted scan deterministically.  Stdout gets every record
+once the whole command has succeeded.
 """
 
 from __future__ import annotations
@@ -138,35 +143,30 @@ def _parse_blocks(spec: str, n: int) -> Partition:
 
 
 def _partition_for(args, n: int) -> Partition:
-    if getattr(args, "alternating", None) is not None:
+    if args.alternating is not None:
         return alternating_partition(n, args.alternating)
-    if getattr(args, "blocks", None):
+    if args.blocks is not None:
         return _parse_blocks(args.blocks, n)
     raise InputError("provide --blocks or --alternating")
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (records, claim_failed)
+# subcommand handlers: each hands main what it computed, one
+# hand(inputs, claim, outcome, certificate, failed) call per record
 
 
-def _cmd_gen(args):
+def _cmd_gen(args, hand):
     alphas = _parse_alphas(args)
     spec = MomentSpec(args.dim, alphas)
     ps = moment_points(spec)
     text = emit_pointset(ps)
     if args.pointset_out:
         Path(args.pointset_out).write_text(text, encoding="utf-8")
-    record = ReportRecord(
-        command="gen",
-        inputs={"dim": args.dim, "alphas": [format_rational(a) for a in alphas]},
-        claim=None,
-        outcome={"pointset": ps, "text": text},
-        seed=args.seed,
-    )
-    return [record], False
+    hand({"dim": args.dim, "alphas": [format_rational(a) for a in alphas]}, None,
+         {"pointset": ps, "text": text})
 
 
-def _cmd_homog(args):
+def _cmd_homog(args, hand):
     ps = _load_pointset(args.pointset)
     result = is_order_homogeneous(ps)
     outcome = {
@@ -180,87 +180,45 @@ def _cmd_homog(args):
         expected = args.expect == "homogeneous"
         failed = result.homogeneous != expected
         outcome["expected"] = args.expect
-    record = ReportRecord(
-        command="homog",
-        inputs={"pointset": ps},
-        claim="OrderType",
-        outcome=outcome,
-        seed=args.seed,
-    )
-    return [record], failed
+    hand({"pointset": ps}, "OrderType", outcome, failed=failed)
 
 
-def _cmd_facets(args):
+def _cmd_facets(args, hand):
     fs = gale_facets(args.n, args.dim)
-    record = ReportRecord(
-        command="facets",
-        inputs={"n": args.n, "dim": args.dim},
-        claim=CLAIM_GALE,
-        outcome={"count": len(fs), "facets": [list(f) for f in fs]},
-        seed=args.seed,
-    )
-    return [record], False
+    hand({"n": args.n, "dim": args.dim}, CLAIM_GALE,
+         {"count": len(fs), "facets": [list(f) for f in fs]})
 
 
-def _cmd_neighborly(args):
+def _cmd_neighborly(args, hand):
     value = is_neighborly(args.n, args.dim)
-    record = ReportRecord(
-        command="neighborly",
-        inputs={"n": args.n, "dim": args.dim},
-        claim="Neighborly",
-        outcome={"neighborly": value, "k": args.dim // 2},
-        seed=args.seed,
-    )
-    return [record], not value
+    hand({"n": args.n, "dim": args.dim}, "Neighborly",
+         {"neighborly": value, "k": args.dim // 2}, failed=not value)
 
 
-def _cmd_crossings(args):
+def _cmd_crossings(args, hand):
     ps = _load_pointset(args.pointset)
     normal = [parse_rational(tok) for tok in args.normal.split(",")]
     h = Hyperplane(normal, parse_rational(args.offset))
     edges = path_crossings(ps, h)
     within = len(edges) <= ps.dim
-    record = ReportRecord(
-        command="crossings",
-        inputs={"pointset": ps, "normal": normal, "offset": h.offset},
-        claim=CLAIM_CROSSINGS,
-        outcome={
-            "count": len(edges),
-            "edges": list(edges),
-            "bound": ps.dim,
-            "within_bound": within,
-        },
-        seed=args.seed,
-    )
-    return [record], not within
+    hand({"pointset": ps, "normal": normal, "offset": h.offset}, CLAIM_CROSSINGS,
+         {"count": len(edges), "edges": list(edges), "bound": ps.dim, "within_bound": within},
+         failed=not within)
 
 
-def _cmd_intersect(args):
+def _cmd_intersect(args, hand):
     ps = _load_pointset(args.pointset)
     partition = _partition_for(args, len(ps))
     blocks = split(ps.points, partition.labels, partition.r)
     outcome = hulls_common_point(blocks, ps.dim)
     replayed = verify_outcome(blocks, outcome, ps.dim)
-    payload = outcome_payload(blocks, ps.dim, outcome)
-    failed = not replayed
-    if args.expect is not None:
-        failed = failed or (outcome.status != args.expect)
-    record = ReportRecord(
-        command="intersect",
-        inputs={"pointset": ps, "partition": list(partition.labels)},
-        claim="Intersection",
-        outcome={
-            "status": outcome.status,
-            "replayed": replayed,
-            "expected": args.expect,
-        },
-        certificate=payload,
-        seed=args.seed,
-    )
-    return [record], failed
+    hand({"pointset": ps, "partition": list(partition.labels)}, "Intersection",
+         {"status": outcome.status, "replayed": replayed, "expected": args.expect},
+         outcome_payload(blocks, ps.dim, outcome),
+         failed=not replayed or args.expect not in (None, outcome.status))
 
 
-def _cmd_tolerance(args):
+def _cmd_tolerance(args, hand):
     ps = _load_pointset(args.pointset)
     if args.sandwich:
         if args.r is None:
@@ -271,20 +229,11 @@ def _cmd_tolerance(args):
         rep = check_tolerance_sandwich(ps, args.r)
         lower_ok = rep.lower_bound <= rep.t_value
         upper_ok = rep.t_value <= rep.upper_bound
-        record = ReportRecord(
-            command="tolerance",
-            inputs={"pointset": ps, "mode": "sandwich", "r": args.r},
-            claim=CLAIM_SANDWICH_UPPER,
-            outcome={
-                "t_value": rep.t_value,
-                "lower_bound": rep.lower_bound,
-                "upper_bound": rep.upper_bound,
-                "lower_ok": lower_ok,
-                "upper_ok": upper_ok,
-            },
-            seed=args.seed,
-        )
-        return [record], not (lower_ok and upper_ok)
+        hand({"pointset": ps, "mode": "sandwich", "r": args.r}, CLAIM_SANDWICH_UPPER,
+             {"t_value": rep.t_value, "lower_bound": rep.lower_bound,
+              "upper_bound": rep.upper_bound, "lower_ok": lower_ok, "upper_ok": upper_ok},
+             failed=not (lower_ok and upper_ok))
+        return
     if args.set_mode:
         if args.r is None:
             raise InputError("--set needs -r")
@@ -296,28 +245,14 @@ def _cmd_tolerance(args):
             raise InputError(f"-r {args.r} differs from the partition's {partition.r} blocks")
         report = partition_tolerance(ps, partition, budget=args.budget)
         mode = "partition"
-    record = ReportRecord(
-        command="tolerance",
-        inputs={
-            "pointset": ps,
-            "mode": mode,
-            "r": partition.r,
-            "partition": list(partition.labels),
-            "budget": args.budget,
-        },
-        claim="Tolerance",
-        outcome={
-            "value": report.value,
-            "breaking_set": jsonable(report.breaking_set),
-            "exhausted": report.exhausted,
-            "partition": list(partition.labels),
-        },
-        seed=args.seed,
-    )
-    return [record], False
+    labels = list(partition.labels)
+    hand({"pointset": ps, "mode": mode, "r": partition.r, "partition": labels,
+          "budget": args.budget}, "Tolerance",
+         {"value": report.value, "breaking_set": jsonable(report.breaking_set),
+          "exhausted": report.exhausted, "partition": labels})
 
 
-def _cmd_bounds(args):
+def _cmd_bounds(args, hand):
     if args.kind == "prop41":
         if args.n is None:
             raise InputError("prop41 bound needs -n")
@@ -331,15 +266,11 @@ def _cmd_bounds(args):
                         "even-d": (alternating_bound_even, CLAIM_EVEN_BOUND)}[args.kind]
         value = bound(args.dim, args.r)
         inputs = {"kind": args.kind, "dim": args.dim, "r": args.r}
-    record = ReportRecord(
-        command="bounds", inputs=inputs, claim=claim, outcome={"value": value},
-        seed=args.seed,
-    )
-    return [record], False
+    hand(inputs, claim, {"value": value})
 
 
 def _strategy_from(args) -> SearchStrategy:
-    kwargs = {"kind": args.strategy, "seed": args.seed or 0, "cluster_count": args.cluster_count}
+    kwargs = {"kind": args.strategy, "seed": args.seed, "cluster_count": args.cluster_count}
     if args.spread is not None:
         kwargs["spread"] = args.spread
     return SearchStrategy(**kwargs)
@@ -354,20 +285,6 @@ def _scan_exact(d) -> bool:
     the parameters 1..n decide every n-point set, so a none-found is a proof
     there and only evidence elsewhere."""
     return d == 1
-
-
-def _scan_record(args, strategy, n, result, fingerprint) -> ReportRecord:
-    inputs = {"d": args.dim, "r": args.r, "n": n, "strategy": fingerprint}
-    if isinstance(result, Counterexample):
-        outcome = {"found": True, "alphas": [format_rational(a) for a in result.alphas]}
-        payload = outcome_payload(result.blocks, result.dim, result.outcome)
-    else:
-        outcome, payload = {"found": False, "tried": result.tried}, None
-    return ReportRecord(
-        command="search-c", inputs=inputs, claim=CLAIM_SCAN,
-        outcome={**outcome, "exact": _scan_exact(args.dim)}, certificate=payload,
-        seed=strategy.seed,
-    )
 
 
 def _load_resume(args, fingerprint) -> Dict[int, bool]:
@@ -398,78 +315,54 @@ def _load_resume(args, fingerprint) -> Dict[int, bool]:
     return found
 
 
-def _cmd_search_c(args):
+def _cmd_search_c(args, hand):
     if args.n_to < args.n_from:
         raise InputError(f"empty n range: --n-to {args.n_to} is below --n-from {args.n_from}")
     strategy = _strategy_from(args)
-    budget = args.budget if args.budget is not None else searchmod.DEFAULT_BUDGET
-    fingerprint = _strategy_fingerprint(strategy, budget)
+    fingerprint = _strategy_fingerprint(strategy, args.budget)
     found = _load_resume(args, fingerprint)
     ns = range(args.n_from, args.n_to + 1)
     resumed = [n for n in ns if n in found]
 
     def on_result(n, result):
         found[n] = isinstance(result, Counterexample)
+        if found[n]:
+            outcome = {"found": True, "alphas": [format_rational(a) for a in result.alphas]}
+            payload = outcome_payload(result.blocks, result.dim, result.outcome)
+        else:
+            outcome, payload = {"found": False, "tried": result.tried}, None
         # each n reaches --out as it finishes, so an interrupted scan resumes
-        args.emit(_scan_record(args, strategy, n, result, fingerprint))
+        hand({"d": args.dim, "r": args.r, "n": n, "strategy": fingerprint}, CLAIM_SCAN,
+             {**outcome, "exact": _scan_exact(args.dim)}, payload)
 
     todo = [n for n in ns if n not in found]
-    scan_c_lower(args.dim, args.r, todo, strategy=strategy, budget=budget, on_result=on_result)
-    summary = ReportRecord(
-        command="search-c-summary",
-        inputs={"d": args.dim, "r": args.r, "n_from": args.n_from,
-                "n_to": args.n_to, "strategy": fingerprint},
-        claim=CLAIM_SCAN,
-        outcome={**_scan_summary({n: found[n] for n in ns}), "resumed": resumed},
-        seed=strategy.seed,
-    )
-    return [summary], False
+    scan_c_lower(args.dim, args.r, todo, strategy=strategy, budget=args.budget,
+                 on_result=on_result)
+    hand({"d": args.dim, "r": args.r, "n_from": args.n_from, "n_to": args.n_to,
+          "strategy": fingerprint}, CLAIM_SCAN,
+         {**_scan_summary({n: found[n] for n in ns}), "resumed": resumed}, summary=True)
 
 
-def _cmd_t_line(args):
-    value = t_line(args.n, args.r)
-    record = ReportRecord(
-        command="t-line",
-        inputs={"n": args.n, "r": args.r},
-        claim=CLAIM_LINE_TIGHT,
-        outcome={"value": value},
-        seed=args.seed,
-    )
-    return [record], False
+def _cmd_t_line(args, hand):
+    hand({"n": args.n, "r": args.r}, CLAIM_LINE_TIGHT, {"value": t_line(args.n, args.r)})
 
 
-def _cmd_n_line(args):
+def _cmd_n_line(args, hand):
     value = n_line(args.t, args.r)
     oracle = n_line_formula(args.t, args.r)
     growth_ok = check_growth_inequality(1, args.r, args.t, value)
-    record = ReportRecord(
-        command="n-line",
-        inputs={"t": args.t, "r": args.r},
-        claim=CLAIM_GROWTH,
-        outcome={
-            "value": value,
-            "oracle": oracle,
-            "match": value == oracle,
-            "growth_inequality_ok": growth_ok,
-        },
-        seed=args.seed,
-    )
-    return [record], not (value == oracle and growth_ok)
+    hand({"t": args.t, "r": args.r}, CLAIM_GROWTH,
+         {"value": value, "oracle": oracle, "match": value == oracle,
+          "growth_inequality_ok": growth_ok},
+         failed=not (value == oracle and growth_ok))
 
 
-def _cmd_verify_sixteen(args):
+def _cmd_verify_sixteen(args, hand):
     eps = parse_rational(args.epsilon) if args.epsilon else searchmod.DEFAULT_EPSILON
     # a certificate that does not replay raised InternalError in _certified
     example, working_eps = verified_sixteen_point_example(eps)
-    record = ReportRecord(
-        command="verify-figure2",
-        inputs={"epsilon": working_eps},
-        claim=CLAIM_SIXTEEN,
-        outcome=_figure2_outcome(example.alphas),
-        certificate=outcome_payload(example.blocks, example.dim, example.outcome),
-        seed=args.seed,
-    )
-    return [record], False
+    hand({"epsilon": working_eps}, CLAIM_SIXTEEN, _figure2_outcome(example.alphas),
+         outcome_payload(example.blocks, example.dim, example.outcome))
 
 
 def _figure2_outcome(alphas) -> Dict:
@@ -584,7 +477,7 @@ def _summary_bound(summary: ReportRecord, records, replays) -> bool:
         return False
 
 
-def _cmd_verify(args):
+def _cmd_verify(args, hand):
     records_in = load_records(_read_text(args.report))
     # one replay per certificate: a summary reads its records' verdicts
     verdicts = {id(rec): _replay_bound(rec) for rec in records_in}
@@ -595,14 +488,8 @@ def _cmd_verify(args):
             verdict = _summary_bound(rec, records_in, lambda r: verdicts[id(r)])
         results.append({"record": i, "command": rec.command, "replayed": verdict})
     failed = any(res["replayed"] is False for res in results)
-    record = ReportRecord(
-        command="verify",
-        inputs={"report": args.report, "records": len(records_in)},
-        claim="Replay",
-        outcome={"results": results, "all_ok": not failed},
-        seed=None,
-    )
-    return [record], failed
+    hand({"report": args.report, "records": len(records_in)}, "Replay",
+         {"results": results, "all_ok": not failed}, failed=failed)
 
 
 # ---------------------------------------------------------------------------
@@ -632,46 +519,51 @@ def build_parser() -> argparse.ArgumentParser:
     # subcommand; main() fills the gaps after parsing
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
+    def command(name, handler, help, reads=None):
+        """Register a subcommand.  ``reads`` maps each global flag it reads,
+        besides --format and --out, to the value that flag takes when absent
+        (by default, --seed alone, absent as null); main() refuses the
+        others.  A record's seed is the value of --seed."""
+        reads = {"seed": None} if reads is None else reads
+        p = sub.add_parser(name, parents=[common], help=help)
+        p.set_defaults(handler=handler, reads={"format": "json", "out": None, **reads})
+        return p
+
     # a command's alternative flags (its input sources, its modes) are one
     # exclusive group: two of them exit 2
-    p = sub.add_parser("gen", parents=[common], help="moment-curve points from parameters")
+    p = command("gen", _cmd_gen, "moment-curve points from parameters")
     p.add_argument("-d", "--dim", type=int, required=True)
     source = p.add_mutually_exclusive_group()
     source.add_argument("--alphas", help="comma-separated rationals")
     source.add_argument("--alphas-file", help="whitespace-separated rationals")
     p.add_argument("--pointset-out", help="write the otps file here")
-    p.set_defaults(handler=_cmd_gen)
 
-    p = sub.add_parser("homog", parents=[common], help="order-type homogeneity check")
+    p = command("homog", _cmd_homog, "order-type homogeneity check")
     p.add_argument("pointset", help="otps file ('-' for stdin)")
     p.add_argument("--expect", choices=("homogeneous", "violation"))
-    p.set_defaults(handler=_cmd_homog)
 
-    p = sub.add_parser("facets", parents=[common], help="cyclic-polytope facets (Gale evenness)")
+    p = command("facets", _cmd_facets, "cyclic-polytope facets (Gale evenness)")
     p.add_argument("-d", "--dim", type=int, required=True)
     p.add_argument("-n", type=int, required=True)
-    p.set_defaults(handler=_cmd_facets)
 
-    p = sub.add_parser("neighborly", parents=[common], help="floor(d/2)-neighborliness check")
+    p = command("neighborly", _cmd_neighborly, "floor(d/2)-neighborliness check")
     p.add_argument("-d", "--dim", type=int, required=True)
     p.add_argument("-n", type=int, required=True)
-    p.set_defaults(handler=_cmd_neighborly)
 
-    p = sub.add_parser("crossings", parents=[common], help="path-hyperplane crossing count")
+    p = command("crossings", _cmd_crossings, "path-hyperplane crossing count")
     p.add_argument("pointset")
     p.add_argument("--normal", required=True, help="comma-separated rationals")
     p.add_argument("--offset", required=True)
-    p.set_defaults(handler=_cmd_crossings)
 
-    p = sub.add_parser("intersect", parents=[common], help="common point of block hulls")
+    p = command("intersect", _cmd_intersect, "common point of block hulls")
     p.add_argument("pointset")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--blocks", help="e.g. '1,4;2,5;3'")
     mode.add_argument("--alternating", type=int, metavar="R")
     p.add_argument("--expect", choices=("feasible", "infeasible"))
-    p.set_defaults(handler=_cmd_intersect)
 
-    p = sub.add_parser("tolerance", parents=[common], help="partition or set tolerance")
+    p = command("tolerance", _cmd_tolerance, "partition or set tolerance",
+                reads={"seed": None, "budget": None})
     p.add_argument("pointset")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--blocks")
@@ -681,16 +573,16 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--sandwich", action="store_true",
                       help="check the homogeneous-set tolerance sandwich")
     p.add_argument("-r", type=int, help="number of blocks; --set and --sandwich need it")
-    p.set_defaults(handler=_cmd_tolerance)
 
-    p = sub.add_parser("bounds", parents=[common], help="threshold/tolerance bound formulas")
+    p = command("bounds", _cmd_bounds, "threshold/tolerance bound formulas")
     p.add_argument("--kind", choices=("lemma32", "even-d", "prop41"), required=True)
     p.add_argument("-d", "--dim", type=int, required=True)
     p.add_argument("-r", type=int, required=True)
     p.add_argument("-n", type=int)
-    p.set_defaults(handler=_cmd_bounds)
 
-    p = sub.add_parser("search-c", parents=[common], help="scan n for alternating counterexamples")
+    # the scan records the seed its candidate stream drew from
+    p = command("search-c", _cmd_search_c, "scan n for alternating counterexamples",
+                reads={"seed": 0, "budget": searchmod.DEFAULT_BUDGET})
     p.add_argument("-d", "--dim", type=int, required=True)
     p.add_argument("-r", type=int, required=True)
     p.add_argument("--n-from", type=int, required=True)
@@ -698,26 +590,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=("clustered",), default="clustered")
     p.add_argument("--cluster-count", type=int)
     p.add_argument("--spread", type=int)
-    p.set_defaults(handler=_cmd_search_c)
 
-    p = sub.add_parser("t-line", parents=[common], help="exact t(n, 1, r)")
+    p = command("t-line", _cmd_t_line, "exact t(n, 1, r)")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-r", type=int, required=True)
-    p.set_defaults(handler=_cmd_t_line)
 
-    p = sub.add_parser("n-line", parents=[common], help="least n on the line with tolerance t")
+    p = command("n-line", _cmd_n_line, "least n on the line with tolerance t")
     p.add_argument("-t", type=int, required=True)
     p.add_argument("-r", type=int, required=True)
-    p.set_defaults(handler=_cmd_n_line)
 
-    p = sub.add_parser("verify-figure2", parents=[common],
-                       help="verify the 16-point witness for c(3,4) >= 17")
+    p = command("verify-figure2", _cmd_verify_sixteen,
+                "verify the 16-point witness for c(3,4) >= 17")
     p.add_argument("--epsilon", help="starting perturbation step")
-    p.set_defaults(handler=_cmd_verify_sixteen)
 
-    p = sub.add_parser("verify", parents=[common], help="replay certificates in a report file")
+    p = command("verify", _cmd_verify, "replay certificates in a report file", reads={})
     p.add_argument("report", help="JSON-lines report ('-' for stdin)")
-    p.set_defaults(handler=_cmd_verify)
 
     return parser
 
@@ -730,35 +617,32 @@ def _render_table(record: ReportRecord) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    for name, default in (("seed", None), ("budget", None),
-                          ("format", "json"), ("out", None)):
-        if not hasattr(args, name):
-            setattr(args, name, default)
+    args = build_parser().parse_args(argv)
     start = time.perf_counter()
-    emitted = []  # (record, its line) for stdout
+    emitted = []  # (record, its line, whether its claim failed) for stdout
 
-    def emit(record: ReportRecord) -> None:
-        """Stamp a record's timing, keep it for stdout and append it to --out."""
-        record.timing = round(time.perf_counter() - start, 6)
+    def hand(inputs, claim, outcome, certificate=None, failed=False, summary=False):
+        """Build the record of what a handler computed, stamp its timing and
+        append it to --out at once; ``summary`` marks a scan's closing record."""
+        record = ReportRecord(
+            command=args.subcommand + ("-summary" if summary else ""), inputs=inputs,
+            claim=claim, outcome=outcome, certificate=certificate, seed=args.seed,
+            timing=round(time.perf_counter() - start, 6),
+        )
         line = record.to_json_line()
-        emitted.append((record, line))
+        emitted.append((record, line, failed))
         if args.out:
             with open(args.out, "a", encoding="utf-8") as fh:
                 fh.write(line + "\n")
 
-    args.emit = emit  # search-c emits each n as it finishes
     try:
-        if args.budget is not None and args.subcommand not in ("search-c", "tolerance"):
-            raise InputError(f"{args.subcommand} takes no --budget")
-        if args.seed is not None and args.subcommand == "verify":
-            raise InputError("verify takes no --seed")
+        for flag in ("budget", "seed", "format", "out"):
+            if hasattr(args, flag) and flag not in args.reads:
+                raise InputError(f"{args.subcommand} takes no --{flag}")
+            setattr(args, flag, getattr(args, flag, args.reads.get(flag)))
         if args.budget is not None and args.budget < 0:
             raise InputError(f"--budget must be >= 0, got {args.budget}")
-        records, failed = args.handler(args)
-        for record in records:
-            emit(record)
+        args.handler(args, hand)
     # ParseError, a file that is not UTF-8 text too; OSError: a path
     # unreadable or unwritable
     except (InputError, OSError) as exc:
@@ -774,9 +658,9 @@ def main(argv=None) -> int:
         traceback.print_exc()
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 4
-    for record, line in emitted:
+    for record, line, _ in emitted:
         print(_render_table(record) if args.format == "table" else line)
-    return 1 if failed else 0
+    return 1 if any(failed for *_, failed in emitted) else 0
 
 
 if __name__ == "__main__":

@@ -80,6 +80,8 @@ class SearchStrategy:
             raise InputError(f"unknown strategy kind: {self.kind!r}")
         if self.cluster_count is not None and self.cluster_count < 0:
             raise InputError(f"cluster count must be >= 0, got {self.cluster_count}")
+        if self.spread < 1:
+            raise InputError(f"spread must be >= 1, got {self.spread}")
 
 
 def split_repeats(values: Sequence, epsilon) -> Tuple[Rational, ...]:

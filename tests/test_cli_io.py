@@ -971,6 +971,9 @@ class TestCLI:
         (["facets", "-d", "2", "-n", "5", "--budget", "3"], "takes no --budget"),
         (["--budget", "3", "n-line", "-t", "1", "-r", "2"], "takes no --budget"),
         (["--seed", "3", "verify", "MISSING"], "takes no --seed"),
+        (["search-c", "-d", "2", "-r", "2", "--n-from", "3", "--n-to", "3", "--spread=-5"],
+         "spread must be >= 1"),
+        (["intersect", "LINE", "--blocks", ""], "blocks do not cover all indices"),
     ])
     def test_bad_input_exits_2(self, capsys, tmp_path, argv, message):
         # no input exits 1 (a failed claim) or 4 (a fault), and none prints
