@@ -658,8 +658,12 @@ def main(argv=None) -> int:
         traceback.print_exc()
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 4
-    for record, line, _ in emitted:
-        print(_render_table(record) if args.format == "table" else line)
+    try:  # a reader that closes stdout ends the output, not the claim
+        for record, line, _ in emitted:
+            print(_render_table(record) if args.format == "table" else line)
+        sys.stdout.flush()
+    except BrokenPipeError:  # so that the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 1 if any(failed for *_, failed in emitted) else 0
 
 

@@ -36,6 +36,8 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 
 def parse_rational(text: str, line: Optional[int] = None) -> Rational:
+    if not isinstance(text, str):
+        raise ParseError(f"a rational is a string, not {text!r}", line=line)
     token = text.strip()
     if not _RATIONAL_RE.match(token):
         raise ParseError(f"malformed rational {text!r}", line=line)
@@ -107,10 +109,7 @@ def jsonable(value):
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
     if isinstance(value, PointSet):
-        return {
-            "dim": value.dim,
-            "points": [[format_rational(c) for c in p] for p in value.points],
-        }
+        return {"dim": value.dim, "points": encode_points(value.points)}
     # Fractions and anything rational-like
     return format_rational(value)
 
@@ -119,73 +118,65 @@ def encode_points(points) -> List[List[str]]:
     return [[format_rational(c) for c in p] for p in points]
 
 
-def decode_points(data) -> List[Tuple[Rational, ...]]:
-    return [tuple(parse_rational(c) for c in row) for row in data]
+def _decode(form, value):
+    """``value`` read as ``form`` and nothing else: ``Rational`` is a rational
+    string in canonical form, ``int`` a JSON integer (not a bool), and
+    ``(f,)`` and ``[f]`` a JSON list of ``f``, read as a tuple or a list."""
+    if form is Rational:
+        number = parse_rational(value)
+        if str(number) == value:
+            return number
+    elif form is int:
+        if type(value) is int:
+            return value
+    elif type(value) is list:
+        return type(form)([_decode(form[0], item) for item in value])
+    raise ParseError(f"payload value {value!r} is not in canonical form")
+
+
+#: wire ``kind`` -> (evidence type, form of each of its fields, in the order
+#: :func:`outcome_payload` writes them after dim, blocks, status and kind)
+EVIDENCE_KINDS = {
+    "witness": (Witness, {"point": (Rational,), "coefficients": ((Rational,),)}),
+    "farkas": (FarkasCertificate, {"multipliers": (Rational,)}),
+    "empty-block": (EmptyBlockCertificate, {"block_index": int}),
+}
 
 
 def outcome_payload(blocks, dim: int, outcome) -> Dict:
     """Self-contained, replayable form of the evidence
     :func:`~tverlab.feasibility.hulls_common_point` returned."""
-    payload: Dict = {
-        "dim": dim,
-        "blocks": [encode_points(b) for b in blocks],
-        "status": outcome.status,
-    }
-    if isinstance(outcome, Witness):
-        payload["kind"] = "witness"
-        payload["point"] = [format_rational(c) for c in outcome.point]
-        payload["coefficients"] = [
-            [format_rational(c) for c in coeffs]
-            for coeffs in outcome.coefficients
-        ]
-    elif isinstance(outcome, FarkasCertificate):
-        payload["kind"] = "farkas"
-        payload["multipliers"] = [format_rational(u) for u in outcome.multipliers]
-    elif isinstance(outcome, EmptyBlockCertificate):
-        payload["kind"] = "empty-block"
-        payload["block_index"] = outcome.block_index
-    else:  # pragma: no cover - no other evidence kinds exist
-        raise InputError(f"unknown evidence type {type(outcome).__name__}")
-    return payload
+    kind, fields = next((kind, fields) for kind, (evidence, fields) in EVIDENCE_KINDS.items()
+                        if type(outcome) is evidence)
+    return {"dim": dim, "blocks": [encode_points(b) for b in blocks], "status": outcome.status,
+            "kind": kind, **{name: jsonable(getattr(outcome, name)) for name in fields}}
 
 
 def payload_outcome(payload: Dict):
-    """Decode a payload back into ``(blocks, dim, evidence)``."""
-    blocks = [decode_points(b) for b in payload["blocks"]]
-    dim = int(payload["dim"])
-    kind = payload["kind"]
-    if kind == "witness":
-        outcome = Witness(
-            point=tuple(parse_rational(c) for c in payload["point"]),
-            coefficients=tuple(
-                tuple(parse_rational(c) for c in coeffs)
-                for coeffs in payload["coefficients"]
-            ),
-        )
-    elif kind == "farkas":
-        outcome = FarkasCertificate(
-            multipliers=tuple(parse_rational(u) for u in payload["multipliers"])
-        )
-    elif kind == "empty-block":
-        outcome = EmptyBlockCertificate(block_index=int(payload["block_index"]))
-    else:
-        raise InputError(f"unknown certificate kind {kind!r}")
-    return blocks, dim, outcome
+    """Decode a payload back into ``(blocks, dim, evidence)``; any other
+    form than :func:`outcome_payload` writes is a :class:`ParseError`."""
+    kind = payload.get("kind") if isinstance(payload, dict) else None
+    if not isinstance(kind, str) or kind not in EVIDENCE_KINDS:
+        raise ParseError(f"unknown certificate kind {kind!r}")
+    evidence, fields = EVIDENCE_KINDS[kind]
+    try:
+        values = {name: _decode(form, payload[name])
+                  for name, form in {"dim": int, "blocks": [[(Rational,)]], **fields}.items()}
+    except KeyError as exc:
+        raise ParseError(f"payload has no field {exc}") from None
+    return values.pop("blocks"), values.pop("dim"), evidence(**values)
 
 
 def replay_payload(payload: Dict) -> bool:
-    """Re-verify a payload produced by :func:`outcome_payload`: its evidence
-    must replay and prove the status the payload states.  A payload with a
-    missing field, a malformed number or an unknown kind, or whose points
-    disagree with its ``dim``, does not replay.
-
-    Uses only the exact kernel and the feasibility verifiers; no state from
-    the original run is needed.
-    """
+    """Re-verify a payload produced by :func:`outcome_payload`: it must
+    decode (:func:`payload_outcome`), and its evidence must replay and prove
+    the status it states.  A payload whose points disagree with its ``dim``
+    does not replay either.  Uses only the exact kernel and the feasibility
+    verifiers; no state from the original run is needed."""
     try:
         blocks, dim, outcome = payload_outcome(payload)
         return payload.get("status") == outcome.status and verify_outcome(blocks, outcome, dim)
-    except (InputError, KeyError, TypeError, ValueError):  # InputError includes ParseError
+    except InputError:  # ParseError included
         return False
 
 

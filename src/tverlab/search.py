@@ -66,7 +66,7 @@ class SearchStrategy:
     ``clustered``, the one kind, draws a few tight clusters plus a spread
     tail from ``random.Random(seed)``: ``cluster_count`` clusters (r - 1 by
     default, at most n), with centers and tail values drawn from integers in
-    ``[-span, span]``, span = max(2, spread) * n.  Repeats in a cluster are
+    ``[-span, span]``, span = spread * n.  Repeats in a cluster are
     split by :data:`DEFAULT_EPSILON`.
     """
 
@@ -101,7 +101,7 @@ def alpha_candidates(strategy: SearchStrategy, n: int, r: int) -> Iterator[Tuple
     """Infinite stream of strictly increasing parameter tuples of length n."""
     rng = random.Random(strategy.seed)
     clusters = strategy.cluster_count if strategy.cluster_count is not None else max(1, r - 1)
-    span = max(2 * n, strategy.spread * n)
+    span = strategy.spread * n
     while True:
         k = min(clusters, n)
         # sizes: clusters get 2..d+1-ish points, the tail takes the rest

@@ -1,13 +1,17 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tverlab
 from tverlab.cli import main
-from tverlab.errors import InternalError, ParseError
+from tverlab.errors import InputError, InternalError, ParseError
 from tverlab.kernel import PointSet, Rational
 from tverlab.pointset_io import (
     ReportRecord,
@@ -164,6 +168,20 @@ class TestCLI:
         code = main(list(argv))
         captured = capsys.readouterr()
         return code, captured.out
+
+    def test_closed_stdout_ends_the_output_quietly(self):
+        # about 106 KB of records, more than a pipe holds, into a reader that
+        # closes after 10 bytes: no traceback, and the exit code the records
+        # earned
+        argv = ["search-c", "-d", "1", "-r", "1", "--n-from", "1", "--n-to", "400",
+                "--budget", "1"]
+        env = {**os.environ, "PYTHONPATH": str(Path(tverlab.__file__).parent.parent)}
+        with subprocess.Popen([sys.executable, "-m", "tverlab.cli", *argv], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.read(10) == b'{"command"'
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            assert (proc.wait(timeout=60), stderr) == (0, b"")
 
     def test_facets_record(self, capsys):
         code, out = self.run(capsys, "facets", "-d", "2", "-n", "5")
@@ -348,15 +366,31 @@ class TestCLI:
                            "-r", "2", "--n-from", "3", "--n-to", "3")
         assert code == 0
         payload = json.loads(report.read_text().splitlines()[0])["certificate"]
-        assert replay_payload(payload)
-        for key, value in (("kind", None), ("dim", "x"), ("blocks", None),
-                           ("multipliers", None), ("multipliers", 7)):
-            forged = json.loads(json.dumps(payload))
+        ps = tmp_path / "sq.otps"
+        ps.write_text("otps 2 4\n0 0\n1 0\n1 1\n0 1\n")
+        code, out = self.run(capsys, "intersect", str(ps), "--alternating", "2")
+        witness = json.loads(out)["certificate"]
+        # both blocks are empty, so block indices 1 and 2 are both true
+        empty = outcome_payload([[], []], 2, hulls_common_point([[], []], 2))
+        assert all(map(replay_payload, (payload, witness, empty)))
+        rows = [(payload, key, value) for key, value in (
+            ("kind", None), ("dim", "x"), ("blocks", None), ("multipliers", None),
+            ("multipliers", 7), ("multipliers", [1]))]
+        # a value is refused unless it is in the form outcome_payload writes:
+        # JSON integers where ints belong, canonical rational strings
+        rows += [(witness, "point", [0, 0]), (witness, "point", ["2/4", "1/2"])]
+        rows += [(empty, "block_index", value) for value in (2.7, "2", True)]
+        for base, key, value in rows:
+            forged = json.loads(json.dumps(base))
             if value is None:
                 del forged[key]
             else:
                 forged[key] = value
             assert replay_payload(forged) is False, key
+            with pytest.raises(InputError):
+                payload_outcome(forged)
+        for value in (None, 7, "farkas", [payload], {"kind": ["farkas"]}):
+            assert replay_payload(value) is False, value
 
     def test_verify_rejects_unordered_alphas(self, capsys, tmp_path):
         # a true certificate for the moment points taken out of parameter

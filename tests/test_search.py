@@ -50,6 +50,14 @@ class TestCandidateStreams:
                 assert len(alphas) == 6
                 assert all(x < y for x, y in zip(alphas, alphas[1:]))
 
+    def test_spread_sets_the_span(self):
+        # the integers are drawn within spread * n of zero, with no floor, so
+        # each spread draws its own stream; repeats add under 1/100
+        first = [next(alpha_candidates(SearchStrategy(seed=1, spread=spread), 8, 3))
+                 for spread in (1, 2)]
+        assert first[0] != first[1]
+        assert max(map(abs, first[0])) < 8 + Rational(1, 100)
+
     def test_unknown_kind_rejected(self):
         # kinds that are gone stay refused, by the library and by argparse
         for kind in ("annealing", "grid", "random-rational"):
