@@ -39,9 +39,7 @@ from .feasibility import (
     Witness,
     hulls_common_point,
     intervals_common_point,
-    verify_farkas,
     verify_outcome,
-    verify_witness,
 )
 from .labels import Partition, alternating_partition, iter_partitions
 from .tolerance import (

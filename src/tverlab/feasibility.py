@@ -48,7 +48,9 @@ a^d)``.  Everything is pure; callers may run many solves concurrently.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InputError, InternalError
@@ -168,7 +170,7 @@ def _normalize_multipliers(values: Sequence[Rational]) -> Tuple[Rational, ...]:
 
 
 # ---------------------------------------------------------------------------
-# evidence types: each is a hull decision, with its verdict as class constants
+# evidence types: each is a hull decision with its verdict, and replays itself
 
 
 @dataclass(frozen=True)
@@ -179,6 +181,17 @@ class Witness:
     status = "feasible"
     point: Point
     coefficients: Tuple[Tuple[Rational, ...], ...]
+
+    def replays(self, blocks, dim) -> bool:
+        """Recompute every defining equality, exactly."""
+        if len(self.coefficients) != len(blocks):
+            return False
+        for block, coeffs in zip(blocks, self.coefficients):
+            if len(coeffs) != len(block) or any(c < 0 for c in coeffs) or sum(coeffs, ZERO) != 1:
+                return False
+            if _combination(block, coeffs, dim) != tuple(self.point):
+                return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -193,6 +206,21 @@ class FarkasCertificate:
     status = "infeasible"
     multipliers: Tuple[Rational, ...]
 
+    def replays(self, blocks, dim) -> bool:
+        """``u . b > 0`` and ``u . A_j <= 0`` for every column j, one at a time:
+        point p of block k gives ``u_k + (c_k - c_{k-1}) . p``, c_k the
+        multipliers of the chain rows between blocks k and k + 1, if any."""
+        u = self.multipliers
+        r = len(blocks)
+        if len(u) != r + (r - 1) * dim:
+            return False
+        chains = [()] + [u[r + k * dim : r + (k + 1) * dim] for k in range(r - 1)] + [()]
+        for k, block in enumerate(blocks):
+            w = [a - b for a, b in zip_longest(chains[k + 1], chains[k], fillvalue=ZERO)]
+            if any(sum(map(operator.mul, p, w), u[k]) > 0 for p in block):
+                return False
+        return sum(u[:r], ZERO) > 0
+
 
 @dataclass(frozen=True)
 class EmptyBlockCertificate:
@@ -201,6 +229,9 @@ class EmptyBlockCertificate:
     feasible = False
     status = "infeasible"
     block_index: int
+
+    def replays(self, blocks, dim) -> bool:
+        return 1 <= self.block_index <= len(blocks) and not blocks[self.block_index - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +244,7 @@ def intersection_system(blocks: Sequence[Sequence[Point]], dim: int):
     One column per point (blocks in order, points in block order).  Rows:
     one convexity row per block (coefficients sum to 1), then for each pair
     of consecutive blocks ``dim`` chain rows equating their combinations.
-    Verifiers rebuild this exact layout when replaying Farkas certificates.
+    Farkas replays read this layout column by column and build no system.
     Entries are the coordinates and the ints 0 and 1, so integer points
     give an integer system.
     """
@@ -242,9 +273,13 @@ def intersection_system(blocks: Sequence[Sequence[Point]], dim: int):
 
 
 def _coerce_blocks(blocks, dim=None):
+    """The one gate for blocks, to decide and to replay: rational points, at
+    least one block, one dimension of at least 1 (from the points if None)."""
     coerced = []
     for block in blocks:
         coerced.append([as_point(p) for p in block])
+    if not coerced:
+        raise InputError("need at least one block")
     if dim is None:
         for block in coerced:
             if block:
@@ -252,6 +287,8 @@ def _coerce_blocks(blocks, dim=None):
                 break
     if dim is None:
         raise InputError("cannot infer dimension from empty blocks")
+    if dim < 1:
+        raise InputError(f"dimension must be at least 1, got {dim}")
     for block in coerced:
         for p in block:
             if len(p) != dim:
@@ -266,8 +303,6 @@ def hulls_common_point(blocks, dim=None) -> Witness | FarkasCertificate | EmptyB
     :class:`FarkasCertificate` or an :class:`EmptyBlockCertificate`.
     """
     blocks, dim = _coerce_blocks(blocks, dim)
-    if not blocks:
-        raise InputError("need at least one block")
     for k, block in enumerate(blocks):
         if not block:
             return EmptyBlockCertificate(block_index=k + 1)
@@ -281,6 +316,13 @@ def hulls_common_point(blocks, dim=None) -> Witness | FarkasCertificate | EmptyB
         coeffs.append(tuple(payload[pos : pos + len(block)]))
         pos += len(block)
     return Witness(point=_combination(blocks[0], coeffs[0], dim), coefficients=tuple(coeffs))
+
+
+def verify_outcome(blocks, outcome, dim=None) -> bool:
+    """Replay any evidence :func:`hulls_common_point` returns, on blocks that
+    pass its gate; blocks the gate refuses raise :class:`InputError`."""
+    blocks, dim = _coerce_blocks(blocks, dim)
+    return outcome.replays(blocks, dim)
 
 
 def screened_support(blocks, dim) -> Optional[Tuple[int, ...]]:
@@ -373,54 +415,6 @@ def _combination(block, coeffs, dim) -> Point:
             for c in range(dim):
                 acc[c] += lam * p[c]
     return tuple(acc)
-
-
-# ---------------------------------------------------------------------------
-# certificate replay
-
-
-def verify_witness(blocks, witness: Witness, dim=None) -> bool:
-    """Recompute every defining equality of a feasible witness, exactly."""
-    blocks, dim = _coerce_blocks(blocks, dim)
-    if len(witness.coefficients) != len(blocks):
-        return False
-    for block, coeffs in zip(blocks, witness.coefficients):
-        if len(coeffs) != len(block):
-            return False
-        if any(c < 0 for c in coeffs):
-            return False
-        if sum(coeffs, ZERO) != 1:
-            return False
-        if _combination(block, coeffs, dim) != tuple(witness.point):
-            return False
-    return True
-
-
-def verify_farkas(blocks, certificate: FarkasCertificate, dim=None) -> bool:
-    """Replay Farkas multipliers against the canonical intersection system."""
-    blocks, dim = _coerce_blocks(blocks, dim)
-    rows, rhs = intersection_system(blocks, dim)
-    u = certificate.multipliers
-    if len(u) != len(rows):
-        return False
-    total = len(rows[0]) if rows else 0
-    for j in range(total):
-        col = sum((u[i] * rows[i][j] for i in range(len(rows))), ZERO)
-        if col > 0:
-            return False
-    return sum((u[i] * rhs[i] for i in range(len(rows))), ZERO) > 0
-
-
-def verify_outcome(blocks, outcome, dim=None) -> bool:
-    """Replay whichever evidence :func:`hulls_common_point` returned."""
-    if isinstance(outcome, Witness):
-        return verify_witness(blocks, outcome, dim)
-    if isinstance(outcome, FarkasCertificate):
-        return verify_farkas(blocks, outcome, dim)
-    if isinstance(outcome, EmptyBlockCertificate):
-        k = outcome.block_index
-        return 1 <= k <= len(blocks) and len(blocks[k - 1]) == 0
-    return False
 
 
 # ---------------------------------------------------------------------------

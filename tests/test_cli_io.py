@@ -158,6 +158,22 @@ class TestRecords:
         payload = json.loads(json.dumps(outcome_payload(blocks, dim, evidence)))
         assert payload_outcome(payload) == (blocks, dim, evidence)
 
+    def test_farkas_replay_builds_no_system(self, monkeypatch):
+        # the replay reads the layout column by column: the sixteen-point
+        # certificate replays without the system, and a payload whose
+        # multiplier count cannot match its dim fails before any work
+        golden = json.loads((GOLDEN / "sixteen_point.json").read_text())
+        sixteen = json.loads(golden["intersect_alternating_4"])["certificate"]
+
+        def refuse(*args):
+            raise AssertionError("the replay built the intersection system")
+
+        monkeypatch.setattr(tverlab.feasibility, "intersection_system", refuse)
+        assert replay_payload(sixteen) is True
+        huge = {"dim": 10 ** 12, "blocks": [[], []], "status": "infeasible",
+                "kind": "farkas", "multipliers": ["1", "1"]}
+        assert replay_payload(huge) is False
+
     def test_record_without_certificate(self):
         rec = ReportRecord(command="t-line", inputs={}, claim=None, outcome={})
         assert replay_record(rec) is None
@@ -391,6 +407,14 @@ class TestCLI:
                 payload_outcome(forged)
         for value in (None, 7, "farkas", [payload], {"kind": ["farkas"]}):
             assert replay_payload(value) is False, value
+        # payloads that decode but state blocks hulls_common_point refuses:
+        # no block at all, or a dim below 1
+        gated = [{**witness, "blocks": [], "coefficients": []}, {**empty, "dim": -3}]
+        gated += [{**payload, "dim": dim, "blocks": [[], []], "multipliers": ["1", "1"]}
+                  for dim in (-3, 0)]
+        for forged in gated:
+            payload_outcome(forged)
+            assert replay_payload(forged) is False, forged
 
     def test_verify_rejects_unordered_alphas(self, capsys, tmp_path):
         # a true certificate for the moment points taken out of parameter

@@ -1,19 +1,24 @@
 import itertools
 import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     hulls_intersect_2d,
     interval_common_point,
 )
 from tverlab import feasibility, search
+from tverlab.errors import InputError
 from tverlab.feasibility import (
+    EmptyBlockCertificate,
     FarkasCertificate,
+    Witness,
     hulls_common_point,
     intervals_common_point,
     screened_support,
     solve_equality_feasibility,
     verify_outcome,
-    verify_witness,
 )
 from tverlab.kernel import PointSet, Rational
 from tverlab.ordertype import MomentSpec, moment_points
@@ -84,7 +89,7 @@ class TestHullsCommonPoint:
     def test_witness_replays(self):
         blocks = [[(0, 0), (2, 0), (1, 2)], [(1, 0), (0, 2), (2, 2)]]
         out = hulls_common_point(blocks)
-        assert out.feasible and verify_witness(blocks, out)
+        assert out.feasible and verify_outcome(blocks, out)
 
     def test_farkas_multipliers_are_coprime_integers(self):
         out = hulls_common_point(blocks_1d([0, 1], [5, 6]))
@@ -96,6 +101,63 @@ class TestHullsCommonPoint:
         for v in u:
             g = math.gcd(g, abs(int(v)))
         assert g == 1
+
+
+class TestReplay:
+    """``verify_outcome``: the gate of ``hulls_common_point``, then the
+    evidence's own replay."""
+
+    def test_one_gate_for_deciding_and_replaying(self):
+        with pytest.raises(InputError) as decided:
+            hulls_common_point([])
+        with pytest.raises(InputError) as replayed:
+            verify_outcome([], Witness((), ()), 2)
+        assert str(decided.value) == str(replayed.value)
+        # a dim of 0, given or inferred, and mixed dimensions
+        refused = (([[]], 0), ([[(0,)], []], 0), ([[()]], None), ([[(0, 0)], [(1,)]], None))
+        for blocks, dim in refused:
+            with pytest.raises(InputError):
+                hulls_common_point(blocks, dim)
+            r = len(blocks)
+            for evidence in (Witness((), ((),) * r), FarkasCertificate((1,) * r),
+                             EmptyBlockCertificate(r)):
+                with pytest.raises(InputError):
+                    verify_outcome(blocks, evidence, dim)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_farkas_replay_reads_the_dense_system(self, data):
+        # true exactly when u . b > 0 and u . A_j <= 0 for every column of
+        # the system hulls_common_point solves, for random multipliers and
+        # for the certificate it returns
+        r, d = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+        point = st.tuples(*[st.integers(-4, 4)] * d)
+        blocks = data.draw(st.lists(st.lists(point, max_size=4), min_size=r, max_size=r))
+        rows, rhs = feasibility.intersection_system(blocks, d)
+        candidates = [data.draw(st.lists(st.integers(-3, 3), min_size=len(rows),
+                                         max_size=len(rows)))]
+        outcome = hulls_common_point(blocks, d)
+        if isinstance(outcome, FarkasCertificate):
+            candidates.append(list(outcome.multipliers))
+        for u in candidates:
+            dense = sum(ui * b for ui, b in zip(u, rhs)) > 0 and all(
+                sum(ui * row[j] for ui, row in zip(u, rows)) <= 0 for j in range(len(rows[0])))
+            assert verify_outcome(blocks, FarkasCertificate(tuple(u)), d) == dense, u
+            assert not verify_outcome(blocks, FarkasCertificate(tuple(u) + (1,)), d)
+        if isinstance(outcome, Witness):
+            assert verify_outcome(blocks, outcome, d)
+            # move half the weight of a point onto a different point of its
+            # block: still convex, another combination
+            for k, (block, coeffs) in enumerate(zip(blocks, outcome.coefficients)):
+                i = next(i for i, c in enumerate(coeffs) if c)
+                j = next((j for j, p in enumerate(block) if p != block[i]), None)
+                if j is not None:
+                    moved = list(coeffs)
+                    moved[i] -= coeffs[i] / 2
+                    moved[j] += coeffs[i] / 2
+                    perturbed = list(outcome.coefficients)
+                    perturbed[k] = tuple(moved)
+                    assert not verify_outcome(blocks, Witness(outcome.point, tuple(perturbed)), d)
 
 
 def confirmation_cases():
