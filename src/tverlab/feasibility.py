@@ -28,13 +28,14 @@ by row would change the reduced-cost signs and with them Bland's path.
 
 Hull intersection has two routes.  :func:`hulls_common_point` runs the
 simplex above and returns its evidence, a witness or a certificate; it is
-the only source of printed certificates.  :func:`screened_support` is the
-screen for every hull LP whose certificate is not printed (the c(d,r) search
-and the tolerance removal scan): a floating-point phase-1 simplex proposes a
-basis, the canonical system on its structural columns is solved once on
-integers, and only an exact basic solution of the right signs confirms that
-the hulls meet.  Floats never decide: any doubt falls back to
-:func:`hulls_common_point`.
+the only source of printed certificates.  :func:`screen` is the screen for
+every hull LP whose certificate is not printed (the c(d,r) search and the
+tolerance removal scan), and it decides both ways: a floating-point phase-1
+simplex proposes a basis and one integer solve checks it.  Where the float
+objective reached zero, only an exact basic solution of the right signs
+confirms that the hulls meet; where it stayed positive, only the basis's
+exact dual, replayed as Farkas multipliers, proves that they do not.  Floats
+never decide: any doubt falls back to :func:`hulls_common_point`.
 
 The screen takes integer points.  Multiplying each coordinate by its own
 positive number is an invertible linear map, so it maps hulls onto hulls and
@@ -325,37 +326,80 @@ def verify_outcome(blocks, outcome, dim=None) -> bool:
     return outcome.replays(blocks, dim)
 
 
-def screened_support(blocks, dim) -> Optional[Tuple[int, ...]]:
-    """The support of an exactly confirmed common point of the hulls of
-    blocks of integer points, as columns of :func:`intersection_system`;
-    None means unconfirmed, never infeasible.
+def screen(blocks, dim):
+    """The integer screen's verdict on the hulls of blocks of integer points:
+    ``("feasible", support)``, the support of an exactly confirmed common
+    point as columns of :func:`intersection_system`; ``("infeasible", u)``,
+    integer Farkas multipliers for that system, replayed exactly; or None,
+    unconfirmed either way.
 
-    :func:`_float_basis` proposes the structural basic columns S.  One
-    Bareiss pass makes the first |S| rows of the integer ``[A_S | b]`` upper
-    triangular, and fraction-free back substitution gives ``y = D x_S`` on
-    integers, D the last pivot.  The basic solution is a point of
-    ``A x = b, x >= 0`` exactly when A_S has rank |S|, b lies in its span and
-    no y_k has the sign opposite to D's.
+    :func:`_float_basis` proposes a basis B of ``[A | I]``.  Where the float
+    objective reached zero, one Bareiss pass makes the first |S| rows of the
+    integer ``[A_S | b]`` upper triangular, S the structural columns of B,
+    and fraction-free back substitution gives ``y = D x_S`` on integers, D
+    the last pivot.  The basic solution is a point of ``A x = b, x >= 0``
+    exactly when A_S has rank |S|, b lies in its span and no y_k has the sign
+    opposite to D's.  Where it stayed positive, the same solve on the basic
+    columns of ``[A | I]`` as rows (b >= 0 here, so the float pass flips no
+    row and its artificial columns are I) gives its dual ``u = y / D``:
+    ``u . A_j = 0`` on structural basic columns and ``u . e_i = c_i`` on
+    artificial ones, with ``c_i = L / s_i`` the cost the float pass gave the
+    artificial of row i once its rows are scaled back (s_i the row's
+    equilibration scale, L their LCM).  The verdict is infeasible exactly
+    when ``sign(D) y`` replays as a :class:`FarkasCertificate`: ``u . b > 0``
+    and ``u . A_j <= 0`` for every structural column j.  The costs only make
+    the replay likely to pass; the replay alone decides.
     """
     rows, rhs = intersection_system(blocks, dim)
     try:
-        basis = _float_basis(rows, rhs)
+        proposed = _float_basis(rows, rhs)
     except OverflowError:
         return None
-    if basis is None:
+    if proposed is None:
         return None
-    s = len(basis)
-    aug = [[row[j] for j in basis] + [b] for row, b in zip(rows, rhs)]
-    rank, _, last = _bareiss(aug, s)
-    if rank < s or any(row[s] for row in aug[s:]):
+    basis, reached_zero = proposed
+    n = len(rows[0]) if rows else 0
+    if reached_zero:
+        support = sorted(j for j in basis if j < n)
+        solved = _exact_solution([[row[j] for j in support] + [b] for row, b in zip(rows, rhs)],
+                                 len(support))
+        if solved is None:
+            return None
+        y, last = solved
+        if any((v < 0) != (last < 0) for v in y if v):
+            return None
+        return "feasible", tuple(j for j, v in zip(support, y) if v)
+    scales = [_row_scale(row) for row in rows]
+    lcm = math.lcm(*scales)
+    dual = []
+    for j in basis:
+        if j < n:
+            dual.append([row[j] for row in rows] + [0])
+        else:
+            unit = [0] * (len(rows) + 1)
+            unit[j - n], unit[-1] = 1, lcm // scales[j - n]
+            dual.append(unit)
+    solved = _exact_solution(dual, len(rows))
+    if solved is None:
         return None
-    y = [0] * s
-    for k in range(s - 1, -1, -1):
-        acc = last * aug[k][s] - sum(aug[k][j] * y[j] for j in range(k + 1, s))
+    y, last = solved
+    u = tuple(v if last > 0 else -v for v in y)
+    return ("infeasible", u) if FarkasCertificate(u).replays(blocks, dim) else None
+
+
+def _exact_solution(aug, width):
+    """``(y, D)`` with ``y = D x`` on integers for the unique x solving the
+    integer system ``aug[:, :width] x = aug[:, width]``, D the last Bareiss
+    pivot; None when the system has no unique solution.  Eliminates ``aug``
+    in place."""
+    rank, _, last = _bareiss(aug, width)
+    if rank < width or any(row[width] for row in aug[width:]):
+        return None
+    y = [0] * width
+    for k in range(width - 1, -1, -1):
+        acc = last * aug[k][width] - sum(aug[k][j] * y[j] for j in range(k + 1, width))
         y[k] = acc // aug[k][k]
-    if any((v < 0) != (last < 0) for v in y if v):
-        return None
-    return tuple(j for j, v in zip(basis, y) if v)
+    return y, last
 
 
 #: float pivots at or below it, and reduced costs and objectives within it
@@ -363,10 +407,18 @@ def screened_support(blocks, dim) -> Optional[Tuple[int, ...]]:
 _FLOAT_TOL = 1e-9
 
 
+def _row_scale(row):
+    """The float pass's equilibration scale of a row: its largest absolute
+    entry, 1 for a zero row."""
+    return max(map(abs, row), default=0) or 1
+
+
 def _float_basis(rows, rhs):
-    """The structural basic columns at the end of a float phase-1 simplex
-    (Dantzig's rule) on ``A x = b`` with equilibrated rows; None when it hits
-    its iteration cap or ends at a positive objective.
+    """``(basis, reached_zero)`` at the end of a float phase-1 simplex
+    (Dantzig's rule) on ``A x = b`` with each row divided by its
+    :func:`_row_scale`: the basic columns of ``[A | I]``, column n + i the
+    artificial of row i, and whether the objective reached zero; None when
+    it hits its iteration cap.
 
     Artificial columns never re-enter, so the tableau omits them.
     """
@@ -378,7 +430,7 @@ def _float_basis(rows, rhs):
         # the range
         values = [float(v) for v in row]
         values.append(float(b))
-        scale = max(map(abs, values[:-1]), default=0.0) or 1.0
+        scale = float(_row_scale(row))
         scale = scale if values[-1] >= 0 else -scale
         tableau.append([v / scale for v in values])
     obj = [-sum(column) for column in zip(*tableau)] if m else [0.0]
@@ -386,7 +438,7 @@ def _float_basis(rows, rhs):
     for _ in range(10 * (m + n) + 10):
         entering = min(range(n), key=obj.__getitem__, default=-1)
         if entering < 0 or obj[entering] >= -_FLOAT_TOL:
-            return sorted(j for j in basis if j < n) if obj[-1] >= -_FLOAT_TOL else None
+            return basis, obj[-1] >= -_FLOAT_TOL
         leaving, best = -1, 0.0
         for i, row in enumerate(tableau):
             if row[entering] > _FLOAT_TOL:

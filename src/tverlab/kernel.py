@@ -3,9 +3,10 @@
 Every quantity in this package is an arbitrary-precision rational and every
 predicate is decided exactly, so search results double as certificates even
 on adversarially degenerate configurations.  Floats may propose, but they
-never decide: the one floating-point path (``feasibility.screened_support``)
-suggests a simplex basis, and only an exact integer solve on that basis can
-confirm anything; when it cannot, the exact simplex decides.
+never decide: the one floating-point path (``feasibility.screen``) suggests
+a simplex basis, and only an exact integer solve on that basis, of the
+primal or of its dual, can confirm a common point or its absence; when it
+cannot, the exact simplex decides.
 
 Conventions:
 

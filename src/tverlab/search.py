@@ -37,7 +37,7 @@ from .feasibility import (
     EmptyBlockCertificate,
     FarkasCertificate,
     hulls_common_point,
-    screened_support,
+    screen,
     verify_outcome,
 )
 from .kernel import PointSet, Rational, scale_to_integers, to_rational
@@ -169,9 +169,11 @@ def _certified(dim: int, r: int, alphas) -> Optional[Counterexample]:
     None when their alternating r-partition has a common point.  Nearly every
     candidate is feasible, and one the integer screen confirms on its lifted
     parameters prints nothing and builds no rational point; the canonical
-    simplex decides and certifies the rest."""
+    simplex decides and certifies the rest, those the screen proves
+    infeasible too, so every printed certificate is the canonical one."""
     spec = MomentSpec(dim, alphas)
-    if screened_support(_lifted_blocks(spec, r), dim) is not None:
+    verdict = screen(_lifted_blocks(spec, r), dim)
+    if verdict is not None and verdict[0] == "feasible":
         return None
     X = moment_points(spec)
     blocks = alternating_blocks(X, r)

@@ -30,11 +30,12 @@ and with no LP; there the reported breaking set is read off the same DP.  For r 
 filter, the LP decides what passes, and the removal scan that finds the
 tolerance runs to one size past the pair bound, so it names the breaking set.
 
-The removal scan prints no LP's certificate.  The integer screen of
-:func:`~tverlab.feasibility.screened_support` confirms most common points on
-the set's integer lift, and a removal that misses the support of a common
-point already found for the same partition keeps that point, so it is not
-tested at all.
+The removal scan prints no LP's certificate.  The integer screen,
+:func:`~tverlab.feasibility.screen`, decides most LPs on the set's integer
+lift both ways: it confirms common points, and it proves infeasible the
+breaking sets on which every scan ends, so the canonical simplex seldom
+runs.  A removal that misses the support of a common point already found for
+the same partition keeps that point, so it is not tested at all.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Set, Tuple
 
 from .errors import InputError, InternalError, ResourceGuardError
-from .feasibility import hulls_common_point, intervals_common_point, screened_support
+from .feasibility import hulls_common_point, intervals_common_point, screen
 from .kernel import PointSet
 from .labels import (Partition, Target, alternating_partition, iter_partitions,
                      pair_bound, pair_breaking_set, split)
@@ -95,21 +96,25 @@ def _depleted_feasible(labels, r, X: PointSet, order) -> Optional[Set[int]]:
     """The support of a common point of the hulls of the r blocks of a label
     string whose 0s mark removed points, as 1-based indices, or None when
     they have none.  On a line it is every survivor, as the interval test
-    names no witness; otherwise the integer screen confirms most common
-    points on ``X.lifted``, and the canonical simplex decides the rest."""
+    names no witness; otherwise the integer screen decides most systems on
+    ``X.lifted``, either way, and the canonical simplex decides the rest."""
     if pair_bound(labels, r, X.dim + 1, order) < 0:
         return None
     if X.dim == 1:
         values = split([v for v, in X.points], labels, r)
         survivors = {i for i, label in enumerate(labels, 1) if label}
         return None if intervals_common_point(values) is None else survivors
-    columns = screened_support(split(X.lifted, labels, r), X.dim)
-    if columns is None:
+    verdict = screen(split(X.lifted, labels, r), X.dim)
+    if verdict is None:
         outcome = hulls_common_point(split(X.points, labels, r), X.dim)
         if not outcome.feasible:
             return None
         coefficients = itertools.chain(*outcome.coefficients)
         columns = [j for j, c in enumerate(coefficients) if c]
+    elif verdict[0] == "infeasible":
+        return None
+    else:
+        columns = verdict[1]
     flat = list(itertools.chain(*split(range(1, len(X) + 1), labels, r)))
     return {flat[j] for j in columns}
 

@@ -16,7 +16,7 @@ from tverlab.feasibility import (
     Witness,
     hulls_common_point,
     intervals_common_point,
-    screened_support,
+    screen,
     solve_equality_feasibility,
     verify_outcome,
 )
@@ -140,8 +140,7 @@ class TestReplay:
         if isinstance(outcome, FarkasCertificate):
             candidates.append(list(outcome.multipliers))
         for u in candidates:
-            dense = sum(ui * b for ui, b in zip(u, rhs)) > 0 and all(
-                sum(ui * row[j] for ui, row in zip(u, rows)) <= 0 for j in range(len(rows[0])))
+            dense = replays_densely(rows, rhs, u)
             assert verify_outcome(blocks, FarkasCertificate(tuple(u)), d) == dense, u
             assert not verify_outcome(blocks, FarkasCertificate(tuple(u) + (1,)), d)
         if isinstance(outcome, Witness):
@@ -218,35 +217,88 @@ def holds_a_point(blocks, d, support):
     return is_feasible_point(rows, rhs, x)
 
 
+def replays_densely(rows, rhs, u):
+    """``u . b > 0`` and ``u . A_j <= 0`` for every column j of the system,
+    recomputed exactly from the dense rows."""
+    return sum(ui * b for ui, b in zip(u, rhs)) > 0 and all(
+        sum(ui * row[j] for ui, row in zip(u, rows)) <= 0 for j in range(len(rows[0])))
+
+
+def verdict_status(verdict):
+    return None if verdict is None else verdict[0]
+
+
 class TestConfirmFeasible:
-    """The integer screen, ``screened_support``, on lifted systems."""
+    """The integer screen, ``screen``, on lifted systems."""
 
     def test_true_only_where_the_canonical_simplex_finds_feasible(self):
+        # every verdict, feasible or infeasible, is the canonical simplex's
         tally = {}
         for blocks, d in confirmation_cases():
-            confirmed = screened_support(lift(blocks, d), d) is not None
+            status = verdict_status(screen(lift(blocks, d), d))
             canonical = hulls_common_point(blocks, d).feasible
-            assert canonical or not confirmed, (blocks, d)
-            tally[confirmed, canonical] = tally.get((confirmed, canonical), 0) + 1
+            assert status in (None, "feasible" if canonical else "infeasible"), (blocks, d)
+            tally[status, canonical] = tally.get((status, canonical), 0) + 1
         # both statuses occur, and the float basis confirms nearly every
         # feasible case, so the canonical simplex is rarely needed for them
-        assert tally.get((False, False), 0) >= 10
-        assert tally.get((True, True), 0) >= 9 * tally.get((False, True), 0)
-        assert tally.get((True, True), 0) >= 50
+        assert tally.get((None, False), 0) + tally.get(("infeasible", False), 0) >= 10
+        assert tally.get(("feasible", True), 0) >= 9 * tally.get((None, True), 0)
+        assert tally.get(("feasible", True), 0) >= 50
+
+    def test_screens_nearly_every_infeasible_case(self):
+        # the float pass's dual, weighted by its row scales, replays as a
+        # Farkas vector on at least 9 in 10 infeasible cases; on the lifted
+        # system, densely
+        screened = infeasible = 0
+        for blocks, d in confirmation_cases():
+            if hulls_common_point(blocks, d).feasible:
+                continue
+            infeasible += 1
+            lifted = lift(blocks, d)
+            verdict = screen(lifted, d)
+            if verdict is not None:
+                screened += 1
+                assert verdict[0] == "infeasible", (blocks, d)
+                assert replays_densely(*feasibility.intersection_system(lifted, d), verdict[1])
+        assert infeasible >= 10
+        assert 10 * screened >= 9 * infeasible, (screened, infeasible)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_screen_never_contradicts_the_canonical_simplex(self, data):
+        # on integer points, a verdict is the canonical simplex's, and its
+        # evidence holds on the dense system
+        r, d = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+        point = st.tuples(*[st.integers(-4, 4)] * d)
+        blocks = data.draw(st.lists(st.lists(point, max_size=4), min_size=r, max_size=r))
+        verdict = screen(blocks, d)
+        if verdict is None:
+            return
+        status, evidence = verdict
+        assert status == hulls_common_point(blocks, d).status
+        if status == "infeasible":
+            assert replays_densely(*feasibility.intersection_system(blocks, d), evidence)
+        else:
+            assert holds_a_point(blocks, d, evidence)
 
     def test_confirmed_point_is_a_point_of_the_canonical_system(self):
         # the support holds a point of the unlifted system, positive on it
         confirmed = 0
         for blocks, d in confirmation_cases():
-            support = screened_support(lift(blocks, d), d)
-            if support is not None:
+            verdict = screen(lift(blocks, d), d)
+            if verdict_status(verdict) == "feasible":
                 confirmed += 1
-                assert holds_a_point(blocks, d, support), (blocks, d)
+                assert holds_a_point(blocks, d, verdict[1]), (blocks, d)
         assert confirmed >= 50
 
     def test_sixteen_point_system_is_not_confirmed(self):
+        # not confirmed feasible: screened infeasible, with multipliers that
+        # replay on the dense lifted system
         spec = MomentSpec(3, sixteen_point_alphas())
-        assert screened_support(search._lifted_blocks(spec, 4), 3) is None
+        lifted = search._lifted_blocks(spec, 4)
+        status, u = screen(lifted, 3)
+        assert status == "infeasible"
+        assert replays_densely(*feasibility.intersection_system(lifted, 3), u)
 
     def test_moment_sets_lift_through_their_parameters(self):
         # k = L a gives the points PointSet.lifted gives, so the screen on
@@ -262,17 +314,19 @@ class TestConfirmFeasible:
                         by_parameters = search._lifted_blocks(spec, r)
                         by_set = lift(alternating_blocks(X, r), d)
                         assert by_parameters == by_set
-                        support = screened_support(by_parameters, d)
-                        assert support == screened_support(by_set, d)
-                        decided.add(support is not None)
+                        verdict = screen(by_parameters, d)
+                        assert verdict == screen(by_set, d)
+                        decided.add(verdict is not None)
         assert decided == {True, False}
 
     def test_every_proposed_basis_is_checked_exactly(self, monkeypatch):
         # whatever basis the float pass proposes, the screen solves it on
-        # integers and confirms only a point of the system: each column
-        # subset of small lifted systems, infeasible ones among them, is
-        # proposed in turn, and a confirmation happens only where the
-        # canonical simplex says feasible
+        # integers and decides only by an exact replay: each column subset
+        # of small lifted systems, infeasible ones among them, is proposed
+        # in turn, the structural ones as ending at zero and every subset of
+        # [A | I] as ending positive; a confirmation happens only where the
+        # canonical simplex says feasible, and an infeasible verdict only
+        # where it says infeasible
         rng = random.Random(7)
         systems = [blocks_1d([0, 1], [2, 3]), blocks_1d([0, 2], [1, 3]),
                    blocks_1d([1, 4], [2, 5], [3])]
@@ -282,41 +336,53 @@ class TestConfirmFeasible:
                                    for _ in range(d))
                              for _ in range(rng.randint(1, 3))] for _ in range(2)])
         proposed = []
-        confirmed = rejected = 0
+        tally = {None: 0, "feasible": 0, "infeasible": 0}
         for blocks in systems:
             d = len(blocks[0][0])
             lifted = lift(blocks, d)
-            rows, _ = feasibility.intersection_system(lifted, d)
+            rows, rhs = feasibility.intersection_system(lifted, d)
+            m, n = len(rows), len(rows[0])
             feasible = hulls_common_point(blocks, d).feasible
-            for size in range(len(rows) + 1):
-                for basis in itertools.combinations(range(len(rows[0])), size):
-                    def propose(*args, b=basis):
-                        proposed.append(b)
-                        return list(b)
+            flagged = [(basis, True) for size in range(m + 1)
+                       for basis in itertools.combinations(range(n), size)]
+            flagged += [(basis, False) for size in range(n + m + 1)
+                        for basis in itertools.combinations(range(n + m), size)]
+            for basis, reached_zero in flagged:
+                def propose(*args, b=basis, z=reached_zero):
+                    proposed.append(b)
+                    return list(b), z
 
-                    monkeypatch.setattr(feasibility, "_float_basis", propose)
-                    support = screened_support(lifted, d)
-                    assert proposed[-1] == basis
-                    if support is None:
-                        rejected += 1
-                        continue
-                    confirmed += 1
-                    assert feasible and set(support) <= set(basis), (blocks, basis)
-                    assert holds_a_point(blocks, d, support), (blocks, basis)
-        assert confirmed and rejected
+                monkeypatch.setattr(feasibility, "_float_basis", propose)
+                verdict = screen(lifted, d)
+                assert proposed[-1] == basis
+                tally[verdict_status(verdict)] += 1
+                if verdict is None:
+                    continue
+                status, evidence = verdict
+                if status == "feasible":
+                    assert reached_zero and feasible, (blocks, basis)
+                    assert set(evidence) <= set(basis), (blocks, basis)
+                    assert holds_a_point(blocks, d, evidence), (blocks, basis)
+                else:
+                    assert not reached_zero and not feasible, (blocks, basis)
+                    assert replays_densely(rows, rhs, evidence), (blocks, basis)
+        assert all(tally.values()), tally
 
     def test_float_overflow_is_unconfirmed(self):
         big = 10 ** 400
         blocks = [[(big, 1), (-big, 1)], [(0, 1)]]
-        assert screened_support(blocks, 2) is None
+        assert screen(blocks, 2) is None
         assert hulls_common_point(blocks, 2).feasible
 
     def test_empty_systems(self):
         # no blocks: the empty system (m = 0) has the empty point; an empty
-        # block has no point, and a one-point block has that point
-        assert screened_support([], 2) == ()
-        assert screened_support([[(0, 0)], []], 2) is None
-        assert screened_support([[(0, 0)]], 2) == (0,)
+        # block has no point, which the screen proves, and a one-point block
+        # has that point
+        assert screen([], 2) == ("feasible", ())
+        status, u = screen([[(0, 0)], []], 2)
+        assert status == "infeasible"
+        assert replays_densely(*feasibility.intersection_system([[(0, 0)], []], 2), u)
+        assert screen([[(0, 0)]], 2) == ("feasible", (0,))
 
 
 class TestOracleEquivalence:

@@ -144,10 +144,11 @@ class TestFindCounterexample:
 
 
 def test_canonical_simplex_decides_every_unconfirmed_candidate(monkeypatch):
-    """A candidate is skipped only on an exact confirmation; every other one
-    goes through ``search.hulls_common_point``, which decides it and
-    certifies a hit.  The result is that of deciding every candidate
-    canonically, also when nothing is confirmed."""
+    """A candidate is skipped only on an exact confirmation of a common
+    point; every other one, one the screen proves infeasible too, goes
+    through ``search.hulls_common_point``, which decides it and certifies a
+    hit.  The result is that of deciding every candidate canonically, also
+    when nothing is confirmed."""
     import tverlab.search as searchmod
 
     strategy = SearchStrategy(kind="clustered", seed=5)
@@ -157,28 +158,30 @@ def test_canonical_simplex_decides_every_unconfirmed_candidate(monkeypatch):
         for outcome in [hulls_common_point(moment_blocks(3, 4, alphas), 3)]
         if not outcome.feasible
     )
-    real_screen, real_hulls = searchmod.screened_support, searchmod.hulls_common_point
+    real_screen, real_hulls = searchmod.screen, searchmod.hulls_common_point
     for always_unconfirmed in (False, True):
-        confirmed, decided = [], []
+        verdicts, decided = [], []
 
         def screen(blocks, dim):
-            support = None if always_unconfirmed else real_screen(blocks, dim)
-            confirmed.append(support is not None)
-            return support
+            verdict = None if always_unconfirmed else real_screen(blocks, dim)
+            verdicts.append(None if verdict is None else verdict[0])
+            return verdict
 
         def hulls(blocks, dim=None):
             outcome = real_hulls(blocks, dim)
             decided.append(outcome.feasible)
             return outcome
 
-        monkeypatch.setattr(searchmod, "screened_support", screen)
+        monkeypatch.setattr(searchmod, "screen", screen)
         monkeypatch.setattr(searchmod, "hulls_common_point", hulls)
         res = find_counterexample(3, 4, 16, strategy=strategy, budget=40)
         assert isinstance(res, Counterexample)
-        assert (len(confirmed), res.alphas, res.outcome) == reference
-        assert len(decided) == confirmed.count(False) and decided[-1] is False
+        assert (len(verdicts), res.alphas, res.outcome) == reference
+        assert len(decided) == len(verdicts) - verdicts.count("feasible")
+        assert decided[-1] is False
         if not always_unconfirmed:
-            assert confirmed.count(True) >= len(confirmed) - 3
+            assert verdicts.count("feasible") >= len(verdicts) - 3
+            assert verdicts[-1] == "infeasible"
 
 
 @pytest.mark.parametrize("budget", [0, 5, 40])

@@ -355,6 +355,20 @@ class TestSetTolerance:
         assert rep.exhausted
         assert calls == {"lp": 0, "signs": math.comb(n, d + 1)}
 
+    @pytest.mark.parametrize("d, r, report, labels", [
+        (2, 4, ToleranceReport(0, (2,), True), (1, 1, 2, 3, 4, 2, 1, 3, 2, 4)),
+        (3, 3, ToleranceReport(0, (1,), True), (1, 1, 2, 3, 1, 1, 2, 3, 1, 2)),
+    ])
+    def test_removal_scan_runs_no_canonical_simplex(self, monkeypatch, d, r, report, labels):
+        # every scan ends on a breaking set, an infeasible hull LP; the
+        # integer screen proves these infeasible, as it confirms the
+        # feasible ones, so the canonical simplex, which made 27 and 12 LPs
+        # here when the screen decided only one way, never runs
+        calls = count_work(monkeypatch)
+        rep, part = set_tolerance(moment_points(MomentSpec(d, range(1, 11))), r)
+        assert (rep, part.labels) == (report, labels)
+        assert calls["lp"] == 0
+
     def test_sandwich_evaluates_homogeneity_once(self, monkeypatch):
         calls = count_work(monkeypatch)
         d, n = 3, 8
