@@ -162,9 +162,8 @@ def _pivot(tableau, obj, row, col, denom):
 
 
 def _normalize_multipliers(values: Sequence[Rational]) -> Tuple[Rational, ...]:
-    """Scale by the unique positive rational giving coprime integer entries."""
-    if not values or all(v == 0 for v in values):
-        return tuple(values)
+    """Scale by the unique positive rational giving coprime integer entries;
+    multipliers of an infeasible phase-1 end have ``u . b > 0``, so not all 0."""
     ints, _ = scale_to_integers(values)
     g = math.gcd(*ints)
     return tuple(Rational(v // g) for v in ints)

@@ -26,9 +26,10 @@ homogeneous in no order and keeps the removal enumeration.  The pair bound
 floor(d/2)), and is exact where pairs decide: r = 2 under the rule, any r on
 a line (by Helly in R^1, pairwise meeting intervals share a point), and r =
 1, whose one block keeps a common point until emptied, in every dimension
-and with no LP; there the reported breaking set is read off the same DP.  For r >= 3 with d >= 2 the rule is only a necessary pairwise
-filter, the LP decides what passes, and the removal scan that finds the
-tolerance runs to one size past the pair bound, so it names the breaking set.
+and with no LP; there the reported breaking set is read off the same DP.
+Elsewhere the pair bound caps the removal scan that finds the tolerance: it
+runs to one size past the bound, so it names the breaking set, and one exact
+test on the integer lift decides each removal it tests.
 
 The removal scan prints no LP's certificate.  The integer screen,
 :func:`~tverlab.feasibility.screen`, decides most LPs on the set's integer
@@ -92,21 +93,20 @@ def _run_order(X: PointSet, r: int, homogeneity=None) -> Optional[Tuple[int, ...
     return tuple(range(n)) if result.homogeneous and not result.trivial else None
 
 
-def _depleted_feasible(labels, r, X: PointSet, order) -> Optional[Set[int]]:
+def _depleted_feasible(labels, r, X: PointSet) -> Optional[Set[int]]:
     """The support of a common point of the hulls of the r blocks of a label
     string whose 0s mark removed points, as 1-based indices, or None when
-    they have none.  On a line it is every survivor, as the interval test
-    names no witness; otherwise the integer screen decides most systems on
-    ``X.lifted``, either way, and the canonical simplex decides the rest."""
-    if pair_bound(labels, r, X.dim + 1, order) < 0:
-        return None
+    they have none, decided by one exact test on the integer lift: the
+    interval test on a line (every survivor is the support: it names no
+    witness), else the integer screen, or the simplex where it is unconfirmed."""
     if X.dim == 1:
-        values = split([v for v, in X.points], labels, r)
+        values = split([v for v, in X.lifted], labels, r)
         survivors = {i for i, label in enumerate(labels, 1) if label}
         return None if intervals_common_point(values) is None else survivors
-    verdict = screen(split(X.lifted, labels, r), X.dim)
+    blocks = split(X.lifted, labels, r)
+    verdict = screen(blocks, X.dim)
     if verdict is None:
-        outcome = hulls_common_point(split(X.points, labels, r), X.dim)
+        outcome = hulls_common_point(blocks, X.dim)
         if not outcome.feasible:
             return None
         coefficients = itertools.chain(*outcome.coefficients)
@@ -169,7 +169,7 @@ def _tolerance(labels, r, X, floor, cap, order):
             if any(removed.isdisjoint(support) for support in reversed(supports)):
                 continue
             masked = [0 if i in removed else label for i, label in enumerate(labels, 1)]
-            support = _depleted_feasible(masked, r, X, order)
+            support = _depleted_feasible(masked, r, X)
             if support is None:
                 return size - 1, combo
             supports.append(support)

@@ -113,8 +113,9 @@ class TestReplay:
         with pytest.raises(InputError) as replayed:
             verify_outcome([], Witness((), ()), 2)
         assert str(decided.value) == str(replayed.value)
-        # a dim of 0, given or inferred, and mixed dimensions
-        refused = (([[]], 0), ([[(0,)], []], 0), ([[()]], None), ([[(0, 0)], [(1,)]], None))
+        # a dim of 0, given or inferred, no dim to infer, and mixed dimensions
+        refused = (([[]], 0), ([[(0,)], []], 0), ([[()]], None), ([[], []], None),
+                   ([[(0, 0)], [(1,)]], None))
         for blocks, dim in refused:
             with pytest.raises(InputError):
                 hulls_common_point(blocks, dim)

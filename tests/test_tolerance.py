@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import json
 import math
@@ -102,12 +103,22 @@ def record_removals(monkeypatch):
     removals = []
     depleted_feasible = tolerance._depleted_feasible
 
-    def recorded(labels, r, X, order):
+    def recorded(labels, r, X):
         removals.append(frozenset(i for i, label in enumerate(labels, 1) if not label))
-        return depleted_feasible(labels, r, X, order)
+        return depleted_feasible(labels, r, X)
 
     monkeypatch.setattr(tolerance, "_depleted_feasible", recorded)
     return removals
+
+
+@contextlib.contextmanager
+def screening(screened):
+    """The removal scan with its integer screen, or with a screen that
+    confirms nothing, so the canonical simplex decides every removal."""
+    with pytest.MonkeyPatch.context() as patch:
+        if not screened:
+            patch.setattr(tolerance, "screen", lambda blocks, dim: None)
+        yield
 
 
 class TestPartition:
@@ -319,6 +330,8 @@ class TestSetTolerance:
             set_tolerance(ONE_TO(13), 2)
         with pytest.raises(InputError):
             set_tolerance(ONE_TO(2), 3)
+        with pytest.raises(InputError):
+            partition_tolerance(ONE_TO(3), alternating_partition(4, 2))
 
     def test_moment_curve_homogeneous_prune_consistent(self):
         # the run rule and the block-size prune must not change results
@@ -363,11 +376,15 @@ class TestSetTolerance:
         # every scan ends on a breaking set, an infeasible hull LP; the
         # integer screen proves these infeasible, as it confirms the
         # feasible ones, so the canonical simplex, which made 27 and 12 LPs
-        # here when the screen decided only one way, never runs
+        # here when the screen decided only one way, never runs; unscreened,
+        # it decides every removal on the same integer lift, to the same report
         calls = count_work(monkeypatch)
-        rep, part = set_tolerance(moment_points(MomentSpec(d, range(1, 11))), r)
-        assert (rep, part.labels) == (report, labels)
-        assert calls["lp"] == 0
+        for screened in (True, False):
+            calls["lp"] = 0
+            with screening(screened):
+                rep, part = set_tolerance(moment_points(MomentSpec(d, range(1, 11))), r)
+            assert (rep, part.labels) == (report, labels)
+            assert (calls["lp"] == 0) == screened
 
     def test_sandwich_evaluates_homogeneity_once(self, monkeypatch):
         calls = count_work(monkeypatch)
@@ -551,9 +568,9 @@ def small_sets(draw):
 
 
 class TestAgainstUnprunedScan:
-    """The run rule, the pair bound, the partition branch and bound, the
-    integer screen and the witness-support prune against plain enumeration
-    with the canonical simplex deciding every removal set."""
+    """The run rule, the pair bound, the partition branch and bound and the
+    witness-support prune, with the integer screen on and off, against plain
+    enumeration with the canonical simplex deciding every removal set."""
 
     @given(small_sets(), st.sampled_from([None, 1, 2]), st.data())
     @settings(max_examples=120, deadline=None)
@@ -568,14 +585,19 @@ class TestAgainstUnprunedScan:
         expected = (ToleranceReport(value=cap, breaking_set=None, exhausted=False)
                     if value >= cap else
                     ToleranceReport(value=value, breaking_set=breaking, exhausted=True))
-        assert partition_tolerance(X, part, budget) == expected
+        for screened in (True, False):
+            with screening(screened):
+                assert partition_tolerance(X, part, budget) == expected
 
     @given(small_sets(), st.sampled_from([None, 1, 2]))
     @settings(max_examples=100, deadline=None)
     def test_set_tolerance(self, case, budget):
         X, r = case
-        rep, part = set_tolerance(X, r, budget)
-        assert (rep, part.labels) == brute_set_tolerance(X, r, budget)
+        expected = brute_set_tolerance(X, r, budget)
+        for screened in (True, False):
+            with screening(screened):
+                rep, part = set_tolerance(X, r, budget)
+            assert (rep, part.labels) == expected
 
 
 def perturbed_moment_set(seed, n, d, sign):
@@ -612,7 +634,7 @@ class TestRunRule:
         for part in iter_partitions(7, 2):
             lp = hulls_common_point(split(X.points, part.labels, 2), d).feasible
             assert (pair_bound(part.labels, 2, d + 1, order) >= 0) == lp, part.labels
-            assert (_depleted_feasible(part.labels, 2, X, order) is not None) == lp
+            assert (_depleted_feasible(part.labels, 2, X) is not None) == lp
 
     @pytest.mark.parametrize("d, sign, seed", HOMOGENEOUS_SETS)
     def test_r2_closed_form_matches_brute(self, d, sign, seed):
@@ -646,7 +668,7 @@ class TestRunRule:
             if lp:
                 feasible += 1
                 assert pair_bound(part.labels, 3, d + 1, order) >= 0, part.labels
-            assert (_depleted_feasible(part.labels, 3, X, order) is not None) == lp
+            assert (_depleted_feasible(part.labels, 3, X) is not None) == lp
         assert feasible > 0
 
     @pytest.mark.parametrize("d, r", itertools.product(range(1, 5), range(1, 5)))
@@ -691,6 +713,14 @@ class TestPairBound:
             string[order[i]] = label
         assert pair_bound(labels, r, runs, order) == fewest_pair_deletions(string, r, runs) - 1
         assert pair_bound(labels, r, runs) == min(labels.count(k) for k in range(1, r + 1)) - 1
+        # zeroing k nonzero letters lowers the bound by at most k (a string
+        # never gains runs, nor a block points, when letters go), so the
+        # removal scan's sizes up to the bound never meet a pair-broken set
+        removed = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        masked = [0 if out else label for out, label in zip(removed, labels)]
+        lost = sum(1 for out, label in zip(removed, labels) if out and label)
+        drop = pair_bound(labels, r, runs, order) - pair_bound(masked, r, runs, order)
+        assert 0 <= drop <= lost
 
 
 class TestBounds:
