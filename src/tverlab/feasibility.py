@@ -15,27 +15,26 @@ nothing but exact arithmetic.
 Farkas multipliers are normalized to coprime integer entries (positive
 scaling only) so reports are reproducible across runs.
 
-The simplex pivots on an all-integer tableau T with a common denominator D
-(Edmonds/Bareiss integer pivoting, as in lrs): the rational tableau is
-always T / D, D is the last pivot and stays positive, and each pivot updates
-every other row by ``(v * p - f * w) // D``, which divides exactly.  Each
-column of A, and b, is scaled to integers by the LCM of its own denominators
-(``kernel.scale_columns``).  A positive column scale keeps every reduced-cost
-sign and every ratio-test argmin, and the artificial columns stay the
-identity, so the pivot path, witnesses (unscaled as ``x_j = s_j x'_j / s_b``)
-and multipliers are those of the same simplex run on Fractions; scaling row
-by row would change the reduced-cost signs and with them Bland's path.
+The simplex pivots on an all-integer tableau ``T = [A | b]`` with a common
+denominator D (Edmonds/Bareiss integer pivoting, as in lrs): the rational
+tableau is always T / D, D is the last pivot and stays positive, and each
+pivot updates every other row by ``(v * p - f * w) // D``, which divides
+exactly.  The artificial of row i has no column: it never re-enters once it
+leaves, so the basis alone names it, as n + i.  Each column of A, and b, is
+scaled to integers by the LCM of its own denominators
+(``kernel.scale_columns``); a positive column scale keeps every reduced-cost
+sign and every ratio-test argmin, so the pivot path is that of the same
+simplex run on Fractions, where scaling row by row would change it.
 
-Hull intersection has two routes.  :func:`hulls_common_point` runs the
-simplex above and returns its evidence, a witness or a certificate; it is
-the only source of printed certificates.  :func:`screen` is the screen for
-every hull LP whose certificate is not printed (the c(d,r) search and the
-tolerance removal scan), and it decides both ways: a floating-point phase-1
-simplex proposes a basis and one integer solve checks it.  Where the float
-objective reached zero, only an exact basic solution of the right signs
-confirms that the hulls meet; where it stayed positive, only the basis's
-exact dual, replayed as Farkas multipliers, proves that they do not.  Floats
-never decide: any doubt falls back to :func:`hulls_common_point`.
+Hull intersection has two routes, which differ only in who proposes the
+basis; one exact reader turns a basis into its basic point where the
+phase-1 objective is zero and into its dual where it is not.
+:func:`hulls_common_point` runs the simplex above, whose final basis always
+reads, and returns a witness or a certificate, the only ones printed.
+:func:`screen` serves every other hull LP (the c(d,r) search and the
+tolerance removal scan): a float phase-1 simplex proposes the basis, whose
+point must be nonnegative or whose dual must replay as Farkas multipliers.
+Floats never decide: any doubt falls back to :func:`hulls_common_point`.
 
 The screen takes integer points.  Multiplying each coordinate by its own
 positive number is an invertible linear map, so it maps hulls onto hulls and
@@ -52,11 +51,10 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .errors import InputError, InternalError
 from .kernel import (
-    ONE,
     Point,
     Rational,
     ZERO,
@@ -86,25 +84,18 @@ def solve_equality_feasibility(rows, rhs):
         return "feasible", []
 
     # positive column scales keep every reduced-cost sign and every
-    # ratio-test argmin, hence Bland's path; the artificial columns stay the
-    # identity, so the starting basis has determinant 1 and the multipliers
-    # are those of the unscaled rows
+    # ratio-test argmin, hence Bland's path
     ints, scales = scale_columns(
         [[Rational(v) for v in row] + [Rational(b)] for row, b in zip(rows, rhs)]
     )
     flips = [-1 if row[-1] < 0 else 1 for row in ints]
-    tableau: List[List[int]] = []
-    for i, (row, flip) in enumerate(zip(ints, flips)):
-        # columns: n structural, m artificial, then rhs
-        art = [0] * m
-        art[i] = 1
-        tableau.append([flip * v for v in row[:n]] + art + [flip * row[-1]])
+    # columns: n structural, then rhs; the artificial of row i is named n + i
+    # in the basis only, since it never re-enters once it leaves
+    tableau = [[flip * v for v in row] for row, flip in zip(ints, flips)]
 
     # objective row holds reduced costs for `minimize sum of artificials`;
     # its rhs entry is minus the current objective value.
     obj = [-sum(col) for col in zip(*tableau)]
-    for k in range(m):
-        obj[n + k] += 1
 
     # the rational tableau is tableau / denom (and obj / denom); denom is
     # the last pivot and stays positive, so every sign test reads the
@@ -113,11 +104,7 @@ def solve_equality_feasibility(rows, rhs):
     basis = list(range(n, n + m))
 
     while True:
-        entering = -1
-        for j in range(n):  # artificials never re-enter
-            if obj[j] < 0:
-                entering = j
-                break
+        entering = next((j for j in range(n) if obj[j] < 0), -1)
         if entering < 0:
             break
         leaving = -1
@@ -138,15 +125,25 @@ def solve_equality_feasibility(rows, rhs):
         denom = _pivot(tableau, obj, leaving, entering, denom)
         basis[leaving] = entering
 
+    # the artificials are zero exactly when the objective is: then the basic
+    # point is feasible, else the phase-1 dual certifies; on the rows as given,
+    # unflipped, the artificial of row i is e_i at cost flip_i
+    matrix = [row[:n] for row in ints]
     if obj[-1] == 0:
+        read = _basic_point(matrix, [row[n] for row in ints], basis)
+        if read is None:
+            raise InternalError("the simplex's final basic point is not feasible")
         # the scaled variable x'_j is x_j * scale_b / scale_j
+        support, y, last = read
         x = [ZERO] * n
-        for i, var in enumerate(basis):
-            if var < n:
-                x[var] = Rational(tableau[i][-1] * scales[var], denom * scales[n])
+        for j, v in zip(support, y):
+            x[j] = Rational(v * scales[j], last * scales[n])
         return "feasible", x
-    multipliers = [flips[i] * (ONE - Rational(obj[n + i], denom)) for i in range(m)]
-    return "infeasible", multipliers
+    read = _basis_dual(matrix, basis, flips)
+    if read is None:
+        raise InternalError("the simplex's final basis has no dual")
+    y, last = read
+    return "infeasible", [Rational(v, last) for v in y]
 
 
 def _pivot(tableau, obj, row, col, denom):
@@ -332,22 +329,10 @@ def screen(blocks, dim):
     integer Farkas multipliers for that system, replayed exactly; or None,
     unconfirmed either way.
 
-    :func:`_float_basis` proposes a basis B of ``[A | I]``.  Where the float
-    objective reached zero, one Bareiss pass makes the first |S| rows of the
-    integer ``[A_S | b]`` upper triangular, S the structural columns of B,
-    and fraction-free back substitution gives ``y = D x_S`` on integers, D
-    the last pivot.  The basic solution is a point of ``A x = b, x >= 0``
-    exactly when A_S has rank |S|, b lies in its span and no y_k has the sign
-    opposite to D's.  Where it stayed positive, the same solve on the basic
-    columns of ``[A | I]`` as rows (b >= 0 here, so the float pass flips no
-    row and its artificial columns are I) gives its dual ``u = y / D``:
-    ``u . A_j = 0`` on structural basic columns and ``u . e_i = c_i`` on
-    artificial ones, with ``c_i = L / s_i`` the cost the float pass gave the
-    artificial of row i once its rows are scaled back (s_i the row's
-    equilibration scale, L their LCM).  The verdict is infeasible exactly
-    when ``sign(D) y`` replays as a :class:`FarkasCertificate`: ``u . b > 0``
-    and ``u . A_j <= 0`` for every structural column j.  The costs only make
-    the replay likely to pass; the replay alone decides.
+    :func:`_float_basis` proposes the basis.  Its dual is read with cost
+    ``L / s_i`` on the artificial of row i, the float pass's cost once its
+    rows are scaled back (s_i the row's equilibration scale, L their LCM):
+    the costs only make the replay likely to pass, and the replay decides.
     """
     rows, rhs = intersection_system(blocks, dim)
     try:
@@ -357,40 +342,56 @@ def screen(blocks, dim):
     if proposed is None:
         return None
     basis, reached_zero = proposed
-    n = len(rows[0]) if rows else 0
     if reached_zero:
-        support = sorted(j for j in basis if j < n)
-        solved = _exact_solution([[row[j] for j in support] + [b] for row, b in zip(rows, rhs)],
-                                 len(support))
-        if solved is None:
+        read = _basic_point(rows, rhs, basis)
+        if read is None:
             return None
-        y, last = solved
-        if any((v < 0) != (last < 0) for v in y if v):
-            return None
+        support, y, _ = read
         return "feasible", tuple(j for j, v in zip(support, y) if v)
     scales = [_row_scale(row) for row in rows]
     lcm = math.lcm(*scales)
-    dual = []
-    for j in basis:
-        if j < n:
-            dual.append([row[j] for row in rows] + [0])
-        else:
-            unit = [0] * (len(rows) + 1)
-            unit[j - n], unit[-1] = 1, lcm // scales[j - n]
-            dual.append(unit)
-    solved = _exact_solution(dual, len(rows))
-    if solved is None:
+    read = _basis_dual(rows, basis, [lcm // s for s in scales])
+    if read is None:
         return None
-    y, last = solved
-    u = tuple(v if last > 0 else -v for v in y)
+    u = tuple(read[0])
     return ("infeasible", u) if FarkasCertificate(u).replays(blocks, dim) else None
 
 
+def _basic_point(rows, rhs, basis):
+    """``(support, y, D)`` for a basis of ``[A | I]``, column n + i the
+    artificial of row i: the basis's sorted structural columns S and its
+    basic point ``y = D x_S`` with the artificials at zero, by
+    :func:`_exact_solution` on ``[A_S | b]``.  None unless the point solves
+    ``A x = b, x >= 0``: A_S has rank |S|, b is in its span, no y_k < 0.
+    """
+    n = len(rows[0]) if rows else 0
+    support = sorted(j for j in basis if j < n)
+    solved = _exact_solution([[row[j] for j in support] + [b] for row, b in zip(rows, rhs)],
+                             len(support))
+    if solved is None or any(v < 0 for v in solved[0]):
+        return None
+    return (support, *solved)
+
+
+def _basis_dual(rows, basis, costs):
+    """``(y, D)`` with ``y = D u`` on integers for the dual u of a basis of
+    ``[A | I]`` that costs 0 on every structural column and ``costs[i]`` on
+    the artificial of row i, column n + i: :func:`_exact_solution` on the
+    basic columns as rows, ``u . A_j = 0`` on structural basic columns and
+    ``u_i = costs[i]`` on artificial ones.  None when the basis is singular.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    dual = [[row[j] for row in rows] + [0] if j < n
+            else [int(i == j - n) for i in range(m)] + [costs[j - n]] for j in basis]
+    return _exact_solution(dual, m)
+
+
 def _exact_solution(aug, width):
-    """``(y, D)`` with ``y = D x`` on integers for the unique x solving the
-    integer system ``aug[:, :width] x = aug[:, width]``, D the last Bareiss
-    pivot; None when the system has no unique solution.  Eliminates ``aug``
-    in place."""
+    """``(y, D)``, ``y = D x`` on integers for the unique x solving the
+    integer system ``aug[:, :width] x = aug[:, width]`` and D > 0 the last
+    Bareiss pivot up to sign, by one Bareiss pass and fraction-free back
+    substitution; None when x is not unique.  Eliminates ``aug`` in place."""
     rank, _, last = _bareiss(aug, width)
     if rank < width or any(row[width] for row in aug[width:]):
         return None
@@ -398,7 +399,7 @@ def _exact_solution(aug, width):
     for k in range(width - 1, -1, -1):
         acc = last * aug[k][width] - sum(aug[k][j] * y[j] for j in range(k + 1, width))
         y[k] = acc // aug[k][k]
-    return y, last
+    return ([-v for v in y], -last) if last < 0 else (y, last)
 
 
 #: float pivots at or below it, and reduced costs and objectives within it

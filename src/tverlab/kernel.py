@@ -48,7 +48,6 @@ from .errors import InputError
 Point = Tuple[Rational, ...]
 
 ZERO = Rational(0)
-ONE = Rational(1)
 
 
 def to_rational(value) -> Rational:
@@ -59,7 +58,7 @@ def to_rational(value) -> Rational:
         raise InputError(f"refusing to coerce float {value!r}; pass a rational")
     try:
         return Rational(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"not a rational: {value!r}") from exc
 
 

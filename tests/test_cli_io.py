@@ -17,6 +17,7 @@ from tverlab.pointset_io import (
     ReportRecord,
     emit_pointset,
     format_rational,
+    jsonable,
     outcome_payload,
     parse_pointset,
     parse_rational,
@@ -126,6 +127,8 @@ class TestRecords:
         back = ReportRecord.from_json_line(rec.to_json_line())
         assert back.command == "facets" and back.inputs == {"n": 5, "dim": 2}
         assert back.claim == "Lemma2.1" and back.seed == 3
+        with pytest.raises(InputError):
+            jsonable(0.5)
 
     def test_replay_feasible_and_infeasible(self):
         feas_blocks = [[(0, 0), (1, 1)], [(1, 0), (0, 1)]]
@@ -705,6 +708,10 @@ class TestCLI:
         bad.write_text("otps 2 1\n1/2\n")
         code = main(["homog", str(bad)])
         assert code == 2
+        square = tmp_path / "sq.otps"
+        square.write_text("otps 2 4\n0 0\n1 0\n1 1\n0 1\n")
+        code = main(["crossings", str(square), "--normal", "1,0,0", "--offset", "1/2"])
+        assert code == 2
 
     def test_missing_file_exit2(self, capsys, tmp_path):
         code = main(["homog", str(tmp_path / "nope.otps")])
@@ -725,6 +732,7 @@ class TestCLI:
         ps.write_text("otps 1 13\n" + "\n".join(str(i) for i in range(13)) + "\n")
         code = main(["tolerance", str(ps), "--set", "-r", "2"])
         assert code == 3
+        assert main(["n-line", "-t", "5", "-r", "3"]) == 3
 
     def test_crossings_claim(self, capsys, tmp_path):
         ps = tmp_path / "sq.otps"
@@ -1215,6 +1223,11 @@ class TestCLI:
         assert code == 4
         assert captured.out == ""
         assert "internal error" in captured.err
+        # a final simplex basis without a dual is a fault, not an exit-1 claim
+        monkeypatch.setattr(tverlab.feasibility, "_basis_dual", lambda *args: None)
+        sixteen = Path(__file__).resolve().parent.parent / "data" / "sixteen_point_c34.otps"
+        assert main(["intersect", str(sixteen), "--alternating", "4"]) == 4
+        assert "internal error" in capsys.readouterr().err
 
 
     def test_unexpected_exception_exits_4(self, capsys, monkeypatch):

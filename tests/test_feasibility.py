@@ -9,7 +9,7 @@ from oracles import (
     interval_common_point,
 )
 from tverlab import feasibility, search
-from tverlab.errors import InputError
+from tverlab.errors import InputError, InternalError
 from tverlab.feasibility import (
     EmptyBlockCertificate,
     FarkasCertificate,
@@ -61,6 +61,13 @@ class TestSimplexCore:
         rhs = [0, 0, 0]
         status, x = solve_equality_feasibility(rows, rhs)
         assert status == "feasible"
+
+    def test_unread_final_basis_is_a_fault(self, monkeypatch):
+        # the simplex's final basis always reads; one the reader refuses is a
+        # bug, never a verdict
+        monkeypatch.setattr(feasibility, "_basis_dual", lambda *args: None)
+        with pytest.raises(InternalError):
+            solve_equality_feasibility([[1, 1], [1, 1]], [1, 2])
 
 
 class TestHullsCommonPoint:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tverlab.errors import InputError
+from tverlab.feasibility import hulls_common_point
 from tverlab.kernel import (
     Hyperplane,
     PointSet,
@@ -12,6 +13,7 @@ from tverlab.kernel import (
     as_point,
     det,
     orientation,
+    to_rational,
 )
 from tverlab.ordertype import MomentSpec, moment_points
 
@@ -107,12 +109,19 @@ def test_side_of_dimension_mismatch():
 def test_pointset_validation():
     with pytest.raises(InputError):
         PointSet(2, [(1, 2), (3,)])
+    with pytest.raises(InputError):
+        PointSet(0, [])
     assert len(PointSet(2, [(1, 2), (3, 4)])) == 2
 
 
 def test_rational_parsing_guard():
     with pytest.raises(InputError):
         as_point((0.5, 1))
+    # a zero denominator is an input error, not a ZeroDivisionError
+    with pytest.raises(InputError):
+        to_rational("1/0")
+    with pytest.raises(InputError):
+        hulls_common_point([[("1/0", 0)], [(1, 1)]])
 
 
 def test_det_small():

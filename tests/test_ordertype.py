@@ -126,6 +126,7 @@ class TestNeighborly:
         assert is_neighborly(6, 2)
         assert is_neighborly(8, 4)
         assert is_neighborly(9, 6)
+        assert is_neighborly(3, 1)  # k = 0: vacuous
 
     def test_pair_coverage_oracle(self):
         # d=4: every pair of indices must appear in some facet
@@ -151,6 +152,8 @@ class TestPathCrossings:
         X = PointSet(2, [(0, 0), (1, 0)])
         with pytest.raises(DegenerateInputError):
             path_crossings(X, Hyperplane([1, 0], 1))
+        with pytest.raises(InputError):
+            path_crossings(X, Hyperplane([1, 0, 0], 7))
 
     def test_homogeneous_paths_cross_at_most_d(self):
         # seeded hyperplanes against moment paths: crossings <= d

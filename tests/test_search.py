@@ -275,6 +275,8 @@ class TestLineTables:
             t_line(15, 2)
         with pytest.raises(InputError):
             t_line(2, 3)
+        with pytest.raises(ResourceGuardError):
+            n_line(5, 3)  # r (t + 2) - 1 = 20 > T_LINE_GUARD
 
     def test_n_line_values(self):
         assert n_line(1, 2) == 5
