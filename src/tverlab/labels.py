@@ -140,7 +140,7 @@ def pair_breaking_set(labels, r: int, size: int, runs: int, order=None):
 class Target:
     """The tolerance ``best`` that :func:`iter_partitions` must beat, raised
     by the caller as it goes; ``runs`` is d + 1 when the index order is a
-    run order, else None."""
+    run order or its reverse, else None."""
 
     best: int
     runs: Optional[int]
@@ -154,7 +154,15 @@ def iter_partitions(n: int, r: int, target: Optional[Target] = None) -> Iterator
     tolerance above b = ``target.best``, which needs b + 2 + floor(d/2)
     points in each block under a run order (see :func:`pair_bound`) and b + 2
     deletions to bring each pair's label string down to ``runs`` runs: a
-    prefix is cut when its remaining positions cannot."""
+    prefix is cut when its remaining positions cannot.  For a pair (e, f)
+    the prefix's run DP gives two lower bounds on the longest subsequence
+    with at most ``runs`` runs of the completed string: all later e's extend
+    the longest one of at most ``runs`` runs that ends in e with no new run,
+    and all later f's extend the longest one of at most ``runs - 1`` runs
+    that ends in e with exactly one; each bound sets how many more letters
+    of the block it leaves out are needed.  At a leaf no letters remain and
+    the second bound is at most the first, so the cut yields exactly the
+    partitions that pass the block test and the pair bound's test."""
     target = target or Target(best=-2, runs=None)
     runs = target.runs
     thin = (runs - 1) // 2 if runs else 0
@@ -166,10 +174,14 @@ def iter_partitions(n: int, r: int, target: Optional[Target] = None) -> Iterator
         # no tolerance is below -1: to beat less, blocks need only be nonempty
         need = [(best + 2 + thin if best >= -1 else 1) - c for c in counts]
         if runs is not None:
-            # all later f's extend the longest subsequence ending in e
-            # without a new run, so f needs that many more to beat best
+            # all later e's extend the longest subsequence of at most runs
+            # runs ending in e without a new run, so f needs that many more
+            # to beat best; all later f's extend the one of at most runs - 1
+            # runs ending in e with one new run, so e needs that many more
             for e, f in itertools.permutations(range(r), 2):
-                need[f] = max(need[f], best + 2 - counts[e] - counts[f] + kept[e][f][runs])
+                slack = best + 2 - counts[e] - counts[f]
+                need[f] = max(need[f], slack + kept[e][f][runs])
+                need[e] = max(need[e], slack + kept[e][f][runs - 1])
         if sum(max(0, x) for x in need) > n - i:
             return
         if i == n:

@@ -32,7 +32,9 @@ from .feasibility import (
 )
 from .kernel import PointSet, Rational, to_rational
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+#: ASCII digits only: ``\d`` (and ``Fraction``) would also read other scripts'
+#: decimal digits, such as U+0663 for 3
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[1-9][0-9]*)?$")
 
 
 def parse_rational(text: str, line: Optional[int] = None) -> Rational:

@@ -46,7 +46,7 @@ class TestRationalFormat:
         assert parse_rational("7") == 7
 
     def test_rejects_junk(self):
-        for bad in ("0.5", "1/0", "1/-2", "a", "", "1 / 2"):
+        for bad in ("0.5", "1/0", "1/-2", "a", "", "1 / 2", "\u0663", "1/\u0662"):
             with pytest.raises(ParseError):
                 parse_rational(bad)
 
