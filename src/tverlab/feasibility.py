@@ -213,10 +213,10 @@ class FarkasCertificate:
             return False
         chains = [()] + [u[r + k * dim : r + (k + 1) * dim] for k in range(r - 1)] + [()]
         for k, block in enumerate(blocks):
-            w = [a - b for a, b in zip_longest(chains[k + 1], chains[k], fillvalue=ZERO)]
+            w = [a - b for a, b in zip_longest(chains[k + 1], chains[k], fillvalue=0)]
             if any(sum(map(operator.mul, p, w), u[k]) > 0 for p in block):
                 return False
-        return sum(u[:r], ZERO) > 0
+        return sum(u[:r]) > 0
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,9 @@ Conventions:
   parameters orient +1 in every dimension (Vandermonde positivity).
   Three facts let ``orientation_signs`` decide every tuple of a set on
   integers: scaling a coordinate column by a positive number scales the
-  determinant by it, so the set is lifted to integers once, column by
-  column; subtracting the first row from the others leaves the determinant
+  determinant by it, so the signs are read on ``PointSet.lifted``, the
+  set's cached integer lift that the tolerance removal scan reads too;
+  subtracting the first row from the others leaves the determinant
   unchanged, so the sign is that of the d x d determinant of the differences
   ``p_j - p_0``; and its Laplace expansion along the last row needs only the
   minors of the rows before it, which tuples with a common prefix share, so
@@ -197,23 +198,19 @@ def det(matrix: Sequence[Sequence]) -> Rational:
     return Rational(sign * last, scales) if rank == n else ZERO
 
 
-def orientation_signs(
-    points: Sequence[Sequence], dim: int
-) -> Iterator[Tuple[Tuple[int, ...], int]]:
-    """``(indices, sign)`` of every (dim+1)-subset of the points, 1-based and
-    in lexicographic order; the sign is :func:`orientation` of the subset.
+def orientation_signs(X: PointSet) -> Iterator[Tuple[Tuple[int, ...], int]]:
+    """``(indices, sign)`` of every (dim+1)-subset of X, 1-based and in
+    lexicographic order; the sign is :func:`orientation` of the subset.
 
-    Lazy, so a caller can stop at the first sign it rejects.  For each base
-    point a depth-first walk over the later points carries the minors of the
-    difference rows chosen so far (their exterior product) and adds a row by
-    Laplace expansion; at dim - 1 rows they are a cofactor vector, and a tuple
-    costs one integer dot product with its last row.
+    Read on X's cached integer lift, :attr:`PointSet.lifted`, the one the
+    tolerance removal scan reads.  Lazy, so a caller can stop at the first
+    sign it rejects.  For each base point a depth-first walk over the later
+    points carries the minors of the difference rows chosen so far (their
+    exterior product) and adds a row by Laplace expansion; at dim - 1 rows
+    they are a cofactor vector, and a tuple costs one integer dot product
+    with its last row.
     """
-    pts = [as_point(p) for p in points]
-    for p in pts:
-        if len(p) != dim:
-            raise InputError(f"point {p} does not have dimension {dim}")
-    lifted, n = scale_columns(pts)[0], len(pts)
+    dim, lifted, n = X.dim, X.lifted, len(X)
     # laplace[k]: per column (k+1)-subset, its (sign, column, k-subset) terms
     laplace = []
     for k in range(dim):
@@ -245,8 +242,8 @@ def orientation(points: Sequence[Sequence], dim: int) -> int:
     coordinates (leading 1), taken in the given order: the one-subset case
     of :func:`orientation_signs`.
     """
-    pts = list(points)
-    if len(pts) != dim + 1:
-        raise InputError(f"orientation in R^{dim} needs {dim + 1} points, got {len(pts)}")
-    ((_, s),) = orientation_signs(pts, dim)
+    X = PointSet(dim, points)
+    if len(X) != dim + 1:
+        raise InputError(f"orientation in R^{dim} needs {dim + 1} points, got {len(X)}")
+    ((_, s),) = orientation_signs(X)
     return s

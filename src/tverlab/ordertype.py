@@ -121,14 +121,14 @@ def is_order_homogeneous(X: PointSet) -> HomogeneityResult:
     """Check that every ordered (dim+1)-subset has one nonzero orientation.
 
     The subsets come in lexicographic order from
-    :func:`~tverlab.kernel.orientation_signs`, which lifts X to integers
-    once; the check stops at the first zero or mismatching sign.  That subset
+    :func:`~tverlab.kernel.orientation_signs`, which reads X's cached integer
+    lift; the check stops at the first zero or mismatching sign.  That subset
     is the witness, after the first subset and its sign on a mismatch.
     """
     if len(X) < X.dim + 1:
         return HomogeneityResult(homogeneous=True, sign=None, trivial=True)
     first: Optional[Tuple[Tuple[int, ...], int]] = None
-    for indices, s in orientation_signs(X.points, X.dim):
+    for indices, s in orientation_signs(X):
         if s == 0:
             return HomogeneityResult(False, None, witness=((indices, 0),))
         if first is None:

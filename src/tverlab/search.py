@@ -104,7 +104,7 @@ def alpha_candidates(strategy: SearchStrategy, n: int, r: int) -> Iterator[Tuple
     span = strategy.spread * n
     while True:
         k = min(clusters, n)
-        # sizes: clusters get 2..d+1-ish points, the tail takes the rest
+        # sizes: 1..n // k + 2 per cluster, leaving one per later cluster; the tail takes the rest
         sizes = []
         remaining = n
         for i in range(k):

@@ -79,12 +79,13 @@ class ToleranceReport:
 def _run_order(X: PointSet, r: int, homogeneity=None) -> Optional[Tuple[int, ...]]:
     """Position of each point in an order in which X is order-type
     homogeneous, so the run rule decides hull intersections; None when there
-    is none, or with r < 2 off a line (one block needs no rule).
+    is none, or with r < 2 off a line (one block needs no rule); a line is
+    ranked on its lift, whose positive scale keeps order and equality.
     ``homogeneity`` is X's :func:`is_order_homogeneous` result when the
     caller already has it."""
     n = len(X)
     if X.dim == 1:
-        values = [v for v, in X.points]
+        values = [v for v, in X.lifted]
         ranked = sorted(values)
         return tuple(map(ranked.index, values)) if len(set(values)) == n else None
     if r < 2:

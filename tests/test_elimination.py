@@ -272,7 +272,7 @@ def homogeneity_cases(seed):
 def test_orientation_signs_match_fraction_oracle(seed):
     signs_seen, depths = set(), {}
     for d, pts in homogeneity_cases(seed):
-        got = list(orientation_signs(pts, d))
+        got = list(orientation_signs(PointSet(d, pts)))
         assert got == list(fraction_orientation_signs(pts, d))
         signs_seen.update(s for _, s in got)
         depths.setdefault(d, set()).update(
@@ -304,17 +304,20 @@ def test_orientation_is_the_single_tuple_case():
         d = rng.randint(1, 4)
         pts = mixed_points(rng, d + 3, d)[: d + 1]
         assert orientation(pts, d) == fraction_orientation(pts, d)
-        assert list(orientation_signs(pts, d)) == [(tuple(range(1, d + 2)), orientation(pts, d))]
+        assert list(orientation_signs(PointSet(d, pts))) == [
+            (tuple(range(1, d + 2)), orientation(pts, d))]
 
 
 def test_orientation_signs_are_lazy():
     # C(200, 5) = 2,535,650,040 subsets; the first few come without the rest
     pts = list(moment_points(MomentSpec(4, range(200))).points)
-    first = list(itertools.islice(orientation_signs(pts, 4), 10))
+    first = list(itertools.islice(orientation_signs(PointSet(4, pts)), 10))
     assert first == [((1, 2, 3, 4, j), 1) for j in range(5, 15)]
 
 
 def test_orientation_signs_input_validation():
     with pytest.raises(InputError):
-        list(orientation_signs([(0, 0), (1, 0), (0, 1, 5)], 2))
-    assert list(orientation_signs([(0, 0), (1, 0)], 2)) == []
+        list(orientation_signs(PointSet(2, [(0, 0), (1, 0), (0, 1, 5)])))
+    assert list(orientation_signs(PointSet(2, [(0, 0), (1, 0)]))) == []
+    with pytest.raises(InputError):
+        orientation([()], 0)

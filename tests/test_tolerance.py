@@ -1,8 +1,10 @@
 import contextlib
+import fractions
 import itertools
 import json
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from tverlab.feasibility import hulls_common_point
 from tverlab.kernel import PointSet, Rational
 from tverlab.labels import Target, _read, pair_bound, split
 from tverlab.ordertype import MomentSpec, is_order_homogeneous, moment_points
+from tverlab.search import sixteen_point_alphas
 from tverlab.tolerance import (
     Partition,
     ToleranceReport,
@@ -509,6 +512,37 @@ class TestSetTolerance:
             ToleranceReport(value=2, breaking_set=(4, 7, 10), exhausted=True),
             (1, 1, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2),
         )
+
+    @pytest.mark.parametrize("X, r, report", [
+        (moment_points(MomentSpec(2, range(1, 11))), 3,
+         (1, (1, 4), (1, 2, 3, 1, 2, 3, 1, 2, 1, 3))),
+        (moment_points(MomentSpec(3, range(1, 10))), 3, (0, (1,), (1, 2, 3, 1, 2, 1, 3, 1, 2))),
+        (PointSet(1, [(Rational(v, 3),) for v in (5, -2, 9, 0, 4, 11, 7, -8, 6, 1, 3)]), 3,
+         (2, (1, 2, 10), (1, 1, 1, 2, 2, 3, 2, 3, 3, 1, 3))),
+        (moment_points(MomentSpec(3, sixteen_point_alphas())), None, (True, 1)),
+    ])
+    def test_exact_tests_on_the_lift_build_no_fraction(self, X, r, report):
+        # once X is lifted to integers, the homogeneity test, the run order
+        # of a line, the pair DP and the removal scan (the integer screen and
+        # its Farkas replay) make no call into the fractions module
+        X.lifted
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename == fractions.__file__:
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            out = is_order_homogeneous(X) if r is None else set_tolerance(X, r)
+        finally:
+            sys.setprofile(None)
+        assert calls == []
+        if r is None:
+            assert (out.homogeneous, out.sign) == report
+        else:
+            rep, part = out
+            assert (rep.value, rep.breaking_set, part.labels) == report and rep.exhausted
 
     @pytest.mark.parametrize("n, r, partitions", [(12, 2, 1), (12, 3, 1), (12, 4, 1)])
     def test_line_search_is_one_pruned_pass(self, monkeypatch, n, r, partitions):
