@@ -17,15 +17,19 @@ Conventions:
   whose rows are the points, each row carrying a leading 1.  With the
   leading-1 layout, points on the moment curve with strictly increasing
   parameters orient +1 in every dimension (Vandermonde positivity).
-  Three facts let ``orientation_signs`` decide every tuple of a set on
+  Four facts let ``orientation_rows`` give every tuple's determinant on
   integers: scaling a coordinate column by a positive number scales the
-  determinant by it, so the signs are read on ``PointSet.lifted``, the
-  set's cached integer lift that the tolerance removal scan reads too;
+  determinant by it, so all are read on ``PointSet.lifted``, the set's
+  cached integer lift that the tolerance removal scan reads too;
   subtracting the first row from the others leaves the determinant
-  unchanged, so the sign is that of the d x d determinant of the differences
-  ``p_j - p_0``; and its Laplace expansion along the last row needs only the
+  unchanged, so it is the d x d determinant of the differences
+  ``p_j - p_0``; its Laplace expansion along the last row needs only the
   minors of the rows before it, which tuples with a common prefix share, so
-  a depth-first walk carries them and a tuple costs one dot product.
+  a depth-first walk carries them and a tuple through point 1 costs one dot
+  product; and any d + 2 rows ``(1, p)`` are linearly dependent, so the
+  first coordinate of their Cramer relation gives, for a tuple ``a`` not
+  through point 1, ``D(a) = sum over q of (-1)^q D(1, a without a_q)``: d
+  additions of determinants through point 1, the star, kept as it is walked.
 * A hyperplane ``normal . x = offset`` has positive side
   ``normal . x > offset``.
 
@@ -41,7 +45,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction as Rational
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import InputError
 
@@ -198,19 +202,25 @@ def det(matrix: Sequence[Sequence]) -> Rational:
     return Rational(sign * last, scales) if rank == n else ZERO
 
 
-def orientation_signs(X: PointSet) -> Iterator[Tuple[Tuple[int, ...], int]]:
-    """``(indices, sign)`` of every (dim+1)-subset of X, 1-based and in
-    lexicographic order; the sign is :func:`orientation` of the subset.
+def orientation_rows(X: PointSet) -> Iterator[Tuple[Tuple[int, ...], List[int]]]:
+    """``(head, dets)`` for every dim-prefix ``head`` of X's (dim+1)-subsets,
+    1-based and in lexicographic order: ``dets[k]`` is the exact integer
+    determinant of :func:`orientation` for ``head + (head[-1] + 1 + k,)``,
+    read on X's cached integer lift, :attr:`PointSet.lifted`.
 
-    Read on X's cached integer lift, :attr:`PointSet.lifted`, the one the
-    tolerance removal scan reads.  Lazy, so a caller can stop at the first
-    sign it rejects.  For each base point a depth-first walk over the later
-    points carries the minors of the difference rows chosen so far (their
-    exterior product) and adds a row by Laplace expansion; at dim - 1 rows
-    they are a cofactor vector, and a tuple costs one integer dot product
-    with its last row.
+    The rows through point 1, the star, come from a depth-first walk over
+    the later points that carries the minors of the difference rows
+    ``p_j - p_1`` chosen so far (their exterior product) and adds a row by
+    Laplace expansion; at dim - 1 rows they are a cofactor vector, and a
+    tuple costs one integer dot product with its last row.  Every other row
+    is dim star rows added with alternating signs, plus one star entry.
+    Lazy at row granularity, so a caller can stop at the first row it
+    rejects; the star is kept, C(n - 1, dim) integers, and its rows are
+    handed out as stored, so callers must not change them.
     """
     dim, lifted, n = X.dim, X.lifted, len(X)
+    if n <= dim:
+        return
     # laplace[k]: per column (k+1)-subset, its (sign, column, k-subset) terms
     laplace = []
     for k in range(dim):
@@ -218,21 +228,45 @@ def orientation_signs(X: PointSet) -> Iterator[Tuple[Tuple[int, ...], int]]:
         laplace.append([[((-1) ** (k + m), t, below[cols[:m] + cols[m + 1:]])
                          for m, t in enumerate(cols)]
                         for cols in itertools.combinations(range(dim), k + 1)])
+    diffs = [[a - b for a, b in zip(q, lifted[0])] for q in lifted]
 
-    def walk(diffs, start, minors, head):
+    def walk(start, minors, head):
         if len(head) == dim:
             cofactors = [s * minors[u] for s, _, u in laplace[-1][0]]
-            for j in range(start, n):
-                yield head + (j + 1,), sign(sum(map(operator.mul, cofactors, diffs[j])))
+            yield head, [sum(map(operator.mul, cofactors, row)) for row in diffs[start:]]
             return
         # the next row, leaving enough later points to complete the tuple
         for j, row in enumerate(diffs[start:n - dim + len(head)], start):
-            yield from walk(diffs, j + 1, [sum(s * row[t] * minors[u] for s, t, u in terms)
-                                           for terms in laplace[len(head) - 1]], head + (j + 1,))
+            yield from walk(j + 1, [sum(s * row[t] * minors[u] for s, t, u in terms)
+                                    for terms in laplace[len(head) - 1]], head + (j + 1,))
 
-    for i in range(n - dim):
-        diffs = [[a - b for a, b in zip(q, lifted[i])] for q in lifted]
-        yield from walk(diffs, i + 1, [1], (i + 1,))
+    star = {}
+    for head, dets in walk(1, [1], (1,)):
+        star[head] = dets
+        yield head, dets
+    # D(a) = sum over q of (-1)^q D(1, a without a_q), the Cramer relation:
+    # dropping a's last point gives a constant, dropping another a star row
+    for tail in itertools.combinations(range(2, n), dim):
+        base = (1,) + tail
+        const = star[base[:-1]][base[-1] - base[-2] - 1]
+        acc = itertools.repeat(-const if dim % 2 else const)
+        for q in range(dim):
+            head = base[:q + 1] + base[q + 2:]
+            acc = map(operator.sub if q % 2 else operator.add, acc,
+                      star[head][base[-1] - head[-1]:])
+        yield tail, list(acc)
+
+
+def orientation_signs(X: PointSet) -> Iterator[Tuple[Tuple[int, ...], int]]:
+    """``(indices, sign)`` of every (dim+1)-subset of X, 1-based and in
+    lexicographic order; the sign is :func:`orientation` of the subset.
+
+    The signs of :func:`orientation_rows`, lazy like them, and keeping the
+    same C(n - 1, dim) integers.
+    """
+    for head, dets in orientation_rows(X):
+        for j, value in enumerate(dets, head[-1] + 1):
+            yield head + (j,), sign(value)
 
 
 def orientation(points: Sequence[Sequence], dim: int) -> int:

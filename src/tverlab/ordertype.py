@@ -25,7 +25,8 @@ from .kernel import (
     PointSet,
     Rational,
     orientation,  # noqa: F401 - bench/tracing.py wraps this import site
-    orientation_signs,
+    orientation_rows,
+    sign,
     to_rational,
 )
 
@@ -120,21 +121,27 @@ class HomogeneityResult:
 def is_order_homogeneous(X: PointSet) -> HomogeneityResult:
     """Check that every ordered (dim+1)-subset has one nonzero orientation.
 
-    The subsets come in lexicographic order from
-    :func:`~tverlab.kernel.orientation_signs`, which reads X's cached integer
-    lift; the check stops at the first zero or mismatching sign.  That subset
-    is the witness, after the first subset and its sign on a mismatch.
+    The subsets come in lexicographic order, a row of determinants at a
+    time, from :func:`~tverlab.kernel.orientation_rows`, which reads X's
+    cached integer lift; a row whose determinants all have the first
+    subset's sign passes whole, and the check stops at the first zero or
+    mismatching sign.  That subset is the witness, after the first subset
+    and its sign on a mismatch.
     """
     if len(X) < X.dim + 1:
         return HomogeneityResult(homogeneous=True, sign=None, trivial=True)
     first: Optional[Tuple[Tuple[int, ...], int]] = None
-    for indices, s in orientation_signs(X):
-        if s == 0:
-            return HomogeneityResult(False, None, witness=((indices, 0),))
+    for head, dets in orientation_rows(X):
         if first is None:
-            first = (indices, s)
-        elif s != first[1]:
-            return HomogeneityResult(False, None, witness=(first, (indices, s)))
+            first = (head + (head[-1] + 1,), sign(dets[0]))
+        if first[1] > 0 and min(dets) > 0 or first[1] < 0 and max(dets) < 0:
+            continue
+        for j, value in enumerate(dets, head[-1] + 1):
+            s = sign(value)
+            if s == 0:
+                return HomogeneityResult(False, None, witness=((head + (j,), 0),))
+            if s != first[1]:
+                return HomogeneityResult(False, None, witness=(first, (head + (j,), s)))
     if first is None:
         raise InternalError("no orientation was computed for n >= dim + 1")
     return HomogeneityResult(True, first[1])

@@ -8,6 +8,7 @@ the per-tuple Fraction determinants with a leading-1 column.
 """
 
 import itertools
+import math
 import operator
 import random
 
@@ -20,7 +21,7 @@ from oracles import (
     fraction_simplex,
     seeded_increasing_alphas,
 )
-from tverlab import feasibility
+from tverlab import feasibility, ordertype
 from tverlab.errors import InputError
 from tverlab.feasibility import intersection_system, solve_equality_feasibility
 from tverlab.kernel import (
@@ -28,6 +29,7 @@ from tverlab.kernel import (
     Rational,
     det,
     orientation,
+    orientation_rows,
     orientation_signs,
 )
 from tverlab.ordertype import (
@@ -282,6 +284,21 @@ def test_orientation_signs_match_fraction_oracle(seed):
 
 
 @pytest.mark.parametrize("seed", range(8))
+def test_orientation_rows_are_exact_determinants(seed):
+    # every determinant, from the star or from the relation, is the Fraction
+    # determinant of its tuple times the product of the lift's column scales
+    for d, pts in homogeneity_cases(seed):
+        scale = math.prod(math.lcm(*(c.denominator for c in column)) for column in zip(*pts))
+        got = [(head + (j,), value) for head, dets in orientation_rows(PointSet(d, pts))
+               for j, value in enumerate(dets, head[-1] + 1)]
+        assert got == [
+            (tuple(i + 1 for i in combo),
+             scale * fraction_det([(Rational(1),) + pts[i] for i in combo]))
+            for combo in itertools.combinations(range(len(pts)), d + 1)
+        ]
+
+
+@pytest.mark.parametrize("seed", range(8))
 def test_homogeneity_matches_per_tuple_loop(seed):
     for d, pts in homogeneity_cases(seed):
         X = PointSet(d, pts)
@@ -313,6 +330,25 @@ def test_orientation_signs_are_lazy():
     pts = list(moment_points(MomentSpec(4, range(200))).points)
     first = list(itertools.islice(orientation_signs(PointSet(4, pts)), 10))
     assert first == [((1, 2, 3, 4, j), 1) for j in range(5, 15)]
+
+
+def test_homogeneity_stops_in_the_first_row(monkeypatch):
+    # point 7 moved to the parameter 1/2 turns (1, 2, 3, 4, 7) negative; the
+    # check returns from the first row, not after the C(199, 4) star entries
+    pts = list(moment_points(MomentSpec(4, range(200))).points)
+    pts[6] = moment_points(MomentSpec(4, [Rational(1, 2)])).points[0]
+    heads, rows = [], ordertype.orientation_rows
+
+    def counted_rows(*args):
+        for head, dets in rows(*args):
+            heads.append(head)
+            yield head, dets
+
+    monkeypatch.setattr(ordertype, "orientation_rows", counted_rows)
+    result = is_order_homogeneous(PointSet(4, pts))
+    assert result == oracle_homogeneity(pts, 4)
+    assert result.witness == (((1, 2, 3, 4, 5), 1), ((1, 2, 3, 4, 7), -1))
+    assert heads == [(1, 2, 3, 4)]
 
 
 def test_orientation_signs_input_validation():

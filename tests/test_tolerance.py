@@ -82,22 +82,22 @@ def brute_set_tolerance(X, r, budget=None):
 
 
 def count_work(monkeypatch):
-    """Count the tolerance search's LP calls and the orientation signs its
-    homogeneity test reads."""
+    """Count the tolerance search's LP calls and the orientation determinants
+    its homogeneity test reads, a row of them at a time."""
     calls = {"lp": 0, "signs": 0}
-    lp, signs = tolerance.hulls_common_point, ordertype.orientation_signs
+    lp, rows = tolerance.hulls_common_point, ordertype.orientation_rows
 
     def counted_lp(*args, **kwargs):
         calls["lp"] += 1
         return lp(*args, **kwargs)
 
-    def counted_signs(*args):
-        for item in signs(*args):
-            calls["signs"] += 1
-            yield item
+    def counted_rows(*args):
+        for head, dets in rows(*args):
+            calls["signs"] += len(dets)
+            yield head, dets
 
     monkeypatch.setattr(tolerance, "hulls_common_point", counted_lp)
-    monkeypatch.setattr(ordertype, "orientation_signs", counted_signs)
+    monkeypatch.setattr(ordertype, "orientation_rows", counted_rows)
     return calls
 
 
