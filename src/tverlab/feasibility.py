@@ -35,6 +35,13 @@ reads, and returns a witness or a certificate, the only ones printed.
 tolerance removal scan): a float phase-1 simplex proposes the basis, whose
 point must be nonnegative or whose dual must replay as Farkas multipliers.
 Floats never decide: any doubt falls back to :func:`hulls_common_point`.
+Both passes do only the arithmetic that changes a value.  A float pivot
+updates, in place, the nonzero entries of its pivot row in the rows that
+meet the entering column; about half of a pivot row is zero.  An exact
+read takes the basis heads first: for each row, a basis column whose first
+nonzero entry lies in it.  In a hull system these are one point per block
+and the artificials, so Bareiss pivots on 1s first and leaves the rows they
+do not meet untouched.
 
 The screen takes integer points.  Multiplying each coordinate by its own
 positive number is an invertible linear map, so it maps hulls onto hulls and
@@ -361,37 +368,71 @@ def _basic_point(rows, rhs, basis):
     """``(support, y, D)`` for a basis of ``[A | I]``, column n + i the
     artificial of row i: the basis's sorted structural columns S and its
     basic point ``y = D x_S`` with the artificials at zero, by
-    :func:`_exact_solution` on ``[A_S | b]``.  None unless the point solves
+    :func:`_exact_solution` on ``[A_S | b]`` with the columns of S in
+    :func:`_heads_first` order.  None unless the point solves
     ``A x = b, x >= 0``: A_S has rank |S|, b is in its span, no y_k < 0.
     """
     n = len(rows[0]) if rows else 0
     support = sorted(j for j in basis if j < n)
-    solved = _exact_solution([[row[j] for j in support] + [b] for row, b in zip(rows, rhs)],
-                             len(support))
+    order = _heads_first(rows, support)
+    solved = _exact_solution([[row[j] for j in order] + [b] for row, b in zip(rows, rhs)],
+                             len(order))
     if solved is None or any(v < 0 for v in solved[0]):
         return None
-    return (support, *solved)
+    y, last = solved
+    by_column = dict(zip(order, y))
+    return support, [by_column[j] for j in support], last
 
 
 def _basis_dual(rows, basis, costs):
     """``(y, D)`` with ``y = D u`` on integers for the dual u of a basis of
     ``[A | I]`` that costs 0 on every structural column and ``costs[i]`` on
     the artificial of row i, column n + i: :func:`_exact_solution` on the
-    basic columns as rows, ``u . A_j = 0`` on structural basic columns and
-    ``u_i = costs[i]`` on artificial ones.  None when the basis is singular.
+    basic columns as rows, in :func:`_heads_first` order, ``u . A_j = 0`` on
+    structural basic columns and ``u_i = costs[i]`` on artificial ones.
+    None when the basis is singular.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
     dual = [[row[j] for row in rows] + [0] if j < n
-            else [int(i == j - n) for i in range(m)] + [costs[j - n]] for j in basis]
+            else [int(i == j - n) for i in range(m)] + [costs[j - n]]
+            for j in _heads_first(rows, basis)]
     return _exact_solution(dual, m)
+
+
+def _heads_first(rows, columns):
+    """``columns``, columns of ``[A | I]`` (column n + i the artificial of
+    row i), heads first: for each row in turn, the first column whose first
+    nonzero entry lies in that row, then the rest in their order; a zero
+    column heads no row.
+
+    In an intersection system the heads are one point per block for the
+    convexity rows, and the artificials.  While every row before has a head
+    too, a head pivots on a 1 after a 1 and leaves each row with a zero in
+    its column unchanged (see :func:`~tverlab.kernel.fraction_free_update`).
+    Any order gives the same solution, and the same ``D`` on a square
+    system.
+    """
+    n = len(rows[0]) if rows else 0
+    heads = {}
+    for j in columns:
+        lead = j - n if j >= n else next((i for i, row in enumerate(rows) if row[j]), None)
+        if lead is not None:
+            heads.setdefault(lead, j)
+    front = [heads[i] for i in sorted(heads)]
+    taken = set(front)
+    return front + [j for j in columns if j not in taken]
 
 
 def _exact_solution(aug, width):
     """``(y, D)``, ``y = D x`` on integers for the unique x solving the
     integer system ``aug[:, :width] x = aug[:, width]`` and D > 0 the last
     Bareiss pivot up to sign, by one Bareiss pass and fraction-free back
-    substitution; None when x is not unique.  Eliminates ``aug`` in place."""
+    substitution; None when x is not unique.  Eliminates ``aug`` in place.
+
+    The callers order the system heads first (:func:`_heads_first`); the
+    solution does not depend on the order, and on a square system neither
+    does D, which is then ``|det|``."""
     rank, _, last = _bareiss(aug, width)
     if rank < width or any(row[width] for row in aug[width:]):
         return None
@@ -420,7 +461,12 @@ def _float_basis(rows, rhs):
     artificial of row i, and whether the objective reached zero; None when
     it hits its iteration cap.
 
-    Artificial columns never re-enter, so the tableau omits them.
+    Artificial columns never re-enter, so the tableau omits them.  A pivot
+    collects the nonzero ``(column, value)`` pairs of its divided row once
+    and updates only those entries, in place, of the objective and of every
+    row with a nonzero entering entry: the float operations of a dense
+    update on every entry they change, so the same basis, signed zeros
+    apart, which no comparison reads.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -436,9 +482,10 @@ def _float_basis(rows, rhs):
     obj = [-sum(column) for column in zip(*tableau)] if m else [0.0]
     basis = list(range(n, n + m))
     for _ in range(10 * (m + n) + 10):
-        entering = min(range(n), key=obj.__getitem__, default=-1)
-        if entering < 0 or obj[entering] >= -_FLOAT_TOL:
+        least = min(obj[:n], default=0.0)
+        if least >= -_FLOAT_TOL:
             return basis, obj[-1] >= -_FLOAT_TOL
+        entering = obj.index(least)
         leaving, best = -1, 0.0
         for i, row in enumerate(tableau):
             if row[entering] > _FLOAT_TOL:
@@ -447,15 +494,17 @@ def _float_basis(rows, rhs):
                     leaving, best = i, ratio
         if leaving < 0:
             return None
-        pivot_row = tableau[leaving]
-        pivot = pivot_row[entering]
-        pivot_row = tableau[leaving] = [v / pivot for v in pivot_row]
-        for i, row in enumerate(tableau):
+        pivot = tableau[leaving][entering]
+        pivot_row = tableau[leaving] = [v / pivot for v in tableau[leaving]]
+        nonzero = [(j, w) for j, w in enumerate(pivot_row) if w]
+        for row in tableau:
             f = row[entering]
-            if i != leaving and f:
-                tableau[i] = [v - f * w for v, w in zip(row, pivot_row)]
+            if f and row is not pivot_row:
+                for j, w in nonzero:
+                    row[j] -= f * w
         f = obj[entering]
-        obj = [v - f * w for v, w in zip(obj, pivot_row)]
+        for j, w in nonzero:
+            obj[j] -= f * w
         basis[leaving] = entering
     return None
 

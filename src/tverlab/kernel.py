@@ -140,7 +140,11 @@ class Hyperplane:
 
 def fraction_free_update(row, pivot_row, p, f, d):
     """Exact-division row step ``(v * p - f * w) // d`` of Bareiss elimination
-    (``f`` is the row's pivot-column entry, ``d`` the previous pivot)."""
+    (``f`` is the row's pivot-column entry, ``d`` the previous pivot).  A row
+    with ``f = 0`` under a pivot equal to the previous one is unchanged, and
+    is returned as it is, the same list."""
+    if not f and p == d:
+        return row
     return [(v * p - f * w) // d for v, w in zip(row, pivot_row)]
 
 

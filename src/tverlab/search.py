@@ -89,11 +89,10 @@ def split_repeats(values: Sequence, epsilon) -> Tuple[Rational, ...]:
     eps = to_rational(epsilon)
     vals = [to_rational(v) for v in values]
     out = []
-    run_start = 0
+    step = 0
     for i, v in enumerate(vals):
-        if i and v != vals[i - 1]:
-            run_start = i
-        out.append(v + (i - run_start) * eps)
+        step = step + 1 if i and v == vals[i - 1] else 0
+        out.append(v + step * eps if step else v)
     return tuple(out)
 
 

@@ -335,3 +335,83 @@ def fraction_orientation_signs(points, dim):
     for combo in itertools.combinations(range(len(points)), dim + 1):
         sign = fraction_orientation([points[i] for i in combo], dim)
         yield tuple(i + 1 for i in combo), sign
+
+
+# ---------------------------------------------------------------------------
+# the float phase-1 pass with dense row updates: every entry of every row
+# with a nonzero entering entry, and of the objective, at every pivot; the
+# screen's sparse pass must propose the same basis
+
+#: the screen's float tolerance, as :data:`tverlab.feasibility._FLOAT_TOL`
+FLOAT_TOL = 1e-9
+
+
+def _row_scale(row):
+    return max(map(abs, row), default=0) or 1
+
+
+def dense_float_basis(rows, rhs):
+    """``(basis, reached_zero)`` at the end of a float phase-1 simplex
+    (Dantzig's rule) on ``A x = b`` with each row divided by its largest
+    absolute entry, or None at the iteration cap."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    tableau = []
+    for row, b in zip(rows, rhs):
+        # float() of an int rounds correctly, and raises OverflowError past
+        # the range
+        values = [float(v) for v in row]
+        values.append(float(b))
+        scale = float(_row_scale(row))
+        scale = scale if values[-1] >= 0 else -scale
+        tableau.append([v / scale for v in values])
+    obj = [-sum(column) for column in zip(*tableau)] if m else [0.0]
+    basis = list(range(n, n + m))
+    for _ in range(10 * (m + n) + 10):
+        entering = min(range(n), key=obj.__getitem__, default=-1)
+        if entering < 0 or obj[entering] >= -FLOAT_TOL:
+            return basis, obj[-1] >= -FLOAT_TOL
+        leaving, best = -1, 0.0
+        for i, row in enumerate(tableau):
+            if row[entering] > FLOAT_TOL:
+                ratio = max(row[-1], 0.0) / row[entering]
+                if leaving < 0 or ratio < best:
+                    leaving, best = i, ratio
+        if leaving < 0:
+            return None
+        pivot_row = tableau[leaving]
+        pivot = pivot_row[entering]
+        pivot_row = tableau[leaving] = [v / pivot for v in pivot_row]
+        for i, row in enumerate(tableau):
+            f = row[entering]
+            if i != leaving and f:
+                tableau[i] = [v - f * w for v, w in zip(row, pivot_row)]
+        f = obj[entering]
+        obj = [v - f * w for v, w in zip(obj, pivot_row)]
+        basis[leaving] = entering
+    return None
+
+
+# ---------------------------------------------------------------------------
+# a linear system over Fractions: Gauss-Jordan elimination
+
+
+def fraction_solution(aug, width):
+    """The unique x with ``aug[:, :width] x = aug[:, width]`` as Fractions,
+    or None when there is none or more than one."""
+    m = [[Rational(v) for v in row] for row in aug]
+    rank = 0
+    for col in range(width):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            return None
+        m[rank], m[pivot] = m[pivot], m[rank]
+        m[rank] = [v / m[rank][col] for v in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][col]:
+                f = m[i][col]
+                m[i] = [v - f * w for v, w in zip(m[i], m[rank])]
+        rank += 1
+    if any(row[width] for row in m[rank:]):
+        return None
+    return [m[k][width] for k in range(width)]

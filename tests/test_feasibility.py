@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    dense_float_basis,
+    fraction_det,
+    fraction_solution,
     hulls_intersect_2d,
     interval_common_point,
 )
@@ -20,7 +23,8 @@ from tverlab.feasibility import (
     solve_equality_feasibility,
     verify_outcome,
 )
-from tverlab.kernel import PointSet, Rational
+from tverlab.kernel import PointSet, Rational, det
+from tverlab.labels import split
 from tverlab.ordertype import MomentSpec, moment_points
 from tverlab.search import (
     SearchStrategy,
@@ -391,6 +395,129 @@ class TestConfirmFeasible:
         assert status == "infeasible"
         assert replays_densely(*feasibility.intersection_system([[(0, 0)], []], 2), u)
         assert screen([[(0, 0)]], 2) == ("feasible", (0,))
+
+
+def float_pass_systems():
+    """Seeded ``(rows, rhs)`` hull systems on integer points: clustered
+    (3,4,16) search candidates, removal sets of partitions of moment sets at
+    (2,3,n) for n <= 12 and (3,3,9), random sets with repeated points, and
+    systems with no column, one row or no row."""
+    rng = random.Random(29)
+    block_sets = []
+    for seed in range(3):
+        for alphas in itertools.islice(alpha_candidates(SearchStrategy(seed=seed), 16, 4), 20):
+            block_sets.append((search._lifted_blocks(MomentSpec(3, alphas), 4), 3))
+    for d, n in [(2, 8), (2, 10), (2, 12), (3, 9)]:
+        lifted = PointSet(d, [(a, a * a, a ** 3)[:d] for a in
+                              sorted(rng.sample(range(-30, 31), n))]).lifted
+        for _ in range(25):
+            labels = [1, 2, 3] + [rng.randint(1, 3) for _ in range(n - 3)]
+            rng.shuffle(labels)
+            for i in rng.sample(range(n), rng.randint(0, 3)):
+                labels[i] = 0
+            block_sets.append((split(lifted, labels, 3), d))
+    for _ in range(40):
+        d, r = rng.randint(1, 3), rng.randint(2, 4)
+        pool = [tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(4)]
+        pts = [rng.choice(pool) for _ in range(rng.randint(r, 10))]
+        block_sets.append(([pts[k::r] for k in range(r)], d))
+    block_sets += [([[], []], 2), ([[]], 1), ([[(1, 2), (3, 4)]], 2), ([[(5,)]], 1), ([], 2)]
+    return [feasibility.intersection_system(blocks, d) for blocks, d in block_sets]
+
+
+def seeded_int_matrix(rng, rows, cols):
+    """Mostly zeros and ones, with a few larger entries."""
+    return [[rng.choice((0, 0, 0, 1, 1, -1, rng.randint(-9, 9))) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+class TestSparseScreen:
+    """The screen's float pass updates only nonzero entries, and its exact
+    reads put unit pivots first; neither changes what it returns."""
+
+    def test_float_pass_proposes_the_dense_basis(self):
+        # the same float operations on the same nonzero entries: the same
+        # basis and end state as the dense update, or None with it
+        ends = set()
+        for rows, rhs in float_pass_systems():
+            proposed = feasibility._float_basis(rows, rhs)
+            assert proposed == dense_float_basis(rows, rhs), (rows, rhs)
+            ends.add(None if proposed is None else proposed[1])
+        assert {True, False} <= ends
+
+    def test_exact_solution_and_det_match_the_fraction_oracle(self):
+        # unit pivots, zero pivot-column entries and rank deficiency: the
+        # solution is y / D, D > 0, and on a square system D is |det|
+        rng = random.Random(11)
+        kinds = set()
+        for trial in range(300):
+            width = rng.randint(1, 5)
+            m = width + rng.randint(0, 2)
+            aug = seeded_int_matrix(rng, m, width + 1)
+            if trial % 3 == 0:  # one row a combination of two others
+                a, b, c = (rng.randrange(m) for _ in range(3))
+                aug[c] = [x - 2 * y for x, y in zip(aug[a], aug[b])]
+            if trial % 5 == 0:  # a zero column
+                for row in aug:
+                    row[rng.randrange(width)] = 0
+            expect = fraction_solution(aug, width)
+            solved = feasibility._exact_solution([list(row) for row in aug], width)
+            kinds.add(expect is None)
+            if expect is None:
+                assert solved is None, aug
+                continue
+            y, last = solved
+            assert last > 0 and [Rational(v, last) for v in y] == expect, aug
+            if m == width:
+                square = [row[:width] for row in aug]
+                assert last == abs(fraction_det(square)) == abs(det(square)), aug
+        assert kinds == {True, False}
+        for trial in range(100):
+            square = seeded_int_matrix(rng, trial % 6, trial % 6)
+            assert det(square) == fraction_det(square), square
+
+    def test_ordered_reads_match_unordered_reads(self):
+        # heads first gives the support and y / D of a read in the given
+        # order, and, the dual's system being square, the same y and D; the
+        # bases include all-artificial ones and zero structural columns
+        rng = random.Random(13)
+        systems = [feasibility.intersection_system(lift(blocks, d), d)
+                   for blocks, d in confirmation_cases()[::3]]
+        for _ in range(30):
+            m, n = rng.randint(1, 4), rng.randint(1, 6)
+            rows = seeded_int_matrix(rng, m, n)
+            for row in rows:
+                row[0] = 0
+            systems.append((rows, [rng.randint(-3, 3) for _ in range(m)]))
+        reads = {"primal": 0, "dual": 0}
+        for rows, rhs in systems:
+            m, n = len(rows), len(rows[0])
+            bases = [list(range(n, n + m))]
+            bases += [rng.sample(range(n + m), m) for _ in range(6)]
+            proposed = feasibility._float_basis(rows, rhs)
+            if proposed is not None:
+                bases.append(proposed[0])
+            costs = [rng.randint(1, 4) for _ in range(m)]
+            for basis in bases:
+                support = sorted(j for j in basis if j < n)
+                plain = feasibility._exact_solution(
+                    [[row[j] for j in support] + [b] for row, b in zip(rows, rhs)], len(support))
+                if plain is not None and any(v < 0 for v in plain[0]):
+                    plain = None
+                read = feasibility._basic_point(rows, rhs, basis)
+                assert (read is None) == (plain is None), (rows, rhs, basis)
+                if read is not None:
+                    reads["primal"] += 1
+                    assert read[0] == support
+                    assert ([Rational(v, read[2]) for v in read[1]]
+                            == [Rational(v, plain[1]) for v in plain[0]])
+                dual = feasibility._exact_solution(
+                    [[row[j] for row in rows] + [0] if j < n
+                     else [int(i == j - n) for i in range(m)] + [costs[j - n]] for j in basis], m)
+                read = feasibility._basis_dual(rows, basis, costs)
+                assert read == dual, (rows, basis)
+                reads["dual"] += read is not None
+        assert min(reads.values()) >= 50, reads
 
 
 class TestOracleEquivalence:

@@ -3,6 +3,7 @@ import fractions
 import itertools
 import json
 import math
+import operator
 import random
 import sys
 
@@ -16,7 +17,7 @@ from oracles import (
     seeded_increasing_alphas,
     seeded_int_points,
 )
-from tverlab import ordertype, tolerance
+from tverlab import feasibility, kernel, ordertype, tolerance
 from tverlab.cli import main
 from tverlab.errors import InputError, ResourceGuardError
 from tverlab.feasibility import hulls_common_point
@@ -513,6 +514,28 @@ class TestSetTolerance:
             (1, 1, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2),
         )
 
+    def test_screen_row_updates(self, monkeypatch):
+        # the screen's exact reads pivot on the unit heads first, and a row
+        # with a zero in the pivot column under an unchanged pivot is not
+        # touched: 10,340 bigint row updates where a read in support order
+        # made 15,666, for the same report
+        updates = [0]
+        update = kernel.fraction_free_update
+
+        def counted(row, *args):
+            out = update(row, *args)
+            updates[0] += out is not row
+            return out
+
+        monkeypatch.setattr(kernel, "fraction_free_update", counted)
+        monkeypatch.setattr(feasibility, "fraction_free_update", counted)
+        rep, part = set_tolerance(moment_points(MomentSpec(2, range(1, 17))), 3, guard=16)
+        assert (rep, part.labels) == (
+            ToleranceReport(value=3, breaking_set=(1, 4, 7, 10), exhausted=True),
+            (1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 1, 3),
+        )
+        assert updates[0] <= 10_340
+
     @pytest.mark.parametrize("X, r, report", [
         (moment_points(MomentSpec(2, range(1, 11))), 3,
          (1, (1, 4), (1, 2, 3, 1, 2, 3, 1, 2, 1, 3))),
@@ -640,6 +663,56 @@ def small_sets(draw):
             t = draw(st.sampled_from([Rational(-1), Rational(1, 2), Rational(2)]))
             points.append(tuple(a + t * (b - a) for a, b in zip(p, q)))
     return PointSet(d, points), r
+
+
+#: the largest n drawn per (d, r) by :class:`TestTheoremBounds`; a set at
+#: (3,3,9) costs about 0.7 s, at (3,3,8) 0.3 s, any other at most 0.1 s
+THEOREM_N = {(1, 2): 9, (1, 3): 9, (2, 2): 9, (2, 3): 7, (3, 2): 9, (3, 3): 9}
+
+
+def unimodular(data, d):
+    """A drawn integer matrix of determinant +-1: shears, then a signed
+    permutation of the coordinates."""
+    m = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(data.draw(st.integers(0, 3)) if d > 1 else 0):
+        i, j = data.draw(st.permutations(range(d)))[:2]
+        c = data.draw(st.integers(-2, 2))
+        m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+    order = data.draw(st.permutations(range(d)))
+    signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=d, max_size=d))
+    return [[s * v for v in m[k]] for s, k in zip(signs, order)]
+
+
+class TestTheoremBounds:
+    """Bounds that hold on every point set, and the symmetries that fix the
+    value, on random integer sets with repeated points allowed: an engine
+    that compares only with itself could break them."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.data())
+    def test_bounds_and_symmetries(self, data):
+        d, r = data.draw(st.sampled_from(sorted(THEOREM_N)))
+        tverberg = (r - 1) * (d + 1) + 1
+        n = data.draw(st.integers(max(r, tverberg - 1), THEOREM_N[d, r]))
+        points = data.draw(st.lists(st.tuples(*[st.integers(-6, 6)] * d),
+                                    min_size=n, max_size=n))
+        value = set_tolerance(PointSet(d, points), r)[0].value
+        # Tverberg: (r-1)(d+1)+1 points have a partition with a common point
+        assert value >= 0 or n < tverberg
+        # Soberon-Strausz: (r-1)(t+1)(d+1)+1 points have tolerance t
+        assert value >= (n - 1) // ((r - 1) * (d + 1)) - 1
+        # removing a smallest block, of at most n // r points, breaks
+        assert value <= n // r - 1
+        # the value of the permuted set, or of its image under an integer
+        # unimodular map plus a translation
+        if data.draw(st.booleans()):
+            image = data.draw(st.permutations(points))
+        else:
+            m = unimodular(data, d)
+            shift = data.draw(st.tuples(*[st.integers(-9, 9)] * d))
+            image = [tuple(sum(map(operator.mul, row, p)) + c for row, c in zip(m, shift))
+                     for p in points]
+        assert set_tolerance(PointSet(d, image), r)[0].value == value, (points, image)
 
 
 class TestAgainstUnprunedScan:
