@@ -40,8 +40,9 @@ updates, in place, the nonzero entries of its pivot row in the rows that
 meet the entering column; about half of a pivot row is zero.  An exact
 read takes the basis heads first: for each row, a basis column whose first
 nonzero entry lies in it.  In a hull system these are one point per block
-and the artificials, so Bareiss pivots on 1s first and leaves the rows they
-do not meet untouched.
+and the artificials, so Bareiss pivots on 1s first; and its elimination is
+lazy (``kernel._bareiss``), leaving each row a pivot does not meet untouched
+until it is next read.
 
 The screen takes integer points.  Multiplying each coordinate by its own
 positive number is an invertible linear map, so it maps hulls onto hulls and
@@ -408,8 +409,9 @@ def _heads_first(rows, columns):
 
     In an intersection system the heads are one point per block for the
     convexity rows, and the artificials.  While every row before has a head
-    too, a head pivots on a 1 after a 1 and leaves each row with a zero in
-    its column unchanged (see :func:`~tverlab.kernel.fraction_free_update`).
+    too, a head pivots on a 1 after a 1, so a row it meets takes
+    ``v - f w`` and one it does not is left alone (see
+    :func:`~tverlab.kernel._bareiss`).
     Any order gives the same solution, and the same ``D`` on a square
     system.
     """
@@ -438,7 +440,7 @@ def _exact_solution(aug, width):
         return None
     y = [0] * width
     for k in range(width - 1, -1, -1):
-        acc = last * aug[k][width] - sum(aug[k][j] * y[j] for j in range(k + 1, width))
+        acc = last * aug[k][width] - sum(map(operator.mul, aug[k][k + 1:width], y[k + 1:]))
         y[k] = acc // aug[k][k]
     return ([-v for v in y], -last) if last < 0 else (y, last)
 

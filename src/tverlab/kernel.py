@@ -32,6 +32,11 @@ Conventions:
   additions of determinants through point 1, the star, kept as it is walked.
 * A hyperplane ``normal . x = offset`` has positive side
   ``normal . x > offset``.
+* One elimination, :func:`_bareiss`, serves :func:`det` and the screen's
+  exact reads.  It is Bareiss's fraction-free one, made lazy: a row that a
+  pivot does not meet is not touched, and it is brought up to date in one
+  exact step when it is next read, so a read computes only the entries
+  that change.
 
 All operations are pure functions on immutable values and safe for
 unrestricted concurrent use.
@@ -138,14 +143,21 @@ class Hyperplane:
         return sign(sum(map(operator.mul, self.normal, p)) - self.offset)
 
 
-def fraction_free_update(row, pivot_row, p, f, d):
+def fraction_free_update(row, pivot_row, p, f, d, start=0):
     """Exact-division row step ``(v * p - f * w) // d`` of Bareiss elimination
-    (``f`` is the row's pivot-column entry, ``d`` the previous pivot).  A row
-    with ``f = 0`` under a pivot equal to the previous one is unchanged, and
-    is returned as it is, the same list."""
-    if not f and p == d:
-        return row
-    return [(v * p - f * w) // d for v, w in zip(row, pivot_row)]
+    (``f`` is the row's pivot-column entry, ``d`` the pivot the row was last
+    brought to), the one place bigint rows are combined.  Entries before
+    ``start`` must be zero in both rows, and are zero in the result, which
+    computes only the rest.  ``f = 0`` is a pure rescale ``v * p // d``, and
+    under ``p = d`` the row is unchanged and returned as it is, the same
+    list."""
+    if not f:
+        if p == d:
+            return row
+        tail = [v * p // d for v in row[start:]]
+    else:
+        tail = [(v * p - f * w) // d for v, w in zip(row[start:], pivot_row[start:])]
+    return [0] * start + tail if start else tail
 
 
 def scale_to_integers(values):
@@ -169,20 +181,42 @@ def scale_columns(rows):
 def _bareiss(m, width):
     """Fraction-free forward elimination of integer rows in place, skipping
     columns without a pivot.  Returns ``(rank, sign of the row swaps, last
-    pivot)``; every entry stays an integer minor of the starting matrix."""
+    pivot)``; every entry ends an integer minor of the starting matrix.
+
+    Lazily: a row with a zero in the pivot column is left alone, so each row
+    keeps the pivot ``level`` it was last brought to, and its entries at the
+    current pivot ``last`` are ``row * last // level``, exactly, since by
+    Sylvester's identity the factors of the skipped rescales telescope.  A
+    row is brought up to date in one :func:`fraction_free_update` when it is
+    next read: as the pivot row, when a pivot meets it, with ``level`` in
+    place of the previous pivot, and at the end past the rank.  The rows
+    from ``rank`` on are zero left of the pivot column, so an update
+    computes only the columns right of it.  The rank, sign, last pivot and
+    final matrix are those of eliminating every row at every pivot.
+    """
     rank, sign, last = 0, 1, 1
+    level = [1] * len(m)
     for col in range(width):
         pivot_row = next((r for r in range(rank, len(m)) if m[r][col]), None)
         if pivot_row is None:
             continue
         if pivot_row != rank:
             m[rank], m[pivot_row] = m[pivot_row], m[rank]
+            level[rank], level[pivot_row] = level[pivot_row], level[rank]
             sign = -sign
+        if level[rank] != last:
+            m[rank] = fraction_free_update(m[rank], None, last, 0, level[rank], col)
         prow = m[rank]
+        p = prow[col]
         for r in range(rank + 1, len(m)):
-            m[r] = fraction_free_update(m[r], prow, prow[col], m[r][col], last)
-        last = prow[col]
+            f = m[r][col]
+            if f:
+                m[r] = fraction_free_update(m[r], prow, p, f, level[r], col + 1)
+                level[r] = p
+        last = p
         rank += 1
+    for r in range(rank, len(m)):
+        m[r] = fraction_free_update(m[r], None, last, 0, level[r], width)
     return rank, sign, last
 
 

@@ -23,11 +23,19 @@ Two facts shape the design:
 The stream is fully deterministic given (seed, cluster_count, spread, n, r),
 and candidates are evaluated in stream order, so identical invocations
 yield identical results.
+
+A candidate is an integer draw, sorted with its repeats, and reaches the
+integer screen lifted straight to ints: the draw itself when no value
+repeats, else every split value times the denominator of the perturbation.
+Nearly every candidate is confirmed feasible there and builds no Rational;
+only the others take their :func:`alpha_candidates` parameters through the
+canonical simplex, which decides and certifies them.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
@@ -40,7 +48,7 @@ from .feasibility import (
     screen,
     verify_outcome,
 )
-from .kernel import PointSet, Rational, scale_to_integers, to_rational
+from .kernel import PointSet, Rational, to_rational
 from .labels import alternating_labels, split
 from .ordertype import MomentSpec, is_order_homogeneous, moment_points
 from .tolerance import set_tolerance
@@ -84,20 +92,24 @@ class SearchStrategy:
             raise InputError(f"spread must be >= 1, got {self.spread}")
 
 
+def _run_steps(values) -> list:
+    """Each value's place in its run of equal values: 0, 1, 2, ..."""
+    steps = []
+    for i, v in enumerate(values):
+        steps.append(steps[-1] + 1 if i and v == values[i - 1] else 0)
+    return steps
+
+
 def split_repeats(values: Sequence, epsilon) -> Tuple[Rational, ...]:
     """Replace each run of equal values a, a, ... by a, a+eps, a+2eps."""
     eps = to_rational(epsilon)
     vals = [to_rational(v) for v in values]
-    out = []
-    step = 0
-    for i, v in enumerate(vals):
-        step = step + 1 if i and v == vals[i - 1] else 0
-        out.append(v + step * eps if step else v)
-    return tuple(out)
+    return tuple(v + step * eps if step else v for v, step in zip(vals, _run_steps(vals)))
 
 
-def alpha_candidates(strategy: SearchStrategy, n: int, r: int) -> Iterator[Tuple[Rational, ...]]:
-    """Infinite stream of strictly increasing parameter tuples of length n."""
+def integer_draws(strategy: SearchStrategy, n: int, r: int) -> Iterator[list]:
+    """Infinite stream of sorted integer draws of length n with repeats: the
+    clusters' centers, each as often as its size, and the tail values."""
     rng = random.Random(strategy.seed)
     clusters = strategy.cluster_count if strategy.cluster_count is not None else max(1, r - 1)
     span = strategy.spread * n
@@ -118,7 +130,32 @@ def alpha_candidates(strategy: SearchStrategy, n: int, r: int) -> Iterator[Tuple
             values.extend([c] * s)
         values.extend(centers[k:])
         values.sort()
+        yield values
+
+
+def alpha_candidates(strategy: SearchStrategy, n: int, r: int) -> Iterator[Tuple[Rational, ...]]:
+    """Infinite stream of strictly increasing parameter tuples of length n:
+    the integer draws of the strategy with their repeats split by
+    :data:`DEFAULT_EPSILON`, the Rationals that the search builds only for a
+    candidate its screen does not confirm."""
+    for values in integer_draws(strategy, n, r):
         yield split_repeats(values, DEFAULT_EPSILON)
+
+
+#: ``DEFAULT_EPSILON = _EPS_STEP / _EPS_SCALE``, read once so that lifting a
+#: draw does no Rational arithmetic
+_EPS_STEP, _EPS_SCALE = DEFAULT_EPSILON.numerator, DEFAULT_EPSILON.denominator
+
+
+def _lift(values) -> list:
+    """``scale_to_integers(split_repeats(values, DEFAULT_EPSILON))[0]`` for a
+    sorted integer draw, on ints: the values themselves when none repeats,
+    else ``q v + p step`` for ``DEFAULT_EPSILON = p / q``, every split value
+    times q, whose LCM of denominators is q once any run has a step of 1."""
+    steps = _run_steps(values)
+    if not any(steps):
+        return list(values)
+    return [_EPS_SCALE * v + _EPS_STEP * step for v, step in zip(values, steps)]
 
 
 @dataclass(frozen=True)
@@ -154,26 +191,22 @@ def moment_blocks(dim: int, r: int, alphas: Sequence):
     return alternating_blocks(moment_points(MomentSpec(dim, alphas)), r)
 
 
-def _lifted_blocks(spec: MomentSpec, r: int):
-    """:func:`alternating_blocks` of the moment points of ``spec`` lifted to
-    integers through the parameters (see :mod:`tverlab.feasibility`): the
-    points' ``PointSet.lifted``, built with no Rational point."""
-    ks, _ = scale_to_integers(spec.alphas)
-    lifted = [tuple(k ** c for c in range(1, spec.dim + 1)) for k in ks]
+def _lifted_blocks(ks, dim: int, r: int):
+    """:func:`alternating_blocks` of the moment points of the integer
+    parameters ``ks``: ``(k, k^2, ..., k^dim)``, built with no Rational.  For
+    ``ks`` the parameters a times the LCM L of their denominators, these are
+    the points' ``PointSet.lifted`` (see :mod:`tverlab.feasibility`)."""
+    lifted = [tuple(itertools.accumulate(itertools.repeat(k, dim), operator.mul)) for k in ks]
     return split(lifted, alternating_labels(len(lifted), r), r)
 
 
 def _certified(dim: int, r: int, alphas) -> Optional[Counterexample]:
     """The certified counterexample on the moment points of ``alphas``, or
-    None when their alternating r-partition has a common point.  Nearly every
-    candidate is feasible, and one the integer screen confirms on its lifted
-    parameters prints nothing and builds no rational point; the canonical
-    simplex decides and certifies the rest, those the screen proves
-    infeasible too, so every printed certificate is the canonical one."""
+    None when their alternating r-partition has a common point, as the
+    canonical simplex decides it, so every printed certificate is the
+    canonical one; the configuration is checked to be order-type homogeneous
+    and the certificate to replay."""
     spec = MomentSpec(dim, alphas)
-    verdict = screen(_lifted_blocks(spec, r), dim)
-    if verdict is not None and verdict[0] == "feasible":
-        return None
     X = moment_points(spec)
     blocks = alternating_blocks(X, r)
     outcome = hulls_common_point(blocks, dim)
@@ -202,6 +235,12 @@ def find_counterexample(
     cannot all be inhabited, so any configuration is a counterexample
     (conv(emptyset) = emptyset), and at d=1 feasibility of the alternating
     partition depends only on n.
+
+    A candidate reaches the integer screen as its draw lifted to ints
+    (:func:`_lift`).  Nearly every one is feasible, and one the screen
+    confirms builds no Rational; :func:`_certified` decides the rest, those
+    the screen proves infeasible too, on the draw with its repeats split,
+    the Rational parameters :func:`alpha_candidates` gives.
     """
     if n < 1:
         raise InputError(f"need n >= 1, got n={n}")
@@ -211,14 +250,20 @@ def find_counterexample(
     if strategy is None:
         strategy = SearchStrategy()
     exact = n < r or d == 1
-    candidates = ([tuple(Rational(i) for i in range(1, n + 1))] if exact
-                  else itertools.islice(alpha_candidates(strategy, n, r), max(budget, 0)))
+    draws = ([list(range(1, n + 1))] if exact
+             else itertools.islice(integer_draws(strategy, n, r), max(budget, 0)))
     tried = 0
-    for alphas in candidates:
+    for values in draws:
         tried += 1
-        if len(alphas) != n:
-            raise InternalError(f"{strategy.kind} stream gave {len(alphas)} parameters for n={n}")
-        found = _certified(d, r, alphas)
+        if len(values) != n:
+            raise InternalError(f"{strategy.kind} stream gave {len(values)} parameters for n={n}")
+        ks = _lift(values)
+        if any(a >= b for a, b in zip(ks, ks[1:])):
+            raise InternalError(f"{strategy.kind} stream gave parameters that do not increase")
+        verdict = screen(_lifted_blocks(ks, d, r), d)
+        if verdict is not None and verdict[0] == "feasible":
+            continue
+        found = _certified(d, r, split_repeats(values, DEFAULT_EPSILON))
         if found is not None:
             return found
     if n < r:

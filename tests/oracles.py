@@ -415,3 +415,39 @@ def fraction_solution(aug, width):
     if any(row[width] for row in m[rank:]):
         return None
     return [m[k][width] for k in range(width)]
+
+
+# ---------------------------------------------------------------------------
+# eager Bareiss elimination: every row below the pivot is updated at every
+# pivot, a zero in the pivot column included (a pure rescale); the lazy
+# elimination must end with the same rank, sign, last pivot and matrix
+
+
+def _eager_update(row, pivot_row, p, f, d):
+    """Exact-division row step ``(v * p - f * w) // d`` of Bareiss elimination
+    (``f`` is the row's pivot-column entry, ``d`` the previous pivot).  A row
+    with ``f = 0`` under a pivot equal to the previous one is unchanged, and
+    is returned as it is, the same list."""
+    if not f and p == d:
+        return row
+    return [(v * p - f * w) // d for v, w in zip(row, pivot_row)]
+
+
+def eager_bareiss(m, width):
+    """Fraction-free forward elimination of integer rows in place, skipping
+    columns without a pivot.  Returns ``(rank, sign of the row swaps, last
+    pivot)``; every entry stays an integer minor of the starting matrix."""
+    rank, sign, last = 0, 1, 1
+    for col in range(width):
+        pivot_row = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != rank:
+            m[rank], m[pivot_row] = m[pivot_row], m[rank]
+            sign = -sign
+        prow = m[rank]
+        for r in range(rank + 1, len(m)):
+            m[r] = _eager_update(m[r], prow, prow[col], m[r][col], last)
+        last = prow[col]
+        rank += 1
+    return rank, sign, last

@@ -1,10 +1,11 @@
 """Fraction-free elimination pinned to the Fraction oracles.
 
 The integer-tableau simplex must follow the Fraction simplex pivot for pivot
-and return the same status, witness and raw multipliers; the Bareiss
-determinant must return the Fraction determinant's exact value; and the
-orientation signs of a set, read off one integer lift, must be the signs of
-the per-tuple Fraction determinants with a leading-1 column.
+and return the same status, witness and raw multipliers; the lazy Bareiss
+elimination must end as the eager one does, and its determinant must be the
+Fraction determinant's exact value; and the orientation signs of a set,
+read off one integer lift, must be the signs of the per-tuple Fraction
+determinants with a leading-1 column.
 """
 
 import itertools
@@ -13,15 +14,18 @@ import operator
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import (
+    eager_bareiss,
     fraction_det,
     fraction_orientation,
     fraction_orientation_signs,
     fraction_simplex,
     seeded_increasing_alphas,
 )
-from tverlab import feasibility, ordertype
+from tverlab import feasibility, kernel, ordertype
 from tverlab.errors import InputError
 from tverlab.feasibility import intersection_system, solve_equality_feasibility
 from tverlab.kernel import (
@@ -179,6 +183,44 @@ def test_det_small_sizes():
     assert det([[0]]) == 0
     with pytest.raises(InputError):
         det([[1, 2], [3]])
+
+
+@st.composite
+def integer_systems(draw):
+    """``(rows, width)``: a tall, wide or square integer matrix, entries
+    mostly 0 and +-1 and both signs, so pivots are often negative, with at
+    times a zero column, a zero row or a row that is a combination of two
+    others, and the width of its eliminated part."""
+    m, n = draw(st.integers(0, 7)), draw(st.integers(0, 8))
+    entry = st.one_of(st.sampled_from((0, 0, 1, -1, 2, -3)), st.integers(-40, 40))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    if m and n and draw(st.booleans()):
+        col = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[col] = 0
+    if m and draw(st.booleans()):
+        rows[draw(st.integers(0, m - 1))] = [0] * n
+    if m >= 2 and draw(st.booleans()):
+        a, b, c = (draw(st.integers(0, m - 1)) for _ in range(3))
+        x, y = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows[c] = [x * u + y * v for u, v in zip(rows[a], rows[b])]
+    return rows, draw(st.integers(0, n))
+
+
+# row 3 skips the pivots 1 and -3, so it is brought up by a factor of -3
+# when it pivots; row 5 skips every pivot and is past the rank
+@example(([[1, 0, 2, 1], [0, -3, 1, 2], [0, 0, 5, 1], [2, 4, 1, 3], [0, 0, 0, 7]], 3))
+@given(integer_systems())
+@settings(max_examples=300, deadline=None)
+def test_lazy_bareiss_ends_as_the_eager_one(system):
+    # the same rank, swap sign, last pivot and final matrix as updating every
+    # row at every pivot; on a square matrix, det is the Fraction one
+    rows, width = system
+    lazy, eager = [list(row) for row in rows], [list(row) for row in rows]
+    assert kernel._bareiss(lazy, width) == eager_bareiss(eager, width)
+    assert lazy == eager
+    if all(len(row) == len(rows) for row in rows):
+        assert det(rows) == fraction_det(rows)
 
 
 def mixed_points(rng, n, d):

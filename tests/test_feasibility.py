@@ -306,24 +306,26 @@ class TestConfirmFeasible:
     def test_sixteen_point_system_is_not_confirmed(self):
         # not confirmed feasible: screened infeasible, with multipliers that
         # replay on the dense lifted system
-        spec = MomentSpec(3, sixteen_point_alphas())
-        lifted = search._lifted_blocks(spec, 4)
+        lifted = search._lifted_blocks(search._lift(search.SIXTEEN_POINT_PARAMS), 3, 4)
         status, u = screen(lifted, 3)
         assert status == "infeasible"
         assert replays_densely(*feasibility.intersection_system(lifted, 3), u)
 
     def test_moment_sets_lift_through_their_parameters(self):
-        # k = L a gives the points PointSet.lifted gives, so the screen on
-        # the lifted parameters decides as the screen on the lifted set
+        # a draw lifted to ints is k = L a, which gives the points
+        # PointSet.lifted gives, so the screen on the lifted draw decides as
+        # the screen on the lifted set
         decided = set()
         for d in (1, 2, 3, 4):
             for r in (1, 2, 3, 4):
                 for seed in range(3):
                     strategy = SearchStrategy(seed=seed)
-                    for alphas in itertools.islice(alpha_candidates(strategy, 3 * r + d, r), 4):
-                        spec = MomentSpec(d, alphas)
-                        X = moment_points(spec)
-                        by_parameters = search._lifted_blocks(spec, r)
+                    n = 3 * r + d
+                    draws = search.integer_draws(strategy, n, r)
+                    for values, alphas in itertools.islice(
+                            zip(draws, alpha_candidates(strategy, n, r)), 4):
+                        X = moment_points(MomentSpec(d, alphas))
+                        by_parameters = search._lifted_blocks(search._lift(values), d, r)
                         by_set = lift(alternating_blocks(X, r), d)
                         assert by_parameters == by_set
                         verdict = screen(by_parameters, d)
@@ -405,8 +407,8 @@ def float_pass_systems():
     rng = random.Random(29)
     block_sets = []
     for seed in range(3):
-        for alphas in itertools.islice(alpha_candidates(SearchStrategy(seed=seed), 16, 4), 20):
-            block_sets.append((search._lifted_blocks(MomentSpec(3, alphas), 4), 3))
+        for values in itertools.islice(search.integer_draws(SearchStrategy(seed=seed), 16, 4), 20):
+            block_sets.append((search._lifted_blocks(search._lift(values), 3, 4), 3))
     for d, n in [(2, 8), (2, 10), (2, 12), (3, 9)]:
         lifted = PointSet(d, [(a, a * a, a ** 3)[:d] for a in
                               sorted(rng.sample(range(-30, 31), n))]).lifted

@@ -1,13 +1,16 @@
+import fractions
 import itertools
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
+from tverlab import feasibility, kernel
 from tverlab.cli import main
 from tverlab.errors import InputError, InternalError, ResourceGuardError
 from tverlab.feasibility import hulls_common_point, verify_outcome
-from tverlab.kernel import Rational
+from tverlab.kernel import Rational, scale_to_integers
 from tverlab.pointset_io import format_rational
 from tverlab.ordertype import MomentSpec, is_order_homogeneous, moment_points
 from tverlab.search import (
@@ -138,9 +141,85 @@ class TestFindCounterexample:
         assert len(next(stream)) == 5
         import tverlab.search as search
 
-        monkeypatch.setattr(search, "alpha_candidates", lambda *args: iter([(Rational(12),)]))
+        monkeypatch.setattr(search, "integer_draws", lambda *args: iter([[12]]))
         with pytest.raises(InternalError):
             find_counterexample(2, 2, 3)
+        # so is a draw whose lift does not increase: unsorted, or a run so
+        # long that its split values reach the next integer
+        for draw in ([2, 1, 3], [0] * 1001 + [1]):
+            monkeypatch.setattr(search, "integer_draws", lambda *args, draw=draw: iter([draw]))
+            with pytest.raises(InternalError):
+                find_counterexample(2, 2, len(draw))
+
+
+class TestIntegerCandidates:
+    """A candidate reaches the screen as its integer draw lifted to ints, and
+    only one the screen does not confirm builds its Rational parameters."""
+
+    def test_lift_is_the_scaled_candidate(self):
+        import tverlab.search as searchmod
+
+        repeats = set()
+        for seed in range(50):
+            for n, r in ((5, 2), (10, 3), (16, 4)):
+                for strategy in stream_settings(n, seed):
+                    draws = searchmod.integer_draws(strategy, n, r)
+                    for values, alphas in itertools.islice(
+                            zip(draws, alpha_candidates(strategy, n, r)), 3):
+                        assert searchmod._lift(values) == scale_to_integers(alphas)[0]
+                        repeats.add(len(set(values)) < n)
+        assert repeats == {True, False}
+
+    def test_confirmed_candidates_build_no_fraction(self):
+        # the 100 seed-1 candidates at (3,4,16) are all confirmed feasible,
+        # so none of them makes a call into the fractions module
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename == fractions.__file__:
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            res = find_counterexample(3, 4, 16, SearchStrategy(seed=1), budget=100)
+        finally:
+            sys.setprofile(None)
+        assert calls == []
+        assert res == NoneFound(tried=100)
+
+    def test_an_unconfirmed_candidate_is_certified_canonically(self):
+        # the second seed-1 candidate at (3,3,10) is the first counterexample,
+        # with the canonical simplex's certificate on its Rational parameters
+        res = find_counterexample(3, 3, 10, SearchStrategy(seed=1), budget=10)
+        assert isinstance(res, Counterexample)
+        assert [format_rational(a) for a in res.alphas] == [
+            "-14", "-13999/1000", "-6999/500", "-13997/1000", "8",
+            "8001/1000", "4001/500", "8003/1000", "2001/250", "1601/200"]
+        assert res.alphas == list(itertools.islice(
+            alpha_candidates(SearchStrategy(seed=1), 10, 3), 2))[1]
+        assert res.outcome.multipliers == (
+            1643453252627001, 1643314667996000, -3286767839974668, -293268954169500,
+            -3684331500000, 1833000000000, -586632615669000, -7358665500000, 3666500000000)
+        assert res.blocks == moment_blocks(3, 3, res.alphas)
+        assert verify_outcome(res.blocks, res.outcome, 3)
+
+    def test_screen_row_operations(self, monkeypatch):
+        # the screens of the 100 seed-1 (3,4,16) candidates: 3,412 bigint
+        # row operations, rescales included, where updating every row at
+        # every pivot made 5,400
+        operations = [0]
+        update = kernel.fraction_free_update
+
+        def counted(row, *args):
+            out = update(row, *args)
+            operations[0] += out is not row
+            return out
+
+        monkeypatch.setattr(kernel, "fraction_free_update", counted)
+        monkeypatch.setattr(feasibility, "fraction_free_update", counted)
+        res = find_counterexample(3, 4, 16, SearchStrategy(seed=1), budget=100)
+        assert res == NoneFound(tried=100)
+        assert operations[0] <= 3_412
 
 
 def test_canonical_simplex_decides_every_unconfirmed_candidate(monkeypatch):
@@ -186,19 +265,19 @@ def test_canonical_simplex_decides_every_unconfirmed_candidate(monkeypatch):
 
 @pytest.mark.parametrize("budget", [0, 5, 40])
 def test_search_draws_exactly_its_budget(monkeypatch, budget):
-    """The search takes no candidate past its budget from the stream."""
+    """The search takes no candidate past its budget from the draw stream."""
     import tverlab.search as searchmod
 
     drawn = 0
-    real_candidates = searchmod.alpha_candidates
+    real_draws = searchmod.integer_draws
 
     def counting(*args):
         nonlocal drawn
-        for alphas in real_candidates(*args):
+        for values in real_draws(*args):
             drawn += 1
-            yield alphas
+            yield values
 
-    monkeypatch.setattr(searchmod, "alpha_candidates", counting)
+    monkeypatch.setattr(searchmod, "integer_draws", counting)
     res = find_counterexample(3, 4, 16, strategy=SearchStrategy(kind="clustered", seed=2),
                               budget=budget)
     assert isinstance(res, NoneFound)
