@@ -38,10 +38,8 @@ Floats never decide: any doubt falls back to :func:`hulls_common_point`.
 Both passes do only the arithmetic that changes a value.  A float pivot
 updates, in place, the nonzero entries of its pivot row in the rows that
 meet the entering column; about half of a pivot row is zero.  An exact
-read takes the basis heads first: for each row, a basis column whose first
-nonzero entry lies in it.  In a hull system these are one point per block
-and the artificials, so Bareiss pivots on 1s first; and its elimination is
-lazy (``kernel._bareiss``), leaving each row a pivot does not meet untouched
+read takes the basis in its order, and its elimination is lazy
+(``kernel._bareiss``), leaving each row a pivot does not meet untouched
 until it is next read.
 
 The screen takes integer points.  Multiplying each coordinate by its own
@@ -369,61 +367,33 @@ def _basic_point(rows, rhs, basis):
     """``(support, y, D)`` for a basis of ``[A | I]``, column n + i the
     artificial of row i: the basis's sorted structural columns S and its
     basic point ``y = D x_S`` with the artificials at zero, by
-    :func:`_exact_solution` on ``[A_S | b]`` with the columns of S in
-    :func:`_heads_first` order.  None unless the point solves
+    :func:`_exact_solution` on ``[A_S | b]``.  None unless the point solves
     ``A x = b, x >= 0``: A_S has rank |S|, b is in its span, no y_k < 0.
     """
     n = len(rows[0]) if rows else 0
     support = sorted(j for j in basis if j < n)
-    order = _heads_first(rows, support)
-    solved = _exact_solution([[row[j] for j in order] + [b] for row, b in zip(rows, rhs)],
-                             len(order))
+    solved = _exact_solution([[row[j] for j in support] + [b] for row, b in zip(rows, rhs)],
+                             len(support))
     if solved is None or any(v < 0 for v in solved[0]):
         return None
     y, last = solved
-    by_column = dict(zip(order, y))
-    return support, [by_column[j] for j in support], last
+    return support, y, last
 
 
 def _basis_dual(rows, basis, costs):
     """``(y, D)`` with ``y = D u`` on integers for the dual u of a basis of
     ``[A | I]`` that costs 0 on every structural column and ``costs[i]`` on
     the artificial of row i, column n + i: :func:`_exact_solution` on the
-    basic columns as rows, in :func:`_heads_first` order, ``u . A_j = 0`` on
-    structural basic columns and ``u_i = costs[i]`` on artificial ones.
-    None when the basis is singular.
+    basic columns as rows, in basis order, ``u . A_j = 0`` on structural
+    basic columns and ``u_i = costs[i]`` on artificial ones.  None when the
+    basis is singular.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
     dual = [[row[j] for row in rows] + [0] if j < n
             else [int(i == j - n) for i in range(m)] + [costs[j - n]]
-            for j in _heads_first(rows, basis)]
+            for j in basis]
     return _exact_solution(dual, m)
-
-
-def _heads_first(rows, columns):
-    """``columns``, columns of ``[A | I]`` (column n + i the artificial of
-    row i), heads first: for each row in turn, the first column whose first
-    nonzero entry lies in that row, then the rest in their order; a zero
-    column heads no row.
-
-    In an intersection system the heads are one point per block for the
-    convexity rows, and the artificials.  While every row before has a head
-    too, a head pivots on a 1 after a 1, so a row it meets takes
-    ``v - f w`` and one it does not is left alone (see
-    :func:`~tverlab.kernel._bareiss`).
-    Any order gives the same solution, and the same ``D`` on a square
-    system.
-    """
-    n = len(rows[0]) if rows else 0
-    heads = {}
-    for j in columns:
-        lead = j - n if j >= n else next((i for i, row in enumerate(rows) if row[j]), None)
-        if lead is not None:
-            heads.setdefault(lead, j)
-    front = [heads[i] for i in sorted(heads)]
-    taken = set(front)
-    return front + [j for j in columns if j not in taken]
 
 
 def _exact_solution(aug, width):
@@ -431,10 +401,7 @@ def _exact_solution(aug, width):
     integer system ``aug[:, :width] x = aug[:, width]`` and D > 0 the last
     Bareiss pivot up to sign, by one Bareiss pass and fraction-free back
     substitution; None when x is not unique.  Eliminates ``aug`` in place.
-
-    The callers order the system heads first (:func:`_heads_first`); the
-    solution does not depend on the order, and on a square system neither
-    does D, which is then ``|det|``."""
+    On a square system D is ``|det|``."""
     rank, _, last = _bareiss(aug, width)
     if rank < width or any(row[width] for row in aug[width:]):
         return None

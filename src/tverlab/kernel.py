@@ -148,12 +148,8 @@ def fraction_free_update(row, pivot_row, p, f, d, start=0):
     (``f`` is the row's pivot-column entry, ``d`` the pivot the row was last
     brought to), the one place bigint rows are combined.  Entries before
     ``start`` must be zero in both rows, and are zero in the result, which
-    computes only the rest.  ``f = 0`` is a pure rescale ``v * p // d``, and
-    under ``p = d`` the row is unchanged and returned as it is, the same
-    list."""
+    computes only the rest.  ``f = 0`` is a pure rescale ``v * p // d``."""
     if not f:
-        if p == d:
-            return row
         tail = [v * p // d for v in row[start:]]
     else:
         tail = [(v * p - f * w) // d for v, w in zip(row[start:], pivot_row[start:])]

@@ -242,6 +242,8 @@ def find_counterexample(
     the screen proves infeasible too, on the draw with its repeats split,
     the Rational parameters :func:`alpha_candidates` gives.
     """
+    if d < 1:
+        raise InputError(f"dimension must be >= 1, got d={d}")
     if n < 1:
         raise InputError(f"need n >= 1, got n={n}")
     if r < 1:

@@ -1040,6 +1040,12 @@ class TestCLI:
         (["search-c", "-d", "2", "-r", "2", "--n-from", "3", "--n-to", "3", "--spread=-5"],
          "spread must be >= 1"),
         (["intersect", "LINE", "--blocks", ""], "blocks do not cover all indices"),
+        (["search-c", "-d", "0", "-r", "2", "--n-from", "3", "--n-to", "3"],
+         "dimension must be >= 1"),
+        (["search-c", "-d", "-1", "-r", "2", "--n-from", "3", "--n-to", "3"],
+         "dimension must be >= 1"),
+        (["--budget", "0", "search-c", "-d", "0", "-r", "2", "--n-from", "3", "--n-to", "3"],
+         "dimension must be >= 1"),
     ])
     def test_bad_input_exits_2(self, capsys, tmp_path, argv, message):
         # no input exits 1 (a failed claim) or 4 (a fault), and none prints

@@ -435,7 +435,7 @@ def seeded_int_matrix(rng, rows, cols):
 
 class TestSparseScreen:
     """The screen's float pass updates only nonzero entries, and its exact
-    reads put unit pivots first; neither changes what it returns."""
+    reads eliminate lazily; neither changes what it returns."""
 
     def test_float_pass_proposes_the_dense_basis(self):
         # the same float operations on the same nonzero entries: the same
@@ -478,9 +478,10 @@ class TestSparseScreen:
             square = seeded_int_matrix(rng, trial % 6, trial % 6)
             assert det(square) == fraction_det(square), square
 
-    def test_ordered_reads_match_unordered_reads(self):
-        # heads first gives the support and y / D of a read in the given
-        # order, and, the dual's system being square, the same y and D; the
+    def test_reads_match_the_fraction_oracle(self):
+        # a read is y / D for the Fraction solution of its system, and None
+        # exactly where that has no unique (for the primal, nonnegative)
+        # solution; the dual's system is square, so its D is |det|; the
         # bases include all-artificial ones and zero structural columns
         rng = random.Random(13)
         systems = [feasibility.intersection_system(lift(blocks, d), d)
@@ -502,23 +503,28 @@ class TestSparseScreen:
             costs = [rng.randint(1, 4) for _ in range(m)]
             for basis in bases:
                 support = sorted(j for j in basis if j < n)
-                plain = feasibility._exact_solution(
+                expect = fraction_solution(
                     [[row[j] for j in support] + [b] for row, b in zip(rows, rhs)], len(support))
-                if plain is not None and any(v < 0 for v in plain[0]):
-                    plain = None
+                if expect is not None and any(v < 0 for v in expect):
+                    expect = None
                 read = feasibility._basic_point(rows, rhs, basis)
-                assert (read is None) == (plain is None), (rows, rhs, basis)
+                assert (read is None) == (expect is None), (rows, rhs, basis)
                 if read is not None:
                     reads["primal"] += 1
-                    assert read[0] == support
-                    assert ([Rational(v, read[2]) for v in read[1]]
-                            == [Rational(v, plain[1]) for v in plain[0]])
-                dual = feasibility._exact_solution(
-                    [[row[j] for row in rows] + [0] if j < n
-                     else [int(i == j - n) for i in range(m)] + [costs[j - n]] for j in basis], m)
+                    support_read, y, last = read
+                    assert support_read == support and last > 0
+                    assert [Rational(v, last) for v in y] == expect, (rows, rhs, basis)
+                dual = [[row[j] for row in rows] + [0] if j < n
+                        else [int(i == j - n) for i in range(m)] + [costs[j - n]]
+                        for j in basis]
+                expect = fraction_solution(dual, m)
                 read = feasibility._basis_dual(rows, basis, costs)
-                assert read == dual, (rows, basis)
-                reads["dual"] += read is not None
+                assert (read is None) == (expect is None), (rows, basis)
+                if read is not None:
+                    reads["dual"] += 1
+                    y, last = read
+                    assert [Rational(v, last) for v in y] == expect, (rows, basis)
+                    assert last == abs(fraction_det([row[:m] for row in dual])), (rows, basis)
         assert min(reads.values()) >= 50, reads
 
 
