@@ -154,11 +154,13 @@ def solve_equality_feasibility(rows, rhs):
 
 def _pivot(tableau, obj, row, col, denom):
     """Integer pivot: every row but the pivot row takes the exact-division
-    update; returns the new common denominator, the pivot."""
+    update, except a row with a zero in the pivot column when the pivot
+    equals the old denominator, which it leaves as it is; returns the new
+    common denominator, the pivot."""
     pivot_row = tableau[row]
     pivot = pivot_row[col]
     for i, other in enumerate(tableau):
-        if i != row:
+        if i != row and (other[col] or pivot != denom):
             tableau[i] = fraction_free_update(other, pivot_row, pivot, other[col], denom)
     obj[:] = fraction_free_update(obj, pivot_row, pivot, obj[col], denom)
     return pivot

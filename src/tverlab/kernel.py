@@ -30,6 +30,17 @@ Conventions:
   first coordinate of their Cramer relation gives, for a tuple ``a`` not
   through point 1, ``D(a) = sum over q of (-1)^q D(1, a without a_q)``: d
   additions of determinants through point 1, the star, kept as it is walked.
+* Homogeneity needs far fewer determinants.  A set is homogeneous exactly
+  when the (d+1) x n matrix with columns ``(1, p_i)`` has all its maximal
+  minors nonzero of one sign, that is, up to the sign, when it is a point
+  of the totally positive Grassmannian, and total positivity has a test on
+  k(n - k) + 1 of them, k = d + 1 (Gasca and Pena, "Total positivity and
+  Neville elimination", Linear Algebra Appl. 165, 1992; Fomin and
+  Zelevinsky, "Total positivity: tests and parametrizations", Math.
+  Intelligencer 22, 2000): :func:`positivity_tests` gives them, 49 of the
+  1,820 subsets at n = 16 in R^3, with the same Laplace step as the walk.
+  The rows of ``orientation_rows`` are then read only to name the first
+  failing subset of a set that is not homogeneous.
 * A hyperplane ``normal . x = offset`` has positive side
   ``normal . x > offset``.
 * One elimination, :func:`_bareiss`, serves :func:`det` and the screen's
@@ -185,9 +196,9 @@ def _bareiss(m, width):
     Sylvester's identity the factors of the skipped rescales telescope.  A
     row is brought up to date in one :func:`fraction_free_update` when it is
     next read: as the pivot row, when a pivot meets it, with ``level`` in
-    place of the previous pivot, and at the end past the rank.  The rows
-    from ``rank`` on are zero left of the pivot column, so an update
-    computes only the columns right of it.  The rank, sign, last pivot and
+    place of the previous pivot, and at the end past the rank unless it is
+    already at the last pivot.  The rows from ``rank`` on are zero left of
+    the pivot column, so an update computes only the columns right of it.  The rank, sign, last pivot and
     final matrix are those of eliminating every row at every pivot.
     """
     rank, sign, last = 0, 1, 1
@@ -212,7 +223,8 @@ def _bareiss(m, width):
         last = p
         rank += 1
     for r in range(rank, len(m)):
-        m[r] = fraction_free_update(m[r], None, last, 0, level[r], width)
+        if level[r] != last:
+            m[r] = fraction_free_update(m[r], None, last, 0, level[r], width)
     return rank, sign, last
 
 
@@ -236,6 +248,84 @@ def det(matrix: Sequence[Sequence]) -> Rational:
     return Rational(sign * last, scales) if rank == n else ZERO
 
 
+@functools.lru_cache(maxsize=None)
+def _laplace(dim):
+    """``[k]``: for each (k+1)-subset of the dim columns, in lexicographic
+    order, the ``(sign, column, index of a k-subset)`` terms of its minor's
+    Laplace expansion along a new last row (see :func:`_add_row`)."""
+    tables = []
+    for k in range(dim):
+        below = {c: u for u, c in enumerate(itertools.combinations(range(dim), k))}
+        tables.append(tuple(tuple(((-1) ** (k + m), t, below[cols[:m] + cols[m + 1:]])
+                                  for m, t in enumerate(cols))
+                            for cols in itertools.combinations(range(dim), k + 1)))
+    return tuple(tables)
+
+
+def _add_row(terms, minors, row):
+    """The (k+1) x (k+1) minors of k rows and ``row`` below them, from the
+    k x k minors of the k rows, by Laplace expansion along ``row``; ``terms``
+    is ``_laplace(dim)[k]``.  At k = 0 the minors are ``[1]``, and at
+    k + 1 = dim the result is the one determinant."""
+    return [sum(s * row[t] * minors[u] for s, t, u in term) for term in terms]
+
+
+def positivity_tests(X: PointSet) -> Iterator[Tuple[Tuple[int, ...], int]]:
+    """``(indices, det)`` for the k(n - k) + 1 subsets, k = dim + 1, whose
+    orientation determinants alone decide homogeneity, 1-based, each with
+    its exact integer determinant of :func:`orientation` on X's cached
+    integer lift :attr:`PointSet.lifted`: first ``(1, ..., k)``, then for
+    a = 0, ..., k - 1 every ``[1, a] + [b, b + k - a - 1]`` with b > a + 1
+    in increasing b.  Lazy, so a caller can stop at the first determinant
+    it rejects.
+
+    X is homogeneous iff every one of these determinants is nonzero with
+    the sign of the first.  The orientation determinant of a subset I is
+    the maximal minor ``D_I`` of the k x n matrix M with columns (1, p_i).
+    With ``D_[k] != 0``, M = M_[k] [I_k | A], so ``D_I / D_[k]`` is a maximal
+    minor of [I_k | A], which is, once A's rows are put in reverse order
+    with the sign (-1)^(k-i) on row i, the minor of that matrix on the rows
+    [k] minus I and the columns of I past k.  The subsets above are exactly
+    the images of its k(n - k) initial minors (contiguous rows and columns
+    that include the first row or the first column), and a matrix whose
+    initial minors are all positive is strictly totally positive (Gasca and
+    Pena, "Total positivity and Neville elimination", Linear Algebra Appl.
+    165, 1992), so every ``D_I`` has the sign of ``D_[k]``; for the sign -1,
+    negate one coordinate row of M, which negates every minor.  In
+    Grassmannian terms these are the Pluecker coordinates of the rectangles
+    seed, one cluster of the totally positive Grassmannian (Fomin and
+    Zelevinsky, "Total positivity: tests and parametrizations", Math.
+    Intelligencer 22, 2000).
+
+    For a >= 1 a determinant adds the window's rows ``p_j - p_1`` with
+    :func:`_add_row` to the minors of the rows over ``[2, a]``, which every
+    window of that a shares; for a = 0 it takes the d rows ``p_j - p_b``
+    from scratch.  At n = 16 in R^3 that is 49 of the 1,820 subsets.
+    """
+    dim, lifted, n = X.dim, X.lifted, len(X)
+    if n <= dim:
+        return
+    laplace = _laplace(dim)
+    diffs = [[a - b for a, b in zip(q, lifted[0])] for q in lifted]
+    # prefix[m]: the minors of the difference rows of points 2..m+1
+    prefix = [[1]]
+    for m in range(dim):
+        prefix.append(_add_row(laplace[m], prefix[-1], diffs[m + 1]))
+    yield tuple(range(1, dim + 2)), prefix[dim][0]
+    for b in range(2, n - dim + 1):
+        minors, base = [1], lifted[b - 1]
+        for m in range(dim):
+            minors = _add_row(laplace[m], minors, [x - y for x, y in zip(lifted[b + m], base)])
+        yield tuple(range(b, b + dim + 1)), minors[0]
+    for a in range(1, dim + 1):
+        head = tuple(range(1, a + 1))
+        for b in range(a + 2, n - dim + a + 1):
+            minors = prefix[a - 1]
+            for m in range(a - 1, dim):
+                minors = _add_row(laplace[m], minors, diffs[b + m - a])
+            yield head + tuple(range(b, b + dim - a + 1)), minors[0]
+
+
 def orientation_rows(X: PointSet) -> Iterator[Tuple[Tuple[int, ...], List[int]]]:
     """``(head, dets)`` for every dim-prefix ``head`` of X's (dim+1)-subsets,
     1-based and in lexicographic order: ``dets[k]`` is the exact integer
@@ -244,8 +334,8 @@ def orientation_rows(X: PointSet) -> Iterator[Tuple[Tuple[int, ...], List[int]]]
 
     The rows through point 1, the star, come from a depth-first walk over
     the later points that carries the minors of the difference rows
-    ``p_j - p_1`` chosen so far (their exterior product) and adds a row by
-    Laplace expansion; at dim - 1 rows they are a cofactor vector, and a
+    ``p_j - p_1`` chosen so far (their exterior product) and adds a row with
+    :func:`_add_row`; at dim - 1 rows they are a cofactor vector, and a
     tuple costs one integer dot product with its last row.  Every other row
     is dim star rows added with alternating signs, plus one star entry.
     Lazy at row granularity, so a caller can stop at the first row it
@@ -255,13 +345,7 @@ def orientation_rows(X: PointSet) -> Iterator[Tuple[Tuple[int, ...], List[int]]]
     dim, lifted, n = X.dim, X.lifted, len(X)
     if n <= dim:
         return
-    # laplace[k]: per column (k+1)-subset, its (sign, column, k-subset) terms
-    laplace = []
-    for k in range(dim):
-        below = {c: u for u, c in enumerate(itertools.combinations(range(dim), k))}
-        laplace.append([[((-1) ** (k + m), t, below[cols[:m] + cols[m + 1:]])
-                         for m, t in enumerate(cols)]
-                        for cols in itertools.combinations(range(dim), k + 1)])
+    laplace = _laplace(dim)
     diffs = [[a - b for a, b in zip(q, lifted[0])] for q in lifted]
 
     def walk(start, minors, head):
@@ -271,8 +355,8 @@ def orientation_rows(X: PointSet) -> Iterator[Tuple[Tuple[int, ...], List[int]]]
             return
         # the next row, leaving enough later points to complete the tuple
         for j, row in enumerate(diffs[start:n - dim + len(head)], start):
-            yield from walk(j + 1, [sum(s * row[t] * minors[u] for s, t, u in terms)
-                                    for terms in laplace[len(head) - 1]], head + (j + 1,))
+            yield from walk(j + 1, _add_row(laplace[len(head) - 1], minors, row),
+                            head + (j + 1,))
 
     star = {}
     for head, dets in walk(1, [1], (1,)):

@@ -10,7 +10,12 @@ described combinatorially by Gale's evenness criterion.
 Homogeneity is always evaluated in the given input order; there is no
 reordering search.  At d=1 this makes a set homogeneous exactly when its
 values are strictly monotone.  A zero orientation counts as a homogeneity
-violation (general position is part of the notion).
+violation (general position is part of the notion).  A homogeneous set is,
+up to the sign, a point of the totally positive Grassmannian, so it is
+accepted by a total-positivity test on (d+1)(n-d-1) + 1 orientation
+determinants (Gasca and Pena 1992; Fomin and Zelevinsky 2000), 49 of the
+1,820 at n = 16 in R^3; every (d+1)-subset is read, in lexicographic order,
+only to name the witness of a set the test rejects.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from .kernel import (
     Rational,
     orientation,  # noqa: F401 - bench/tracing.py wraps this import site
     orientation_rows,
+    positivity_tests,
     sign,
     to_rational,
 )
@@ -121,7 +127,12 @@ class HomogeneityResult:
 def is_order_homogeneous(X: PointSet) -> HomogeneityResult:
     """Check that every ordered (dim+1)-subset has one nonzero orientation.
 
-    The subsets come in lexicographic order, a row of determinants at a
+    A homogeneous set is a point of the totally positive Grassmannian (up
+    to the sign), so it is accepted on the k(n - k) + 1 determinants of
+    :func:`~tverlab.kernel.positivity_tests`, k = dim + 1, when all are
+    nonzero with the first one's sign: 49 of the 1,820 subsets at n = 16 in
+    R^3, and no orientation row is read.  Otherwise X is not homogeneous,
+    and the subsets come in lexicographic order, a row of determinants at a
     time, from :func:`~tverlab.kernel.orientation_rows`, which reads X's
     cached integer lift; a row whose determinants all have the first
     subset's sign passes whole, and the check stops at the first zero or
@@ -130,6 +141,11 @@ def is_order_homogeneous(X: PointSet) -> HomogeneityResult:
     """
     if len(X) < X.dim + 1:
         return HomogeneityResult(homogeneous=True, sign=None, trivial=True)
+    tests = positivity_tests(X)
+    _, value = next(tests)
+    test_sign = sign(value)
+    if test_sign and all(sign(v) == test_sign for _, v in tests):
+        return HomogeneityResult(True, test_sign)
     first: Optional[Tuple[Tuple[int, ...], int]] = None
     for head, dets in orientation_rows(X):
         if first is None:
@@ -142,9 +158,7 @@ def is_order_homogeneous(X: PointSet) -> HomogeneityResult:
                 return HomogeneityResult(False, None, witness=((head + (j,), 0),))
             if s != first[1]:
                 return HomogeneityResult(False, None, witness=(first, (head + (j,), s)))
-    if first is None:
-        raise InternalError("no orientation was computed for n >= dim + 1")
-    return HomogeneityResult(True, first[1])
+    raise InternalError("the positivity test rejected a homogeneous set")
 
 
 def path_crossings(X: PointSet, h: Hyperplane) -> Tuple[int, ...]:

@@ -3,11 +3,14 @@
 The integer-tableau simplex must follow the Fraction simplex pivot for pivot
 and return the same status, witness and raw multipliers; the lazy Bareiss
 elimination must end as the eager one does, and its determinant must be the
-Fraction determinant's exact value; and the orientation signs of a set,
-read off one integer lift, must be the signs of the per-tuple Fraction
-determinants with a leading-1 column.
+Fraction determinant's exact value; the orientation signs of a set, read off
+one integer lift, must be the signs of the per-tuple Fraction determinants
+with a leading-1 column; and the homogeneity check, which accepts on the
+positivity test's few determinants, must return what a per-tuple loop over
+those signs returns, witness included.
 """
 
+import collections
 import itertools
 import math
 import operator
@@ -35,6 +38,7 @@ from tverlab.kernel import (
     orientation,
     orientation_rows,
     orientation_signs,
+    positivity_tests,
 )
 from tverlab.ordertype import (
     HomogeneityResult,
@@ -347,6 +351,100 @@ def test_homogeneity_matches_per_tuple_loop(seed):
         assert is_order_homogeneous(X) == oracle_homogeneity(pts, d)
 
 
+def rectangle_sets(n, k):
+    """The subsets ``[1, a] + [b, b + k - a - 1]`` of the positivity test, in
+    its order: ``(1, ..., k)``, then every later window for a = 0, ..., k - 1."""
+    sets = [tuple(range(1, k + 1))]
+    for a in range(k):
+        for b in range(a + 2, n - k + a + 2):
+            sets.append(tuple(range(1, a + 1)) + tuple(range(b, b + k - a)))
+    return sets
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_positivity_tests_are_exact_determinants(seed):
+    # k(n - k) + 1 subsets, each with the Fraction determinant of its tuple
+    # times the product of the lift's column scales
+    for d, pts in homogeneity_cases(seed):
+        scale = math.prod(math.lcm(*(c.denominator for c in column)) for column in zip(*pts))
+        sets = rectangle_sets(len(pts), d + 1)
+        assert len(sets) == (d + 1) * (len(pts) - d - 1) + 1
+        assert list(positivity_tests(PointSet(d, pts))) == [
+            (indices, scale * fraction_det([(Rational(1),) + pts[i - 1] for i in indices]))
+            for indices in sets
+        ]
+
+
+def spiral_points(rng, n):
+    """n points on an outward spiral, rounded to thousandths, turning through
+    0.8 to 1.6 turns: locally convex, and past one turn not homogeneous."""
+    turn = 2 * math.pi * rng.uniform(0.8, 1.6) / (n - 1)
+    growth = rng.uniform(0, 2)
+    return [tuple(Rational(round(1000 * (10 + growth * i) * f(turn * i)), 1000)
+                  for f in (math.cos, math.sin))
+            for i in range(n)]
+
+
+def near_homogeneous_cases(seed):
+    """Seeded sets on the edge of homogeneity: moment sets in d = 1..4,
+    n <= 12, with every coordinate moved by a seeded multiple of a small
+    rational, and planar spirals; each read forwards, backwards and
+    reflected in the first coordinate, and with one point repeated later or
+    replaced by an affine combination of d others."""
+    rng = random.Random(seed)
+    bases = []
+    for d in range(1, 5):
+        n = rng.randint(d + 2, 12)
+        alphas = sorted(Rational(a, 4) for a in rng.sample(range(-16, 17), n))
+        eps = Rational(1, rng.choice([4, 40, 400, 4000]))
+        bases.append((d, [tuple(c + eps * rng.randint(-2, 2) for c in p)
+                          for p in moment_points(MomentSpec(d, alphas)).points]))
+    for _ in range(2):
+        bases.append((2, spiral_points(rng, rng.randint(6, 12))))
+    for d, pts in bases:
+        yield d, pts
+        yield d, pts[::-1]
+        yield d, [(-p[0],) + p[1:] for p in pts]
+        k = rng.randrange(len(pts) - 1)
+        yield d, pts[:k + 1] + [pts[k]] + pts[k + 1:]
+        others = rng.sample(range(len(pts)), d)
+        weights = [Rational(rng.randint(1, 3)) for _ in others]
+        weights[-1] = 1 - sum(weights[:-1])
+        moved = list(pts)
+        moved[rng.randrange(len(pts))] = tuple(
+            sum(w * pts[i][c] for w, i in zip(weights, others)) for c in range(d))
+        yield d, moved
+
+
+def test_homogeneity_on_the_edge_matches_per_tuple_loop():
+    # 360 sets: both signs and both kinds of witness occur
+    kinds = collections.Counter()
+    for seed in range(12):
+        for d, pts in near_homogeneous_cases(seed):
+            result = is_order_homogeneous(PointSet(d, pts))
+            assert result == oracle_homogeneity(pts, d)
+            if result.homogeneous:
+                kinds[result.sign] += 1
+            else:
+                kinds["zero" if len(result.witness) == 1 else "mixed"] += 1
+    assert set(kinds) == {1, -1, "zero", "mixed"}
+
+
+def test_windows_alone_accept_spirals_past_one_turn():
+    # a control for the data: a test of consecutive windows alone accepts
+    # spirals that are not homogeneous, which the positivity test rejects
+    rng = random.Random(0)
+    homogeneous, fooled = 0, 0
+    for _ in range(40):
+        pts = spiral_points(rng, rng.randint(6, 12))
+        result = is_order_homogeneous(PointSet(2, pts))
+        assert result == oracle_homogeneity(pts, 2)
+        windows = {fraction_orientation(pts[b:b + 3], 2) for b in range(len(pts) - 2)}
+        homogeneous += result.homogeneous
+        fooled += windows == {1} and not result.homogeneous
+    assert homogeneous > 0 and fooled > 0
+
+
 @pytest.mark.parametrize("d", range(1, 5))
 def test_reversed_moment_set_orients_by_reversal_parity(d):
     # reversing d+1 points is floor((d+1)/2) transpositions
@@ -391,6 +489,30 @@ def test_homogeneity_stops_in_the_first_row(monkeypatch):
     assert result == oracle_homogeneity(pts, 4)
     assert result.witness == (((1, 2, 3, 4, 5), 1), ((1, 2, 3, 4, 7), -1))
     assert heads == [(1, 2, 3, 4)]
+
+
+def test_homogeneity_accepts_on_the_positivity_test(monkeypatch):
+    # 200 moment points in R^4: accepted on 5 * 195 + 1 = 976 determinants,
+    # where the scan would read C(200, 5) = 2,535,650,040, and no orientation row
+    pts = list(moment_points(MomentSpec(4, range(200))).points)
+    tests, heads = [], []
+    positivity, rows = ordertype.positivity_tests, ordertype.orientation_rows
+
+    def counted_tests(*args):
+        for indices, value in positivity(*args):
+            tests.append(indices)
+            yield indices, value
+
+    def counted_rows(*args):
+        for head, dets in rows(*args):
+            heads.append(head)
+            yield head, dets
+
+    monkeypatch.setattr(ordertype, "positivity_tests", counted_tests)
+    monkeypatch.setattr(ordertype, "orientation_rows", counted_rows)
+    assert is_order_homogeneous(PointSet(4, pts)) == HomogeneityResult(True, 1)
+    assert len(tests) == 5 * 195 + 1 == 976
+    assert heads == []
 
 
 def test_orientation_signs_input_validation():

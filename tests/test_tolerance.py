@@ -2,7 +2,6 @@ import contextlib
 import fractions
 import itertools
 import json
-import math
 import operator
 import random
 import sys
@@ -84,13 +83,20 @@ def brute_set_tolerance(X, r, budget=None):
 
 def count_work(monkeypatch):
     """Count the tolerance search's LP calls and the orientation determinants
-    its homogeneity test reads, a row of them at a time."""
+    its homogeneity test reads: the positivity test's, and the orientation
+    rows', a row of them at a time."""
     calls = {"lp": 0, "signs": 0}
-    lp, rows = tolerance.hulls_common_point, ordertype.orientation_rows
+    lp = tolerance.hulls_common_point
+    tests, rows = ordertype.positivity_tests, ordertype.orientation_rows
 
     def counted_lp(*args, **kwargs):
         calls["lp"] += 1
         return lp(*args, **kwargs)
+
+    def counted_tests(*args):
+        for indices, value in tests(*args):
+            calls["signs"] += 1
+            yield indices, value
 
     def counted_rows(*args):
         for head, dets in rows(*args):
@@ -98,6 +104,7 @@ def count_work(monkeypatch):
             yield head, dets
 
     monkeypatch.setattr(tolerance, "hulls_common_point", counted_lp)
+    monkeypatch.setattr(ordertype, "positivity_tests", counted_tests)
     monkeypatch.setattr(ordertype, "orientation_rows", counted_rows)
     return calls
 
@@ -406,12 +413,13 @@ class TestSetTolerance:
 
     def test_homogeneous_r2_solves_no_lp(self, monkeypatch):
         # r = 2 on a homogeneous set is decided by the run rule alone, and
-        # homogeneity is evaluated once: C(n, d+1) orientation signs
+        # homogeneity is evaluated once, from the positivity test's
+        # (d + 1)(n - d - 1) + 1 determinants, 17 of the C(8, 4) = 70
         calls = count_work(monkeypatch)
         d, n = 3, 8
         rep, _ = set_tolerance(moment_points(MomentSpec(d, range(1, n + 1))), 2)
         assert rep.exhausted
-        assert calls == {"lp": 0, "signs": math.comb(n, d + 1)}
+        assert calls == {"lp": 0, "signs": (d + 1) * (n - d - 1) + 1} == {"lp": 0, "signs": 17}
 
     @pytest.mark.parametrize("d, r, report, labels", [
         (2, 4, ToleranceReport(0, (2,), True), (1, 1, 2, 3, 4, 2, 1, 3, 2, 4)),
@@ -436,7 +444,7 @@ class TestSetTolerance:
         d, n = 3, 8
         rep = check_tolerance_sandwich(moment_points(MomentSpec(d, range(1, n + 1))), 2)
         assert rep.t_value <= rep.upper_bound
-        assert calls["signs"] == math.comb(n, d + 1)
+        assert calls["signs"] == (d + 1) * (n - d - 1) + 1 == 17
 
     @pytest.mark.parametrize("d, n, r", [(1, 7, 2), (2, 9, 3)])
     def test_alternating_partition_evaluated_once(self, monkeypatch, d, n, r):
