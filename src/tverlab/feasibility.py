@@ -15,6 +15,14 @@ nothing but exact arithmetic.
 Farkas multipliers are normalized to coprime integer entries (positive
 scaling only) so reports are reproducible across runs.
 
+Evidence is replayed on the integer lift, as the simplex and the screen
+work: the points with each coordinate times the LCM of its denominators
+(``kernel.scale_columns``), a witness's coefficients per block and the
+Farkas multipliers each times the LCM of their own denominators.  Every
+condition a replay checks is then the rational one with both of its sides
+multiplied by one positive number, which keeps each equality, each
+inequality and each sign, so the verdict is that of the rational check.
+
 The simplex pivots on an all-integer tableau ``T = [A | b]`` with a common
 denominator D (Edmonds/Bareiss integer pivoting, as in lrs): the rational
 tableau is always T / D, D is the last pivot and stays positive, and each
@@ -56,7 +64,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import islice, zip_longest
 from typing import Optional, Sequence, Tuple
 
 from .errors import InputError, InternalError
@@ -188,13 +196,27 @@ class Witness:
     coefficients: Tuple[Tuple[Rational, ...], ...]
 
     def replays(self, blocks, dim) -> bool:
-        """Recompute every defining equality, exactly."""
-        if len(self.coefficients) != len(blocks):
+        """Recompute every defining equality, exactly, on the integer lift:
+        the point and every block point with coordinate c times the same
+        positive scale (``kernel.scale_columns``), and each block's
+        coefficients lambda times the LCM D of their denominators.  Then
+        ``lambda >= 0``, ``sum lambda = D`` and ``sum lambda P = D x`` on
+        ints are the rational conditions with both sides of each multiplied
+        by one positive number, so each holds exactly when they do."""
+        if len(self.coefficients) != len(blocks) or len(self.point) != dim:
             return False
+        lifted, _ = scale_columns([self.point] + [p for block in blocks for p in block])
+        point, start = lifted[0], 1
         for block, coeffs in zip(blocks, self.coefficients):
-            if len(coeffs) != len(block) or any(c < 0 for c in coeffs) or sum(coeffs, ZERO) != 1:
+            if len(coeffs) != len(block):
                 return False
-            if _combination(block, coeffs, dim) != tuple(self.point):
+            lam, den = scale_to_integers(coeffs)
+            if any(v < 0 for v in lam) or sum(lam) != den:
+                return False
+            rows = lifted[start : start + len(block)]
+            start += len(block)
+            if [sum(map(operator.mul, lam, column)) for column in zip(*rows)] != [
+                    den * x for x in point]:
                 return False
         return True
 
@@ -212,19 +234,37 @@ class FarkasCertificate:
     multipliers: Tuple[Rational, ...]
 
     def replays(self, blocks, dim) -> bool:
-        """``u . b > 0`` and ``u . A_j <= 0`` for every column j, one at a time:
-        point p of block k gives ``u_k + (c_k - c_{k-1}) . p``, c_k the
-        multipliers of the chain rows between blocks k and k + 1, if any."""
-        u = self.multipliers
+        """:func:`_farkas_replays` on the integer lift: the points with
+        coordinate c times s_c (``kernel.scale_columns``), and u times the
+        LCM of its denominators, then times S on the convexity rows and
+        ``S / s_c`` on the chain rows of coordinate c, S the LCM of the s_c.
+        Each column's value ``u_k + w . p`` is then multiplied by one positive
+        number, so its sign, and the sign of ``u . b``, is unchanged."""
         r = len(blocks)
-        if len(u) != r + (r - 1) * dim:
+        if len(self.multipliers) != r + (r - 1) * dim:
             return False
-        chains = [()] + [u[r + k * dim : r + (k + 1) * dim] for k in range(r - 1)] + [()]
-        for k, block in enumerate(blocks):
-            w = [a - b for a, b in zip_longest(chains[k + 1], chains[k], fillvalue=0)]
-            if any(sum(map(operator.mul, p, w), u[k]) > 0 for p in block):
-                return False
-        return sum(u[:r]) > 0
+        u, _ = scale_to_integers(self.multipliers)
+        lifted, scales = scale_columns([p for block in blocks for p in block])
+        top = math.lcm(*scales)
+        # with no points there are no scales, and no chain row is read
+        weights = [top] * r + [top // s for s in scales] * (r - 1)
+        rows = iter(lifted)
+        return _farkas_replays([v * s for v, s in zip(u, weights)],
+                               [list(islice(rows, len(block))) for block in blocks], dim)
+
+
+def _farkas_replays(u, blocks, dim) -> bool:
+    """``u . b > 0`` and ``u . A_j <= 0`` for every column j of
+    :func:`intersection_system`, one at a time, for integer multipliers and
+    points: point p of block k gives ``u_k + (c_k - c_{k-1}) . p``, c_k the
+    multipliers of the chain rows between blocks k and k + 1, if any."""
+    r = len(blocks)
+    chains = [()] + [u[r + k * dim : r + (k + 1) * dim] for k in range(r - 1)] + [()]
+    for k, block in enumerate(blocks):
+        w = [a - b for a, b in zip_longest(chains[k + 1], chains[k], fillvalue=0)]
+        if any(sum(map(operator.mul, p, w), u[k]) > 0 for p in block):
+            return False
+    return sum(u[:r]) > 0
 
 
 @dataclass(frozen=True)
@@ -362,7 +402,7 @@ def screen(blocks, dim):
     if read is None:
         return None
     u = tuple(read[0])
-    return ("infeasible", u) if FarkasCertificate(u).replays(blocks, dim) else None
+    return ("infeasible", u) if _farkas_replays(u, blocks, dim) else None
 
 
 def _basic_point(rows, rhs, basis):

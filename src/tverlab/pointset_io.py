@@ -33,17 +33,36 @@ from .feasibility import (
 from .kernel import PointSet, Rational, to_rational
 
 #: ASCII digits only: ``\d`` (and ``Fraction``) would also read other scripts'
-#: decimal digits, such as U+0663 for 3
-_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[1-9][0-9]*)?$")
+#: decimal digits, such as U+0663 for 3.  Groups: the signed numerator, its
+#: digits, and the denominator if a ``/`` is present
+_RATIONAL_RE = re.compile(r"([+-]?([0-9]+))(?:/([1-9][0-9]*))?")
+
+
+def _read_rational(token: str, text, line: Optional[int]):
+    """``(groups, value)`` of a token of :data:`_RATIONAL_RE`, its groups as
+    ``re.Match.groups`` gives them; any other token, or one with more digits
+    than the interpreter reads into an int (4,300 unless
+    ``sys.set_int_max_str_digits`` says otherwise), is a :class:`ParseError`
+    naming ``text``."""
+    match = _RATIONAL_RE.fullmatch(token)
+    if match is None:
+        raise ParseError(f"malformed rational {text!r}", line=line)
+    groups = numerator, _, denominator = match.groups()
+    try:
+        if denominator is None:
+            return groups, Rational(int(numerator))
+        return groups, Rational(int(numerator), int(denominator))
+    except ValueError:
+        raise ParseError(f"a number of {len(token)} characters has more digits than "
+                         "Python reads into an int", line=line) from None
 
 
 def parse_rational(text: str, line: Optional[int] = None) -> Rational:
+    """A rational from an integer or ``p/q`` token in ASCII digits, surrounding
+    whitespace, a sign, leading zeros and common factors allowed."""
     if not isinstance(text, str):
         raise ParseError(f"a rational is a string, not {text!r}", line=line)
-    token = text.strip()
-    if not _RATIONAL_RE.match(token):
-        raise ParseError(f"malformed rational {text!r}", line=line)
-    return Rational(token)
+    return _read_rational(text.strip(), text, line)[1]
 
 
 def format_rational(value) -> str:
@@ -65,10 +84,10 @@ def parse_pointset(text: str) -> PointSet:
                 raise ParseError(
                     f"expected header 'otps <dim> <n>', got {raw!r}", line=lineno
                 )
-            try:
-                dim, n = int(parts[1]), int(parts[2])
-            except ValueError:
+            # the rational rule without a denominator: ASCII digits only
+            if not all(_RATIONAL_RE.fullmatch(part) and "/" not in part for part in parts[1:]):
                 raise ParseError(f"non-integer header fields in {raw!r}", line=lineno)
+            dim, n = (int(_read_rational(part, raw, lineno)[1]) for part in parts[1:])
             if dim < 1 or n < 0:
                 raise ParseError(f"invalid header values dim={dim} n={n}", line=lineno)
             header = (dim, n)
@@ -125,9 +144,14 @@ def _decode(form, value):
     string in canonical form, ``int`` a JSON integer (not a bool), and
     ``(f,)`` and ``[f]`` a JSON list of ``f``, read as a tuple or a list."""
     if form is Rational:
-        number = parse_rational(value)
-        if str(number) == value:
-            return number
+        if isinstance(value, str):
+            # the form format_rational writes: no plus sign, no leading zero,
+            # no -0, and a denominator above 1 in lowest terms, if any
+            (numerator, digits, denominator), number = _read_rational(value, value, None)
+            if (numerator[0] != "+" and (digits[0] != "0" or numerator == "0")
+                    and (denominator is None or denominator != "1"
+                         and str(number.denominator) == denominator)):
+                return number
     elif form is int:
         if type(value) is int:
             return value

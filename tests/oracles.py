@@ -451,3 +451,40 @@ def eager_bareiss(m, width):
         last = prow[col]
         rank += 1
     return rank, sign, last
+
+
+# ---------------------------------------------------------------------------
+# certificate replays over Fractions: the rational conditions as stated, the
+# package's replays before they moved to the integer lift
+
+
+def fraction_witness_replays(point, coefficients, blocks, dim):
+    """Every block's coefficients are nonnegative, sum to 1 and combine its
+    points into ``point``."""
+    if len(coefficients) != len(blocks):
+        return False
+    for block, coeffs in zip(blocks, coefficients):
+        if len(coeffs) != len(block) or any(c < 0 for c in coeffs) or sum(coeffs, ZERO) != 1:
+            return False
+        combination = tuple(sum((lam * p[c] for p, lam in zip(block, coeffs)), ZERO)
+                            for c in range(dim))
+        if combination != tuple(point):
+            return False
+    return True
+
+
+def fraction_farkas_replays(multipliers, blocks, dim):
+    """``u . b > 0`` and ``u . A_j <= 0`` for every column j of the
+    intersection system (a convexity row per block, then ``dim`` chain rows
+    per consecutive pair): point p of block k gives ``u_k + (c_k - c_{k-1})
+    . p``, c_k the multipliers of the chain rows between blocks k and k + 1."""
+    u = multipliers
+    r = len(blocks)
+    if len(u) != r + (r - 1) * dim:
+        return False
+    chains = [()] + [u[r + k * dim : r + (k + 1) * dim] for k in range(r - 1)] + [()]
+    for k, block in enumerate(blocks):
+        w = [a - b for a, b in itertools.zip_longest(chains[k + 1], chains[k], fillvalue=0)]
+        if any(sum((x * y for x, y in zip(p, w)), u[k]) > 0 for p in block):
+            return False
+    return sum(u[:r]) > 0

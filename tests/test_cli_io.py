@@ -15,6 +15,7 @@ from tverlab.errors import InputError, InternalError, ParseError
 from tverlab.kernel import PointSet, Rational
 from tverlab.pointset_io import (
     ReportRecord,
+    _decode,
     emit_pointset,
     format_rational,
     jsonable,
@@ -37,6 +38,13 @@ from tverlab.ordertype import MomentSpec, moment_points
 GOLDEN = Path(__file__).resolve().parent / "golden"
 TOLERANCE_GOLDEN = json.loads((GOLDEN / "tolerance.json").read_text())
 COMMANDS_GOLDEN = json.loads((GOLDEN / "commands.json").read_text())
+#: the lenient rational rule as one anchored regex, on the stripped token
+OLD_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[1-9][0-9]*)?$")
+#: the witness payload of the square's diagonals, which cross at (1/2, 1/2)
+WITNESS_PAYLOAD = {
+    "dim": 2, "blocks": [[["0", "0"], ["1", "1"]], [["1", "0"], ["0", "1"]]],
+    "status": "feasible", "kind": "witness", "point": ["1/2", "1/2"],
+    "coefficients": [["1/2", "1/2"], ["1/2", "1/2"]]}
 
 
 class TestRationalFormat:
@@ -54,6 +62,57 @@ class TestRationalFormat:
         assert format_rational(Rational(2, 4)) == "1/2"
         assert format_rational(Rational(-2, 4)) == "-1/2"
         assert format_rational(Rational(8, 2)) == "4"
+
+    @given(st.from_regex(r"[+-]?[0-9]{1,40}(/[0-9]{1,20})?", fullmatch=True)
+           | st.text("+-/0123456789 \t\n\u0663", max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_parse_rational_reads_what_fraction_reads(self, token):
+        # on a token of ASCII digits the value is Fraction's; anything else,
+        # a zero denominator included, is a ParseError
+        try:
+            value = parse_rational(token)
+        except ParseError:
+            assert not OLD_RATIONAL_RE.match(token.strip())
+        else:
+            assert value == Rational(token) and type(value) is Rational
+
+    @given(st.from_regex(r"[+-]?[0-9]{1,6}(/[0-9]{1,4})?", fullmatch=True)
+           | st.text("+-/0123456789 \n\u0661", max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_payload_decoder_accepts_what_the_round_trip_did(self, value):
+        # canonical is what str(Fraction) writes back unchanged, as the
+        # decoder once tested by a round trip
+        stripped = value.strip()
+        canonical = bool(OLD_RATIONAL_RE.match(stripped)) and str(Rational(stripped)) == value
+        try:
+            decoded = _decode(Rational, value)
+        except ParseError:
+            assert not canonical, value
+        else:
+            assert canonical and decoded == Rational(value), value
+
+    def test_payload_decoder_refuses_other_forms(self):
+        assert replay_payload(WITNESS_PAYLOAD) is True
+        for value in ("+3", "03", "-0", "0/5", "3/1", "2/4", "-2/4", "-03/4", " 3", "3\n",
+                      "\u0661", "1/\u0662", 3, None, ["3"]):
+            with pytest.raises(ParseError):
+                _decode(Rational, value)
+            assert replay_payload({**WITNESS_PAYLOAD, "point": [value, "1/2"]}) is False
+        for value in ("0", "3", "-3", "1/2", "-7/12", "10/3"):
+            assert _decode(Rational, value) == Rational(value)
+
+    def test_numbers_past_the_int_digit_limit_are_parse_errors(self, tmp_path):
+        # int and Fraction read at most 4,300 digits from a string
+        long = "9" * 4400
+        for text, line in ((f"otps 1 1\n{long}\n", 2), (f"otps 1 1\n1/{long}\n", 2),
+                           (f"otps {long} 1\n1\n", 1)):
+            with pytest.raises(ParseError) as exc:
+                parse_pointset(text)
+            assert exc.value.line == line
+        assert replay_payload({**WITNESS_PAYLOAD, "point": [long, "1/2"]}) is False
+        big = tmp_path / "big.otps"
+        big.write_text(f"otps 1 2\n0\n{long}\n")
+        assert main(["homog", str(big)]) == 2
 
 
 class TestPointSetFormat:
@@ -82,6 +141,9 @@ class TestPointSetFormat:
             parse_pointset("otps 1 3\n1\n2\n")
         for text, message in [("otps x 2\n1\n", "non-integer header fields"),
                               ("otps 0 2\n1\n2\n", "invalid header values"),
+                              # ASCII digits only, as for rationals
+                              ("otps \u0663 1\n0 0 0\n", "non-integer header fields"),
+                              ("otps 1_0 0\n", "non-integer header fields"),
                               ("# only\n# comments\n", "missing 'otps' header")]:
             with pytest.raises(ParseError, match=message) as exc:
                 parse_pointset(text)

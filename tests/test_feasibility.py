@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from oracles import (
     dense_float_basis,
     fraction_det,
+    fraction_farkas_replays,
     fraction_solution,
+    fraction_witness_replays,
     hulls_intersect_2d,
     interval_common_point,
 )
@@ -169,6 +171,47 @@ class TestReplay:
                     perturbed = list(outcome.coefficients)
                     perturbed[k] = tuple(moved)
                     assert not verify_outcome(blocks, Witness(outcome.point, tuple(perturbed)), d)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_integer_replays_match_the_fraction_oracle(self, data):
+        # the replays lift to integers; they must agree with the rational
+        # conditions on points and evidence of mixed denominators, on empty
+        # blocks, on lists of the wrong length and on tampered evidence
+        r, d = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        rational = st.builds(Rational, st.integers(-6, 6), st.integers(1, 6))
+        point = st.tuples(*[rational] * d)
+        blocks = data.draw(st.lists(st.lists(point, max_size=4), min_size=r, max_size=r))
+        outcome = hulls_common_point(blocks, d)
+        witnesses, multipliers = [], []
+        if isinstance(outcome, Witness):
+            witnesses.append(outcome)
+            x, coeffs = outcome.point, outcome.coefficients
+            first = coeffs[0]
+            witnesses.append(Witness((x[0] + 1,) + x[1:], coeffs))
+            witnesses.append(Witness(x, ((first[0] + 1,) + first[1:],) + coeffs[1:]))
+            if len(first) > 1:
+                shifted = (first[0] - 2, first[1] + 2) + first[2:]
+                witnesses.append(Witness(x, (shifted,) + coeffs[1:]))
+        elif isinstance(outcome, FarkasCertificate):
+            u = outcome.multipliers
+            multipliers += [u, tuple(-v for v in u), u[:-1]]
+        # drawn evidence: coefficient and multiplier counts off by up to one
+        lengths = st.sampled_from([len(b) for b in blocks] + [0, 1, 5])
+        coeffs = tuple(tuple(data.draw(st.lists(rational, min_size=n, max_size=n)))
+                       for n in (data.draw(lengths) for _ in range(r)))
+        witnesses.append(Witness(data.draw(st.tuples(*[rational] * data.draw(
+            st.sampled_from([d, d, d + 1])))), coeffs))
+        count = r + (r - 1) * d + data.draw(st.sampled_from([0, 0, 0, -1, 1]))
+        multipliers.append(tuple(data.draw(st.lists(rational, min_size=count, max_size=count))))
+        for witness in witnesses:
+            assert verify_outcome(blocks, witness, d) == fraction_witness_replays(
+                witness.point, witness.coefficients, blocks, d), witness
+        for u in multipliers:
+            assert verify_outcome(blocks, FarkasCertificate(u), d) == fraction_farkas_replays(
+                u, blocks, d), u
+        if not isinstance(outcome, EmptyBlockCertificate):
+            assert verify_outcome(blocks, outcome, d)
 
 
 def confirmation_cases():
