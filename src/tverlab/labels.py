@@ -9,12 +9,14 @@ support <= d+2, and in general position a meeting pair needs exactly d+2
 points, whose unique Radon partition alternates along the order because all
 orientations share a sign; one point per run gives that partition.  The pair
 bound, its breaking set and the partition branch and bound read a string
-through one run DP, :func:`_read`.
+through one run DP, :func:`_read`; the breaking set reads it both ways, so
+that a monotone order takes two passes of it for the whole set.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -115,21 +117,103 @@ def pair_bound(labels, r: int, runs: int, order=None) -> int:
 
 def pair_breaking_set(labels, r: int, size: int, runs: int, order=None):
     """The lexicographically first removal of ``size`` indices that
-    :func:`pair_bound` says breaks, where no smaller one does, or None.
-    Index by index, it takes the least x after the last chosen one that
-    leaves the pair bound of the survivors below the removals left: some
-    such removal then holds x, and none holding an earlier x can exist."""
+    :func:`pair_bound` says breaks, or None when there is none.
+
+    Index by index, it takes the least x after the last chosen one such that
+    the fewest deletions that break, once x is deleted too, are fewer than
+    the removals left: some breaking removal then holds the chosen indices
+    and x.  No breaking removal that agrees with the chosen ones holds a y < x
+    in x's place instead: y would have passed the same test.  Nor can one
+    hold a y skipped before an earlier choice, which would have passed the
+    test at that choice.  So the least index that some breaking removal holds
+    is, choice by choice, the lexicographically first removal's.
+
+    The fewest deletions after deleting x are the thinnest block's count,
+    one less if x is in it, or a pair's fewest deletions, ``spare``, one less
+    if x's letter is in the pair and the pair's longest subsequence of at
+    most ``runs`` runs keeps its length without x.  That length is read off
+    two run tables over reading positions (under ``order``) of the current
+    string: ``fw[q]``, the :func:`_read` table after the positions before q,
+    and ``bw[q + 1]``, the same table for the positions past q read from the
+    end, so that its ``[e][f][j]`` starts in e (see :func:`_joined`).
+    Deleting x at position q stales ``fw`` past q and ``bw`` up to q, and a
+    trial rereads only the stale tables it needs: in a monotone order (the
+    index order or its reverse) each letter is read at most twice in all,
+    and in any other at most once more per chosen index."""
     masked, chosen = list(labels), []
-    while len(chosen) < size:
-        for x in range(chosen[-1] + 1 if chosen else 1, len(masked) + 1):
-            label, masked[x - 1] = masked[x - 1], 0
-            if pair_bound(masked, r, runs, order) < size - len(chosen) - 1:
-                chosen.append(x)
-                break
-            masked[x - 1] = label
-        else:
-            return None
-    return tuple(chosen)
+    n = len(masked)
+    counts = [masked.count(k) for k in range(r + 1)]
+    pairs = list(itertools.combinations(range(r), 2)) if order is not None else []
+    reading = sorted(range(n), key=order.__getitem__) if pairs else range(n)
+    position = {i: q for q, i in enumerate(reading)}
+    blank = [[(0,) * (runs + 1)] * r for _ in range(r)]
+    tables = ([blank] + [None] * n, [None] * n + [blank])  # fw, bw
+    fresh = [0, n]  # fw[:fresh[0] + 1] and bw[fresh[1]:] are of the current string
+
+    def table(side, q):
+        """``fw[q]`` (side 0) or ``bw[q]`` (side 1) of the current string,
+        read on from its last fresh table towards q."""
+        built, step = tables[side], 1 - 2 * side
+        while (q - fresh[side]) * step > 0:
+            p = fresh[side]
+            kept, lab = built[p], masked[reading[p - side]] - 1
+            if lab >= 0:
+                kept = list(kept)
+                kept[lab] = _read(built[p], lab)
+            built[p + step] = kept
+            fresh[side] = p + step
+        return built[q]
+
+    def without(q, a, b):
+        """The fewest deletions that leave pair (a, b) at most ``runs``
+        runs once the letter at reading position q is deleted too."""
+        return (counts[a + 1] + counts[b + 1] - (masked[reading[q]] - 1 in (a, b))
+                - _joined(table(0, q), table(1, q + 1), a, b))
+
+    spare = {}  # each pair's fewest deletions, once a trial needs them
+    for x, label in enumerate(labels, 1):
+        left = size - len(chosen)
+        if left <= 0:
+            break
+        q, thin = position[x - 1], min(counts[1:])
+        breaks = thin - (label > 0 and counts[label] == thin) < left
+        if not breaks and pairs:
+            if not spare:
+                # off the tables around the first trial that needs them,
+                # which the later trials of a monotone order read on from
+                spare = {(a, b): counts[a + 1] + counts[b + 1]
+                         - _joined(table(0, q), table(1, q), a, b) for a, b in pairs}
+            # deleting x takes at most one off a pair's fewest deletions,
+            # and only where x's letter is in the pair
+            breaks = any(cut < left or cut == left and label - 1 in (a, b)
+                         and without(q, a, b) < left for (a, b), cut in spare.items())
+        if not breaks:
+            continue
+        chosen.append(x)
+        if label:
+            # a pair with more fewest deletions than removals left never
+            # decides again, as each removal takes off at most one
+            for (a, b), cut in spare.items():
+                if label - 1 in (a, b) and cut <= left:
+                    spare[a, b] = without(q, a, b)
+            fresh[0], fresh[1] = min(fresh[0], q), max(fresh[1], q + 1)
+            masked[x - 1] = 0
+            counts[label] -= 1
+    return tuple(chosen) if len(chosen) >= size else None
+
+
+def _joined(head, tail, a, b) -> int:
+    """The longest subsequence of at most R runs of the a/b string around a
+    left-out position, from the run table ``head`` of the letters before it
+    and ``tail`` of those after it read from the end (R + 1 entries each): a
+    prefix of at most j runs ending in e and a suffix of at most k runs
+    starting in g join to j + k - [e = g] runs, and either may be empty."""
+    ends_a, ends_b = head[a][b], head[b][a]
+    # reversed, entry i of a suffix table is its entry for R - i runs
+    starts_a, starts_b = tail[a][b][::-1], tail[b][a][::-1]
+    # j runs before the gap take R - j after it, or R - j + 1 where they join
+    return max(*map(operator.add, ends_a, starts_b), *map(operator.add, ends_b, starts_a),
+               *map(operator.add, ends_a[1:], starts_a), *map(operator.add, ends_b[1:], starts_b))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -66,7 +67,15 @@ def parse_rational(text: str, line: Optional[int] = None) -> Rational:
 
 
 def format_rational(value) -> str:
-    return str(to_rational(value))
+    """``p/q`` or a bare integer in lowest terms; a number with more digits
+    than the interpreter writes from an int (``sys.get_int_max_str_digits``)
+    is an :class:`InputError`, raised before anything is written."""
+    number = to_rational(value)
+    try:
+        return str(number)
+    except ValueError:
+        raise InputError(f"a number has more digits than Python writes from an int "
+                         f"({sys.get_int_max_str_digits()})") from None
 
 
 def parse_pointset(text: str) -> PointSet:

@@ -51,7 +51,10 @@ from .feasibility import (
 from .kernel import PointSet, Rational, to_rational
 from .labels import alternating_labels, split
 from .ordertype import MomentSpec, is_order_homogeneous, moment_points
-from .tolerance import set_tolerance
+from .tolerance import (
+    set_tolerance,  # noqa: F401 - bench/tracing.py wraps this import site
+    set_tolerance_value,
+)
 
 #: Known 16-parameter configuration whose alternating 4-partition in R^3 has
 #: no common point once the repeats are split; witnesses c(3,4) >= 17.
@@ -342,9 +345,7 @@ def t_line(n: int, r: int) -> int:
     """
     if n < r:
         raise InputError(f"need n >= r, got n={n}, r={r}")
-    X = PointSet(1, [(i,) for i in range(1, n + 1)])
-    report, _ = set_tolerance(X, r, guard=T_LINE_GUARD)
-    return report.value
+    return set_tolerance_value(PointSet(1, [(i,) for i in range(1, n + 1)]), r, T_LINE_GUARD)
 
 
 def n_line_formula(t: int, r: int) -> int:

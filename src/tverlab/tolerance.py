@@ -26,7 +26,9 @@ homogeneous in no order and keeps the removal enumeration.  The pair bound
 floor(d/2)), and is exact where pairs decide: r = 2 under the rule, any r on
 a line (by Helly in R^1, pairwise meeting intervals share a point), and r =
 1, whose one block keeps a common point until emptied, in every dimension
-and with no LP; there the reported breaking set is read off the same DP.
+and with no LP; there the breaking set is read off the same DP, in one
+forward and one backward pass, and only for a report that prints one:
+:func:`set_tolerance_value` and the sandwich check name none.
 Elsewhere the pair bound caps the removal scan that finds the tolerance: it
 runs to one size past the bound, so it names the breaking set, and one exact
 test on the integer lift decides each removal it tests.
@@ -186,10 +188,22 @@ def set_tolerance(X: PointSet, r: int, budget: Optional[int] = None,
     (the enumeration is exponential); ``budget`` caps the per-partition
     removal search, in which case the result is a verified lower bound.
     """
-    return _set_tolerance(X, r, budget, guard, None)
+    partition, order, cap, found = _argmax(X, r, budget, guard, None)
+    return _report(partition, X, order, found, cap), partition
 
 
-def _set_tolerance(X, r, budget, guard, homogeneity):
+def set_tolerance_value(X: PointSet, r: int, guard: int = PARTITION_GUARD) -> int:
+    """The value :func:`set_tolerance` reports, from the same search, with
+    no breaking set named where pairs decide."""
+    _, _, _, (value, _) = _argmax(X, r, None, guard, None)
+    return value
+
+
+def _argmax(X, r, budget, guard, homogeneity):
+    """``(partition, order, cap, found)``: the lexicographically first
+    partition of the best capped tolerance, the run order and the cap it was
+    searched under, and its ``(value, breaking)`` as :func:`_tolerance`
+    gives them, for :func:`_report` to complete."""
     n = len(X)
     if n < r:
         raise InputError(f"set tolerance needs |X| >= r, got {n} < {r}")
@@ -218,7 +232,7 @@ def _set_tolerance(X, r, budget, guard, homogeneity):
     if found is None:
         raise InternalError("no partition achieves the alternating partition's tolerance")
     partition, breaking = found
-    return _report(partition, X, order, (target.best, breaking), cap), partition
+    return partition, order, cap, (target.best, breaking)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +290,7 @@ def check_tolerance_sandwich(X: PointSet, r: int) -> SandwichReport:
     result = is_order_homogeneous(X)
     if not result.homogeneous:
         raise InputError("sandwich check requires an order-type homogeneous set")
-    report, _ = _set_tolerance(X, r, None, PARTITION_GUARD, result)
+    _, _, _, (value, _) = _argmax(X, r, None, PARTITION_GUARD, result)
     lower = n // r - alternating_bound(X.dim, r)
     upper = tolerance_upper_bound(n, X.dim, r)
-    return SandwichReport(t_value=report.value, lower_bound=lower, upper_bound=upper)
+    return SandwichReport(t_value=value, lower_bound=lower, upper_bound=upper)

@@ -14,6 +14,7 @@ import random
 
 from tverlab.errors import InputError
 from tverlab.kernel import PointSet, Rational
+from tverlab.labels import pair_bound
 
 ZERO = Rational(0)
 ONE = Rational(1)
@@ -141,6 +142,24 @@ def fewest_pair_deletions(string, r, runs):
                 if 1 + sum(x != y for x, y in zip(pair, pair[1:])) <= runs:
                     return size
     raise AssertionError("deleting every letter empties a block")
+
+
+def greedy_pair_breaking_set(labels, r, size, runs, order=None):
+    """The lexicographically first removal of ``size`` indices that
+    ``pair_bound`` says breaks, or None: index by index, the least x past the
+    last chosen one whose deletion leaves the pair bound of the survivors
+    below the removals left, each trial a whole pair bound of its own."""
+    masked, chosen = list(labels), []
+    while len(chosen) < size:
+        for x in range(chosen[-1] + 1 if chosen else 1, len(masked) + 1):
+            label, masked[x - 1] = masked[x - 1], 0
+            if pair_bound(masked, r, runs, order) < size - len(chosen) - 1:
+                chosen.append(x)
+                break
+            masked[x - 1] = label
+        else:
+            return None
+    return tuple(chosen)
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,23 @@ class TestRationalFormat:
         big.write_text(f"otps 1 2\n0\n{long}\n")
         assert main(["homog", str(big)]) == 2
 
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this interpreter writes ints of any length")
+    def test_numbers_past_the_int_digit_limit_are_refused_on_output(self, tmp_path, capsys):
+        # alpha^3 of a 1,500-digit alpha has 4,500 digits, past the 4,300
+        # Python writes from an int: exit 2, with nothing printed or appended
+        nines = "9" * 1500
+        with pytest.raises(InputError, match=str(sys.get_int_max_str_digits())):
+            format_rational(Rational(int(nines)) ** 3)
+        ledger, out = tmp_path / "ledger.jsonl", tmp_path / "moment.otps"
+        ledger.write_text("kept\n")
+        argv = ["--out", str(ledger), "gen", "-d", "3", f"--alphas=1,2,{nines}",
+                "--pointset-out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "more digits" in captured.err
+        assert ledger.read_text() == "kept\n" and not out.exists()
+
 
 class TestPointSetFormat:
     def test_parse_simple(self):

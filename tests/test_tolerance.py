@@ -13,17 +13,18 @@ from hypothesis import strategies as st
 from oracles import (
     canonical_labelings,
     fewest_pair_deletions,
+    greedy_pair_breaking_set,
     seeded_increasing_alphas,
     seeded_int_points,
 )
-from tverlab import feasibility, kernel, ordertype, tolerance
+from tverlab import feasibility, kernel, labels, ordertype, tolerance
 from tverlab.cli import main
 from tverlab.errors import InputError, ResourceGuardError
 from tverlab.feasibility import hulls_common_point
 from tverlab.kernel import PointSet, Rational
-from tverlab.labels import Target, _read, pair_bound, split
+from tverlab.labels import Target, _read, pair_bound, pair_breaking_set, split
 from tverlab.ordertype import MomentSpec, is_order_homogeneous, moment_points
-from tverlab.search import sixteen_point_alphas
+from tverlab.search import n_line, sixteen_point_alphas, t_line
 from tverlab.tolerance import (
     Partition,
     ToleranceReport,
@@ -106,6 +107,24 @@ def count_work(monkeypatch):
     monkeypatch.setattr(tolerance, "hulls_common_point", counted_lp)
     monkeypatch.setattr(ordertype, "positivity_tests", counted_tests)
     monkeypatch.setattr(ordertype, "orientation_rows", counted_rows)
+    return calls
+
+
+def count_reads(monkeypatch):
+    """Count the run DP's reads and the breaking sets the tolerance layer names."""
+    calls = {"reads": 0, "breaking_sets": 0}
+    read, walk = labels._read, tolerance.pair_breaking_set
+
+    def counted_read(kept, lab):
+        calls["reads"] += 1
+        return read(kept, lab)
+
+    def counted_walk(*args):
+        calls["breaking_sets"] += 1
+        return walk(*args)
+
+    monkeypatch.setattr(labels, "_read", counted_read)
+    monkeypatch.setattr(tolerance, "pair_breaking_set", counted_walk)
     return calls
 
 
@@ -877,6 +896,101 @@ class TestPairBound:
         lost = sum(1 for out, label in zip(removed, labels) if out and label)
         drop = pair_bound(labels, r, runs, order) - pair_bound(masked, r, runs, order)
         assert 0 <= drop <= lost
+
+
+def blocks_named_in_order(n, r):
+    """Every string of n letters over 0..r whose blocks are named by first
+    appearance: every string up to renaming blocks, which changes no pair
+    bound and so no breaking set."""
+    for string in itertools.product(range(r + 1), repeat=n):
+        named = [k for k in dict.fromkeys(string) if k]
+        if named == list(range(1, len(named) + 1)):
+            yield string
+
+
+def five_orders(n):
+    """None, the index order, its reverse and two seeded permutations."""
+    drawn = []
+    for seed in (n, n + 100):
+        order = list(range(n))
+        random.Random(seed).shuffle(order)
+        drawn.append(tuple(order))
+    return [None, tuple(range(n)), tuple(range(n - 1, -1, -1)), *drawn]
+
+
+class TestPairBreakingSet:
+    # every string up to renaming blocks at n <= 8 and r = 4 would be 952,812
+    # calls of each: the largest n that keeps each r to seconds (one block
+    # has no pair, so r = 1 tests the block count alone)
+    @pytest.mark.parametrize("r, largest", [(1, 6), (2, 7), (3, 6), (4, 6)])
+    def test_matches_the_greedy_on_every_short_string(self, r, largest):
+        for n in range(largest + 1):
+            orders = five_orders(n)
+            for string, runs, order in itertools.product(
+                    blocks_named_in_order(n, r), range(2, 6), orders):
+                bound = pair_bound(string, r, runs, order)
+                for size in range(max(bound, -1) + 3):
+                    assert (pair_breaking_set(string, r, size, runs, order)
+                            == greedy_pair_breaking_set(string, r, size, runs, order)), \
+                        (string, r, size, runs, order)
+
+    @given(st.integers(1, 4), st.integers(2, 5), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_greedy_on_drawn_strings(self, r, runs, data):
+        n = data.draw(st.integers(0, 14))
+        string = data.draw(st.lists(st.integers(0, r), min_size=n, max_size=n))
+        order = data.draw(st.one_of(st.none(), st.permutations(range(n))))
+        bound = pair_bound(string, r, runs, order)
+        size = data.draw(st.integers(0, max(bound, -1) + 2))
+        assert (pair_breaking_set(string, r, size, runs, order)
+                == greedy_pair_breaking_set(string, r, size, runs, order))
+
+    def test_reads_each_letter_twice_in_a_monotone_order(self, monkeypatch):
+        # the index order or its reverse reads each letter at most twice;
+        # any other order at most once more per chosen index
+        rng = random.Random(37)
+        calls = count_reads(monkeypatch)
+        for _ in range(300):
+            n, r, runs = rng.randint(0, 14), rng.randint(2, 4), rng.randint(2, 5)
+            string = [rng.randint(0, r) for _ in range(n)]
+            shuffled = rng.sample(range(n), n)
+            letters = n - string.count(0)
+            for order in (list(range(n)), list(range(n - 1, -1, -1)), shuffled):
+                for size in range(max(pair_bound(string, r, runs, order), -1) + 3):
+                    calls["reads"] = 0
+                    found = pair_breaking_set(string, r, size, runs, order)
+                    passes = 2 + size * (order is shuffled)
+                    assert calls["reads"] <= passes * letters, (string, r, size, runs, order)
+                    assert found == greedy_pair_breaking_set(string, r, size, runs, order)
+
+
+class TestBreakingSetsWherePrinted:
+    # the run DP made 148, 990 and 70 reads for these values when each
+    # named a breaking set and dropped it
+    @pytest.mark.parametrize("value, expected, reads", [
+        (lambda: t_line(12, 3), 2, 58),
+        (lambda: n_line(3, 3), 14, 443),
+        (lambda: check_tolerance_sandwich(moment_points(MomentSpec(3, range(1, 9))), 2).t_value,
+         1, 37),
+    ], ids=["t_line", "n_line", "sandwich"])
+    def test_value_only_callers_name_no_breaking_set(self, monkeypatch, value, expected, reads):
+        calls = count_reads(monkeypatch)
+        assert value() == expected
+        assert calls == {"reads": reads, "breaking_sets": 0}
+
+    def test_reports_name_one_breaking_set(self, monkeypatch):
+        # in two passes of the run DP: a whole pair bound per index tried
+        # made 148 reads on 1..12; r = 2 under the run rule, off a line
+        calls = count_reads(monkeypatch)
+        rep, _ = set_tolerance(ONE_TO(12), 3)
+        assert (rep.value, rep.breaking_set) == (2, (3, 6, 9))
+        assert calls == {"reads": 76, "breaking_sets": 1}
+        X = moment_points(MomentSpec(3, range(1, 9)))
+        for report in (lambda: set_tolerance(X, 2)[0],
+                       lambda: partition_tolerance(X, alternating_partition(8, 2))):
+            calls["breaking_sets"] = 0
+            assert report().exhausted
+            assert calls["breaking_sets"] == 1
 
 
 class TestBounds:
