@@ -17,19 +17,16 @@ Conventions:
   whose rows are the points, each row carrying a leading 1.  With the
   leading-1 layout, points on the moment curve with strictly increasing
   parameters orient +1 in every dimension (Vandermonde positivity).
-  Four facts let ``orientation_rows`` give every tuple's determinant on
-  integers: scaling a coordinate column by a positive number scales the
-  determinant by it, so all are read on ``PointSet.lifted``, the set's
-  cached integer lift that the tolerance removal scan reads too;
-  subtracting the first row from the others leaves the determinant
-  unchanged, so it is the d x d determinant of the differences
-  ``p_j - p_0``; its Laplace expansion along the last row needs only the
-  minors of the rows before it, which tuples with a common prefix share, so
-  a depth-first walk carries them and a tuple through point 1 costs one dot
-  product; and any d + 2 rows ``(1, p)`` are linearly dependent, so the
-  first coordinate of their Cramer relation gives, for a tuple ``a`` not
-  through point 1, ``D(a) = sum over q of (-1)^q D(1, a without a_q)``: d
-  additions of determinants through point 1, the star, kept as it is walked.
+  Three facts let ``orientation_signs`` decide every tuple on integers:
+  scaling a coordinate column by a positive number scales the determinant
+  by it, so all are read on ``PointSet.lifted``, the set's cached integer
+  lift that the tolerance removal scan reads too; subtracting the first
+  row from the others leaves the determinant unchanged, so it is the
+  d x d determinant of the differences ``p_j - p_i`` from the tuple's
+  first point, its base; and its Laplace expansion along the last row
+  needs only the minors of the rows before it, which tuples with a common
+  prefix share, so a depth-first walk from each base carries them and a
+  tuple costs one dot product.
 * Homogeneity needs far fewer determinants.  A set is homogeneous exactly
   when the (d+1) x n matrix with columns ``(1, p_i)`` has all its maximal
   minors nonzero of one sign, that is, up to the sign, when it is a point
@@ -39,8 +36,8 @@ Conventions:
   Zelevinsky, "Total positivity: tests and parametrizations", Math.
   Intelligencer 22, 2000): :func:`positivity_tests` gives them, 49 of the
   1,820 subsets at n = 16 in R^3, with the same Laplace step as the walk.
-  The rows of ``orientation_rows`` are then read only to name the first
-  failing subset of a set that is not homogeneous.
+  ``orientation_signs`` is then read only to name the first failing
+  subset of a set that is not homogeneous.
 * A hyperplane ``normal . x = offset`` has positive side
   ``normal . x > offset``.
 * One elimination, :func:`_bareiss`, serves :func:`det` and the screen's
@@ -61,7 +58,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction as Rational
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, Sequence, Tuple
 
 from .errors import InputError
 
@@ -326,65 +323,35 @@ def positivity_tests(X: PointSet) -> Iterator[Tuple[Tuple[int, ...], int]]:
             yield head + tuple(range(b, b + dim - a + 1)), minors[0]
 
 
-def orientation_rows(X: PointSet) -> Iterator[Tuple[Tuple[int, ...], List[int]]]:
-    """``(head, dets)`` for every dim-prefix ``head`` of X's (dim+1)-subsets,
-    1-based and in lexicographic order: ``dets[k]`` is the exact integer
-    determinant of :func:`orientation` for ``head + (head[-1] + 1 + k,)``,
-    read on X's cached integer lift, :attr:`PointSet.lifted`.
+def orientation_signs(X: PointSet) -> Iterator[Tuple[Tuple[int, ...], int]]:
+    """``(indices, sign)`` of every (dim+1)-subset of X, 1-based and in
+    lexicographic order; the sign is :func:`orientation` of the subset, read
+    on X's cached integer lift, :attr:`PointSet.lifted`.
 
-    The rows through point 1, the star, come from a depth-first walk over
-    the later points that carries the minors of the difference rows
-    ``p_j - p_1`` chosen so far (their exterior product) and adds a row with
-    :func:`_add_row`; at dim - 1 rows they are a cofactor vector, and a
-    tuple costs one integer dot product with its last row.  Every other row
-    is dim star rows added with alternating signs, plus one star entry.
-    Lazy at row granularity, so a caller can stop at the first row it
-    rejects; the star is kept, C(n - 1, dim) integers, and its rows are
-    handed out as stored, so callers must not change them.
+    Lazy, so a caller can stop at the first sign it rejects.  For each base
+    point i a depth-first walk over the later points carries the minors of
+    the difference rows ``p_j - p_i`` chosen so far (their exterior product)
+    and adds a row with :func:`_add_row`; at dim - 1 rows they are a
+    cofactor vector, and a tuple costs one integer dot product with its
+    last row.
     """
     dim, lifted, n = X.dim, X.lifted, len(X)
-    if n <= dim:
-        return
     laplace = _laplace(dim)
-    diffs = [[a - b for a, b in zip(q, lifted[0])] for q in lifted]
 
-    def walk(start, minors, head):
+    def walk(diffs, start, minors, head):
         if len(head) == dim:
             cofactors = [s * minors[u] for s, _, u in laplace[-1][0]]
-            yield head, [sum(map(operator.mul, cofactors, row)) for row in diffs[start:]]
+            for j in range(start, n):
+                yield head + (j + 1,), sign(sum(map(operator.mul, cofactors, diffs[j])))
             return
         # the next row, leaving enough later points to complete the tuple
         for j, row in enumerate(diffs[start:n - dim + len(head)], start):
-            yield from walk(j + 1, _add_row(laplace[len(head) - 1], minors, row),
+            yield from walk(diffs, j + 1, _add_row(laplace[len(head) - 1], minors, row),
                             head + (j + 1,))
 
-    star = {}
-    for head, dets in walk(1, [1], (1,)):
-        star[head] = dets
-        yield head, dets
-    # D(a) = sum over q of (-1)^q D(1, a without a_q), the Cramer relation:
-    # dropping a's last point gives a constant, dropping another a star row
-    for tail in itertools.combinations(range(2, n), dim):
-        base = (1,) + tail
-        const = star[base[:-1]][base[-1] - base[-2] - 1]
-        acc = itertools.repeat(-const if dim % 2 else const)
-        for q in range(dim):
-            head = base[:q + 1] + base[q + 2:]
-            acc = map(operator.sub if q % 2 else operator.add, acc,
-                      star[head][base[-1] - head[-1]:])
-        yield tail, list(acc)
-
-
-def orientation_signs(X: PointSet) -> Iterator[Tuple[Tuple[int, ...], int]]:
-    """``(indices, sign)`` of every (dim+1)-subset of X, 1-based and in
-    lexicographic order; the sign is :func:`orientation` of the subset.
-
-    The signs of :func:`orientation_rows`, lazy like them, and keeping the
-    same C(n - 1, dim) integers.
-    """
-    for head, dets in orientation_rows(X):
-        for j, value in enumerate(dets, head[-1] + 1):
-            yield head + (j,), sign(value)
+    for i in range(n - dim):
+        diffs = [[a - b for a, b in zip(q, lifted[i])] for q in lifted]
+        yield from walk(diffs, i + 1, [1], (i + 1,))
 
 
 def orientation(points: Sequence[Sequence], dim: int) -> int:

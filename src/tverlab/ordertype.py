@@ -14,8 +14,9 @@ violation (general position is part of the notion).  A homogeneous set is,
 up to the sign, a point of the totally positive Grassmannian, so it is
 accepted by a total-positivity test on (d+1)(n-d-1) + 1 orientation
 determinants (Gasca and Pena 1992; Fomin and Zelevinsky 2000), 49 of the
-1,820 at n = 16 in R^3; every (d+1)-subset is read, in lexicographic order,
-only to name the witness of a set the test rejects.
+1,820 at n = 16 in R^3; every (d+1)-subset is read, in lexicographic order
+by one depth-first walk from each base point, only to name the witness of a
+set the test rejects.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .kernel import (
     PointSet,
     Rational,
     orientation,  # noqa: F401 - bench/tracing.py wraps this import site
-    orientation_rows,
+    orientation_signs,
     positivity_tests,
     sign,
     to_rational,
@@ -131,13 +132,12 @@ def is_order_homogeneous(X: PointSet) -> HomogeneityResult:
     to the sign), so it is accepted on the k(n - k) + 1 determinants of
     :func:`~tverlab.kernel.positivity_tests`, k = dim + 1, when all are
     nonzero with the first one's sign: 49 of the 1,820 subsets at n = 16 in
-    R^3, and no orientation row is read.  Otherwise X is not homogeneous,
-    and the subsets come in lexicographic order, a row of determinants at a
-    time, from :func:`~tverlab.kernel.orientation_rows`, which reads X's
-    cached integer lift; a row whose determinants all have the first
-    subset's sign passes whole, and the check stops at the first zero or
-    mismatching sign.  That subset is the witness, after the first subset
-    and its sign on a mismatch.
+    R^3, and no other sign is read.  Otherwise X is not homogeneous, and
+    the signs of all subsets come in lexicographic order from
+    :func:`~tverlab.kernel.orientation_signs`, one walk from each base
+    point over X's cached integer lift; the check stops at the first zero
+    or mismatching sign.  That subset is the witness, after the first
+    subset and its sign on a mismatch.
     """
     if len(X) < X.dim + 1:
         return HomogeneityResult(homogeneous=True, sign=None, trivial=True)
@@ -146,18 +146,13 @@ def is_order_homogeneous(X: PointSet) -> HomogeneityResult:
     test_sign = sign(value)
     if test_sign and all(sign(v) == test_sign for _, v in tests):
         return HomogeneityResult(True, test_sign)
-    first: Optional[Tuple[Tuple[int, ...], int]] = None
-    for head, dets in orientation_rows(X):
-        if first is None:
-            first = (head + (head[-1] + 1,), sign(dets[0]))
-        if first[1] > 0 and min(dets) > 0 or first[1] < 0 and max(dets) < 0:
-            continue
-        for j, value in enumerate(dets, head[-1] + 1):
-            s = sign(value)
-            if s == 0:
-                return HomogeneityResult(False, None, witness=((head + (j,), 0),))
-            if s != first[1]:
-                return HomogeneityResult(False, None, witness=(first, (head + (j,), s)))
+    signs = orientation_signs(X)
+    first = next(signs)
+    for indices, s in itertools.chain([first], signs):
+        if s == 0:
+            return HomogeneityResult(False, None, witness=((indices, 0),))
+        if s != first[1]:
+            return HomogeneityResult(False, None, witness=(first, (indices, s)))
     raise InternalError("the positivity test rejected a homogeneous set")
 
 

@@ -36,7 +36,6 @@ from tverlab.kernel import (
     Rational,
     det,
     orientation,
-    orientation_rows,
     orientation_signs,
     positivity_tests,
 )
@@ -330,21 +329,6 @@ def test_orientation_signs_match_fraction_oracle(seed):
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_orientation_rows_are_exact_determinants(seed):
-    # every determinant, from the star or from the relation, is the Fraction
-    # determinant of its tuple times the product of the lift's column scales
-    for d, pts in homogeneity_cases(seed):
-        scale = math.prod(math.lcm(*(c.denominator for c in column)) for column in zip(*pts))
-        got = [(head + (j,), value) for head, dets in orientation_rows(PointSet(d, pts))
-               for j, value in enumerate(dets, head[-1] + 1)]
-        assert got == [
-            (tuple(i + 1 for i in combo),
-             scale * fraction_det([(Rational(1),) + pts[i] for i in combo]))
-            for combo in itertools.combinations(range(len(pts)), d + 1)
-        ]
-
-
-@pytest.mark.parametrize("seed", range(8))
 def test_homogeneity_matches_per_tuple_loop(seed):
     for d, pts in homogeneity_cases(seed):
         X = PointSet(d, pts)
@@ -472,47 +456,81 @@ def test_orientation_signs_are_lazy():
     assert first == [((1, 2, 3, 4, j), 1) for j in range(5, 15)]
 
 
+def count_signs(monkeypatch):
+    """The positivity test's subsets and the orientation signs that the
+    homogeneity check reads, in order."""
+    read = {"tests": [], "signs": []}
+    tests, signs = ordertype.positivity_tests, ordertype.orientation_signs
+
+    def counted(name, generator):
+        def wrapped(*args):
+            for indices, value in generator(*args):
+                read[name].append(indices)
+                yield indices, value
+        return wrapped
+
+    monkeypatch.setattr(ordertype, "positivity_tests", counted("tests", tests))
+    monkeypatch.setattr(ordertype, "orientation_signs", counted("signs", signs))
+    return read
+
+
 def test_homogeneity_stops_in_the_first_row(monkeypatch):
     # point 7 moved to the parameter 1/2 turns (1, 2, 3, 4, 7) negative; the
-    # check returns from the first row, not after the C(199, 4) star entries
+    # check stops at its third sign, not after all C(200, 5) of the set
     pts = list(moment_points(MomentSpec(4, range(200))).points)
     pts[6] = moment_points(MomentSpec(4, [Rational(1, 2)])).points[0]
-    heads, rows = [], ordertype.orientation_rows
-
-    def counted_rows(*args):
-        for head, dets in rows(*args):
-            heads.append(head)
-            yield head, dets
-
-    monkeypatch.setattr(ordertype, "orientation_rows", counted_rows)
+    read = count_signs(monkeypatch)
     result = is_order_homogeneous(PointSet(4, pts))
     assert result == oracle_homogeneity(pts, 4)
     assert result.witness == (((1, 2, 3, 4, 5), 1), ((1, 2, 3, 4, 7), -1))
-    assert heads == [(1, 2, 3, 4)]
+    assert read["signs"] == [(1, 2, 3, 4, 5), (1, 2, 3, 4, 6), (1, 2, 3, 4, 7)]
 
 
 def test_homogeneity_accepts_on_the_positivity_test(monkeypatch):
     # 200 moment points in R^4: accepted on 5 * 195 + 1 = 976 determinants,
-    # where the scan would read C(200, 5) = 2,535,650,040, and no orientation row
+    # where the scan would read C(200, 5) = 2,535,650,040, and no sign
     pts = list(moment_points(MomentSpec(4, range(200))).points)
-    tests, heads = [], []
-    positivity, rows = ordertype.positivity_tests, ordertype.orientation_rows
-
-    def counted_tests(*args):
-        for indices, value in positivity(*args):
-            tests.append(indices)
-            yield indices, value
-
-    def counted_rows(*args):
-        for head, dets in rows(*args):
-            heads.append(head)
-            yield head, dets
-
-    monkeypatch.setattr(ordertype, "positivity_tests", counted_tests)
-    monkeypatch.setattr(ordertype, "orientation_rows", counted_rows)
+    read = count_signs(monkeypatch)
     assert is_order_homogeneous(PointSet(4, pts)) == HomogeneityResult(True, 1)
-    assert len(tests) == 5 * 195 + 1 == 976
-    assert heads == []
+    assert len(read["tests"]) == 5 * 195 + 1 == 976
+    assert read["signs"] == []
+
+
+def pulled_moment_points(d, alphas, below):
+    """Moment points whose last point is moved down in the last coordinate
+    to ``below`` under the hyperplane through the d points before it.
+
+    That hyperplane meets the last point's vertical line at
+    ``a^d - prod(a - b)``, a the last parameter and b the d before it: the
+    monic polynomial of degree d that vanishes at them is the last
+    coordinate's height above the hyperplane.
+    """
+    pts = list(moment_points(MomentSpec(d, alphas)).points)
+    a = alphas[-1]
+    plane = a ** d - math.prod(a - b for b in alphas[-d - 1:-1])
+    pts[-1] = pts[-1][:-1] + (plane - below,)
+    return pts
+
+
+def test_homogeneity_names_the_last_subset_of_moved40():
+    # the installed-script CI set: 40 moment points in R^3, the last moved
+    # from z = 6859 to 6852, 1 under the plane of points 37-39 and above
+    # every other; its witness is the last of the 91,390 subsets
+    pts = pulled_moment_points(3, range(-20, 20), 1)
+    assert pts[-1] == (19, 361, 6852)
+    assert is_order_homogeneous(PointSet(3, pts)).witness == (
+        ((1, 2, 3, 4), 1), ((37, 38, 39, 40), -1))
+
+
+@pytest.mark.parametrize("d", range(2, 6))
+def test_homogeneity_witness_in_the_last_row(d):
+    # the last point pulled just across the hyperplane of its last window
+    # flips only the last subset of the walk from the last base point
+    n = 10
+    pts = pulled_moment_points(d, range(1, n + 1), Rational(1, 2))
+    result = is_order_homogeneous(PointSet(d, pts))
+    assert result == oracle_homogeneity(pts, d)
+    assert result.witness == ((tuple(range(1, d + 2)), 1), (tuple(range(n - d, n + 1)), -1))
 
 
 def test_orientation_signs_input_validation():
