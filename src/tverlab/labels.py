@@ -246,27 +246,39 @@ def iter_partitions(n: int, r: int, target: Optional[Target] = None) -> Iterator
     that ends in e with exactly one; each bound sets how many more letters
     of the block it leaves out are needed.  At a leaf no letters remain and
     the second bound is at most the first, so the cut yields exactly the
-    partitions that pass the block test and the pair bound's test."""
+    partitions that pass the block test and the pair bound's test.
+
+    The caller picks where ``best`` starts: one below a value to yield the
+    partitions that tie it too (``set_tolerance`` names the
+    lexicographically first maximum), or at it to yield only those that
+    could beat it (the value-only queries).  A node costs one pass over the
+    ordered pairs of blocks, listed once per enumeration."""
     target = target or Target(best=-2, runs=None)
     runs = target.runs
     thin = (runs - 1) // 2 if runs else 0
     labels, counts = [0] * n, [0] * r
     kept = [[(0,) * ((runs or 0) + 1)] * r for _ in range(r)]
+    pairs = list(itertools.permutations(range(r), 2)) if runs is not None else []
 
     def extend(i: int, used: int) -> Iterator[Partition]:
         best = target.best
         # no tolerance is below -1: to beat less, blocks need only be nonempty
         need = [(best + 2 + thin if best >= -1 else 1) - c for c in counts]
-        if runs is not None:
-            # all later e's extend the longest subsequence of at most runs
-            # runs ending in e without a new run, so f needs that many more
-            # to beat best; all later f's extend the one of at most runs - 1
-            # runs ending in e with one new run, so e needs that many more
-            for e, f in itertools.permutations(range(r), 2):
-                slack = best + 2 - counts[e] - counts[f]
-                need[f] = max(need[f], slack + kept[e][f][runs])
-                need[e] = max(need[e], slack + kept[e][f][runs - 1])
-        if sum(max(0, x) for x in need) > n - i:
+        # all later e's extend the longest subsequence of at most runs runs
+        # ending in e without a new run, so f needs that many more to beat
+        # best; all later f's extend the one of at most runs - 1 runs ending
+        # in e with one new run, so e needs that many more (comparisons, not
+        # max(): this loop is the node's cost)
+        for e, f in pairs:
+            longest = kept[e][f]
+            slack = best + 2 - counts[e] - counts[f]
+            more = slack + longest[runs]
+            if more > need[f]:
+                need[f] = more
+            more = slack + longest[runs - 1]
+            if more > need[e]:
+                need[e] = more
+        if sum([x for x in need if x > 0]) > n - i:
             return
         if i == n:
             yield Partition(n, r, [lab + 1 for lab in labels])

@@ -343,8 +343,8 @@ def t_line(n: int, r: int) -> int:
     All generic n-point line sets are order-isomorphic to 1..n, so the
     exhaustive maximum on 1..n is the universal value, for n <= T_LINE_GUARD.
     """
-    if n < r:
-        raise InputError(f"need n >= r, got n={n}, r={r}")
+    if n < r or r < 1:
+        raise InputError(f"t-line needs n >= r >= 1, got n={n}, r={r}")
     return set_tolerance_value(PointSet(1, [(i,) for i in range(1, n + 1)]), r, T_LINE_GUARD)
 
 

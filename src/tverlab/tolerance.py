@@ -9,7 +9,12 @@ base intersection is already empty has tolerance -1.
 
 ``set_tolerance`` maximizes over all partitions of the index set into r
 nonempty unordered blocks (block labels carry no meaning), skipping those
-that provably cannot beat the best so far.  Both searches are exact:
+that provably cannot beat the best so far.  Its branch and bound starts one
+below the alternating partition's tolerance, so it finds the
+lexicographically first maximum even where that ties the alternating one;
+the value-only queries (:func:`set_tolerance_value`, which ``t-line`` and
+``n-line`` run, and the sandwich check) start at that tolerance and look
+only for a partition that beats it.  Both searches are exact:
 removal sets are enumerated by increasing size, lexicographically within a
 size, and the first breaking set is reported, so reports are reproducible;
 breaking sets are upward closed (hulls only shrink when more points are
@@ -188,22 +193,32 @@ def set_tolerance(X: PointSet, r: int, budget: Optional[int] = None,
     (the enumeration is exponential); ``budget`` caps the per-partition
     removal search, in which case the result is a verified lower bound.
     """
-    partition, order, cap, found = _argmax(X, r, budget, guard, None)
+    partition, order, cap, found = _argmax(X, r, budget, guard, None, ties=True)
     return _report(partition, X, order, found, cap), partition
 
 
-def set_tolerance_value(X: PointSet, r: int, guard: int = PARTITION_GUARD) -> int:
-    """The value :func:`set_tolerance` reports, from the same search, with
-    no breaking set named where pairs decide."""
-    _, _, _, (value, _) = _argmax(X, r, None, guard, None)
+def set_tolerance_value(X: PointSet, r: int, guard: int = PARTITION_GUARD,
+                        homogeneity=None) -> int:
+    """The value :func:`set_tolerance` reports, found by a search only for a
+    partition that beats the alternating one, and with no breaking set named
+    where pairs decide.  ``homogeneity`` is X's :func:`is_order_homogeneous`
+    result when the caller already has it."""
+    _, _, _, (value, _) = _argmax(X, r, None, guard, homogeneity, ties=False)
     return value
 
 
-def _argmax(X, r, budget, guard, homogeneity):
-    """``(partition, order, cap, found)``: the lexicographically first
-    partition of the best capped tolerance, the run order and the cap it was
-    searched under, and its ``(value, breaking)`` as :func:`_tolerance`
-    gives them, for :func:`_report` to complete."""
+def _argmax(X, r, budget, guard, homogeneity, ties):
+    """``(partition, order, cap, found)``: a partition of the best capped
+    tolerance, the run order and the cap it was searched under, and its
+    ``(value, breaking)`` as :func:`_tolerance` gives them, for
+    :func:`_report` to complete.
+
+    The alternating partition's tolerance seeds the branch and bound.  With
+    ``ties`` the target starts one below it, so the partition is the
+    lexicographically first maximum, which may tie the seed.  Without, it
+    starts at the seed, so the enumeration yields only partitions that could
+    beat it, and the partition is the seed's where none does: the value is
+    the same, from fewer partitions."""
     n = len(X)
     if n < r:
         raise InputError(f"set tolerance needs |X| >= r, got {n} < {r}")
@@ -215,11 +230,12 @@ def _argmax(X, r, budget, guard, homogeneity):
     seed = _tolerance(alternating.labels, r, X, -2, cap, order)
     # a reversed run order has the same runs
     monotone = order in (tuple(range(n)), tuple(range(n - 1, -1, -1)))
-    target = Target(seed[0] - 1, X.dim + 1 if monotone else None)
+    target = Target(seed[0] - ties, X.dim + 1 if monotone else None)
 
     # one pass: a partition is recorded only when it beats every earlier one,
-    # so the last recorded is the lexicographically first maximum
-    found = None
+    # so with ties the last recorded is the lexicographically first maximum;
+    # without, the seed stands until one beats it
+    found = None if ties else (alternating, seed[1])
     for partition in iter_partitions(n, r, target):
         # the seed is the alternating partition's: where it beats target.best, a
         # scan from size 0 meets the first breaking set one from best + 1 would
@@ -283,14 +299,16 @@ def check_tolerance_sandwich(X: PointSet, r: int) -> SandwichReport:
     """The three terms of ``floor(n/r) - c_bound <= t(X,r) <= floor(n/r) -
     floor(d/2)`` on an order-type homogeneous set, with c replaced by
     :func:`alternating_bound` (a valid weakening of the lower bound); the
-    caller checks the two inequalities."""
+    caller checks the two inequalities.  t(X,r) is
+    :func:`set_tolerance_value`'s, handed the homogeneity result, so the
+    set's orientations are tested once."""
     n = len(X)
     if n < r:
         raise InputError("sandwich check needs |X| >= r")
     result = is_order_homogeneous(X)
     if not result.homogeneous:
         raise InputError("sandwich check requires an order-type homogeneous set")
-    _, _, _, (value, _) = _argmax(X, r, None, PARTITION_GUARD, result)
+    value = set_tolerance_value(X, r, homogeneity=result)
     lower = n // r - alternating_bound(X.dim, r)
     upper = tolerance_upper_bound(n, X.dim, r)
     return SandwichReport(t_value=value, lower_bound=lower, upper_bound=upper)

@@ -660,6 +660,15 @@ class TestCLI:
         assert (rec["claim"], rec["inputs"], rec["outcome"]) == (
             "TightD1", {"n": 7, "r": 2}, {"value": 2})
 
+    @pytest.mark.parametrize("n, r", [(3, 0), (3, -2), (2, 3)])
+    def test_t_line_checks_n_and_r(self, capsys, n, r):
+        # t-line checks both bounds itself, so its message names the command
+        # and not a helper that the search would reach with r < 1
+        code = main(["t-line", "-n", str(n), "-r", str(r)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"input error: t-line needs n >= r >= 1, got n={n}, r={r}\n"
+
     @pytest.mark.parametrize("flags, fields", [
         (["--cluster-count", "2", "--spread", "3"], {"kind": "clustered", "cluster_count": 2,
                                                       "spread": 3}),

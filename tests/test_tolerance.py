@@ -36,6 +36,7 @@ from tverlab.tolerance import (
     iter_partitions,
     partition_tolerance,
     set_tolerance,
+    set_tolerance_value,
     tolerance_upper_bound,
 )
 
@@ -609,6 +610,28 @@ class TestSetTolerance:
         assert rep.value == (n + 1) // r - 2
         assert count[0] == partitions
 
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_value_only_line_search_evaluates_the_seed_alone(self, monkeypatch, r):
+        # the value-only search looks only for a partition that beats the
+        # alternating one; on a line pairs decide and the cut is exact at
+        # the leaves, so none is yielded and only the seed is evaluated
+        yields, evaluated = [0], []
+        iter_partitions, evaluate = tolerance.iter_partitions, tolerance._tolerance
+
+        def counted(*args, **kwargs):
+            for partition in iter_partitions(*args, **kwargs):
+                yields[0] += 1
+                yield partition
+
+        def recorded(labels, *args):
+            evaluated.append(labels)
+            return evaluate(labels, *args)
+
+        monkeypatch.setattr(tolerance, "iter_partitions", counted)
+        monkeypatch.setattr(tolerance, "_tolerance", recorded)
+        assert set_tolerance_value(ONE_TO(12), r) == 13 // r - 2
+        assert (yields[0], evaluated) == (0, [alternating_partition(12, r).labels])
+
     @pytest.mark.parametrize("n, r, report, labels", [
         (9, 2, ToleranceReport(3, (1, 3, 5, 7), True), (1, 2, 1, 2, 1, 2, 1, 2, 1)),
         (12, 2, ToleranceReport(4, (3, 5, 7, 9, 11), True), (1, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1)),
@@ -776,6 +799,43 @@ class TestAgainstUnprunedScan:
             with screening(screened):
                 rep, part = set_tolerance(X, r, budget)
             assert (rep, part.labels) == expected
+
+
+@st.composite
+def value_sets(draw):
+    """``(X, r)``: n <= 9 points in R^d, d = 1..3, r = 1..4: a line in no
+    sorted order, with repeated values or without; a moment set, forwards or
+    backwards (on a line, sorted either way); or random rationals, whose
+    removal scans run LPs."""
+    d, r = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    n = draw(st.integers(r, 9))
+    value = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+    kind = draw(st.sampled_from(["line", "forwards", "backwards", "rationals"]))
+    if kind == "line":
+        # five values for up to nine points often repeat; unique ones come unsorted
+        pool = value if draw(st.booleans()) else st.integers(-2, 2)
+        values = draw(st.lists(pool, min_size=n, max_size=n, unique=pool is value))
+        return PointSet(1, [(v,) for v in values]), r
+    if kind == "rationals":
+        return PointSet(d, [tuple(draw(value) for _ in range(d)) for _ in range(n)]), r
+    alphas = sorted(draw(st.lists(value, min_size=n, max_size=n, unique=True)))
+    points = moment_points(MomentSpec(d, alphas)).points
+    return PointSet(d, points if kind == "forwards" else points[::-1]), r
+
+
+class TestValueOnly:
+    """The value-only search looks only for a partition that beats the
+    alternating one; it must find the value that the report's search, which
+    names the lexicographically first maximum, finds."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(value_sets())
+    def test_value_is_the_reported_value(self, case):
+        X, r = case
+        value = set_tolerance(X, r)[0].value
+        assert set_tolerance_value(X, r) == value
+        if is_order_homogeneous(X).homogeneous:
+            assert check_tolerance_sandwich(X, r).t_value == value
 
 
 def perturbed_moment_set(seed, n, d, sign):
@@ -968,14 +1028,17 @@ class TestPairBreakingSet:
 
 
 class TestBreakingSetsWherePrinted:
-    # the run DP made 148, 990 and 70 reads for these values when each
-    # named a breaking set and dropped it
+    # the run DP made 148, 990 and 70 reads for the first three values when
+    # each named a breaking set and dropped it, and 58, 443 and 37 (and
+    # 1,227 for t_line(14, 7)) when each also searched down to a partition
+    # that ties the alternating one, as set_tolerance does
     @pytest.mark.parametrize("value, expected, reads", [
-        (lambda: t_line(12, 3), 2, 58),
-        (lambda: n_line(3, 3), 14, 443),
+        (lambda: t_line(12, 3), 2, 13),
+        (lambda: n_line(3, 3), 14, 118),
         (lambda: check_tolerance_sandwich(moment_points(MomentSpec(3, range(1, 9))), 2).t_value,
-         1, 37),
-    ], ids=["t_line", "n_line", "sandwich"])
+         1, 13),
+        (lambda: t_line(14, 7), 0, 15),
+    ], ids=["t_line", "n_line", "sandwich", "t_line_14_7"])
     def test_value_only_callers_name_no_breaking_set(self, monkeypatch, value, expected, reads):
         calls = count_reads(monkeypatch)
         assert value() == expected
