@@ -413,8 +413,9 @@ def _claimed(record: ReportRecord) -> Optional[list]:
 
 def _replay_bound(record: ReportRecord) -> Optional[bool]:
     """Whether a record's certificate states the claim its own inputs and
-    outcome define and its evidence replays; None when the record carries no
-    certificate.  A certificate on a record that claims nothing proves
+    outcome define and its evidence replays; None when the record claims
+    nothing and carries no certificate.  A claim without a certificate is
+    unproved and fails; a certificate on a record that claims nothing proves
     nothing and fails, and so does a ``search-c`` record whose ``exact``
     label is not the one its d gives (:func:`_scan_exact`)."""
     cert = record.certificate
@@ -423,7 +424,7 @@ def _replay_bound(record: ReportRecord) -> Optional[bool]:
                 and record.outcome["exact"] is not _scan_exact(record.inputs["d"])):
             return False
         if cert is None:
-            return None
+            return None if _claimed(record) is None else False
         return (
             _claimed(record) == [cert["dim"], cert["blocks"], cert["status"]]
             and replay_record(record)

@@ -34,21 +34,27 @@ scaled to integers by the LCM of its own denominators
 sign and every ratio-test argmin, so the pivot path is that of the same
 simplex run on Fractions, where scaling row by row would change it.
 
-Hull intersection has two routes, which differ only in who proposes the
-basis; one exact reader turns a basis into its basic point where the
-phase-1 objective is zero and into its dual where it is not.
-:func:`hulls_common_point` runs the simplex above, whose final basis always
-reads, and returns a witness or a certificate, the only ones printed.
-:func:`screen` serves every other hull LP (the c(d,r) search and the
-tolerance removal scan): a float phase-1 simplex proposes the basis, whose
-point must be nonnegative or whose dual must replay as Farkas multipliers.
-Floats never decide: any doubt falls back to :func:`hulls_common_point`.
-Both passes do only the arithmetic that changes a value.  A float pivot
-updates, in place, the nonzero entries of its pivot row in the rows that
-meet the entering column; about half of a pivot row is zero.  An exact
-read takes the basis in its order, and its elimination is lazy
-(``kernel._bareiss``), leaving each row a pivot does not meet untouched
-until it is next read.
+Hull intersection has two routes.  :func:`hulls_common_point` runs the
+simplex above, whose final basis always reads, and returns a witness or a
+certificate, the only ones printed.  :func:`screen` serves every other hull
+LP (the c(d,r) search and the tolerance removal scan) with the exact-LP
+recipe of Applegate, Cook, Dash and Espinoza (*Oper. Res. Lett.* 35, 2007),
+on the blocks' differences.  Each block's first point is its key, whose
+coefficient is the block's total minus the others: the convexity row is a
+generalized upper bound (Dantzig and Van Slyke, *J. Comput. Syst. Sci.* 1,
+1967), and the chain rows become ``(r - 1) d`` rows of exact integer
+differences ``p - key``.  Each such row, and then each column, is divided by
+its largest entry on integers before any float is formed; a float phase-1
+simplex starts with every key basic in its convexity row, so only the chain
+rows carry artificials, and proposes a basis.  Where its objective reached
+zero, the basis is solved on the difference rows alone; where it did not,
+its dual on the canonical rows must replay as Farkas multipliers.  Floats
+never decide: any doubt falls back to :func:`hulls_common_point`.  Both
+passes do only the arithmetic that changes a value.  A float pivot updates,
+in place, the nonzero entries of its pivot row in the rows that meet the
+entering column; about half of a pivot row is zero.  An exact read takes
+the basis in its order, and its elimination is lazy (``kernel._bareiss``),
+leaving each row a pivot does not meet untouched until it is next read.
 
 The screen takes integer points.  Multiplying each coordinate by its own
 positive number is an invertible linear map, so it maps hulls onto hulls and
@@ -64,7 +70,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import islice, zip_longest
+from itertools import accumulate, islice, zip_longest
 from typing import Optional, Sequence, Tuple
 
 from .errors import InputError, InternalError
@@ -377,32 +383,125 @@ def screen(blocks, dim):
     integer Farkas multipliers for that system, replayed exactly; or None,
     unconfirmed either way.
 
-    :func:`_float_basis` proposes the basis.  Its dual is read with cost
-    ``L / s_i`` on the artificial of row i, the float pass's cost once its
-    rows are scaled back (s_i the row's equilibration scale, L their LCM):
-    the costs only make the replay likely to pass, and the replay decides.
+    Each block's first point is its key (see the module docstring); an
+    empty block's convexity row reads ``0 = 1``, its own Farkas vector.
+    :func:`_float_basis` proposes a basis from :func:`_float_start`, and
+    :func:`_key_read` reads one whose objective reached zero.  The dual of
+    any other basis, on the rows of :func:`intersection_system`, costs 0 on
+    the convexity rows and ``L / s_i`` on chain row i, s_i the signed scale
+    the float pass divided the row by and L their LCM: the float pass's
+    costs on the canonical rows, which only make the replay likely to pass;
+    the replay decides.
     """
-    rows, rhs = intersection_system(blocks, dim)
+    r = len(blocks)
+    for k, block in enumerate(blocks):
+        if not block:
+            return "infeasible", tuple(int(i == k) for i in range(r + (r - 1) * dim))
+    chains, rhs = _difference_system(blocks, dim)
     try:
-        proposed = _float_basis(rows, rhs)
+        tableau, start, scales = _float_start(blocks, chains, rhs)
     except OverflowError:
         return None
+    proposed = _float_basis(tableau, start)
     if proposed is None:
         return None
     basis, reached_zero = proposed
     if reached_zero:
-        read = _basic_point(rows, rhs, basis)
-        if read is None:
-            return None
-        support, y, _ = read
-        return "feasible", tuple(j for j, v in zip(support, y) if v)
-    scales = [_row_scale(row) for row in rows]
+        support = _key_read(blocks, chains, rhs, basis)
+        return None if support is None else ("feasible", support)
     lcm = math.lcm(*scales)
-    read = _basis_dual(rows, basis, [lcm // s for s in scales])
+    rows, _ = intersection_system(blocks, dim)
+    read = _basis_dual(rows, basis, [0] * r + [lcm // s for s in scales])
     if read is None:
         return None
     u = tuple(read[0])
     return ("infeasible", u) if _farkas_replays(u, blocks, dim) else None
+
+
+def _difference_system(blocks, dim):
+    """``(rows, rhs)``: the chain rows of :func:`intersection_system` with
+    each block's key q_k, its first point, eliminated by its convexity row.
+    Row c of blocks k and k + 1 holds ``(p - q_k)_c`` at each point p of
+    block k, ``(q_{k+1} - p)_c`` at each point of block k + 1, and the rhs
+    ``(q_{k+1} - q_k)_c``."""
+    n = sum(map(len, blocks))
+    offsets = list(accumulate(map(len, blocks), initial=0))
+    rows, rhs = [], []
+    for k in range(len(blocks) - 1):
+        here, there = blocks[k], blocks[k + 1]
+        for c in range(dim):
+            row = [0] * n
+            low, high = here[0][c], there[0][c]
+            for j, p in enumerate(here, offsets[k]):
+                row[j] = p[c] - low
+            for j, p in enumerate(there, offsets[k + 1]):
+                row[j] = high - p[c]
+            rows.append(row)
+            rhs.append(high - low)
+    return rows, rhs
+
+
+def _float_start(blocks, rows, rhs):
+    """``(tableau, basis, scales)``: the float phase 1's start on the
+    convexity rows and then the difference system ``rows``, each key basic
+    in its block's convexity row and an artificial, column n + i, in each
+    chain row i.  Each chain row is divided by its signed scale s_i, its
+    largest absolute entry with the sign of its rhs, and then each column by
+    its largest absolute entry in the chain rows so divided; a convexity row
+    holds the reciprocals of its columns' scales, a key's scale being 1.
+    Each float is one correctly rounded quotient of the exact integers, as
+    ``int / int`` rounds."""
+    n, r = sum(map(len, blocks)), len(blocks)
+    scales = [(max(map(abs, row)) or 1) * (-1 if b < 0 else 1) for row, b in zip(rows, rhs)]
+    # the column scale max_i |a_ij| / |s_i| as the fraction top / bottom
+    tops, bottoms = [1] * n, [1] * n
+    for j, column in enumerate(zip(*rows)):
+        top, bottom = 0, 1
+        for v, s in zip(column, scales):
+            if v and abs(v * bottom) > top * abs(s):
+                top, bottom = abs(v), abs(s)
+        if top:
+            tops[j], bottoms[j] = top, bottom
+    offsets = list(accumulate(map(len, blocks), initial=0))
+    tableau = []
+    for key, end in zip(offsets, offsets[1:]):
+        row = [0.0] * (n + 1)
+        for j in range(key, end):
+            row[j] = bottoms[j] / tops[j]
+        row[-1] = 1.0
+        tableau.append(row)
+    for row, b, s in zip(rows, rhs, scales):
+        tableau.append([v * bottom / (s * top) if v else 0.0
+                        for v, top, bottom in zip(row, tops, bottoms)] + [b / s])
+    return tableau, offsets[:-1] + list(range(n + r, n + len(tableau))), scales
+
+
+def _key_read(blocks, rows, rhs, basis):
+    """The support of the basic point of ``basis`` as columns of
+    :func:`intersection_system`, or None unless it is a unique common point.
+    Its columns S other than keys are solved, ``y = D x_S`` by
+    :func:`_exact_solution`, on the difference system ``rows`` and the
+    convexity row of each block whose key is not in the basis; each key's
+    coefficient is D minus the sum of its block's others."""
+    offsets = list(accumulate(map(len, blocks), initial=0))
+    keys = offsets[:-1]
+    owner = [k for k, block in enumerate(blocks) for _ in block]
+    inside = set(basis)
+    support = sorted(j for j in inside if j < len(owner) and j != keys[owner[j]])
+    aug = [[row[j] for j in support] + [b] for row, b in zip(rows, rhs)]
+    aug += [[int(owner[j] == k) for j in support] + [1]
+            for k, key in enumerate(keys) if key not in inside]
+    solved = _exact_solution(aug, len(support))
+    if solved is None:
+        return None
+    y, last = solved
+    left = [last] * len(blocks)
+    for j, v in zip(support, y):
+        left[owner[j]] -= v
+    if min(y, default=0) < 0 or min(left, default=0) < 0:
+        return None
+    return tuple(sorted([key for key, v in zip(keys, left) if v]
+                        + [j for j, v in zip(support, y) if v]))
 
 
 def _basic_point(rows, rhs, basis):
@@ -455,22 +554,18 @@ def _exact_solution(aug, width):
 
 
 #: float pivots at or below it, and reduced costs and objectives within it
-#: of zero, count as zero; rows are equilibrated to a largest entry of 1
+#: of zero, count as zero; the start's entries are at most 1 in a chain row
 _FLOAT_TOL = 1e-9
 
 
-def _row_scale(row):
-    """The float pass's equilibration scale of a row: its largest absolute
-    entry, 1 for a zero row."""
-    return max(map(abs, row), default=0) or 1
-
-
-def _float_basis(rows, rhs):
+def _float_basis(tableau, basis):
     """``(basis, reached_zero)`` at the end of a float phase-1 simplex
-    (Dantzig's rule) on ``A x = b`` with each row divided by its
-    :func:`_row_scale`: the basic columns of ``[A | I]``, column n + i the
-    artificial of row i, and whether the objective reached zero; None when
-    it hits its iteration cap.
+    (Dantzig's rule) on the rows ``[A | b]`` of ``tableau``, b >= 0, from
+    the start ``basis``: row i's basic column, a unit column of A, or n + i,
+    its artificial.  The objective is the sum of the artificials of the
+    start.  Returns the basic columns of ``[A | I]`` at the end, ``basis``
+    updated in place, and whether the objective reached zero; None when it
+    hits its iteration cap.
 
     Artificial columns never re-enter, so the tableau omits them.  A pivot
     collects the nonzero ``(column, value)`` pairs of its divided row once
@@ -479,19 +574,12 @@ def _float_basis(rows, rhs):
     update on every entry they change, so the same basis, signed zeros
     apart, which no comparison reads.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    tableau = []
-    for row, b in zip(rows, rhs):
-        # float() of an int rounds correctly, and raises OverflowError past
-        # the range
-        values = [float(v) for v in row]
-        values.append(float(b))
-        scale = float(_row_scale(row))
-        scale = scale if values[-1] >= 0 else -scale
-        tableau.append([v / scale for v in values])
-    obj = [-sum(column) for column in zip(*tableau)] if m else [0.0]
-    basis = list(range(n, n + m))
+    m = len(tableau)
+    n = len(tableau[0]) - 1 if m else 0
+    obj = [0.0] * (n + 1)
+    for row, j in zip(tableau, basis):
+        if j >= n:
+            obj = [v - w for v, w in zip(obj, row)]
     for _ in range(10 * (m + n) + 10):
         least = min(obj[:n], default=0.0)
         if least >= -_FLOAT_TOL:

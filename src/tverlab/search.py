@@ -27,9 +27,16 @@ yield identical results.
 A candidate is an integer draw, sorted with its repeats, and reaches the
 integer screen lifted straight to ints: the draw itself when no value
 repeats, else every split value times the denominator of the perturbation.
-Nearly every candidate is confirmed feasible there and builds no Rational;
-only the others take their :func:`alpha_candidates` parameters through the
-canonical simplex, which decides and certifies them.
+There each alternating block's first point, the moment point of its least
+parameter, is its key: the chain rows are exact integer differences of
+moment points from their block's key, each row and then each column is
+scaled on integers before floats are formed, a float phase 1 starts with
+every key basic in its block's convexity row, and a basis that reaches
+zero is read exactly on the difference rows alone
+(:func:`~tverlab.feasibility.screen`).  Nearly every candidate is confirmed
+feasible there and builds no Rational; only the others take their
+:func:`alpha_candidates` parameters through the canonical simplex, which
+decides and certifies them.
 """
 
 from __future__ import annotations

@@ -357,35 +357,45 @@ def fraction_orientation_signs(points, dim):
 
 
 # ---------------------------------------------------------------------------
-# the float phase-1 pass with dense row updates: every entry of every row
-# with a nonzero entering entry, and of the objective, at every pivot; the
-# screen's sparse pass must propose the same basis
+# the float phase-1 pass from the screen's key start, with dense row updates:
+# every entry of every row with a nonzero entering entry, and of the
+# objective, at every pivot; the screen's sparse pass must propose the same
+# basis
 
 #: the screen's float tolerance, as :data:`tverlab.feasibility._FLOAT_TOL`
 FLOAT_TOL = 1e-9
 
 
-def _row_scale(row):
-    return max(map(abs, row), default=0) or 1
-
-
-def dense_float_basis(rows, rhs):
+def dense_float_basis(rows, rhs, keys):
     """``(basis, reached_zero)`` at the end of a float phase-1 simplex
-    (Dantzig's rule) on ``A x = b`` with each row divided by its largest
-    absolute entry, or None at the iteration cap."""
-    m = len(rows)
+    (Dantzig's rule) on a hull system ``A x = b`` whose first rows are its
+    convexity rows, ``keys[k]`` a column of row k, or None at the iteration
+    cap.  The start, on Fractions: each key pivoted into its convexity row;
+    every other row divided by its largest absolute entry (1 for a zero
+    row), negated where its rhs is negative; every column divided by its
+    largest absolute entry in those rows (1 where they are all zero); each
+    entry then rounded to a float.  The keys are basic in the convexity rows
+    and artificials in the others, whose sum is the objective."""
+    r, m = len(keys), len(rows)
     n = len(rows[0]) if m else 0
-    tableau = []
-    for row, b in zip(rows, rhs):
-        # float() of an int rounds correctly, and raises OverflowError past
-        # the range
-        values = [float(v) for v in row]
-        values.append(float(b))
-        scale = float(_row_scale(row))
-        scale = scale if values[-1] >= 0 else -scale
-        tableau.append([v / scale for v in values])
-    obj = [-sum(column) for column in zip(*tableau)] if m else [0.0]
-    basis = list(range(n, n + m))
+    table = [[Rational(v) for v in row] + [Rational(b)] for row, b in zip(rows, rhs)]
+    for i, key in enumerate(keys):
+        pivot_row = table[i] = [v / table[i][key] for v in table[i]]
+        for h, row in enumerate(table):
+            f = row[key]
+            if h != i and f:
+                table[h] = [v - f * w for v, w in zip(row, pivot_row)]
+    for i in range(r, m):
+        scale = max(abs(v) for v in table[i][:n]) or ONE
+        scale = -scale if table[i][-1] < 0 else scale
+        table[i] = [v / scale for v in table[i]]
+    for j in range(n):
+        top = max((abs(table[i][j]) for i in range(r, m)), default=ZERO) or ONE
+        for row in table:
+            row[j] /= top
+    tableau = [[float(v) for v in row] for row in table]
+    obj = [-sum(column) for column in zip(*tableau[r:])] if m > r else [0.0] * (n + 1)
+    basis = list(keys) + list(range(n + r, n + m))
     for _ in range(10 * (m + n) + 10):
         entering = min(range(n), key=obj.__getitem__, default=-1)
         if entering < 0 or obj[entering] >= -FLOAT_TOL:

@@ -357,6 +357,29 @@ class TestCLI:
         # n=3 found, n=4 not found (no certificate), summary, figure 2, intersect
         assert verdicts == [True, None, True, True, True]
 
+    def test_verify_rejects_a_stripped_certificate(self, capsys, tmp_path):
+        # a record that claims something and carries no certificate fails
+        # (exit 1), an intersect record with its status flipped too; one
+        # that claims nothing keeps null
+        report = tmp_path / "report.jsonl"
+        for argv in (
+            ["search-c", "-d", "2", "-r", "2", "--n-from", "3", "--n-to", "4"],
+            ["verify-figure2"],
+            ["intersect", str(GOLDEN.parent.parent / "data" / "sixteen_point_c34.otps"),
+             "--alternating", "4"],
+        ):
+            code, _ = self.run(capsys, "--out", str(report), *argv)
+            assert code == 0
+        found, missed, summary, figure2, intersect = map(
+            json.loads, report.read_text().splitlines())
+        assert found["outcome"]["found"] is True and missed["certificate"] is None
+        flipped = json.loads(json.dumps(intersect))
+        flipped["outcome"]["status"] = "feasible"
+        for stripped in (found, figure2, intersect, flipped):
+            stripped["certificate"] = None
+            code, verdicts = self.verify_lines(capsys, tmp_path, [stripped, missed])
+            assert (code, verdicts) == (1, [False, None]), stripped["command"]
+
     def test_verify_binds_search_c_to_its_inputs(self, capsys, tmp_path):
         # the found n=3 record relabelled as n=4 still carries a certificate
         # that replays against the blocks stored inside it

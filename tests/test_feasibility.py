@@ -283,6 +283,17 @@ def verdict_status(verdict):
     return None if verdict is None else verdict[0]
 
 
+def key_columns(blocks):
+    """The column of each block's first point in the canonical system."""
+    return [sum(map(len, blocks[:k])) for k in range(len(blocks))]
+
+
+def float_start(blocks, d):
+    """The screen's float start on blocks of integer points: ``(tableau,
+    basis, scales)``."""
+    return feasibility._float_start(blocks, *feasibility._difference_system(blocks, d))
+
+
 class TestConfirmFeasible:
     """The integer screen, ``screen``, on lifted systems."""
 
@@ -378,10 +389,13 @@ class TestConfirmFeasible:
 
     def test_every_proposed_basis_is_checked_exactly(self, monkeypatch):
         # whatever basis the float pass proposes, the screen solves it on
-        # integers and decides only by an exact replay: each column subset
-        # of small lifted systems, infeasible ones among them, is proposed
-        # in turn, the structural ones as ending at zero and every subset of
-        # [A | I] as ending positive; a confirmation happens only where the
+        # integers and decides only by an exact replay: the float pass
+        # starts with each block's first column basic in its convexity row
+        # and an artificial in every chain row, and then each subset of
+        # [A | I] of small lifted systems, infeasible ones among them, is
+        # proposed in turn, those of at most m columns as ending at zero and
+        # every one as ending positive, with and without key columns and
+        # convexity artificials; a confirmation happens only where the
         # canonical simplex says feasible, and an infeasible verdict only
         # where it says infeasible
         rng = random.Random(7)
@@ -394,24 +408,29 @@ class TestConfirmFeasible:
                              for _ in range(rng.randint(1, 3))] for _ in range(2)])
         proposed = []
         tally = {None: 0, "feasible": 0, "infeasible": 0}
+        shapes = set()
         for blocks in systems:
             d = len(blocks[0][0])
             lifted = lift(blocks, d)
             rows, rhs = feasibility.intersection_system(lifted, d)
-            m, n = len(rows), len(rows[0])
+            m, n, r = len(rows), len(rows[0]), len(blocks)
+            keys = key_columns(blocks)
             feasible = hulls_common_point(blocks, d).feasible
             flagged = [(basis, True) for size in range(m + 1)
-                       for basis in itertools.combinations(range(n), size)]
+                       for basis in itertools.combinations(range(n + m), size)]
             flagged += [(basis, False) for size in range(n + m + 1)
                         for basis in itertools.combinations(range(n + m), size)]
             for basis, reached_zero in flagged:
-                def propose(*args, b=basis, z=reached_zero):
+                def propose(tableau, start, b=basis, z=reached_zero):
+                    assert start == keys + list(range(n + r, n + m))
                     proposed.append(b)
                     return list(b), z
 
                 monkeypatch.setattr(feasibility, "_float_basis", propose)
                 verdict = screen(lifted, d)
                 assert proposed[-1] == basis
+                shapes.add((reached_zero, any(j in keys for j in basis),
+                            any(n <= j < n + r for j in basis)))
                 tally[verdict_status(verdict)] += 1
                 if verdict is None:
                     continue
@@ -424,12 +443,19 @@ class TestConfirmFeasible:
                     assert not reached_zero and not feasible, (blocks, basis)
                     assert replays_densely(rows, rhs, evidence), (blocks, basis)
         assert all(tally.values()), tally
+        assert len(shapes) == 8, shapes
 
     def test_float_overflow_is_unconfirmed(self):
+        # rows and columns are scaled on integers before any float is
+        # formed, so coordinates past the float range still decide; an rhs
+        # past it, on a chain row of zeros, overflows and is unconfirmed
         big = 10 ** 400
         blocks = [[(big, 1), (-big, 1)], [(0, 1)]]
-        assert screen(blocks, 2) is None
+        assert screen(blocks, 2) == ("feasible", (0, 1, 2))
         assert hulls_common_point(blocks, 2).feasible
+        blocks = [[(big, 1)], [(0, 1)]]
+        assert screen(blocks, 2) is None
+        assert not hulls_common_point(blocks, 2).feasible
 
     def test_empty_systems(self):
         # no blocks: the empty system (m = 0) has the empty point; an empty
@@ -443,10 +469,10 @@ class TestConfirmFeasible:
 
 
 def float_pass_systems():
-    """Seeded ``(rows, rhs)`` hull systems on integer points: clustered
-    (3,4,16) search candidates, removal sets of partitions of moment sets at
-    (2,3,n) for n <= 12 and (3,3,9), random sets with repeated points, and
-    systems with no column, one row or no row."""
+    """Seeded ``(blocks, d)`` hull systems on integer points with no empty
+    block: clustered (3,4,16) search candidates, removal sets of partitions
+    of moment sets at (2,3,n) for n <= 12 and (3,3,9), random sets with
+    repeated points, and systems with one block or none."""
     rng = random.Random(29)
     block_sets = []
     for seed in range(3):
@@ -466,8 +492,9 @@ def float_pass_systems():
         pool = [tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(4)]
         pts = [rng.choice(pool) for _ in range(rng.randint(r, 10))]
         block_sets.append(([pts[k::r] for k in range(r)], d))
-    block_sets += [([[], []], 2), ([[]], 1), ([[(1, 2), (3, 4)]], 2), ([[(5,)]], 1), ([], 2)]
-    return [feasibility.intersection_system(blocks, d) for blocks, d in block_sets]
+    block_sets += [([[(1, 2), (3, 4)]], 2), ([[(5,)]], 1), ([], 2)]
+    # an empty block is decided before any float pass
+    return [(blocks, d) for blocks, d in block_sets if all(blocks)]
 
 
 def seeded_int_matrix(rng, rows, cols):
@@ -481,12 +508,16 @@ class TestSparseScreen:
     reads eliminate lazily; neither changes what it returns."""
 
     def test_float_pass_proposes_the_dense_basis(self):
-        # the same float operations on the same nonzero entries: the same
-        # basis and end state as the dense update, or None with it
+        # the start built from integer differences, with the same floats as
+        # pivoting each key into its convexity row and scaling on Fractions,
+        # and the same float operations on the same nonzero entries: the
+        # same basis and end state as the dense update, or None with it
         ends = set()
-        for rows, rhs in float_pass_systems():
-            proposed = feasibility._float_basis(rows, rhs)
-            assert proposed == dense_float_basis(rows, rhs), (rows, rhs)
+        for blocks, d in float_pass_systems():
+            proposed = feasibility._float_basis(*float_start(blocks, d)[:2])
+            rows, rhs = feasibility.intersection_system(blocks, d)
+            keys = key_columns(blocks)
+            assert proposed == dense_float_basis(rows, rhs, keys), (blocks, d)
             ends.add(None if proposed is None else proposed[1])
         assert {True, False} <= ends
 
@@ -527,22 +558,25 @@ class TestSparseScreen:
         # solution; the dual's system is square, so its D is |det|; the
         # bases include all-artificial ones and zero structural columns
         rng = random.Random(13)
-        systems = [feasibility.intersection_system(lift(blocks, d), d)
-                   for blocks, d in confirmation_cases()[::3]]
+        systems = [(lift(blocks, d), d) for blocks, d in confirmation_cases()[::3]]
+        # the screen decides an empty block before any read
+        systems = [(*feasibility.intersection_system(blocks, d), blocks if all(blocks) else None, d)
+                   for blocks, d in systems]
         for _ in range(30):
             m, n = rng.randint(1, 4), rng.randint(1, 6)
             rows = seeded_int_matrix(rng, m, n)
             for row in rows:
                 row[0] = 0
-            systems.append((rows, [rng.randint(-3, 3) for _ in range(m)]))
-        reads = {"primal": 0, "dual": 0}
-        for rows, rhs in systems:
+            systems.append((rows, [rng.randint(-3, 3) for _ in range(m)], None, None))
+        reads = {"primal": 0, "dual": 0, "key": 0}
+        for rows, rhs, blocks, d in systems:
             m, n = len(rows), len(rows[0])
             bases = [list(range(n, n + m))]
             bases += [rng.sample(range(n + m), m) for _ in range(6)]
-            proposed = feasibility._float_basis(rows, rhs)
-            if proposed is not None:
-                bases.append(proposed[0])
+            if blocks is not None:
+                proposed = feasibility._float_basis(*float_start(blocks, d)[:2])
+                if proposed is not None:
+                    bases.append(proposed[0])
             costs = [rng.randint(1, 4) for _ in range(m)]
             for basis in bases:
                 support = sorted(j for j in basis if j < n)
@@ -557,6 +591,14 @@ class TestSparseScreen:
                     support_read, y, last = read
                     assert support_read == support and last > 0
                     assert [Rational(v, last) for v in y] == expect, (rows, rhs, basis)
+                if blocks is not None:
+                    # on the difference system, the key read names the
+                    # support of the canonical read of the same basis
+                    key_read = feasibility._key_read(
+                        blocks, *feasibility._difference_system(blocks, d), basis)
+                    assert key_read == (None if read is None else tuple(
+                        j for j, v in zip(read[0], read[1]) if v)), (blocks, basis)
+                    reads["key"] += key_read is not None
                 dual = [[row[j] for row in rows] + [0] if j < n
                         else [int(i == j - n) for i in range(m)] + [costs[j - n]]
                         for j in basis]
@@ -568,7 +610,7 @@ class TestSparseScreen:
                     y, last = read
                     assert [Rational(v, last) for v in y] == expect, (rows, basis)
                     assert last == abs(fraction_det([row[:m] for row in dual])), (rows, basis)
-        assert min(reads.values()) >= 50, reads
+        assert min(reads["primal"], reads["dual"]) >= 50 and reads["key"] >= 25, reads
 
 
 class TestOracleEquivalence:

@@ -204,9 +204,10 @@ class TestIntegerCandidates:
         assert verify_outcome(res.blocks, res.outcome, 3)
 
     def test_screen_row_operations(self, monkeypatch):
-        # the screens of the 100 seed-1 (3,4,16) candidates: 3,176 bigint
-        # row operations, rescales included, where updating every row at
-        # every pivot, with unit pivots put first, made 5,400
+        # the screens of the 100 seed-1 (3,4,16) candidates: 1,663 bigint
+        # row operations, rescales included, where reading each basis on
+        # every canonical row made 3,176, and updating every row at every
+        # pivot, with unit pivots put first, 5,400
         operations = [0]
         update = kernel.fraction_free_update
 
@@ -218,7 +219,35 @@ class TestIntegerCandidates:
         monkeypatch.setattr(feasibility, "fraction_free_update", counted)
         res = find_counterexample(3, 4, 16, SearchStrategy(seed=1), budget=100)
         assert res == NoneFound(tried=100)
-        assert operations[0] <= 3_176
+        assert operations[0] <= 1_663
+
+    def test_key_start_counters(self, monkeypatch):
+        # the screens of the first 300 seed-1 candidates: at (4,3,14), 19
+        # unconfirmed, where the float start on every canonical row with its
+        # reads on every row left 73; at (3,4,16), every one confirmed in
+        # 4,987 bigint row operations, where that start made 9,598
+        import tverlab.search as searchmod
+
+        operations = [0]
+        update = kernel.fraction_free_update
+
+        def counted(*args):
+            operations[0] += 1
+            return update(*args)
+
+        monkeypatch.setattr(kernel, "fraction_free_update", counted)
+        monkeypatch.setattr(feasibility, "fraction_free_update", counted)
+        tally = {}
+        for d, r, n in ((4, 3, 14), (3, 4, 16)):
+            operations[0] = 0
+            unconfirmed = 0
+            for values in itertools.islice(
+                    searchmod.integer_draws(SearchStrategy(seed=1), n, r), 300):
+                blocks = searchmod._lifted_blocks(searchmod._lift(values), d, r)
+                unconfirmed += feasibility.screen(blocks, d) is None
+            tally[d, r, n] = unconfirmed, operations[0]
+        assert tally[4, 3, 14][0] == 19
+        assert tally[3, 4, 16] == (0, 4_987)
 
 
 def test_canonical_simplex_decides_every_unconfirmed_candidate(monkeypatch):
