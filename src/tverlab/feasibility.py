@@ -22,6 +22,9 @@ Farkas multipliers each times the LCM of their own denominators.  Every
 condition a replay checks is then the rational one with both of its sides
 multiplied by one positive number, which keeps each equality, each
 inequality and each sign, so the verdict is that of the rational check.
+Evidence already on its lift, with int coordinates and multipliers as
+``pointset_io`` decodes a payload, passes the gate and every lift
+unchanged: each of its scales is 1.
 
 The simplex pivots on an all-integer tableau ``T = [A | b]`` with a common
 denominator D (Edmonds/Bareiss integer pivoting, as in lrs): the rational
@@ -48,9 +51,10 @@ its largest entry on integers before any float is formed; a float phase-1
 simplex starts with every key basic in its convexity row, so only the chain
 rows carry artificials, and proposes a basis.  Where its objective reached
 zero, the basis is solved on the difference rows alone; where it did not,
-its dual on the canonical rows must replay as Farkas multipliers.  Floats
-never decide: any doubt falls back to :func:`hulls_common_point`.  Both
-passes do only the arithmetic that changes a value.  A float pivot updates,
+or that solve fails, its dual on the canonical rows must replay as Farkas
+multipliers.  Floats never decide: any doubt falls back to
+:func:`hulls_common_point`.  Both passes do only the arithmetic that
+changes a value.  A float pivot updates,
 in place, the nonzero entries of its pivot row in the rows that meet the
 entering column; about half of a pivot row is zero.  An exact read takes
 the basis in its order, and its elimination is lazy (``kernel._bareiss``),
@@ -79,10 +83,10 @@ from .kernel import (
     Rational,
     ZERO,
     _bareiss,
-    as_point,
     fraction_free_update,
     scale_columns,
     scale_to_integers,
+    to_rational,
 )
 
 # ---------------------------------------------------------------------------
@@ -251,12 +255,21 @@ class FarkasCertificate:
             return False
         u, _ = scale_to_integers(self.multipliers)
         lifted, scales = scale_columns([p for block in blocks for p in block])
-        top = math.lcm(*scales)
-        # with no points there are no scales, and no chain row is read
-        weights = [top] * r + [top // s for s in scales] * (r - 1)
         rows = iter(lifted)
-        return _farkas_replays([v * s for v, s in zip(u, weights)],
+        return _farkas_replays(weigh_multipliers(u, scales, r),
                                [list(islice(rows, len(block))) for block in blocks], dim)
+
+
+def weigh_multipliers(u, scales, r):
+    """Integer multipliers u of :func:`intersection_system` on r blocks, on
+    the lift of points whose coordinate c was multiplied by s_c: each times
+    S on the convexity rows and ``S / s_c`` on the chain rows of coordinate
+    c, S the LCM of the scales.  Then each column's ``u_k + w . p`` is
+    multiplied by S.  With no points there are no scales, and the chain
+    multipliers, which no column reads, keep their values."""
+    top = math.lcm(*scales)
+    weights = [top] * r + [top // s for s in scales] * (r - 1)
+    return [v * w for v, w in zip(u, weights)] + list(u[len(weights):])
 
 
 def _farkas_replays(u, blocks, dim) -> bool:
@@ -325,10 +338,12 @@ def intersection_system(blocks: Sequence[Sequence[Point]], dim: int):
 
 def _coerce_blocks(blocks, dim=None):
     """The one gate for blocks, to decide and to replay: rational points, at
-    least one block, one dimension of at least 1 (from the points if None)."""
+    least one block, one dimension of at least 1 (from the points if None).
+    An int coordinate stays an int, so a lift passes through unchanged."""
     coerced = []
     for block in blocks:
-        coerced.append([as_point(p) for p in block])
+        coerced.append([tuple([c if type(c) is int else to_rational(c) for c in p])
+                         for p in block])
     if not coerced:
         raise InputError("need at least one block")
     if dim is None:
@@ -387,11 +402,11 @@ def screen(blocks, dim):
     empty block's convexity row reads ``0 = 1``, its own Farkas vector.
     :func:`_float_basis` proposes a basis from :func:`_float_start`, and
     :func:`_key_read` reads one whose objective reached zero.  The dual of
-    any other basis, on the rows of :func:`intersection_system`, costs 0 on
-    the convexity rows and ``L / s_i`` on chain row i, s_i the signed scale
-    the float pass divided the row by and L their LCM: the float pass's
-    costs on the canonical rows, which only make the replay likely to pass;
-    the replay decides.
+    any other basis, and of one that read fails, on the rows of
+    :func:`intersection_system`, costs 0 on the convexity rows and
+    ``L / s_i`` on chain row i, s_i the signed scale the float pass divided
+    the row by and L their LCM: the float pass's costs on the canonical
+    rows, which only make the replay likely to pass; the replay decides.
     """
     r = len(blocks)
     for k, block in enumerate(blocks):
@@ -408,7 +423,8 @@ def screen(blocks, dim):
     basis, reached_zero = proposed
     if reached_zero:
         support = _key_read(blocks, chains, rhs, basis)
-        return None if support is None else ("feasible", support)
+        if support is not None:
+            return "feasible", support
     lcm = math.lcm(*scales)
     rows, _ = intersection_system(blocks, dim)
     read = _basis_dual(rows, basis, [0] * r + [lcm // s for s in scales])

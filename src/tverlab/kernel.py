@@ -35,7 +35,8 @@ Conventions:
   Neville elimination", Linear Algebra Appl. 165, 1992; Fomin and
   Zelevinsky, "Total positivity: tests and parametrizations", Math.
   Intelligencer 22, 2000): :func:`positivity_tests` gives them, 49 of the
-  1,820 subsets at n = 16 in R^3, with the same Laplace step as the walk.
+  1,820 subsets at n = 16 in R^3, with the same Laplace step as the walk,
+  and windows share their cofactors.
   ``orientation_signs`` is then read only to name the first failing
   subset of a set that is not homogeneous.
 * A hyperplane ``normal . x = offset`` has positive side
@@ -120,7 +121,7 @@ class PointSet:
         """The points with each coordinate column times the LCM of its
         denominators (:func:`scale_columns`): integers whose hulls meet, and
         whose orientations have signs, as the points' do."""
-        return tuple(map(tuple, scale_columns(self.points)[0]))
+        return tuple(scale_columns(self.points)[0])
 
 
 @dataclass(frozen=True)
@@ -164,22 +165,39 @@ def fraction_free_update(row, pivot_row, p, f, d, start=0):
     return [0] * start + tail if start else tail
 
 
+def lift(pairs):
+    """``(ints, scale)``: the rationals ``p / q`` of the ``(p, q)`` pairs times
+    the LCM of their denominators."""
+    scale = math.lcm(*[q for _, q in pairs])
+    return [p * (scale // q) for p, q in pairs], scale
+
+
 def scale_to_integers(values):
     """``(ints, scale)``: the rationals times the LCM of their denominators."""
-    scale = math.lcm(*[v.denominator for v in values])
-    return [v.numerator * (scale // v.denominator) for v in values], scale
+    return lift([v.as_integer_ratio() for v in values])
 
 
-def scale_columns(rows):
-    """``(int_rows, scales)``: every column of the rational rows times the LCM
-    of its own denominators, and those positive column scales.
+def lift_columns(rows):
+    """``(int_rows, scales)``: rows of ``(p, q)`` pairs with every column times
+    the LCM of its own denominators (:func:`lift`), as tuples, and those
+    positive column scales; rows of unequal lengths are an
+    :class:`InputError`.
 
     A positive column scale keeps the sign of every determinant it enters
     and of every combination of the column, so eliminations and pivot rules
     that read only signs and ratios within a column see the same choices.
     """
-    scaled = [scale_to_integers(column) for column in zip(*rows)]
-    return [list(row) for row in zip(*[ints for ints, _ in scaled])], [s for _, s in scaled]
+    if len(set(map(len, rows))) > 1:
+        raise InputError("rows of unequal lengths have no columns to lift")
+    scaled = [lift(column) for column in zip(*rows)]
+    if not scaled:
+        return [() for _ in rows], []
+    return list(zip(*[ints for ints, _ in scaled])), [s for _, s in scaled]
+
+
+def scale_columns(rows):
+    """:func:`lift_columns` of rational rows."""
+    return lift_columns([[v.as_integer_ratio() for v in row] for row in rows])
 
 
 def _bareiss(m, width):
@@ -294,10 +312,17 @@ def positivity_tests(X: PointSet) -> Iterator[Tuple[Tuple[int, ...], int]]:
     Zelevinsky, "Total positivity: tests and parametrizations", Math.
     Intelligencer 22, 2000).
 
-    For a >= 1 a determinant adds the window's rows ``p_j - p_1`` with
-    :func:`_add_row` to the minors of the rows over ``[2, a]``, which every
-    window of that a shares; for a = 0 it takes the d rows ``p_j - p_b``
-    from scratch.  At n = 16 in R^3 that is 49 of the 1,820 subsets.
+    Each determinant is a dot product of one row with the cofactors of the
+    other d - 1, and windows share cofactors.  With the steps ``e_j = p_(j+1)
+    - p_j`` (unimodular row operations keep every determinant), the window
+    {b, ..., b + d} (a = 0) has the rows e_b, ..., e_(b+d-1) and
+    {1} + {b, ..., b + d - 1} (a = 1) the rows ``p_b - p_1``, e_b, ...,
+    e_(b+d-2): the cofactors of e_b, ..., e_(b+d-2), one set per b from
+    :func:`_add_row`, serve both, the other row last for a = 0 and first
+    for a = 1, the sign (-1)^(d-1).  For a >= 2 a determinant adds the
+    window's rows ``p_j - p_1`` with :func:`_add_row` to the minors of the
+    rows over ``[2, a]``, which every window of that a shares.  At n = 16
+    in R^3 that is 49 of the 1,820 subsets.
     """
     dim, lifted, n = X.dim, X.lifted, len(X)
     if n <= dim:
@@ -309,12 +334,25 @@ def positivity_tests(X: PointSet) -> Iterator[Tuple[Tuple[int, ...], int]]:
     for m in range(dim):
         prefix.append(_add_row(laplace[m], prefix[-1], diffs[m + 1]))
     yield tuple(range(1, dim + 2)), prefix[dim][0]
-    for b in range(2, n - dim + 1):
-        minors, base = [1], lifted[b - 1]
-        for m in range(dim):
-            minors = _add_row(laplace[m], minors, [x - y for x, y in zip(lifted[b + m], base)])
-        yield tuple(range(b, b + dim + 1)), minors[0]
-    for a in range(1, dim + 1):
+    # the signed cofactors of d - 1 rows: a row's determinant with them
+    # below is one dot product, the last step of _add_row
+    last = laplace[-1][0]
+    steps = [[a - b for a, b in zip(q, p)] for p, q in zip(lifted, lifted[1:])]
+    # shared[b - 2]: the cofactors of e_b, ..., e_(b+d-2); e_j is steps[j - 1]
+    shared = []
+    for b in range(2, n - dim + 2):
+        minors = [1]
+        for m in range(dim - 1):
+            minors = _add_row(laplace[m], minors, steps[b + m - 1])
+        shared.append([s * minors[u] for s, _, u in last])
+        if b <= n - dim:
+            yield tuple(range(b, b + dim + 1)), sum(map(operator.mul, shared[-1],
+                                                        steps[b + dim - 2]))
+    flip = (-1) ** (dim - 1)
+    for b in range(3, n - dim + 2):
+        yield (1,) + tuple(range(b, b + dim)), flip * sum(map(operator.mul, shared[b - 2],
+                                                              diffs[b - 1]))
+    for a in range(2, dim + 1):
         head = tuple(range(1, a + 1))
         for b in range(a + 2, n - dim + a + 1):
             minors = prefix[a - 1]

@@ -13,15 +13,19 @@ produces a canonical byte-exact form.
 Reports are JSON lines, one self-contained record per line: a record that
 carries a certificate can be replayed later (by :func:`replay_record`) with
 nothing but the exact kernel and the feasibility engine.  Rationals appear
-in JSON as their canonical strings.
+in JSON as their canonical strings.  A payload is read back by ``int`` and
+a round trip that accept those alone, straight into the integer lift that
+its evidence replays on: no coordinate or multiplier becomes a Fraction.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
+from itertools import islice, starmap
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InputError, ParseError
@@ -30,29 +34,29 @@ from .feasibility import (
     FarkasCertificate,
     Witness,
     verify_outcome,
+    weigh_multipliers,
 )
-from .kernel import PointSet, Rational, to_rational
+from .kernel import PointSet, Rational, lift, lift_columns, to_rational
 
 #: ASCII digits only: ``\d`` (and ``Fraction``) would also read other scripts'
-#: decimal digits, such as U+0663 for 3.  Groups: the signed numerator, its
-#: digits, and the denominator if a ``/`` is present
-_RATIONAL_RE = re.compile(r"([+-]?([0-9]+))(?:/([1-9][0-9]*))?")
+#: decimal digits, such as U+0663 for 3.  Groups: the signed numerator and
+#: the denominator if a ``/`` is present
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([1-9][0-9]*))?")
 
 
-def _read_rational(token: str, text, line: Optional[int]):
-    """``(groups, value)`` of a token of :data:`_RATIONAL_RE`, its groups as
-    ``re.Match.groups`` gives them; any other token, or one with more digits
-    than the interpreter reads into an int (4,300 unless
+def _read_rational(token: str, text, line: Optional[int]) -> Rational:
+    """The value of a token of :data:`_RATIONAL_RE`; any other token, or one
+    with more digits than the interpreter reads into an int (4,300 unless
     ``sys.set_int_max_str_digits`` says otherwise), is a :class:`ParseError`
     naming ``text``."""
     match = _RATIONAL_RE.fullmatch(token)
     if match is None:
         raise ParseError(f"malformed rational {text!r}", line=line)
-    groups = numerator, _, denominator = match.groups()
+    numerator, denominator = match.groups()
     try:
         if denominator is None:
-            return groups, Rational(int(numerator))
-        return groups, Rational(int(numerator), int(denominator))
+            return Rational(int(numerator))
+        return Rational(int(numerator), int(denominator))
     except ValueError:
         raise ParseError(f"a number of {len(token)} characters has more digits than "
                          "Python reads into an int", line=line) from None
@@ -63,7 +67,7 @@ def parse_rational(text: str, line: Optional[int] = None) -> Rational:
     whitespace, a sign, leading zeros and common factors allowed."""
     if not isinstance(text, str):
         raise ParseError(f"a rational is a string, not {text!r}", line=line)
-    return _read_rational(text.strip(), text, line)[1]
+    return _read_rational(text.strip(), text, line)
 
 
 def format_rational(value) -> str:
@@ -96,7 +100,7 @@ def parse_pointset(text: str) -> PointSet:
             # the rational rule without a denominator: ASCII digits only
             if not all(_RATIONAL_RE.fullmatch(part) and "/" not in part for part in parts[1:]):
                 raise ParseError(f"non-integer header fields in {raw!r}", line=lineno)
-            dim, n = (int(_read_rational(part, raw, lineno)[1]) for part in parts[1:])
+            dim, n = (int(_read_rational(part, raw, lineno)) for part in parts[1:])
             if dim < 1 or n < 0:
                 raise ParseError(f"invalid header values dim={dim} n={n}", line=lineno)
             header = (dim, n)
@@ -148,34 +152,58 @@ def encode_points(points) -> List[List[str]]:
     return [[format_rational(c) for c in p] for p in points]
 
 
-def _decode(form, value):
-    """``value`` read as ``form`` and nothing else: ``Rational`` is a rational
-    string in canonical form, ``int`` a JSON integer (not a bool), and
-    ``(f,)`` and ``[f]`` a JSON list of ``f``, read as a tuple or a list."""
-    if form is Rational:
-        if isinstance(value, str):
-            # the form format_rational writes: no plus sign, no leading zero,
-            # no -0, and a denominator above 1 in lowest terms, if any
-            (numerator, digits, denominator), number = _read_rational(value, value, None)
-            if (numerator[0] != "+" and (digits[0] != "0" or numerator == "0")
-                    and (denominator is None or denominator != "1"
-                         and str(number.denominator) == denominator)):
-                return number
-    elif form is int:
-        if type(value) is int:
-            return value
-    elif type(value) is list:
-        return type(form)([_decode(form[0], item) for item in value])
+def _read_canonical(value):
+    """``(p, q)`` of a rational string in the form :func:`format_rational`
+    writes, by ``int`` and a round trip: t when ``str(int(t)) == t``, and
+    ``p/q`` when q > 1, ``f"{p}/{q}"`` is the token and p and q are coprime.
+    The round trip refuses what ``int`` reads leniently (+, _, whitespace,
+    other scripts' digits, leading zeros, -0); what ``int`` refuses, past
+    its digit limit too, is a :class:`ParseError` as well."""
+    if type(value) is str:
+        head, slash, tail = value.partition("/")
+        try:
+            p = int(head)
+            if not slash:
+                if str(p) == value:
+                    return p, 1
+            else:
+                q = int(tail)
+                if q > 1 and f"{p}/{q}" == value and math.gcd(p, q) == 1:
+                    return p, q
+        except ValueError:
+            pass
     raise ParseError(f"payload value {value!r} is not in canonical form")
 
 
-#: wire ``kind`` -> (evidence type, form of each of its fields, in the order
-#: :func:`outcome_payload` writes them after dim, blocks, status and kind)
+def _read_int(value):
+    """A JSON integer (not a bool), and nothing else."""
+    if type(value) is int:
+        return value
+    raise ParseError(f"payload value {value!r} is not in canonical form")
+
+
+def _list_of(read):
+    """The reader of a JSON list of what ``read`` reads, and nothing else."""
+    def read_list(value):
+        if type(value) is not list:
+            raise ParseError(f"payload value {value!r} is not in canonical form")
+        return list(map(read, value))
+    return read_list
+
+
+#: a list of rationals, each read as its ``(p, q)`` (:func:`_read_canonical`)
+_RATIONALS = _list_of(_read_canonical)
+
+#: wire ``kind`` -> (evidence type, the reader of each of its fields, in the
+#: order :func:`outcome_payload` writes them after dim, blocks, status and kind)
 EVIDENCE_KINDS = {
-    "witness": (Witness, {"point": (Rational,), "coefficients": ((Rational,),)}),
-    "farkas": (FarkasCertificate, {"multipliers": (Rational,)}),
-    "empty-block": (EmptyBlockCertificate, {"block_index": int}),
+    "witness": (Witness, {"point": _RATIONALS, "coefficients": _list_of(_RATIONALS)}),
+    "farkas": (FarkasCertificate, {"multipliers": _RATIONALS}),
+    "empty-block": (EmptyBlockCertificate, {"block_index": _read_int}),
 }
+
+#: the readers of the fields every payload has
+_PAYLOAD_FIELDS = {"dim": _read_int, "blocks": _list_of(_list_of(_RATIONALS))}
 
 
 def outcome_payload(blocks, dim: int, outcome) -> Dict:
@@ -188,18 +216,38 @@ def outcome_payload(blocks, dim: int, outcome) -> Dict:
 
 
 def payload_outcome(payload: Dict):
-    """Decode a payload back into ``(blocks, dim, evidence)``; any other
-    form than :func:`outcome_payload` writes is a :class:`ParseError`."""
+    """Decode a payload into ``(blocks, dim, evidence)`` on the integer lift
+    its evidence replays on, from the ints read: each coordinate column, a
+    witness's point with its blocks, times the LCM of its denominators
+    (:func:`~tverlab.kernel.lift_columns`, which refuses points of unequal
+    lengths), and the Farkas multipliers times the LCM of theirs, weighted
+    by :func:`~tverlab.feasibility.weigh_multipliers`; the replay's own lift
+    is then the identity.  Any other form than :func:`outcome_payload`
+    writes is a :class:`ParseError`."""
     kind = payload.get("kind") if isinstance(payload, dict) else None
     if not isinstance(kind, str) or kind not in EVIDENCE_KINDS:
         raise ParseError(f"unknown certificate kind {kind!r}")
     evidence, fields = EVIDENCE_KINDS[kind]
     try:
-        values = {name: _decode(form, payload[name])
-                  for name, form in {"dim": int, "blocks": [[(Rational,)]], **fields}.items()}
+        values = {name: read(payload[name])
+                  for name, read in {**_PAYLOAD_FIELDS, **fields}.items()}
     except KeyError as exc:
         raise ParseError(f"payload has no field {exc}") from None
-    return values.pop("blocks"), values.pop("dim"), evidence(**values)
+    blocks, dim = values.pop("blocks"), values.pop("dim")
+    points = [p for block in blocks for p in block]
+    if evidence is Witness:
+        points.append(values["point"])
+    lifted, scales = lift_columns(points)
+    rows = iter(lifted)
+    lifted_blocks = [list(islice(rows, len(block))) for block in blocks]
+    if evidence is Witness:
+        values["point"] = next(rows)
+        values["coefficients"] = tuple(tuple(starmap(Rational, block))
+                                       for block in values["coefficients"])
+    elif evidence is FarkasCertificate:
+        u, _ = lift(values["multipliers"])
+        values["multipliers"] = tuple(weigh_multipliers(u, scales, len(blocks)))
+    return lifted_blocks, dim, evidence(**values)
 
 
 def replay_payload(payload: Dict) -> bool:

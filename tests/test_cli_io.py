@@ -15,7 +15,7 @@ from tverlab.errors import InputError, InternalError, ParseError
 from tverlab.kernel import PointSet, Rational
 from tverlab.pointset_io import (
     ReportRecord,
-    _decode,
+    _read_canonical,
     emit_pointset,
     format_rational,
     jsonable,
@@ -31,6 +31,7 @@ from tverlab.feasibility import (
     FarkasCertificate,
     Witness,
     hulls_common_point,
+    verify_outcome,
 )
 from tverlab.search import sixteen_point_alphas
 from tverlab.ordertype import MomentSpec, moment_points
@@ -40,6 +41,32 @@ TOLERANCE_GOLDEN = json.loads((GOLDEN / "tolerance.json").read_text())
 COMMANDS_GOLDEN = json.loads((GOLDEN / "commands.json").read_text())
 #: the lenient rational rule as one anchored regex, on the stripped token
 OLD_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[1-9][0-9]*)?$")
+
+#: (blocks, dim, their evidence, its lift as the payload decoder gives it),
+#: each lift written out by hand
+CODEC_CASES = [
+    ([[(0, 0), (1, 1)], [(1, 0), (0, 1)]], 2,
+     Witness((Rational(1, 2), Rational(1, 2)), ((Rational(1, 2),) * 2,) * 2),
+     [[(0, 0), (2, 2)], [(2, 0), (0, 2)]],
+     Witness((1, 1), ((Rational(1, 2),) * 2,) * 2)),
+    ([[(0,), (1,)], [(2,), (3,)]], 1, FarkasCertificate((-1, 2, 1)),
+     [[(0,), (1,)], [(2,), (3,)]], FarkasCertificate((-1, 2, 1))),
+    ([[(0, 0)], []], 2, EmptyBlockCertificate(2), [[(0, 0)], []], EmptyBlockCertificate(2)),
+    # column scales 34 and 255, the witness point's 17s among them
+    ([[(0, 0), (1, Rational(2, 3))], [(Rational(1, 2), 0), (0, Rational(4, 5))]], 2,
+     Witness((Rational(6, 17), Rational(4, 17)),
+             ((Rational(11, 17), Rational(6, 17)), (Rational(12, 17), Rational(5, 17)))),
+     [[(0, 0), (34, 170)], [(17, 0), (0, 204)]],
+     Witness((12, 60), ((Rational(11, 17), Rational(6, 17)),
+                        (Rational(12, 17), Rational(5, 17))))),
+    # column scales 4 and 6, S = 12: the convexity rows times 12, the
+    # chain rows of the first coordinate times 3 and of the second times 2
+    ([[(0, Rational(1, 6)), (Rational(1, 2), 1)], [(Rational(3, 4), 0), (2, 2)],
+      [(0, Rational(-5, 3))]], 2, FarkasCertificate((10, 10, 10, 10, -60, -49, -6)),
+     [[(0, 1), (2, 6)], [(3, 0), (8, 12)], [(0, -10)]],
+     FarkasCertificate((120, 120, 120, 30, -120, -147, -12))),
+]
+
 #: the witness payload of the square's diagonals, which cross at (1/2, 1/2)
 WITNESS_PAYLOAD = {
     "dim": 2, "blocks": [[["0", "0"], ["1", "1"]], [["1", "0"], ["0", "1"]]],
@@ -77,29 +104,32 @@ class TestRationalFormat:
             assert value == Rational(token) and type(value) is Rational
 
     @given(st.from_regex(r"[+-]?[0-9]{1,6}(/[0-9]{1,4})?", fullmatch=True)
-           | st.text("+-/0123456789 \n\u0661", max_size=8))
+           | st.text("+-/0123456789_ \n\u0661", max_size=8))
     @settings(max_examples=300, deadline=None)
     def test_payload_decoder_accepts_what_the_round_trip_did(self, value):
         # canonical is what str(Fraction) writes back unchanged, as the
-        # decoder once tested by a round trip
+        # decoder once tested by a Fraction round trip; it reads the
+        # numerator and denominator of that Fraction
         stripped = value.strip()
         canonical = bool(OLD_RATIONAL_RE.match(stripped)) and str(Rational(stripped)) == value
         try:
-            decoded = _decode(Rational, value)
+            decoded = _read_canonical(value)
         except ParseError:
             assert not canonical, value
         else:
-            assert canonical and decoded == Rational(value), value
+            number = Rational(value)
+            assert canonical and decoded == (number.numerator, number.denominator), value
 
     def test_payload_decoder_refuses_other_forms(self):
         assert replay_payload(WITNESS_PAYLOAD) is True
         for value in ("+3", "03", "-0", "0/5", "3/1", "2/4", "-2/4", "-03/4", " 3", "3\n",
-                      "\u0661", "1/\u0662", 3, None, ["3"]):
+                      "\u0661", "1/\u0662", "1_0", "-1_0/3", "3/1_1", 3, None, ["3"]):
             with pytest.raises(ParseError):
-                _decode(Rational, value)
+                _read_canonical(value)
             assert replay_payload({**WITNESS_PAYLOAD, "point": [value, "1/2"]}) is False
         for value in ("0", "3", "-3", "1/2", "-7/12", "10/3"):
-            assert _decode(Rational, value) == Rational(value)
+            number = Rational(value)
+            assert _read_canonical(value) == (number.numerator, number.denominator)
 
     def test_numbers_past_the_int_digit_limit_are_parse_errors(self, tmp_path):
         # int and Fraction read at most 4,300 digits from a string
@@ -229,16 +259,22 @@ class TestRecords:
         )
         assert replay_record(rec) is False
 
-    @pytest.mark.parametrize("blocks, dim, kind", [
-        ([[(0, 0), (1, 1)], [(1, 0), (0, 1)]], 2, Witness),
-        ([[(0,), (1,)], [(2,), (3,)]], 1, FarkasCertificate),
-        ([[(0, 0)], []], 2, EmptyBlockCertificate),
-    ])
-    def test_evidence_codec_round_trip(self, blocks, dim, kind):
-        evidence = hulls_common_point(blocks, dim)
-        assert isinstance(evidence, kind)
-        payload = json.loads(json.dumps(outcome_payload(blocks, dim, evidence)))
-        assert payload_outcome(payload) == (blocks, dim, evidence)
+    @pytest.mark.parametrize(
+        "blocks, dim, evidence, lifted_blocks, lifted", CODEC_CASES,
+        ids=[f"blocks{i}-{case[1]}-{type(case[2]).__name__}"
+             for i, case in enumerate(CODEC_CASES)])
+    def test_evidence_codec_round_trip(self, blocks, dim, evidence, lifted_blocks, lifted):
+        # the decoder gives, from ints, the lift that the replays make of the
+        # Fraction evidence: every coordinate column, a witness's point with
+        # its blocks, times the LCM of its denominators, and the multipliers
+        # times the LCM of theirs, then weighted by the column scales
+        found = hulls_common_point(blocks, dim)
+        assert found == evidence
+        payload = json.loads(json.dumps(outcome_payload(blocks, dim, found)))
+        decoded = payload_outcome(payload)
+        assert decoded == (lifted_blocks, dim, lifted)
+        assert all(type(c) is int for block in decoded[0] for p in block for c in p)
+        assert verify_outcome(decoded[0], decoded[2], dim)
 
     def test_farkas_replay_builds_no_system(self, monkeypatch):
         # the replay reads the layout column by column: the sixteen-point
@@ -255,6 +291,10 @@ class TestRecords:
         huge = {"dim": 10 ** 12, "blocks": [[], []], "status": "infeasible",
                 "kind": "farkas", "multipliers": ["1", "1"]}
         assert replay_payload(huge) is False
+        # with no point each convexity row reads 0 = 1: multipliers of the
+        # right count with a positive convexity sum prove it, chain ones too
+        pointless = {**huge, "dim": 2, "multipliers": ["1", "1", "0", "-5"]}
+        assert replay_payload(pointless) is True
 
     def test_record_without_certificate(self):
         rec = ReportRecord(command="t-line", inputs={}, claim=None, outcome={})
@@ -500,6 +540,8 @@ class TestCLI:
         # a value is refused unless it is in the form outcome_payload writes:
         # JSON integers where ints belong, canonical rational strings
         rows += [(witness, "point", [0, 0]), (witness, "point", ["2/4", "1/2"])]
+        # and a point with another number of coordinates than the blocks'
+        rows += [(witness, "point", ["1/2"])]
         rows += [(empty, "block_index", value) for value in (2.7, "2", True)]
         for base, key, value in rows:
             forged = json.loads(json.dumps(base))
@@ -513,8 +555,10 @@ class TestCLI:
         for value in (None, 7, "farkas", [payload], {"kind": ["farkas"]}):
             assert replay_payload(value) is False, value
         # payloads that decode but state blocks hulls_common_point refuses:
-        # no block at all, or a dim below 1
+        # no block at all, a dim below 1, or points with no coordinate (which
+        # must stay points: as empty blocks each would read 0 = 1)
         gated = [{**witness, "blocks": [], "coefficients": []}, {**empty, "dim": -3}]
+        gated += [{**payload, "dim": 1, "blocks": [[[]], [[]]], "multipliers": ["1", "1", "0"]}]
         gated += [{**payload, "dim": dim, "blocks": [[], []], "multipliers": ["1", "1"]}
                   for dim in (-3, 0)]
         for forged in gated:

@@ -345,11 +345,25 @@ def rectangle_sets(n, k):
     return sets
 
 
+def smallest_cases(seed):
+    """Sets of d + 1 and d + 2 points in d = 1..5, where the windows of a = 0
+    and of a = 1 number none or one each: seeded mixed-denominator points
+    and moment points."""
+    rng = random.Random(seed)
+    for d in range(1, 6):
+        for n in (d + 1, d + 2):
+            yield d, [tuple(Rational(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(d))
+                      for _ in range(n)]
+            q = rng.randint(1, 5)
+            alphas = [a / q for a in seeded_increasing_alphas(seed * 10 + d, n, -9, 9)]
+            yield d, list(moment_points(MomentSpec(d, alphas)).points)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_positivity_tests_are_exact_determinants(seed):
     # k(n - k) + 1 subsets, each with the Fraction determinant of its tuple
     # times the product of the lift's column scales
-    for d, pts in homogeneity_cases(seed):
+    for d, pts in itertools.chain(homogeneity_cases(seed), smallest_cases(seed)):
         scale = math.prod(math.lcm(*(c.denominator for c in column)) for column in zip(*pts))
         sets = rectangle_sets(len(pts), d + 1)
         assert len(sets) == (d + 1) * (len(pts) - d - 1) + 1

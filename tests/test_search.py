@@ -222,10 +222,12 @@ class TestIntegerCandidates:
         assert operations[0] <= 1_663
 
     def test_key_start_counters(self, monkeypatch):
-        # the screens of the first 300 seed-1 candidates: at (4,3,14), 19
+        # the screens of the first 300 seed-1 candidates: at (4,3,14), 17
         # unconfirmed, where the float start on every canonical row with its
-        # reads on every row left 73; at (3,4,16), every one confirmed in
-        # 4,987 bigint row operations, where that start made 9,598
+        # reads on every row left 73, and the key start without the dual
+        # read of a zero-ended basis whose primal read fails left 19; at
+        # (3,4,16), every one confirmed in 4,987 bigint row operations, where
+        # the canonical start made 9,598
         import tverlab.search as searchmod
 
         operations = [0]
@@ -246,7 +248,7 @@ class TestIntegerCandidates:
                 blocks = searchmod._lifted_blocks(searchmod._lift(values), d, r)
                 unconfirmed += feasibility.screen(blocks, d) is None
             tally[d, r, n] = unconfirmed, operations[0]
-        assert tally[4, 3, 14][0] == 19
+        assert tally[4, 3, 14][0] == 17
         assert tally[3, 4, 16] == (0, 4_987)
 
 
