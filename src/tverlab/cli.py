@@ -63,6 +63,7 @@ from .pointset_io import (
     jsonable,
     load_records,
     outcome_payload,
+    parse_int,
     parse_pointset,
     parse_rational,
     replay_record,
@@ -136,8 +137,8 @@ def _parse_blocks(spec: str, n: int) -> Partition:
         if not part:
             continue
         try:
-            blocks.append([int(tok) for tok in part.split(",") if tok.strip()])
-        except ValueError:
+            blocks.append([parse_int(tok) for tok in part.split(",") if tok.strip()])
+        except ParseError:
             raise InputError(f"block spec {part!r} is not a comma list of indices")
     return Partition.from_blocks(n, blocks)
 
@@ -501,9 +502,9 @@ def _cmd_verify(args, hand):
 def build_parser() -> argparse.ArgumentParser:
     # global flags are accepted both before and after the subcommand
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+    common.add_argument("--seed", type=parse_int, default=argparse.SUPPRESS,
                         help="search seed")
-    common.add_argument("--budget", type=int, default=argparse.SUPPRESS,
+    common.add_argument("--budget", type=parse_int, default=argparse.SUPPRESS,
                         help="candidate budget")
     common.add_argument("--format", choices=("json", "table"),
                         default=argparse.SUPPRESS)
@@ -533,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     # a command's alternative flags (its input sources, its modes) are one
     # exclusive group: two of them exit 2
     p = command("gen", _cmd_gen, "moment-curve points from parameters")
-    p.add_argument("-d", "--dim", type=int, required=True)
+    p.add_argument("-d", "--dim", type=parse_int, required=True)
     source = p.add_mutually_exclusive_group()
     source.add_argument("--alphas", help="comma-separated rationals")
     source.add_argument("--alphas-file", help="whitespace-separated rationals")
@@ -544,12 +545,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expect", choices=("homogeneous", "violation"))
 
     p = command("facets", _cmd_facets, "cyclic-polytope facets (Gale evenness)")
-    p.add_argument("-d", "--dim", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-d", "--dim", type=parse_int, required=True)
+    p.add_argument("-n", type=parse_int, required=True)
 
     p = command("neighborly", _cmd_neighborly, "floor(d/2)-neighborliness check")
-    p.add_argument("-d", "--dim", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-d", "--dim", type=parse_int, required=True)
+    p.add_argument("-n", type=parse_int, required=True)
 
     p = command("crossings", _cmd_crossings, "path-hyperplane crossing count")
     p.add_argument("pointset")
@@ -560,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pointset")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--blocks", help="e.g. '1,4;2,5;3'")
-    mode.add_argument("--alternating", type=int, metavar="R")
+    mode.add_argument("--alternating", type=parse_int, metavar="R")
     p.add_argument("--expect", choices=("feasible", "infeasible"))
 
     p = command("tolerance", _cmd_tolerance, "partition or set tolerance",
@@ -568,37 +569,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pointset")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--blocks")
-    mode.add_argument("--alternating", type=int, metavar="R")
+    mode.add_argument("--alternating", type=parse_int, metavar="R")
     mode.add_argument("--set", dest="set_mode", action="store_true",
                       help="maximize over all r-partitions")
     mode.add_argument("--sandwich", action="store_true",
                       help="check the homogeneous-set tolerance sandwich")
-    p.add_argument("-r", type=int, help="number of blocks; --set and --sandwich need it")
+    p.add_argument("-r", type=parse_int, help="number of blocks; --set and --sandwich need it")
 
     p = command("bounds", _cmd_bounds, "threshold/tolerance bound formulas")
     p.add_argument("--kind", choices=("lemma32", "even-d", "prop41"), required=True)
-    p.add_argument("-d", "--dim", type=int, required=True)
-    p.add_argument("-r", type=int, required=True)
-    p.add_argument("-n", type=int)
+    p.add_argument("-d", "--dim", type=parse_int, required=True)
+    p.add_argument("-r", type=parse_int, required=True)
+    p.add_argument("-n", type=parse_int)
 
     # the scan records the seed its candidate stream drew from
     p = command("search-c", _cmd_search_c, "scan n for alternating counterexamples",
                 reads={"seed": 0, "budget": searchmod.DEFAULT_BUDGET})
-    p.add_argument("-d", "--dim", type=int, required=True)
-    p.add_argument("-r", type=int, required=True)
-    p.add_argument("--n-from", type=int, required=True)
-    p.add_argument("--n-to", type=int, required=True)
+    p.add_argument("-d", "--dim", type=parse_int, required=True)
+    p.add_argument("-r", type=parse_int, required=True)
+    p.add_argument("--n-from", type=parse_int, required=True)
+    p.add_argument("--n-to", type=parse_int, required=True)
     p.add_argument("--strategy", choices=("clustered",), default="clustered")
-    p.add_argument("--cluster-count", type=int)
-    p.add_argument("--spread", type=int)
+    p.add_argument("--cluster-count", type=parse_int)
+    p.add_argument("--spread", type=parse_int)
 
     p = command("t-line", _cmd_t_line, "exact t(n, 1, r)")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-r", type=int, required=True)
+    p.add_argument("-n", type=parse_int, required=True)
+    p.add_argument("-r", type=parse_int, required=True)
 
     p = command("n-line", _cmd_n_line, "least n on the line with tolerance t")
-    p.add_argument("-t", type=int, required=True)
-    p.add_argument("-r", type=int, required=True)
+    p.add_argument("-t", type=parse_int, required=True)
+    p.add_argument("-r", type=parse_int, required=True)
 
     p = command("verify-figure2", _cmd_verify_sixteen,
                 "verify the 16-point witness for c(3,4) >= 17")

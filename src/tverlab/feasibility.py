@@ -22,9 +22,8 @@ Farkas multipliers each times the LCM of their own denominators.  Every
 condition a replay checks is then the rational one with both of its sides
 multiplied by one positive number, which keeps each equality, each
 inequality and each sign, so the verdict is that of the rational check.
-Evidence already on its lift, with int coordinates and multipliers as
-``pointset_io`` decodes a payload, passes the gate and every lift
-unchanged: each of its scales is 1.
+The replay is the one place evidence is lifted: it takes the evidence, and
+the blocks, as rationals, as they were found or decoded from a payload.
 
 The simplex pivots on an all-integer tableau ``T = [A | b]`` with a common
 denominator D (Edmonds/Bareiss integer pivoting, as in lrs): the rational
@@ -54,11 +53,11 @@ zero, the basis is solved on the difference rows alone; where it did not,
 or that solve fails, its dual on the canonical rows must replay as Farkas
 multipliers.  Floats never decide: any doubt falls back to
 :func:`hulls_common_point`.  Both passes do only the arithmetic that
-changes a value.  A float pivot updates,
-in place, the nonzero entries of its pivot row in the rows that meet the
-entering column; about half of a pivot row is zero.  An exact read takes
-the basis in its order, and its elimination is lazy (``kernel._bareiss``),
-leaving each row a pivot does not meet untouched until it is next read.
+changes a value.  A float pivot updates, in place, the nonzero entries of
+its pivot row in the rows that meet the entering column.  An exact read
+takes the basis in its order, and its elimination is lazy
+(``kernel._bareiss``), leaving each row a pivot does not meet untouched
+until it is next read.
 
 The screen takes integer points.  Multiplying each coordinate by its own
 positive number is an invertible linear map, so it maps hulls onto hulls and
@@ -255,21 +254,12 @@ class FarkasCertificate:
             return False
         u, _ = scale_to_integers(self.multipliers)
         lifted, scales = scale_columns([p for block in blocks for p in block])
+        top = math.lcm(*scales)
+        # with no points there are no scales, and no chain row is read
+        weights = [top] * r + [top // s for s in scales] * (r - 1)
         rows = iter(lifted)
-        return _farkas_replays(weigh_multipliers(u, scales, r),
+        return _farkas_replays([v * w for v, w in zip(u, weights)],
                                [list(islice(rows, len(block))) for block in blocks], dim)
-
-
-def weigh_multipliers(u, scales, r):
-    """Integer multipliers u of :func:`intersection_system` on r blocks, on
-    the lift of points whose coordinate c was multiplied by s_c: each times
-    S on the convexity rows and ``S / s_c`` on the chain rows of coordinate
-    c, S the LCM of the scales.  Then each column's ``u_k + w . p`` is
-    multiplied by S.  With no points there are no scales, and the chain
-    multipliers, which no column reads, keep their values."""
-    top = math.lcm(*scales)
-    weights = [top] * r + [top // s for s in scales] * (r - 1)
-    return [v * w for v, w in zip(u, weights)] + list(u[len(weights):])
 
 
 def _farkas_replays(u, blocks, dim) -> bool:
@@ -339,7 +329,8 @@ def intersection_system(blocks: Sequence[Sequence[Point]], dim: int):
 def _coerce_blocks(blocks, dim=None):
     """The one gate for blocks, to decide and to replay: rational points, at
     least one block, one dimension of at least 1 (from the points if None).
-    An int coordinate stays an int, so a lift passes through unchanged."""
+    An int coordinate stays an int: integer blocks, as the search and the
+    removal scan pass them, become no Fractions."""
     coerced = []
     for block in blocks:
         coerced.append([tuple([c if type(c) is int else to_rational(c) for c in p])

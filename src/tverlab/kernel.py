@@ -165,39 +165,23 @@ def fraction_free_update(row, pivot_row, p, f, d, start=0):
     return [0] * start + tail if start else tail
 
 
-def lift(pairs):
-    """``(ints, scale)``: the rationals ``p / q`` of the ``(p, q)`` pairs times
-    the LCM of their denominators."""
+def scale_to_integers(values):
+    """``(ints, scale)``: the rationals times the LCM of their denominators."""
+    pairs = [v.as_integer_ratio() for v in values]
     scale = math.lcm(*[q for _, q in pairs])
     return [p * (scale // q) for p, q in pairs], scale
 
 
-def scale_to_integers(values):
-    """``(ints, scale)``: the rationals times the LCM of their denominators."""
-    return lift([v.as_integer_ratio() for v in values])
-
-
-def lift_columns(rows):
-    """``(int_rows, scales)``: rows of ``(p, q)`` pairs with every column times
-    the LCM of its own denominators (:func:`lift`), as tuples, and those
-    positive column scales; rows of unequal lengths are an
-    :class:`InputError`.
+def scale_columns(rows):
+    """``(int_rows, scales)``: every column of the rational rows times the LCM
+    of its own denominators, as tuples, and those positive column scales.
 
     A positive column scale keeps the sign of every determinant it enters
     and of every combination of the column, so eliminations and pivot rules
     that read only signs and ratios within a column see the same choices.
     """
-    if len(set(map(len, rows))) > 1:
-        raise InputError("rows of unequal lengths have no columns to lift")
-    scaled = [lift(column) for column in zip(*rows)]
-    if not scaled:
-        return [() for _ in rows], []
+    scaled = [scale_to_integers(column) for column in zip(*rows)]
     return list(zip(*[ints for ints, _ in scaled])), [s for _, s in scaled]
-
-
-def scale_columns(rows):
-    """:func:`lift_columns` of rational rows."""
-    return lift_columns([[v.as_integer_ratio() for v in row] for row in rows])
 
 
 def _bareiss(m, width):

@@ -13,9 +13,10 @@ produces a canonical byte-exact form.
 Reports are JSON lines, one self-contained record per line: a record that
 carries a certificate can be replayed later (by :func:`replay_record`) with
 nothing but the exact kernel and the feasibility engine.  Rationals appear
-in JSON as their canonical strings.  A payload is read back by ``int`` and
-a round trip that accept those alone, straight into the integer lift that
-its evidence replays on: no coordinate or multiplier becomes a Fraction.
+in JSON as their canonical strings.  A payload is read back, by ``int`` and
+a round trip that accept those alone, to exactly the blocks, dim and
+evidence it was written from; the evidence lifts itself to integers in its
+own replay.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from itertools import islice, starmap
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InputError, ParseError
@@ -34,9 +34,8 @@ from .feasibility import (
     FarkasCertificate,
     Witness,
     verify_outcome,
-    weigh_multipliers,
 )
-from .kernel import PointSet, Rational, lift, lift_columns, to_rational
+from .kernel import PointSet, Rational, to_rational
 
 #: ASCII digits only: ``\d`` (and ``Fraction``) would also read other scripts'
 #: decimal digits, such as U+0663 for 3.  Groups: the signed numerator and
@@ -70,6 +69,18 @@ def parse_rational(text: str, line: Optional[int] = None) -> Rational:
     return _read_rational(text.strip(), text, line)
 
 
+def parse_int(text: str, line: Optional[int] = None) -> int:
+    """An integer from a token of ASCII digits with an optional sign,
+    surrounding whitespace and leading zeros allowed: :func:`parse_rational`'s
+    rule without a denominator, where ``int`` would also read underscores
+    and other scripts' digits."""
+    token = text.strip()
+    match = _RATIONAL_RE.fullmatch(token)
+    if match is None or match[2] is not None:
+        raise ParseError(f"{text!r} is not an integer", line=line)
+    return int(_read_rational(token, text, line))
+
+
 def format_rational(value) -> str:
     """``p/q`` or a bare integer in lowest terms; a number with more digits
     than the interpreter writes from an int (``sys.get_int_max_str_digits``)
@@ -97,10 +108,7 @@ def parse_pointset(text: str) -> PointSet:
                 raise ParseError(
                     f"expected header 'otps <dim> <n>', got {raw!r}", line=lineno
                 )
-            # the rational rule without a denominator: ASCII digits only
-            if not all(_RATIONAL_RE.fullmatch(part) and "/" not in part for part in parts[1:]):
-                raise ParseError(f"non-integer header fields in {raw!r}", line=lineno)
-            dim, n = (int(_read_rational(part, raw, lineno)) for part in parts[1:])
+            dim, n = (parse_int(part, lineno) for part in parts[1:])
             if dim < 1 or n < 0:
                 raise ParseError(f"invalid header values dim={dim} n={n}", line=lineno)
             header = (dim, n)
@@ -153,23 +161,24 @@ def encode_points(points) -> List[List[str]]:
 
 
 def _read_canonical(value):
-    """``(p, q)`` of a rational string in the form :func:`format_rational`
-    writes, by ``int`` and a round trip: t when ``str(int(t)) == t``, and
-    ``p/q`` when q > 1, ``f"{p}/{q}"`` is the token and p and q are coprime.
-    The round trip refuses what ``int`` reads leniently (+, _, whitespace,
-    other scripts' digits, leading zeros, -0); what ``int`` refuses, past
-    its digit limit too, is a :class:`ParseError` as well."""
+    """The rational a string in the form :func:`format_rational` writes
+    stands for, checked by ``int`` and a round trip: the int t when
+    ``str(int(t)) == t``, and ``Rational(p, q)`` when q > 1, ``f"{p}/{q}"``
+    is the token and p and q are coprime.  The round trip refuses what
+    ``int`` reads leniently (+, _, whitespace, other scripts' digits,
+    leading zeros, -0); what ``int`` refuses, past its digit limit too, is a
+    :class:`ParseError` as well."""
     if type(value) is str:
         head, slash, tail = value.partition("/")
         try:
             p = int(head)
             if not slash:
                 if str(p) == value:
-                    return p, 1
+                    return p
             else:
                 q = int(tail)
                 if q > 1 and f"{p}/{q}" == value and math.gcd(p, q) == 1:
-                    return p, q
+                    return Rational(p, q)
         except ValueError:
             pass
     raise ParseError(f"payload value {value!r} is not in canonical form")
@@ -183,15 +192,16 @@ def _read_int(value):
 
 
 def _list_of(read):
-    """The reader of a JSON list of what ``read`` reads, and nothing else."""
+    """The reader of a JSON list of what ``read`` reads, as a tuple, and of
+    nothing else."""
     def read_list(value):
         if type(value) is not list:
             raise ParseError(f"payload value {value!r} is not in canonical form")
-        return list(map(read, value))
+        return tuple(map(read, value))
     return read_list
 
 
-#: a list of rationals, each read as its ``(p, q)`` (:func:`_read_canonical`)
+#: a point, or a list of coefficients or multipliers (:func:`_read_canonical`)
 _RATIONALS = _list_of(_read_canonical)
 
 #: wire ``kind`` -> (evidence type, the reader of each of its fields, in the
@@ -216,14 +226,9 @@ def outcome_payload(blocks, dim: int, outcome) -> Dict:
 
 
 def payload_outcome(payload: Dict):
-    """Decode a payload into ``(blocks, dim, evidence)`` on the integer lift
-    its evidence replays on, from the ints read: each coordinate column, a
-    witness's point with its blocks, times the LCM of its denominators
-    (:func:`~tverlab.kernel.lift_columns`, which refuses points of unequal
-    lengths), and the Farkas multipliers times the LCM of theirs, weighted
-    by :func:`~tverlab.feasibility.weigh_multipliers`; the replay's own lift
-    is then the identity.  Any other form than :func:`outcome_payload`
-    writes is a :class:`ParseError`."""
+    """The ``(blocks, dim, evidence)`` a payload of :func:`outcome_payload`
+    was written from: each JSON list a tuple, each rational an int or a
+    :class:`Rational`.  Any other form is a :class:`ParseError`."""
     kind = payload.get("kind") if isinstance(payload, dict) else None
     if not isinstance(kind, str) or kind not in EVIDENCE_KINDS:
         raise ParseError(f"unknown certificate kind {kind!r}")
@@ -233,21 +238,7 @@ def payload_outcome(payload: Dict):
                   for name, read in {**_PAYLOAD_FIELDS, **fields}.items()}
     except KeyError as exc:
         raise ParseError(f"payload has no field {exc}") from None
-    blocks, dim = values.pop("blocks"), values.pop("dim")
-    points = [p for block in blocks for p in block]
-    if evidence is Witness:
-        points.append(values["point"])
-    lifted, scales = lift_columns(points)
-    rows = iter(lifted)
-    lifted_blocks = [list(islice(rows, len(block))) for block in blocks]
-    if evidence is Witness:
-        values["point"] = next(rows)
-        values["coefficients"] = tuple(tuple(starmap(Rational, block))
-                                       for block in values["coefficients"])
-    elif evidence is FarkasCertificate:
-        u, _ = lift(values["multipliers"])
-        values["multipliers"] = tuple(weigh_multipliers(u, scales, len(blocks)))
-    return lifted_blocks, dim, evidence(**values)
+    return values.pop("blocks"), values.pop("dim"), evidence(**values)
 
 
 def replay_payload(payload: Dict) -> bool:

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tverlab
-from tverlab.cli import main
+from tverlab.cli import build_parser, main
 from tverlab.errors import InputError, InternalError, ParseError
 from tverlab.kernel import PointSet, Rational
 from tverlab.pointset_io import (
@@ -20,6 +22,7 @@ from tverlab.pointset_io import (
     format_rational,
     jsonable,
     outcome_payload,
+    parse_int,
     parse_pointset,
     parse_rational,
     payload_outcome,
@@ -31,7 +34,6 @@ from tverlab.feasibility import (
     FarkasCertificate,
     Witness,
     hulls_common_point,
-    verify_outcome,
 )
 from tverlab.search import sixteen_point_alphas
 from tverlab.ordertype import MomentSpec, moment_points
@@ -42,30 +44,24 @@ COMMANDS_GOLDEN = json.loads((GOLDEN / "commands.json").read_text())
 #: the lenient rational rule as one anchored regex, on the stripped token
 OLD_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[1-9][0-9]*)?$")
 
-#: (blocks, dim, their evidence, its lift as the payload decoder gives it),
-#: each lift written out by hand
+#: (blocks, dim, the evidence hulls_common_point finds on them); each JSON
+#: list decodes as a tuple, so the blocks are written as tuples
 CODEC_CASES = [
-    ([[(0, 0), (1, 1)], [(1, 0), (0, 1)]], 2,
-     Witness((Rational(1, 2), Rational(1, 2)), ((Rational(1, 2),) * 2,) * 2),
-     [[(0, 0), (2, 2)], [(2, 0), (0, 2)]],
-     Witness((1, 1), ((Rational(1, 2),) * 2,) * 2)),
-    ([[(0,), (1,)], [(2,), (3,)]], 1, FarkasCertificate((-1, 2, 1)),
-     [[(0,), (1,)], [(2,), (3,)]], FarkasCertificate((-1, 2, 1))),
-    ([[(0, 0)], []], 2, EmptyBlockCertificate(2), [[(0, 0)], []], EmptyBlockCertificate(2)),
+    ((((0, 0), (1, 1)), ((1, 0), (0, 1))), 2,
+     Witness((Rational(1, 2), Rational(1, 2)), ((Rational(1, 2),) * 2,) * 2)),
+    ((((0,), (1,)), ((2,), (3,))), 1, FarkasCertificate((-1, 2, 1))),
+    ((((0, 0),), ()), 2, EmptyBlockCertificate(2)),
     # column scales 34 and 255, the witness point's 17s among them
-    ([[(0, 0), (1, Rational(2, 3))], [(Rational(1, 2), 0), (0, Rational(4, 5))]], 2,
+    ((((0, 0), (1, Rational(2, 3))), ((Rational(1, 2), 0), (0, Rational(4, 5)))), 2,
      Witness((Rational(6, 17), Rational(4, 17)),
-             ((Rational(11, 17), Rational(6, 17)), (Rational(12, 17), Rational(5, 17)))),
-     [[(0, 0), (34, 170)], [(17, 0), (0, 204)]],
-     Witness((12, 60), ((Rational(11, 17), Rational(6, 17)),
-                        (Rational(12, 17), Rational(5, 17))))),
-    # column scales 4 and 6, S = 12: the convexity rows times 12, the
-    # chain rows of the first coordinate times 3 and of the second times 2
-    ([[(0, Rational(1, 6)), (Rational(1, 2), 1)], [(Rational(3, 4), 0), (2, 2)],
-      [(0, Rational(-5, 3))]], 2, FarkasCertificate((10, 10, 10, 10, -60, -49, -6)),
-     [[(0, 1), (2, 6)], [(3, 0), (8, 12)], [(0, -10)]],
-     FarkasCertificate((120, 120, 120, 30, -120, -147, -12))),
+             ((Rational(11, 17), Rational(6, 17)), (Rational(12, 17), Rational(5, 17))))),
+    # column scales 4 and 6, S = 12: the replay weighs the convexity rows
+    # by 12, the chain rows of the first coordinate by 3 and of the second by 2
+    ((((0, Rational(1, 6)), (Rational(1, 2), 1)), ((Rational(3, 4), 0), (2, 2)),
+      ((0, Rational(-5, 3)),)), 2, FarkasCertificate((10, 10, 10, 10, -60, -49, -6))),
 ]
+CODEC_IDS = [f"blocks{i}-{case[1]}-{type(case[2]).__name__}"
+             for i, case in enumerate(CODEC_CASES)]
 
 #: the witness payload of the square's diagonals, which cross at (1/2, 1/2)
 WITNESS_PAYLOAD = {
@@ -84,6 +80,20 @@ class TestRationalFormat:
         for bad in ("0.5", "1/0", "1/-2", "a", "", "1 / 2", "\u0663", "1/\u0662"):
             with pytest.raises(ParseError):
                 parse_rational(bad)
+
+    @given(st.text("+-/0123456789_ \t\u0663", max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_parse_int_reads_a_sign_and_ascii_digits(self, token):
+        # the rule of the otps header, the --blocks indices and every
+        # integer flag: what int reads besides, such as _ and U+0663, is a
+        # ParseError
+        try:
+            value = parse_int(token)
+        except ParseError:
+            assert not re.fullmatch(r"[+-]?[0-9]+", token.strip())
+        else:
+            assert re.fullmatch(r"[+-]?[0-9]+", token.strip()) and value == int(token)
+            assert type(value) is int
 
     def test_canonical_lowest_terms(self):
         assert format_rational(Rational(2, 4)) == "1/2"
@@ -108,8 +118,8 @@ class TestRationalFormat:
     @settings(max_examples=300, deadline=None)
     def test_payload_decoder_accepts_what_the_round_trip_did(self, value):
         # canonical is what str(Fraction) writes back unchanged, as the
-        # decoder once tested by a Fraction round trip; it reads the
-        # numerator and denominator of that Fraction
+        # decoder once tested by a Fraction round trip; it reads that
+        # Fraction, as an int when it is one
         stripped = value.strip()
         canonical = bool(OLD_RATIONAL_RE.match(stripped)) and str(Rational(stripped)) == value
         try:
@@ -117,8 +127,8 @@ class TestRationalFormat:
         except ParseError:
             assert not canonical, value
         else:
-            number = Rational(value)
-            assert canonical and decoded == (number.numerator, number.denominator), value
+            assert canonical and decoded == Rational(value), value
+            assert type(decoded) is (Rational if "/" in value else int), value
 
     def test_payload_decoder_refuses_other_forms(self):
         assert replay_payload(WITNESS_PAYLOAD) is True
@@ -127,9 +137,10 @@ class TestRationalFormat:
             with pytest.raises(ParseError):
                 _read_canonical(value)
             assert replay_payload({**WITNESS_PAYLOAD, "point": [value, "1/2"]}) is False
-        for value in ("0", "3", "-3", "1/2", "-7/12", "10/3"):
-            number = Rational(value)
-            assert _read_canonical(value) == (number.numerator, number.denominator)
+        for value, number in (("0", 0), ("3", 3), ("-3", -3), ("1/2", Rational(1, 2)),
+                              ("-7/12", Rational(-7, 12)), ("10/3", Rational(10, 3))):
+            decoded = _read_canonical(value)
+            assert decoded == number and type(decoded) is type(number), value
 
     def test_numbers_past_the_int_digit_limit_are_parse_errors(self, tmp_path):
         # int and Fraction read at most 4,300 digits from a string
@@ -186,11 +197,12 @@ class TestPointSetFormat:
             parse_pointset("nope 1 1\n3\n")
         with pytest.raises(ParseError):
             parse_pointset("otps 1 3\n1\n2\n")
-        for text, message in [("otps x 2\n1\n", "non-integer header fields"),
+        for text, message in [("otps x 2\n1\n", "'x' is not an integer"),
                               ("otps 0 2\n1\n2\n", "invalid header values"),
-                              # ASCII digits only, as for rationals
-                              ("otps \u0663 1\n0 0 0\n", "non-integer header fields"),
-                              ("otps 1_0 0\n", "non-integer header fields"),
+                              # ASCII digits only, as for rationals (parse_int)
+                              ("otps \u0663 1\n0 0 0\n", "is not an integer"),
+                              ("otps 1_0 0\n", "'1_0' is not an integer"),
+                              ("otps 1/1 0\n", "'1/1' is not an integer"),
                               ("# only\n# comments\n", "missing 'otps' header")]:
             with pytest.raises(ParseError, match=message) as exc:
                 parse_pointset(text)
@@ -259,22 +271,53 @@ class TestRecords:
         )
         assert replay_record(rec) is False
 
-    @pytest.mark.parametrize(
-        "blocks, dim, evidence, lifted_blocks, lifted", CODEC_CASES,
-        ids=[f"blocks{i}-{case[1]}-{type(case[2]).__name__}"
-             for i, case in enumerate(CODEC_CASES)])
-    def test_evidence_codec_round_trip(self, blocks, dim, evidence, lifted_blocks, lifted):
-        # the decoder gives, from ints, the lift that the replays make of the
-        # Fraction evidence: every coordinate column, a witness's point with
-        # its blocks, times the LCM of its denominators, and the multipliers
-        # times the LCM of theirs, then weighted by the column scales
+    @staticmethod
+    def assert_round_trip(blocks, dim, evidence):
+        """A payload decodes to exactly what it was written from, each
+        integer an int and each other rational a Rational."""
+        payload = json.loads(json.dumps(outcome_payload(blocks, dim, evidence)))
+        decoded = payload_outcome(payload)
+        assert decoded == (blocks, dim, evidence)
+        found = decoded[2]
+        numbers = [c for block in decoded[0] for p in block for c in p]
+        numbers += [*getattr(found, "point", ()), *getattr(found, "multipliers", ())]
+        numbers += [c for coeffs in getattr(found, "coefficients", ()) for c in coeffs]
+        assert all(type(c) is (int if c.denominator == 1 else Rational) for c in numbers)
+        return payload
+
+    @pytest.mark.parametrize("blocks, dim, evidence", CODEC_CASES, ids=CODEC_IDS)
+    def test_evidence_codec_round_trip(self, blocks, dim, evidence):
         found = hulls_common_point(blocks, dim)
         assert found == evidence
-        payload = json.loads(json.dumps(outcome_payload(blocks, dim, found)))
-        decoded = payload_outcome(payload)
-        assert decoded == (lifted_blocks, dim, lifted)
-        assert all(type(c) is int for block in decoded[0] for p in block for c in p)
-        assert verify_outcome(decoded[0], decoded[2], dim)
+        assert replay_payload(self.assert_round_trip(blocks, dim, found))
+
+    def test_codec_round_trip_on_seeded_blocks(self):
+        # blocks of points with mixed denominators, empty blocks among them:
+        # every kind of evidence decodes to what was written
+        rng = random.Random(7)
+        kinds = set()
+        for _ in range(60):
+            dim, r = rng.randint(1, 3), rng.randint(2, 3)
+            blocks = tuple(tuple(tuple(Rational(rng.randint(-9, 9), rng.randint(1, 6))
+                                       for _ in range(dim))
+                                 for _ in range(rng.choice((0, 1, 2, 2, 3, 4))))
+                           for _ in range(r))
+            found = hulls_common_point(blocks, dim)
+            kinds.add(type(found))
+            assert replay_payload(self.assert_round_trip(blocks, dim, found))
+        assert kinds == {Witness, FarkasCertificate, EmptyBlockCertificate}
+
+    @pytest.mark.parametrize("blocks, dim, values, at", [
+        (*CODEC_CASES[3][:2], lambda payload: payload["coefficients"][1], 0),
+        (*CODEC_CASES[4][:2], lambda payload: payload["multipliers"], 5)], ids=CODEC_IDS[3:])
+    def test_mixed_scale_evidence_replays_and_tampering_fails(self, blocks, dim, values, at):
+        # the replay weighs the evidence by the column scales itself: the
+        # evidence replays, and fails once one of its numbers grows by 1
+        payload = outcome_payload(blocks, dim, hulls_common_point(blocks, dim))
+        assert replay_payload(payload)
+        tampered = json.loads(json.dumps(payload))
+        values(tampered)[at] = format_rational(Rational(values(tampered)[at]) + 1)
+        assert replay_payload(tampered) is False
 
     def test_farkas_replay_builds_no_system(self, monkeypatch):
         # the replay reads the layout column by column: the sixteen-point
@@ -540,8 +583,6 @@ class TestCLI:
         # a value is refused unless it is in the form outcome_payload writes:
         # JSON integers where ints belong, canonical rational strings
         rows += [(witness, "point", [0, 0]), (witness, "point", ["2/4", "1/2"])]
-        # and a point with another number of coordinates than the blocks'
-        rows += [(witness, "point", ["1/2"])]
         rows += [(empty, "block_index", value) for value in (2.7, "2", True)]
         for base, key, value in rows:
             forged = json.loads(json.dumps(base))
@@ -561,6 +602,8 @@ class TestCLI:
         gated += [{**payload, "dim": 1, "blocks": [[[]], [[]]], "multipliers": ["1", "1", "0"]}]
         gated += [{**payload, "dim": dim, "blocks": [[], []], "multipliers": ["1", "1"]}
                   for dim in (-3, 0)]
+        # and a witness point with another number of coordinates than the blocks'
+        gated += [{**witness, "point": ["1/2"]}]
         for forged in gated:
             payload_outcome(forged)
             assert replay_payload(forged) is False, forged
@@ -1201,6 +1244,9 @@ class TestCLI:
          "dimension must be >= 1"),
         (["--budget", "0", "search-c", "-d", "0", "-r", "2", "--n-from", "3", "--n-to", "3"],
          "dimension must be >= 1"),
+        # block indices are read as the otps header is: no _ or other digits
+        (["intersect", "LINE", "--blocks", "1,0_3;2,4,5"], "not a comma list"),
+        (["intersect", "LINE", "--blocks", "1,\u0663;2,4,5"], "not a comma list"),
     ])
     def test_bad_input_exits_2(self, capsys, tmp_path, argv, message):
         # no input exits 1 (a failed claim) or 4 (a fault), and none prints
@@ -1213,6 +1259,21 @@ class TestCLI:
         assert (code, captured.out) == (2, "")
         assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
         assert message in captured.err
+
+    def test_integer_flags_read_ascii_digits_only(self, capsys):
+        # every integer flag reads parse_int's rule, so argparse exits 2
+        parser = build_parser()
+        commands = next(action for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction)).choices
+        assert {action.type for p in (parser, *commands.values()) for action in p._actions
+                if action.type is not None} == {parse_int}
+        for value in ("1_2", "\u0661\u0662", "12.0", "0x1", "1/1"):
+            with pytest.raises(SystemExit) as exc:
+                main(["t-line", "-n", value, "-r", "3"])
+            captured = capsys.readouterr()
+            assert (exc.value.code, captured.out) == (2, ""), value
+            assert "argument -n" in captured.err
+        assert main(["t-line", "-n", "+012", "-r", "3"]) == 0
 
     @pytest.mark.parametrize("argv", [
         ["intersect", "LINE", "--blocks", "1,2;3,4,5", "--alternating", "2"],

@@ -1,7 +1,8 @@
 """Every import site the benchmark tracer wraps must exist, every
 definition of the package, top-level or a class member, must be reachable
 from its users, every name a module imports must be used, the label-string
-rules live in one module, and the package holds no ``assert`` statement.
+rules and the integer lift each live in one module, and the package holds
+no ``assert`` statement.
 
 ``bench/tracing.py`` replaces attributes of tverlab modules by name; one that
 a refactor removed would otherwise show only in the slow traced bench run.
@@ -182,6 +183,22 @@ def test_label_strings_live_in_one_module():
                    if name == "split" or name in ("alternating_labels", "alternating_partition"))
         assert not any(isinstance(node, ast.Slice) and node.step is not None
                        for node in ast.walk(trees[stem])), stem
+
+
+def test_the_lift_lives_in_one_module():
+    # a payload decodes to the rationals it was written from, and each
+    # certificate lifts them in its own replay: pointset_io imports no lift
+    # or weighting, and only kernel.scale_to_integers splits a rational into
+    # its integer pair, so no second, pair-based lift exists
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in (ROOT / "src" / "tverlab").glob("*.py")}
+    imported = {alias.name for node in ast.walk(trees["pointset_io"])
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not imported & {"scale_columns", "scale_to_integers", "weigh_multipliers"}
+    splitters = {(stem, top.name) for stem, tree in trees.items() for top in tree.body
+                 for node in ast.walk(top)
+                 if isinstance(node, ast.Attribute) and node.attr == "as_integer_ratio"}
+    assert splitters == {("kernel", "scale_to_integers")}
 
 
 def test_no_assert_statements():
