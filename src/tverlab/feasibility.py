@@ -34,11 +34,13 @@ leaves, so the basis alone names it, as n + i.  Each column of A, and b, is
 scaled to integers by the LCM of its own denominators
 (``kernel.scale_columns``); a positive column scale keeps every reduced-cost
 sign and every ratio-test argmin, so the pivot path is that of the same
-simplex run on Fractions, where scaling row by row would change it.
+simplex run on Fractions, where scaling row by row would change it.  At a
+feasible end the witness is the final tableau's rhs column over D; only
+an infeasible end solves a system, its basis's dual.
 
 Hull intersection has two routes.  :func:`hulls_common_point` runs the
-simplex above, whose final basis always reads, and returns a witness or a
-certificate, the only ones printed.  :func:`screen` serves every other hull
+simplex above, which returns a witness or a certificate read off its end,
+the only ones printed.  :func:`screen` serves every other hull
 LP (the c(d,r) search and the tolerance removal scan) with the exact-LP
 recipe of Applegate, Cook, Dash and Espinoza (*Oper. Res. Lett.* 35, 2007),
 on the blocks' differences.  Each block's first point is its key, whose
@@ -96,7 +98,9 @@ def solve_equality_feasibility(rows, rhs):
     """Decide ``A x = b, x >= 0`` exactly.
 
     Returns ``("feasible", x)`` or ``("infeasible", u)`` where u satisfies
-    ``u . A_j <= 0`` for every column j and ``u . b > 0``.
+    ``u . A_j <= 0`` for every column j and ``u . b > 0``.  x is the final
+    tableau's rhs column over its denominator; u, the final basis's dual, is
+    the one system solved.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -149,20 +153,18 @@ def solve_equality_feasibility(rows, rhs):
         basis[leaving] = entering
 
     # the artificials are zero exactly when the objective is: then the basic
-    # point is feasible, else the phase-1 dual certifies; on the rows as given,
-    # unflipped, the artificial of row i is e_i at cost flip_i
-    matrix = [row[:n] for row in ints]
+    # point, the rhs column over denom, is feasible, with any artificial still
+    # basic at zero; the scaled variable x'_j is x_j * scale_b / scale_j
     if obj[-1] == 0:
-        read = _basic_point(matrix, [row[n] for row in ints], basis)
-        if read is None:
-            raise InternalError("the simplex's final basic point is not feasible")
-        # the scaled variable x'_j is x_j * scale_b / scale_j
-        support, y, last = read
         x = [ZERO] * n
-        for j, v in zip(support, y):
-            x[j] = Rational(v * scales[j], last * scales[n])
+        for row, j in zip(tableau, basis):
+            if row[n] < 0:
+                raise InternalError("the simplex's final basic point is not feasible")
+            if j < n:
+                x[j] = Rational(row[n] * scales[j], denom * scales[n])
         return "feasible", x
-    read = _basis_dual(matrix, basis, flips)
+    # else the phase-1 dual certifies: unflipped, row i's artificial is e_i at cost flip_i
+    read = _basis_dual([row[:n] for row in ints], basis, flips)
     if read is None:
         raise InternalError("the simplex's final basis has no dual")
     y, last = read
@@ -509,23 +511,6 @@ def _key_read(blocks, rows, rhs, basis):
         return None
     return tuple(sorted([key for key, v in zip(keys, left) if v]
                         + [j for j, v in zip(support, y) if v]))
-
-
-def _basic_point(rows, rhs, basis):
-    """``(support, y, D)`` for a basis of ``[A | I]``, column n + i the
-    artificial of row i: the basis's sorted structural columns S and its
-    basic point ``y = D x_S`` with the artificials at zero, by
-    :func:`_exact_solution` on ``[A_S | b]``.  None unless the point solves
-    ``A x = b, x >= 0``: A_S has rank |S|, b is in its span, no y_k < 0.
-    """
-    n = len(rows[0]) if rows else 0
-    support = sorted(j for j in basis if j < n)
-    solved = _exact_solution([[row[j] for j in support] + [b] for row, b in zip(rows, rhs)],
-                             len(support))
-    if solved is None or any(v < 0 for v in solved[0]):
-        return None
-    y, last = solved
-    return support, y, last
 
 
 def _basis_dual(rows, basis, costs):

@@ -191,38 +191,44 @@ def _read_int(value):
     raise ParseError(f"payload value {value!r} is not in canonical form")
 
 
-def _list_of(read):
-    """The reader of a JSON list of what ``read`` reads, as a tuple, and of
-    nothing else."""
+def _list_of(field):
+    """The ``(write, read)`` of a JSON list of what ``field`` writes and
+    reads, read as a tuple, and of nothing else."""
+    write, read = field
     def read_list(value):
         if type(value) is not list:
             raise ParseError(f"payload value {value!r} is not in canonical form")
         return tuple(map(read, value))
-    return read_list
+    return (lambda values: [write(v) for v in values]), read_list
 
 
-#: a point, or a list of coefficients or multipliers (:func:`_read_canonical`)
-_RATIONALS = _list_of(_read_canonical)
+#: ``(write, read)`` of a JSON integer, and of a rational in the one form
+#: :func:`format_rational` writes and :func:`_read_canonical` reads
+_INT = (int, _read_int)
+_RATIONALS = _list_of((format_rational, _read_canonical))
 
-#: wire ``kind`` -> (evidence type, the reader of each of its fields, in the
+#: wire ``kind`` -> (evidence type, each field's ``(write, read)``, in the
 #: order :func:`outcome_payload` writes them after dim, blocks, status and kind)
 EVIDENCE_KINDS = {
     "witness": (Witness, {"point": _RATIONALS, "coefficients": _list_of(_RATIONALS)}),
     "farkas": (FarkasCertificate, {"multipliers": _RATIONALS}),
-    "empty-block": (EmptyBlockCertificate, {"block_index": _read_int}),
+    "empty-block": (EmptyBlockCertificate, {"block_index": _INT}),
 }
 
-#: the readers of the fields every payload has
-_PAYLOAD_FIELDS = {"dim": _read_int, "blocks": _list_of(_list_of(_RATIONALS))}
+#: the ``(write, read)`` of the fields every payload has
+_PAYLOAD_FIELDS = {"dim": _INT, "blocks": _list_of(_list_of(_RATIONALS))}
 
 
 def outcome_payload(blocks, dim: int, outcome) -> Dict:
     """Self-contained, replayable form of the evidence
-    :func:`~tverlab.feasibility.hulls_common_point` returned."""
+    :func:`~tverlab.feasibility.hulls_common_point` returned, each field in
+    the form its reader reads, an int as the equal Fraction."""
     kind, fields = next((kind, fields) for kind, (evidence, fields) in EVIDENCE_KINDS.items()
                         if type(outcome) is evidence)
-    return {"dim": dim, "blocks": [encode_points(b) for b in blocks], "status": outcome.status,
-            "kind": kind, **{name: jsonable(getattr(outcome, name)) for name in fields}}
+    writers = {name: write for name, (write, _) in {**_PAYLOAD_FIELDS, **fields}.items()}
+    return {"dim": writers["dim"](dim), "blocks": writers["blocks"](blocks),
+            "status": outcome.status, "kind": kind,
+            **{name: writers[name](getattr(outcome, name)) for name in fields}}
 
 
 def payload_outcome(payload: Dict):
@@ -235,7 +241,7 @@ def payload_outcome(payload: Dict):
     evidence, fields = EVIDENCE_KINDS[kind]
     try:
         values = {name: read(payload[name])
-                  for name, read in {**_PAYLOAD_FIELDS, **fields}.items()}
+                  for name, (_, read) in {**_PAYLOAD_FIELDS, **fields}.items()}
     except KeyError as exc:
         raise ParseError(f"payload has no field {exc}") from None
     return values.pop("blocks"), values.pop("dim"), evidence(**values)

@@ -319,6 +319,30 @@ class TestRecords:
         values(tampered)[at] = format_rational(Rational(values(tampered)[at]) + 1)
         assert replay_payload(tampered) is False
 
+    @pytest.mark.parametrize("blocks, dim, evidence", [
+        *CODEC_CASES,
+        # the collinear blocks with a repeated point: int coefficients
+        ((((0, 0), (2, 2)), ((1, 1), (1, 1))), 2,
+         Witness((1, 1), ((Rational(1, 2), Rational(1, 2)), (1, 0))))],
+        ids=[*CODEC_IDS, "repeated-point-Witness"])
+    def test_int_evidence_writes_as_the_equal_fractions(self, blocks, dim, evidence):
+        # each evidence number is written in the form the reader reads, so
+        # int entries give the bytes of the equal Fractions, and both replay
+        def renumbered(number):
+            if isinstance(evidence, Witness):
+                return Witness(tuple(map(number, evidence.point)),
+                               tuple(tuple(map(number, c)) for c in evidence.coefficients))
+            if isinstance(evidence, FarkasCertificate):
+                return FarkasCertificate(tuple(map(number, evidence.multipliers)))
+            return evidence
+
+        as_ints = renumbered(lambda v: int(v) if Rational(v).denominator == 1 else Rational(v))
+        as_fractions = renumbered(Rational)
+        written = [json.dumps(outcome_payload(blocks, dim, e)) for e in (as_ints, as_fractions)]
+        assert written[0] == written[1]
+        assert replay_payload(outcome_payload(blocks, dim, as_ints))
+        assert replay_payload(json.loads(written[1]))
+
     def test_farkas_replay_builds_no_system(self, monkeypatch):
         # the replay reads the layout column by column: the sixteen-point
         # certificate replays without the system, and a payload whose

@@ -109,6 +109,38 @@ def test_seeded_random_blocks_with_repeats(pivots):
     assert statuses == {"feasible", "infeasible"}
 
 
+def test_degenerate_ends_read_off_the_tableau(monkeypatch):
+    # a feasible end whose final basis keeps an artificial, basic at zero:
+    # the witness read off the tableau skips that row and is still the
+    # Fraction simplex's; the final basis is replayed from the pivots
+    steps = []
+    original = feasibility._pivot
+
+    def recording(tableau, obj, row, col, denom):
+        steps.append((row, col))
+        return original(tableau, obj, row, col, denom)
+
+    monkeypatch.setattr(feasibility, "_pivot", recording)
+    rng = random.Random(29)
+    # the collinear set with a repeated point that CI's intersect runs
+    cases = [([(0, 0), (1, 1), (2, 2), (1, 1)], 2, 2)]
+    for _ in range(80):
+        d, r = rng.randint(1, 3), rng.randint(2, 4)
+        pool = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(3)]
+        cases.append(([rng.choice(pool) for _ in range(rng.randint(r, 10))], d, r))
+    degenerate = []
+    for pts, d, r in cases:
+        rows, rhs = intersection_system([pts[k::r] for k in range(r)], d)
+        steps.clear()
+        status, payload = solve_equality_feasibility(rows, rhs)
+        assert (status, payload, len(steps)) == fraction_simplex(rows, rhs), pts
+        basis = list(range(len(rows[0]), len(rows[0]) + len(rows)))
+        for row, col in steps:
+            basis[row] = col
+        degenerate.append(status == "feasible" and max(basis) >= len(rows[0]))
+    assert degenerate[0] and sum(degenerate) >= 10, sum(degenerate)
+
+
 def test_negative_rhs_and_mixed_denominators(pivots):
     rng = random.Random(31)
     flipped = 0
