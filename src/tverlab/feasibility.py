@@ -54,7 +54,16 @@ rows carry artificials, and proposes a basis.  Where its objective reached
 zero, the basis is solved on the difference rows alone; where it did not,
 or that solve fails, its dual on the canonical rows must replay as Farkas
 multipliers.  Floats never decide: any doubt falls back to
-:func:`hulls_common_point`.  Both passes do only the arithmetic that
+:func:`hulls_common_point`.  A c(d,r) search candidate, on the moment
+curve, is read before its screen on the supports of earlier confirmations
+(:func:`tverlab.search._moment_read`): the affine hulls of the moment
+points of a support meet where the functional ``c_0 + c_1 x_1 + ... + c_d
+x_d`` vanishes on every multiple of degree at most d of each block's
+``prod (t - a)``, one d-column system solved by :func:`_exact_solution`,
+and since Lagrange interpolation is exact up to degree d, each convex
+weight there is the functional of ``prod_{b != a} (t - b)`` over
+``prod_{b != a} (a - b)``; where no weight is negative the point is
+common, and no float pass runs.  Both passes do only the arithmetic that
 changes a value.  A float pivot updates, in place, the nonzero entries of
 its pivot row in the rows that meet the entering column.  An exact read
 takes the basis in its order, and its elimination is lazy

@@ -33,10 +33,25 @@ moment points from their block's key, each row and then each column is
 scaled on integers before floats are formed, a float phase 1 starts with
 every key basic in its block's convexity row, and a basis that reaches
 zero is read exactly on the difference rows alone
-(:func:`~tverlab.feasibility.screen`).  Nearly every candidate is confirmed
-feasible there and builds no Rational; only the others take their
-:func:`alpha_candidates` parameters through the canonical simplex, which
-decides and certifies them.
+(:func:`~tverlab.feasibility.screen`).  Only the candidates that the screen
+does not confirm feasible take their :func:`alpha_candidates` parameters
+through the canonical simplex, which decides and certifies them.
+
+Before the screen, a candidate is read on the supports of the search's
+latest confirmations (:func:`_moment_read`), which the screen or the
+canonical witness named: at most d + 1 parameters A_k per block, at the
+same positions in each candidate.  On the moment curve gamma(t) = (t, t^2,
+..., t^d), a point x gives each polynomial of degree at most d the
+functional ``c_0 + c_1 x_1 + ... + c_d x_d``, which is sum lambda_a p(a) at
+x = sum lambda_a gamma(a), sum lambda_a = 1.  So x lies on the affine hull
+of every block's support when the functional vanishes on q_k t^j, q_k =
+prod_{a in A_k} (t - a), for j = 0..d - |A_k|: one integer system with d
+columns for all blocks.  Lagrange interpolation, exact up to degree d,
+gives each weight lambda_a as the functional of prod_{b != a} (t - b) over
+prod_{b != a} (a - b).  Where every weight is >= 0, x is a common point: an
+exact confirmation from the parameters alone, with no float pass and no
+Rational.  Any candidate no kept support confirms takes the screen's path
+unchanged, so reads change no result.
 """
 
 from __future__ import annotations
@@ -51,6 +66,8 @@ from .errors import InputError, InternalError, ResourceGuardError
 from .feasibility import (
     EmptyBlockCertificate,
     FarkasCertificate,
+    Witness,
+    _exact_solution,
     hulls_common_point,
     screen,
     verify_outcome,
@@ -75,6 +92,10 @@ DEFAULT_BUDGET = 1000
 
 #: Guard for exhaustive d=1 tolerance tables.
 T_LINE_GUARD = 14
+
+#: Supports of its latest confirmations that a search reads each candidate
+#: on before it screens it.
+KEPT_SUPPORTS = 16
 
 
 @dataclass(frozen=True)
@@ -210,18 +231,77 @@ def _lifted_blocks(ks, dim: int, r: int):
     return split(lifted, alternating_labels(len(lifted), r), r)
 
 
-def _certified(dim: int, r: int, alphas) -> Optional[Counterexample]:
+def _roots_polynomial(roots) -> list:
+    """Coefficients, constant first, of the monic polynomial prod (t - a)."""
+    q = [1]
+    for a in roots:
+        q = [u - a * v for u, v in zip([0] + q, q + [0])]
+    return q
+
+
+def _divided(q, a) -> list:
+    """``q / (t - a)`` for a monic q with root a, by synthetic division."""
+    p = [1]
+    for c in reversed(q[1:-1]):
+        p.append(c + a * p[-1])
+    p.reverse()
+    return p
+
+
+def _moment_read(param_blocks, d: int, support):
+    """``(X, D)``, D > 0, with x = X / D a common point of the hulls of the
+    moment points ``(k, k^2, ..., k^d)`` of the blocks of increasing integer
+    parameters ``param_blocks``, or None: the point that the parameters A_k
+    at positions ``support[k]`` of each block k, increasing, 1 to d + 1 of
+    them, pin down (see the module docstring).  The rows "the functional of
+    q_k t^j is 0" of all blocks are solved by
+    :func:`~tverlab.feasibility._exact_solution`, None unless x is unique;
+    lambda_a has the sign of the functional of prod_{b != a} (t - b) at
+    (D, X) times (-1)^{#{b in A_k : b > a}}, and x is confirmed only where
+    every lambda_a is >= 0."""
+    rows, blocks = [], []
+    for params, positions in zip(param_blocks, support):
+        if not 0 < len(positions) <= d + 1:
+            return None
+        roots = [params[i] for i in positions]
+        q = _roots_polynomial(roots)
+        for j in range(d + 1 - len(roots)):
+            c = [0] * j + q
+            rows.append(c[1:] + [0] * (d + 1 - len(c)) + [-c[0]])
+        blocks.append((roots, q))
+    solved = _exact_solution(rows, d)
+    if solved is None:
+        return None
+    X, D = solved
+    point = [D] + X
+    for roots, q in blocks:
+        for above, a in enumerate(reversed(roots)):
+            value = sum(map(operator.mul, _divided(q, a), point))
+            if value and (value < 0) != (above % 2 == 1):
+                return None
+    return X, D
+
+
+def _positions(columns, sizes) -> tuple:
+    """Columns of :func:`~tverlab.feasibility.intersection_system`, as each
+    block's positions: blocks of ``sizes`` points, in order."""
+    offsets = list(itertools.accumulate(sizes, initial=0))
+    return tuple(tuple(j - lo for j in columns if lo <= j < hi)
+                 for lo, hi in zip(offsets, offsets[1:]))
+
+
+def _certified(dim: int, r: int, alphas) -> Counterexample | Witness:
     """The certified counterexample on the moment points of ``alphas``, or
-    None when their alternating r-partition has a common point, as the
-    canonical simplex decides it, so every printed certificate is the
-    canonical one; the configuration is checked to be order-type homogeneous
-    and the certificate to replay."""
+    the canonical simplex's :class:`~tverlab.feasibility.Witness` when their
+    alternating r-partition has a common point, as that simplex decides it,
+    so every printed certificate is the canonical one; the configuration is
+    checked to be order-type homogeneous and the certificate to replay."""
     spec = MomentSpec(dim, alphas)
     X = moment_points(spec)
     blocks = alternating_blocks(X, r)
     outcome = hulls_common_point(blocks, dim)
     if outcome.feasible:
-        return None
+        return outcome
     homog = is_order_homogeneous(X)
     if not (homog.homogeneous and (homog.sign == 1 or homog.trivial)):
         raise InternalError("candidate configuration is not order-type homogeneous")
@@ -246,11 +326,16 @@ def find_counterexample(
     (conv(emptyset) = emptyset), and at d=1 feasibility of the alternating
     partition depends only on n.
 
-    A candidate reaches the integer screen as its draw lifted to ints
-    (:func:`_lift`).  Nearly every one is feasible, and one the screen
-    confirms builds no Rational; :func:`_certified` decides the rest, those
-    the screen proves infeasible too, on the draw with its repeats split,
-    the Rational parameters :func:`alpha_candidates` gives.
+    A candidate is its draw lifted to ints (:func:`_lift`).  Nearly every
+    one is feasible.  It is read first on the per-block supports of the
+    last :data:`KEPT_SUPPORTS` confirmations of this call, most recent
+    first, where a support that confirms moves to the front
+    (:func:`_moment_read`); only a candidate none confirms reaches the
+    integer screen.  One the read or the screen confirms builds no
+    Rational; :func:`_certified` decides the rest, those the screen proves
+    infeasible too, on the draw with its repeats split, the Rational
+    parameters :func:`alpha_candidates` gives.  The support of every
+    confirmation by the screen or by the canonical witness is kept.
     """
     if d < 1:
         raise InputError(f"dimension must be >= 1, got d={d}")
@@ -264,6 +349,8 @@ def find_counterexample(
     exact = n < r or d == 1
     draws = ([list(range(1, n + 1))] if exact
              else itertools.islice(integer_draws(strategy, n, r), max(budget, 0)))
+    labels = alternating_labels(n, r)
+    kept = []  # per-block supports of the latest confirmations, most recent first
     tried = 0
     for values in draws:
         tried += 1
@@ -272,12 +359,22 @@ def find_counterexample(
         ks = _lift(values)
         if any(a >= b for a, b in zip(ks, ks[1:])):
             raise InternalError(f"{strategy.kind} stream gave parameters that do not increase")
+        params = split(ks, labels, r)
+        hit = next((i for i, support in enumerate(kept) if _moment_read(params, d, support)),
+                   None)
+        if hit is not None:
+            kept.insert(0, kept.pop(hit))
+            continue
         verdict = screen(_lifted_blocks(ks, d, r), d)
         if verdict is not None and verdict[0] == "feasible":
-            continue
-        found = _certified(d, r, split_repeats(values, DEFAULT_EPSILON))
-        if found is not None:
-            return found
+            columns = verdict[1]
+        else:
+            found = _certified(d, r, split_repeats(values, DEFAULT_EPSILON))
+            if isinstance(found, Counterexample):
+                return found
+            columns = [j for j, lam in enumerate(itertools.chain(*found.coefficients)) if lam]
+        kept.insert(0, _positions(columns, map(len, params)))
+        del kept[KEPT_SUPPORTS:]
     if n < r:
         raise InternalError("an empty alternating block must be infeasible")
     return NoneFound(tried=tried)
@@ -331,7 +428,7 @@ def verified_sixteen_point_example(epsilon=DEFAULT_EPSILON) -> Tuple[Counterexam
     eps = to_rational(epsilon)
     for _ in range(40):
         found = _certified(3, 4, sixteen_point_alphas(eps))
-        if found is not None:
+        if isinstance(found, Counterexample):
             return found, eps
         eps = eps / 2
     raise InternalError(

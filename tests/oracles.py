@@ -517,3 +517,32 @@ def fraction_farkas_replays(multipliers, blocks, dim):
         if any(sum((x * y for x, y in zip(p, w)), u[k]) > 0 for p in block):
             return False
     return sum(u[:r]) > 0
+
+
+# ---------------------------------------------------------------------------
+# a moment read's common point over Fractions: every block's coefficients
+# solved again on its support, with no interpolation argument
+
+
+def moment_read_replays(param_blocks, d, support, X, D):
+    """``X / D`` lies in the hull of every block's moment points ``(a, a^2,
+    ..., a^d)``: block k's coefficients on the parameters at positions
+    ``support[k]`` are the unique solution, as Fractions, of ``sum lambda_a
+    = 1`` and ``sum lambda_a gamma(a) = X / D``, and they are nonnegative,
+    sum to 1 and give the same point in every block."""
+    point = tuple(Rational(v, D) for v in X)
+    blocks, coefficients = [], []
+    for params, positions in zip(param_blocks, support):
+        gammas = [tuple(Rational(a) ** c for c in range(1, d + 1)) for a in params]
+        chosen = [gammas[i] for i in positions]
+        aug = [[ONE] * len(chosen) + [ONE]]
+        aug += [[g[c] for g in chosen] + [point[c]] for c in range(d)]
+        lam = fraction_solution(aug, len(chosen))
+        if lam is None:
+            return False
+        coeffs = [ZERO] * len(params)
+        for i, v in zip(positions, lam):
+            coeffs[i] = v
+        blocks.append(gammas)
+        coefficients.append(coeffs)
+    return fraction_witness_replays(point, coefficients, blocks, d)

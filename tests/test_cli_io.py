@@ -1410,13 +1410,16 @@ class TestCLI:
         assert count == 1
         assert stripped == golden["intersect_alternating_4"]
 
-    @pytest.mark.parametrize("case", ["found", "exhausted"])
+    @pytest.mark.parametrize("case", ["found", "exhausted", "found-d6r3", "found-d7r3"])
     def test_search_c_golden(self, capsys, case):
         """``search-c`` at d = 3, r = 4, n = 16: one run that finds a
         counterexample after 127 feasible candidates, one that exhausts its
-        budget.  The search-c line (tried, alphas, Farkas multipliers) is
-        byte-identical, apart from timing, to the one recorded before the
-        candidate loop confirmed feasibility ahead of the canonical simplex."""
+        budget; and the seed-1 budget-400 runs at (6,3,20) and (7,3,22) that
+        find the witnesses of c(6,3) >= 21 and c(7,3) >= 23.  The search-c
+        line (tried, alphas, Farkas multipliers) is byte-identical, apart
+        from timing, to the one recorded before the candidate loop confirmed
+        feasibility ahead of the canonical simplex (d = 3) or read candidates
+        on the supports of earlier confirmations (d = 6, 7)."""
         golden = json.loads((GOLDEN / "search_c.json").read_text())[case]
         code, out = self.run(capsys, *golden["argv"])
         assert code == 0

@@ -1,11 +1,13 @@
 import fractions
 import itertools
 import json
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
+from oracles import moment_read_replays
 from tverlab import feasibility, kernel
 from tverlab.cli import main
 from tverlab.errors import InputError, InternalError, ResourceGuardError
@@ -204,10 +206,11 @@ class TestIntegerCandidates:
         assert verify_outcome(res.blocks, res.outcome, 3)
 
     def test_screen_row_operations(self, monkeypatch):
-        # the screens of the 100 seed-1 (3,4,16) candidates: 1,663 bigint
-        # row operations, rescales included, where reading each basis on
-        # every canonical row made 3,176, and updating every row at every
-        # pivot, with unit pivots put first, 5,400
+        # the 100 seed-1 (3,4,16) candidates: 1,429 bigint row operations,
+        # rescales included, for 13 screens and the reads on kept supports
+        # that confirm the other 87, where screening all 100 made 1,663,
+        # reading each basis on every canonical row 3,176, and updating every
+        # row at every pivot, with unit pivots put first, 5,400
         operations = [0]
         update = kernel.fraction_free_update
 
@@ -219,7 +222,7 @@ class TestIntegerCandidates:
         monkeypatch.setattr(feasibility, "fraction_free_update", counted)
         res = find_counterexample(3, 4, 16, SearchStrategy(seed=1), budget=100)
         assert res == NoneFound(tried=100)
-        assert operations[0] <= 1_663
+        assert operations[0] <= 1_429
 
     def test_key_start_counters(self, monkeypatch):
         # the screens of the first 300 seed-1 candidates: at (4,3,14), 17
@@ -252,12 +255,94 @@ class TestIntegerCandidates:
         assert tally[3, 4, 16] == (0, 4_987)
 
 
+class TestMomentRead:
+    """A candidate is read first on the per-block supports of the search's
+    latest confirmations: a common point solved exactly from its integer
+    parameters alone, confirmed where every interpolation weight is >= 0."""
+
+    @staticmethod
+    def random_support(rng, params, d):
+        """Per-block sorted positions, 1 to d + 1 per block: half of the time
+        a basis's size, d + 1 points per block less d in all, else any size."""
+        if rng.random() < 0.5:
+            sizes = [min(d + 1, len(block)) for block in params]
+            for _ in range(d):
+                k = rng.choice([k for k, size in enumerate(sizes) if size > 1] or [0])
+                sizes[k] = max(1, sizes[k] - 1)
+        else:
+            sizes = [rng.randint(1, min(d + 1, len(block))) for block in params]
+        return tuple(tuple(sorted(rng.sample(range(len(block)), size)))
+                     for block, size in zip(params, sizes))
+
+    def test_read_is_sound_and_confirms_every_screen_support(self):
+        # 8 seeded candidates of the search at each d 1-5, r 2-4 and n from
+        # r + 1 to r (d + 1) + 2, infeasible ones among them, each read on 20
+        # random supports and on the support of the screen's confirmation:
+        # every read confirmation replays on Fractions and is feasible by the
+        # canonical simplex, and the read confirms whatever the screen does
+        import tverlab.search as searchmod
+
+        tally = dict.fromkeys(("screen", "infeasible", "random", "refused"), 0)
+        for d in range(1, 6):
+            for r in range(2, 5):
+                for n in sorted({r + 1, r * (d + 1) // 2 + 2, r * (d + 1) + 2}):
+                    labels = searchmod.alternating_labels(n, r)
+                    sizes = [labels.count(k) for k in range(1, r + 1)]
+                    rng = random.Random(100 * d + 10 * r + n)
+                    draws = searchmod.integer_draws(SearchStrategy(seed=d * r * n), n, r)
+                    for values in itertools.islice(draws, 8):
+                        ks = searchmod._lift(values)
+                        params = searchmod.split(ks, labels, r)
+                        blocks = searchmod._lifted_blocks(ks, d, r)
+                        verdict = feasibility.screen(blocks, d)
+                        if verdict is not None and verdict[0] == "feasible":
+                            support = searchmod._positions(verdict[1], sizes)
+                            read = searchmod._moment_read(params, d, support)
+                            assert read is not None, (d, r, values)
+                            assert moment_read_replays(params, d, support, *read)
+                            tally["screen"] += 1
+                        infeasible = verdict is not None and verdict[0] == "infeasible"
+                        tally["infeasible"] += infeasible
+                        for _ in range(20):
+                            support = self.random_support(rng, params, d)
+                            read = searchmod._moment_read(params, d, support)
+                            if read is None:
+                                tally["refused"] += 1
+                                continue
+                            assert not infeasible
+                            assert moment_read_replays(params, d, support, *read)
+                            assert hulls_common_point(blocks, d).feasible
+                            tally["random"] += 1
+        assert tally["screen"] >= 150 and tally["infeasible"] >= 150
+        assert tally["random"] >= 300 and tally["refused"] >= 6000
+
+    def test_a_canonical_witness_is_kept(self):
+        # the canonical simplex's witness of a feasible candidate the screen
+        # leaves unconfirmed: its support reads the same candidate
+        import tverlab.search as searchmod
+
+        d, r, n = 6, 3, 20
+        labels = searchmod.alternating_labels(n, r)
+        for values in searchmod.integer_draws(SearchStrategy(seed=1), n, r):
+            ks = searchmod._lift(values)
+            if feasibility.screen(searchmod._lifted_blocks(ks, d, r), d) is None:
+                break
+        witness = searchmod._certified(d, r, split_repeats(values, searchmod.DEFAULT_EPSILON))
+        assert witness.feasible
+        columns = [j for j, lam in enumerate(itertools.chain(*witness.coefficients)) if lam]
+        support = searchmod._positions(columns, [labels.count(k) for k in range(1, r + 1)])
+        params = searchmod.split(ks, labels, r)
+        assert all(0 < len(positions) <= d + 1 for positions in support)
+        assert moment_read_replays(params, d, support, *searchmod._moment_read(params, d, support))
+
+
 def test_canonical_simplex_decides_every_unconfirmed_candidate(monkeypatch):
     """A candidate is skipped only on an exact confirmation of a common
-    point; every other one, one the screen proves infeasible too, goes
-    through ``search.hulls_common_point``, which decides it and certifies a
-    hit.  The result is that of deciding every candidate canonically, also
-    when nothing is confirmed."""
+    point, by a read on a kept support or by the screen; every other one,
+    one the screen proves infeasible too, goes through
+    ``search.hulls_common_point``, which decides it and certifies a hit.
+    The result is that of deciding every candidate canonically, also when
+    nothing is confirmed, neither by a read nor by the screen."""
     import tverlab.search as searchmod
 
     strategy = SearchStrategy(kind="clustered", seed=5)
@@ -267,9 +352,15 @@ def test_canonical_simplex_decides_every_unconfirmed_candidate(monkeypatch):
         for outcome in [hulls_common_point(moment_blocks(3, 4, alphas), 3)]
         if not outcome.feasible
     )
+    real_read = searchmod._moment_read
     real_screen, real_hulls = searchmod.screen, searchmod.hulls_common_point
     for always_unconfirmed in (False, True):
-        verdicts, decided = [], []
+        reads, verdicts, decided = [], [], []
+
+        def read(params, d, support):
+            got = None if always_unconfirmed else real_read(params, d, support)
+            reads.append(got is not None)
+            return got
 
         def screen(blocks, dim):
             verdict = None if always_unconfirmed else real_screen(blocks, dim)
@@ -281,14 +372,20 @@ def test_canonical_simplex_decides_every_unconfirmed_candidate(monkeypatch):
             decided.append(outcome.feasible)
             return outcome
 
+        monkeypatch.setattr(searchmod, "_moment_read", read)
         monkeypatch.setattr(searchmod, "screen", screen)
         monkeypatch.setattr(searchmod, "hulls_common_point", hulls)
         res = find_counterexample(3, 4, 16, strategy=strategy, budget=40)
         assert isinstance(res, Counterexample)
-        assert (len(verdicts), res.alphas, res.outcome) == reference
+        # each candidate is confirmed by one read or reaches the screen
+        assert (reads.count(True) + len(verdicts), res.alphas, res.outcome) == reference
         assert len(decided) == len(verdicts) - verdicts.count("feasible")
         assert decided[-1] is False
-        if not always_unconfirmed:
+        if always_unconfirmed:
+            # every confirmation the canonical simplex makes is kept and read
+            assert len(reads) == sum(min(i, searchmod.KEPT_SUPPORTS) for i in range(len(decided)))
+        else:
+            assert True in reads
             assert verdicts.count("feasible") >= len(verdicts) - 3
             assert verdicts[-1] == "infeasible"
 
