@@ -56,10 +56,11 @@ or that solve fails, its dual on the canonical rows must replay as Farkas
 multipliers.  Floats never decide: any doubt falls back to
 :func:`hulls_common_point`.  A c(d,r) search candidate, on the moment
 curve, is read before its screen on the supports of earlier confirmations
-(:func:`tverlab.search._moment_read`): the affine hulls of the moment
+(:func:`tverlab.search._moment_reader`): the affine hulls of the moment
 points of a support meet where the functional ``c_0 + c_1 x_1 + ... + c_d
 x_d`` vanishes on every multiple of degree at most d of each block's
-``prod (t - a)``, one d-column system solved by :func:`_exact_solution`,
+``prod (t - a)``, one d-column system solved by :func:`_exact_solution`
+(by Cramer's rule up to 3 columns, as any square system that narrow),
 and since Lagrange interpolation is exact up to degree d, each convex
 weight there is the functional of ``prod_{b != a} (t - b)`` over
 ``prod_{b != a} (a - b)``; where no weight is negative the point is
@@ -92,7 +93,9 @@ from .kernel import (
     Point,
     Rational,
     ZERO,
+    _add_row,
     _bareiss,
+    _laplace,
     fraction_free_update,
     scale_columns,
     scale_to_integers,
@@ -538,12 +541,36 @@ def _basis_dual(rows, basis, costs):
     return _exact_solution(dual, m)
 
 
+#: widest square system :func:`_exact_solution` solves by Cramer's rule;
+#: Laplace expansion grows as 2^width, and past 3 columns Bareiss is as
+#: fast or faster (best of 5 on 2,000 random systems of 17-digit entries,
+#: Python 3.11 on a 2-vCPU Xeon: 3 columns 9.4 against 12.9 us, 4: 20.8
+#: against 20.9, 5: 48 against 35)
+_CRAMER_WIDTH = 3
+
+
 def _exact_solution(aug, width):
     """``(y, D)``, ``y = D x`` on integers for the unique x solving the
-    integer system ``aug[:, :width] x = aug[:, width]`` and D > 0 the last
-    Bareiss pivot up to sign, by one Bareiss pass and fraction-free back
-    substitution; None when x is not unique.  Eliminates ``aug`` in place.
-    On a square system D is ``|det|``."""
+    integer system ``aug[:, :width] x = aug[:, width]`` and D > 0, or None
+    when x is not unique.  On a square system D is ``|det|``.
+
+    A square system of width 1 to :data:`_CRAMER_WIDTH` is solved by
+    Cramer's rule: the cofactors c of the rows ``[A | b]``, by Laplace
+    expansion (``kernel._add_row``), give ``A c' = -c_w b``, so D = |c_w|
+    and y = -c' times the sign of c_w, None where c_w = 0.  Any other
+    system takes one Bareiss pass (``kernel._bareiss``), whose last pivot
+    is D up to sign, and fraction-free back substitution.  Either way no
+    row list of ``aug`` changes: Bareiss replaces rows of the outer list,
+    in place, by new lists, so a caller may pass rows it keeps."""
+    if 0 < len(aug) == width <= _CRAMER_WIDTH:
+        laplace = _laplace(width + 1)
+        minors = aug[0]  # the 1 x 1 minors of the first row are its entries
+        for terms, row in zip(laplace[1:], aug[1:]):
+            minors = _add_row(terms, minors, row)
+        *c, last = [s * minors[u] for s, _, u in laplace[width][0]]
+        if not last:
+            return None
+        return ([-v for v in c], last) if last > 0 else (c, -last)
     rank, _, last = _bareiss(aug, width)
     if rank < width or any(row[width] for row in aug[width:]):
         return None

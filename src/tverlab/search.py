@@ -38,7 +38,7 @@ does not confirm feasible take their :func:`alpha_candidates` parameters
 through the canonical simplex, which decides and certifies them.
 
 Before the screen, a candidate is read on the supports of the search's
-latest confirmations (:func:`_moment_read`), which the screen or the
+latest confirmations (:func:`_moment_reader`), which the screen or the
 canonical witness named: at most d + 1 parameters A_k per block, at the
 same positions in each candidate.  On the moment curve gamma(t) = (t, t^2,
 ..., t^d), a point x gives each polynomial of degree at most d the
@@ -46,12 +46,15 @@ functional ``c_0 + c_1 x_1 + ... + c_d x_d``, which is sum lambda_a p(a) at
 x = sum lambda_a gamma(a), sum lambda_a = 1.  So x lies on the affine hull
 of every block's support when the functional vanishes on q_k t^j, q_k =
 prod_{a in A_k} (t - a), for j = 0..d - |A_k|: one integer system with d
-columns for all blocks.  Lagrange interpolation, exact up to degree d,
-gives each weight lambda_a as the functional of prod_{b != a} (t - b) over
-prod_{b != a} (a - b).  Where every weight is >= 0, x is a common point: an
-exact confirmation from the parameters alone, with no float pass and no
-Rational.  Any candidate no kept support confirms takes the screen's path
-unchanged, so reads change no result.
+columns for all blocks, solved by Cramer's rule up to 3 columns.  Lagrange
+interpolation, exact up to degree d, gives each weight lambda_a as the
+functional of q_k / (t - a) = prod_{b != a} (t - b), read by Horner's rule,
+over prod_{b != a} (a - b).  Where every weight is >= 0, x is a common
+point: an exact confirmation from the parameters alone, with no float pass
+and no Rational.  One reader serves all reads of a candidate, and builds
+each block's q_k and rows once, for the first read on its positions.  Any
+candidate no kept support confirms takes the screen's path unchanged, so
+reads change no result.
 """
 
 from __future__ import annotations
@@ -239,47 +242,57 @@ def _roots_polynomial(roots) -> list:
     return q
 
 
-def _divided(q, a) -> list:
-    """``q / (t - a)`` for a monic q with root a, by synthetic division."""
-    p = [1]
-    for c in reversed(q[1:-1]):
-        p.append(c + a * p[-1])
-    p.reverse()
-    return p
+def _moment_reader(param_blocks, d: int):
+    """``read(support)`` for the blocks of increasing integer parameters
+    ``param_blocks`` of one candidate: ``(X, D)``, D > 0, with x = X / D a
+    common point of the hulls of the moment points ``(k, k^2, ..., k^d)`` of
+    the blocks, or None: the point that the parameters A_k at positions
+    ``support[k]`` of each block k, increasing, 1 to d + 1 of them, pin down
+    (see the module docstring).  The rows "the functional of q_k t^j is 0"
+    of all blocks are solved by :func:`~tverlab.feasibility._exact_solution`,
+    None unless x is unique; lambda_a has the sign of the functional of
+    q_k / (t - a) at (D, X) times (-1)^{#{b in A_k : b > a}}, and x is
+    confirmed only where every lambda_a is >= 0.
 
+    Each block's rows, q_k and roots are built the first time a read uses
+    its positions, and shared by every later read of the same candidate;
+    ``_exact_solution`` replaces rows of the list it is given but never
+    changes a row.  The functional of q_k / (t - a), q_k = sum q_j t^j, is
+    ``sum q_j H_j`` by Horner's rule, H_1 = D and H_{j+1} = a H_j + X_j."""
+    blocks = {}
 
-def _moment_read(param_blocks, d: int, support):
-    """``(X, D)``, D > 0, with x = X / D a common point of the hulls of the
-    moment points ``(k, k^2, ..., k^d)`` of the blocks of increasing integer
-    parameters ``param_blocks``, or None: the point that the parameters A_k
-    at positions ``support[k]`` of each block k, increasing, 1 to d + 1 of
-    them, pin down (see the module docstring).  The rows "the functional of
-    q_k t^j is 0" of all blocks are solved by
-    :func:`~tverlab.feasibility._exact_solution`, None unless x is unique;
-    lambda_a has the sign of the functional of prod_{b != a} (t - b) at
-    (D, X) times (-1)^{#{b in A_k : b > a}}, and x is confirmed only where
-    every lambda_a is >= 0."""
-    rows, blocks = [], []
-    for params, positions in zip(param_blocks, support):
-        if not 0 < len(positions) <= d + 1:
+    def block(k, positions):
+        got = blocks.get((k, positions))
+        if got is None:
+            roots = [param_blocks[k][i] for i in positions]
+            q = _roots_polynomial(roots)
+            rows = []
+            for j in range(d + 1 - len(roots)):
+                c = [0] * j + q
+                rows.append(c[1:] + [0] * (d + 1 - len(c)) + [-c[0]])
+            got = blocks[k, positions] = rows, q[1:], roots
+        return got
+
+    def read(support):
+        if not all(0 < len(positions) <= d + 1 for positions in support):
             return None
-        roots = [params[i] for i in positions]
-        q = _roots_polynomial(roots)
-        for j in range(d + 1 - len(roots)):
-            c = [0] * j + q
-            rows.append(c[1:] + [0] * (d + 1 - len(c)) + [-c[0]])
-        blocks.append((roots, q))
-    solved = _exact_solution(rows, d)
-    if solved is None:
-        return None
-    X, D = solved
-    point = [D] + X
-    for roots, q in blocks:
-        for above, a in enumerate(reversed(roots)):
-            value = sum(map(operator.mul, _divided(q, a), point))
-            if value and (value < 0) != (above % 2 == 1):
-                return None
-    return X, D
+        used = [block(k, positions) for k, positions in enumerate(support)]
+        solved = _exact_solution([row for rows, _, _ in used for row in rows], d)
+        if solved is None:
+            return None
+        X, D = solved
+        point = [D] + X
+        for _, q, roots in used:
+            for above, a in enumerate(reversed(roots)):
+                h = value = 0
+                for c, x in zip(q, point):
+                    h = a * h + x
+                    value += c * h
+                if value and (value < 0) != (above % 2 == 1):
+                    return None
+        return X, D
+
+    return read
 
 
 def _positions(columns, sizes) -> tuple:
@@ -329,8 +342,8 @@ def find_counterexample(
     A candidate is its draw lifted to ints (:func:`_lift`).  Nearly every
     one is feasible.  It is read first on the per-block supports of the
     last :data:`KEPT_SUPPORTS` confirmations of this call, most recent
-    first, where a support that confirms moves to the front
-    (:func:`_moment_read`); only a candidate none confirms reaches the
+    first, where a support that confirms moves to the front, all through
+    one :func:`_moment_reader`; only a candidate none confirms reaches the
     integer screen.  One the read or the screen confirms builds no
     Rational; :func:`_certified` decides the rest, those the screen proves
     infeasible too, on the draw with its repeats split, the Rational
@@ -360,8 +373,8 @@ def find_counterexample(
         if any(a >= b for a, b in zip(ks, ks[1:])):
             raise InternalError(f"{strategy.kind} stream gave parameters that do not increase")
         params = split(ks, labels, r)
-        hit = next((i for i, support in enumerate(kept) if _moment_read(params, d, support)),
-                   None)
+        read = _moment_reader(params, d)
+        hit = next((i for i, support in enumerate(kept) if read(support)), None)
         if hit is not None:
             kept.insert(0, kept.pop(hit))
             continue

@@ -1410,16 +1410,22 @@ class TestCLI:
         assert count == 1
         assert stripped == golden["intersect_alternating_4"]
 
-    @pytest.mark.parametrize("case", ["found", "exhausted", "found-d6r3", "found-d7r3"])
+    @pytest.mark.parametrize("case", ["found", "exhausted", "found-d6r3", "found-d7r3",
+                                      "found-d2r3", "found-d4r3"])
     def test_search_c_golden(self, capsys, case):
         """``search-c`` at d = 3, r = 4, n = 16: one run that finds a
         counterexample after 127 feasible candidates, one that exhausts its
-        budget; and the seed-1 budget-400 runs at (6,3,20) and (7,3,22) that
-        find the witnesses of c(6,3) >= 21 and c(7,3) >= 23.  The search-c
-        line (tried, alphas, Farkas multipliers) is byte-identical, apart
-        from timing, to the one recorded before the candidate loop confirmed
-        feasibility ahead of the canonical simplex (d = 3) or read candidates
-        on the supports of earlier confirmations (d = 6, 7)."""
+        budget; the seed-1 budget-400 runs at (6,3,20) and (7,3,22) that
+        find the witnesses of c(6,3) >= 21 and c(7,3) >= 23; and the
+        witnesses of c(2,3) >= 9 (seed 44, the 26th candidate, after 25
+        feasible ones read on 2-column systems) and of c(4,3) >= 15 (seed
+        12, the 132nd, read on 4-column ones).  The search-c line (tried,
+        alphas, Farkas multipliers) is byte-identical, apart from timing, to
+        the one recorded before the candidate loop confirmed feasibility
+        ahead of the canonical simplex (d = 3), read candidates on the
+        supports of earlier confirmations (d = 6, 7) or shared one reader
+        per candidate and solved narrow systems by Cramer's rule (d = 2,
+        4)."""
         golden = json.loads((GOLDEN / "search_c.json").read_text())[case]
         code, out = self.run(capsys, *golden["argv"])
         assert code == 0

@@ -526,14 +526,18 @@ class TestSparseScreen:
         assert {True, False} <= ends
 
     def test_exact_solution_and_det_match_the_fraction_oracle(self):
-        # unit pivots, zero pivot-column entries and rank deficiency: the
-        # solution is y / D, D > 0, and on a square system D is |det|
+        # unit pivots, zero pivot-column entries and rank deficiency, on the
+        # Cramer systems (square, width 1 to 3) and the Bareiss ones (wider
+        # or not square), with entries up to 17 digits: the solution is
+        # y / D, D > 0, on a square system D is |det|, and no row changes
         rng = random.Random(11)
         kinds = set()
-        for trial in range(300):
+        for trial in range(900):
             width = rng.randint(1, 5)
-            m = width + rng.randint(0, 2)
+            m = width + (0 if trial % 2 else rng.randint(0, 2))
             aug = seeded_int_matrix(rng, m, width + 1)
+            if trial % 7 == 0:
+                aug = [[v * rng.randint(-10**16, 10**16) for v in row] for row in aug]
             if trial % 3 == 0:  # one row a combination of two others
                 a, b, c = (rng.randrange(m) for _ in range(3))
                 aug[c] = [x - 2 * y for x, y in zip(aug[a], aug[b])]
@@ -541,8 +545,11 @@ class TestSparseScreen:
                 for row in aug:
                     row[rng.randrange(width)] = 0
             expect = fraction_solution(aug, width)
-            solved = feasibility._exact_solution([list(row) for row in aug], width)
-            kinds.add(expect is None)
+            rows = [list(row) for row in aug]
+            solved = feasibility._exact_solution(list(rows), width)
+            assert rows == aug, aug
+            cramer = m == width <= feasibility._CRAMER_WIDTH
+            kinds.add((cramer and width, expect is None))
             if expect is None:
                 assert solved is None, aug
                 continue
@@ -551,7 +558,7 @@ class TestSparseScreen:
             if m == width:
                 square = [row[:width] for row in aug]
                 assert last == abs(fraction_det(square)) == abs(det(square)), aug
-        assert kinds == {True, False}
+        assert kinds == {(w, singular) for w in (False, 1, 2, 3) for singular in (True, False)}
         for trial in range(100):
             square = seeded_int_matrix(rng, trial % 6, trial % 6)
             assert det(square) == fraction_det(square), square

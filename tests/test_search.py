@@ -295,17 +295,21 @@ class TestMomentRead:
                         params = searchmod.split(ks, labels, r)
                         blocks = searchmod._lifted_blocks(ks, d, r)
                         verdict = feasibility.screen(blocks, d)
+                        shared = searchmod._moment_reader(params, d)
                         if verdict is not None and verdict[0] == "feasible":
                             support = searchmod._positions(verdict[1], sizes)
-                            read = searchmod._moment_read(params, d, support)
+                            read = searchmod._moment_reader(params, d)(support)
                             assert read is not None, (d, r, values)
                             assert moment_read_replays(params, d, support, *read)
                             tally["screen"] += 1
                         infeasible = verdict is not None and verdict[0] == "infeasible"
                         tally["infeasible"] += infeasible
                         for _ in range(20):
+                            # one reader for the candidate's supports, so its
+                            # blocks are shared; each read is a fresh reader's
                             support = self.random_support(rng, params, d)
-                            read = searchmod._moment_read(params, d, support)
+                            read = shared(support)
+                            assert read == searchmod._moment_reader(params, d)(support)
                             if read is None:
                                 tally["refused"] += 1
                                 continue
@@ -333,7 +337,8 @@ class TestMomentRead:
         support = searchmod._positions(columns, [labels.count(k) for k in range(1, r + 1)])
         params = searchmod.split(ks, labels, r)
         assert all(0 < len(positions) <= d + 1 for positions in support)
-        assert moment_read_replays(params, d, support, *searchmod._moment_read(params, d, support))
+        read = searchmod._moment_reader(params, d)(support)
+        assert moment_read_replays(params, d, support, *read)
 
 
 def test_canonical_simplex_decides_every_unconfirmed_candidate(monkeypatch):
@@ -352,15 +357,20 @@ def test_canonical_simplex_decides_every_unconfirmed_candidate(monkeypatch):
         for outcome in [hulls_common_point(moment_blocks(3, 4, alphas), 3)]
         if not outcome.feasible
     )
-    real_read = searchmod._moment_read
+    real_reader = searchmod._moment_reader
     real_screen, real_hulls = searchmod.screen, searchmod.hulls_common_point
     for always_unconfirmed in (False, True):
         reads, verdicts, decided = [], [], []
 
-        def read(params, d, support):
-            got = None if always_unconfirmed else real_read(params, d, support)
-            reads.append(got is not None)
-            return got
+        def reader(params, d):
+            real_read = real_reader(params, d)
+
+            def read(support):
+                got = None if always_unconfirmed else real_read(support)
+                reads.append(got is not None)
+                return got
+
+            return read
 
         def screen(blocks, dim):
             verdict = None if always_unconfirmed else real_screen(blocks, dim)
@@ -372,7 +382,7 @@ def test_canonical_simplex_decides_every_unconfirmed_candidate(monkeypatch):
             decided.append(outcome.feasible)
             return outcome
 
-        monkeypatch.setattr(searchmod, "_moment_read", read)
+        monkeypatch.setattr(searchmod, "_moment_reader", reader)
         monkeypatch.setattr(searchmod, "screen", screen)
         monkeypatch.setattr(searchmod, "hulls_common_point", hulls)
         res = find_counterexample(3, 4, 16, strategy=strategy, budget=40)
