@@ -28,6 +28,7 @@ from .ordertype import (
     HomogeneityResult,
     MomentSpec,
     gale_facets,
+    homogeneity_witness,
     is_neighborly,
     is_order_homogeneous,
     moment_points,

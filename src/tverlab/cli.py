@@ -49,6 +49,7 @@ from .labels import Partition, alternating_partition, split
 from .ordertype import (
     MomentSpec,
     gale_facets,
+    homogeneity_witness,
     is_neighborly,
     is_order_homogeneous,
     moment_points,
@@ -174,7 +175,7 @@ def _cmd_homog(args, hand):
         "homogeneous": result.homogeneous,
         "sign": result.sign,
         "trivial": result.trivial,
-        "witness": result.witness,
+        "witness": None if result.homogeneous else homogeneity_witness(ps),
     }
     failed = False
     if args.expect is not None:

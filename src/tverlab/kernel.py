@@ -37,8 +37,8 @@ Conventions:
   Intelligencer 22, 2000): :func:`positivity_tests` gives them, 49 of the
   1,820 subsets at n = 16 in R^3, with the same Laplace step as the walk,
   and windows share their cofactors.
-  ``orientation_signs`` is then read only to name the first failing
-  subset of a set that is not homogeneous.
+  Past :func:`orientation`'s one subset, ``orientation_signs`` is read only
+  by ``homog``, to name the first failing subset of a set the test rejects.
 * A hyperplane ``normal . x = offset`` has positive side
   ``normal . x > offset``.
 * One elimination, :func:`_bareiss`, serves :func:`det` and the screen's

@@ -14,9 +14,9 @@ violation (general position is part of the notion).  A homogeneous set is,
 up to the sign, a point of the totally positive Grassmannian, so it is
 accepted by a total-positivity test on (d+1)(n-d-1) + 1 orientation
 determinants (Gasca and Pena 1992; Fomin and Zelevinsky 2000), 49 of the
-1,820 at n = 16 in R^3; every (d+1)-subset is read, in lexicographic order
-by one depth-first walk from each base point, only to name the witness of a
-set the test rejects.
+1,820 at n = 16 in R^3.  Only :func:`homogeneity_witness`, which ``homog``
+runs on a set the test rejects, reads every (d+1)-subset, in lexicographic
+order by one depth-first walk from each base point, to name the witness.
 """
 
 from __future__ import annotations
@@ -113,15 +113,12 @@ def is_neighborly(n: int, dim: int) -> bool:
 class HomogeneityResult:
     """Outcome of an order-type homogeneity check.
 
-    ``witness`` is None when homogeneous; otherwise it holds one entry
-    ``(indices, 0)`` for a degenerate subset, or two entries with opposite
-    signs.  ``trivial`` marks sets with fewer than dim+1 points, which are
+    ``trivial`` marks sets with fewer than dim+1 points, which are
     homogeneous with undefined sign.
     """
 
     homogeneous: bool
     sign: Optional[int]
-    witness: Optional[Tuple[Tuple[Tuple[int, ...], int], ...]] = None
     trivial: bool = False
 
 
@@ -129,15 +126,10 @@ def is_order_homogeneous(X: PointSet) -> HomogeneityResult:
     """Check that every ordered (dim+1)-subset has one nonzero orientation.
 
     A homogeneous set is a point of the totally positive Grassmannian (up
-    to the sign), so it is accepted on the k(n - k) + 1 determinants of
-    :func:`~tverlab.kernel.positivity_tests`, k = dim + 1, when all are
-    nonzero with the first one's sign: 49 of the 1,820 subsets at n = 16 in
-    R^3, and no other sign is read.  Otherwise X is not homogeneous, and
-    the signs of all subsets come in lexicographic order from
-    :func:`~tverlab.kernel.orientation_signs`, one walk from each base
-    point over X's cached integer lift; the check stops at the first zero
-    or mismatching sign.  That subset is the witness, after the first
-    subset and its sign on a mismatch.
+    to the sign), so X is homogeneous iff the k(n - k) + 1 determinants of
+    :func:`~tverlab.kernel.positivity_tests`, k = dim + 1, are all nonzero
+    with the first one's sign: 49 of the 1,820 at n = 16 in R^3.  The test
+    stops at the first it rejects and reads no orientation sign.
     """
     if len(X) < X.dim + 1:
         return HomogeneityResult(homogeneous=True, sign=None, trivial=True)
@@ -146,13 +138,22 @@ def is_order_homogeneous(X: PointSet) -> HomogeneityResult:
     test_sign = sign(value)
     if test_sign and all(sign(v) == test_sign for _, v in tests):
         return HomogeneityResult(True, test_sign)
+    return HomogeneityResult(False, None)
+
+
+def homogeneity_witness(X: PointSet) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
+    """The witness of X, which must be a set :func:`is_order_homogeneous`
+    rejects, in the lexicographic order of the walk of
+    :func:`~tverlab.kernel.orientation_signs` on X's cached integer lift:
+    ``((indices, 0),)`` for the first zero subset, or the first subset and the
+    first of the other sign, each with its sign; a walk with neither is a fault."""
     signs = orientation_signs(X)
     first = next(signs)
     for indices, s in itertools.chain([first], signs):
         if s == 0:
-            return HomogeneityResult(False, None, witness=((indices, 0),))
+            return ((indices, 0),)
         if s != first[1]:
-            return HomogeneityResult(False, None, witness=(first, (indices, s)))
+            return (first, (indices, s))
     raise InternalError("the positivity test rejected a homogeneous set")
 
 

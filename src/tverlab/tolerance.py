@@ -83,13 +83,12 @@ class ToleranceReport:
 # feasibility of depleted blocks
 
 
-def _run_order(X: PointSet, r: int, homogeneity=None) -> Optional[Tuple[int, ...]]:
+def _run_order(X: PointSet, r: int) -> Optional[Tuple[int, ...]]:
     """Position of each point in an order in which X is order-type
     homogeneous, so the run rule decides hull intersections; None when there
     is none, or with r < 2 off a line (one block needs no rule); a line is
-    ranked on its lift, whose positive scale keeps order and equality.
-    ``homogeneity`` is X's :func:`is_order_homogeneous` result when the
-    caller already has it."""
+    ranked on its lift, whose positive scale keeps order and equality; off
+    it, the positivity test of :func:`is_order_homogeneous` decides."""
     n = len(X)
     if X.dim == 1:
         values = [v for v, in X.lifted]
@@ -97,7 +96,7 @@ def _run_order(X: PointSet, r: int, homogeneity=None) -> Optional[Tuple[int, ...
         return tuple(map(ranked.index, values)) if len(set(values)) == n else None
     if r < 2:
         return None
-    result = is_order_homogeneous(X) if homogeneity is None else homogeneity
+    result = is_order_homogeneous(X)
     return tuple(range(n)) if result.homogeneous and not result.trivial else None
 
 
@@ -193,21 +192,19 @@ def set_tolerance(X: PointSet, r: int, budget: Optional[int] = None,
     (the enumeration is exponential); ``budget`` caps the per-partition
     removal search, in which case the result is a verified lower bound.
     """
-    partition, order, cap, found = _argmax(X, r, budget, guard, None, ties=True)
+    partition, order, cap, found = _argmax(X, r, budget, guard, ties=True)
     return _report(partition, X, order, found, cap), partition
 
 
-def set_tolerance_value(X: PointSet, r: int, guard: int = PARTITION_GUARD,
-                        homogeneity=None) -> int:
+def set_tolerance_value(X: PointSet, r: int, guard: int = PARTITION_GUARD) -> int:
     """The value :func:`set_tolerance` reports, found by a search only for a
     partition that beats the alternating one, and with no breaking set named
-    where pairs decide.  ``homogeneity`` is X's :func:`is_order_homogeneous`
-    result when the caller already has it."""
-    _, _, _, (value, _) = _argmax(X, r, None, guard, homogeneity, ties=False)
+    where pairs decide."""
+    _, _, _, (value, _) = _argmax(X, r, None, guard, ties=False)
     return value
 
 
-def _argmax(X, r, budget, guard, homogeneity, ties):
+def _argmax(X, r, budget, guard, ties):
     """``(partition, order, cap, found)``: a partition of the best capped
     tolerance, the run order and the cap it was searched under, and its
     ``(value, breaking)`` as :func:`_tolerance` gives them, for
@@ -224,7 +221,7 @@ def _argmax(X, r, budget, guard, homogeneity, ties):
         raise InputError(f"set tolerance needs |X| >= r, got {n} < {r}")
     if n > guard:
         raise ResourceGuardError(f"partition enumeration needs n <= {guard}, got n={n}")
-    order = _run_order(X, r, homogeneity)
+    order = _run_order(X, r)
     cap = n if budget is None else min(budget, n)
     alternating = alternating_partition(n, r)
     seed = _tolerance(alternating.labels, r, X, -2, cap, order)
@@ -300,15 +297,14 @@ def check_tolerance_sandwich(X: PointSet, r: int) -> SandwichReport:
     floor(d/2)`` on an order-type homogeneous set, with c replaced by
     :func:`alternating_bound` (a valid weakening of the lower bound); the
     caller checks the two inequalities.  t(X,r) is
-    :func:`set_tolerance_value`'s, handed the homogeneity result, so the
-    set's orientations are tested once."""
+    :func:`set_tolerance_value`'s, which tests X again for its run order;
+    neither test names a witness."""
     n = len(X)
     if n < r:
         raise InputError("sandwich check needs |X| >= r")
-    result = is_order_homogeneous(X)
-    if not result.homogeneous:
+    if not is_order_homogeneous(X).homogeneous:
         raise InputError("sandwich check requires an order-type homogeneous set")
-    value = set_tolerance_value(X, r, homogeneity=result)
+    value = set_tolerance_value(X, r)
     lower = n // r - alternating_bound(X.dim, r)
     upper = tolerance_upper_bound(n, X.dim, r)
     return SandwichReport(t_value=value, lower_bound=lower, upper_bound=upper)

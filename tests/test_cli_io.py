@@ -414,11 +414,28 @@ class TestCLI:
         code, _ = self.run(capsys, "homog", str(path), "--expect", "violation")
         assert code == 1
 
-    @pytest.mark.parametrize("case", ["nonhomogeneous_d3", "degenerate_d2"])
+    def test_homog_positivity_fault_exits_4(self, capsys, tmp_path, monkeypatch):
+        # a positivity test that rejects a homogeneous set leaves the witness
+        # walk without a failing subset: a fault, not a report
+        import tverlab.ordertype
+
+        path = tmp_path / "m.otps"
+        path.write_text(emit_pointset(moment_points(MomentSpec(3, range(1, 9)))))
+        monkeypatch.setattr(tverlab.ordertype, "positivity_tests",
+                            lambda X: iter([(tuple(range(1, X.dim + 2)), 0)]))
+        code = main(["homog", str(path)])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert "the positivity test rejected a homogeneous set" in captured.err
+
+    @pytest.mark.parametrize("case", ["nonhomogeneous_d3", "degenerate_d2", "pulled_d2"])
     def test_homog_witness_golden(self, capsys, tmp_path, case):
         """The witness is the first zero or mismatching subset in
-        lexicographic order; the report is byte-identical, apart from timing,
-        to the one recorded before the signs were read off one integer lift."""
+        lexicographic order: on ``pulled_d2``, the moment points 1..10 in R^2
+        with point 10 pulled 1/2 under the line of points 8 and 9, the last
+        of its 120 subsets.  The report is byte-identical, apart from timing,
+        to the one recorded before the signs were read off one integer lift
+        (``pulled_d2``: before the verdict stopped reading them)."""
         golden = json.loads((GOLDEN / "homog.json").read_text())[case]
         path = tmp_path / "set.otps"
         path.write_text(golden["otps"])
@@ -1437,9 +1454,13 @@ class TestCLI:
     def test_tolerance_golden(self, capsys, tmp_path, case):
         """``tolerance --set -r 2/3/4``, ``--alternating`` with and without a
         budget, ``--blocks`` and ``intersect --alternating`` on the moment
-        points 1..10 in R^2 and 1..11 in R^3 and on an unsorted line: each
-        report is byte-identical, apart from timing, to the one recorded
-        before the label-string rules moved to one module."""
+        points 1..10 in R^2 and 1..11 in R^3 and on an unsorted line, and
+        ``--set -r 2`` and ``--alternating 2/3`` on the planar moment points
+        with point 10 pulled under the line of points 8 and 9, a set that is
+        not homogeneous: each report is byte-identical, apart from timing,
+        to the one recorded before the label-string rules moved to one
+        module (the pulled set: before the homogeneity verdict stopped
+        reading orientation signs)."""
         golden = TOLERANCE_GOLDEN["cases"][case]
         path = tmp_path / "set.otps"
         path.write_text(TOLERANCE_GOLDEN["sets"][golden["set"]])

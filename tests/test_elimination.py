@@ -7,7 +7,7 @@ Fraction determinant's exact value; the orientation signs of a set, read off
 one integer lift, must be the signs of the per-tuple Fraction determinants
 with a leading-1 column; and the homogeneity check, which accepts on the
 positivity test's few determinants, must return what a per-tuple loop over
-those signs returns, witness included.
+those signs returns, and so must the witness walk on every set it rejects.
 """
 
 import collections
@@ -42,6 +42,7 @@ from tverlab.kernel import (
 from tverlab.ordertype import (
     HomogeneityResult,
     MomentSpec,
+    homogeneity_witness,
     is_order_homogeneous,
     moment_points,
 )
@@ -275,18 +276,25 @@ def mixed_points(rng, n, d):
 
 
 def oracle_homogeneity(points, d):
-    """The homogeneity check as a per-tuple loop over Fraction determinants."""
+    """The homogeneity check as a per-tuple loop over Fraction determinants:
+    its verdict and the witness of a set it rejects, else None."""
     if len(points) < d + 1:
-        return HomogeneityResult(True, None, trivial=True)
+        return HomogeneityResult(True, None, trivial=True), None
     first = None
     for indices, s in fraction_orientation_signs(points, d):
         if s == 0:
-            return HomogeneityResult(False, None, witness=((indices, 0),))
+            return HomogeneityResult(False, None), ((indices, 0),)
         if first is None:
             first = (indices, s)
         elif s != first[1]:
-            return HomogeneityResult(False, None, witness=(first, (indices, s)))
-    return HomogeneityResult(True, first[1])
+            return HomogeneityResult(False, None), (first, (indices, s))
+    return HomogeneityResult(True, first[1]), None
+
+
+def homogeneity_answer(X):
+    """The verdict of X, and the witness that ``homog`` prints with it."""
+    result = is_order_homogeneous(X)
+    return result, None if result.homogeneous else homogeneity_witness(X)
 
 
 def clustered_moment_points(rng, n, d, eps=Rational(1, 1000)):
@@ -363,8 +371,7 @@ def test_orientation_signs_match_fraction_oracle(seed):
 @pytest.mark.parametrize("seed", range(8))
 def test_homogeneity_matches_per_tuple_loop(seed):
     for d, pts in homogeneity_cases(seed):
-        X = PointSet(d, pts)
-        assert is_order_homogeneous(X) == oracle_homogeneity(pts, d)
+        assert homogeneity_answer(PointSet(d, pts)) == oracle_homogeneity(pts, d)
 
 
 def rectangle_sets(n, k):
@@ -451,12 +458,12 @@ def test_homogeneity_on_the_edge_matches_per_tuple_loop():
     kinds = collections.Counter()
     for seed in range(12):
         for d, pts in near_homogeneous_cases(seed):
-            result = is_order_homogeneous(PointSet(d, pts))
-            assert result == oracle_homogeneity(pts, d)
+            result, witness = homogeneity_answer(PointSet(d, pts))
+            assert (result, witness) == oracle_homogeneity(pts, d)
             if result.homogeneous:
                 kinds[result.sign] += 1
             else:
-                kinds["zero" if len(result.witness) == 1 else "mixed"] += 1
+                kinds["zero" if len(witness) == 1 else "mixed"] += 1
     assert set(kinds) == {1, -1, "zero", "mixed"}
 
 
@@ -467,8 +474,8 @@ def test_windows_alone_accept_spirals_past_one_turn():
     homogeneous, fooled = 0, 0
     for _ in range(40):
         pts = spiral_points(rng, rng.randint(6, 12))
-        result = is_order_homogeneous(PointSet(2, pts))
-        assert result == oracle_homogeneity(pts, 2)
+        result, witness = homogeneity_answer(PointSet(2, pts))
+        assert (result, witness) == oracle_homogeneity(pts, 2)
         windows = {fraction_orientation(pts[b:b + 3], 2) for b in range(len(pts) - 2)}
         homogeneous += result.homogeneous
         fooled += windows == {1} and not result.homogeneous
@@ -526,9 +533,9 @@ def test_homogeneity_stops_in_the_first_row(monkeypatch):
     pts = list(moment_points(MomentSpec(4, range(200))).points)
     pts[6] = moment_points(MomentSpec(4, [Rational(1, 2)])).points[0]
     read = count_signs(monkeypatch)
-    result = is_order_homogeneous(PointSet(4, pts))
-    assert result == oracle_homogeneity(pts, 4)
-    assert result.witness == (((1, 2, 3, 4, 5), 1), ((1, 2, 3, 4, 7), -1))
+    result, witness = homogeneity_answer(PointSet(4, pts))
+    assert (result, witness) == oracle_homogeneity(pts, 4)
+    assert witness == (((1, 2, 3, 4, 5), 1), ((1, 2, 3, 4, 7), -1))
     assert read["signs"] == [(1, 2, 3, 4, 5), (1, 2, 3, 4, 6), (1, 2, 3, 4, 7)]
 
 
@@ -564,8 +571,8 @@ def test_homogeneity_names_the_last_subset_of_moved40():
     # every other; its witness is the last of the 91,390 subsets
     pts = pulled_moment_points(3, range(-20, 20), 1)
     assert pts[-1] == (19, 361, 6852)
-    assert is_order_homogeneous(PointSet(3, pts)).witness == (
-        ((1, 2, 3, 4), 1), ((37, 38, 39, 40), -1))
+    assert homogeneity_answer(PointSet(3, pts)) == (HomogeneityResult(False, None), (
+        ((1, 2, 3, 4), 1), ((37, 38, 39, 40), -1)))
 
 
 @pytest.mark.parametrize("d", range(2, 6))
@@ -574,9 +581,9 @@ def test_homogeneity_witness_in_the_last_row(d):
     # flips only the last subset of the walk from the last base point
     n = 10
     pts = pulled_moment_points(d, range(1, n + 1), Rational(1, 2))
-    result = is_order_homogeneous(PointSet(d, pts))
-    assert result == oracle_homogeneity(pts, d)
-    assert result.witness == ((tuple(range(1, d + 2)), 1), (tuple(range(n - d, n + 1)), -1))
+    result, witness = homogeneity_answer(PointSet(d, pts))
+    assert (result, witness) == oracle_homogeneity(pts, d)
+    assert witness == ((tuple(range(1, d + 2)), 1), (tuple(range(n - d, n + 1)), -1))
 
 
 def test_orientation_signs_input_validation():

@@ -12,6 +12,7 @@ from tverlab.kernel import Hyperplane, PointSet, Rational
 from tverlab.ordertype import (
     MomentSpec,
     gale_facets,
+    homogeneity_witness,
     is_neighborly,
     is_order_homogeneous,
     moment_points,
@@ -63,16 +64,17 @@ class TestHomogeneity:
         X = PointSet(2, [(0, 0), (2, 0), (1, 3), (1, 1)])
         result = is_order_homogeneous(X)
         assert not result.homogeneous
-        assert result.witness is not None
+        witness = homogeneity_witness(X)
+        assert witness is not None
         # witness is a pair of subsets with opposite orientation signs
-        (idx_a, sign_a), (idx_b, sign_b) = result.witness
+        (idx_a, sign_a), (idx_b, sign_b) = witness
         assert sign_a == -sign_b != 0
 
     def test_zero_orientation_is_violation(self):
         X = PointSet(2, [(0, 0), (1, 1), (2, 2), (0, 1)])
         result = is_order_homogeneous(X)
         assert not result.homogeneous
-        assert result.witness[0][1] == 0
+        assert homogeneity_witness(X)[0][1] == 0
 
     def test_trivial_below_dim(self):
         X = PointSet(3, [(0, 0, 0), (1, 1, 1)])

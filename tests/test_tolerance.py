@@ -24,6 +24,7 @@ from tverlab.feasibility import hulls_common_point
 from tverlab.kernel import PointSet, Rational
 from tverlab.labels import Target, _read, pair_bound, pair_breaking_set, split
 from tverlab.ordertype import MomentSpec, is_order_homogeneous, moment_points
+from tverlab.pointset_io import emit_pointset
 from tverlab.search import n_line, sixteen_point_alphas, t_line
 from tverlab.tolerance import (
     Partition,
@@ -85,26 +86,25 @@ def brute_set_tolerance(X, r, budget=None):
 
 def count_work(monkeypatch):
     """Count the tolerance search's LP calls and the orientation determinants
-    its homogeneity test reads: the positivity test's, and the orientation
-    signs', one per subset."""
-    calls = {"lp": 0, "signs": 0}
+    read in :mod:`~tverlab.ordertype`: the positivity test's (``tests``), and
+    the witness walk's signs (``signs``), one per subset."""
+    calls = {"lp": 0, "tests": 0, "signs": 0}
     lp = tolerance.hulls_common_point
-    tests, signs = ordertype.positivity_tests, ordertype.orientation_signs
 
     def counted_lp(*args, **kwargs):
         calls["lp"] += 1
         return lp(*args, **kwargs)
 
-    def counted(generator):
+    def counted(name, generator):
         def wrapped(*args):
             for indices, value in generator(*args):
-                calls["signs"] += 1
+                calls[name] += 1
                 yield indices, value
         return wrapped
 
     monkeypatch.setattr(tolerance, "hulls_common_point", counted_lp)
-    monkeypatch.setattr(ordertype, "positivity_tests", counted(tests))
-    monkeypatch.setattr(ordertype, "orientation_signs", counted(signs))
+    for name, attr in (("tests", "positivity_tests"), ("signs", "orientation_signs")):
+        monkeypatch.setattr(ordertype, attr, counted(name, getattr(ordertype, attr)))
     return calls
 
 
@@ -436,7 +436,8 @@ class TestSetTolerance:
         d, n = 3, 8
         rep, _ = set_tolerance(moment_points(MomentSpec(d, range(1, n + 1))), 2)
         assert rep.exhausted
-        assert calls == {"lp": 0, "signs": (d + 1) * (n - d - 1) + 1} == {"lp": 0, "signs": 17}
+        assert calls == {"lp": 0, "tests": (d + 1) * (n - d - 1) + 1, "signs": 0} == {
+            "lp": 0, "tests": 17, "signs": 0}
 
     @pytest.mark.parametrize("d, r, report, labels", [
         (2, 4, ToleranceReport(0, (2,), True), (1, 1, 2, 3, 4, 2, 1, 3, 2, 4)),
@@ -456,12 +457,15 @@ class TestSetTolerance:
             assert (rep, part.labels) == (report, labels)
             assert (calls["lp"] == 0) == screened
 
-    def test_sandwich_evaluates_homogeneity_once(self, monkeypatch):
+    def test_sandwich_reads_two_positivity_tests_and_no_walk_sign(self, monkeypatch):
+        # the sandwich tests X, and the value search tests it again for its
+        # run order: each reads the positivity test's 17 determinants
         calls = count_work(monkeypatch)
         d, n = 3, 8
         rep = check_tolerance_sandwich(moment_points(MomentSpec(d, range(1, n + 1))), 2)
         assert rep.t_value <= rep.upper_bound
-        assert calls["signs"] == (d + 1) * (n - d - 1) + 1 == 17
+        assert calls["tests"] == 2 * ((d + 1) * (n - d - 1) + 1) == 2 * 17
+        assert calls["signs"] == 0
 
     @pytest.mark.parametrize("d, n, r", [(1, 7, 2), (2, 9, 3)])
     def test_alternating_partition_evaluated_once(self, monkeypatch, d, n, r):
@@ -492,7 +496,7 @@ class TestSetTolerance:
         rep, part = set_tolerance(X, 1)
         assert (rep.value, rep.breaking_set) == expected == (n - 1, tuple(range(1, n + 1)))
         assert partition_tolerance(X, part) == rep
-        assert calls == {"lp": 0, "signs": 0}
+        assert calls == {"lp": 0, "tests": 0, "signs": 0}
 
     @pytest.mark.parametrize("X, r", [
         (ONE_TO(16), 1),
@@ -1125,6 +1129,41 @@ class TestSandwich:
     def test_requires_enough_points(self):
         with pytest.raises(InputError):
             check_tolerance_sandwich(ONE_TO(2), 3)
+
+
+#: the CI's moved40 set: 40 moment points in R^3, the last moved from z =
+#: 6859 to 6852, under the plane of points 37-39 alone; and the moment
+#: points 1..10 in R^2 with point 10 pulled 1/2 under the line of points 8
+#: and 9.  In each only the last subset of the walk is negative
+MOVED40 = PointSet(3, moment_points(MomentSpec(3, range(-20, 19))).points + ((19, 361, 6852),))
+PULLED_D2 = PointSet(2, [(i, i * i) for i in range(1, 10)] + [(10, Rational(195, 2))])
+
+
+def test_only_homog_reads_a_walk_sign(monkeypatch, tmp_path, capsys):
+    # a set the positivity test rejects is rejected from the determinants
+    # up to the first failing one; only homog walks on for its witness, the
+    # last of the 91,390 subsets of moved40
+    calls = count_work(monkeypatch)
+
+    def read(run):
+        calls.update(tests=0, signs=0)
+        run()
+        return calls["tests"], calls["signs"]
+
+    def sandwich():
+        with pytest.raises(InputError):
+            check_tolerance_sandwich(MOVED40, 2)
+
+    assert read(sandwich) == (37, 0)
+    assert read(lambda: partition_tolerance(MOVED40, alternating_partition(40, 2), budget=0)) == (
+        37, 0)
+    assert read(lambda: set_tolerance(PULLED_D2, 2)) == (8, 0)
+    path = tmp_path / "moved40.otps"
+    path.write_text(emit_pointset(MOVED40))
+    capsys.readouterr()
+    assert read(lambda: main(["homog", str(path)])) == (37, 91390)
+    outcome = json.loads(capsys.readouterr().out)["outcome"]
+    assert outcome["witness"] == [[[1, 2, 3, 4], 1], [[37, 38, 39, 40], -1]]
 
 
 class TestSuperadditivity:

@@ -1,8 +1,9 @@
 """Every import site the benchmark tracer wraps must exist, every
 definition of the package, top-level or a class member, must be reachable
 from its users, every name a module imports must be used, the label-string
-rules and the integer lift each live in one module, and the package holds
-no ``assert`` statement.
+rules and the integer lift each live in one module, only the witness walk
+reads every orientation sign, and the package holds no ``assert``
+statement.
 
 ``bench/tracing.py`` replaces attributes of tverlab modules by name; one that
 a refactor removed would otherwise show only in the slow traced bench run.
@@ -199,6 +200,18 @@ def test_the_lift_lives_in_one_module():
                  for node in ast.walk(top)
                  if isinstance(node, ast.Attribute) and node.attr == "as_integer_ratio"}
     assert splitters == {("kernel", "scale_to_integers")}
+
+
+def test_only_the_witness_walk_reads_orientation_signs():
+    # the homogeneity verdict is the positivity test's alone: the walk over
+    # every subset is named only where homog asks for a witness and where
+    # orientation reads its one subset
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in (ROOT / "src" / "tverlab").glob("*.py")}
+    readers = {(stem, top.name) for stem, tree in trees.items() for top in tree.body
+               for node in ast.walk(top)
+               if getattr(node, "id", getattr(node, "attr", None)) == "orientation_signs"}
+    assert readers == {("ordertype", "homogeneity_witness"), ("kernel", "orientation")}
 
 
 def test_no_assert_statements():
