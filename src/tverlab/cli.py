@@ -3,13 +3,14 @@
 Each record ties the command to a claim tag, echoes its inputs, and carries
 self-contained certificate payloads, so any report can be re-verified later
 by ``tverlab verify <report.jsonl>`` using only the exact kernel and the
-feasibility engine.  One rule binds every certificate to its record: the
+feasibility engine.  One rule binds every record to its claim: the
 payload's ``dim``, ``blocks`` and ``status`` must equal what the record's own
 inputs and outcome define (the point set, partition and status of
 ``intersect``; the alternating partition of the moment points of a found
 ``search-c`` record or of ``verify-figure2``, with no common point), and its
-evidence must replay.  ``search-c`` resume takes a found record back only
-under the same rule.
+evidence must replay; a record whose fields contradict its claim fails with
+or without a certificate.  ``search-c`` resume takes a found record back
+only under the same rule.
 
 Exit status: 0 = computed and all requested claim checks passed; 1 = a claim
 check failed (the record says which); 2 = input error, or a path that
@@ -380,55 +381,53 @@ def _figure2_outcome(alphas) -> Dict:
     }
 
 
-def _claimed(record: ReportRecord) -> Optional[list]:
-    """The ``[dim, blocks, status]`` that a record's own inputs and outcome
-    define, in the canonical text form payloads are written in; None when the
-    record claims nothing a certificate could prove.  ``intersect`` claims the
-    status it states for the blocks of its point set and partition;
-    ``search-c`` (found) and ``verify-figure2`` claim that the alternating
-    r-partition of their moment points in R^d has no common point.  Every
-    field of a ``verify-figure2`` outcome follows from its epsilon, and must
-    equal what that epsilon gives."""
-    inputs, outcome = record.inputs, record.outcome
-    if record.command == "intersect":
-        points = inputs["pointset"]["points"]
-        labels = list(inputs["partition"])
-        partition = Partition(len(points), max(labels, default=0), labels)
-        blocks = split(points, partition.labels, partition.r)
-        return [inputs["pointset"]["dim"], blocks, outcome["status"]]
-    if record.command == "search-c" and outcome["found"] is True:
-        dim, r = inputs["d"], inputs["r"]
-        alphas = tuple(parse_rational(a) for a in outcome["alphas"])
-        if len(alphas) != inputs["n"]:
-            return None
-    elif record.command == "verify-figure2":
-        dim, r = 3, 4
-        alphas = searchmod.sixteen_point_alphas(parse_rational(inputs["epsilon"]))
-        if outcome != _figure2_outcome(alphas):
-            return None
-    else:
-        return None
+def _moment_claim(dim, r, alphas) -> list:
+    """The claim of a found ``search-c`` record and of ``verify-figure2``:
+    the alternating r-partition of the moment points of ``alphas`` in R^dim
+    has no common point, as ``[dim, blocks, status]`` in the canonical text
+    form payloads are written in."""
     # moment_points refuses unordered alphas
     blocks = searchmod.moment_blocks(dim, r, alphas)
     return [dim, [encode_points(b) for b in blocks], "infeasible"]
 
 
 def _replay_bound(record: ReportRecord) -> Optional[bool]:
-    """Whether a record's certificate states the claim its own inputs and
-    outcome define and its evidence replays; None when the record claims
-    nothing and carries no certificate.  A claim without a certificate is
-    unproved and fails; a certificate on a record that claims nothing proves
-    nothing and fails, and so does a ``search-c`` record whose ``exact``
-    label is not the one its d gives (:func:`_scan_exact`)."""
-    cert = record.certificate
+    """Whether a record's certificate states the claim ``[dim, blocks,
+    status]`` that the record's own inputs and outcome define, and its
+    evidence replays (``intersect``: the status it states for the blocks of
+    its point set and partition; a found ``search-c`` record and
+    ``verify-figure2``: :func:`_moment_claim` of their alphas).  Fields that
+    contradict the claim fail, certificate or not: a ``search-c`` ``exact``
+    label other than its d gives (:func:`_scan_exact`), found alphas that are
+    not n, a ``verify-figure2`` outcome other than its epsilon gives.  A claim
+    without a certificate fails, and so does a certificate on a record that
+    claims nothing; None only when a record claims nothing and has none."""
+    inputs, outcome, cert = record.inputs, record.outcome, record.certificate
     try:
-        if (record.command == "search-c"
-                and record.outcome["exact"] is not _scan_exact(record.inputs["d"])):
+        if record.command == "intersect":
+            points = inputs["pointset"]["points"]
+            labels = list(inputs["partition"])
+            partition = Partition(len(points), max(labels, default=0), labels)
+            blocks = split(points, partition.labels, partition.r)
+            claim = [inputs["pointset"]["dim"], blocks, outcome["status"]]
+        elif (record.command == "search-c"
+              and outcome["exact"] is not _scan_exact(inputs["d"])):
             return False
-        if cert is None:
-            return None if _claimed(record) is None else False
+        elif record.command == "search-c" and outcome["found"] is True:
+            alphas = tuple(parse_rational(a) for a in outcome["alphas"])
+            if len(alphas) != inputs["n"]:
+                return False
+            claim = _moment_claim(inputs["d"], inputs["r"], alphas)
+        elif record.command == "verify-figure2":
+            alphas = searchmod.sixteen_point_alphas(parse_rational(inputs["epsilon"]))
+            if outcome != _figure2_outcome(alphas):
+                return False
+            claim = _moment_claim(3, 4, alphas)
+        else:
+            return None if cert is None else False
         return (
-            _claimed(record) == [cert["dim"], cert["blocks"], cert["status"]]
+            cert is not None
+            and claim == [cert["dim"], cert["blocks"], cert["status"]]
             and replay_record(record)
         )
     except (InputError, KeyError, TypeError, ValueError, AttributeError):

@@ -235,6 +235,34 @@ def test_round_trip_property(rows):
     assert parse_pointset(emit_pointset(ps)).points == ps.points
 
 
+def leaf_mutants(value):
+    """Each copy of a JSON value with one leaf changed: an int +-1, a bool
+    flipped, null made 0 and true, a list with its last entry dropped,
+    reversed or repeated, a string with "x" appended and a rational string
+    also +1, negated and doubled; a list or object changes one entry."""
+    if isinstance(value, bool):
+        yield not value
+    elif isinstance(value, int):
+        yield from (value + 1, value - 1)
+    elif value is None:
+        yield from (0, True)
+    elif isinstance(value, str):
+        yield value + "x"
+        try:
+            q = parse_rational(value)
+        except ParseError:
+            return
+        yield from (format_rational(q + 1), format_rational(-q), format_rational(2 * q))
+    elif isinstance(value, list):
+        if value:
+            yield from (value[:-1], value[::-1], value + value[-1:])
+        for i, item in enumerate(value):
+            yield from (value[:i] + [m] + value[i + 1:] for m in leaf_mutants(item))
+    else:
+        for key, item in value.items():
+            yield from ({**value, key: m} for m in leaf_mutants(item))
+
+
 class TestRecords:
     def test_record_round_trip(self):
         rec = ReportRecord(
@@ -483,8 +511,10 @@ class TestCLI:
 
     def test_verify_rejects_a_stripped_certificate(self, capsys, tmp_path):
         # a record that claims something and carries no certificate fails
-        # (exit 1), an intersect record with its status flipped too; one
-        # that claims nothing keeps null
+        # (exit 1), an intersect record with its status flipped too, and so
+        # do records whose fields contradict their claim: figure 2 raised to
+        # c(3,4) >= 18, a found record with an alpha dropped; one that
+        # claims nothing keeps null
         report = tmp_path / "report.jsonl"
         for argv in (
             ["search-c", "-d", "2", "-r", "2", "--n-from", "3", "--n-to", "4"],
@@ -499,10 +529,41 @@ class TestCLI:
         assert found["outcome"]["found"] is True and missed["certificate"] is None
         flipped = json.loads(json.dumps(intersect))
         flipped["outcome"]["status"] = "feasible"
-        for stripped in (found, figure2, intersect, flipped):
+        raised = json.loads(json.dumps(figure2))
+        raised["outcome"]["c_lower_bound"]["at_least"] = 18
+        shorter = json.loads(json.dumps(found))
+        shorter["outcome"]["alphas"].pop()
+        for stripped in (found, figure2, intersect, flipped, raised, shorter):
             stripped["certificate"] = None
             code, verdicts = self.verify_lines(capsys, tmp_path, [stripped, missed])
             assert (code, verdicts) == (1, [False, None]), stripped["command"]
+
+    def test_a_contradicted_claim_fails_without_its_certificate(self, capsys, tmp_path):
+        # each single-leaf change of the verify-figure2 inputs and outcome
+        # that leaves the record changed, and a found search-c record whose
+        # alphas are not its n, fail alone with the certificate removed
+        code, out = self.run(capsys, "verify-figure2")
+        assert code == 0
+        figure2 = json.loads(out)
+        forgeries = [{**figure2, part: value, "certificate": None}
+                     for part in ("inputs", "outcome")
+                     for value in leaf_mutants(figure2[part]) if value != figure2[part]]
+        assert len(forgeries) == 79
+        report = tmp_path / "scan.jsonl"
+        code, _ = self.run(capsys, "--out", str(report), "search-c", "-d", "2",
+                           "-r", "2", "--n-from", "3", "--n-to", "3")
+        assert code == 0
+        found = json.loads(report.read_text().splitlines()[0])
+        alphas, n = found["outcome"]["alphas"], found["inputs"]["n"]
+        assert found["outcome"]["found"] is True and len(alphas) == n == 3
+        longer = alphas + [format_rational(parse_rational(alphas[-1]) + 1)]
+        for outcome, inputs in (({"alphas": alphas[:-1]}, {}), ({"alphas": longer}, {}),
+                                ({}, {"n": n - 1}), ({}, {"n": n + 1})):
+            forgeries.append({**found, "inputs": {**found["inputs"], **inputs},
+                              "outcome": {**found["outcome"], **outcome},
+                              "certificate": None})
+        for forged in forgeries:
+            assert self.verify_lines(capsys, tmp_path, [forged]) == (1, [False]), forged
 
     def test_verify_binds_search_c_to_its_inputs(self, capsys, tmp_path):
         # the found n=3 record relabelled as n=4 still carries a certificate
