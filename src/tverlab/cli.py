@@ -8,9 +8,9 @@ payload's ``dim``, ``blocks`` and ``status`` must equal what the record's own
 inputs and outcome define (the point set, partition and status of
 ``intersect``; the alternating partition of the moment points of a found
 ``search-c`` record or of ``verify-figure2``, with no common point), and its
-evidence must replay; a record whose fields contradict its claim fails with
-or without a certificate.  ``search-c`` resume takes a found record back
-only under the same rule.
+evidence must replay; a record whose fields contradict its claim, its claim
+tag among them, fails with or without a certificate.  ``search-c`` resume
+takes a found record back only under the same rule.
 
 Exit status: 0 = computed and all requested claim checks passed; 1 = a claim
 check failed (the record says which); 2 = input error, or a path that
@@ -46,7 +46,7 @@ from . import search as searchmod
 from .errors import InputError, InternalError, ParseError, ResourceGuardError
 from .feasibility import hulls_common_point, verify_outcome
 from .kernel import Hyperplane, PointSet
-from .labels import Partition, alternating_partition, split
+from .labels import Partition, alternating_labels, alternating_partition, split
 from .ordertype import (
     MomentSpec,
     gale_facets,
@@ -59,8 +59,8 @@ from .ordertype import (
 from .pointset_io import (
     RECORD_START,
     ReportRecord,
+    _read_canonical,
     emit_pointset,
-    encode_points,
     format_rational,
     jsonable,
     load_records,
@@ -92,6 +92,7 @@ from .tolerance import (
 
 # claim tags are stable wire-format identifiers used by downstream tooling
 CLAIM_GALE = "Lemma2.1"
+CLAIM_INTERSECTION = "Intersection"
 CLAIM_CROSSINGS = "Lemma2.2"
 CLAIM_ALTERNATING_BOUND = "Lemma3.2"
 CLAIM_EVEN_BOUND = "EvenD"
@@ -215,7 +216,7 @@ def _cmd_intersect(args, hand):
     blocks = split(ps.points, partition.labels, partition.r)
     outcome = hulls_common_point(blocks, ps.dim)
     replayed = verify_outcome(blocks, outcome, ps.dim)
-    hand({"pointset": ps, "partition": list(partition.labels)}, "Intersection",
+    hand({"pointset": ps, "partition": list(partition.labels)}, CLAIM_INTERSECTION,
          {"status": outcome.status, "replayed": replayed, "expected": args.expect},
          outcome_payload(blocks, ps.dim, outcome),
          failed=not replayed or args.expect not in (None, outcome.status))
@@ -381,14 +382,34 @@ def _figure2_outcome(alphas) -> Dict:
     }
 
 
-def _moment_claim(dim, r, alphas) -> list:
-    """The claim of a found ``search-c`` record and of ``verify-figure2``:
-    the alternating r-partition of the moment points of ``alphas`` in R^dim
-    has no common point, as ``[dim, blocks, status]`` in the canonical text
-    form payloads are written in."""
-    # moment_points refuses unordered alphas
-    blocks = searchmod.moment_blocks(dim, r, alphas)
-    return [dim, [encode_points(b) for b in blocks], "infeasible"]
+def _states_moment_claim(cert, dim, r, alphas) -> bool:
+    """Whether a certificate states the claim of a found ``search-c`` record
+    and of ``verify-figure2``: the alternating r-partition of the moment
+    points of ``alphas``, increasing, in R^dim has no common point, in the
+    canonical text form payloads are written in.  The shape (dim, r blocks
+    of the alternating sizes, dim coordinates a point) is compared first,
+    and then each coordinate, read from its text, as alpha times the one
+    before it: no power is formed that the certificate does not write, so
+    the check costs no more than the certificate's own text."""
+    MomentSpec(dim, alphas)  # refuses a dim below 1 and unordered alphas
+    blocks = cert["blocks"]
+    if cert["dim"] != dim or cert["status"] != "infeasible" or len(blocks) != r:
+        return False
+    for block, params in zip(blocks, split(alphas, alternating_labels(len(alphas), r), r)):
+        if len(block) != len(params) or any(type(p) is not list or len(p) != dim for p in block):
+            return False
+        for point, a in zip(block, params):
+            power = 1
+            for text in point:
+                power *= a
+                if _read_canonical(text) != power:
+                    return False
+    return True
+
+
+#: the claim tag of each record kind whose claim :func:`_replay_bound` binds
+_BOUND_CLAIMS = {"intersect": CLAIM_INTERSECTION, "search-c": CLAIM_SCAN,
+                 "verify-figure2": CLAIM_SIXTEEN}
 
 
 def _replay_bound(record: ReportRecord) -> Optional[bool]:
@@ -396,40 +417,50 @@ def _replay_bound(record: ReportRecord) -> Optional[bool]:
     status]`` that the record's own inputs and outcome define, and its
     evidence replays (``intersect``: the status it states for the blocks of
     its point set and partition; a found ``search-c`` record and
-    ``verify-figure2``: :func:`_moment_claim` of their alphas).  Fields that
-    contradict the claim fail, certificate or not: a ``search-c`` ``exact``
-    label other than its d gives (:func:`_scan_exact`), found alphas that are
-    not n, a ``verify-figure2`` outcome other than its epsilon gives.  A claim
-    without a certificate fails, and so does a certificate on a record that
-    claims nothing; None only when a record claims nothing and has none."""
-    inputs, outcome, cert = record.inputs, record.outcome, record.certificate
+    ``verify-figure2``: :func:`_states_moment_claim` of their alphas).
+    Fields that contradict the claim fail, certificate or not: a claim tag
+    other than the kind's (:data:`_BOUND_CLAIMS`), a ``search-c`` ``exact``
+    label other than its d gives (:func:`_scan_exact`) or a d, r or n that
+    is no int of at least 1, found alphas that are not n, an ``intersect``
+    outcome not replayed or expecting another status, a ``verify-figure2``
+    outcome other than its epsilon gives.  A claim without a certificate
+    fails before anything of it is built, and so does a certificate on a
+    record that claims nothing; None only when a record claims nothing and
+    has none."""
+    inputs, outcome, cert, kind = record.inputs, record.outcome, record.certificate, record.command
+    tag = _BOUND_CLAIMS.get(kind)
     try:
-        if record.command == "intersect":
+        counts = [inputs.get(key) for key in ("d", "r", "n")]
+        if tag is not None and record.claim != tag or kind == "search-c" and (
+                outcome["exact"] is not _scan_exact(inputs["d"])
+                or not all(type(v) is int and v >= 1 for v in counts)):
+            return False
+        if tag is None or kind == "search-c" and outcome["found"] is not True:
+            return None if cert is None else False
+        if cert is None:
+            return False
+        if kind == "intersect":
+            status = outcome["status"]
+            if outcome["replayed"] is not True or outcome["expected"] not in (None, status):
+                return False
             points = inputs["pointset"]["points"]
             labels = list(inputs["partition"])
             partition = Partition(len(points), max(labels, default=0), labels)
             blocks = split(points, partition.labels, partition.r)
-            claim = [inputs["pointset"]["dim"], blocks, outcome["status"]]
-        elif (record.command == "search-c"
-              and outcome["exact"] is not _scan_exact(inputs["d"])):
-            return False
-        elif record.command == "search-c" and outcome["found"] is True:
+            if [inputs["pointset"]["dim"], blocks, status] != [
+                    cert["dim"], cert["blocks"], cert["status"]]:
+                return False
+        elif kind == "search-c":
             alphas = tuple(parse_rational(a) for a in outcome["alphas"])
-            if len(alphas) != inputs["n"]:
+            if len(alphas) != inputs["n"] or not _states_moment_claim(
+                    cert, inputs["d"], inputs["r"], alphas):
                 return False
-            claim = _moment_claim(inputs["d"], inputs["r"], alphas)
-        elif record.command == "verify-figure2":
-            alphas = searchmod.sixteen_point_alphas(parse_rational(inputs["epsilon"]))
-            if outcome != _figure2_outcome(alphas):
-                return False
-            claim = _moment_claim(3, 4, alphas)
         else:
-            return None if cert is None else False
-        return (
-            cert is not None
-            and claim == [cert["dim"], cert["blocks"], cert["status"]]
-            and replay_record(record)
-        )
+            alphas = searchmod.sixteen_point_alphas(parse_rational(inputs["epsilon"]))
+            if outcome != _figure2_outcome(alphas) or not _states_moment_claim(
+                    cert, 3, 4, alphas):
+                return False
+        return replay_record(record)
     except (InputError, KeyError, TypeError, ValueError, AttributeError):
         return False
 
@@ -474,7 +505,8 @@ def _summary_bound(summary: ReportRecord, records, replays) -> bool:
         found, _ = _scan_found(records, inputs, replays)
         ns = range(inputs["n_from"], inputs["n_to"] + 1)
         expected = _scan_summary({n: found[n] for n in ns})  # KeyError: no record
-        return all(summary.outcome[key] == value for key, value in expected.items())
+        return summary.claim == CLAIM_SCAN and all(
+            summary.outcome[key] == value for key, value in expected.items())
     except (KeyError, TypeError):
         return False
 

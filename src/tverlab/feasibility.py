@@ -54,8 +54,11 @@ rows carry artificials, and proposes a basis.  Where its objective reached
 zero, the basis is solved on the difference rows alone; where it did not,
 or that solve fails, its dual on the canonical rows must replay as Farkas
 multipliers.  Floats never decide: any doubt falls back to
-:func:`hulls_common_point`.  A c(d,r) search candidate, on the moment
-curve, is read before its screen on the supports of earlier confirmations
+:func:`hulls_common_point`.  The screen answers in the same evidence types,
+with a :class:`Support` (each block's positions of positive weight, the
+form of :attr:`Witness.support`) in place of a witness.  A c(d,r) search
+candidate, on the moment curve, is read before its screen on the supports
+of earlier confirmations
 (:func:`tverlab.search._moment_reader`): the affine hulls of the moment
 points of a support meet where the functional ``c_0 + c_1 x_1 + ... + c_d
 x_d`` vanishes on every multiple of degree at most d of each block's
@@ -218,6 +221,11 @@ class Witness:
     point: Point
     coefficients: Tuple[Tuple[Rational, ...], ...]
 
+    @property
+    def support(self) -> Tuple[Tuple[int, ...], ...]:
+        """Each block's positions of positive coefficient, as :class:`Support`."""
+        return tuple(tuple(i for i, c in enumerate(coeffs) if c) for coeffs in self.coefficients)
+
     def replays(self, blocks, dim) -> bool:
         """Recompute every defining equality, exactly, on the integer lift:
         the point and every block point with coordinate c times the same
@@ -248,8 +256,9 @@ class Witness:
 class FarkasCertificate:
     """Multipliers proving the intersection system ``A x = b, x >= 0`` empty.
 
-    The system layout is fixed by :func:`intersection_system`; multipliers are
-    normalized to coprime integers (positive scaling only).
+    The system layout is fixed by :func:`intersection_system`; the printed
+    multipliers, :func:`hulls_common_point`'s, are normalized to coprime
+    integers (positive scaling only).
     """
 
     feasible = False
@@ -316,28 +325,19 @@ def intersection_system(blocks: Sequence[Sequence[Point]], dim: int):
     Entries are the coordinates and the ints 0 and 1, so integer points
     give an integer system.
     """
-    r = len(blocks)
-    sizes = [len(b) for b in blocks]
-    total = sum(sizes)
-    offsets = [sum(sizes[:k]) for k in range(r)]
-    rows = []
-    rhs = []
-    for k in range(r):
-        row = [0] * total
-        for j in range(sizes[k]):
-            row[offsets[k] + j] = 1
-        rows.append(row)
-        rhs.append(1)
-    for k in range(r - 1):
+    offsets = list(accumulate(map(len, blocks), initial=0))
+    total = offsets[-1]
+    rows = [[0] * lo + [1] * (hi - lo) + [0] * (total - hi)
+            for lo, hi in zip(offsets, offsets[1:])]
+    for k in range(len(blocks) - 1):
         for c in range(dim):
             row = [0] * total
-            for j, p in enumerate(blocks[k]):
-                row[offsets[k] + j] = p[c]
-            for j, p in enumerate(blocks[k + 1]):
-                row[offsets[k + 1] + j] = -p[c]
+            for j, p in enumerate(blocks[k], offsets[k]):
+                row[j] = p[c]
+            for j, p in enumerate(blocks[k + 1], offsets[k + 1]):
+                row[j] = -p[c]
             rows.append(row)
-            rhs.append(0)
-    return rows, rhs
+    return rows, [1] * len(blocks) + [0] * (len(rows) - len(blocks))
 
 
 def _coerce_blocks(blocks, dim=None):
@@ -381,11 +381,8 @@ def hulls_common_point(blocks, dim=None) -> Witness | FarkasCertificate | EmptyB
     status, payload = solve_equality_feasibility(rows, rhs)
     if status == "infeasible":
         return FarkasCertificate(multipliers=_normalize_multipliers(payload))
-    coeffs = []
-    pos = 0
-    for block in blocks:
-        coeffs.append(tuple(payload[pos : pos + len(block)]))
-        pos += len(block)
+    columns = iter(payload)
+    coeffs = [tuple(islice(columns, len(block))) for block in blocks]
     return Witness(point=_combination(blocks[0], coeffs[0], dim), coefficients=tuple(coeffs))
 
 
@@ -396,15 +393,25 @@ def verify_outcome(blocks, outcome, dim=None) -> bool:
     return outcome.replays(blocks, dim)
 
 
-def screen(blocks, dim):
-    """The integer screen's verdict on the hulls of blocks of integer points:
-    ``("feasible", support)``, the support of an exactly confirmed common
-    point as columns of :func:`intersection_system`; ``("infeasible", u)``,
-    integer Farkas multipliers for that system, replayed exactly; or None,
-    unconfirmed either way.
+@dataclass(frozen=True)
+class Support:
+    """The hulls meet, as :func:`screen` confirmed exactly: for each block,
+    the positions of its points with positive weight at a common point, as
+    :attr:`Witness.support` names them; no evidence to print or replay."""
 
-    Each block's first point is its key (see the module docstring); an
-    empty block's convexity row reads ``0 = 1``, its own Farkas vector.
+    feasible = True
+    status = "feasible"
+    support: Tuple[Tuple[int, ...], ...]
+
+
+def screen(blocks, dim) -> Support | FarkasCertificate | EmptyBlockCertificate | None:
+    """The integer screen's verdict on the hulls of blocks of integer points:
+    a :class:`Support` where it confirms a common point exactly, a
+    :class:`FarkasCertificate` of integer multipliers, not normalized, that
+    replay exactly, an :class:`EmptyBlockCertificate` for the first empty
+    block, or None, unconfirmed either way.
+
+    Each block's first point is its key (see the module docstring).
     :func:`_float_basis` proposes a basis from :func:`_float_start`, and
     :func:`_key_read` reads one whose objective reached zero.  The dual of
     any other basis, and of one that read fails, on the rows of
@@ -413,10 +420,9 @@ def screen(blocks, dim):
     the row by and L their LCM: the float pass's costs on the canonical
     rows, which only make the replay likely to pass; the replay decides.
     """
-    r = len(blocks)
     for k, block in enumerate(blocks):
         if not block:
-            return "infeasible", tuple(int(i == k) for i in range(r + (r - 1) * dim))
+            return EmptyBlockCertificate(block_index=k + 1)
     chains, rhs = _difference_system(blocks, dim)
     try:
         tableau, start, scales = _float_start(blocks, chains, rhs)
@@ -429,14 +435,14 @@ def screen(blocks, dim):
     if reached_zero:
         support = _key_read(blocks, chains, rhs, basis)
         if support is not None:
-            return "feasible", support
+            return Support(support)
     lcm = math.lcm(*scales)
     rows, _ = intersection_system(blocks, dim)
-    read = _basis_dual(rows, basis, [0] * r + [lcm // s for s in scales])
+    read = _basis_dual(rows, basis, [0] * len(blocks) + [lcm // s for s in scales])
     if read is None:
         return None
     u = tuple(read[0])
-    return ("infeasible", u) if _farkas_replays(u, blocks, dim) else None
+    return FarkasCertificate(u) if _farkas_replays(u, blocks, dim) else None
 
 
 def _difference_system(blocks, dim):
@@ -498,12 +504,12 @@ def _float_start(blocks, rows, rhs):
 
 
 def _key_read(blocks, rows, rhs, basis):
-    """The support of the basic point of ``basis`` as columns of
-    :func:`intersection_system`, or None unless it is a unique common point.
-    Its columns S other than keys are solved, ``y = D x_S`` by
-    :func:`_exact_solution`, on the difference system ``rows`` and the
-    convexity row of each block whose key is not in the basis; each key's
-    coefficient is D minus the sum of its block's others."""
+    """The support of the basic point of ``basis``, as :class:`Support`
+    names it, or None unless it is a unique common point.  Its columns S
+    of :func:`intersection_system` other than keys are solved, ``y = D
+    x_S`` by :func:`_exact_solution`, on the difference system ``rows`` and
+    the convexity row of each block whose key is not in the basis; each
+    key's coefficient is D minus the sum of its block's others."""
     offsets = list(accumulate(map(len, blocks), initial=0))
     keys = offsets[:-1]
     owner = [k for k, block in enumerate(blocks) for _ in block]
@@ -521,8 +527,9 @@ def _key_read(blocks, rows, rhs, basis):
         left[owner[j]] -= v
     if min(y, default=0) < 0 or min(left, default=0) < 0:
         return None
-    return tuple(sorted([key for key, v in zip(keys, left) if v]
-                        + [j for j, v in zip(support, y) if v]))
+    positive = {j for j, v in zip(support + keys, y + left) if v}
+    return tuple(tuple(j - lo for j in range(lo, hi) if j in positive)
+                 for lo, hi in zip(offsets, offsets[1:]))
 
 
 def _basis_dual(rows, basis, costs):

@@ -298,10 +298,13 @@ class ReportRecord:
             body = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON record: {exc}", line=lineno) from exc
-        if not (isinstance(body, dict) and all(
+        except RecursionError:
+            raise ParseError("a JSON record nested too deeply to read", line=lineno) from None
+        # a command is echoed in verify's results, so it must be no nest of lists
+        if not (isinstance(body, dict) and isinstance(body.get("command", ""), str) and all(
                 isinstance(body.get(key, {}), dict) for key in ("inputs", "outcome"))):
-            raise ParseError("a record is a JSON object whose inputs and outcome are objects",
-                             line=lineno)
+            raise ParseError("a record is a JSON object whose command is a string and whose "
+                             "inputs and outcome are objects", line=lineno)
         return cls(
             command=body.get("command", ""),
             inputs=body.get("inputs", {}),

@@ -38,18 +38,19 @@ does not confirm feasible take their :func:`alpha_candidates` parameters
 through the canonical simplex, which decides and certifies them.
 
 Before the screen, a candidate is read on the supports of the search's
-latest confirmations (:func:`_moment_reader`), which the screen or the
-canonical witness named: at most d + 1 parameters A_k per block, at the
-same positions in each candidate.  On the moment curve gamma(t) = (t, t^2,
-..., t^d), a point x gives each polynomial of degree at most d the
-functional ``c_0 + c_1 x_1 + ... + c_d x_d``, which is sum lambda_a p(a) at
-x = sum lambda_a gamma(a), sum lambda_a = 1.  So x lies on the affine hull
-of every block's support when the functional vanishes on q_k t^j, q_k =
-prod_{a in A_k} (t - a), for j = 0..d - |A_k|: one integer system with d
-columns for all blocks, solved by Cramer's rule up to 3 columns.  Lagrange
-interpolation, exact up to degree d, gives each weight lambda_a as the
-functional of q_k / (t - a) = prod_{b != a} (t - b), read by Horner's rule,
-over prod_{b != a} (a - b).  Where every weight is >= 0, x is a common
+latest confirmations (:func:`_moment_reader`), the ``support`` of the
+screen's :class:`~tverlab.feasibility.Support` or of the canonical witness:
+each block's positions of positive weight, at most d + 1 parameters A_k per
+block, at the same positions in each candidate.  On the moment curve
+gamma(t) = (t, t^2, ..., t^d), a point x gives each polynomial of degree at
+most d the functional ``c_0 + c_1 x_1 + ... + c_d x_d``, which is sum
+lambda_a p(a) at x = sum lambda_a gamma(a), sum lambda_a = 1.  So x lies on
+the affine hull of every block's support when the functional vanishes on q_k
+t^j, q_k = prod_{a in A_k} (t - a), for j = 0..d - |A_k|: one integer system
+with d columns for all blocks, solved by Cramer's rule up to 3 columns.
+Lagrange interpolation, exact up to degree d, gives each weight lambda_a as
+the functional of q_k / (t - a) = prod_{b != a} (t - b), read by Horner's
+rule, over prod_{b != a} (a - b).  Where every weight is >= 0, x is a common
 point: an exact confirmation from the parameters alone, with no float pass
 and no Rational.  One reader serves all reads of a candidate, and builds
 each block's q_k and rows once, for the first read on its positions.  Any
@@ -220,11 +221,6 @@ def alternating_blocks(X: PointSet, r: int):
     return split(X.points, alternating_labels(len(X), r), r)
 
 
-def moment_blocks(dim: int, r: int, alphas: Sequence):
-    """Points of the alternating r-partition of the moment configuration."""
-    return alternating_blocks(moment_points(MomentSpec(dim, alphas)), r)
-
-
 def _lifted_blocks(ks, dim: int, r: int):
     """:func:`alternating_blocks` of the moment points of the integer
     parameters ``ks``: ``(k, k^2, ..., k^dim)``, built with no Rational.  For
@@ -293,14 +289,6 @@ def _moment_reader(param_blocks, d: int):
         return X, D
 
     return read
-
-
-def _positions(columns, sizes) -> tuple:
-    """Columns of :func:`~tverlab.feasibility.intersection_system`, as each
-    block's positions: blocks of ``sizes`` points, in order."""
-    offsets = list(itertools.accumulate(sizes, initial=0))
-    return tuple(tuple(j - lo for j in columns if lo <= j < hi)
-                 for lo, hi in zip(offsets, offsets[1:]))
 
 
 def _certified(dim: int, r: int, alphas) -> Counterexample | Witness:
@@ -379,14 +367,11 @@ def find_counterexample(
             kept.insert(0, kept.pop(hit))
             continue
         verdict = screen(_lifted_blocks(ks, d, r), d)
-        if verdict is not None and verdict[0] == "feasible":
-            columns = verdict[1]
-        else:
-            found = _certified(d, r, split_repeats(values, DEFAULT_EPSILON))
-            if isinstance(found, Counterexample):
-                return found
-            columns = [j for j, lam in enumerate(itertools.chain(*found.coefficients)) if lam]
-        kept.insert(0, _positions(columns, map(len, params)))
+        if verdict is None or not verdict.feasible:
+            verdict = _certified(d, r, split_repeats(values, DEFAULT_EPSILON))
+            if isinstance(verdict, Counterexample):
+                return verdict
+        kept.insert(0, verdict.support)
         del kept[KEPT_SUPPORTS:]
     if n < r:
         raise InternalError("an empty alternating block must be infeasible")

@@ -42,8 +42,11 @@ The removal scan prints no LP's certificate.  The integer screen,
 :func:`~tverlab.feasibility.screen`, decides most LPs on the set's integer
 lift both ways: it confirms common points, and it proves infeasible the
 breaking sets on which every scan ends, so the canonical simplex seldom
-runs.  A removal that misses the support of a common point already found for
-the same partition keeps that point, so it is not tested at all.
+runs.  Either names the support of a common point: each block's positions
+of positive weight, the ``support`` of the screen's
+:class:`~tverlab.feasibility.Support` or of the simplex's witness.  A
+removal that misses a support already found for the same partition keeps
+that point, so it is not tested at all.
 """
 
 from __future__ import annotations
@@ -105,7 +108,8 @@ def _depleted_feasible(labels, r, X: PointSet) -> Optional[Set[int]]:
     string whose 0s mark removed points, as 1-based indices, or None when
     they have none, decided by one exact test on the integer lift: the
     interval test on a line (every survivor is the support: it names no
-    witness), else the integer screen, or the simplex where it is unconfirmed."""
+    witness), else the integer screen, or the simplex where it is
+    unconfirmed; either names each block's points of positive weight."""
     if X.dim == 1:
         values = split([v for v, in X.lifted], labels, r)
         survivors = {i for i, label in enumerate(labels, 1) if label}
@@ -113,17 +117,11 @@ def _depleted_feasible(labels, r, X: PointSet) -> Optional[Set[int]]:
     blocks = split(X.lifted, labels, r)
     verdict = screen(blocks, X.dim)
     if verdict is None:
-        outcome = hulls_common_point(blocks, X.dim)
-        if not outcome.feasible:
-            return None
-        coefficients = itertools.chain(*outcome.coefficients)
-        columns = [j for j, c in enumerate(coefficients) if c]
-    elif verdict[0] == "infeasible":
+        verdict = hulls_common_point(blocks, X.dim)
+    if not verdict.feasible:
         return None
-    else:
-        columns = verdict[1]
-    flat = list(itertools.chain(*split(range(1, len(X) + 1), labels, r)))
-    return {flat[j] for j in columns}
+    indices = split(range(1, len(X) + 1), labels, r)
+    return {block[i] for block, positions in zip(indices, verdict.support) for i in positions}
 
 
 # ---------------------------------------------------------------------------

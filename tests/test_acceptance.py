@@ -29,7 +29,6 @@ from tverlab.search import (
     c_lower_bound,
     check_growth_inequality,
     find_counterexample,
-    moment_blocks,
     n_line,
     n_line_formula,
     scan_c_lower,
@@ -132,7 +131,8 @@ def test_criterion_4_alternating_bound_suite():
                 alphas = seeded_increasing_alphas(
                     10_000 + 61 * d + 17 * r + seed, n, lo=-3 * n - 5, hi=3 * n + 5
                 )
-                out = hulls_common_point(moment_blocks(d, r, alphas), d)
+                blocks = alternating_blocks(moment_points(MomentSpec(d, alphas)), r)
+                out = hulls_common_point(blocks, d)
                 assert out.feasible, (d, r, seed)
                 checked += 1
     elapsed = time.perf_counter() - start

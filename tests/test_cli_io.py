@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -278,6 +279,11 @@ class TestRecords:
         assert back.claim == "Lemma2.1" and back.seed == 3
         with pytest.raises(InputError):
             jsonable(0.5)
+
+    def test_a_record_nested_past_the_reader_is_a_parse_error(self):
+        with pytest.raises(ParseError) as exc:
+            ReportRecord.from_json_line('{"inputs":' + "[" * 100_000 + "]" * 100_000 + "}", 7)
+        assert exc.value.line == 7
 
     def test_replay_feasible_and_infeasible(self):
         feas_blocks = [[(0, 0), (1, 1)], [(1, 0), (0, 1)]]
@@ -564,6 +570,93 @@ class TestCLI:
                               "certificate": None})
         for forged in forgeries:
             assert self.verify_lines(capsys, tmp_path, [forged]) == (1, [False]), forged
+
+    def test_a_contradicted_claim_fails_with_its_certificate(self, capsys, tmp_path):
+        # each record kind the verifier binds carries its own claim tag, the
+        # summary too, and an intersect record states that its evidence
+        # replayed and the status it expected, if any: every single-leaf
+        # change of those fails, certificate kept (exit 1)
+        report = tmp_path / "report.jsonl"
+        square = tmp_path / "square.otps"
+        square.write_text("otps 2 4\n0 0\n1 0\n1 1\n0 1\n")
+        for argv in (["search-c", "-d", "2", "-r", "2", "--n-from", "3", "--n-to", "4"],
+                     ["verify-figure2"],
+                     ["intersect", str(square), "--blocks", "1,3;2,4", "--expect", "feasible"],
+                     ["intersect", str(square), "--alternating", "2"]):
+            code, _ = self.run(capsys, "--out", str(report), *argv)
+            assert code == 0
+        records = [json.loads(line) for line in report.read_text().splitlines()]
+        assert [rec["command"] for rec in records] == [
+            "search-c", "search-c", "search-c-summary", "verify-figure2", "intersect",
+            "intersect"]
+        assert self.verify_lines(capsys, tmp_path, records) == (0, [True, None, True] + [True] * 3)
+        forgeries = [(i, {**rec, "claim": claim}) for i, rec in enumerate(records)
+                     for claim in leaf_mutants(rec["claim"])]
+        for i in (4, 5):
+            outcome = records[i]["outcome"]
+            forgeries += [(i, {**records[i], "outcome": changed}) for changed in
+                          [*leaf_mutants(outcome), {**outcome, "expected": "infeasible"}]]
+        assert len(forgeries) == 6 + 4 + 5
+        for i, forged in forgeries:
+            code, verdicts = self.verify_lines(
+                capsys, tmp_path, records[:i] + [forged] + records[i + 1:])
+            assert code == 1 and verdicts[i] is False, forged
+
+    def found_record(self, capsys, tmp_path):
+        """The found n=3 record of ``search-c -d 2 -r 2``."""
+        report = tmp_path / "found.jsonl"
+        code, _ = self.run(capsys, "--out", str(report), "search-c", "-d", "2",
+                           "-r", "2", "--n-from", "3", "--n-to", "3")
+        assert code == 0
+        found = json.loads(report.read_text().splitlines()[0])
+        assert found["outcome"]["found"] is True and found["certificate"] is not None
+        return found
+
+    @pytest.mark.parametrize("r", [0, -1])
+    @pytest.mark.parametrize("certified", [True, False])
+    def test_a_found_record_with_no_count_of_blocks_fails(self, capsys, tmp_path, r,
+                                                          certified):
+        # a found record whose r is no int of at least 1 fails verify (exit
+        # 1), and resume drops it with its warning and leaves --out as it
+        # was; the scan at that r is then an input error (exit 2)
+        forged = self.found_record(capsys, tmp_path)
+        forged["inputs"]["r"] = r
+        if not certified:
+            forged["certificate"] = None
+        assert self.verify_lines(capsys, tmp_path, [forged]) == (1, [False])
+        report = tmp_path / "resume.jsonl"
+        report.write_text(json.dumps(forged) + "\n")
+        before = report.read_bytes()
+        code = main(["--out", str(report), "search-c", "-d", "2", "-r", str(r),
+                     "--n-from", "3", "--n-to", "3"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.count("warning") == 1 and "n=3" in captured.err
+        assert captured.err.splitlines()[-1].startswith("input error: ")
+        assert report.read_bytes() == before
+
+    @pytest.mark.parametrize("change", [{"d": 10 ** 6}, {"r": 10 ** 9},
+                                        {"alphas": ["9" * 4000]}])
+    @pytest.mark.parametrize("certified", [True, False])
+    def test_a_claim_costs_no_more_than_its_certificate(self, capsys, tmp_path, change,
+                                                        certified):
+        # a found record whose d or r is far from its certificate's shape,
+        # or whose one alpha of 4,000 digits has powers the
+        # certificate does not write, fails in well under 2 s: the shape is
+        # compared before any moment point, and each coordinate is read
+        # from the certificate's text as alpha times the one before
+        forged = self.found_record(capsys, tmp_path)
+        if "alphas" in change:
+            forged["inputs"].update(d=400, r=1, n=1)
+            forged["outcome"].update(change, exact=False)
+            forged["certificate"].update(dim=400, blocks=[[["0"] * 400]])
+        else:
+            forged["inputs"].update(change)
+        if not certified:
+            forged["certificate"] = None
+        start = time.perf_counter()
+        assert self.verify_lines(capsys, tmp_path, [forged]) == (1, [False])
+        assert time.perf_counter() - start < 2
 
     def test_verify_binds_search_c_to_its_inputs(self, capsys, tmp_path):
         # the found n=3 record relabelled as n=4 still carries a certificate
@@ -1092,6 +1185,31 @@ class TestCLI:
         assert (code, captured.out) == (2, "")
         assert captured.err.startswith("input error: line 2:") and captured.err.count("\n") == 1
         assert str(path) in captured.err
+
+    @pytest.mark.parametrize("command", ["verify", "search-c"])
+    @pytest.mark.parametrize("line, message", [
+        ('{"command":"search-c","inputs":' + "[" * 100_000 + "]" * 100_000 + "}",
+         "a JSON record nested too deeply to read"),
+        # within the reader's limit, but verify would echo the command
+        ('{"command":' + "[" * 500 + "]" * 500 + "}",
+         "a record is a JSON object whose command is a string and whose inputs and "
+         "outcome are objects"),
+    ], ids=["nested-inputs", "nested-command"])
+    def test_deeply_nested_report_exits_2(self, capsys, tmp_path, command, line, message):
+        # a line nested past the JSON reader's recursion limit is no report,
+        # and nor is one whose command is a nest of lists: an input error that
+        # names the line, and --out stays as it was
+        path = tmp_path / "nested.jsonl"
+        path.write_text(line + "\n")
+        before = path.read_bytes()
+        argv = {"verify": ["verify", str(path)],
+                "search-c": ["--out", str(path), "search-c", "-d", "2", "-r", "2",
+                             "--n-from", "3", "--n-to", "3"]}[command]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"input error: line 1: {message}\n"
+        assert path.read_bytes() == before
 
     def test_search_c_resume_after_torn_line(self, capsys, tmp_path):
         # a kill during the per-n append leaves a partial last line; resume

@@ -21,6 +21,7 @@ from tverlab.feasibility import (
     Witness,
     hulls_common_point,
     intervals_common_point,
+    Support,
     screen,
     solve_equality_feasibility,
     verify_outcome,
@@ -258,10 +259,19 @@ def lift(blocks, d):
     return [[next(ints) for _ in block] for block in blocks]
 
 
+def support_columns(blocks, support):
+    """The columns of :func:`~tverlab.feasibility.intersection_system` of a
+    per-block support: each block's positions, offset by the earlier blocks."""
+    offsets = itertools.accumulate(map(len, blocks), initial=0)
+    return [offset + i for offset, positions in zip(offsets, support) for i in positions]
+
+
 def holds_a_point(blocks, d, support):
     """The canonical system of the rational blocks has a point whose
-    nonzero entries are exactly the columns of ``support``, checked by the
-    canonical simplex on those columns alone and recomputed exactly."""
+    nonzero entries are exactly the columns of the per-block ``support``,
+    checked by the canonical simplex on those columns alone and recomputed
+    exactly."""
+    support = support_columns(blocks, support)
     rows, rhs = feasibility.intersection_system(blocks, d)
     status, x_s = solve_equality_feasibility([[row[j] for j in support] for row in rows], rhs)
     if status != "feasible" or not all(v > 0 for v in x_s):
@@ -280,7 +290,7 @@ def replays_densely(rows, rhs, u):
 
 
 def verdict_status(verdict):
-    return None if verdict is None else verdict[0]
+    return None if verdict is None else verdict.status
 
 
 def key_columns(blocks):
@@ -324,8 +334,9 @@ class TestConfirmFeasible:
             verdict = screen(lifted, d)
             if verdict is not None:
                 screened += 1
-                assert verdict[0] == "infeasible", (blocks, d)
-                assert replays_densely(*feasibility.intersection_system(lifted, d), verdict[1])
+                assert isinstance(verdict, FarkasCertificate), (blocks, d)
+                assert replays_densely(*feasibility.intersection_system(lifted, d),
+                                       verdict.multipliers)
         assert infeasible >= 10
         assert 10 * screened >= 9 * infeasible, (screened, infeasible)
 
@@ -340,12 +351,14 @@ class TestConfirmFeasible:
         verdict = screen(blocks, d)
         if verdict is None:
             return
-        status, evidence = verdict
-        assert status == hulls_common_point(blocks, d).status
-        if status == "infeasible":
-            assert replays_densely(*feasibility.intersection_system(blocks, d), evidence)
+        assert verdict.status == hulls_common_point(blocks, d).status
+        if isinstance(verdict, EmptyBlockCertificate):
+            assert verdict.replays(blocks, d)
+        elif isinstance(verdict, FarkasCertificate):
+            assert replays_densely(*feasibility.intersection_system(blocks, d),
+                                   verdict.multipliers)
         else:
-            assert holds_a_point(blocks, d, evidence)
+            assert holds_a_point(blocks, d, verdict.support)
 
     def test_confirmed_point_is_a_point_of_the_canonical_system(self):
         # the support holds a point of the unlifted system, positive on it
@@ -354,16 +367,16 @@ class TestConfirmFeasible:
             verdict = screen(lift(blocks, d), d)
             if verdict_status(verdict) == "feasible":
                 confirmed += 1
-                assert holds_a_point(blocks, d, verdict[1]), (blocks, d)
+                assert holds_a_point(blocks, d, verdict.support), (blocks, d)
         assert confirmed >= 50
 
     def test_sixteen_point_system_is_not_confirmed(self):
         # not confirmed feasible: screened infeasible, with multipliers that
         # replay on the dense lifted system
         lifted = search._lifted_blocks(search._lift(search.SIXTEEN_POINT_PARAMS), 3, 4)
-        status, u = screen(lifted, 3)
-        assert status == "infeasible"
-        assert replays_densely(*feasibility.intersection_system(lifted, 3), u)
+        verdict = screen(lifted, 3)
+        assert isinstance(verdict, FarkasCertificate)
+        assert replays_densely(*feasibility.intersection_system(lifted, 3), verdict.multipliers)
 
     def test_moment_sets_lift_through_their_parameters(self):
         # a draw lifted to ints is k = L a, which gives the points
@@ -435,16 +448,16 @@ class TestConfirmFeasible:
                 tally[verdict_status(verdict)] += 1
                 if verdict is None:
                     continue
-                status, evidence = verdict
-                if status == "feasible":
+                if verdict.feasible:
                     assert reached_zero and feasible, (blocks, basis)
-                    assert set(evidence) <= set(basis), (blocks, basis)
-                    assert holds_a_point(blocks, d, evidence), (blocks, basis)
+                    columns = support_columns(blocks, verdict.support)
+                    assert set(columns) <= set(basis), (blocks, basis)
+                    assert holds_a_point(blocks, d, verdict.support), (blocks, basis)
                 else:
                     # a basis ending at zero whose primal read fails has its
                     # dual read too
                     assert not feasible, (blocks, basis)
-                    assert replays_densely(rows, rhs, evidence), (blocks, basis)
+                    assert replays_densely(rows, rhs, verdict.multipliers), (blocks, basis)
                     zero_ended_duals += reached_zero
         assert all(tally.values()) and zero_ended_duals, (tally, zero_ended_duals)
         assert len(shapes) == 8, shapes
@@ -455,7 +468,7 @@ class TestConfirmFeasible:
         # past it, on a chain row of zeros, overflows and is unconfirmed
         big = 10 ** 400
         blocks = [[(big, 1), (-big, 1)], [(0, 1)]]
-        assert screen(blocks, 2) == ("feasible", (0, 1, 2))
+        assert screen(blocks, 2) == Support(((0, 1), (0,)))
         assert hulls_common_point(blocks, 2).feasible
         blocks = [[(big, 1)], [(0, 1)]]
         assert screen(blocks, 2) is None
@@ -465,11 +478,11 @@ class TestConfirmFeasible:
         # no blocks: the empty system (m = 0) has the empty point; an empty
         # block has no point, which the screen proves, and a one-point block
         # has that point
-        assert screen([], 2) == ("feasible", ())
-        status, u = screen([[(0, 0)], []], 2)
-        assert status == "infeasible"
-        assert replays_densely(*feasibility.intersection_system([[(0, 0)], []], 2), u)
-        assert screen([[(0, 0)]], 2) == ("feasible", (0,))
+        assert screen([], 2) == Support(())
+        verdict = screen([[(0, 0)], []], 2)
+        assert verdict == EmptyBlockCertificate(2)
+        assert verdict.replays([[(0, 0)], []], 2)
+        assert screen([[(0, 0)]], 2) == Support(((0,),))
 
 
 def float_pass_systems():
@@ -601,8 +614,10 @@ class TestSparseScreen:
                         expect = None
                     key_read = feasibility._key_read(
                         blocks, *feasibility._difference_system(blocks, d), basis)
-                    assert key_read == (None if expect is None else tuple(
-                        j for j, v in zip(support, expect) if v)), (blocks, basis)
+                    columns = None if key_read is None else support_columns(blocks, key_read)
+                    assert columns == (
+                        None if expect is None else [j for j, v in zip(support, expect) if v]
+                    ), (blocks, basis)
                     reads["key"] += key_read is not None
                 dual = [[row[j] for row in rows] + [0] if j < n
                         else [int(i == j - n) for i in range(m)] + [costs[j - n]]

@@ -24,7 +24,6 @@ from tverlab.search import (
     c_lower_bound,
     check_growth_inequality,
     find_counterexample,
-    moment_blocks,
     n_line,
     n_line_formula,
     scan_c_lower,
@@ -33,6 +32,12 @@ from tverlab.search import (
     t_line,
     verified_sixteen_point_example,
 )
+
+
+def moment_blocks(d, r, alphas):
+    """The blocks of the alternating r-partition of the moment points of
+    ``alphas`` in R^d."""
+    return alternating_blocks(moment_points(MomentSpec(d, alphas)), r)
 
 
 def stream_settings(n, seed):
@@ -287,7 +292,6 @@ class TestMomentRead:
             for r in range(2, 5):
                 for n in sorted({r + 1, r * (d + 1) // 2 + 2, r * (d + 1) + 2}):
                     labels = searchmod.alternating_labels(n, r)
-                    sizes = [labels.count(k) for k in range(1, r + 1)]
                     rng = random.Random(100 * d + 10 * r + n)
                     draws = searchmod.integer_draws(SearchStrategy(seed=d * r * n), n, r)
                     for values in itertools.islice(draws, 8):
@@ -296,13 +300,13 @@ class TestMomentRead:
                         blocks = searchmod._lifted_blocks(ks, d, r)
                         verdict = feasibility.screen(blocks, d)
                         shared = searchmod._moment_reader(params, d)
-                        if verdict is not None and verdict[0] == "feasible":
-                            support = searchmod._positions(verdict[1], sizes)
+                        if verdict is not None and verdict.feasible:
+                            support = verdict.support
                             read = searchmod._moment_reader(params, d)(support)
                             assert read is not None, (d, r, values)
                             assert moment_read_replays(params, d, support, *read)
                             tally["screen"] += 1
-                        infeasible = verdict is not None and verdict[0] == "infeasible"
+                        infeasible = verdict is not None and not verdict.feasible
                         tally["infeasible"] += infeasible
                         for _ in range(20):
                             # one reader for the candidate's supports, so its
@@ -333,8 +337,7 @@ class TestMomentRead:
                 break
         witness = searchmod._certified(d, r, split_repeats(values, searchmod.DEFAULT_EPSILON))
         assert witness.feasible
-        columns = [j for j, lam in enumerate(itertools.chain(*witness.coefficients)) if lam]
-        support = searchmod._positions(columns, [labels.count(k) for k in range(1, r + 1)])
+        support = witness.support
         params = searchmod.split(ks, labels, r)
         assert all(0 < len(positions) <= d + 1 for positions in support)
         read = searchmod._moment_reader(params, d)(support)
@@ -374,7 +377,7 @@ def test_canonical_simplex_decides_every_unconfirmed_candidate(monkeypatch):
 
         def screen(blocks, dim):
             verdict = None if always_unconfirmed else real_screen(blocks, dim)
-            verdicts.append(None if verdict is None else verdict[0])
+            verdicts.append(None if verdict is None else verdict.status)
             return verdict
 
         def hulls(blocks, dim=None):
