@@ -412,6 +412,26 @@ _BOUND_CLAIMS = {"intersect": CLAIM_INTERSECTION, "search-c": CLAIM_SCAN,
                  "verify-figure2": CLAIM_SIXTEEN}
 
 
+def _scan_bound(inputs, outcome) -> bool:
+    """Whether a ``search-c`` record's fields are ones ``search-c`` can
+    write: a d, r and n that are ints of at least 1, the ``exact`` label its
+    d gives (:func:`_scan_exact`), a strategy that builds a
+    :class:`SearchStrategy` once its ``budget``, an int of at least 0, is
+    taken out, and, unless found, the count ``tried`` that
+    :func:`find_counterexample` draws then: the one candidate 1..n at d = 1,
+    else its whole budget, since n < r always finds.  A strategy of no known
+    kind or with a field out of range raises :class:`InputError` or
+    ``TypeError``."""
+    strategy = {**inputs["strategy"]}
+    budget = strategy.pop("budget")
+    SearchStrategy(**strategy)
+    d = inputs["d"]
+    return (all(type(inputs[key]) is int and inputs[key] >= 1 for key in ("d", "r", "n"))
+            and outcome["exact"] is _scan_exact(d) and type(budget) is int and budget >= 0
+            and (outcome["found"] is True or type(outcome["tried"]) is int
+                 and outcome["tried"] == (1 if _scan_exact(d) else budget)))
+
+
 def _replay_bound(record: ReportRecord) -> Optional[bool]:
     """Whether a record's certificate states the claim ``[dim, blocks,
     status]`` that the record's own inputs and outcome define, and its
@@ -419,21 +439,18 @@ def _replay_bound(record: ReportRecord) -> Optional[bool]:
     its point set and partition; a found ``search-c`` record and
     ``verify-figure2``: :func:`_states_moment_claim` of their alphas).
     Fields that contradict the claim fail, certificate or not: a claim tag
-    other than the kind's (:data:`_BOUND_CLAIMS`), a ``search-c`` ``exact``
-    label other than its d gives (:func:`_scan_exact`) or a d, r or n that
-    is no int of at least 1, found alphas that are not n, an ``intersect``
-    outcome not replayed or expecting another status, a ``verify-figure2``
-    outcome other than its epsilon gives.  A claim without a certificate
-    fails before anything of it is built, and so does a certificate on a
-    record that claims nothing; None only when a record claims nothing and
-    has none."""
+    other than the kind's (:data:`_BOUND_CLAIMS`), a ``search-c`` record
+    that ``search-c`` cannot write (:func:`_scan_bound`), found alphas that
+    are not n, an ``intersect`` outcome not replayed or expecting another
+    status, a ``verify-figure2`` outcome other than its epsilon gives.  A
+    claim without a certificate fails before anything of it is built, and
+    so does a certificate on a record that claims nothing; None only when a
+    record claims nothing and has none."""
     inputs, outcome, cert, kind = record.inputs, record.outcome, record.certificate, record.command
     tag = _BOUND_CLAIMS.get(kind)
     try:
-        counts = [inputs.get(key) for key in ("d", "r", "n")]
-        if tag is not None and record.claim != tag or kind == "search-c" and (
-                outcome["exact"] is not _scan_exact(inputs["d"])
-                or not all(type(v) is int and v >= 1 for v in counts)):
+        if tag is not None and record.claim != tag or kind == "search-c" and not _scan_bound(
+                inputs, outcome):
             return False
         if tag is None or kind == "search-c" and outcome["found"] is not True:
             return None if cert is None else False

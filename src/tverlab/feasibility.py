@@ -43,22 +43,24 @@ simplex above, which returns a witness or a certificate read off its end,
 the only ones printed.  :func:`screen` serves every other hull
 LP (the c(d,r) search and the tolerance removal scan) with the exact-LP
 recipe of Applegate, Cook, Dash and Espinoza (*Oper. Res. Lett.* 35, 2007),
-on the blocks' differences.  Each block's first point is its key, whose
-coefficient is the block's total minus the others: the convexity row is a
-generalized upper bound (Dantzig and Van Slyke, *J. Comput. Syst. Sci.* 1,
-1967), and the chain rows become ``(r - 1) d`` rows of exact integer
-differences ``p - key``.  Each such row, and then each column, is divided by
-its largest entry on integers before any float is formed; a float phase-1
-simplex starts with every key basic in its convexity row, so only the chain
-rows carry artificials, and proposes a basis.  Where its objective reached
-zero, the basis is solved on the difference rows alone; where it did not,
-or that solve fails, its dual on the canonical rows must replay as Farkas
-multipliers.  Floats never decide: any doubt falls back to
-:func:`hulls_common_point`.  The screen answers in the same evidence types,
-with a :class:`Support` (each block's positions of positive weight, the
-form of :attr:`Witness.support`) in place of a witness.  A c(d,r) search
-candidate, on the moment curve, is read before its screen on the supports
-of earlier confirmations
+on the rows of :func:`intersection_system`, built once.  Each block's first
+point is its key, whose coefficient is the block's total minus the others:
+the convexity row is a generalized upper bound (Dantzig and Van Slyke,
+*J. Comput. Syst. Sci.* 1, 1967), eliminated from each chain row by one
+row operation on integers, the chain row less its entry at the key times
+the key's convexity row, so the ``(r - 1) d`` chain rows hold the exact
+differences ``p - key`` and no key column.  Each such row, and then each
+column, is divided by its largest entry on integers before any float is
+formed; a float phase-1 simplex starts with every key basic in its
+convexity row, so only the chain rows carry artificials, and proposes a
+basis.  Where its objective reached zero, the basis is solved on the same
+rows; where it did not, or that solve fails, its dual on the canonical
+rows must replay as Farkas multipliers.  Floats never decide: any doubt
+falls back to :func:`hulls_common_point`.  The screen answers in the same
+evidence types, with a :class:`Support` (each block's positions of
+positive weight, the form of :attr:`Witness.support`) in place of a
+witness.  A c(d,r) search candidate, on the moment curve, is read before
+its screen on the supports of earlier confirmations
 (:func:`tverlab.search._moment_reader`): the affine hulls of the moment
 points of a support meet where the functional ``c_0 + c_1 x_1 + ... + c_d
 x_d`` vanishes on every multiple of degree at most d of each block's
@@ -411,21 +413,30 @@ def screen(blocks, dim) -> Support | FarkasCertificate | EmptyBlockCertificate |
     replay exactly, an :class:`EmptyBlockCertificate` for the first empty
     block, or None, unconfirmed either way.
 
-    Each block's first point is its key (see the module docstring).
-    :func:`_float_basis` proposes a basis from :func:`_float_start`, and
-    :func:`_key_read` reads one whose objective reached zero.  The dual of
-    any other basis, and of one that read fails, on the rows of
-    :func:`intersection_system`, costs 0 on the convexity rows and
-    ``L / s_i`` on chain row i, s_i the signed scale the float pass divided
-    the row by and L their LCM: the float pass's costs on the canonical
-    rows, which only make the replay likely to pass; the replay decides.
+    The rows of :func:`intersection_system` are built once, and each
+    block's key, its first point, is eliminated from them on integers (see
+    the module docstring): chain row i less ``row_i[key]`` times the key's
+    convexity row, for every key, leaves the key columns of the chain rows
+    zero and ``-sum row_i[key]`` as their rhs.  :func:`_float_basis`
+    proposes a basis from :func:`_float_start` on these rows, and
+    :func:`_key_read` reads one whose objective reached zero on the same
+    rows.  The dual of any other basis, and of one that read fails, on the
+    canonical rows, costs 0 on the convexity rows and ``L / s_i`` on chain
+    row i, s_i the signed scale the float pass divided the row by and L
+    their LCM: the float pass's costs on the canonical rows, which only
+    make the replay likely to pass; the replay decides.
     """
     for k, block in enumerate(blocks):
         if not block:
             return EmptyBlockCertificate(block_index=k + 1)
-    chains, rhs = _difference_system(blocks, dim)
+    r = len(blocks)
+    rows, _ = intersection_system(blocks, dim)
+    keys = list(accumulate(map(len, blocks), initial=0))[:-1]
+    owner = [k for k, block in enumerate(blocks) for _ in block]
+    eliminated = rows[:r] + [[v - row[keys[k]] for v, k in zip(row, owner)] for row in rows[r:]]
+    rhs = [1] * r + [-sum(row[key] for key in keys) for row in rows[r:]]
     try:
-        tableau, start, scales = _float_start(blocks, chains, rhs)
+        tableau, start, scales = _float_start(eliminated, rhs, keys)
     except OverflowError:
         return None
     proposed = _float_basis(tableau, start)
@@ -433,101 +444,68 @@ def screen(blocks, dim) -> Support | FarkasCertificate | EmptyBlockCertificate |
         return None
     basis, reached_zero = proposed
     if reached_zero:
-        support = _key_read(blocks, chains, rhs, basis)
+        support = _key_read(eliminated, rhs, keys, owner, basis)
         if support is not None:
             return Support(support)
     lcm = math.lcm(*scales)
-    rows, _ = intersection_system(blocks, dim)
-    read = _basis_dual(rows, basis, [0] * len(blocks) + [lcm // s for s in scales])
+    read = _basis_dual(rows, basis, [0] * r + [lcm // s for s in scales[r:]])
     if read is None:
         return None
     u = tuple(read[0])
     return FarkasCertificate(u) if _farkas_replays(u, blocks, dim) else None
 
 
-def _difference_system(blocks, dim):
-    """``(rows, rhs)``: the chain rows of :func:`intersection_system` with
-    each block's key q_k, its first point, eliminated by its convexity row.
-    Row c of blocks k and k + 1 holds ``(p - q_k)_c`` at each point p of
-    block k, ``(q_{k+1} - p)_c`` at each point of block k + 1, and the rhs
-    ``(q_{k+1} - q_k)_c``."""
-    n = sum(map(len, blocks))
-    offsets = list(accumulate(map(len, blocks), initial=0))
-    rows, rhs = [], []
-    for k in range(len(blocks) - 1):
-        here, there = blocks[k], blocks[k + 1]
-        for c in range(dim):
-            row = [0] * n
-            low, high = here[0][c], there[0][c]
-            for j, p in enumerate(here, offsets[k]):
-                row[j] = p[c] - low
-            for j, p in enumerate(there, offsets[k + 1]):
-                row[j] = high - p[c]
-            rows.append(row)
-            rhs.append(high - low)
-    return rows, rhs
-
-
-def _float_start(blocks, rows, rhs):
+def _float_start(rows, rhs, keys):
     """``(tableau, basis, scales)``: the float phase 1's start on the
-    convexity rows and then the difference system ``rows``, each key basic
-    in its block's convexity row and an artificial, column n + i, in each
-    chain row i.  Each chain row is divided by its signed scale s_i, its
-    largest absolute entry with the sign of its rhs, and then each column by
-    its largest absolute entry in the chain rows so divided; a convexity row
-    holds the reciprocals of its columns' scales, a key's scale being 1.
-    Each float is one correctly rounded quotient of the exact integers, as
-    ``int / int`` rounds."""
-    n, r = sum(map(len, blocks)), len(blocks)
-    scales = [(max(map(abs, row)) or 1) * (-1 if b < 0 else 1) for row, b in zip(rows, rhs)]
+    key-eliminated rows ``[A | b]`` of :func:`screen`, the convexity rows
+    first, each key basic in its block's convexity row and an artificial,
+    column n + i, in each chain row i.  Every row i is divided by its
+    signed scale s_i, 1 on a convexity row and on a chain row its largest
+    absolute entry with the sign of its rhs, and then each column by its
+    largest absolute entry in the chain rows so divided (1 where they are
+    all zero, as in a key's column).  Each float is one correctly rounded
+    quotient of the exact integers, as ``int / int`` rounds."""
+    r, n = len(keys), len(rows[0]) if rows else 0
+    scales = [1] * r + [(max(map(abs, row)) or 1) * (-1 if b < 0 else 1)
+                        for row, b in zip(rows[r:], rhs[r:])]
     # the column scale max_i |a_ij| / |s_i| as the fraction top / bottom
     tops, bottoms = [1] * n, [1] * n
-    for j, column in enumerate(zip(*rows)):
+    for j, column in enumerate(zip(*rows[r:])):
         top, bottom = 0, 1
-        for v, s in zip(column, scales):
+        for v, s in zip(column, scales[r:]):
             if v and abs(v * bottom) > top * abs(s):
                 top, bottom = abs(v), abs(s)
         if top:
             tops[j], bottoms[j] = top, bottom
-    offsets = list(accumulate(map(len, blocks), initial=0))
-    tableau = []
-    for key, end in zip(offsets, offsets[1:]):
-        row = [0.0] * (n + 1)
-        for j in range(key, end):
-            row[j] = bottoms[j] / tops[j]
-        row[-1] = 1.0
-        tableau.append(row)
-    for row, b, s in zip(rows, rhs, scales):
-        tableau.append([v * bottom / (s * top) if v else 0.0
-                        for v, top, bottom in zip(row, tops, bottoms)] + [b / s])
-    return tableau, offsets[:-1] + list(range(n + r, n + len(tableau))), scales
+    tableau = [[v * bottom / (s * top) if v else 0.0
+                for v, top, bottom in zip(row, tops, bottoms)] + [b / s]
+               for row, b, s in zip(rows, rhs, scales)]
+    return tableau, keys + list(range(n + r, n + len(rows))), scales
 
 
-def _key_read(blocks, rows, rhs, basis):
+def _key_read(rows, rhs, keys, owner, basis):
     """The support of the basic point of ``basis``, as :class:`Support`
     names it, or None unless it is a unique common point.  Its columns S
     of :func:`intersection_system` other than keys are solved, ``y = D
-    x_S`` by :func:`_exact_solution`, on the difference system ``rows`` and
-    the convexity row of each block whose key is not in the basis; each
-    key's coefficient is D minus the sum of its block's others."""
-    offsets = list(accumulate(map(len, blocks), initial=0))
-    keys = offsets[:-1]
-    owner = [k for k, block in enumerate(blocks) for _ in block]
-    inside = set(basis)
+    x_S`` by :func:`_exact_solution`, on the key-eliminated rows ``rows``
+    of :func:`screen`: its chain rows, and the convexity row of each block
+    whose key is not in the basis; each key's coefficient is D minus the
+    sum of its block's others.  ``owner[j]`` is the block of column j."""
+    r, inside = len(keys), set(basis)
     support = sorted(j for j in inside if j < len(owner) and j != keys[owner[j]])
-    aug = [[row[j] for j in support] + [b] for row, b in zip(rows, rhs)]
-    aug += [[int(owner[j] == k) for j in support] + [1]
-            for k, key in enumerate(keys) if key not in inside]
+    kept = list(range(r, len(rows))) + [k for k, key in enumerate(keys) if key not in inside]
+    aug = [[rows[i][j] for j in support] + [rhs[i]] for i in kept]
     solved = _exact_solution(aug, len(support))
     if solved is None:
         return None
     y, last = solved
-    left = [last] * len(blocks)
+    left = [last] * r
     for j, v in zip(support, y):
         left[owner[j]] -= v
     if min(y, default=0) < 0 or min(left, default=0) < 0:
         return None
     positive = {j for j, v in zip(support + keys, y + left) if v}
+    offsets = keys + [len(owner)]
     return tuple(tuple(j - lo for j in range(lo, hi) if j in positive)
                  for lo, hi in zip(offsets, offsets[1:]))
 

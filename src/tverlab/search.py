@@ -28,11 +28,12 @@ A candidate is an integer draw, sorted with its repeats, and reaches the
 integer screen lifted straight to ints: the draw itself when no value
 repeats, else every split value times the denominator of the perturbation.
 There each alternating block's first point, the moment point of its least
-parameter, is its key: the chain rows are exact integer differences of
-moment points from their block's key, each row and then each column is
+parameter, is its key, eliminated from each chain row of the canonical
+system by one row operation on integers, which leaves exact differences of
+moment points from their block's key; each row and then each column is
 scaled on integers before floats are formed, a float phase 1 starts with
 every key basic in its block's convexity row, and a basis that reaches
-zero is read exactly on the difference rows alone
+zero is read exactly on the same rows
 (:func:`~tverlab.feasibility.screen`).  Only the candidates that the screen
 does not confirm feasible take their :func:`alpha_candidates` parameters
 through the canonical simplex, which decides and certifies them.

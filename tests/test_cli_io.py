@@ -602,6 +602,73 @@ class TestCLI:
                 capsys, tmp_path, records[:i] + [forged] + records[i + 1:])
             assert code == 1 and verdicts[i] is False, forged
 
+    def test_a_scan_record_search_c_cannot_write_fails(self, capsys, tmp_path):
+        # a search-c record's strategy builds a SearchStrategy once its
+        # budget, an int of at least 0, is taken out, and a not-found
+        # record tried what the search draws, 1 at d = 1 and else its
+        # budget: each mutant of those fails (exit 1), with its certificate
+        # if it has one and without, and a found record turned not-found
+        # with its certificate removed too; the untampered reports keep
+        # their verdicts
+        reports = []
+        for argv in (["--seed", "1", "search-c", "-d", "3", "-r", "3", "--n-from", "10",
+                      "--n-to", "10", "--budget", "10"],
+                     ["search-c", "-d", "2", "-r", "2", "--n-from", "5", "--n-to", "5",
+                      "--budget", "3"],
+                     ["search-c", "-d", "1", "-r", "3", "--n-from", "5", "--n-to", "5",
+                      "--budget", "5"]):
+            report = tmp_path / "scan.jsonl"
+            report.unlink(missing_ok=True)
+            code, _ = self.run(capsys, "--out", str(report), *argv)
+            assert code == 0
+            reports.append([json.loads(line) for line in report.read_text().splitlines()])
+        assert [self.verify_lines(capsys, tmp_path, records) for records in reports] == [
+            (0, [True, True]), (0, [None, True]), (0, [None, True])]
+        found, missed, line = (records[0] for records in reports)
+        assert found["outcome"]["found"] is True and found["certificate"] is not None
+        assert missed["outcome"] == {"found": False, "tried": 3, "exact": False}
+        assert line["outcome"] == {"found": False, "tried": 1, "exact": True}
+        forgeries = []
+        for rec in (found, missed, line):
+            strategy = rec["inputs"]["strategy"]
+            unbudgeted = {key: v for key, v in strategy.items() if key != "budget"}
+            for forged in ({**strategy, "kind": "clusteredx"}, {**strategy, "budget": -1},
+                           {**strategy, "budget": True}, {**strategy, "budget": "10"},
+                           {**strategy, "budget": 10.0}, {**strategy, "spread": 0},
+                           {**strategy, "cluster_count": -1}, {**strategy, "colour": 1},
+                           unbudgeted, list(strategy.items())):
+                forgeries.append({**rec, "inputs": {**rec["inputs"], "strategy": forged}})
+        for rec, tried in ((missed, 2), (missed, 4), (missed, True), (missed, "3"),
+                           (missed, None), (line, 5), (line, 0)):
+            forgeries.append({**rec, "outcome": {**rec["outcome"], "tried": tried}})
+        forgeries.append({**found, "outcome": {"found": False, "exact": False},
+                          "certificate": None})
+        assert len(forgeries) == 38
+        for forged in forgeries:
+            for certificate in {id(c): c for c in (forged["certificate"], None)}.values():
+                assert self.verify_lines(capsys, tmp_path, [{**forged, "certificate": certificate}]
+                                         ) == (1, [False]), (forged, certificate)
+
+    def test_search_c_resume_recounts_a_miscounted_miss(self, capsys, tmp_path):
+        # a not-found record whose tried is not its budget is dropped with
+        # one warning, and its n recomputed to the record search-c writes
+        report = tmp_path / "scan.jsonl"
+        scan = ["--out", str(report), "search-c", "-d", "2", "-r", "2", "--n-from", "5",
+                "--n-to", "5", "--budget", "3"]
+        code, _ = self.run(capsys, *scan)
+        assert code == 0
+        miss = json.loads(report.read_text().splitlines()[0])
+        assert miss["outcome"] == {"found": False, "tried": 3, "exact": False}
+        report.write_text(json.dumps({**miss, "outcome": {**miss["outcome"], "tried": 2}}) + "\n")
+        code = main(scan)
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err.count("warning") == 1 and "n=5" in captured.err
+        *computed, summary = [json.loads(line) for line in captured.out.splitlines()]
+        assert [(rec["inputs"], rec["outcome"]) for rec in computed] == [
+            (miss["inputs"], miss["outcome"])]
+        assert summary["outcome"]["resumed"] == []
+
     def found_record(self, capsys, tmp_path):
         """The found n=3 record of ``search-c -d 2 -r 2``."""
         report = tmp_path / "found.jsonl"

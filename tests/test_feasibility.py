@@ -298,10 +298,25 @@ def key_columns(blocks):
     return [sum(map(len, blocks[:k])) for k in range(len(blocks))]
 
 
+def key_system(blocks, d):
+    """``(rows, rhs, keys, owner)``: the rows of
+    :func:`~tverlab.feasibility.intersection_system` with each block's key,
+    its first point, eliminated by its convexity row, as the screen
+    eliminates it; each key's column and the block of each column."""
+    rows, _ = feasibility.intersection_system(blocks, d)
+    r = len(blocks)
+    keys = key_columns(blocks)
+    owner = [k for k, block in enumerate(blocks) for _ in block]
+    chains = [[v - row[keys[owner[j]]] for j, v in enumerate(row)] for row in rows[r:]]
+    rhs = [1] * r + [-sum(row[key] for key in keys) for row in rows[r:]]
+    return rows[:r] + chains, rhs, keys, owner
+
+
 def float_start(blocks, d):
     """The screen's float start on blocks of integer points: ``(tableau,
     basis, scales)``."""
-    return feasibility._float_start(blocks, *feasibility._difference_system(blocks, d))
+    rows, rhs, keys, _ = key_system(blocks, d)
+    return feasibility._float_start(rows, rhs, keys)
 
 
 class TestConfirmFeasible:
@@ -462,6 +477,35 @@ class TestConfirmFeasible:
         assert all(tally.values()) and zero_ended_duals, (tally, zero_ended_duals)
         assert len(shapes) == 8, shapes
 
+    def test_the_screen_builds_one_system(self, monkeypatch):
+        # the float start, the key read and the dual read all work on the
+        # one canonical system the screen builds: one per call on nonempty
+        # blocks, also where a zero-ended basis fails its key read and is
+        # read as a dual, and none where a block is empty
+        built, duals = [], []
+        build, dual = feasibility.intersection_system, feasibility._basis_dual
+        monkeypatch.setattr(feasibility, "intersection_system",
+                            lambda *args: built.append(args) or build(*args))
+        monkeypatch.setattr(feasibility, "_basis_dual",
+                            lambda *args: duals.append(args) or dual(*args))
+        cases = [(lift(blocks, d), d) for blocks, d in confirmation_cases()]
+        for blocks, d in cases:
+            built.clear()
+            screen(blocks, d)
+            assert len(built) == 1, (blocks, d)
+        # every artificial basic, ending at zero: the key read has no column
+        # and fails on the convexity rows, so the dual is read
+        monkeypatch.setattr(feasibility, "_float_basis", lambda tableau, start: (
+            list(range(len(tableau[0]) - 1, len(tableau[0]) - 1 + len(tableau))), True))
+        for blocks, d in cases:
+            built.clear()
+            duals.clear()
+            screen(blocks, d)
+            assert (len(built), len(duals)) == (1, 1), (blocks, d)
+        built.clear()
+        assert screen([[(1, 2)], [], [(3, 4)]], 2) == EmptyBlockCertificate(2)
+        assert built == []
+
     def test_float_overflow_is_unconfirmed(self):
         # rows and columns are scaled on integers before any float is
         # formed, so coordinates past the float range still decide; an rhs
@@ -605,15 +649,14 @@ class TestSparseScreen:
             costs = [rng.randint(1, 4) for _ in range(m)]
             for basis in bases:
                 if blocks is not None:
-                    # on the difference system, the key read names the
+                    # on the key-eliminated rows, the key read names the
                     # support of the canonical solution of the same basis
                     support = sorted(j for j in basis if j < n)
                     expect = fraction_solution([[row[j] for j in support] + [b]
                                                 for row, b in zip(rows, rhs)], len(support))
                     if expect is not None and any(v < 0 for v in expect):
                         expect = None
-                    key_read = feasibility._key_read(
-                        blocks, *feasibility._difference_system(blocks, d), basis)
+                    key_read = feasibility._key_read(*key_system(blocks, d), basis)
                     columns = None if key_read is None else support_columns(blocks, key_read)
                     assert columns == (
                         None if expect is None else [j for j, v in zip(support, expect) if v]

@@ -546,7 +546,7 @@ class TestSetTolerance:
     def test_screen_row_updates(self, monkeypatch):
         # the screen's exact reads leave a row with a zero in the pivot
         # column alone until it is next read, and read a basis that reached
-        # zero on the difference rows alone: 4,534 bigint row operations,
+        # zero on the key-eliminated rows: 4,534 bigint row operations,
         # rescales included, where reading it on every canonical row made
         # 8,385, and updating every row at every pivot 15,666 in support
         # order and 10,340 with unit pivots put first, for the same report
